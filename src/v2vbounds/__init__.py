@@ -60,6 +60,7 @@ from .scenarios import (
     calibrated_power,
     calibrated_scene,
     evaluate_point,
+    evaluate_points,
     overtaking_sweep,
     platooning_sweep,
     requirement_crossing,

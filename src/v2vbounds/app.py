@@ -19,7 +19,6 @@ import yaml
 
 from . import selfcheck as selfcheck_mod
 from .errors import ConfigError, NoActiveLinks, NoBracket, NuisanceSingular
-from .geometry import Vec2
 from .scenarios import (
     PRESETS,
     DEFAULT_SWEEP_STEP,
@@ -27,7 +26,7 @@ from .scenarios import (
     PresetConfig,
     Requirements,
     SweepRow,
-    evaluate_point,
+    custom_sweep,
     overtaking_sweep,
     platooning_sweep,
     scenario_crossing,
@@ -37,6 +36,7 @@ CSV_HEADER = (
     "q_x,q_y,d_y,n_links,peb_lat_both,peb_lon_both,"
     "peb_lat_aoa,peb_lon_aoa,oeb_both,oeb_aoa"
 )
+_BOUND_COLUMNS = CSV_HEADER.split(",")[4:]
 
 _SCENARIOS = ("overtaking", "platooning", "custom")
 _MEASUREMENT_CHOICES = {"aoa": ("aoa",), "aoa+tdoa": ("aoa_tdoa",), "both": ("aoa_tdoa", "aoa")}
@@ -243,16 +243,8 @@ def _run_sweep(cfg: RunConfig, preset: PresetConfig) -> list[SweepRow]:
     if cfg.scenario == "platooning":
         return platooning_sweep(preset, q_y_min=cfg.q_y_min, step=cfg.step,
                                 measurements=cfg.measurements)
-    grid_count = int(round((cfg.q_y_max - cfg.q_y_min) / cfg.step))
-    return [
-        evaluate_point(
-            preset,
-            Vec2(cfg.q_x, cfg.q_y_min + i * cfg.step),
-            alpha_t=cfg.alpha_t,
-            measurements=cfg.measurements,
-        )
-        for i in range(grid_count + 1)
-    ]
+    return custom_sweep(preset, cfg.q_x, cfg.q_y_min, cfg.q_y_max, cfg.step,
+                        alpha_t=cfg.alpha_t, measurements=cfg.measurements)
 
 
 def _crossing_summary(cfg: RunConfig, preset: PresetConfig) -> list[str]:
@@ -286,13 +278,12 @@ def run(cfg: RunConfig) -> int:
         return 2
     try:
         rows = _run_sweep(cfg, preset)
-        bad = next(
-            (row for row in rows if math.isnan(row.peb_lat_both) or math.isnan(row.peb_lat_aoa)),
-            None,
-        )
-        if bad is not None:
-            print(f"numerical failure at q_y = {bad.q_y}: NaN bound", file=sys.stderr)
-            return 3
+        for row in rows:
+            nan = [name for name in _BOUND_COLUMNS if math.isnan(getattr(row, name))]
+            if nan:
+                print(f"numerical failure at q_y = {row.q_y}: NaN {', '.join(nan)}",
+                      file=sys.stderr)
+                return 3
         out_path = cfg.output_path()
         emit_csv(rows, out_path)
         print(f"wrote {len(rows)} rows to {out_path}")

@@ -31,12 +31,20 @@ def free_space_gain(distance: float, wavelength: float) -> complex:
     return amplitude * cmath.exp(1j * phase)
 
 
+def information_weight(distance, wavelength, n_rx, gamma_t, n_symbols, noise_variance):
+    """Elementwise information weight g = 2 N_rx n_symbols gamma_t |h|^2 /
+    noise_variance at total_power = 1, with |h| = wavelength / (4 pi d)."""
+    amplitude = wavelength / (4.0 * math.pi * distance)
+    return 2.0 * n_rx * n_symbols * gamma_t * amplitude**2 / noise_variance
+
+
 def _unit_power_weight(scene: Scene, tx_panel: int, rx_panel: int, distance: float) -> float:
     """Information weight g of one link at total_power = 1."""
-    h = free_space_gain(distance, scene.ofdm.wavelength)
-    n_rx = scene.rx_vehicle.panels[rx_panel].n_elements
-    gamma_t = scene.allocation.array_power_fractions[tx_panel]
-    return 2.0 * n_rx * scene.ofdm.n_symbols * gamma_t * abs(h) ** 2 / scene.noise_variance
+    return information_weight(
+        distance, scene.ofdm.wavelength, scene.rx_vehicle.panels[rx_panel].n_elements,
+        scene.allocation.array_power_fractions[tx_panel], scene.ofdm.n_symbols,
+        scene.noise_variance,
+    )
 
 
 def link_gains(scene: Scene, links: LinkSet) -> list[LinkGain]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import LinkGain
 from .errors import NoActiveLinks
-from .geometry import SPEED_OF_LIGHT, ArrayPanel, LinkSet, unit_dir, unit_perp
+from .geometry import SPEED_OF_LIGHT, ArrayPanel, LinkSet, VehicleArrays, unit_dir
 from .scene import Scene
 
 # Eigenvalues below RANK_EPS * lambda_max count as zero when ranking.
@@ -43,6 +43,13 @@ class FimResult:
     singular: bool
 
 
+def saaf_matrix(panel: ArrayPanel) -> np.ndarray:
+    """S = (1/N) sum_i d_i^2 u_perp(psi_i) u_perp(psi_i)^T, so saaf = u^T S u."""
+    d_perp = np.array([(e.distance * math.sin(e.angle), -e.distance * math.cos(e.angle))
+                       for e in panel.elements])
+    return d_perp.T @ d_perp / panel.n_elements
+
+
 def saaf(panel: ArrayPanel, theta_local: float) -> float:
     """Squared array aperture function of a panel at a vehicle-frame angle.
 
@@ -50,36 +57,44 @@ def saaf(panel: ArrayPanel, theta_local: float) -> float:
     direction; zero for a single-element panel, and the quantity that scales
     the angle information of a link.
     """
-    direction = unit_dir(theta_local)
-    total = 0.0
-    for element in panel.elements:
-        total += (element.distance * unit_perp(element.angle).dot(direction)) ** 2
-    return total / panel.n_elements
+    u = np.array(unit_dir(theta_local).as_tuple())
+    return float(u @ saaf_matrix(panel) @ u)
+
+
+def bound_arrays(j_po: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Symmetrised EFIMs, ranks and [peb_lat, peb_lon, oeb] of (..., 3, 3)
+    EFIMs; below full rank (see RANK_EPS) the bounds are +inf."""
+    sym = 0.5 * (j_po + np.swapaxes(j_po, -1, -2))
+    eigvals = np.linalg.eigvalsh(sym)
+    lam_max = eigvals[..., -1:]
+    rank = np.where(lam_max[..., 0] > 0.0, np.sum(eigvals > RANK_EPS * lam_max, axis=-1), 0)
+    full = (rank == 3)[..., None]
+    inv = np.linalg.inv(np.where(full[..., None], sym, np.eye(3)))
+    with np.errstate(invalid="ignore"):  # a negative variance becomes NaN, not an error
+        bounds = np.sqrt(np.diagonal(inv, axis1=-2, axis2=-1))
+    return sym, rank, np.where(full, bounds, math.inf)
 
 
 def bounds_from_fim(j_po: np.ndarray) -> FimResult:
     """Extract lateral/longitudinal/orientation bounds from a 3x3 EFIM."""
-    sym = 0.5 * (j_po + j_po.T)
-    eigvals = np.linalg.eigvalsh(sym)
-    lam_max = float(eigvals[-1])
-    if lam_max <= 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(eigvals > RANK_EPS * lam_max))
-    if rank < 3:
-        return FimResult(
-            j_po=sym, peb_lat=math.inf, peb_lon=math.inf, oeb=math.inf,
-            rank=rank, singular=True,
-        )
-    inv = np.linalg.inv(sym)
-    return FimResult(
-        j_po=sym,
-        peb_lat=math.sqrt(inv[0, 0]),
-        peb_lon=math.sqrt(inv[1, 1]),
-        oeb=math.sqrt(inv[2, 2]),
-        rank=3,
-        singular=False,
-    )
+    sym, rank, (peb_lat, peb_lon, oeb) = bound_arrays(np.asarray(j_po, dtype=float))
+    return FimResult(j_po=sym, peb_lat=float(peb_lat), peb_lon=float(peb_lon),
+                     oeb=float(oeb), rank=int(rank), singular=bool(rank < 3))
+
+
+def link_vectors(
+    direction: np.ndarray, tx_offset: np.ndarray, rx_heading: np.ndarray, saaf_s: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`link_info_vectors` from (..., 2) arrays: the unit direction from
+    the Tx toward the Rx panel, the Tx panel's offset from the Tx reference
+    point, the Rx vehicle heading and the Rx panel's (..., 2, 2) SAAF matrix."""
+    perp = np.stack((-direction[..., 1], direction[..., 0]), axis=-1)  # unit_perp(theta_T)
+    v_tau = np.concatenate((direction, np.sum(perp * tx_offset, axis=-1)[..., None]), axis=-1)
+    v_theta = np.concatenate((perp, -np.sum(direction * tx_offset, axis=-1)[..., None]), axis=-1)
+    c, s = np.cos(rx_heading), np.sin(rx_heading)
+    local = np.stack((c * direction[..., 0] + s * direction[..., 1],
+                      c * direction[..., 1] - s * direction[..., 0]), axis=-1)
+    return v_tau, v_theta, np.einsum("...i,...ij,...j->...", local, saaf_s, local)
 
 
 def link_info_vectors(scene: Scene, links: LinkSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -91,37 +106,50 @@ def link_info_vectors(scene: Scene, links: LinkSet) -> tuple[np.ndarray, np.ndar
     aperture[k] is the Rx panel's squared array aperture function at the
     link's local arrival angle.
     """
-    n = len(links)
-    v_tau = np.zeros((n, 3))
-    v_theta = np.zeros((n, 3))
-    aperture = np.zeros(n)
-    tx_offsets = {}
-    for k, link in enumerate(links):
-        if link.tx_panel not in tx_offsets:
-            tx_offsets[link.tx_panel] = scene.tx_panel_offset(link.tx_panel)
-        offset = tx_offsets[link.tx_panel]
-        u_r = unit_dir(link.theta_R)
-        u_perp_t = unit_perp(link.theta_T)
-        u_t = unit_dir(link.theta_T)
-        v_tau[k] = (u_r.x, u_r.y, u_perp_t.dot(offset))
-        v_theta[k] = (u_perp_t.x, u_perp_t.y, u_t.dot(offset))
-        aperture[k] = saaf(scene.rx_vehicle.panels[link.rx_panel], link.theta_R_local)
-    return v_tau, v_theta, aperture
+    t = [link.tx_panel for link in links]
+    r = [link.rx_panel for link in links]
+    tx_position, tx_heading = scene.tx_pose.arrays()
+    rx_position, rx_heading = scene.rx_pose.arrays()
+    tx_c = VehicleArrays.of(scene.tx_vehicle).centroids(tx_position, tx_heading)[t]
+    offset = VehicleArrays.of(scene.rx_vehicle).centroids(rx_position, rx_heading)[r] - tx_c
+    saaf_s = np.stack([saaf_matrix(panel) for panel in scene.rx_vehicle.panels])[r]
+    direction = offset / np.hypot(offset[:, 0], offset[:, 1])[:, None]
+    return link_vectors(direction, tx_c - tx_position, rx_heading, saaf_s)
 
 
-def _angle_information(
-    scene: Scene, links: LinkSet, gains: Sequence[LinkGain],
-    v_theta: np.ndarray, aperture: np.ndarray,
-) -> np.ndarray:
-    omega_c = scene.ofdm.omega_c
+def information(
+    v_tau: np.ndarray, v_theta: np.ndarray, aperture: np.ndarray,
+    g: np.ndarray, distance: np.ndarray, beta: np.ndarray, omega_c: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """AOA-only and AOA+TDOA EFIMs (..., 3, 3) from per-link arrays, links
+    along the last axis of the weights; a link with g = 0 adds nothing.
+
+    The angle part sums rank-one terms weighted by g omega_c^2 SAAF / (c d)^2.
+    The delay part is the weighted covariance of the delay vectors with
+    weights g beta^2 / c^2, zero when all betas are.
+    """
     c2 = SPEED_OF_LIGHT**2
-    weights = np.array(
-        [
-            gain.g * omega_c**2 * s / (c2 * link.distance**2)
-            for link, gain, s in zip(links, gains, aperture)
-        ]
+    w_theta = g * omega_c**2 * aperture / (c2 * distance**2)
+    j_aoa = np.einsum("...k,...ki,...kj->...ij", w_theta, v_theta, v_theta)
+    w_tau = g * beta**2 / c2
+    total = np.sum(w_tau, axis=-1, keepdims=True)
+    mean = np.einsum("...k,...ki->...i", w_tau, v_tau) / np.where(total > 0.0, total, 1.0)
+    centered = v_tau - mean[..., None, :]
+    return j_aoa, j_aoa + np.einsum("...k,...ki,...kj->...ij", w_tau, centered, centered)
+
+
+def _scene_information(
+    scene: Scene, links: LinkSet, gains: Sequence[LinkGain], betas: Sequence[float] | None
+) -> tuple[np.ndarray, np.ndarray]:
+    if len(links) == 0:
+        raise NoActiveLinks("cannot assemble an EFIM without active links")
+    return information(
+        *link_info_vectors(scene, links),
+        np.array([gain.g for gain in gains]),
+        np.array([link.distance for link in links]),
+        np.array([0.0 if betas is None else betas[link.tx_panel] for link in links]),
+        scene.ofdm.omega_c,
     )
-    return (v_theta * weights[:, None]).T @ v_theta
 
 
 def efim_aoa_tdoa(
@@ -130,32 +158,10 @@ def efim_aoa_tdoa(
     gains: Sequence[LinkGain],
     betas: Sequence[float],
 ) -> FimResult:
-    """Closed-form EFIM using both arrival angles and delay differences.
-
-    The delay part is the weighted covariance of the per-link delay vectors
-    with weights g beta^2/c^2, which equals the sum of rank-one terms minus
-    the common-reference coupling loss; with all betas zero it vanishes and
-    the result reduces to the angle-only matrix.
-    """
-    if len(links) == 0:
-        raise NoActiveLinks("cannot assemble an EFIM without active links")
-    v_tau, v_theta, aperture = link_info_vectors(scene, links)
-    c2 = SPEED_OF_LIGHT**2
-    tau_weights = np.array(
-        [gain.g * betas[link.tx_panel] ** 2 / c2 for link, gain in zip(links, gains)]
-    )
-    j = _angle_information(scene, links, gains, v_theta, aperture)
-    total = tau_weights.sum()
-    if total > 0.0:
-        mean = (tau_weights[:, None] * v_tau).sum(axis=0) / total
-        centered = v_tau - mean
-        j = j + (centered * tau_weights[:, None]).T @ centered
-    return bounds_from_fim(j)
+    """Closed-form EFIM using both arrival angles and delay differences."""
+    return bounds_from_fim(_scene_information(scene, links, gains, betas)[1])
 
 
 def efim_aoa_only(scene: Scene, links: LinkSet, gains: Sequence[LinkGain]) -> FimResult:
     """Closed-form EFIM using arrival angles only."""
-    if len(links) == 0:
-        raise NoActiveLinks("cannot assemble an EFIM without active links")
-    _, v_theta, aperture = link_info_vectors(scene, links)
-    return bounds_from_fim(_angle_information(scene, links, gains, v_theta, aperture))
+    return bounds_from_fim(_scene_information(scene, links, gains, None)[0])

@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
+import numpy as np
+
 from .errors import CoincidentPanels, InvalidCount, NoActiveLinks
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,6 +43,13 @@ def wrap_angle(angle: float) -> float:
     if wrapped <= -math.pi:
         wrapped += math.tau
     return wrapped
+
+
+def wrap_angles(angles: np.ndarray) -> np.ndarray:
+    """Elementwise wrap_angle, equal bitwise: fmod and one shift by tau are exact."""
+    wrapped = np.fmod(angles, math.tau)
+    wrapped = np.where(wrapped > math.pi, wrapped - math.tau, wrapped)
+    return np.where(wrapped <= -math.pi, wrapped + math.tau, wrapped)
 
 
 @dataclass(frozen=True)
@@ -104,6 +113,9 @@ class Pose:
         if not math.isfinite(self.orientation):
             raise ValueError("orientation must be finite")
         object.__setattr__(self, "orientation", wrap_angle(self.orientation))
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.array(self.position.as_tuple()), np.array(self.orientation)
 
 
 @dataclass(frozen=True)
@@ -232,43 +244,42 @@ class BodyRect:
     length: float
     width: float
 
-    def _to_local(self, p: Vec2) -> Vec2:
-        return (p - self.pose.position).rotated(-self.pose.orientation)
-
     def segment_crosses_interior(self, a: Vec2, b: Vec2) -> bool:
         """True iff the open segment a-b meets the open rectangle interior.
 
         Segments running along an edge or touching only a corner do not
         count as crossing.
         """
-        pa = self._to_local(a)
-        pb = self._to_local(b)
-        hw, hl = self.width / 2.0, self.length / 2.0
-        # Liang-Barsky clip of the segment against the closed rectangle.
-        t0, t1 = 0.0, 1.0
-        for start, delta, lo, hi in (
-            (pa.x, pb.x - pa.x, -hw, hw),
-            (pa.y, pb.y - pa.y, -hl, hl),
-        ):
-            if delta == 0.0:
-                if start < lo or start > hi:
-                    return False
-                continue
-            ta = (lo - start) / delta
-            tb = (hi - start) / delta
-            if ta > tb:
-                ta, tb = tb, ta
-            t0 = max(t0, ta)
-            t1 = min(t1, tb)
-            if t0 >= t1:
-                return False
-        # A positive-length clipped interval may still lie on the boundary;
-        # probe its midpoint against the open rectangle.
-        tm = 0.5 * (t0 + t1)
-        mx = pa.x + tm * (pb.x - pa.x)
-        my = pa.y + tm * (pb.y - pa.y)
-        eps = 1e-12
-        return (-hw + eps < mx < hw - eps) and (-hl + eps < my < hl - eps)
+        return bool(_crosses_body(np.array(a.as_tuple()), np.array(b.as_tuple()), self.arrays()))
+
+    def arrays(self) -> tuple:
+        return (*self.pose.arrays(), self.length, self.width)
+
+
+def _crosses_body(a: np.ndarray, b: np.ndarray, body: tuple) -> np.ndarray:
+    """Elementwise segment_crosses_interior of (..., 2) endpoints and a body
+    (position (..., 2), orientation (...), length, width)."""
+    position, orientation, length, width = body
+    c, s = np.cos(-orientation), np.sin(-orientation)
+    da, db = a - position, b - position
+    ax, ay = c * da[..., 0] - s * da[..., 1], s * da[..., 0] + c * da[..., 1]
+    bx, by = c * db[..., 0] - s * db[..., 1], s * db[..., 0] + c * db[..., 1]
+    # Liang-Barsky clip of the segment against the closed rectangle. An axis
+    # along which the segment does not move (delta == 0) adds no constraint:
+    # the midpoint probe below rejects it unless inside the open slab.
+    t0, t1 = 0.0, 1.0
+    with np.errstate(all="ignore"):  # delta == 0 is masked; tiny deltas overflow to inf
+        for start, delta, half in ((ax, bx - ax, width / 2.0), (ay, by - ay, length / 2.0)):
+            flat = delta == 0.0
+            ta = np.where(flat, -np.inf, (-half - start) / delta)
+            tb = np.where(flat, np.inf, (half - start) / delta)
+            t0 = np.maximum(t0, np.minimum(ta, tb))
+            t1 = np.minimum(t1, np.maximum(ta, tb))
+    # A positive-length clipped interval may still lie on the boundary;
+    # probe its midpoint against the open rectangle.
+    tm, eps = 0.5 * (t0 + t1), 1e-12
+    return ((t0 < t1) & (np.abs(ax + tm * (bx - ax)) < width / 2.0 - eps)
+            & (np.abs(ay + tm * (by - ay)) < length / 2.0 - eps))
 
 
 def vehicle_rect(vehicle: VehicleSpec, pose: Pose) -> BodyRect:
@@ -372,8 +383,52 @@ def panel_world_state(vehicle: VehicleSpec, pose: Pose, panel_index: int) -> Pan
     )
 
 
-def _in_blocked_sector(direction: float, center: float, halfwidth: float) -> bool:
-    return abs(wrap_angle(direction - center)) <= halfwidth + _SECTOR_EDGE_TOL
+@dataclass(frozen=True, eq=False)
+class VehicleArrays:
+    """A vehicle's panels as (K,) arrays, for batched geometry."""
+
+    length: float
+    width: float
+    mount_distance: np.ndarray
+    mount_angle: np.ndarray
+    blocked_center: np.ndarray  # vehicle frame
+    blocked_halfwidth: np.ndarray
+
+    @classmethod
+    def of(cls, vehicle: VehicleSpec) -> "VehicleArrays":
+        columns = np.array([(p.mount_distance, p.mount_angle, p.fov_blocked_center,
+                             p.fov_blocked_halfwidth) for p in vehicle.panels])
+        return cls(vehicle.length, vehicle.width, *columns.T)
+
+    def centroids(self, position: np.ndarray, heading: np.ndarray) -> np.ndarray:
+        """World-frame panel centroids (..., K, 2) for poses (..., 2) and (...)."""
+        angle = self.mount_angle + heading[..., None]
+        return position[..., None, :] + self.mount_distance[:, None] * np.stack(
+            (np.cos(angle), np.sin(angle)), axis=-1)
+
+
+def _in_blocked_sector(direction: np.ndarray, center: np.ndarray, halfwidth) -> np.ndarray:
+    return np.abs(wrap_angles(direction - center)) <= halfwidth + _SECTOR_EDGE_TOL
+
+
+def los_mask(tx_c: np.ndarray, tx_sector: tuple, rx_c: np.ndarray, rx_sector: tuple,
+             tx_body: tuple, rx_body: tuple) -> np.ndarray:
+    """Elementwise line of sight from Tx panels at tx_c to Rx panels at rx_c.
+
+    Requires (a) the direction from the Tx panel toward the Rx panel to fall
+    outside the Tx panel's blocked sector, (b) the reverse direction to fall
+    outside the Rx panel's blocked sector, and (c) the open segment between
+    the centroids to miss both vehicle-body interiors. Coincident centroids
+    have no defined direction and are reported as not visible. Sectors are
+    (world-frame center, halfwidth), bodies as in BodyRect.arrays; all
+    broadcast against the centroids (..., 2).
+    """
+    offset = rx_c - tx_c
+    towards_rx = np.arctan2(offset[..., 1], offset[..., 0])
+    return ((np.hypot(offset[..., 0], offset[..., 1]) >= 1e-9)
+            & ~_in_blocked_sector(towards_rx, *tx_sector)
+            & ~_in_blocked_sector(wrap_angles(towards_rx + math.pi), *rx_sector)
+            & ~_crosses_body(tx_c, rx_c, tx_body) & ~_crosses_body(tx_c, rx_c, rx_body))
 
 
 def los_visible(
@@ -382,32 +437,32 @@ def los_visible(
     tx_vehicle_rect: BodyRect,
     rx_vehicle_rect: BodyRect,
 ) -> bool:
-    """True iff the Tx panel has line of sight to the Rx panel.
+    """True iff the Tx panel has line of sight to the Rx panel (see los_mask)."""
+    tx, rx = tx_panel_state, rx_panel_state
+    return bool(los_mask(
+        np.array(tx.centroid.as_tuple()), (tx.blocked_center, tx.blocked_halfwidth),
+        np.array(rx.centroid.as_tuple()), (rx.blocked_center, rx.blocked_halfwidth),
+        tx_vehicle_rect.arrays(), rx_vehicle_rect.arrays(),
+    ))
 
-    Requires (a) the direction from the Tx panel toward the Rx panel to fall
-    outside the Tx panel's blocked sector, (b) the reverse direction to fall
-    outside the Rx panel's blocked sector, and (c) the open segment between
-    the centroids to miss both vehicle-body interiors. Coincident centroids
-    have no defined direction and are reported as not visible.
+
+def visibility(tx: VehicleArrays, tx_pose: tuple, rx: VehicleArrays, rx_pose: tuple):
+    """Panel centroids of both vehicles and their (..., Kt, Kr) LOS mask.
+
+    Poses are (position (..., 2), heading (...)) as from Pose.arrays; the
+    leading axes broadcast, so one call tests a whole grid of placements.
     """
-    offset = rx_panel_state.centroid - tx_panel_state.centroid
-    if offset.norm() < 1e-9:
-        return False
-    towards_rx = offset.angle()
-    towards_tx = wrap_angle(towards_rx + math.pi)
-    if _in_blocked_sector(
-        towards_rx, tx_panel_state.blocked_center, tx_panel_state.blocked_halfwidth
-    ):
-        return False
-    if _in_blocked_sector(
-        towards_tx, rx_panel_state.blocked_center, rx_panel_state.blocked_halfwidth
-    ):
-        return False
-    if tx_vehicle_rect.segment_crosses_interior(tx_panel_state.centroid, rx_panel_state.centroid):
-        return False
-    if rx_vehicle_rect.segment_crosses_interior(tx_panel_state.centroid, rx_panel_state.centroid):
-        return False
-    return True
+    (tx_p, tx_h), (rx_p, rx_h) = tx_pose, rx_pose
+    tx_c, rx_c = tx.centroids(tx_p, tx_h), rx.centroids(rx_p, rx_h)
+    tx_center = wrap_angles(tx.blocked_center + tx_h[..., None])
+    rx_center = wrap_angles(rx.blocked_center + rx_h[..., None])
+    mask = los_mask(
+        tx_c[..., :, None, :], (tx_center[..., :, None], tx.blocked_halfwidth[:, None]),
+        rx_c[..., None, :, :], (rx_center[..., None, :], rx.blocked_halfwidth),
+        (tx_p[..., None, None, :], tx_h[..., None, None], tx.length, tx.width),
+        (rx_p[..., None, None, :], rx_h[..., None, None], rx.length, rx.width),
+    )
+    return tx_c, rx_c, mask
 
 
 def link_geometry(
@@ -445,31 +500,16 @@ def active_links(scene: "Scene") -> LinkSet:
     Output is ordered by (tx_panel, rx_panel). Raises NoActiveLinks when no
     pair is visible.
     """
-    tx_states = [
-        panel_world_state(scene.tx_vehicle, scene.tx_pose, t)
-        for t in range(len(scene.tx_vehicle.panels))
+    tx_c, rx_c, visible = visibility(
+        VehicleArrays.of(scene.tx_vehicle), scene.tx_pose.arrays(),
+        VehicleArrays.of(scene.rx_vehicle), scene.rx_pose.arrays(),
+    )
+    tx_c, rx_c = tx_c.tolist(), rx_c.tolist()
+    links = [
+        link_geometry(Vec2(*tx_c[t]), Vec2(*rx_c[r]), scene.tx_pose.orientation,
+                      scene.rx_pose.orientation, tx_panel=t, rx_panel=r)
+        for t, r in np.argwhere(visible).tolist()
     ]
-    rx_states = [
-        panel_world_state(scene.rx_vehicle, scene.rx_pose, r)
-        for r in range(len(scene.rx_vehicle.panels))
-    ]
-    tx_rect = vehicle_rect(scene.tx_vehicle, scene.tx_pose)
-    rx_rect = vehicle_rect(scene.rx_vehicle, scene.rx_pose)
-
-    links = []
-    for t, tx_state in enumerate(tx_states):
-        for r, rx_state in enumerate(rx_states):
-            if los_visible(tx_state, rx_state, tx_rect, rx_rect):
-                links.append(
-                    link_geometry(
-                        tx_state.centroid,
-                        rx_state.centroid,
-                        scene.tx_pose.orientation,
-                        scene.rx_pose.orientation,
-                        tx_panel=t,
-                        rx_panel=r,
-                    )
-                )
     if not links:
         raise NoActiveLinks("no Tx-Rx panel pair has line of sight")
     return LinkSet(links=tuple(links))

@@ -11,17 +11,21 @@ the reference SNR after Rx beamforming.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Literal, Sequence
 
-from .channel import calibrate_power, link_gains
-from .errors import NoActiveLinks, NoBracket
-from .fim_closed import efim_aoa_only, efim_aoa_tdoa
-from .geometry import Pose, Vec2, active_links, build_cornered_vehicle, panels_with_links
+import numpy as np
+
+from .channel import calibrate_power, information_weight
+from .errors import NoBracket
+from .fim_closed import bound_arrays, information, link_vectors, saaf_matrix
+from .geometry import (
+    SPEED_OF_LIGHT, Pose, Vec2, VehicleArrays, VehicleSpec, active_links,
+    build_cornered_vehicle, panels_with_links, visibility, wrap_angles,
+)
 from .scene import Scene
-from .waveform import OfdmSpec, effective_bandwidths, interleaved_allocation
+from .waveform import Allocation, OfdmSpec, effective_bandwidths, interleaved_allocation
 
 Axis = Literal["lat", "lon"]
 Measurement = Literal["aoa", "aoa_tdoa"]
@@ -103,8 +107,8 @@ PRESETS: dict[str, PresetConfig] = {
 }
 
 
-def _build_vehicle(preset: PresetConfig):
-    wavelength = 299_792_458.0 / preset.carrier_frequency
+def _build_vehicle(preset: PresetConfig) -> VehicleSpec:
+    wavelength = SPEED_OF_LIGHT / preset.carrier_frequency
     vehicle = build_cornered_vehicle(
         preset.vehicle_length, preset.vehicle_width, preset.n_rx_elements, wavelength
     )
@@ -119,6 +123,58 @@ def _build_vehicle(preset: PresetConfig):
     return vehicle
 
 
+@dataclass(frozen=True, eq=False)
+class PresetContext:
+    """Everything about a preset that does not depend on the placement; shared, read-only."""
+
+    vehicle: VehicleSpec
+    allocation: Allocation
+    ofdm: OfdmSpec  # total_power calibrated to the preset's reference SNR
+    betas: np.ndarray  # (K,) effective bandwidth per Tx array, rad/s
+    panels: VehicleArrays  # centroid mounts and blocked sectors
+    n_rx: np.ndarray  # (K,) elements per Rx panel
+    power_fractions: np.ndarray  # (K,) per Tx array
+    saaf_s: np.ndarray  # (K, 2, 2) SAAF matrix per Rx panel
+
+
+def _scene(preset: PresetConfig, vehicle: VehicleSpec, allocation: Allocation, ofdm: OfdmSpec,
+           q: Vec2, alpha_t: float = 0.0, alpha_r: float = 0.0) -> Scene:
+    return Scene(tx_vehicle=vehicle, tx_pose=Pose(Vec2(0.0, 0.0), alpha_t), rx_vehicle=vehicle,
+                 rx_pose=Pose(q, alpha_r), ofdm=ofdm, allocation=allocation,
+                 noise_variance=preset.noise_variance)
+
+
+@lru_cache(maxsize=32)
+def preset_context(preset: PresetConfig) -> PresetContext:
+    """The preset's placement-independent pieces, built on first use.
+
+    The transmit power is calibrated side by side in neighboring lanes
+    (lateral offset one lane width, zero longitudinal offset); raises
+    NoActiveLinks when that placement has no LOS link.
+    """
+    vehicle = _build_vehicle(preset)
+    allocation = interleaved_allocation(preset.occupied, preset.k_tx)
+    unit_power = OfdmSpec(
+        n_fft=preset.n_fft,
+        subcarrier_spacing=preset.subcarrier_spacing,
+        carrier_frequency=preset.carrier_frequency,
+        occupied=preset.occupied,
+        n_symbols=preset.n_symbols,
+    )
+    reference = _scene(preset, vehicle, allocation, unit_power, Vec2(-preset.lane_width, 0.0))
+    ofdm = replace(unit_power, total_power=calibrate_power(reference, preset.target_snr_db))
+    return PresetContext(
+        vehicle=vehicle,
+        allocation=allocation,
+        ofdm=ofdm,
+        betas=np.array(effective_bandwidths(allocation, ofdm)),
+        panels=VehicleArrays.of(vehicle),
+        n_rx=np.array([p.n_elements for p in vehicle.panels]),
+        power_fractions=np.array(allocation.array_power_fractions),
+        saaf_s=np.stack([saaf_matrix(p) for p in vehicle.panels]),
+    )
+
+
 def build_scene(
     preset: PresetConfig,
     q: Vec2,
@@ -127,42 +183,63 @@ def build_scene(
     total_power: float = 1.0,
 ) -> Scene:
     """Scene with the Tx vehicle at the origin and the Rx vehicle at q."""
-    vehicle = _build_vehicle(preset)
-    ofdm = OfdmSpec(
-        n_fft=preset.n_fft,
-        subcarrier_spacing=preset.subcarrier_spacing,
-        carrier_frequency=preset.carrier_frequency,
-        occupied=preset.occupied,
-        n_symbols=preset.n_symbols,
-        total_power=total_power,
-    )
-    return Scene(
-        tx_vehicle=vehicle,
-        tx_pose=Pose(Vec2(0.0, 0.0), alpha_t),
-        rx_vehicle=vehicle,
-        rx_pose=Pose(q, alpha_r),
-        ofdm=ofdm,
-        allocation=interleaved_allocation(preset.occupied, preset.k_tx),
-        noise_variance=preset.noise_variance,
-    )
+    ctx = preset_context(preset)
+    ofdm = ctx.ofdm
+    if total_power != ofdm.total_power:
+        ofdm = replace(ofdm, total_power=total_power)
+    return _scene(preset, ctx.vehicle, ctx.allocation, ofdm, q, alpha_t, alpha_r)
 
 
-@lru_cache(maxsize=None)
 def calibrated_power(preset: PresetConfig) -> float:
-    """Transmit power meeting the preset's reference SNR target.
-
-    The reference placement is side by side in neighboring lanes: lateral
-    offset of one lane width, zero longitudinal offset.
-    """
-    reference = build_scene(preset, Vec2(-preset.lane_width, 0.0))
-    return calibrate_power(reference, preset.target_snr_db)
+    """Transmit power meeting the preset's reference SNR target."""
+    return preset_context(preset).ofdm.total_power
 
 
 def calibrated_scene(preset: PresetConfig, q: Vec2, alpha_t: float = 0.0) -> Scene:
     return build_scene(preset, q, alpha_t=alpha_t, total_power=calibrated_power(preset))
 
 
-_INF_RESULT = (math.inf, math.inf, math.inf)
+def evaluate_points(
+    preset: PresetConfig,
+    q: np.ndarray | Sequence[tuple[float, float]],
+    alpha_t: float | np.ndarray = 0.0,
+    measurements: Sequence[Measurement] = ("aoa_tdoa", "aoa"),
+) -> list[SweepRow]:
+    """Bounds for an (N, 2) array of placements q in one numpy pass.
+
+    ``alpha_t`` is the Tx heading, per row or one for all; the Rx heading is
+    0. Rows without LOS links, and measurement sets left out, get +inf. The
+    visibility test, EFIM assembly and bounds are the Scene-level API's.
+    """
+    ctx = preset_context(preset)
+    ofdm = ctx.ofdm
+    q = np.asarray(q, dtype=float).reshape(-1, 2)
+    n, k = len(q), len(ctx.vehicle.panels)
+    if not (np.isfinite(q).all() and np.isfinite(alpha_t).all()):
+        raise ValueError("placements and Tx headings must be finite")
+    heading = wrap_angles(np.broadcast_to(np.asarray(alpha_t, dtype=float), (n,)))
+    tx_c, rx_c, visible = visibility(ctx.panels, (np.zeros((n, 2)), heading),
+                                     ctx.panels, (q, np.zeros(n)))
+    # Links over (N, Kt, Kr); hidden pairs get a dummy offset and g = 0.
+    offset = np.where(visible[..., None], rx_c[:, None] - tx_c[:, :, None], 1.0)
+    distance = np.hypot(offset[..., 0], offset[..., 1])
+    vectors = link_vectors(offset / distance[..., None], tx_c[:, :, None], np.zeros(()), ctx.saaf_s)
+    g = np.where(visible, ofdm.total_power * information_weight(
+        distance, ofdm.wavelength, ctx.n_rx, ctx.power_fractions[:, None], ofdm.n_symbols,
+        preset.noise_variance), 0.0)
+    j_aoa, j_both = information(
+        *(a.reshape(n, k * k, *a.shape[3:]) for a in (*vectors, g, distance)),
+        np.repeat(ctx.betas, k), ofdm.omega_c,
+    )
+    unused = np.full((n, 3), np.inf)
+    both = bound_arrays(j_both)[2] if "aoa_tdoa" in measurements else unused
+    aoa = bound_arrays(j_aoa)[2] if "aoa" in measurements else unused
+    return [
+        SweepRow(q_x, q_y, abs(q_y) - preset.vehicle_length, n_links,
+                 lat_both, lon_both, lat_aoa, lon_aoa, oeb_both, oeb_aoa)
+        for (q_x, q_y), n_links, (lat_both, lon_both, oeb_both), (lat_aoa, lon_aoa, oeb_aoa)
+        in zip(q.tolist(), visible.sum(axis=(1, 2)).tolist(), both.tolist(), aoa.tolist())
+    ]
 
 
 def evaluate_point(
@@ -177,34 +254,7 @@ def evaluate_point(
     visibility test treats as not visible) yields n_links = 0 and infinite
     bounds rather than an exception, so sweeps never abort.
     """
-    scene = calibrated_scene(preset, q, alpha_t)
-    lat_both, lon_both, oeb_both = _INF_RESULT
-    lat_aoa, lon_aoa, oeb_aoa = _INF_RESULT
-    try:
-        links = active_links(scene)
-        n_links = len(links)
-        gains = link_gains(scene, links)
-        if "aoa_tdoa" in measurements:
-            betas = effective_bandwidths(scene.allocation, scene.ofdm)
-            both = efim_aoa_tdoa(scene, links, gains, betas)
-            lat_both, lon_both, oeb_both = both.peb_lat, both.peb_lon, both.oeb
-        if "aoa" in measurements:
-            aoa = efim_aoa_only(scene, links, gains)
-            lat_aoa, lon_aoa, oeb_aoa = aoa.peb_lat, aoa.peb_lon, aoa.oeb
-    except NoActiveLinks:
-        n_links = 0
-    return SweepRow(
-        q_x=q.x,
-        q_y=q.y,
-        d_y=abs(q.y) - preset.vehicle_length,
-        n_links=n_links,
-        peb_lat_both=lat_both,
-        peb_lon_both=lon_both,
-        peb_lat_aoa=lat_aoa,
-        peb_lon_aoa=lon_aoa,
-        oeb_both=oeb_both,
-        oeb_aoa=oeb_aoa,
-    )
+    return evaluate_points(preset, [q.as_tuple()], alpha_t, measurements)[0]
 
 
 def _grid(start: float, stop: float, step: float) -> list[float]:
@@ -228,10 +278,8 @@ def overtaking_sweep(
     offset runs over the inclusive grid [q_y_min, q_y_max].
     """
     q_x = -preset.lane_width
-    return [
-        evaluate_point(preset, Vec2(q_x, q_y), measurements=measurements)
-        for q_y in _grid(q_y_min, q_y_max, step)
-    ]
+    q = [(q_x, q_y) for q_y in _grid(q_y_min, q_y_max, step)]
+    return evaluate_points(preset, q, measurements=measurements)
 
 
 def platooning_sweep(
@@ -250,21 +298,28 @@ def platooning_sweep(
     """
     if q_y_max is None:
         q_y_max = -(preset.vehicle_length + step)
-    return [
-        evaluate_point(preset, Vec2(0.0, q_y), measurements=measurements)
-        for q_y in reversed(_grid(q_y_min, q_y_max, step))
-    ]
+    q = [(0.0, q_y) for q_y in reversed(_grid(q_y_min, q_y_max, step))]
+    return evaluate_points(preset, q, measurements=measurements)
+
+
+def custom_sweep(
+    preset: PresetConfig,
+    q_x: float,
+    q_y_min: float,
+    q_y_max: float,
+    step: float = DEFAULT_SWEEP_STEP,
+    alpha_t: float = 0.0,
+    measurements: Sequence[Measurement] = ("aoa_tdoa", "aoa"),
+) -> list[SweepRow]:
+    """Bounds at lateral offset q_x and Tx heading alpha_t over [q_y_min, q_y_max]."""
+    q = [(q_x, q_y) for q_y in _grid(q_y_min, q_y_max, step)]
+    return evaluate_points(preset, q, alpha_t, measurements)
 
 
 def _row_bound(row: SweepRow, axis: Axis, measurement: Measurement) -> float:
     if measurement == "aoa_tdoa":
         return row.peb_lat_both if axis == "lat" else row.peb_lon_both
     return row.peb_lat_aoa if axis == "lat" else row.peb_lon_aoa
-
-
-def sweep_bound(rows: Sequence[SweepRow], axis: Axis, measurement: Measurement) -> list[float]:
-    """Extract one bound column from sweep rows."""
-    return [_row_bound(row, axis, measurement) for row in rows]
 
 
 def requirement_crossing(
@@ -314,20 +369,17 @@ def scenario_bound_fn(
     parameter is the bumper gap d_y > 0.
     """
     if scenario == "overtaking":
-
-        def fn(s: float) -> float:
-            row = evaluate_point(preset, Vec2(-preset.lane_width, s), measurements=(measurement,))
-            return _row_bound(row, axis, measurement)
-
+        def place(s: float) -> Vec2:
+            return Vec2(-preset.lane_width, s)
     elif scenario == "platooning":
-
-        def fn(s: float) -> float:
-            q_y = -(preset.vehicle_length + s)
-            row = evaluate_point(preset, Vec2(0.0, q_y), measurements=(measurement,))
-            return _row_bound(row, axis, measurement)
-
+        def place(s: float) -> Vec2:
+            return Vec2(0.0, -(preset.vehicle_length + s))
     else:
         raise ValueError(f"unknown scenario {scenario!r}")
+
+    def fn(s: float) -> float:
+        row = evaluate_point(preset, place(s), measurements=(measurement,))
+        return _row_bound(row, axis, measurement)
     return fn
 
 

@@ -1,5 +1,6 @@
 """CLI, config parsing, CSV emission, and end-to-end determinism."""
 
+import dataclasses
 import math
 
 import pytest
@@ -187,6 +188,22 @@ class TestCli:
     def test_bad_override_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, overrides={"noise_variance": -1.0})
         assert main(["--config", cfg]) == 2
+
+    def test_nan_in_any_bound_column_exit_3(self, tmp_path, monkeypatch, capsys):
+        import v2vbounds.app as app
+
+        real = app.overtaking_sweep
+
+        def with_nan(*args, **kwargs):
+            rows = real(*args, **kwargs)
+            rows[2] = dataclasses.replace(rows[2], oeb_aoa=math.nan)
+            return rows
+
+        monkeypatch.setattr(app, "overtaking_sweep", with_nan)
+        out = tmp_path / "nan.csv"
+        assert main(["--config", fast_overtaking_config(tmp_path, out)]) == 3
+        assert "NaN oeb_aoa" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_uncalibratable_preset_exit_3(self, tmp_path):
         cfg = write_config(

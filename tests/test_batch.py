@@ -1,0 +1,180 @@
+"""The batched evaluator against the Scene-level path, on random presets.
+
+``evaluate_points`` assembles every placement of a grid in one numpy pass;
+the Scene path (``calibrated_scene`` -> ``active_links`` -> ``link_gains``
+-> ``efim_*``) evaluates one placement from its objects. Both must give the
+same links and the same bounds, including at grazing placements where the
+bodies touch and panels coincide.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from v2vbounds.channel import link_gains
+from v2vbounds.errors import NoActiveLinks
+from v2vbounds.fim_closed import efim_aoa_only, efim_aoa_tdoa
+from v2vbounds.geometry import (
+    Vec2,
+    active_links,
+    los_visible,
+    vehicle_rect,
+    visibility,
+    wrap_angle,
+    wrap_angles,
+)
+from v2vbounds.scenarios import (
+    PRESETS,
+    PresetConfig,
+    calibrated_scene,
+    evaluate_point,
+    evaluate_points,
+    preset_context,
+)
+from v2vbounds.waveform import effective_bandwidths
+
+BOUND_FIELDS = (
+    "peb_lat_both", "peb_lon_both", "oeb_both", "peb_lat_aoa", "peb_lon_aoa", "oeb_aoa",
+)
+HEADINGS = st.one_of(
+    st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 2, -math.pi]),
+    st.floats(-math.pi, math.pi),
+)
+
+
+@st.composite
+def custom_presets(draw):
+    return PresetConfig(
+        name="custom",
+        carrier_frequency=draw(st.floats(1e9, 80e9)),
+        subcarrier_spacing=draw(st.floats(15e3, 480e3)),
+        n_rx_elements=draw(st.sampled_from([1, 2, 3, 4, 9])),
+        target_snr_db=draw(st.floats(0.0, 50.0)),
+        n_symbols=draw(st.integers(1, 3)),
+        # 1 leaves two of the four Tx arrays without subcarriers (beta = 0).
+        max_occupied_index=draw(st.sampled_from([1, 2, 5, 30])),
+        vehicle_length=draw(st.floats(3.0, 6.0)),
+        vehicle_width=draw(st.floats(1.5, 2.5)),
+        lane_width=draw(st.floats(2.6, 4.0)),
+        noise_variance=draw(st.floats(0.5, 2.0)),
+        fov_blocked_halfwidth=draw(st.none() | st.floats(0.0, 1.2)),
+    )
+
+
+@st.composite
+def preset_and_placements(draw):
+    preset = draw(custom_presets())
+    try:
+        preset_context(preset)
+    except NoActiveLinks:
+        assume(False)
+    length, width = preset.vehicle_length, preset.vehicle_width
+    grazing_x = st.sampled_from([-width, width, 0.0, -preset.lane_width])
+    grazing_y = st.sampled_from([-length, length, 0.0])
+    placement = st.tuples(
+        st.one_of(grazing_x, st.floats(-40.0, 40.0)),
+        st.one_of(grazing_y, st.floats(-40.0, 40.0)),
+        HEADINGS,
+    )
+    return preset, draw(st.lists(placement, min_size=1, max_size=6))
+
+
+def scene_path(preset, q_x, q_y, alpha_t):
+    """(n_links, bounds by field) through the Scene-level API."""
+    scene = calibrated_scene(preset, Vec2(q_x, q_y), alpha_t)
+    try:
+        links = active_links(scene)
+    except NoActiveLinks:
+        return 0, dict.fromkeys(BOUND_FIELDS, math.inf)
+    gains = link_gains(scene, links)
+    betas = effective_bandwidths(scene.allocation, scene.ofdm)
+    both = efim_aoa_tdoa(scene, links, gains, betas)
+    aoa = efim_aoa_only(scene, links, gains)
+    return len(links), {
+        "peb_lat_both": both.peb_lat, "peb_lon_both": both.peb_lon, "oeb_both": both.oeb,
+        "peb_lat_aoa": aoa.peb_lat, "peb_lon_aoa": aoa.peb_lon, "oeb_aoa": aoa.oeb,
+    }
+
+
+def same_bound(a: float, b: float) -> bool:
+    if math.isinf(a) or math.isinf(b):
+        return a == b
+    return abs(a - b) <= 1e-9 * abs(b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(preset_and_placements())
+def test_batched_rows_equal_scene_path(case):
+    preset, placements = case
+    rows = evaluate_points(
+        preset, [(x, y) for x, y, _ in placements], np.array([a for _, _, a in placements])
+    )
+    for row, (x, y, alpha_t) in zip(rows, placements):
+        n_links, bounds = scene_path(preset, x, y, alpha_t)
+        assert (row.q_x, row.q_y) == (x, y)
+        assert row.n_links == n_links
+        for name in BOUND_FIELDS:
+            got = getattr(row, name)
+            assert same_bound(got, bounds[name]), (name, got, bounds[name])
+        if preset.n_rx_elements == 1:
+            # Single-element panels carry no angle information.
+            assert math.isinf(row.peb_lat_aoa) and math.isinf(row.oeb_aoa)
+
+
+@settings(max_examples=60, deadline=None)
+@given(preset_and_placements())
+def test_visibility_mask_equals_los_visible(case):
+    preset, placements = case
+    ctx = preset_context(preset)
+    n = len(placements)
+    q = np.array([(x, y) for x, y, _ in placements])
+    # Wrapped like Pose wraps a heading, as evaluate_points does.
+    heading = wrap_angles(np.array([a for _, _, a in placements]))
+    _, _, mask = visibility(ctx.panels, (np.zeros((n, 2)), heading), ctx.panels, (q, np.zeros(n)))
+    for i, (x, y, alpha_t) in enumerate(placements):
+        scene = calibrated_scene(preset, Vec2(x, y), alpha_t)
+        tx_rect = vehicle_rect(scene.tx_vehicle, scene.tx_pose)
+        rx_rect = vehicle_rect(scene.rx_vehicle, scene.rx_pose)
+        for t in range(scene.k_tx):
+            for r in range(scene.k_rx):
+                expected = los_visible(
+                    scene.tx_panel_state(t), scene.rx_panel_state(r), tx_rect, rx_rect
+                )
+                assert bool(mask[i, t, r]) == expected, (i, t, r)
+
+
+@given(st.floats(-1e6, 1e6) | st.sampled_from([math.pi, -math.pi, math.tau, -0.0, 3 * math.pi]))
+def test_wrap_angles_equals_wrap_angle_bitwise(angle):
+    wrapped = float(wrap_angles(np.array([angle]))[0])
+    expected = wrap_angle(angle)
+    assert wrapped == expected
+    assert math.copysign(1.0, wrapped) == math.copysign(1.0, expected)
+
+
+def test_evaluate_point_is_one_row_of_the_batch():
+    preset = PRESETS["cfg_28GHz"]
+    placements = [(-3.5, 12.0, 0.3), (0.0, -9.0, -2.0), (4.0, 4.5, math.pi)]
+    q = [(x, y) for x, y, _ in placements]
+    rows = evaluate_points(preset, q, [a for _, _, a in placements])
+    for row, (x, y, alpha_t) in zip(rows, placements):
+        assert evaluate_point(preset, Vec2(x, y), alpha_t) == row
+
+
+def test_non_finite_placements_rejected():
+    preset = PRESETS["cfg_3p5GHz"]
+    with pytest.raises(ValueError):
+        evaluate_points(preset, [(-3.5, 1.0), (math.nan, 2.0)])
+    with pytest.raises(ValueError):
+        evaluate_point(preset, Vec2(-3.5, 1.0), alpha_t=math.inf)
+
+
+def test_scenes_share_the_preset_context():
+    preset = PRESETS["cfg_3p5GHz"]
+    ctx = preset_context(preset)
+    scene = calibrated_scene(preset, Vec2(-3.5, 7.0), 0.2)
+    assert scene.tx_vehicle is ctx.vehicle and scene.rx_vehicle is ctx.vehicle
+    assert scene.allocation is ctx.allocation and scene.ofdm is ctx.ofdm
+    assert preset_context(preset) is ctx

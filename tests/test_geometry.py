@@ -11,6 +11,7 @@ from v2vbounds.geometry import (
     SPEED_OF_LIGHT,
     ArrayPanel,
     ElementOffset,
+    PanelState,
     Pose,
     Vec2,
     VehicleSpec,
@@ -18,6 +19,7 @@ from v2vbounds.geometry import (
     build_conformal_panel,
     build_cornered_vehicle,
     link_geometry,
+    los_visible,
     panel_world_state,
     panels_with_links,
     unit_dir,
@@ -345,6 +347,86 @@ class TestBodyBlockage:
         assert rect.segment_crosses_interior(Vec2(0.0, -2.0), Vec2(0.0, 2.0))
         assert rect.segment_crosses_interior(Vec2(2.0, -2.0), Vec2(2.0, 2.0))
         assert not rect.segment_crosses_interior(Vec2(3.0, -2.0), Vec2(3.0, 2.0))
+
+
+def reference_segment_crosses(rect, a: Vec2, b: Vec2) -> bool:
+    """Scalar loop version of BodyRect.segment_crosses_interior, kept as the
+    reference for the vectorised one."""
+    pa = (a - rect.pose.position).rotated(-rect.pose.orientation)
+    pb = (b - rect.pose.position).rotated(-rect.pose.orientation)
+    hw, hl = rect.width / 2.0, rect.length / 2.0
+    t0, t1 = 0.0, 1.0
+    for start, delta, lo, hi in ((pa.x, pb.x - pa.x, -hw, hw), (pa.y, pb.y - pa.y, -hl, hl)):
+        if delta == 0.0:
+            if start < lo or start > hi:
+                return False
+            continue
+        ta, tb = sorted(((lo - start) / delta, (hi - start) / delta))
+        t0, t1 = max(t0, ta), min(t1, tb)
+        if t0 >= t1:
+            return False
+    tm = 0.5 * (t0 + t1)
+    mx, my = pa.x + tm * (pb.x - pa.x), pa.y + tm * (pb.y - pa.y)
+    eps = 1e-12
+    return (-hw + eps < mx < hw - eps) and (-hl + eps < my < hl - eps)
+
+
+def reference_los_visible(tx, rx, tx_rect, rx_rect) -> bool:
+    """Scalar version of los_visible, kept as the reference for los_mask."""
+    offset = rx.centroid - tx.centroid
+    if offset.norm() < 1e-9:
+        return False
+    towards_rx = offset.angle()
+    towards_tx = wrap_angle(towards_rx + math.pi)
+    for direction, state in ((towards_rx, tx), (towards_tx, rx)):
+        if abs(wrap_angle(direction - state.blocked_center)) <= state.blocked_halfwidth + 1e-12:
+            return False
+    return not (reference_segment_crosses(tx_rect, tx.centroid, rx.centroid)
+                or reference_segment_crosses(rx_rect, tx.centroid, rx.centroid))
+
+
+@st.composite
+def rect_and_points(draw, n_points=2):
+    """A body rectangle plus points on its corners, edges, axes, or anywhere;
+    headings include the exact quarter turns, where edges stay axis-aligned."""
+    length, width = draw(st.floats(0.5, 6.0)), draw(st.floats(0.5, 3.0))
+    heading = draw(st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 2])
+                   | st.floats(-math.pi, math.pi))
+    rect = vehicle_rect(VehicleSpec(length, width, (open_panel(),)),
+                        Pose(Vec2(draw(st.floats(-5, 5)), draw(st.floats(-5, 5))), heading))
+    xs = st.sampled_from([-width / 2, width / 2, 0.0]) | st.floats(-8.0, 8.0)
+    ys = st.sampled_from([-length / 2, length / 2, 0.0]) | st.floats(-8.0, 8.0)
+    points = [
+        rect.pose.position + Vec2(draw(xs), draw(ys)).rotated(rect.pose.orientation)
+        for _ in range(n_points)
+    ]
+    return rect, points
+
+
+class TestVectorisedVisibilityMatchesLoop:
+    @settings(max_examples=300)
+    @given(rect_and_points())
+    def test_segment_crossing(self, case):
+        rect, (a, b) = case
+        assert rect.segment_crosses_interior(a, b) == reference_segment_crosses(rect, a, b)
+
+    @settings(max_examples=300)
+    @given(rect_and_points(n_points=3), rect_and_points(n_points=0),
+           st.lists(st.sampled_from([0.0, math.pi / 4, math.pi / 2, math.pi])
+                    | st.floats(0.0, math.pi), min_size=2, max_size=2),
+           st.lists(st.floats(-math.pi, math.pi), min_size=2, max_size=2))
+    def test_los_visible(self, tx_case, rx_case, halfwidths, centers):
+        tx_rect, (tx_c, rx_c, toward) = tx_case
+        rx_rect, _ = rx_case
+        # A blocked-sector edge along the link direction is the grazing case.
+        edge = (rx_c - tx_c).angle() - halfwidths[0] if (rx_c - tx_c).norm() else centers[0]
+        tx = PanelState(tx_c, (), wrap_angle(edge), halfwidths[0])
+        rx = PanelState(rx_c, (), centers[1], halfwidths[1])
+        for tx_state in (tx, PanelState(tx_c, (), centers[0], halfwidths[0])):
+            for rx_state in (rx, PanelState(toward, (), centers[1], halfwidths[1])):
+                assert los_visible(tx_state, rx_state, tx_rect, rx_rect) == reference_los_visible(
+                    tx_state, rx_state, tx_rect, rx_rect
+                )
 
 
 class TestBuiltVehicle:
