@@ -32,33 +32,16 @@ from .scenarios import (
     scenario_crossing,
 )
 
-CSV_HEADER = (
-    "q_x,q_y,d_y,n_links,peb_lat_both,peb_lon_both,"
-    "peb_lat_aoa,peb_lon_aoa,oeb_both,oeb_aoa"
-)
-_BOUND_COLUMNS = CSV_HEADER.split(",")[4:]
+_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
+CSV_HEADER = ",".join(_COLUMNS)
+_BOUND_COLUMNS = _COLUMNS[4:]
 
 _SCENARIOS = ("overtaking", "platooning", "custom")
 _MEASUREMENT_CHOICES = {"aoa": ("aoa",), "aoa+tdoa": ("aoa_tdoa",), "both": ("aoa_tdoa", "aoa")}
 
-# Preset fields a config file may override.
-_OVERRIDABLE = {
-    "carrier_frequency",
-    "subcarrier_spacing",
-    "n_rx_elements",
-    "target_snr_db",
-    "n_fft",
-    "n_symbols",
-    "max_occupied_index",
-    "k_tx",
-    "vehicle_length",
-    "vehicle_width",
-    "lane_width",
-    "noise_variance",
-    "fov_blocked_halfwidth",
-}
-
-_INT_OVERRIDES = {"n_rx_elements", "n_fft", "n_symbols", "max_occupied_index", "k_tx"}
+# Preset fields a config file may override, and those read as integers.
+_OVERRIDABLE = {f.name for f in dataclasses.fields(PresetConfig)} - {"name"}
+_INT_OVERRIDES = {f.name for f in dataclasses.fields(PresetConfig) if f.type in ("int", int)}
 
 
 @dataclass
@@ -103,37 +86,19 @@ class RunConfig:
             preset = dataclasses.replace(base, name=name, **overrides)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        _validate_preset(preset)
+        ratio = preset.max_occupied_index * preset.subcarrier_spacing / preset.carrier_frequency
+        if ratio > 0.05:
+            warnings.warn(
+                f"occupied bandwidth is {ratio:.1%} of the carrier frequency; "
+                "the narrowband signal model is questionable",
+                stacklevel=2,
+            )
         return preset
 
     def output_path(self) -> Path:
         if self.out:
             return Path(self.out)
         return Path(f"{self.scenario}_{self.preset}.csv")
-
-
-def _validate_preset(preset: PresetConfig) -> None:
-    if preset.carrier_frequency <= 0 or preset.subcarrier_spacing <= 0:
-        raise ConfigError("carrier_frequency and subcarrier_spacing must be positive")
-    if preset.n_rx_elements < 1 or preset.k_tx < 1 or preset.n_fft < 1 or preset.n_symbols < 1:
-        raise ConfigError("counts must be >= 1")
-    if preset.max_occupied_index < 1 or 2 * preset.max_occupied_index >= preset.n_fft:
-        raise ConfigError("occupied subcarriers must fit strictly inside the FFT grid")
-    if preset.vehicle_length <= 0 or preset.vehicle_width <= 0 or preset.lane_width <= 0:
-        raise ConfigError("vehicle and lane dimensions must be positive")
-    if preset.noise_variance <= 0:
-        raise ConfigError("noise_variance must be positive")
-    if preset.fov_blocked_halfwidth is not None and not (
-        0.0 <= preset.fov_blocked_halfwidth <= math.pi
-    ):
-        raise ConfigError("fov_blocked_halfwidth must lie in [0, pi]")
-    ratio = preset.max_occupied_index * preset.subcarrier_spacing / preset.carrier_frequency
-    if ratio > 0.05:
-        warnings.warn(
-            f"occupied bandwidth is {ratio:.1%} of the carrier frequency; "
-            "the narrowband signal model is questionable",
-            stacklevel=2,
-        )
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -157,10 +122,9 @@ def _config_from_mapping(raw: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     cfg = RunConfig()
-    if "scenario" in raw:
-        cfg.scenario = str(raw["scenario"])
-    if "preset" in raw:
-        cfg.preset = str(raw["preset"])
+    for key in ("scenario", "preset", "out"):
+        if raw.get(key) is not None:
+            setattr(cfg, key, str(raw[key]))
     if "measurements" in raw:
         cfg.measurements = _parse_measurements(str(raw["measurements"]))
     for key in ("step", "q_x", "q_y_min", "q_y_max", "alpha_t"):
@@ -169,8 +133,6 @@ def _config_from_mapping(raw: dict) -> RunConfig:
                 setattr(cfg, key, float(raw[key]))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"config key {key} is not numeric: {raw[key]!r}") from exc
-    if "out" in raw and raw["out"] is not None:
-        cfg.out = str(raw["out"])
     if "overrides" in raw and raw["overrides"] is not None:
         if not isinstance(raw["overrides"], dict):
             raise ConfigError("overrides must be a mapping")
@@ -211,23 +173,7 @@ def emit_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
     if not rows:
         raise ValueError("refusing to write an empty sweep")
     lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                (
-                    _format_value(row.q_x),
-                    _format_value(row.q_y),
-                    _format_value(row.d_y),
-                    str(row.n_links),
-                    _format_value(row.peb_lat_both),
-                    _format_value(row.peb_lon_both),
-                    _format_value(row.peb_lat_aoa),
-                    _format_value(row.peb_lon_aoa),
-                    _format_value(row.oeb_both),
-                    _format_value(row.oeb_aoa),
-                )
-            )
-        )
+    lines += [",".join(_format_value(getattr(row, name)) for name in _COLUMNS) for row in rows]
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write("\n".join(lines) + "\n")
@@ -273,6 +219,11 @@ def run(cfg: RunConfig) -> int:
     """Execute one validated configuration; returns the process exit code."""
     try:
         preset = cfg.resolve_preset()
+        # The platooning grid starts one step beyond the touching point.
+        nearest = -(preset.vehicle_length + cfg.step)
+        if cfg.scenario == "platooning" and cfg.q_y_min > nearest:
+            raise ConfigError(f"q_y_min = {cfg.q_y_min} leaves no platooning gap; it must be "
+                              f"at most -(vehicle_length + step) = {nearest}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

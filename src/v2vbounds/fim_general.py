@@ -16,7 +16,6 @@ reference link is the active link of minimum delay, ties broken by (t, r).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -65,8 +64,6 @@ class TransformMatrix:
     """
 
     matrix: np.ndarray
-    variant: str
-    params: ChannelParamVector
 
     @property
     def t_po(self) -> np.ndarray:
@@ -88,40 +85,38 @@ def build_param_vector(links: LinkSet, reference: int | None = None) -> ChannelP
     return ChannelParamVector(link_order=(ref, *rest), reference=ref)
 
 
-def _element_arrays(scene: Scene, rx_panel: int) -> tuple[np.ndarray, np.ndarray]:
-    panel = scene.rx_vehicle.panels[rx_panel]
-    dist = np.array([e.distance for e in panel.elements])
-    ang = np.array([e.angle for e in panel.elements])
-    return dist, ang
+def link_mean(
+    scene: Scene, link: Link, delay: float, angle: float, gain: complex
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Noiseless received samples of one link as a function of its channel
+    parameters: delay difference, vehicle-frame arrival angle and complex gain.
 
-
-def rx_steering(scene: Scene, rx_panel: int, theta_local: float) -> np.ndarray:
-    """Rx steering vector at a vehicle-frame arrival angle."""
-    dist, ang = _element_arrays(scene, rx_panel)
-    phase = scene.ofdm.omega_c * dist * np.cos(ang - theta_local) / SPEED_OF_LIGHT
-    return np.exp(1j * phase)
-
-
-def steering_derivative_diag(scene: Scene, rx_panel: int, theta_local: float) -> np.ndarray:
-    """Diagonal of the operator mapping the mean to its angle derivative."""
-    dist, ang = _element_arrays(scene, rx_panel)
-    # d/dtheta of the per-element phase d_i cos(psi_i - theta) * omega_c / c
-    return 1j * scene.ofdm.omega_c * dist * np.sin(ang - theta_local) / SPEED_OF_LIGHT
-
-
-def _symbol_amplitude(scene: Scene, tx_panel: int, p: int) -> float:
-    gamma_t = scene.allocation.array_power_fractions[tx_panel]
-    gamma_tp = scene.allocation.per_subcarrier_fractions[p]
-    return math.sqrt(gamma_t * gamma_tp * scene.ofdm.total_power)
+    Returns the (subcarrier, Rx element) mean over the link's Tx subcarrier
+    set, the subcarriers' baseband angular frequencies, and the angle
+    derivative of the per-element phases (the angle derivative of the mean
+    is ``1j * dphase * mean``). The pilot symbols carry the same energy on
+    every OFDM symbol, so the mean does not depend on the symbol.
+    """
+    subset = scene.allocation.per_array_sets[link.tx_panel]
+    omega = 2.0 * math.pi * scene.ofdm.subcarrier_spacing * np.array(subset)
+    gamma_t = scene.allocation.array_power_fractions[link.tx_panel]
+    fracs = np.array([scene.allocation.per_subcarrier_fractions[p] for p in subset])
+    amps = np.sqrt(gamma_t * fracs * scene.ofdm.total_power)
+    dist, ang = np.array([(e.distance, e.angle)
+                          for e in scene.rx_vehicle.panels[link.rx_panel].elements]).T
+    # Element phase d_i cos(psi_i - theta) omega_c / c and its theta derivative.
+    phase = scene.ofdm.omega_c * dist * np.cos(ang - angle) / SPEED_OF_LIGHT
+    dphase = scene.ofdm.omega_c * dist * np.sin(ang - angle) / SPEED_OF_LIGHT
+    mean = (amps * np.exp(-1j * omega * delay))[:, None] * (gain * np.exp(1j * phase))[None, :]
+    return mean, omega, dphase
 
 
 def mean_vector(scene: Scene, links: LinkSet, link: Link, b: int, p: int) -> np.ndarray:
-    """Noiseless received vector at one Rx panel, symbol, and subcarrier.
-
-    ``b`` is accepted for interface completeness; the pilot symbols carry
-    identical energy on every OFDM symbol so the mean does not depend on it.
-    """
-    if p not in scene.allocation.per_array_sets[link.tx_panel]:
+    """Noiseless received vector at one Rx panel, symbol, and subcarrier:
+    the row of :func:`link_mean` at subcarrier ``p``, at the link's actual
+    parameters. ``b`` is checked but, as in link_mean, changes nothing."""
+    subset = scene.allocation.per_array_sets[link.tx_panel]
+    if p not in subset:
         raise SubcarrierNotAllocated(
             f"subcarrier {p} is not allocated to Tx array {link.tx_panel}"
         )
@@ -129,26 +124,17 @@ def mean_vector(scene: Scene, links: LinkSet, link: Link, b: int, p: int) -> np.
         raise IndexError(f"symbol index {b} out of range 1..{scene.ofdm.n_symbols}")
     delta_tau = link.delay - links[links.reference_index].delay
     h = free_space_gain(link.distance, scene.ofdm.wavelength)
-    a = rx_steering(scene, link.rx_panel, link.theta_R_local)
-    x = _symbol_amplitude(scene, link.tx_panel, p)
-    return cmath.exp(-1j * scene.ofdm.omega(p) * delta_tau) * h * x * a
+    return link_mean(scene, link, delta_tau, link.theta_R_local, h)[0][subset.index(p)]
 
 
-def _link_mean_block(
-    scene: Scene, links: LinkSet, link: Link, h: complex
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean matrix over (subcarrier, element) plus omega and D arrays."""
-    subset = scene.allocation.per_array_sets[link.tx_panel]
-    p_arr = np.array(subset)
-    omega = 2.0 * math.pi * scene.ofdm.subcarrier_spacing * p_arr
-    gamma_t = scene.allocation.array_power_fractions[link.tx_panel]
-    fracs = np.array([scene.allocation.per_subcarrier_fractions[p] for p in subset])
-    amps = np.sqrt(gamma_t * fracs * scene.ofdm.total_power)
-    delta_tau = link.delay - links[links.reference_index].delay
-    a = rx_steering(scene, link.rx_panel, link.theta_R_local)
-    d_diag = steering_derivative_diag(scene, link.rx_panel, link.theta_R_local)
-    mean = (amps * np.exp(-1j * omega * delta_tau))[:, None] * (h * a)[None, :]
-    return mean, omega, d_diag
+def _lift(params: ChannelParamVector, position: int) -> np.ndarray:
+    """(4, 4L) map from a link's own (delay, angle, Re gain, Im gain)
+    derivatives to the parameter vector: the timing offset shifts every
+    link's delay, so it shares each link's delay derivative."""
+    lift = np.zeros((4, params.size))
+    lift[range(4), params.columns(position)] = 1.0
+    lift[0, 0] = 1.0
+    return lift
 
 
 def fim_channel(
@@ -160,105 +146,28 @@ def fim_channel(
     """Analytic Fisher information of the channel parameters (4L x 4L).
 
     Links at different Rx panels or on disjoint subcarrier sets only couple
-    through the shared timing offset, so the matrix is assembled link by
-    link with the timing-offset row accumulating every link's delay
-    derivative. ``reference`` forces a reference link (default: minimum
-    delay).
+    through the shared timing offset, so each link's 4x4 Gram block of its
+    stacked derivatives is lifted into the parameter layout. ``reference``
+    forces a reference link (default: minimum delay).
     """
     if len(links) == 0:
         raise NoActiveLinks("cannot assemble a FIM without active links")
     params = build_param_vector(links, reference)
-    size = params.size
-    j = np.zeros((size, size))
+    j = np.zeros((params.size, params.size))
     scale = 2.0 * scene.ofdm.n_symbols / scene.noise_variance
     for position, link_index in enumerate(params.link_order):
-        link = links[link_index]
-        mean, omega, d_diag = _link_mean_block(scene, links, link, gains[link_index].h)
-        h = gains[link_index].h
-        derivs = (
+        link, h = links[link_index], gains[link_index].h
+        delta_tau = link.delay - links[params.reference].delay
+        mean, omega, dphase = link_mean(scene, link, delta_tau, link.theta_R_local, h)
+        flat = np.stack((
             -1j * omega[:, None] * mean,  # timing offset / delay difference
-            d_diag[None, :] * mean,  # arrival angle
+            1j * dphase[None, :] * mean,  # arrival angle
             mean / h,  # Re gain
             1j * mean / h,  # Im gain
-        )
-        block = np.empty((4, 4))
-        for a_idx in range(4):
-            for b_idx in range(a_idx, 4):
-                val = scale * float(
-                    np.sum(np.conj(derivs[a_idx]) * derivs[b_idx]).real
-                )
-                block[a_idx, b_idx] = val
-                block[b_idx, a_idx] = val
-        cols = params.columns(position)
-        j[np.ix_(cols, cols)] += block
-        if position > 0:
-            # The timing offset shares the delay derivative on this link's
-            # subcarriers.
-            j[0, list(cols)] += block[0]
-            j[list(cols), 0] += block[0]
-            j[0, 0] += block[0, 0]
+        )).reshape(4, -1)
+        lift = _lift(params, position)
+        j += lift.T @ (scale * (flat.conj() @ flat.T).real) @ lift
     return 0.5 * (j + j.T)
-
-
-def _parameter_steps(
-    scene: Scene, links: LinkSet, params: ChannelParamVector,
-    gains: Sequence[LinkGain], step: float,
-) -> np.ndarray:
-    """Per-parameter central-difference steps scaled to each parameter."""
-    steps = np.empty(params.size)
-    tau_scale = 1.0 / scene.ofdm.omega_c
-    for position, link_index in enumerate(params.link_order):
-        cols = params.columns(position)
-        h_scale = abs(gains[link_index].h)
-        steps[cols[0]] = step * tau_scale
-        steps[cols[1]] = step
-        steps[cols[2]] = step * h_scale
-        steps[cols[3]] = step * h_scale
-    return steps
-
-
-def _stacked_mean(
-    scene: Scene, links: LinkSet, params: ChannelParamVector, phi: np.ndarray
-) -> np.ndarray:
-    """Concatenated noise-scaled means over all links as a function of phi."""
-    tau_s = phi[0]
-    pieces = []
-    weight = math.sqrt(2.0 * scene.ofdm.n_symbols / scene.noise_variance)
-    for position, link_index in enumerate(params.link_order):
-        link = links[link_index]
-        cols = params.columns(position)
-        delay = tau_s + (phi[cols[0]] if position > 0 else 0.0)
-        theta = phi[cols[1]]
-        h = phi[cols[2]] + 1j * phi[cols[3]]
-        subset = scene.allocation.per_array_sets[link.tx_panel]
-        p_arr = np.array(subset)
-        omega = 2.0 * math.pi * scene.ofdm.subcarrier_spacing * p_arr
-        gamma_t = scene.allocation.array_power_fractions[link.tx_panel]
-        fracs = np.array([scene.allocation.per_subcarrier_fractions[p] for p in subset])
-        amps = np.sqrt(gamma_t * fracs * scene.ofdm.total_power)
-        a = rx_steering(scene, link.rx_panel, theta)
-        mean = (amps * np.exp(-1j * omega * delay))[:, None] * (h * a)[None, :]
-        pieces.append(weight * mean.ravel())
-    return np.concatenate(pieces)
-
-
-def channel_param_values(
-    scene: Scene, links: LinkSet, gains: Sequence[LinkGain],
-    params: ChannelParamVector | None = None,
-) -> np.ndarray:
-    """Actual channel-parameter values of a scene in vector layout."""
-    if params is None:
-        params = build_param_vector(links)
-    phi = np.zeros(params.size)
-    ref_delay = links[params.reference].delay
-    for position, link_index in enumerate(params.link_order):
-        link = links[link_index]
-        cols = params.columns(position)
-        phi[cols[0]] = 0.0 if position == 0 else link.delay - ref_delay
-        phi[cols[1]] = link.theta_R_local
-        phi[cols[2]] = gains[link_index].h.real
-        phi[cols[3]] = gains[link_index].h.imag
-    return phi
 
 
 def fim_channel_fd(
@@ -268,20 +177,28 @@ def fim_channel_fd(
     step: float = 1e-7,
     reference: int | None = None,
 ) -> np.ndarray:
-    """Central-finite-difference twin of :func:`fim_channel`."""
+    """Central-finite-difference twin of :func:`fim_channel`.
+
+    Each of a link's four parameters is stepped in :func:`link_mean`, in
+    proportion to its own scale (1/omega_c for the delay, |h| for the gain).
+    """
     if step <= 0.0:
         raise ValueError("step must be positive")
     params = build_param_vector(links, reference)
-    phi0 = channel_param_values(scene, links, gains, params)
-    steps = _parameter_steps(scene, links, params, gains, step)
-    columns = []
-    for i in range(params.size):
-        delta = np.zeros_like(phi0)
-        delta[i] = steps[i]
-        plus = _stacked_mean(scene, links, params, phi0 + delta)
-        minus = _stacked_mean(scene, links, params, phi0 - delta)
-        columns.append((plus - minus) / (2.0 * steps[i]))
-    grad = np.column_stack(columns)
+    weight = math.sqrt(2.0 * scene.ofdm.n_symbols / scene.noise_variance)
+    blocks = []
+    for position, link_index in enumerate(params.link_order):
+        link, h = links[link_index], gains[link_index].h
+        tau, theta = link.delay - links[params.reference].delay, link.theta_R_local
+        h_step = step * abs(h)
+        columns = []
+        for d_tau, d_theta, d_h in ((step / scene.ofdm.omega_c, 0.0, 0.0), (0.0, step, 0.0),
+                                    (0.0, 0.0, h_step), (0.0, 0.0, 1j * h_step)):
+            plus = link_mean(scene, link, tau + d_tau, theta + d_theta, h + d_h)[0]
+            minus = link_mean(scene, link, tau - d_tau, theta - d_theta, h - d_h)[0]
+            columns.append(weight * (plus - minus).ravel() / (2.0 * abs(d_tau + d_theta + d_h)))
+        blocks.append(np.column_stack(columns) @ _lift(params, position))
+    grad = np.concatenate(blocks)
     return (grad.conj().T @ grad).real
 
 
@@ -326,7 +243,7 @@ def transform_matrix(
         t[nuisance_row, cols[2]] = 1.0
         t[nuisance_row + 1, cols[3]] = 1.0
         nuisance_row += 2
-    return TransformMatrix(matrix=t, variant=variant, params=params)
+    return TransformMatrix(matrix=t)
 
 
 def efim_schur(j_phi: np.ndarray, t_matrix: TransformMatrix) -> FimResult:

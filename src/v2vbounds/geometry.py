@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -195,7 +195,6 @@ class Link:
     theta_R: float  # world-frame direction from Tx panel toward Rx panel
     theta_T: float  # theta_R + pi, wrapped
     theta_R_local: float  # theta_R - alpha_R, wrapped
-    theta_T_local: float  # theta_T - alpha_T, wrapped
     delay: float  # s
 
 
@@ -468,12 +467,12 @@ def visibility(tx: VehicleArrays, tx_pose: tuple, rx: VehicleArrays, rx_pose: tu
 def link_geometry(
     tx_centroid: Vec2,
     rx_centroid: Vec2,
-    alpha_T: float,
     alpha_R: float,
     tx_panel: int = 0,
     rx_panel: int = 0,
 ) -> Link:
-    """Distances, world/local angles, and delay for one panel pair."""
+    """Distances, world/local angles, and delay for one panel pair; alpha_R
+    is the Rx vehicle heading."""
     offset = rx_centroid - tx_centroid
     distance = offset.norm()
     if distance < 1e-9:
@@ -489,7 +488,6 @@ def link_geometry(
         theta_R=theta_r,
         theta_T=theta_t,
         theta_R_local=wrap_angle(theta_r - alpha_R),
-        theta_T_local=wrap_angle(theta_t - alpha_T),
         delay=distance / SPEED_OF_LIGHT,
     )
 
@@ -506,17 +504,11 @@ def active_links(scene: "Scene") -> LinkSet:
     )
     tx_c, rx_c = tx_c.tolist(), rx_c.tolist()
     links = [
-        link_geometry(Vec2(*tx_c[t]), Vec2(*rx_c[r]), scene.tx_pose.orientation,
-                      scene.rx_pose.orientation, tx_panel=t, rx_panel=r)
+        link_geometry(Vec2(*tx_c[t]), Vec2(*rx_c[r]), scene.rx_pose.orientation,
+                      tx_panel=t, rx_panel=r)
         for t, r in np.argwhere(visible).tolist()
     ]
     if not links:
         raise NoActiveLinks("no Tx-Rx panel pair has line of sight")
     return LinkSet(links=tuple(links))
 
-
-def panels_with_links(links: LinkSet | Sequence[Link]) -> tuple[set[int], set[int]]:
-    """Sets of Tx and Rx panel indices that appear in at least one link."""
-    tx = {link.tx_panel for link in links}
-    rx = {link.rx_panel for link in links}
-    return tx, rx

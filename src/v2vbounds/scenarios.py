@@ -11,6 +11,7 @@ the reference SNR after Rx beamforming.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Literal, Sequence
@@ -21,8 +22,8 @@ from .channel import calibrate_power, information_weight
 from .errors import NoBracket
 from .fim_closed import bound_arrays, information, link_vectors, saaf_matrix
 from .geometry import (
-    SPEED_OF_LIGHT, Pose, Vec2, VehicleArrays, VehicleSpec, active_links,
-    build_cornered_vehicle, panels_with_links, visibility, wrap_angles,
+    SPEED_OF_LIGHT, Pose, Vec2, VehicleArrays, VehicleSpec, build_cornered_vehicle,
+    visibility, wrap_angles,
 )
 from .scene import Scene
 from .waveform import Allocation, OfdmSpec, effective_bandwidths, interleaved_allocation
@@ -66,7 +67,8 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class PresetConfig:
-    """System configuration from which scenes are built."""
+    """System configuration from which scenes are built; construction
+    raises ValueError, naming the field, for a value no scene can use."""
 
     name: str
     carrier_frequency: float  # Hz
@@ -76,12 +78,28 @@ class PresetConfig:
     n_fft: int = 2048
     n_symbols: int = 1
     max_occupied_index: int = 600
-    k_tx: int = 4
     vehicle_length: float = 4.5
     vehicle_width: float = 1.8
     lane_width: float = 3.5
     noise_variance: float = 1.0
     fov_blocked_halfwidth: float | None = None  # override, rad
+
+    def __post_init__(self) -> None:
+        for name in ("carrier_frequency", "subcarrier_spacing", "n_rx_elements", "n_fft",
+                     "n_symbols", "max_occupied_index", "vehicle_length", "vehicle_width",
+                     "lane_width", "noise_variance"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not math.isfinite(self.target_snr_db):
+            raise ValueError(f"target_snr_db must be finite, got {self.target_snr_db!r}")
+        if 2 * self.max_occupied_index >= self.n_fft:
+            raise ValueError(f"max_occupied_index must be below n_fft / 2 for the occupied "
+                             f"subcarriers to fit inside the FFT grid, got "
+                             f"{self.max_occupied_index} with n_fft = {self.n_fft}")
+        halfwidth = self.fov_blocked_halfwidth
+        if halfwidth is not None and not 0.0 <= halfwidth <= math.pi:
+            raise ValueError(f"fov_blocked_halfwidth must lie in [0, pi], got {halfwidth!r}")
 
     @property
     def occupied(self) -> tuple[int, ...]:
@@ -153,7 +171,7 @@ def preset_context(preset: PresetConfig) -> PresetContext:
     NoActiveLinks when that placement has no LOS link.
     """
     vehicle = _build_vehicle(preset)
-    allocation = interleaved_allocation(preset.occupied, preset.k_tx)
+    allocation = interleaved_allocation(preset.occupied, len(vehicle.panels))
     unit_power = OfdmSpec(
         n_fft=preset.n_fft,
         subcarrier_spacing=preset.subcarrier_spacing,
@@ -404,10 +422,3 @@ def scenario_crossing(
     bound_fn = scenario_bound_fn(preset, scenario, axis, measurement)
     return requirement_crossing(bound_fn, requirements.threshold(axis), s_min, s_max, tol)
 
-
-def scenario_panel_counts(preset: PresetConfig, q: Vec2) -> tuple[int, int]:
-    """Number of Tx and Rx panels with at least one LOS link at placement q."""
-    scene = build_scene(preset, q)
-    links = active_links(scene)
-    tx, rx = panels_with_links(links)
-    return len(tx), len(rx)

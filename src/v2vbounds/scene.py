@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import PanelState, Pose, Vec2, VehicleSpec, panel_world_state
+from .geometry import PanelState, Pose, VehicleSpec, panel_world_state
 from .waveform import Allocation, OfdmSpec
 
 
@@ -34,20 +34,8 @@ class Scene:
                 f"({self.allocation.n_arrays} sets, {len(self.tx_vehicle.panels)} panels)"
             )
 
-    @property
-    def k_tx(self) -> int:
-        return len(self.tx_vehicle.panels)
-
-    @property
-    def k_rx(self) -> int:
-        return len(self.rx_vehicle.panels)
-
     def tx_panel_state(self, t: int) -> PanelState:
         return panel_world_state(self.tx_vehicle, self.tx_pose, t)
 
     def rx_panel_state(self, r: int) -> PanelState:
         return panel_world_state(self.rx_vehicle, self.rx_pose, r)
-
-    def tx_panel_offset(self, t: int) -> Vec2:
-        """World-frame offset of Tx panel t's centroid from the Tx reference point."""
-        return self.tx_panel_state(t).centroid - self.tx_pose.position

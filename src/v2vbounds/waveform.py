@@ -47,10 +47,6 @@ class OfdmSpec:
             raise ValueError("occupied indices must lie strictly inside (-n_fft/2, n_fft/2)")
 
     @property
-    def sample_rate(self) -> float:
-        return self.n_fft * self.subcarrier_spacing
-
-    @property
     def omega_c(self) -> float:
         """Carrier angular frequency, rad/s."""
         return 2.0 * math.pi * self.carrier_frequency

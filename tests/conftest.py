@@ -98,3 +98,8 @@ def small_scene(
         allocation=interleaved_allocation(occupied, n_tx_panels),
         noise_variance=noise_variance,
     )
+
+
+def panels_with_links(links) -> tuple[set[int], set[int]]:
+    """Tx and Rx panel indices that appear in at least one link."""
+    return {link.tx_panel for link in links}, {link.rx_panel for link in links}

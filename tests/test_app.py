@@ -189,6 +189,45 @@ class TestCli:
         cfg = write_config(tmp_path, overrides={"noise_variance": -1.0})
         assert main(["--config", cfg]) == 2
 
+    def test_k_tx_override_exit_2(self, tmp_path, capsys):
+        # The Tx vehicle always carries its four corner panels and the
+        # subcarrier allocation is sized from them: there is no k_tx key.
+        cfg = write_config(tmp_path, overrides={"k_tx": 4})
+        assert main(["--config", cfg]) == 2
+        assert "unknown override keys: ['k_tx']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("q_y_min", [-4.0, -4.74])
+    def test_platooning_without_gap_exit_2(self, tmp_path, capsys, q_y_min):
+        out = tmp_path / "pl.csv"
+        cfg = write_config(tmp_path, scenario="platooning", q_y_min=q_y_min, out=str(out))
+        assert main(["--config", cfg]) == 2
+        assert "config error: q_y_min" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_platooning_single_gap(self, tmp_path):
+        out = tmp_path / "pl.csv"
+        cfg = write_config(tmp_path, scenario="platooning", q_y_min=-4.75, out=str(out))
+        assert main(["--config", cfg]) == 0
+        assert out.read_text(encoding="utf-8").splitlines()[1].startswith("0,-4.75,0.25,4,")
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"carrier_frequency": 0.0},
+            {"carrier_frequency": math.nan},
+            {"n_rx_elements": 0},
+            {"max_occupied_index": 1024},  # 2 * 1024 >= n_fft = 2048
+            {"lane_width": 0.0},
+            {"noise_variance": 0.0},
+            {"noise_variance": -1.0},
+            {"fov_blocked_halfwidth": 3.2},  # > pi
+        ],
+    )
+    def test_invalid_preset_exit_2(self, tmp_path, capsys, override):
+        cfg = write_config(tmp_path, out=str(tmp_path / "x.csv"), overrides=override)
+        assert main(["--config", cfg]) == 2
+        assert f"config error: {next(iter(override))}" in capsys.readouterr().err
+
     def test_nan_in_any_bound_column_exit_3(self, tmp_path, monkeypatch, capsys):
         import v2vbounds.app as app
 

@@ -138,8 +138,8 @@ def test_visibility_mask_equals_los_visible(case):
         scene = calibrated_scene(preset, Vec2(x, y), alpha_t)
         tx_rect = vehicle_rect(scene.tx_vehicle, scene.tx_pose)
         rx_rect = vehicle_rect(scene.rx_vehicle, scene.rx_pose)
-        for t in range(scene.k_tx):
-            for r in range(scene.k_rx):
+        for t in range(len(scene.tx_vehicle.panels)):
+            for r in range(len(scene.rx_vehicle.panels)):
                 expected = los_visible(
                     scene.tx_panel_state(t), scene.rx_panel_state(r), tx_rect, rx_rect
                 )

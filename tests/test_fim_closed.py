@@ -206,7 +206,7 @@ class TestRankRules:
         betas = effective_bandwidths(scene.allocation, scene.ofdm)
         result = efim_aoa_tdoa(scene, links, gains, betas)
         assert result.singular and result.rank == 2
-        offset = scene.tx_panel_offset(0)
+        offset = scene.tx_panel_state(0).centroid - scene.tx_pose.position
         null = np.array([-offset.y, offset.x, 1.0])
         assert np.linalg.norm(result.j_po @ null) < 1e-9 * np.linalg.norm(result.j_po)
 

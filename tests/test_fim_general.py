@@ -17,9 +17,8 @@ from v2vbounds.fim_general import (
     efim_schur,
     fim_channel,
     fim_channel_fd,
+    link_mean,
     mean_vector,
-    rx_steering,
-    steering_derivative_diag,
     transform_matrix,
 )
 from v2vbounds.geometry import LinkSet, Pose, Vec2, active_links, link_geometry, wrap_angle
@@ -76,19 +75,26 @@ class TestMeanVector:
             mean_vector(scene, links, link, 1, other)
 
     def test_angle_derivative_matches_fd(self, medium_scene):
-        # Oracle: central finite difference of the steering vector in the
-        # local arrival angle vs the analytic diagonal operator.
-        scene, links, _ = medium_scene
-        link = links[1]
+        # Oracle: central finite difference of the link mean in the local
+        # arrival angle vs the analytic 1j * dphase * mean.
+        scene, links, gains = medium_scene
+        link, h = links[1], gains[1].h
         theta = link.theta_R_local
         step = 1e-7
-        a_plus = rx_steering(scene, link.rx_panel, theta + step)
-        a_minus = rx_steering(scene, link.rx_panel, theta - step)
-        fd = (a_plus - a_minus) / (2.0 * step)
-        analytic = steering_derivative_diag(scene, link.rx_panel, theta) * rx_steering(
-            scene, link.rx_panel, theta
-        )
+        plus = link_mean(scene, link, 0.0, theta + step, h)[0]
+        minus = link_mean(scene, link, 0.0, theta - step, h)[0]
+        fd = (plus - minus) / (2.0 * step)
+        mean, _, dphase = link_mean(scene, link, 0.0, theta, h)
+        analytic = 1j * dphase[None, :] * mean
         assert np.linalg.norm(fd - analytic) < 1e-6 * np.linalg.norm(analytic)
+
+    def test_mean_vector_is_a_row_of_the_link_mean(self, medium_scene):
+        scene, links, gains = medium_scene
+        link = links[-1]
+        delta_tau = link.delay - links[links.reference_index].delay
+        block = link_mean(scene, link, delta_tau, link.theta_R_local, gains[-1].h)[0]
+        for row, p in enumerate(scene.allocation.per_array_sets[link.tx_panel]):
+            assert np.array_equal(mean_vector(scene, links, link, 1, p), block[row])
 
 
 class TestChannelFim:
@@ -171,7 +177,6 @@ class TestTransformMatrix:
             link_geometry(
                 moved.tx_panel_state(t).centroid,
                 moved.rx_panel_state(r).centroid,
-                alpha_t,
                 moved.rx_pose.orientation,
                 tx_panel=t,
                 rx_panel=r,
@@ -237,13 +242,12 @@ class TestTransformMatrix:
             link_geometry(
                 scene.tx_panel_state(t).centroid,
                 scene.rx_panel_state(r).centroid,
-                scene.tx_pose.orientation,
                 scene.rx_pose.orientation,
                 tx_panel=t,
                 rx_panel=r,
             )
-            for t in range(scene.k_tx)
-            for r in range(scene.k_rx)
+            for t in range(len(scene.tx_vehicle.panels))
+            for r in range(len(scene.rx_vehicle.panels))
         ]
         return LinkSet(links=tuple(links))
 

@@ -21,7 +21,6 @@ from v2vbounds.geometry import (
     link_geometry,
     los_visible,
     panel_world_state,
-    panels_with_links,
     unit_dir,
     unit_perp,
     vehicle_rect,
@@ -29,7 +28,7 @@ from v2vbounds.geometry import (
 )
 from v2vbounds.scenarios import build_scene
 
-from conftest import open_panel, small_scene
+from conftest import open_panel, panels_with_links, small_scene
 
 angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -193,28 +192,28 @@ class TestPanelWorldState:
 
 class TestLinkGeometry:
     def test_axis_aligned(self):
-        link = link_geometry(Vec2(0, 0), Vec2(10, 0), 0.0, 0.0)
+        link = link_geometry(Vec2(0, 0), Vec2(10, 0), 0.0)
         assert link.distance == 10.0
         assert link.theta_R == 0.0
         assert abs(link.theta_T - math.pi) < 1e-15
         assert abs(link.delay - 10.0 / SPEED_OF_LIGHT) < 1e-24
 
     def test_heading_aligned(self):
-        link = link_geometry(Vec2(0, 0), Vec2(0, 5), 0.0, math.pi / 2)
+        link = link_geometry(Vec2(0, 0), Vec2(0, 5), math.pi / 2)
         assert abs(link.theta_R - math.pi / 2) < 1e-15
         assert abs(link.theta_R_local) < 1e-15
 
     def test_3_4_5_triangle(self):
-        link = link_geometry(Vec2(0, 0), Vec2(3, 4), 0.0, 0.0)
+        link = link_geometry(Vec2(0, 0), Vec2(3, 4), 0.0)
         assert abs(link.distance - 5.0) < 1e-12
         assert abs(link.theta_R - 0.9272952180016122) < 1e-12
 
     def test_coincident_rejected(self):
         with pytest.raises(CoincidentPanels):
-            link_geometry(Vec2(1, 1), Vec2(1, 1), 0.0, 0.0)
+            link_geometry(Vec2(1, 1), Vec2(1, 1), 0.0)
 
     def test_opposite_directions(self):
-        link = link_geometry(Vec2(-2, 7), Vec2(4, -3), 0.3, -0.8)
+        link = link_geometry(Vec2(-2, 7), Vec2(4, -3), -0.8)
         ur = unit_dir(link.theta_R)
         ut = unit_dir(link.theta_T)
         assert abs(ur.x + ut.x) < 1e-12
@@ -225,8 +224,8 @@ class TestRigidMotionInvariance:
     @given(st.floats(-30, 30), st.floats(-30, 30), angles)
     @settings(max_examples=25)
     def test_translation(self, dx, dy, alpha):
-        base = link_geometry(Vec2(1, 2), Vec2(8, -3), alpha, 0.5)
-        moved = link_geometry(Vec2(1 + dx, 2 + dy), Vec2(8 + dx, -3 + dy), alpha, 0.5)
+        base = link_geometry(Vec2(1, 2), Vec2(8, -3), alpha)
+        moved = link_geometry(Vec2(1 + dx, 2 + dy), Vec2(8 + dx, -3 + dy), alpha)
         assert abs(base.distance - moved.distance) < 1e-9
         assert abs(base.theta_R - moved.theta_R) < 1e-12
         assert abs(base.theta_R_local - moved.theta_R_local) < 1e-12
@@ -238,12 +237,11 @@ class TestRigidMotionInvariance:
         pivot = Vec2(-4, 6)
         ra = pivot + (a - pivot).rotated(phi)
         rb = pivot + (b - pivot).rotated(phi)
-        base = link_geometry(a, b, 0.3, 0.5)
-        moved = link_geometry(ra, rb, 0.3 + phi, 0.5 + phi)
+        base = link_geometry(a, b, 0.5)
+        moved = link_geometry(ra, rb, 0.5 + phi)
         assert abs(base.distance - moved.distance) < 1e-9
         assert abs(wrap_angle(moved.theta_R - base.theta_R - phi)) < 1e-9
         assert abs(wrap_angle(moved.theta_R_local - base.theta_R_local)) < 1e-9
-        assert abs(wrap_angle(moved.theta_T_local - base.theta_T_local)) < 1e-9
 
 
 class TestVisibility:

@@ -15,9 +15,16 @@ from v2vbounds.scenarios import (
     evaluate_point,
     overtaking_sweep,
     platooning_sweep,
+    build_scene,
     requirement_crossing,
-    scenario_panel_counts,
 )
+
+from conftest import panels_with_links
+
+
+def panel_counts(preset, q):
+    tx, rx = panels_with_links(active_links(build_scene(preset, q)))
+    return len(tx), len(rx)
 
 
 class TestRequirements:
@@ -51,9 +58,9 @@ class TestOvertakingSweep:
         assert all(r.q_x == -3.5 for r in overtaking_rows)
 
     def test_panel_counts_along_sweep(self, preset_3p5, overtaking_rows):
-        assert scenario_panel_counts(preset_3p5, Vec2(-3.5, 0.0)) == (2, 2)
+        assert panel_counts(preset_3p5, Vec2(-3.5, 0.0)) == (2, 2)
         for q_y in (-22.0, -7.5, 3.25, 18.0, 30.0):
-            assert scenario_panel_counts(preset_3p5, Vec2(-3.5, q_y)) == (3, 3)
+            assert panel_counts(preset_3p5, Vec2(-3.5, q_y)) == (3, 3)
         row0 = next(r for r in overtaking_rows if r.q_y == 0.0)
         assert row0.n_links == 4
 

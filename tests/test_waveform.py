@@ -138,10 +138,6 @@ class TestEffectiveBandwidth:
 
 
 class TestOfdmSpec:
-    def test_sample_rate(self):
-        spec = spec_with((1,))
-        assert spec.sample_rate == 2048 * 60e3
-
     def test_omega_signed(self):
         spec = spec_with((-5, 5))
         assert spec.omega(-5) == -spec.omega(5)
