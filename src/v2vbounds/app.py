@@ -76,12 +76,14 @@ class RunConfig:
             name = self.preset if not overrides else f"{self.preset}+overrides"
         else:
             raise ConfigError(f"unknown preset {self.preset!r}")
-        for key in list(overrides):
-            caster = int if key in _INT_OVERRIDES else float
+        for key, value in overrides.items():
             try:
-                overrides[key] = caster(overrides[key])
+                number = float(value)
             except (TypeError, ValueError) as exc:
-                raise ConfigError(f"override {key} is not numeric: {overrides[key]!r}") from exc
+                raise ConfigError(f"override {key} is not numeric: {value!r}") from exc
+            if key in _INT_OVERRIDES and not number.is_integer():
+                raise ConfigError(f"override {key} must be an integer, got {value!r}")
+            overrides[key] = int(number) if key in _INT_OVERRIDES else number
         try:
             preset = dataclasses.replace(base, name=name, **overrides)
         except ValueError as exc:

@@ -5,9 +5,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import ZeroDistance
-from .geometry import LinkSet, active_links
+from .geometry import Link, active_links
 from .scene import Scene
 
 
@@ -47,7 +48,7 @@ def _unit_power_weight(scene: Scene, tx_panel: int, rx_panel: int, distance: flo
     )
 
 
-def link_gains(scene: Scene, links: LinkSet) -> list[LinkGain]:
+def link_gains(scene: Scene, links: Sequence[Link]) -> list[LinkGain]:
     """Per-link complex gains and information weights, aligned with ``links``."""
     gains = []
     for link in links:

@@ -21,10 +21,6 @@ class EmptySet(ValueError):
     """A subcarrier set that must be nonempty is empty."""
 
 
-class SubcarrierNotAllocated(ValueError):
-    """Requested subcarrier is not allocated to the link's Tx array."""
-
-
 class NuisanceSingular(RuntimeError):
     """The nuisance-parameter information block is numerically singular."""
 

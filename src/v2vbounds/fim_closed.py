@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import LinkGain
 from .errors import NoActiveLinks
-from .geometry import SPEED_OF_LIGHT, ArrayPanel, LinkSet, VehicleArrays, unit_dir
+from .geometry import SPEED_OF_LIGHT, ArrayPanel, Link, VehicleArrays, unit_dir
 from .scene import Scene
 
 # Eigenvalues below RANK_EPS * lambda_max count as zero when ranking.
@@ -97,7 +97,9 @@ def link_vectors(
     return v_tau, v_theta, np.einsum("...i,...ij,...j->...", local, saaf_s, local)
 
 
-def link_info_vectors(scene: Scene, links: LinkSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def link_info_vectors(
+    scene: Scene, links: Sequence[Link]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-link delay and angle information directions plus angle weights.
 
     Returns (v_tau, v_theta, aperture) where v_tau[k] spans the information
@@ -139,7 +141,7 @@ def information(
 
 
 def _scene_information(
-    scene: Scene, links: LinkSet, gains: Sequence[LinkGain], betas: Sequence[float] | None
+    scene: Scene, links: Sequence[Link], gains: Sequence[LinkGain], betas: Sequence[float] | None
 ) -> tuple[np.ndarray, np.ndarray]:
     if len(links) == 0:
         raise NoActiveLinks("cannot assemble an EFIM without active links")
@@ -154,7 +156,7 @@ def _scene_information(
 
 def efim_aoa_tdoa(
     scene: Scene,
-    links: LinkSet,
+    links: Sequence[Link],
     gains: Sequence[LinkGain],
     betas: Sequence[float],
 ) -> FimResult:
@@ -162,6 +164,6 @@ def efim_aoa_tdoa(
     return bounds_from_fim(_scene_information(scene, links, gains, betas)[1])
 
 
-def efim_aoa_only(scene: Scene, links: LinkSet, gains: Sequence[LinkGain]) -> FimResult:
+def efim_aoa_only(scene: Scene, links: Sequence[Link], gains: Sequence[LinkGain]) -> FimResult:
     """Closed-form EFIM using arrival angles only."""
     return bounds_from_fim(_scene_information(scene, links, gains, None)[0])

@@ -7,25 +7,25 @@ and removes nuisance parameters with a Schur complement. A central-finite-
 difference twin of the channel FIM serves as a numerical oracle for the
 analytic derivatives.
 
-Parameter layout for L active links (reference link first, then the
-remaining links in (t, r) order): the reference link contributes
-[timing offset, angle, Re gain, Im gain], every other link
-[delay difference, angle, Re gain, Im gain], 4L parameters total. The
-reference link is the active link of minimum delay, ties broken by (t, r).
+Parameter layout for L active links, decided by :func:`link_order`: the
+reference link first (the active link of minimum delay, ties broken by
+(t, r)), then the remaining links in (t, r) order. Each link holds four
+consecutive columns [delay, angle, Re gain, Im gain]; the reference link's
+delay column is the common timing offset (column 0), every other link's the
+delay difference to the reference link. 4L parameters in total.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .channel import LinkGain, free_space_gain
-from .errors import NoActiveLinks, NuisanceSingular, SubcarrierNotAllocated
+from .channel import LinkGain
+from .errors import NoActiveLinks, NuisanceSingular
 from .fim_closed import FimResult, bounds_from_fim, link_info_vectors
-from .geometry import SPEED_OF_LIGHT, Link, LinkSet
+from .geometry import SPEED_OF_LIGHT, Link
 from .scene import Scene
 
 AOA_TDOA = "AOA_TDOA"
@@ -36,53 +36,18 @@ AOA_ONLY = "AOA_ONLY"
 NUISANCE_COND_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
-class ChannelParamVector:
-    """Ordering of the channel parameters for a set of active links."""
-
-    link_order: tuple[int, ...]  # indices into the LinkSet, reference first
-    reference: int  # index into the LinkSet
-
-    @property
-    def size(self) -> int:
-        return 4 * len(self.link_order)
-
-    def columns(self, position: int) -> tuple[int, int, int, int]:
-        """Column indices (delay, angle, re gain, im gain) of the link at
-        ``position`` in ``link_order``; position 0 holds the timing offset in
-        the delay slot."""
-        base = 4 * position
-        return (base, base + 1, base + 2, base + 3)
-
-
-@dataclass(frozen=True, eq=False)
-class TransformMatrix:
-    """Jacobian mapping channel parameters onto the estimation parameters.
-
-    Rows are the transformed parameters with position/orientation first;
-    columns follow the ChannelParamVector layout.
-    """
-
-    matrix: np.ndarray
-
-    @property
-    def t_po(self) -> np.ndarray:
-        return self.matrix[:3]
-
-    @property
-    def t_np(self) -> np.ndarray:
-        return self.matrix[3:]
-
-
-def build_param_vector(links: LinkSet, reference: int | None = None) -> ChannelParamVector:
-    """Parameter ordering with the reference link first."""
+def link_order(links: Sequence[Link], reference: int | None = None) -> list[int]:
+    """Indices of ``links`` in parameter order: the reference link first, then
+    the others in their given (t, r) order. ``reference`` forces a reference
+    link (default: minimum delay, ties by (t, r))."""
     if len(links) == 0:
         raise NoActiveLinks("cannot parameterize an empty link set")
-    ref = links.reference_index if reference is None else reference
-    if not 0 <= ref < len(links):
-        raise IndexError(f"reference link index {ref} out of range")
-    rest = [i for i in range(len(links)) if i != ref]
-    return ChannelParamVector(link_order=(ref, *rest), reference=ref)
+    if reference is None:
+        reference = min(range(len(links)),
+                        key=lambda i: (links[i].delay, links[i].tx_panel, links[i].rx_panel))
+    elif not 0 <= reference < len(links):
+        raise IndexError(f"reference link index {reference} out of range")
+    return [reference, *(i for i in range(len(links)) if i != reference)]
 
 
 def link_mean(
@@ -111,71 +76,61 @@ def link_mean(
     return mean, omega, dphase
 
 
-def mean_vector(scene: Scene, links: LinkSet, link: Link, b: int, p: int) -> np.ndarray:
-    """Noiseless received vector at one Rx panel, symbol, and subcarrier:
-    the row of :func:`link_mean` at subcarrier ``p``, at the link's actual
-    parameters. ``b`` is checked but, as in link_mean, changes nothing."""
-    subset = scene.allocation.per_array_sets[link.tx_panel]
-    if p not in subset:
-        raise SubcarrierNotAllocated(
-            f"subcarrier {p} is not allocated to Tx array {link.tx_panel}"
-        )
-    if not 1 <= b <= scene.ofdm.n_symbols:
-        raise IndexError(f"symbol index {b} out of range 1..{scene.ofdm.n_symbols}")
-    delta_tau = link.delay - links[links.reference_index].delay
-    h = free_space_gain(link.distance, scene.ofdm.wavelength)
-    return link_mean(scene, link, delta_tau, link.theta_R_local, h)[0][subset.index(p)]
+def _channel_information(
+    scene: Scene,
+    links: Sequence[Link],
+    gains: Sequence[LinkGain],
+    reference: int | None,
+    derivatives: Callable[[Link, float, float, complex], np.ndarray],
+) -> np.ndarray:
+    """Channel FIM (4L x 4L) from each link's (samples, 4) derivatives of its
+    mean in its own (delay, angle, Re gain, Im gain).
 
-
-def _lift(params: ChannelParamVector, position: int) -> np.ndarray:
-    """(4, 4L) map from a link's own (delay, angle, Re gain, Im gain)
-    derivatives to the parameter vector: the timing offset shifts every
-    link's delay, so it shares each link's delay derivative."""
-    lift = np.zeros((4, params.size))
-    lift[range(4), params.columns(position)] = 1.0
-    lift[0, 0] = 1.0
-    return lift
+    Links at different Rx panels or on disjoint subcarrier sets only couple
+    through the shared timing offset, so each link's Gram block sits on the
+    diagonal; the offset map then folds the timing offset, which shifts every
+    link's delay, into column 0.
+    """
+    order = link_order(links, reference)
+    ref_delay = links[order[0]].delay
+    n = 4 * len(order)
+    j = np.zeros((n, n))
+    for k, i in enumerate(order):
+        link = links[i]
+        grad = derivatives(link, link.delay - ref_delay, link.theta_R_local, gains[i].h)
+        j[4 * k:4 * k + 4, 4 * k:4 * k + 4] = (grad.conj().T @ grad).real
+    offset = np.eye(n)
+    offset[0::4, 0] = 1.0
+    j = 2.0 * scene.ofdm.n_symbols / scene.noise_variance * (offset.T @ j @ offset)
+    return 0.5 * (j + j.T)
 
 
 def fim_channel(
     scene: Scene,
-    links: LinkSet,
+    links: Sequence[Link],
     gains: Sequence[LinkGain],
     reference: int | None = None,
 ) -> np.ndarray:
-    """Analytic Fisher information of the channel parameters (4L x 4L).
+    """Analytic Fisher information of the channel parameters (4L x 4L), in
+    the :func:`link_order` layout; ``reference`` forces a reference link."""
 
-    Links at different Rx panels or on disjoint subcarrier sets only couple
-    through the shared timing offset, so each link's 4x4 Gram block of its
-    stacked derivatives is lifted into the parameter layout. ``reference``
-    forces a reference link (default: minimum delay).
-    """
-    if len(links) == 0:
-        raise NoActiveLinks("cannot assemble a FIM without active links")
-    params = build_param_vector(links, reference)
-    j = np.zeros((params.size, params.size))
-    scale = 2.0 * scene.ofdm.n_symbols / scene.noise_variance
-    for position, link_index in enumerate(params.link_order):
-        link, h = links[link_index], gains[link_index].h
-        delta_tau = link.delay - links[params.reference].delay
-        mean, omega, dphase = link_mean(scene, link, delta_tau, link.theta_R_local, h)
-        flat = np.stack((
+    def derivatives(link, delay, angle, h):
+        mean, omega, dphase = link_mean(scene, link, delay, angle, h)
+        return np.stack((
             -1j * omega[:, None] * mean,  # timing offset / delay difference
             1j * dphase[None, :] * mean,  # arrival angle
             mean / h,  # Re gain
             1j * mean / h,  # Im gain
-        )).reshape(4, -1)
-        lift = _lift(params, position)
-        j += lift.T @ (scale * (flat.conj() @ flat.T).real) @ lift
-    return 0.5 * (j + j.T)
+        ), axis=-1).reshape(-1, 4)
+
+    return _channel_information(scene, links, gains, reference, derivatives)
 
 
 def fim_channel_fd(
     scene: Scene,
-    links: LinkSet,
+    links: Sequence[Link],
     gains: Sequence[LinkGain],
     step: float = 1e-7,
-    reference: int | None = None,
 ) -> np.ndarray:
     """Central-finite-difference twin of :func:`fim_channel`.
 
@@ -184,78 +139,57 @@ def fim_channel_fd(
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
-    params = build_param_vector(links, reference)
-    weight = math.sqrt(2.0 * scene.ofdm.n_symbols / scene.noise_variance)
-    blocks = []
-    for position, link_index in enumerate(params.link_order):
-        link, h = links[link_index], gains[link_index].h
-        tau, theta = link.delay - links[params.reference].delay, link.theta_R_local
+
+    def derivatives(link, delay, angle, h):
         h_step = step * abs(h)
         columns = []
         for d_tau, d_theta, d_h in ((step / scene.ofdm.omega_c, 0.0, 0.0), (0.0, step, 0.0),
                                     (0.0, 0.0, h_step), (0.0, 0.0, 1j * h_step)):
-            plus = link_mean(scene, link, tau + d_tau, theta + d_theta, h + d_h)[0]
-            minus = link_mean(scene, link, tau - d_tau, theta - d_theta, h - d_h)[0]
-            columns.append(weight * (plus - minus).ravel() / (2.0 * abs(d_tau + d_theta + d_h)))
-        blocks.append(np.column_stack(columns) @ _lift(params, position))
-    grad = np.concatenate(blocks)
-    return (grad.conj().T @ grad).real
+            plus = link_mean(scene, link, delay + d_tau, angle + d_theta, h + d_h)[0]
+            minus = link_mean(scene, link, delay - d_tau, angle - d_theta, h - d_h)[0]
+            columns.append((plus - minus).ravel() / (2.0 * abs(d_tau + d_theta + d_h)))
+        return np.column_stack(columns)
+
+    return _channel_information(scene, links, gains, None, derivatives)
 
 
 def transform_matrix(
-    scene: Scene, links: LinkSet, variant: str, reference: int | None = None
-) -> TransformMatrix:
-    """Geometric Jacobian from channel parameters to estimation parameters.
+    scene: Scene, links: Sequence[Link], variant: str, reference: int | None = None
+) -> np.ndarray:
+    """Geometric Jacobian from channel parameters (columns, :func:`link_order`
+    layout) to estimation parameters (rows, [q_x, q_y, alpha_T] first).
 
-    For AOA_TDOA the estimation vector is [q_x, q_y, alpha_T, timing offset,
-    gains...]; delay differences and angles both carry geometric rows. For
-    AOA_ONLY the delay differences are kept as free nuisance parameters, so
-    only the angles carry geometry.
+    Angles carry geometry in both variants, delay differences only under
+    AOA_TDOA; every other channel parameter (the timing offset, the gains
+    and, for AOA_ONLY, the delay differences) is a nuisance parameter with
+    an identity row, in column order.
     """
     if variant not in (AOA_TDOA, AOA_ONLY):
         raise ValueError(f"unknown variant {variant!r}")
-    params = build_param_vector(links, reference)
+    order = link_order(links, reference)
     v_tau, v_theta, _ = link_info_vectors(scene, links)
-    n_links = len(links)
-    c = SPEED_OF_LIGHT
-
+    distance = np.array([link.distance for link in links])
+    n = 4 * len(order)
+    geometric = np.zeros(n, dtype=bool)
+    t_po = np.zeros((3, n))
+    geometric[1::4] = True
+    t_po[:, 1::4] = (v_theta[order] / distance[order, None]).T
     if variant == AOA_TDOA:
-        n_rows = 4 + 2 * n_links
-    else:
-        n_rows = 3 + 3 * n_links
-    t = np.zeros((n_rows, params.size))
-
-    # Shared rows: position/orientation (0..2) and the timing offset (3),
-    # which is the delay-slot parameter of the reference link.
-    t[3, 0] = 1.0
-    nuisance_row = 4
-    ref = params.reference
-    for position, link_index in enumerate(params.link_order):
-        cols = params.columns(position)
-        # Angle columns carry geometry in both variants.
-        t[0:3, cols[1]] = v_theta[link_index] / links[link_index].distance
-        if position > 0:
-            if variant == AOA_TDOA:
-                t[0:3, cols[0]] = (v_tau[link_index] - v_tau[ref]) / c
-            else:
-                t[nuisance_row, cols[0]] = 1.0
-                nuisance_row += 1
-        t[nuisance_row, cols[2]] = 1.0
-        t[nuisance_row + 1, cols[3]] = 1.0
-        nuisance_row += 2
-    return TransformMatrix(matrix=t)
+        geometric[4::4] = True
+        t_po[:, 4::4] = ((v_tau[order[1:]] - v_tau[order[0]]) / SPEED_OF_LIGHT).T
+    return np.vstack((t_po, np.eye(n)[~geometric]))
 
 
-def efim_schur(j_phi: np.ndarray, t_matrix: TransformMatrix) -> FimResult:
-    """Schur-complement EFIM over position and orientation.
+def efim_schur(j_phi: np.ndarray, t_matrix: np.ndarray) -> FimResult:
+    """Schur-complement EFIM over position and orientation, from the channel
+    FIM and a :func:`transform_matrix` (rows [:3] geometric, [3:] nuisance).
 
     The nuisance information block is Jacobi-equilibrated before the
     condition check so that the mixed parameter units (seconds, radians,
     linear gains) do not masquerade as degeneracy; a genuinely singular
     block raises NuisanceSingular rather than being pseudo-inverted.
     """
-    t_po = t_matrix.t_po
-    t_np = t_matrix.t_np
+    t_po, t_np = t_matrix[:3], t_matrix[3:]
     a = t_po @ j_phi @ t_po.T
     b = t_po @ j_phi @ t_np.T
     n = t_np @ j_phi @ t_np.T
@@ -279,7 +213,7 @@ def efim_schur(j_phi: np.ndarray, t_matrix: TransformMatrix) -> FimResult:
 
 def efim_general(
     scene: Scene,
-    links: LinkSet,
+    links: Sequence[Link],
     gains: Sequence[LinkGain],
     variant: str,
     reference: int | None = None,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -196,33 +196,6 @@ class Link:
     theta_T: float  # theta_R + pi, wrapped
     theta_R_local: float  # theta_R - alpha_R, wrapped
     delay: float  # s
-
-
-@dataclass(frozen=True)
-class LinkSet:
-    """Active LOS links of a scene, ordered by (tx_panel, rx_panel)."""
-
-    links: tuple[Link, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "links", tuple(self.links))
-
-    def __len__(self) -> int:
-        return len(self.links)
-
-    def __iter__(self) -> Iterator[Link]:
-        return iter(self.links)
-
-    def __getitem__(self, index: int) -> Link:
-        return self.links[index]
-
-    @property
-    def reference_index(self) -> int:
-        """Index of the reference link: minimum delay, ties by (t, r)."""
-        return min(
-            range(len(self.links)),
-            key=lambda i: (self.links[i].delay, self.links[i].tx_panel, self.links[i].rx_panel),
-        )
 
 
 @dataclass(frozen=True)
@@ -492,7 +465,7 @@ def link_geometry(
     )
 
 
-def active_links(scene: "Scene") -> LinkSet:
+def active_links(scene: "Scene") -> tuple[Link, ...]:
     """Enumerate all panel pairs and keep the LOS-visible ones.
 
     Output is ordered by (tx_panel, rx_panel). Raises NoActiveLinks when no
@@ -510,5 +483,5 @@ def active_links(scene: "Scene") -> LinkSet:
     ]
     if not links:
         raise NoActiveLinks("no Tx-Rx panel pair has line of sight")
-    return LinkSet(links=tuple(links))
+    return tuple(links)
 

@@ -76,18 +76,15 @@ class PresetConfig:
     n_rx_elements: int
     target_snr_db: float
     n_fft: int = 2048
-    n_symbols: int = 1
     max_occupied_index: int = 600
     vehicle_length: float = 4.5
     vehicle_width: float = 1.8
     lane_width: float = 3.5
-    noise_variance: float = 1.0
     fov_blocked_halfwidth: float | None = None  # override, rad
 
     def __post_init__(self) -> None:
         for name in ("carrier_frequency", "subcarrier_spacing", "n_rx_elements", "n_fft",
-                     "n_symbols", "max_occupied_index", "vehicle_length", "vehicle_width",
-                     "lane_width", "noise_variance"):
+                     "max_occupied_index", "vehicle_length", "vehicle_width", "lane_width"):
             value = getattr(self, name)
             if not 0 < value < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
@@ -155,11 +152,10 @@ class PresetContext:
     saaf_s: np.ndarray  # (K, 2, 2) SAAF matrix per Rx panel
 
 
-def _scene(preset: PresetConfig, vehicle: VehicleSpec, allocation: Allocation, ofdm: OfdmSpec,
+def _scene(vehicle: VehicleSpec, allocation: Allocation, ofdm: OfdmSpec,
            q: Vec2, alpha_t: float = 0.0, alpha_r: float = 0.0) -> Scene:
     return Scene(tx_vehicle=vehicle, tx_pose=Pose(Vec2(0.0, 0.0), alpha_t), rx_vehicle=vehicle,
-                 rx_pose=Pose(q, alpha_r), ofdm=ofdm, allocation=allocation,
-                 noise_variance=preset.noise_variance)
+                 rx_pose=Pose(q, alpha_r), ofdm=ofdm, allocation=allocation)
 
 
 @lru_cache(maxsize=32)
@@ -177,9 +173,8 @@ def preset_context(preset: PresetConfig) -> PresetContext:
         subcarrier_spacing=preset.subcarrier_spacing,
         carrier_frequency=preset.carrier_frequency,
         occupied=preset.occupied,
-        n_symbols=preset.n_symbols,
     )
-    reference = _scene(preset, vehicle, allocation, unit_power, Vec2(-preset.lane_width, 0.0))
+    reference = _scene(vehicle, allocation, unit_power, Vec2(-preset.lane_width, 0.0))
     ofdm = replace(unit_power, total_power=calibrate_power(reference, preset.target_snr_db))
     return PresetContext(
         vehicle=vehicle,
@@ -205,7 +200,7 @@ def build_scene(
     ofdm = ctx.ofdm
     if total_power != ofdm.total_power:
         ofdm = replace(ofdm, total_power=total_power)
-    return _scene(preset, ctx.vehicle, ctx.allocation, ofdm, q, alpha_t, alpha_r)
+    return _scene(ctx.vehicle, ctx.allocation, ofdm, q, alpha_t, alpha_r)
 
 
 def calibrated_power(preset: PresetConfig) -> float:
@@ -242,9 +237,10 @@ def evaluate_points(
     offset = np.where(visible[..., None], rx_c[:, None] - tx_c[:, :, None], 1.0)
     distance = np.hypot(offset[..., 0], offset[..., 1])
     vectors = link_vectors(offset / distance[..., None], tx_c[:, :, None], np.zeros(()), ctx.saaf_s)
+    # Preset scenes keep unit noise; the calibrated power carries the SNR.
     g = np.where(visible, ofdm.total_power * information_weight(
         distance, ofdm.wavelength, ctx.n_rx, ctx.power_fractions[:, None], ofdm.n_symbols,
-        preset.noise_variance), 0.0)
+        1.0), 0.0)
     j_aoa, j_both = information(
         *(a.reshape(n, k * k, *a.shape[3:]) for a in (*vectors, g, distance)),
         np.repeat(ctx.betas, k), ofdm.omega_c,
@@ -303,20 +299,22 @@ def overtaking_sweep(
 def platooning_sweep(
     preset: PresetConfig,
     q_y_min: float = -30.0,
-    q_y_max: float | None = None,
     step: float = DEFAULT_SWEEP_STEP,
     measurements: Sequence[Measurement] = ("aoa_tdoa", "aoa"),
 ) -> list[SweepRow]:
     """Bounds for an in-lane follower at increasing bumper gaps.
 
     The Rx vehicle trails the Tx vehicle (negative q_y, zero lateral
-    offset). The default grid starts one step beyond the touching point
-    |q_y| = vehicle length, where the facing corner panels would coincide
-    and the free-space gain diverges.
+    offset). The grid is anchored at the touching point |q_y| = vehicle
+    length, where the facing corner panels would coincide and the free-space
+    gain diverges: rows sit at q_y = -(vehicle_length + k step) for
+    k = 1, 2, ... as long as q_y >= q_y_min.
     """
-    if q_y_max is None:
-        q_y_max = -(preset.vehicle_length + step)
-    q = [(0.0, q_y) for q_y in reversed(_grid(q_y_min, q_y_max, step))]
+    if step <= 0.0:
+        raise ValueError("step must be positive")
+    # The slack keeps a q_y_min on the grid from losing its row to round-off.
+    count = math.floor((-q_y_min - preset.vehicle_length) / step + 1e-9)
+    q = [(0.0, -(preset.vehicle_length + k * step)) for k in range(1, count + 1)]
     return evaluate_points(preset, q, measurements=measurements)
 
 

@@ -83,7 +83,8 @@ def test_criterion_2_analytic_vs_fd_derivatives():
     report(
         "criterion 2 (analytic vs finite-difference channel FIM, 20 scenes)",
         ok,
-        f"max rel Frobenius {worst:.3e} (tol 1e-5), runtime {elapsed:.2f} s (limit 60 s)",
+        f"max equilibrated rel Frobenius {worst:.3e} (tol 1e-5), "
+        f"runtime {elapsed:.2f} s (limit 60 s)",
     )
 
 

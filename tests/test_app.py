@@ -81,6 +81,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(path).resolve_preset()
 
+    def test_integral_float_accepted_for_integer_override(self, tmp_path):
+        path = write_config(tmp_path, overrides={"n_fft": 2048.0, "n_rx_elements": "8"})
+        preset = load_config(path).resolve_preset()
+        assert preset.n_fft == 2048 and isinstance(preset.n_fft, int)
+        assert preset.n_rx_elements == 8 and isinstance(preset.n_rx_elements, int)
+
     def test_narrowband_warning(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -186,7 +192,7 @@ class TestCli:
         assert main(["--config", cfg]) == 2
 
     def test_bad_override_exit_2(self, tmp_path):
-        cfg = write_config(tmp_path, overrides={"noise_variance": -1.0})
+        cfg = write_config(tmp_path, overrides={"vehicle_length": -1.0})
         assert main(["--config", cfg]) == 2
 
     def test_k_tx_override_exit_2(self, tmp_path, capsys):
@@ -218,15 +224,28 @@ class TestCli:
             {"n_rx_elements": 0},
             {"max_occupied_index": 1024},  # 2 * 1024 >= n_fft = 2048
             {"lane_width": 0.0},
-            {"noise_variance": 0.0},
-            {"noise_variance": -1.0},
+            # Calibration cancels the noise level and the symbol count, so
+            # neither is a preset field.
+            {"noise_variance": 1.0},
+            {"n_symbols": 1},
             {"fov_blocked_halfwidth": 3.2},  # > pi
         ],
     )
     def test_invalid_preset_exit_2(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, out=str(tmp_path / "x.csv"), overrides=override)
         assert main(["--config", cfg]) == 2
-        assert f"config error: {next(iter(override))}" in capsys.readouterr().err
+        key = next(iter(override))
+        unknown = key in ("noise_variance", "n_symbols")
+        expected = f"unknown override keys: ['{key}']" if unknown else key
+        assert f"config error: {expected}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [4.7, "4.7", math.inf])
+    def test_non_integral_integer_override_exit_2(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, out=str(tmp_path / "x.csv"),
+                           overrides={"n_rx_elements": value})
+        assert main(["--config", cfg]) == 2
+        assert "config error: override n_rx_elements must be an integer" in \
+            capsys.readouterr().err
 
     def test_nan_in_any_bound_column_exit_3(self, tmp_path, monkeypatch, capsys):
         import v2vbounds.app as app

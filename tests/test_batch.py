@@ -53,13 +53,11 @@ def custom_presets(draw):
         subcarrier_spacing=draw(st.floats(15e3, 480e3)),
         n_rx_elements=draw(st.sampled_from([1, 2, 3, 4, 9])),
         target_snr_db=draw(st.floats(0.0, 50.0)),
-        n_symbols=draw(st.integers(1, 3)),
         # 1 leaves two of the four Tx arrays without subcarriers (beta = 0).
         max_occupied_index=draw(st.sampled_from([1, 2, 5, 30])),
         vehicle_length=draw(st.floats(3.0, 6.0)),
         vehicle_width=draw(st.floats(1.5, 2.5)),
         lane_width=draw(st.floats(2.6, 4.0)),
-        noise_variance=draw(st.floats(0.5, 2.0)),
         fov_blocked_halfwidth=draw(st.none() | st.floats(0.0, 1.2)),
     )
 

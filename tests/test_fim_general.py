@@ -7,22 +7,22 @@ import numpy as np
 import pytest
 
 from v2vbounds.channel import link_gains
-from v2vbounds.errors import NuisanceSingular, SubcarrierNotAllocated
+from v2vbounds.errors import NoActiveLinks, NuisanceSingular
 from v2vbounds.fim_closed import efim_aoa_only, efim_aoa_tdoa
 from v2vbounds.fim_general import (
     AOA_ONLY,
     AOA_TDOA,
-    build_param_vector,
     efim_general,
     efim_schur,
     fim_channel,
     fim_channel_fd,
     link_mean,
-    mean_vector,
+    link_order,
     transform_matrix,
 )
-from v2vbounds.geometry import LinkSet, Pose, Vec2, active_links, link_geometry, wrap_angle
+from v2vbounds.geometry import Pose, Vec2, active_links, link_geometry, wrap_angle
 from v2vbounds.scenarios import PRESETS, calibrated_scene
+from v2vbounds.selfcheck import equilibrated_frobenius
 from v2vbounds.waveform import effective_bandwidths
 
 from conftest import small_scene
@@ -47,7 +47,7 @@ class TestMeanVector:
         gains = link_gains(scene, links)
         link = links[0]
         p = scene.allocation.per_array_sets[link.tx_panel][0]
-        m = mean_vector(scene, links, link, 1, p)
+        m = link_mean(scene, link, 0.0, link.theta_R_local, gains[0].h)[0][0]
         assert m.shape == (1,)
         gamma_t = scene.allocation.array_power_fractions[link.tx_panel]
         gamma_tp = scene.allocation.per_subcarrier_fractions[p]
@@ -57,22 +57,16 @@ class TestMeanVector:
     def test_phase_factor_unit_modulus(self, medium_scene):
         scene, links, gains = medium_scene
         link = links[-1]
+        delay = link.delay - links[link_order(links)[0]].delay
+        mean = link_mean(scene, link, delay, link.theta_R_local, gains[-1].h)[0]
         mods = []
-        for p in scene.allocation.per_array_sets[link.tx_panel]:
-            m = mean_vector(scene, links, link, 1, p)
+        for m, p in zip(mean, scene.allocation.per_array_sets[link.tx_panel]):
             gamma_tp = scene.allocation.per_subcarrier_fractions[p]
             mods.append(np.abs(m) / math.sqrt(gamma_tp))
         # Same per-element modulus on every subcarrier: the subcarrier phase
         # factor is unit modulus.
         for m in mods[1:]:
             assert np.allclose(m, mods[0], rtol=1e-12)
-
-    def test_unallocated_subcarrier_rejected(self, medium_scene):
-        scene, links, _ = medium_scene
-        link = links[0]
-        other = scene.allocation.per_array_sets[1 - link.tx_panel][0]
-        with pytest.raises(SubcarrierNotAllocated):
-            mean_vector(scene, links, link, 1, other)
 
     def test_angle_derivative_matches_fd(self, medium_scene):
         # Oracle: central finite difference of the link mean in the local
@@ -88,13 +82,26 @@ class TestMeanVector:
         analytic = 1j * dphase[None, :] * mean
         assert np.linalg.norm(fd - analytic) < 1e-6 * np.linalg.norm(analytic)
 
-    def test_mean_vector_is_a_row_of_the_link_mean(self, medium_scene):
-        scene, links, gains = medium_scene
-        link = links[-1]
-        delta_tau = link.delay - links[links.reference_index].delay
-        block = link_mean(scene, link, delta_tau, link.theta_R_local, gains[-1].h)[0]
-        for row, p in enumerate(scene.allocation.per_array_sets[link.tx_panel]):
-            assert np.array_equal(mean_vector(scene, links, link, 1, p), block[row])
+
+class TestLinkOrder:
+    def test_reference_first_then_given_order(self, medium_scene):
+        _, links, _ = medium_scene
+        nearest = min(range(len(links)), key=lambda i: links[i].delay)
+        for ref, forced in ((nearest, None), (len(links) - 1, len(links) - 1)):
+            rest = [i for i in range(len(links)) if i != ref]
+            assert link_order(links, reference=forced) == [ref, *rest]
+
+    def test_delay_tie_broken_by_panel_pair(self):
+        link = link_geometry(Vec2(0.0, 0.0), Vec2(10.0, 0.0), 0.0, tx_panel=1, rx_panel=0)
+        twin = dataclasses.replace(link, tx_panel=0, rx_panel=1)
+        assert link_order((link, twin)) == [1, 0]
+
+    def test_invalid_input_rejected(self, medium_scene):
+        _, links, _ = medium_scene
+        with pytest.raises(IndexError):
+            link_order(links, reference=len(links))
+        with pytest.raises(NoActiveLinks):
+            link_order(())
 
 
 class TestChannelFim:
@@ -102,15 +109,15 @@ class TestChannelFim:
         scene, links, gains = medium_scene
         analytic = fim_channel(scene, links, gains)
         fd = fim_channel_fd(scene, links, gains)
-        assert rel_frob(analytic, fd) < 1e-5
+        assert equilibrated_frobenius(analytic, fd) < 1e-5
 
     def test_matches_fd_on_preset_scene(self, preset_3p5):
         preset = dataclasses.replace(preset_3p5, max_occupied_index=20)
         scene = calibrated_scene(preset, Vec2(-3.5, 8.0))
         links = active_links(scene)
         gains = link_gains(scene, links)
-        assert rel_frob(fim_channel(scene, links, gains),
-                        fim_channel_fd(scene, links, gains)) < 1e-5
+        assert equilibrated_frobenius(fim_channel(scene, links, gains),
+                                      fim_channel_fd(scene, links, gains)) < 1e-5
 
     def test_fd_step_convergence(self, medium_scene):
         scene, links, gains = medium_scene
@@ -130,12 +137,11 @@ class TestChannelFim:
         # offset (row/column 0).
         scene, links, gains = medium_scene
         j = fim_channel(scene, links, gains)
-        params = build_param_vector(links)
         n = len(links)
         for a in range(n):
             for b in range(a + 1, n):
-                cols_a = [c for c in params.columns(a) if c != 0]
-                cols_b = [c for c in params.columns(b) if c != 0]
+                cols_a = [c for c in range(4 * a, 4 * a + 4) if c != 0]
+                cols_b = range(4 * b, 4 * b + 4)
                 assert np.all(j[np.ix_(cols_a, cols_b)] == 0.0)
 
     def test_noise_scaling(self, medium_scene):
@@ -150,17 +156,14 @@ class TestChannelFim:
         # information; read the reference link's own share by re-assembling
         # with a different reference.
         scene, links, gains = medium_scene
-        params = build_param_vector(links)
+        order = link_order(links)
         j = fim_channel(scene, links, gains)
         total = 0.0
         for position in range(1, len(links)):
-            col = params.columns(position)[0]
-            total += j[col, col]
-        other_ref = params.link_order[1]
+            total += j[4 * position, 4 * position]
+        other_ref = order[1]
         j_alt = fim_channel(scene, links, gains, reference=other_ref)
-        params_alt = build_param_vector(links, reference=other_ref)
-        old_ref_position = params_alt.link_order.index(params.reference)
-        col = params_alt.columns(old_ref_position)[0]
+        col = 4 * link_order(links, reference=other_ref).index(order[0])
         total += j_alt[col, col]
         assert abs(j[0, 0] - total) < 1e-9 * abs(j[0, 0])
 
@@ -193,11 +196,8 @@ class TestTransformMatrix:
         scene = small_scene(n_tx_panels=2, n_rx_panels=2, n_elements=2)
         links = active_links(scene)
         gains = link_gains(scene, links)
-        params = build_param_vector(links)
         t_mat = transform_matrix(scene, links, AOA_TDOA)
-        pairs = [
-            (links[i].tx_panel, links[i].rx_panel) for i in params.link_order
-        ]
+        pairs = [(links[i].tx_panel, links[i].rx_panel) for i in link_order(links)]
         q0 = scene.rx_pose.position
         alpha0 = scene.tx_pose.orientation
         h_pos = 1e-5
@@ -225,20 +225,19 @@ class TestTransformMatrix:
         ):
             dtau, dtheta = fd(dq, da, h)
             for position in range(len(links)):
-                cols = params.columns(position)
-                assert abs(t_mat.matrix[row, cols[1]] - dtheta[position]) < 1e-6 * max(
+                assert abs(t_mat[row, 4 * position + 1] - dtheta[position]) < 1e-6 * max(
                     1.0, abs(dtheta[position])
                 )
                 if position > 0:
                     # Delay columns: scale by c to compare in meters.
                     c = 299792458.0
                     assert abs(
-                        t_mat.matrix[row, cols[0]] - dtau[position]
+                        t_mat[row, 4 * position] - dtau[position]
                     ) * c < 1e-6 * max(1.0, abs(dtau[position]) * c)
 
     def _links_for_all_pairs(self, scene):
         # Bypass visibility: transform entries are pure geometry.
-        links = [
+        return tuple(
             link_geometry(
                 scene.tx_panel_state(t).centroid,
                 scene.rx_panel_state(r).centroid,
@@ -248,8 +247,7 @@ class TestTransformMatrix:
             )
             for t in range(len(scene.tx_vehicle.panels))
             for r in range(len(scene.rx_vehicle.panels))
-        ]
-        return LinkSet(links=tuple(links))
+        )
 
     def test_theta_row_example(self):
         # One panel pair on the x axis at 10 m: moving the Rx vehicle +1 m in
@@ -271,9 +269,8 @@ class TestTransformMatrix:
         links = self._links_for_all_pairs(scene)
         assert abs(links[0].theta_R) < 1e-12 and abs(links[0].distance - 10.0) < 1e-12
         t_mat = transform_matrix(scene, links, AOA_TDOA)
-        cols = build_param_vector(links).columns(0)
-        assert abs(t_mat.matrix[0, cols[1]] - 0.0) < 1e-12
-        assert abs(t_mat.matrix[1, cols[1]] - 0.1) < 1e-12
+        assert abs(t_mat[0, 1] - 0.0) < 1e-12
+        assert abs(t_mat[1, 1] - 0.1) < 1e-12
 
     def test_center_mounted_tx_panel_zero_orientation_rows(self):
         scene = small_scene(n_tx_panels=2, n_rx_panels=1)
@@ -289,27 +286,25 @@ class TestTransformMatrix:
         )
         links = self._links_for_all_pairs(scene)
         t_mat = transform_matrix(scene, links, AOA_TDOA)
-        params = build_param_vector(links)
         for position in range(len(links)):
-            cols = params.columns(position)
-            assert abs(t_mat.matrix[2, cols[1]]) < 1e-15
+            assert abs(t_mat[2, 4 * position + 1]) < 1e-15
             if position > 0:
-                assert abs(t_mat.matrix[2, cols[0]]) < 1e-24
+                assert abs(t_mat[2, 4 * position]) < 1e-24
 
     def test_shapes(self, medium_scene):
         scene, links, _ = medium_scene
         n = len(links)
-        assert transform_matrix(scene, links, AOA_TDOA).matrix.shape == (4 + 2 * n, 4 * n)
-        assert transform_matrix(scene, links, AOA_ONLY).matrix.shape == (3 + 3 * n, 4 * n)
+        assert transform_matrix(scene, links, AOA_TDOA).shape == (4 + 2 * n, 4 * n)
+        assert transform_matrix(scene, links, AOA_ONLY).shape == (3 + 3 * n, 4 * n)
 
     def test_identity_rows(self, medium_scene):
         scene, links, _ = medium_scene
         t_mat = transform_matrix(scene, links, AOA_TDOA)
         # Timing-offset row points at column 0, with no other entries.
-        assert t_mat.matrix[3, 0] == 1.0
-        assert np.sum(t_mat.matrix[3]) == 1.0
+        assert t_mat[3, 0] == 1.0
+        assert np.sum(t_mat[3]) == 1.0
         # Each gain row has exactly one unit entry.
-        for row in t_mat.matrix[4:]:
+        for row in t_mat[4:]:
             assert np.sum(row != 0.0) == 1
             assert np.sum(row) == 1.0
 
@@ -359,7 +354,7 @@ class TestSchurEfim:
         j_phi = fim_channel(scene, links, gains)
         t_mat = transform_matrix(scene, links, AOA_TDOA)
         schur = efim_schur(j_phi, t_mat)
-        prior = t_mat.t_po @ j_phi @ t_mat.t_po.T
+        prior = t_mat[:3] @ j_phi @ t_mat[:3].T
         loss = prior - schur.j_po
         eig = np.linalg.eigvalsh(0.5 * (loss + loss.T))
         assert eig[0] >= -1e-10 * max(eig[-1], 1.0)

@@ -83,6 +83,12 @@ class TestPlatooningSweep:
             assert row.q_x == 0.0
             assert row.d_y == pytest.approx(abs(row.q_y) - 4.5)
 
+    def test_grid_anchored_at_touching_point(self, preset_3p5):
+        # A q_y_min off the grid drops the partial step at the far end, not
+        # at the touching point.
+        rows = platooning_sweep(preset_3p5, q_y_min=-30.2, measurements=("aoa",))
+        assert [r.d_y for r in rows] == pytest.approx([0.25 * k for k in range(1, 103)])
+
     def test_four_links_everywhere(self, platooning_rows):
         assert all(r.n_links == 4 for r in platooning_rows)
 
