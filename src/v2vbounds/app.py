@@ -105,6 +105,10 @@ class RunConfig:
 
 def load_config(path: str | Path) -> RunConfig:
     """Parse and validate a YAML run configuration."""
+    return _config_from_mapping(_read_config(path))
+
+
+def _read_config(path: str | Path) -> dict:
     try:
         raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -115,7 +119,7 @@ def load_config(path: str | Path) -> RunConfig:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-    return _config_from_mapping(raw)
+    return raw
 
 
 def _config_from_mapping(raw: dict) -> RunConfig:
@@ -139,7 +143,15 @@ def _config_from_mapping(raw: dict) -> RunConfig:
         if not isinstance(raw["overrides"], dict):
             raise ConfigError("overrides must be a mapping")
         cfg.overrides = dict(raw["overrides"])
-    _validate_run(cfg)
+    if cfg.scenario not in _SCENARIOS:
+        raise ConfigError(f"scenario must be one of {_SCENARIOS}, got {cfg.scenario!r}")
+    if cfg.step <= 0:
+        raise ConfigError("step must be positive")
+    if cfg.q_y_min >= cfg.q_y_max:
+        raise ConfigError("q_y_min must be below q_y_max")
+    for key in ("q_x", "q_y_min", "q_y_max", "alpha_t", "step"):
+        if not math.isfinite(getattr(cfg, key)):
+            raise ConfigError(f"config key {key} must be finite")
     return cfg
 
 
@@ -150,18 +162,6 @@ def _parse_measurements(text: str) -> tuple[Measurement, ...]:
             f"measurements must be one of {sorted(_MEASUREMENT_CHOICES)}, got {text!r}"
         )
     return _MEASUREMENT_CHOICES[key]
-
-
-def _validate_run(cfg: RunConfig) -> None:
-    if cfg.scenario not in _SCENARIOS:
-        raise ConfigError(f"scenario must be one of {_SCENARIOS}, got {cfg.scenario!r}")
-    if cfg.step <= 0:
-        raise ConfigError("step must be positive")
-    if cfg.q_y_min >= cfg.q_y_max:
-        raise ConfigError("q_y_min must be below q_y_max")
-    for key in ("q_x", "q_y_min", "q_y_max", "alpha_t", "step"):
-        if not math.isfinite(getattr(cfg, key)):
-            raise ConfigError(f"config key {key} must be finite")
 
 
 def _format_value(value: float) -> str:
@@ -284,18 +284,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.selfcheck:
         return selfcheck_mod.run_selfcheck()
     try:
-        cfg = load_config(args.config) if args.config else RunConfig()
-        if args.scenario:
-            cfg.scenario = args.scenario
-        if args.preset:
-            cfg.preset = args.preset
-        if args.out:
-            cfg.out = args.out
-        if args.measurements:
-            cfg.measurements = _parse_measurements(args.measurements)
-        if args.step is not None:
-            cfg.step = args.step
-        _validate_run(cfg)
+        raw = _read_config(args.config) if args.config else {}
+        # Flags override the file before validation; an empty flag is unset.
+        raw.update((key, value) for key, value in vars(args).items()
+                   if key not in ("config", "selfcheck") and value not in (None, ""))
+        cfg = _config_from_mapping(raw)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import LinkGain
 from .errors import NoActiveLinks
-from .geometry import SPEED_OF_LIGHT, ArrayPanel, Link, VehicleArrays, unit_dir
+from .geometry import SPEED_OF_LIGHT, ArrayPanel, Link, saaf_matrix, unit_dir
 from .scene import Scene
 
 # Eigenvalues below RANK_EPS * lambda_max count as zero when ranking.
@@ -43,13 +43,6 @@ class FimResult:
     singular: bool
 
 
-def saaf_matrix(panel: ArrayPanel) -> np.ndarray:
-    """S = (1/N) sum_i d_i^2 u_perp(psi_i) u_perp(psi_i)^T, so saaf = u^T S u."""
-    d_perp = np.array([(e.distance * math.sin(e.angle), -e.distance * math.cos(e.angle))
-                       for e in panel.elements])
-    return d_perp.T @ d_perp / panel.n_elements
-
-
 def saaf(panel: ArrayPanel, theta_local: float) -> float:
     """Squared array aperture function of a panel at a vehicle-frame angle.
 
@@ -63,9 +56,13 @@ def saaf(panel: ArrayPanel, theta_local: float) -> float:
 
 def bound_arrays(j_po: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Symmetrised EFIMs, ranks and [peb_lat, peb_lon, oeb] of (..., 3, 3)
-    EFIMs; below full rank (see RANK_EPS) the bounds are +inf."""
+    EFIMs; below full rank (see RANK_EPS) the bounds are +inf. The rank is
+    that of D^-1/2 J D^-1/2, D = diag(J), so no unit of position or heading
+    can change it; a non-positive diagonal entry is a missing direction."""
     sym = 0.5 * (j_po + np.swapaxes(j_po, -1, -2))
-    eigvals = np.linalg.eigvalsh(sym)
+    diag = sym.diagonal(0, -2, -1)
+    scale = np.sqrt(np.divide(1.0, diag, where=diag > 0.0, out=np.zeros(diag.shape)))
+    eigvals = np.linalg.eigvalsh(sym * (scale[..., :, None] * scale[..., None, :]))
     lam_max = eigvals[..., -1:]
     rank = np.where(lam_max[..., 0] > 0.0, np.sum(eigvals > RANK_EPS * lam_max, axis=-1), 0)
     full = (rank == 3)[..., None]
@@ -112,11 +109,11 @@ def link_info_vectors(
     r = [link.rx_panel for link in links]
     tx_position, tx_heading = scene.tx_pose.arrays()
     rx_position, rx_heading = scene.rx_pose.arrays()
-    tx_c = VehicleArrays.of(scene.tx_vehicle).centroids(tx_position, tx_heading)[t]
-    offset = VehicleArrays.of(scene.rx_vehicle).centroids(rx_position, rx_heading)[r] - tx_c
-    saaf_s = np.stack([saaf_matrix(panel) for panel in scene.rx_vehicle.panels])[r]
+    rx = scene.rx_vehicle.arrays
+    tx_c = scene.tx_vehicle.arrays.centroids(tx_position, tx_heading)[t]
+    offset = rx.centroids(rx_position, rx_heading)[r] - tx_c
     direction = offset / np.hypot(offset[:, 0], offset[:, 1])[:, None]
-    return link_vectors(direction, tx_c - tx_position, rx_heading, saaf_s)
+    return link_vectors(direction, tx_c - tx_position, rx_heading, rx.saaf_s[r])
 
 
 def information(

@@ -67,8 +67,7 @@ def link_mean(
     gamma_t = scene.allocation.array_power_fractions[link.tx_panel]
     fracs = np.array([scene.allocation.per_subcarrier_fractions[p] for p in subset])
     amps = np.sqrt(gamma_t * fracs * scene.ofdm.total_power)
-    dist, ang = np.array([(e.distance, e.angle)
-                          for e in scene.rx_vehicle.panels[link.rx_panel].elements]).T
+    dist, ang = scene.rx_vehicle.arrays.elements[link.rx_panel]
     # Element phase d_i cos(psi_i - theta) omega_c / c and its theta derivative.
     phase = scene.ofdm.omega_c * dist * np.cos(ang - angle) / SPEED_OF_LIGHT
     dphase = scene.ofdm.omega_c * dist * np.sin(ang - angle) / SPEED_OF_LIGHT

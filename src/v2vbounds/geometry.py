@@ -14,14 +14,16 @@ Conventions used throughout the package:
   wedge boundary count as blocked, which makes links grazing along a body
   side invisible to the panels on that side.
 
-All types are immutable after construction and all operations are pure
-functions, so values can be shared freely across threads.
+All types are immutable after construction (VehicleSpec.arrays is built on
+first use and then kept) and all operations are pure functions, so values
+can be shared freely across threads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -169,6 +171,13 @@ class ArrayPanel:
         return len(self.elements)
 
 
+def saaf_matrix(panel: ArrayPanel) -> np.ndarray:
+    """S = (1/N) sum_i d_i^2 u_perp(psi_i) u_perp(psi_i)^T, so saaf = u^T S u."""
+    d_perp = np.array([(e.distance * math.sin(e.angle), -e.distance * math.cos(e.angle))
+                       for e in panel.elements])
+    return d_perp.T @ d_perp / panel.n_elements
+
+
 @dataclass(frozen=True)
 class VehicleSpec:
     """Vehicle body dimensions and its mounted antenna panels."""
@@ -183,6 +192,19 @@ class VehicleSpec:
             raise ValueError("vehicle length and width must be positive")
         if not self.panels:
             raise InvalidCount("vehicle must carry at least one panel")
+
+    @cached_property
+    def arrays(self) -> "VehicleArrays":
+        """The panels as arrays, built on first use and kept with this spec."""
+        columns = np.array([(p.mount_distance, p.mount_angle, p.fov_blocked_center,
+                             p.fov_blocked_halfwidth) for p in self.panels])
+        return VehicleArrays(
+            self.length, self.width, *columns.T,
+            n_elements=np.array([p.n_elements for p in self.panels]),
+            saaf_s=np.stack([saaf_matrix(p) for p in self.panels]),
+            elements=tuple(np.array([(e.distance, e.angle) for e in p.elements]).T
+                           for p in self.panels),
+        )
 
 
 @dataclass(frozen=True)
@@ -357,20 +379,17 @@ def panel_world_state(vehicle: VehicleSpec, pose: Pose, panel_index: int) -> Pan
 
 @dataclass(frozen=True, eq=False)
 class VehicleArrays:
-    """A vehicle's panels as (K,) arrays, for batched geometry."""
+    """A vehicle's K panels as arrays, from VehicleSpec.arrays; shared, read-only."""
 
     length: float
     width: float
-    mount_distance: np.ndarray
-    mount_angle: np.ndarray
-    blocked_center: np.ndarray  # vehicle frame
-    blocked_halfwidth: np.ndarray
-
-    @classmethod
-    def of(cls, vehicle: VehicleSpec) -> "VehicleArrays":
-        columns = np.array([(p.mount_distance, p.mount_angle, p.fov_blocked_center,
-                             p.fov_blocked_halfwidth) for p in vehicle.panels])
-        return cls(vehicle.length, vehicle.width, *columns.T)
+    mount_distance: np.ndarray  # (K,)
+    mount_angle: np.ndarray  # (K,)
+    blocked_center: np.ndarray  # (K,), vehicle frame
+    blocked_halfwidth: np.ndarray  # (K,)
+    n_elements: np.ndarray  # (K,)
+    saaf_s: np.ndarray  # (K, 2, 2) saaf_matrix per panel
+    elements: tuple[np.ndarray, ...]  # per panel, (2, n_elements): distances, angles
 
     def centroids(self, position: np.ndarray, heading: np.ndarray) -> np.ndarray:
         """World-frame panel centroids (..., K, 2) for poses (..., 2) and (...)."""
@@ -471,10 +490,8 @@ def active_links(scene: "Scene") -> tuple[Link, ...]:
     Output is ordered by (tx_panel, rx_panel). Raises NoActiveLinks when no
     pair is visible.
     """
-    tx_c, rx_c, visible = visibility(
-        VehicleArrays.of(scene.tx_vehicle), scene.tx_pose.arrays(),
-        VehicleArrays.of(scene.rx_vehicle), scene.rx_pose.arrays(),
-    )
+    tx_c, rx_c, visible = visibility(scene.tx_vehicle.arrays, scene.tx_pose.arrays(),
+                                     scene.rx_vehicle.arrays, scene.rx_pose.arrays())
     tx_c, rx_c = tx_c.tolist(), rx_c.tolist()
     links = [
         link_geometry(Vec2(*tx_c[t]), Vec2(*rx_c[r]), scene.rx_pose.orientation,

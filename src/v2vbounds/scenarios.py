@@ -20,10 +20,9 @@ import numpy as np
 
 from .channel import calibrate_power, information_weight
 from .errors import NoBracket
-from .fim_closed import bound_arrays, information, link_vectors, saaf_matrix
+from .fim_closed import bound_arrays, information, link_vectors
 from .geometry import (
-    SPEED_OF_LIGHT, Pose, Vec2, VehicleArrays, VehicleSpec, build_cornered_vehicle,
-    visibility, wrap_angles,
+    SPEED_OF_LIGHT, Pose, Vec2, VehicleSpec, build_cornered_vehicle, visibility, wrap_angles,
 )
 from .scene import Scene
 from .waveform import Allocation, OfdmSpec, effective_bandwidths, interleaved_allocation
@@ -146,10 +145,7 @@ class PresetContext:
     allocation: Allocation
     ofdm: OfdmSpec  # total_power calibrated to the preset's reference SNR
     betas: np.ndarray  # (K,) effective bandwidth per Tx array, rad/s
-    panels: VehicleArrays  # centroid mounts and blocked sectors
-    n_rx: np.ndarray  # (K,) elements per Rx panel
     power_fractions: np.ndarray  # (K,) per Tx array
-    saaf_s: np.ndarray  # (K, 2, 2) SAAF matrix per Rx panel
 
 
 def _scene(vehicle: VehicleSpec, allocation: Allocation, ofdm: OfdmSpec,
@@ -181,10 +177,7 @@ def preset_context(preset: PresetConfig) -> PresetContext:
         allocation=allocation,
         ofdm=ofdm,
         betas=np.array(effective_bandwidths(allocation, ofdm)),
-        panels=VehicleArrays.of(vehicle),
-        n_rx=np.array([p.n_elements for p in vehicle.panels]),
         power_fractions=np.array(allocation.array_power_fractions),
-        saaf_s=np.stack([saaf_matrix(p) for p in vehicle.panels]),
     )
 
 
@@ -225,22 +218,23 @@ def evaluate_points(
     visibility test, EFIM assembly and bounds are the Scene-level API's.
     """
     ctx = preset_context(preset)
-    ofdm = ctx.ofdm
+    ofdm, arrays = ctx.ofdm, ctx.vehicle.arrays
     q = np.asarray(q, dtype=float).reshape(-1, 2)
     n, k = len(q), len(ctx.vehicle.panels)
     if not (np.isfinite(q).all() and np.isfinite(alpha_t).all()):
         raise ValueError("placements and Tx headings must be finite")
     heading = wrap_angles(np.broadcast_to(np.asarray(alpha_t, dtype=float), (n,)))
-    tx_c, rx_c, visible = visibility(ctx.panels, (np.zeros((n, 2)), heading),
-                                     ctx.panels, (q, np.zeros(n)))
+    tx_c, rx_c, visible = visibility(arrays, (np.zeros((n, 2)), heading),
+                                     arrays, (q, np.zeros(n)))
     # Links over (N, Kt, Kr); hidden pairs get a dummy offset and g = 0.
     offset = np.where(visible[..., None], rx_c[:, None] - tx_c[:, :, None], 1.0)
     distance = np.hypot(offset[..., 0], offset[..., 1])
-    vectors = link_vectors(offset / distance[..., None], tx_c[:, :, None], np.zeros(()), ctx.saaf_s)
+    vectors = link_vectors(offset / distance[..., None], tx_c[:, :, None], np.zeros(()),
+                           arrays.saaf_s)
     # Preset scenes keep unit noise; the calibrated power carries the SNR.
     g = np.where(visible, ofdm.total_power * information_weight(
-        distance, ofdm.wavelength, ctx.n_rx, ctx.power_fractions[:, None], ofdm.n_symbols,
-        1.0), 0.0)
+        distance, ofdm.wavelength, arrays.n_elements, ctx.power_fractions[:, None],
+        ofdm.n_symbols, 1.0), 0.0)
     j_aoa, j_both = information(
         *(a.reshape(n, k * k, *a.shape[3:]) for a in (*vectors, g, distance)),
         np.repeat(ctx.betas, k), ofdm.omega_c,
@@ -272,10 +266,12 @@ def evaluate_point(
 
 
 def _grid(start: float, stop: float, step: float) -> list[float]:
-    """Inclusive arithmetic grid built from integer multiples of the step."""
+    """Grid start + i step, i = 0, 1, ..., up to stop; a stop off the grid
+    drops the partial step."""
     if step <= 0.0:
         raise ValueError("step must be positive")
-    count = int(round((stop - start) / step))
+    # The slack keeps a stop on the grid from losing its row to round-off.
+    count = math.floor((stop - start) / step + 1e-9)
     return [start + i * step for i in range(count + 1)]
 
 
@@ -289,7 +285,7 @@ def overtaking_sweep(
     """Bounds along a pass in the neighboring lane.
 
     Lateral offset is held at one lane width (toward -x); the longitudinal
-    offset runs over the inclusive grid [q_y_min, q_y_max].
+    offset runs from q_y_min in whole steps up to q_y_max.
     """
     q_x = -preset.lane_width
     q = [(q_x, q_y) for q_y in _grid(q_y_min, q_y_max, step)]
@@ -310,11 +306,8 @@ def platooning_sweep(
     gain diverges: rows sit at q_y = -(vehicle_length + k step) for
     k = 1, 2, ... as long as q_y >= q_y_min.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    # The slack keeps a q_y_min on the grid from losing its row to round-off.
-    count = math.floor((-q_y_min - preset.vehicle_length) / step + 1e-9)
-    q = [(0.0, -(preset.vehicle_length + k * step)) for k in range(1, count + 1)]
+    gaps = _grid(0.0, -q_y_min - preset.vehicle_length, step)[1:]
+    q = [(0.0, -(preset.vehicle_length + gap)) for gap in gaps]
     return evaluate_points(preset, q, measurements=measurements)
 
 

@@ -160,6 +160,16 @@ class TestCli:
         assert len(lines) == 1 + 5
         assert all(line.split(",")[0] == "0" for line in lines[1:])
 
+    def test_flag_overrides_invalid_config_value(self, tmp_path):
+        # Flags replace the file's values before validation, so a bad value
+        # that a flag overrides is never used.
+        out = tmp_path / "custom.csv"
+        cfg = write_config(tmp_path, scenario="custom", q_x=-3.5, q_y_min=-1.0, q_y_max=1.0,
+                           step=-1.0, out=str(out))
+        assert main(["--config", cfg]) == 2
+        assert main(["--config", cfg, "--step", "0.5"]) == 0
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + 5
+
     def test_measurement_restriction_emits_sentinels(self, tmp_path):
         out = tmp_path / "aoa.csv"
         cfg = fast_overtaking_config(tmp_path, out, measurements="aoa")

@@ -131,7 +131,8 @@ def test_visibility_mask_equals_los_visible(case):
     q = np.array([(x, y) for x, y, _ in placements])
     # Wrapped like Pose wraps a heading, as evaluate_points does.
     heading = wrap_angles(np.array([a for _, _, a in placements]))
-    _, _, mask = visibility(ctx.panels, (np.zeros((n, 2)), heading), ctx.panels, (q, np.zeros(n)))
+    arrays = ctx.vehicle.arrays
+    _, _, mask = visibility(arrays, (np.zeros((n, 2)), heading), arrays, (q, np.zeros(n)))
     for i, (x, y, alpha_t) in enumerate(placements):
         scene = calibrated_scene(preset, Vec2(x, y), alpha_t)
         tx_rect = vehicle_rect(scene.tx_vehicle, scene.tx_pose)
@@ -175,4 +176,5 @@ def test_scenes_share_the_preset_context():
     scene = calibrated_scene(preset, Vec2(-3.5, 7.0), 0.2)
     assert scene.tx_vehicle is ctx.vehicle and scene.rx_vehicle is ctx.vehicle
     assert scene.allocation is ctx.allocation and scene.ofdm is ctx.ofdm
+    assert scene.tx_vehicle.arrays is ctx.vehicle.arrays
     assert preset_context(preset) is ctx

@@ -90,6 +90,24 @@ class TestBoundsFromFim:
         result = bounds_from_fim(np.zeros((3, 3)))
         assert result.rank == 0 and result.singular
 
+    def test_rank_independent_of_heading_unit(self):
+        # Position in meters, heading in radians: 1e11 apart, yet full rank.
+        result = bounds_from_fim(np.diag([1e12, 1e12, 10.0]))
+        assert result.rank == 3 and not result.singular
+        assert abs(result.peb_lat - 1e-6) < 1e-21 and abs(result.oeb - 10.0**-0.5) < 1e-15
+        a, b = np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, -1.0])
+        cases = (
+            (np.diag([1e12, 1e12, 10.0]), 3),
+            (np.array([[9.0, 1.0, 0.5], [1.0, 6.0, 0.2], [0.5, 0.2, 3.0]]), 3),
+            (np.outer(a, a) + np.outer(b, b), 2),
+            (np.diag([1e12, 1e12, 0.0]), 2),
+            (np.outer(a, a), 1),
+        )
+        for j, rank in cases:
+            for s in np.logspace(-4.0, 4.0, 17):
+                heading_unit = np.diag([1.0, 1.0, s])
+                assert bounds_from_fim(heading_unit @ j @ heading_unit).rank == rank, (j, s)
+
 
 def _scene_links_gains(preset, q):
     scene = calibrated_scene(preset, q)

@@ -1,7 +1,9 @@
 """Geometry: unit vectors, conformal panels, world states, links, visibility."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from v2vbounds.geometry import (
     link_geometry,
     los_visible,
     panel_world_state,
+    saaf_matrix,
     unit_dir,
     unit_perp,
     vehicle_rect,
@@ -441,3 +444,43 @@ class TestBuiltVehicle:
             sx = sum(e.distance * math.cos(e.angle) for e in panel.elements)
             sy = sum(e.distance * math.sin(e.angle) for e in panel.elements)
             assert math.hypot(sx, sy) < 1e-12
+
+
+class TestVehicleArrays:
+    @staticmethod
+    def mixed_vehicle() -> VehicleSpec:
+        """Panels of 1, 2 and 3 elements at different mounts and sectors."""
+        panels = (
+            open_panel(mount_distance=1.0, mount_angle=0.3, n_elements=1),
+            open_panel(mount_distance=2.0, mount_angle=-1.2, n_elements=2, blocked_center=0.5),
+            build_conformal_panel(3, 0.0857, panel_index=3, mount_distance=1.5, mount_angle=2.5),
+        )
+        return VehicleSpec(length=4.5, width=1.8, panels=panels)
+
+    def test_equal_to_arrays_built_from_the_panels(self):
+        vehicle = self.mixed_vehicle()
+        arrays = vehicle.arrays
+        assert (arrays.length, arrays.width) == (4.5, 1.8)
+        assert [p.n_elements for p in vehicle.panels] == [1, 2, 3]
+        for k, panel in enumerate(vehicle.panels):
+            assert arrays.mount_distance[k] == panel.mount_distance
+            assert arrays.mount_angle[k] == panel.mount_angle
+            assert arrays.blocked_center[k] == panel.fov_blocked_center
+            assert arrays.blocked_halfwidth[k] == panel.fov_blocked_halfwidth
+            assert arrays.n_elements[k] == panel.n_elements
+            np.testing.assert_array_equal(arrays.saaf_s[k], saaf_matrix(panel))
+            np.testing.assert_array_equal(
+                arrays.elements[k],
+                [[e.distance for e in panel.elements], [e.angle for e in panel.elements]],
+            )
+        assert not arrays.saaf_s[0].any()  # one element has no aperture
+        assert vehicle.arrays is arrays
+
+    def test_replaced_vehicle_builds_its_own(self):
+        vehicle = self.mixed_vehicle()
+        arrays = vehicle.arrays
+        wider = dataclasses.replace(vehicle, width=2.0)
+        assert wider.arrays is not arrays and wider.arrays.width == 2.0
+        fewer = dataclasses.replace(vehicle, panels=vehicle.panels[:2])
+        assert list(fewer.arrays.n_elements) == [1, 2] and len(fewer.arrays.elements) == 2
+        assert vehicle.arrays is arrays and arrays.width == 1.8

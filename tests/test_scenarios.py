@@ -12,6 +12,7 @@ from v2vbounds.geometry import Vec2, active_links
 from v2vbounds.scenarios import (
     Requirements,
     calibrated_scene,
+    custom_sweep,
     evaluate_point,
     overtaking_sweep,
     platooning_sweep,
@@ -73,6 +74,14 @@ class TestOvertakingSweep:
     def test_finite_bounds_everywhere(self, overtaking_rows):
         assert all(math.isfinite(r.peb_lat_both) and math.isfinite(r.peb_lon_aoa)
                    for r in overtaking_rows)
+
+    def test_q_y_max_off_the_grid_drops_the_partial_step(self, preset_3p5):
+        # Rows never pass q_y_max; one on the grid keeps its row despite round-off.
+        for sweep in (overtaking_sweep(preset_3p5, -1.0, 1.3, 0.5, ("aoa",)),
+                      custom_sweep(preset_3p5, -3.5, -1.0, 1.3, 0.5, measurements=("aoa",))):
+            assert [r.q_y for r in sweep] == [-1.0, -0.5, 0.0, 0.5, 1.0]
+        rows = custom_sweep(preset_3p5, -3.5, 0.0, 0.3, 0.1, measurements=("aoa",))
+        assert [r.q_y for r in rows] == pytest.approx([0.0, 0.1, 0.2, 0.3])
 
 
 class TestPlatooningSweep:
