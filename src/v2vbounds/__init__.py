@@ -23,6 +23,7 @@ from .scenarios import (
     overtaking_sweep,
     platooning_sweep,
     scenario_crossing,
+    scenario_crossings,
 )
 from .waveform import effective_bandwidths
 

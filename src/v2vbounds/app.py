@@ -18,7 +18,7 @@ import numpy as np
 import yaml
 
 from . import selfcheck as selfcheck_mod
-from .errors import ConfigError, NoActiveLinks, NoBracket, NuisanceSingular
+from .errors import ConfigError, NoActiveLinks, NuisanceSingular
 from .scenarios import (
     PRESETS,
     DEFAULT_SWEEP_STEP,
@@ -29,7 +29,7 @@ from .scenarios import (
     custom_sweep,
     overtaking_sweep,
     platooning_sweep,
-    scenario_crossing,
+    scenario_crossings,
 )
 
 _COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
@@ -38,6 +38,7 @@ _BOUND_COLUMNS = _COLUMNS[4:]
 
 _SCENARIOS = ("overtaking", "platooning", "custom")
 _MEASUREMENT_CHOICES = {"aoa": ("aoa",), "aoa+tdoa": ("aoa_tdoa",), "both": ("aoa_tdoa", "aoa")}
+_MEASUREMENT_LABELS = {"aoa_tdoa": "AOA+TDOA", "aoa": "AOA-only"}
 
 # Preset fields a config file may override, and those read as integers.
 _OVERRIDABLE = {f.name for f in dataclasses.fields(PresetConfig)} - {"name"}
@@ -112,9 +113,9 @@ def _read_config(path: str | Path) -> dict:
     try:
         raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read config {str(path)!r}: {exc}") from exc
     except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+        raise ConfigError(f"cannot parse config {str(path)!r}: {exc}") from exc
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
@@ -204,16 +205,15 @@ def _crossing_summary(cfg: RunConfig, preset: PresetConfig) -> list[str]:
         f"requirement crossings, {cfg.scenario}, preset {preset.name} "
         f"(lat <= {requirements.lateral_max} m, lon <= {requirements.longitudinal_max} m):"
     ]
-    for measurement, meas_label in (("aoa_tdoa", "AOA+TDOA"), ("aoa", "AOA-only")):
-        if measurement not in cfg.measurements:
-            continue
-        for axis in ("lat", "lon"):
-            try:
-                crossing = scenario_crossing(preset, cfg.scenario, axis, measurement, requirements)
-                text = f"met up to {distance_label} = {crossing:.2f} m"
-            except NoBracket as exc:
-                text = "met everywhere in range" if exc.met_everywhere else "met nowhere in range"
-            lines.append(f"  {meas_label:9s} {axis}: {text}")
+    crossings = scenario_crossings(preset, cfg.scenario, requirements, cfg.measurements)
+    for (measurement, axis), crossing in crossings.items():
+        if crossing.no_bracket is None:
+            text = f"met up to {distance_label} = {crossing.distance:.2f} m"
+        elif crossing.no_bracket.met_everywhere:
+            text = "met everywhere in range"
+        else:
+            text = "met nowhere in range"
+        lines.append(f"  {_MEASUREMENT_LABELS[measurement]:9s} {axis}: {text}")
     return lines
 
 
@@ -284,10 +284,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.selfcheck:
         return selfcheck_mod.run_selfcheck()
     try:
-        raw = _read_config(args.config) if args.config else {}
-        # Flags override the file before validation; an empty flag is unset.
+        raw = _read_config(args.config) if args.config is not None else {}
+        # Flags override the file before validation; an empty flag is a value.
         raw.update((key, value) for key, value in vars(args).items()
-                   if key not in ("config", "selfcheck") and value not in (None, ""))
+                   if key not in ("config", "selfcheck") and value is not None)
         cfg = _config_from_mapping(raw)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

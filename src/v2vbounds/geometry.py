@@ -47,6 +47,13 @@ def wrap_angle(angle: float) -> float:
     return wrapped
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """The array, marked read-only (views of it are too): for arrays every
+    scene of a preset shares, where a stray write would corrupt later rows."""
+    array.setflags(write=False)
+    return array
+
+
 def wrap_angles(angles: np.ndarray) -> np.ndarray:
     """Elementwise wrap_angle, equal bitwise: fmod and one shift by tau are exact."""
     wrapped = np.fmod(angles, math.tau)
@@ -196,13 +203,13 @@ class VehicleSpec:
     @cached_property
     def arrays(self) -> "VehicleArrays":
         """The panels as arrays, built on first use and kept with this spec."""
-        columns = np.array([(p.mount_distance, p.mount_angle, p.fov_blocked_center,
-                             p.fov_blocked_halfwidth) for p in self.panels])
+        columns = read_only(np.array([(p.mount_distance, p.mount_angle, p.fov_blocked_center,
+                                       p.fov_blocked_halfwidth) for p in self.panels]))
         return VehicleArrays(
             self.length, self.width, *columns.T,
-            n_elements=np.array([p.n_elements for p in self.panels]),
-            saaf_s=np.stack([saaf_matrix(p) for p in self.panels]),
-            elements=tuple(np.array([(e.distance, e.angle) for e in p.elements]).T
+            n_elements=read_only(np.array([p.n_elements for p in self.panels])),
+            saaf_s=read_only(np.stack([saaf_matrix(p) for p in self.panels])),
+            elements=tuple(read_only(np.array([(e.distance, e.angle) for e in p.elements])).T
                            for p in self.panels),
         )
 

@@ -22,7 +22,8 @@ from .channel import calibrate_power, information_weight
 from .errors import NoBracket
 from .fim_closed import bound_arrays, information, link_vectors
 from .geometry import (
-    SPEED_OF_LIGHT, Pose, Vec2, VehicleSpec, build_cornered_vehicle, visibility, wrap_angles,
+    SPEED_OF_LIGHT, Pose, Vec2, VehicleSpec, build_cornered_vehicle, read_only, visibility,
+    wrap_angles,
 )
 from .scene import Scene
 from .waveform import Allocation, OfdmSpec, effective_bandwidths, interleaved_allocation
@@ -176,8 +177,8 @@ def preset_context(preset: PresetConfig) -> PresetContext:
         vehicle=vehicle,
         allocation=allocation,
         ofdm=ofdm,
-        betas=np.array(effective_bandwidths(allocation, ofdm)),
-        power_fractions=np.array(allocation.array_power_fractions),
+        betas=read_only(np.array(effective_bandwidths(allocation, ofdm))),
+        power_fractions=read_only(np.array(allocation.array_power_fractions)),
     )
 
 
@@ -331,8 +332,85 @@ def _row_bound(row: SweepRow, axis: Axis, measurement: Measurement) -> float:
     return row.peb_lat_aoa if axis == "lat" else row.peb_lon_aoa
 
 
+# Each search call after the endpoints splits every open bracket into at most
+# 2**_SPLIT_BITS lattice-aligned steps.
+_SPLIT_BITS = 7
+
+
+@dataclass(frozen=True)
+class Crossing:
+    """One curve's requirement-crossing search: a distance or a NoBracket outcome."""
+
+    distance: float | None  # largest lattice point meeting the requirement
+    no_bracket: NoBracket | None  # set instead when it is met everywhere or nowhere
+    sign_changes: int | None  # feasibility changes on the coarse grid; None if not searched
+
+    def value(self) -> float:
+        """The distance; raises the NoBracket outcome when there is one."""
+        if self.no_bracket is not None:
+            raise self.no_bracket
+        return self.distance
+
+
+def _lattice_search(
+    bounds_at: Callable[[np.ndarray], np.ndarray],
+    thresholds: Sequence[float],
+    s_min: float,
+    s_max: float,
+    tol: float,
+) -> list[Crossing]:
+    """Crossing search of C curves at once on the lattice a bisection walks.
+
+    ``bounds_at`` maps an (M,) array of distances to the (C, M) bounds of all
+    curves; curve c meets its requirement where its bound is <= thresholds[c].
+    The lattice is s_min + j h, h = (s_max - s_min) / 2**n, n = ceil(log2((s_max
+    - s_min) / tol)): the points a bisection to ``tol`` can return. The first
+    call evaluates the endpoints and decides NoBracket as the bisection does.
+    Every later call splits each open bracket (lo feasible, lo + stride not)
+    into at most 2**_SPLIT_BITS steps and keeps the step after its last
+    feasible point; the first split is the coarse grid, whose sign changes
+    are counted. For n = 12 that is a 129-point coarse grid at every 32nd
+    lattice point and one refine of 31 points per bracket.
+    """
+    if not s_min < s_max:
+        raise ValueError("require s_min < s_max")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    n = max(0, math.ceil(math.log2((s_max - s_min) / tol)))
+    h = (s_max - s_min) / 2**n
+    thresholds = np.asarray(thresholds, dtype=float)
+    ends = bounds_at(np.array([s_min, s_max]))
+    everywhere = ends[:, 1] <= thresholds
+    nowhere = ~everywhere & (ends[:, 0] > thresholds)
+    searched = np.flatnonzero(~(everywhere | nowhere))
+    lo = np.zeros(len(thresholds), dtype=np.int64)  # lattice index of each bracket's start
+    sign_changes = np.ones(len(thresholds), dtype=np.int64)  # a 2-point coarse grid has one
+    stride = 2**n
+    while stride > 1 and searched.size:
+        step = max(stride >> _SPLIT_BITS, 1)
+        j = lo[searched, None] + np.arange(step, stride, step)  # bracket interiors
+        points, index = np.unique(j.ravel(), return_inverse=True)
+        bounds = bounds_at(s_min + points * h)[searched[:, None], index.reshape(j.shape)]
+        feasible = bounds <= thresholds[searched, None]
+        if stride == 2**n:  # the coarse grid, from a feasible s_min to an infeasible s_max
+            flips = np.diff(feasible.astype(int), axis=1, prepend=1, append=0)
+            sign_changes[searched] = np.count_nonzero(flips, axis=1)
+        last = feasible.shape[1] - np.argmax(feasible[:, ::-1], axis=1)  # 1 + last feasible
+        lo[searched] += np.where(feasible.any(axis=1), last * step, 0)
+        stride = step
+    crossings = []
+    for c, threshold in enumerate(thresholds.tolist()):
+        if everywhere[c] or nowhere[c]:
+            message = (f"bound stays within {threshold} up to {s_max} m" if everywhere[c]
+                       else f"bound already exceeds {threshold} at {s_min} m")
+            crossings.append(Crossing(None, NoBracket(message, bool(everywhere[c])), None))
+        else:
+            crossings.append(Crossing(float(s_min + lo[c] * h), None, int(sign_changes[c])))
+    return crossings
+
+
 def requirement_crossing(
-    bound_fn: Callable[[float], float],
+    bound_fn: Callable[[np.ndarray], np.ndarray],
     threshold: float,
     s_min: float,
     s_max: float,
@@ -340,56 +418,56 @@ def requirement_crossing(
 ) -> float:
     """Largest distance at which the bound still meets the threshold.
 
-    Bisects bound_fn(s) - threshold on [s_min, s_max] to absolute tolerance
-    ``tol``; the bound must be below the threshold at s_min and above it at
-    s_max, otherwise NoBracket reports whether the requirement is met over
-    the whole range or nowhere.
+    ``bound_fn`` maps an array of distances to an array of bounds. The search
+    runs on the lattice of a bisection to ``tol`` (see _lattice_search) in at
+    most three calls for up to 2**14 lattice steps. The bound must be within
+    the threshold at s_min and above it at s_max, otherwise NoBracket reports
+    whether the requirement is met over the whole range or nowhere.
     """
-    if s_min >= s_max:
-        raise ValueError("require s_min < s_max")
-    if bound_fn(s_max) <= threshold:
-        raise NoBracket(
-            f"bound stays within {threshold} up to {s_max} m", met_everywhere=True
-        )
-    if bound_fn(s_min) > threshold:
-        raise NoBracket(
-            f"bound already exceeds {threshold} at {s_min} m", met_everywhere=False
-        )
-    lo, hi = s_min, s_max
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if bound_fn(mid) <= threshold:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _lattice_search(lambda s: np.asarray(bound_fn(s), dtype=float)[None],
+                           [threshold], s_min, s_max, tol)[0].value()
 
 
-def scenario_bound_fn(
+def scenario_crossings(
     preset: PresetConfig,
     scenario: Literal["overtaking", "platooning"],
-    axis: Axis,
-    measurement: Measurement,
-) -> Callable[[float], float]:
-    """Bound as a function of the scenario's distance parameter.
+    requirements: Requirements = Requirements(),
+    measurements: Sequence[Measurement] = ("aoa_tdoa", "aoa"),
+    s_max: float | None = None,
+    tol: float = 0.01,
+) -> dict[tuple[Measurement, Axis], Crossing]:
+    """Requirement crossings of every (measurement, axis) curve of a built-in scenario.
 
-    Overtaking: parameter is the longitudinal offset q_y >= 0 at fixed
-    lateral lane offset (the layout is mirror symmetric in q_y). Platooning:
-    parameter is the bumper gap d_y > 0.
+    The distance is the longitudinal offset q_y >= 0 at one lane width
+    (overtaking; the layout is mirror symmetric in q_y), searched over
+    [0, 30] m, or the bumper gap (platooning), searched over
+    [0.25, 30 - vehicle_length] m. All curves share each evaluate_points call
+    of one search, three at the defaults. Keys run over the measurements in
+    the order aoa_tdoa, aoa, then lat, lon.
     """
     if scenario == "overtaking":
-        def place(s: float) -> Vec2:
-            return Vec2(-preset.lane_width, s)
+        s_min, s_top = 0.0, 30.0
+
+        def place(s: np.ndarray) -> np.ndarray:
+            return np.column_stack((np.full_like(s, -preset.lane_width), s))
     elif scenario == "platooning":
-        def place(s: float) -> Vec2:
-            return Vec2(0.0, -(preset.vehicle_length + s))
+        s_min, s_top = 0.25, 30.0 - preset.vehicle_length
+
+        def place(s: np.ndarray) -> np.ndarray:
+            return np.column_stack((np.zeros_like(s), -(preset.vehicle_length + s)))
     else:
         raise ValueError(f"unknown scenario {scenario!r}")
+    curves = [(m, axis) for m in ("aoa_tdoa", "aoa") if m in measurements
+              for axis in ("lat", "lon")]
 
-    def fn(s: float) -> float:
-        row = evaluate_point(preset, place(s), measurements=(measurement,))
-        return _row_bound(row, axis, measurement)
-    return fn
+    def bounds_at(s: np.ndarray) -> np.ndarray:
+        rows = evaluate_points(preset, place(s), measurements=measurements)
+        return np.array([[_row_bound(row, axis, m) for row in rows]
+                         for m, axis in curves]).reshape(len(curves), len(s))
+    thresholds = [requirements.threshold(axis) for _, axis in curves]
+    found = _lattice_search(bounds_at, thresholds, s_min,
+                            s_top if s_max is None else s_max, tol)
+    return dict(zip(curves, found))
 
 
 def scenario_crossing(
@@ -401,15 +479,12 @@ def scenario_crossing(
     s_max: float | None = None,
     tol: float = 0.01,
 ) -> float:
-    """Requirement-crossing distance for a built-in scenario.
+    """Requirement-crossing distance of one curve of a built-in scenario.
 
     Returns the largest longitudinal offset (overtaking) or bumper gap
-    (platooning) at which the requirement still holds; raises NoBracket when
-    it holds everywhere or nowhere in the searched range.
+    (platooning) at which the requirement still holds, as scenario_crossings
+    finds it; raises NoBracket when it holds everywhere or nowhere in the
+    searched range.
     """
-    if s_max is None:
-        s_max = 30.0 if scenario == "overtaking" else 30.0 - preset.vehicle_length
-    s_min = 0.0 if scenario == "overtaking" else 0.25
-    bound_fn = scenario_bound_fn(preset, scenario, axis, measurement)
-    return requirement_crossing(bound_fn, requirements.threshold(axis), s_min, s_max, tol)
-
+    crossings = scenario_crossings(preset, scenario, requirements, (measurement,), s_max, tol)
+    return crossings[measurement, axis].value()

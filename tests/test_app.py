@@ -201,6 +201,18 @@ class TestCli:
         cfg = write_config(tmp_path, scenario="nope")
         assert main(["--config", cfg]) == 2
 
+    def test_empty_preset_flag_exit_2(self, tmp_path, capsys):
+        # An empty flag is a value, not an unset flag: it overrides the file too.
+        cfg = write_config(tmp_path, preset="cfg_28GHz", out=str(tmp_path / "x.csv"))
+        assert main(["--config", cfg, "--preset", ""]) == 2
+        assert "config error: unknown preset ''" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_empty_config_flag_exit_2(self, tmp_path, capsys):
+        assert main(["--config", "", "--out", str(tmp_path / "x.csv")]) == 2
+        assert "config error: cannot read config ''" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_bad_override_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, overrides={"vehicle_length": -1.0})
         assert main(["--config", cfg]) == 2

@@ -3,13 +3,16 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
+from v2vbounds import scenarios
 from v2vbounds.channel import link_gains
 from v2vbounds.errors import NoBracket
 from v2vbounds.fim_closed import efim_aoa_only
 from v2vbounds.geometry import Vec2, active_links
 from v2vbounds.scenarios import (
+    PRESETS,
     Requirements,
     calibrated_scene,
     custom_sweep,
@@ -17,7 +20,10 @@ from v2vbounds.scenarios import (
     overtaking_sweep,
     platooning_sweep,
     build_scene,
+    preset_context,
     requirement_crossing,
+    scenario_crossing,
+    scenario_crossings,
 )
 
 from conftest import panels_with_links
@@ -155,6 +161,19 @@ class TestEvaluatePoint:
         assert math.isinf(row.peb_lat_both)
         assert math.isfinite(row.peb_lat_aoa)
 
+    def test_shared_preset_arrays_are_read_only(self, preset_3p5):
+        ctx = preset_context(preset_3p5)
+        arrays = ctx.vehicle.arrays
+        before = evaluate_point(preset_3p5, Vec2(-3.5, 10.0))
+        with pytest.raises(ValueError):
+            arrays.saaf_s[:] *= 4
+        assert evaluate_point(preset_3p5, Vec2(-3.5, 10.0)) == before
+        shared = [getattr(arrays, f.name) for f in dataclasses.fields(arrays)
+                  if isinstance(getattr(arrays, f.name), np.ndarray)]
+        shared += [*arrays.elements, ctx.betas, ctx.power_fractions]
+        assert len(shared) == 12
+        assert not any(a.flags.writeable for a in shared)
+
 
 class TestRequirementCrossing:
     def test_bisection_on_synthetic_curve(self):
@@ -176,3 +195,122 @@ class TestRequirementCrossing:
         tight = requirement_crossing(lambda s: s, 3.0, 0.0, 10.0, tol=0.001)
         assert abs(loose - 3.0) <= 0.5
         assert abs(tight - 3.0) <= 0.001
+
+
+# The crossings the bisection found before the batched search, bit for bit;
+# None marks a curve whose requirement holds over the whole range.
+PINNED_CROSSINGS = {
+    ("cfg_3p5GHz", "overtaking", "aoa_tdoa", "lat"): 24.52880859375,
+    ("cfg_3p5GHz", "overtaking", "aoa_tdoa", "lon"): 22.36083984375,
+    ("cfg_3p5GHz", "overtaking", "aoa", "lat"): 24.4189453125,
+    ("cfg_3p5GHz", "overtaking", "aoa", "lon"): 21.97998046875,
+    ("cfg_3p5GHz", "platooning", "aoa_tdoa", "lat"): None,
+    ("cfg_3p5GHz", "platooning", "aoa_tdoa", "lon"): 17.07305908203125,
+    ("cfg_3p5GHz", "platooning", "aoa", "lat"): 6.29742431640625,
+    ("cfg_3p5GHz", "platooning", "aoa", "lon"): 17.02374267578125,
+    ("cfg_28GHz", "overtaking", "aoa_tdoa", "lat"): None,
+    ("cfg_28GHz", "overtaking", "aoa_tdoa", "lon"): None,
+    ("cfg_28GHz", "overtaking", "aoa", "lat"): None,
+    ("cfg_28GHz", "overtaking", "aoa", "lon"): None,
+    ("cfg_28GHz", "platooning", "aoa_tdoa", "lat"): None,
+    ("cfg_28GHz", "platooning", "aoa_tdoa", "lon"): None,
+    ("cfg_28GHz", "platooning", "aoa", "lat"): 9.71875,
+    ("cfg_28GHz", "platooning", "aoa", "lon"): None,
+}
+SCENARIO_CASES = [(preset, scenario) for preset in ("cfg_3p5GHz", "cfg_28GHz")
+                  for scenario in ("overtaking", "platooning")]
+
+
+def two_interval_curve(s):
+    """0 on [0, 2] and [7, 8], 1 elsewhere: feasible for a 0.5 threshold."""
+    return np.where(((s >= 0.0) & (s <= 2.0)) | ((s >= 7.0) & (s <= 8.0)), 0.0, 1.0)
+
+
+class TestLatticeSearch:
+    def test_last_feasible_point_before_the_last_infeasible_one(self):
+        # A bisection to 0.01 m returns 2 here: its first midpoint, 5, is infeasible.
+        assert requirement_crossing(two_interval_curve, 0.5, 0.0, 10.0) == pytest.approx(
+            8.0, abs=0.01)
+        (crossing,) = scenarios._lattice_search(
+            lambda s: two_interval_curve(s)[None], [0.5], 0.0, 10.0, 0.01)
+        assert crossing.distance == pytest.approx(8.0, abs=0.01)
+        assert crossing.sign_changes == 3
+
+    @pytest.mark.parametrize("fn, threshold, expect_calls", [
+        (lambda s: s * s, 4.0, 3),
+        (two_interval_curve, 0.5, 3),
+        (lambda s: 0.01 * s, 1.0, 1),  # met everywhere: decided at the endpoints
+        (lambda s: 5.0 + s, 1.0, 1),  # met nowhere
+    ])
+    def test_at_most_three_calls(self, fn, threshold, expect_calls):
+        calls = []
+
+        def counting(s):
+            calls.append(len(s))
+            return fn(s)
+        try:
+            requirement_crossing(counting, threshold, 0.0, 30.0)
+        except NoBracket:
+            pass
+        assert len(calls) == expect_calls
+        assert calls[0] == 2  # the endpoints
+
+    def test_single_crossing_is_the_bisection_lattice_point(self):
+        # Bisection on s - 3 to 0.01 over [0, 10] walks the lattice of 10/1024 steps.
+        crossing = requirement_crossing(lambda s: s, 3.0, 0.0, 10.0)
+        assert crossing == 307 * 10.0 / 1024
+
+
+class TestScenarioCrossings:
+    @pytest.mark.parametrize("preset, scenario", SCENARIO_CASES)
+    def test_pinned_crossings(self, preset, scenario):
+        crossings = scenario_crossings(PRESETS[preset], scenario)
+        assert list(crossings) == [("aoa_tdoa", "lat"), ("aoa_tdoa", "lon"),
+                                   ("aoa", "lat"), ("aoa", "lon")]
+        for (measurement, axis), crossing in crossings.items():
+            expected = PINNED_CROSSINGS[preset, scenario, measurement, axis]
+            if expected is None:
+                assert crossing.distance is None
+                assert crossing.no_bracket.met_everywhere
+            else:
+                assert crossing.no_bracket is None
+                assert crossing.distance == expected
+                assert crossing.sign_changes == 1
+
+    @pytest.mark.parametrize("preset, scenario", SCENARIO_CASES)
+    def test_scenario_crossing_is_the_matching_entry(self, preset, scenario):
+        crossings = scenario_crossings(PRESETS[preset], scenario)
+        for (measurement, axis), crossing in crossings.items():
+            if crossing.no_bracket is None:
+                got = scenario_crossing(PRESETS[preset], scenario, axis, measurement)
+                assert got == crossing.distance
+            else:
+                with pytest.raises(NoBracket) as excinfo:
+                    scenario_crossing(PRESETS[preset], scenario, axis, measurement)
+                assert excinfo.value.met_everywhere == crossing.no_bracket.met_everywhere
+
+    @pytest.mark.parametrize("preset, scenario", SCENARIO_CASES)
+    def test_at_most_three_batched_calls(self, preset, scenario, monkeypatch):
+        calls = []
+        batched = scenarios.evaluate_points
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[1]))
+            return batched(*args, **kwargs)
+
+        def single(*args, **kwargs):
+            raise AssertionError("the crossing search calls evaluate_point")
+        monkeypatch.setattr(scenarios, "evaluate_points", counting)
+        monkeypatch.setattr(scenarios, "evaluate_point", single)
+        scenario_crossings(PRESETS[preset], scenario)
+        assert 1 <= len(calls) <= 3
+        assert calls[:2] == [2, 127][:len(calls)]  # endpoints, then the coarse interior
+
+    def test_measurement_restriction(self, preset_3p5):
+        crossings = scenario_crossings(preset_3p5, "overtaking", measurements=("aoa",))
+        assert list(crossings) == [("aoa", "lat"), ("aoa", "lon")]
+        assert crossings["aoa", "lat"].distance == 24.4189453125
+
+    def test_unknown_scenario_rejected(self, preset_3p5):
+        with pytest.raises(ValueError):
+            scenario_crossings(preset_3p5, "custom")
