@@ -18,7 +18,7 @@ delay difference to the reference link. 4L parameters in total.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,52 +52,65 @@ def link_order(links: Sequence[Link], reference: int | None = None) -> list[int]
 
 def link_mean(
     scene: Scene, link: Link, delay: float, angle: float, gain: complex
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Noiseless received samples of one link as a function of its channel
     parameters: delay difference, vehicle-frame arrival angle and complex gain.
 
-    Returns the (subcarrier, Rx element) mean over the link's Tx subcarrier
-    set, the subcarriers' baseband angular frequencies, and the angle
-    derivative of the per-element phases (the angle derivative of the mean
-    is ``1j * dphase * mean``). The pilot symbols carry the same energy on
-    every OFDM symbol, so the mean does not depend on the symbol.
+    The (subcarrier, Rx element) mean is the outer product
+    ``np.multiply.outer(a, b)`` of a factor ``a`` over the link's Tx
+    subcarrier set and a factor ``b`` over its Rx elements. Returns ``(a,
+    omega, b, dphase)``: the subcarriers' baseband angular frequencies (the
+    delay derivative of ``a`` is ``-1j * omega * a``) and the angle
+    derivative of the per-element phases (that of ``b`` is ``1j * dphase *
+    b``). The pilot symbols carry the same energy on every OFDM symbol, so
+    the mean does not depend on the symbol.
     """
-    subset = scene.allocation.per_array_sets[link.tx_panel]
-    omega = 2.0 * math.pi * scene.ofdm.subcarrier_spacing * np.array(subset)
-    gamma_t = scene.allocation.array_power_fractions[link.tx_panel]
-    fracs = np.array([scene.allocation.per_subcarrier_fractions[p] for p in subset])
-    amps = np.sqrt(gamma_t * fracs * scene.ofdm.total_power)
+    count = len(scene.allocation.per_array_sets[link.tx_panel])
+    omega, amps = _subcarriers(scene, link.tx_panel)
+    omega, amps = omega[:count], amps[:count]
     dist, ang = scene.rx_vehicle.arrays.elements[link.rx_panel]
-    # Element phase d_i cos(psi_i - theta) omega_c / c and its theta derivative.
-    phase = scene.ofdm.omega_c * dist * np.cos(ang - angle) / SPEED_OF_LIGHT
-    dphase = scene.ofdm.omega_c * dist * np.sin(ang - angle) / SPEED_OF_LIGHT
-    mean = (amps * np.exp(-1j * omega * delay))[:, None] * (gain * np.exp(1j * phase))[None, :]
-    return mean, omega, dphase
+    phase, dphase = _element_phases(scene, dist, ang, angle)
+    return amps * np.exp(-1j * omega * delay), omega, gain * np.exp(1j * phase), dphase
 
 
-def _channel_information(
-    scene: Scene,
-    links: Sequence[Link],
-    gains: Sequence[LinkGain],
-    reference: int | None,
-    derivatives: Callable[[Link, float, float, complex], np.ndarray],
-) -> np.ndarray:
-    """Channel FIM (4L x 4L) from each link's (samples, 4) derivatives of its
-    mean in its own (delay, angle, Re gain, Im gain).
+def _subcarriers(scene: Scene, tx_panels) -> tuple[np.ndarray, np.ndarray]:
+    """Baseband angular frequencies and amplitudes of the subcarriers of one
+    Tx array (S_max,) or several (len(tx_panels), S_max); a padded slot has
+    zero amplitude."""
+    alloc = scene.allocation
+    gamma_t = np.array(alloc.array_power_fractions)[tx_panels, None]
+    omega = 2.0 * math.pi * scene.ofdm.subcarrier_spacing * alloc.arrays.indices[tx_panels]
+    return omega, np.sqrt(gamma_t * alloc.arrays.fractions[tx_panels] * scene.ofdm.total_power)
+
+
+def _element_phases(scene: Scene, dist, ang, angle) -> tuple[np.ndarray, np.ndarray]:
+    """Element phases d_i cos(psi_i - theta) omega_c / c and their theta
+    derivatives, for element offsets (d_i, psi_i) and arrival angle theta."""
+    omega_c = scene.ofdm.omega_c
+    return (omega_c * dist * np.cos(ang - angle) / SPEED_OF_LIGHT,
+            omega_c * dist * np.sin(ang - angle) / SPEED_OF_LIGHT)
+
+
+def _gram(columns: np.ndarray) -> np.ndarray:
+    """Gram matrices F^H F of stacked column sets (..., columns, samples)."""
+    return columns.conj() @ columns.swapaxes(-1, -2)
+
+
+def _channel_information(scene: Scene, blocks: np.ndarray) -> np.ndarray:
+    """Channel FIM (4L x 4L) from each link's 4 x 4 Gram (real part) of the
+    derivatives of its mean in its own (delay, angle, Re gain, Im gain),
+    stacked (L, 4, 4) in :func:`link_order`.
 
     Links at different Rx panels or on disjoint subcarrier sets only couple
     through the shared timing offset, so each link's Gram block sits on the
     diagonal; the offset map then folds the timing offset, which shifts every
     link's delay, into column 0.
     """
-    order = link_order(links, reference)
-    ref_delay = links[order[0]].delay
-    n = 4 * len(order)
+    n_links = len(blocks)
+    n = 4 * n_links
     j = np.zeros((n, n))
-    for k, i in enumerate(order):
-        link = links[i]
-        grad = derivatives(link, link.delay - ref_delay, link.theta_R_local, gains[i].h)
-        j[4 * k:4 * k + 4, 4 * k:4 * k + 4] = (grad.conj().T @ grad).real
+    diagonal = np.arange(n_links)
+    j.reshape(n_links, 4, n_links, 4)[diagonal, :, diagonal, :] = blocks
     offset = np.eye(n)
     offset[0::4, 0] = 1.0
     j = 2.0 * scene.ofdm.n_symbols / scene.noise_variance * (offset.T @ j @ offset)
@@ -111,18 +124,36 @@ def fim_channel(
     reference: int | None = None,
 ) -> np.ndarray:
     """Analytic Fisher information of the channel parameters (4L x 4L), in
-    the :func:`link_order` layout; ``reference`` forces a reference link."""
+    the :func:`link_order` layout; ``reference`` forces a reference link.
 
-    def derivatives(link, delay, angle, h):
-        mean, omega, dphase = link_mean(scene, link, delay, angle, h)
-        return np.stack((
-            -1j * omega[:, None] * mean,  # timing offset / delay difference
-            1j * dphase[None, :] * mean,  # arrival angle
-            mean / h,  # Re gain
-            1j * mean / h,  # Im gain
-        ), axis=-1).reshape(-1, 4)
+    A link's mean is a ⊗ b (:func:`link_mean`), so each of its derivative
+    columns is fa_k ⊗ fb_k, with Fa = [-1j omega a, a, a/h, 1j a/h] and
+    Fb = [b, 1j dphase b, b, b], and its Gram is Re((Fa^H Fa) ∘ (Fb^H Fb)).
+    Every link's factors are formed in one pass, on subcarrier and element
+    axes zero-padded to the largest set; zero entries add nothing to a Gram.
+    """
+    order = link_order(links, reference)
+    ordered = [links[i] for i in order]
+    delay = np.array([link.delay for link in ordered])
+    angle = np.array([link.theta_R_local for link in ordered])
+    h = np.array([gains[i].h for i in order])[:, None]
 
-    return _channel_information(scene, links, gains, reference, derivatives)
+    omega, amps = _subcarriers(scene, [link.tx_panel for link in ordered])
+    a = amps * np.exp(-1j * omega * (delay - delay[0])[:, None])
+    a_h = a / h
+    fa = np.stack((-1j * omega * a, a, a_h, 1j * a_h), axis=1)
+
+    rx = scene.rx_vehicle.arrays
+    elements = np.zeros((2, len(rx.elements), rx.n_elements.max()))
+    for r, panel in enumerate(rx.elements):
+        elements[:, r, :panel.shape[1]] = panel
+    rx_panels = [link.rx_panel for link in ordered]
+    phase, dphase = _element_phases(scene, *elements[:, rx_panels], angle[:, None])
+    present = np.arange(elements.shape[2]) < rx.n_elements[rx_panels, None]
+    b = np.where(present, h * np.exp(1j * phase), 0.0)
+    fb = np.stack((b, 1j * dphase * b, b, b), axis=1)
+
+    return _channel_information(scene, (_gram(fa) * _gram(fb)).real)
 
 
 def fim_channel_fd(
@@ -133,23 +164,33 @@ def fim_channel_fd(
 ) -> np.ndarray:
     """Central-finite-difference twin of :func:`fim_channel`.
 
-    Each of a link's four parameters is stepped in :func:`link_mean`, in
-    proportion to its own scale (1/omega_c for the delay, |h| for the gain).
+    Each of a link's four parameters is stepped in its full samples
+    ``np.multiply.outer(a, b)`` from :func:`link_mean`, in proportion to its
+    own scale (1/omega_c for the delay, |h| for the gain), so the twin does
+    not rely on the factorisation :func:`fim_channel` uses.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
+    order = link_order(links)
+    ref_delay = links[order[0]].delay
 
-    def derivatives(link, delay, angle, h):
-        h_step = step * abs(h)
+    def samples(link, delay, angle, h):
+        a, _, b, _ = link_mean(scene, link, delay, angle, h)
+        return np.multiply.outer(a, b).ravel()
+
+    blocks = []
+    for i in order:
+        link, h = links[i], gains[i].h
+        delay, angle, h_step = link.delay - ref_delay, link.theta_R_local, step * abs(h)
         columns = []
         for d_tau, d_theta, d_h in ((step / scene.ofdm.omega_c, 0.0, 0.0), (0.0, step, 0.0),
                                     (0.0, 0.0, h_step), (0.0, 0.0, 1j * h_step)):
-            plus = link_mean(scene, link, delay + d_tau, angle + d_theta, h + d_h)[0]
-            minus = link_mean(scene, link, delay - d_tau, angle - d_theta, h - d_h)[0]
-            columns.append((plus - minus).ravel() / (2.0 * abs(d_tau + d_theta + d_h)))
-        return np.column_stack(columns)
-
-    return _channel_information(scene, links, gains, None, derivatives)
+            plus = samples(link, delay + d_tau, angle + d_theta, h + d_h)
+            minus = samples(link, delay - d_tau, angle - d_theta, h - d_h)
+            columns.append((plus - minus) / (2.0 * abs(d_tau + d_theta + d_h)))
+        grad = np.column_stack(columns)
+        blocks.append((grad.conj().T @ grad).real)
+    return _channel_information(scene, np.array(blocks))
 
 
 def transform_matrix(

@@ -499,13 +499,13 @@ def active_links(scene: "Scene") -> tuple[Link, ...]:
     """
     tx_c, rx_c, visible = visibility(scene.tx_vehicle.arrays, scene.tx_pose.arrays(),
                                      scene.rx_vehicle.arrays, scene.rx_pose.arrays())
-    tx_c, rx_c = tx_c.tolist(), rx_c.tolist()
-    links = [
-        link_geometry(Vec2(*tx_c[t]), Vec2(*rx_c[r]), scene.rx_pose.orientation,
-                      tx_panel=t, rx_panel=r)
-        for t, r in np.argwhere(visible).tolist()
-    ]
-    if not links:
+    tx, rx = np.nonzero(visible)
+    if not len(tx):
         raise NoActiveLinks("no Tx-Rx panel pair has line of sight")
-    return tuple(links)
-
+    # link_geometry for every visible pair at once; visible pairs never coincide.
+    offset = rx_c[rx] - tx_c[tx]
+    distance = np.hypot(offset[:, 0], offset[:, 1])
+    theta_r = np.arctan2(offset[:, 1], offset[:, 0])
+    columns = (tx, rx, distance, theta_r, wrap_angles(theta_r + math.pi),
+               wrap_angles(theta_r - scene.rx_pose.orientation), distance / SPEED_OF_LIGHT)
+    return tuple(Link(*fields) for fields in zip(*(c.tolist() for c in columns)))

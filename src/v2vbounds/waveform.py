@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
+import numpy as np
+
 from .errors import EmptySet
-from .geometry import SPEED_OF_LIGHT
+from .geometry import SPEED_OF_LIGHT, read_only
 
 
 @dataclass(frozen=True)
@@ -101,6 +104,28 @@ class Allocation:
     @property
     def n_arrays(self) -> int:
         return len(self.per_array_sets)
+
+    @cached_property
+    def arrays(self) -> "AllocationArrays":
+        """The subcarrier sets as arrays, built on first use and kept with this allocation."""
+        width = max(len(subset) for subset in self.per_array_sets)
+        indices = np.zeros((self.n_arrays, width), dtype=int)
+        fractions = np.zeros((self.n_arrays, width))
+        for t, subset in enumerate(self.per_array_sets):
+            indices[t, :len(subset)] = subset
+            fractions[t, :len(subset)] = [self.per_subcarrier_fractions[p] for p in subset]
+        return AllocationArrays(read_only(indices), read_only(fractions))
+
+
+@dataclass(frozen=True, eq=False)
+class AllocationArrays:
+    """An allocation's K subcarrier sets, zero-padded to the largest; shared, read-only.
+
+    A padded slot has index 0 and power fraction 0, so it carries no signal.
+    """
+
+    indices: np.ndarray  # (K, S_max) signed subcarrier indices
+    fractions: np.ndarray  # (K, S_max) per-subcarrier power fractions within the array
 
 
 def interleaved_allocation(occupied: Iterable[int], k_tx: int) -> Allocation:

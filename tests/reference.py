@@ -1,0 +1,58 @@
+"""Brute-force reference constructions that only the tests use as oracles.
+
+Each one builds a quantity the package computes in factorised or batched
+form the long way, from the model objects alone (the allocation's dicts and
+tuples, the panels' element offsets), so a comparison checks the shortcut
+and not a shared helper.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from v2vbounds.fim_general import link_order
+from v2vbounds.geometry import SPEED_OF_LIGHT
+
+
+def link_samples(scene, link, delay, angle, gain):
+    """The link's (subcarrier, Rx element) mean, its subcarriers' angular
+    frequencies and its element phases' angle derivatives, sample by sample."""
+    subset = scene.allocation.per_array_sets[link.tx_panel]
+    omega = 2.0 * math.pi * scene.ofdm.subcarrier_spacing * np.array(subset, dtype=float)
+    gamma_t = scene.allocation.array_power_fractions[link.tx_panel]
+    fracs = np.array([scene.allocation.per_subcarrier_fractions[p] for p in subset], dtype=float)
+    amps = np.sqrt(gamma_t * fracs * scene.ofdm.total_power)
+    elements = scene.rx_vehicle.panels[link.rx_panel].elements
+    dist = np.array([e.distance for e in elements])
+    ang = np.array([e.angle for e in elements])
+    phase = scene.ofdm.omega_c * dist * np.cos(ang - angle) / SPEED_OF_LIGHT
+    dphase = scene.ofdm.omega_c * dist * np.sin(ang - angle) / SPEED_OF_LIGHT
+    mean = (amps * np.exp(-1j * omega * delay))[:, None] * (gain * np.exp(1j * phase))[None, :]
+    return mean, omega, dphase
+
+
+def brute_force_fim_channel(scene, links, gains, reference=None):
+    """Channel FIM from each link's full (samples, 4) derivative stack, one
+    link at a time, in the fim_channel layout."""
+    order = link_order(links, reference)
+    ref_delay = links[order[0]].delay
+    n = 4 * len(order)
+    j = np.zeros((n, n))
+    for k, i in enumerate(order):
+        link, h = links[i], gains[i].h
+        mean, omega, dphase = link_samples(scene, link, link.delay - ref_delay,
+                                           link.theta_R_local, h)
+        grad = np.stack((
+            -1j * omega[:, None] * mean,  # timing offset / delay difference
+            1j * dphase[None, :] * mean,  # arrival angle
+            mean / h,  # Re gain
+            1j * mean / h,  # Im gain
+        ), axis=-1).reshape(-1, 4)
+        j[4 * k:4 * k + 4, 4 * k:4 * k + 4] = (grad.conj().T @ grad).real
+    # The timing offset shifts every link's delay: fold it into column 0.
+    offset = np.eye(n)
+    offset[0::4, 0] = 1.0
+    j = 2.0 * scene.ofdm.n_symbols / scene.noise_variance * (offset.T @ j @ offset)
+    return 0.5 * (j + j.T)

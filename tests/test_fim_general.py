@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from v2vbounds.channel import link_gains
 from v2vbounds.errors import NoActiveLinks, NuisanceSingular
@@ -22,10 +24,11 @@ from v2vbounds.fim_general import (
 )
 from v2vbounds.geometry import Pose, Vec2, active_links, link_geometry, wrap_angle
 from v2vbounds.scenarios import PRESETS, calibrated_scene
-from v2vbounds.selfcheck import equilibrated_frobenius
+from v2vbounds.selfcheck import equilibrated_frobenius, relative_frobenius
 from v2vbounds.waveform import effective_bandwidths
 
-from conftest import small_scene
+from conftest import open_panel, small_scene
+from reference import brute_force_fim_channel, link_samples
 
 
 def rel_frob(a, b):
@@ -47,40 +50,143 @@ class TestMeanVector:
         gains = link_gains(scene, links)
         link = links[0]
         p = scene.allocation.per_array_sets[link.tx_panel][0]
-        m = link_mean(scene, link, 0.0, link.theta_R_local, gains[0].h)[0][0]
-        assert m.shape == (1,)
+        a, _, b, _ = link_mean(scene, link, 0.0, link.theta_R_local, gains[0].h)
+        assert b.shape == (1,)
+        m = a[0] * b[0]
         gamma_t = scene.allocation.array_power_fractions[link.tx_panel]
         gamma_tp = scene.allocation.per_subcarrier_fractions[p]
         x = math.sqrt(gamma_t * gamma_tp * scene.ofdm.total_power)
-        assert abs(abs(m[0]) - abs(gains[0].h) * x) < 1e-12 * abs(m[0])
+        assert abs(abs(m) - abs(gains[0].h) * x) < 1e-12 * abs(m)
 
     def test_phase_factor_unit_modulus(self, medium_scene):
+        # The subcarrier factor carries sqrt(power) times a unit-modulus
+        # delay phase; the element factor |h| times a unit-modulus phase.
         scene, links, gains = medium_scene
-        link = links[-1]
+        link, h = links[-1], gains[-1].h
         delay = link.delay - links[link_order(links)[0]].delay
-        mean = link_mean(scene, link, delay, link.theta_R_local, gains[-1].h)[0]
-        mods = []
-        for m, p in zip(mean, scene.allocation.per_array_sets[link.tx_panel]):
-            gamma_tp = scene.allocation.per_subcarrier_fractions[p]
-            mods.append(np.abs(m) / math.sqrt(gamma_tp))
-        # Same per-element modulus on every subcarrier: the subcarrier phase
-        # factor is unit modulus.
-        for m in mods[1:]:
-            assert np.allclose(m, mods[0], rtol=1e-12)
+        a, omega, b, dphase = link_mean(scene, link, delay, link.theta_R_local, h)
+        subset = scene.allocation.per_array_sets[link.tx_panel]
+        gamma_t = scene.allocation.array_power_fractions[link.tx_panel]
+        power = np.array([gamma_t * scene.allocation.per_subcarrier_fractions[p]
+                          * scene.ofdm.total_power for p in subset])
+        assert a.shape == omega.shape == (len(subset),)
+        assert b.shape == dphase.shape == (scene.rx_vehicle.panels[link.rx_panel].n_elements,)
+        assert np.allclose(np.abs(a), np.sqrt(power), rtol=1e-12, atol=0.0)
+        assert np.allclose(np.abs(b), abs(h), rtol=1e-12, atol=0.0)
+
+    def test_outer_product_is_the_sample_model(self, medium_scene):
+        # Oracle: the mean built sample by sample from the allocation's dicts
+        # and the panels' element offsets.
+        scene, links, gains = medium_scene
+        for link, gain in zip(links, gains):
+            delay, angle = link.delay - links[0].delay, link.theta_R_local
+            a, omega, b, dphase = link_mean(scene, link, delay, angle, gain.h)
+            mean, omega_ref, dphase_ref = link_samples(scene, link, delay, angle, gain.h)
+            assert np.allclose(np.multiply.outer(a, b), mean, rtol=1e-12, atol=0.0)
+            assert np.array_equal(omega, omega_ref) and np.array_equal(dphase, dphase_ref)
 
     def test_angle_derivative_matches_fd(self, medium_scene):
-        # Oracle: central finite difference of the link mean in the local
-        # arrival angle vs the analytic 1j * dphase * mean.
+        # Oracle: central finite difference of the full samples in the local
+        # arrival angle vs the analytic a (x) (1j * dphase * b).
         scene, links, gains = medium_scene
         link, h = links[1], gains[1].h
         theta = link.theta_R_local
         step = 1e-7
-        plus = link_mean(scene, link, 0.0, theta + step, h)[0]
-        minus = link_mean(scene, link, 0.0, theta - step, h)[0]
-        fd = (plus - minus) / (2.0 * step)
-        mean, _, dphase = link_mean(scene, link, 0.0, theta, h)
-        analytic = 1j * dphase[None, :] * mean
+
+        def samples(angle):
+            a, _, b, _ = link_mean(scene, link, 0.0, angle, h)
+            return np.multiply.outer(a, b)
+
+        fd = (samples(theta + step) - samples(theta - step)) / (2.0 * step)
+        a, _, b, dphase = link_mean(scene, link, 0.0, theta, h)
+        analytic = np.multiply.outer(a, 1j * dphase * b)
         assert np.linalg.norm(fd - analytic) < 1e-6 * np.linalg.norm(analytic)
+
+    def test_delay_derivative_matches_fd(self, medium_scene):
+        # Oracle: central finite difference of the full samples in the delay
+        # difference vs the analytic (-1j * omega * a) (x) b.
+        scene, links, gains = medium_scene
+        link, h = links[1], gains[1].h
+        # A step that turns the widest subcarrier's phase by 1e-5 rad.
+        step = 1e-5 / np.abs(link_mean(scene, link, 0.0, 0.0, h)[1]).max()
+
+        def samples(delay):
+            a, _, b, _ = link_mean(scene, link, delay, link.theta_R_local, h)
+            return np.multiply.outer(a, b)
+
+        fd = (samples(step) - samples(-step)) / (2.0 * step)
+        a, omega, b, _ = link_mean(scene, link, 0.0, link.theta_R_local, h)
+        analytic = np.multiply.outer(-1j * omega * a, b)
+        assert np.linalg.norm(fd - analytic) < 1e-6 * np.linalg.norm(analytic)
+
+
+def oracle_error(j: np.ndarray, oracle: np.ndarray) -> float:
+    """equilibrated_frobenius of j against the brute-force oracle, where a
+    parameter the oracle gives no information (a zero diagonal entry, as for
+    the angle of a single element or a Tx array without subcarriers) keeps
+    its row and column unscaled."""
+    diag = np.diag(oracle)
+    scale = np.where(diag > 0.0, 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0)), 1.0)
+    weight = np.outer(scale, scale)
+    return relative_frobenius(oracle * weight, j * weight)
+
+
+def assert_matches_oracle(scene):
+    """fim_channel equals the brute-force Gram to 1e-12 at every reference."""
+    links = active_links(scene)
+    gains = link_gains(scene, links)
+    for reference in range(len(links)):
+        j = fim_channel(scene, links, gains, reference)
+        assert oracle_error(j, brute_force_fim_channel(scene, links, gains, reference)) < 1e-12
+    return links, gains
+
+
+class TestFactorisedGram:
+    """fim_channel's batched Re(Ga o Gb) against the per-link derivative stack."""
+
+    def test_small_scenes(self):
+        for kwargs in ({}, dict(n_tx_panels=3, n_rx_panels=2, n_elements=3, n_occupied=10),
+                       dict(n_tx_panels=1, n_rx_panels=4, n_symbols=3, noise_variance=2.5)):
+            assert_matches_oracle(small_scene(**kwargs))
+
+    @pytest.mark.parametrize("preset_name", ["cfg_3p5GHz", "cfg_28GHz"])
+    def test_unequal_subcarrier_sets(self, preset_name):
+        preset = dataclasses.replace(PRESETS[preset_name], name="odd", max_occupied_index=601)
+        scene = calibrated_scene(preset, Vec2(-3.5, 10.0))
+        assert [len(s) for s in scene.allocation.per_array_sets] == [301, 301, 300, 300]
+        links = assert_matches_oracle(scene)[0]
+        assert {len(scene.allocation.per_array_sets[link.tx_panel]) for link in links} == {
+            300, 301}
+
+    @pytest.mark.parametrize("q", [Vec2(-3.5, 10.0), Vec2(0.0, -8.0), Vec2(3.5, 0.0)])
+    def test_tx_array_without_subcarriers(self, preset_3p5, q):
+        preset = dataclasses.replace(preset_3p5, name="sparse", max_occupied_index=1)
+        scene = calibrated_scene(preset, q)
+        links, gains = assert_matches_oracle(scene)
+        silent = [k for k, i in enumerate(link_order(links))
+                  if not scene.allocation.per_array_sets[links[i].tx_panel]]
+        assert silent
+        j = fim_channel(scene, links, gains)
+        for k in silent:
+            # No samples, no information: only the timing offset column,
+            # which the reference link's block holds, may be nonzero.
+            block = j[4 * k:4 * k + 4, 4 * k:4 * k + 4]
+            assert np.all(block[1:, 1:] == 0.0)
+            assert k == 0 or np.all(block == 0.0)
+
+    def test_single_element_rx_panels(self, preset_28):
+        assert_matches_oracle(small_scene(n_tx_panels=2, n_rx_panels=3, n_elements=1))
+        preset = dataclasses.replace(preset_28, name="single", n_rx_elements=1)
+        assert_matches_oracle(calibrated_scene(preset, Vec2(-3.5, 10.0)))
+
+    def test_rx_panels_with_different_element_counts(self):
+        scene = small_scene(n_tx_panels=2, n_rx_panels=4, n_elements=2)
+        rx_panels = tuple(dataclasses.replace(panel, elements=open_panel(n_elements=n).elements)
+                          for panel, n in zip(scene.rx_vehicle.panels, (1, 4, 2, 3)))
+        scene = dataclasses.replace(
+            scene, rx_vehicle=dataclasses.replace(scene.rx_vehicle, panels=rx_panels))
+        links = assert_matches_oracle(scene)[0]
+        assert len(links) == 8
 
 
 class TestLinkOrder:
@@ -380,3 +486,57 @@ class TestSchurEfim:
         t_mat = transform_matrix(scene, links, AOA_ONLY)
         with pytest.raises(NuisanceSingular):
             efim_schur(j_phi, t_mat)
+
+
+def closed_and_schur(scene):
+    """(closed form, Schur) FimResults for AOA+TDOA and for AOA-only."""
+    links = active_links(scene)
+    gains = link_gains(scene, links)
+    betas = effective_bandwidths(scene.allocation, scene.ofdm)
+    both = (efim_aoa_tdoa(scene, links, gains, betas),
+            efim_general(scene, links, gains, AOA_TDOA))
+    aoa = (efim_aoa_only(scene, links, gains), efim_general(scene, links, gains, AOA_ONLY))
+    return both, aoa
+
+
+def assert_same_bounds(closed, schur):
+    """Both singular with +inf bounds, or both finite with equal EFIMs."""
+    assert closed.singular == schur.singular
+    bounds = (closed.peb_lat, closed.peb_lon, closed.oeb, schur.peb_lat, schur.peb_lon, schur.oeb)
+    if closed.singular:
+        assert all(b == math.inf for b in bounds)
+    else:
+        assert all(math.isfinite(b) for b in bounds)
+        assert rel_frob(closed.j_po, schur.j_po) < 1e-8
+
+
+class TestSingleElementPanels:
+    """One element per Rx panel has no aperture, so no angle information:
+    AOA-only is singular on both paths (inf <-> inf) while AOA+TDOA stays
+    finite through the delays, equal on both paths."""
+
+    def test_pinned_overtaking_placement(self, preset_3p5):
+        preset = dataclasses.replace(preset_3p5, name="single", n_rx_elements=1)
+        both, aoa = closed_and_schur(calibrated_scene(preset, Vec2(-3.5, 10.0)))
+        for result in both:
+            assert abs(result.peb_lat - 0.08700612) < 1e-8
+        assert aoa[0].singular and aoa[0].peb_lat == math.inf
+        assert_same_bounds(*both)
+        assert_same_bounds(*aoa)
+
+    @settings(max_examples=30, deadline=None)
+    @given(preset_name=st.sampled_from(["cfg_3p5GHz", "cfg_28GHz"]),
+           radius=st.floats(5.0, 40.0), bearing=st.floats(-math.pi, math.pi),
+           alpha_t=st.floats(-math.pi, math.pi))
+    def test_closed_form_equals_schur(self, preset_name, radius, bearing, alpha_t):
+        preset = dataclasses.replace(PRESETS[preset_name], name="single", n_rx_elements=1)
+        q = Vec2(radius * math.cos(bearing), radius * math.sin(bearing))
+        scene = calibrated_scene(preset, q, alpha_t=alpha_t)
+        try:
+            active_links(scene)
+        except NoActiveLinks:
+            assume(False)
+        both, aoa = closed_and_schur(scene)
+        assert aoa[0].singular
+        assert_same_bounds(*both)
+        assert_same_bounds(*aoa)

@@ -321,6 +321,40 @@ class TestVisibility:
                     assert forward == backward
 
 
+class TestActiveLinksMatchLinkGeometry:
+    """active_links builds every link in one numpy pass; link_geometry is the
+    scalar reference from the panels' world-frame centroids."""
+
+    @staticmethod
+    def assert_links_match(scene):
+        links = active_links(scene)
+        for link in links:
+            ref = link_geometry(scene.tx_panel_state(link.tx_panel).centroid,
+                                scene.rx_panel_state(link.rx_panel).centroid,
+                                scene.rx_pose.orientation, link.tx_panel, link.rx_panel)
+            assert (link.tx_panel, link.rx_panel) == (ref.tx_panel, ref.rx_panel)
+            assert abs(link.distance - ref.distance) < 1e-12 * ref.distance
+            assert abs(link.delay - ref.delay) < 1e-12 * ref.delay
+            for name in ("theta_R", "theta_T", "theta_R_local"):
+                assert abs(wrap_angle(getattr(link, name) - getattr(ref, name))) < 1e-12
+                assert -math.pi < getattr(link, name) <= math.pi
+        pairs = [(link.tx_panel, link.rx_panel) for link in links]
+        assert pairs == sorted(pairs) and len(set(pairs)) == len(pairs)
+        assert type(links) is tuple
+
+    def test_small_scenes(self):
+        for kwargs in ({}, dict(n_tx_panels=3, n_rx_panels=4, alpha_t=2.9, alpha_r=-3.1),
+                       dict(n_tx_panels=1, n_rx_panels=1, q=Vec2(-0.5, -20.0), alpha_r=math.pi)):
+            self.assert_links_match(small_scene(**kwargs))
+
+    @pytest.mark.parametrize("preset_name", ["preset_3p5", "preset_28"])
+    def test_preset_scenes(self, preset_name, request):
+        preset = request.getfixturevalue(preset_name)
+        for q, alpha_t in ((Vec2(-3.5, 10.0), 0.0), (Vec2(-3.5, 0.0), 0.0), (Vec2(0.0, -6.0), 0.2),
+                           (Vec2(12.0, 30.0), -2.0), (Vec2(3.5, -4.5), math.pi)):
+            self.assert_links_match(build_scene(preset, q, alpha_t=alpha_t))
+
+
 class TestBodyBlockage:
     def test_segment_through_interior(self):
         rect = vehicle_rect(

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,6 +84,34 @@ class TestAllocationValidation:
                 array_power_fractions=(0.5, 0.4),
                 per_subcarrier_fractions={1: 1.0, 2: 1.0},
             )
+
+
+class TestAllocationArrays:
+    def test_zero_padded_sets(self):
+        alloc = interleaved_allocation(range(-5, 6), 4)  # 3, 3, 3, 2 subcarriers
+        arrays = alloc.arrays
+        assert arrays.indices.shape == arrays.fractions.shape == (4, 3)
+        for t, subset in enumerate(alloc.per_array_sets):
+            n = len(subset)
+            assert arrays.indices[t, :n].tolist() == list(subset)
+            assert arrays.fractions[t, :n].tolist() == [
+                alloc.per_subcarrier_fractions[p] for p in subset]
+            assert not arrays.indices[t, n:].any() and not arrays.fractions[t, n:].any()
+        assert arrays.indices.dtype.kind == "i"
+
+    def test_arrays_without_subcarriers_are_all_padding(self):
+        alloc = interleaved_allocation((-1, 1), 4)
+        assert alloc.arrays.indices.tolist() == [[-1], [1], [0], [0]]
+        assert alloc.arrays.fractions.tolist() == [[1.0], [1.0], [0.0], [0.0]]
+
+    def test_built_once_and_read_only(self):
+        alloc = interleaved_allocation(range(1, 9), 2)
+        arrays = alloc.arrays
+        assert alloc.arrays is arrays
+        for array in (arrays.indices, arrays.fractions):
+            with pytest.raises(ValueError):
+                array[0, 0] = 7
+        np.testing.assert_array_equal(arrays.indices, [[1, 3, 5, 7], [2, 4, 6, 8]])
 
 
 class TestEffectiveBandwidth:
