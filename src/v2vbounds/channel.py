@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .errors import ZeroDistance
 from .geometry import Link, active_links
@@ -21,15 +22,16 @@ class LinkGain:
     snr_after_bf_db: float  # receive SNR after Rx beamforming, dB
 
 
-def free_space_gain(distance: float, wavelength: float) -> complex:
-    """Free-space amplitude gain wavelength/(4 pi d) with carrier phase."""
-    if distance <= 0.0:
+def free_space_gain(distance, wavelength: float):
+    """Free-space amplitude gain wavelength/(4 pi d) with carrier phase,
+    elementwise over the distances."""
+    if np.any(np.asarray(distance) <= 0.0):
         raise ZeroDistance(f"distance must be positive, got {distance}")
     if wavelength <= 0.0:
         raise ValueError("wavelength must be positive")
     amplitude = wavelength / (4.0 * math.pi * distance)
     phase = -2.0 * math.pi * distance / wavelength
-    return amplitude * cmath.exp(1j * phase)
+    return amplitude * np.exp(1j * phase)
 
 
 def information_weight(distance, wavelength, n_rx, gamma_t, n_symbols, noise_variance):

@@ -5,7 +5,10 @@ timing offset, per-link delay differences, arrival angles, and complex
 gains), maps it onto position/orientation through the geometric Jacobian,
 and removes nuisance parameters with a Schur complement. A central-finite-
 difference twin of the channel FIM serves as a numerical oracle for the
-analytic derivatives.
+analytic derivatives. The three stages are kernels over a stack of
+placements with equal link counts (:func:`channel_fims`,
+:func:`transform_matrices`, :func:`schur_efims`); :func:`fim_channel`,
+:func:`transform_matrix` and :func:`efim_schur` are their one-placement calls.
 
 Parameter layout for L active links, decided by :func:`link_order`: the
 reference link first (the active link of minimum delay, ties broken by
@@ -39,15 +42,23 @@ NUISANCE_COND_LIMIT = 1e12
 def link_order(links: Sequence[Link], reference: int | None = None) -> list[int]:
     """Indices of ``links`` in parameter order: the reference link first, then
     the others in their given (t, r) order. ``reference`` forces a reference
-    link (default: minimum delay, ties by (t, r))."""
+    link (default: minimum delay, ties by (t, r); see :func:`link_orders`)."""
     if len(links) == 0:
         raise NoActiveLinks("cannot parameterize an empty link set")
     if reference is None:
-        reference = min(range(len(links)),
-                        key=lambda i: (links[i].delay, links[i].tx_panel, links[i].rx_panel))
-    elif not 0 <= reference < len(links):
+        return link_orders(*(np.array([[getattr(link, name) for link in links]])
+                             for name in ("delay", "tx_panel", "rx_panel")))[0].tolist()
+    if not 0 <= reference < len(links):
         raise IndexError(f"reference link index {reference} out of range")
     return [reference, *(i for i in range(len(links)) if i != reference)]
+
+
+def link_orders(delay: np.ndarray, t: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Default :func:`link_order` of each row of links given as delays and
+    Tx and Rx panels (n, L): the link of minimum delay, ties broken by
+    (t, r), first, then the others in their given order."""
+    reference = np.lexsort((r, t, delay))[..., :1]
+    return np.argsort(np.arange(delay.shape[-1]) != reference, axis=-1, kind="stable")
 
 
 def link_mean(
@@ -66,55 +77,86 @@ def link_mean(
     the mean does not depend on the symbol.
     """
     count = len(scene.allocation.per_array_sets[link.tx_panel])
-    omega, amps = _subcarriers(scene, link.tx_panel)
-    omega, amps = omega[:count], amps[:count]
+    omega, power = _subcarriers(scene)
+    omega, amps = omega[link.tx_panel, :count], np.sqrt(power[link.tx_panel, :count])
     dist, ang = scene.rx_vehicle.arrays.elements[link.rx_panel]
-    phase, dphase = _element_phases(scene, dist, ang, angle)
+    omega_c = scene.ofdm.omega_c
+    phase = omega_c * dist * np.cos(ang - angle) / SPEED_OF_LIGHT
+    dphase = omega_c * dist * np.sin(ang - angle) / SPEED_OF_LIGHT
     return amps * np.exp(-1j * omega * delay), omega, gain * np.exp(1j * phase), dphase
 
 
-def _subcarriers(scene: Scene, tx_panels) -> tuple[np.ndarray, np.ndarray]:
-    """Baseband angular frequencies and amplitudes of the subcarriers of one
-    Tx array (S_max,) or several (len(tx_panels), S_max); a padded slot has
-    zero amplitude."""
+def _subcarriers(scene: Scene) -> tuple[np.ndarray, np.ndarray]:
+    """Baseband angular frequencies and powers (K, S_max) of the Tx arrays'
+    subcarriers; a padded slot has zero power."""
     alloc = scene.allocation
-    gamma_t = np.array(alloc.array_power_fractions)[tx_panels, None]
-    omega = 2.0 * math.pi * scene.ofdm.subcarrier_spacing * alloc.arrays.indices[tx_panels]
-    return omega, np.sqrt(gamma_t * alloc.arrays.fractions[tx_panels] * scene.ofdm.total_power)
+    gamma_t = np.array(alloc.array_power_fractions)[:, None]
+    omega = 2.0 * math.pi * scene.ofdm.subcarrier_spacing * alloc.arrays.indices
+    return omega, gamma_t * alloc.arrays.fractions * scene.ofdm.total_power
 
 
-def _element_phases(scene: Scene, dist, ang, angle) -> tuple[np.ndarray, np.ndarray]:
-    """Element phases d_i cos(psi_i - theta) omega_c / c and their theta
-    derivatives, for element offsets (d_i, psi_i) and arrival angle theta."""
-    omega_c = scene.ofdm.omega_c
-    return (omega_c * dist * np.cos(ang - angle) / SPEED_OF_LIGHT,
-            omega_c * dist * np.sin(ang - angle) / SPEED_OF_LIGHT)
+# Per subcarrier a link's derivative columns are a (row 0 + omega row 1), its
+# gain columns then divided by h; per element b (row 0 + dphase row 1).
+_FA = np.array([[0.0, 1.0, 1.0, 1j], [-1j, 0.0, 0.0, 0.0]])
+_FB = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1j, 0.0, 0.0]])
 
 
-def _gram(columns: np.ndarray) -> np.ndarray:
-    """Gram matrices F^H F of stacked column sets (..., columns, samples)."""
-    return columns.conj() @ columns.swapaxes(-1, -2)
+def _moment_gram(rows: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    """sum_s w_s f(x_s)^H f(x_s), f(x) = rows[0] + x rows[1], from the
+    moments (..., 3) = sum_s w_s x_s^p, p = 0, 1, 2."""
+    return rows.conj().T @ np.stack((moments[..., :2], moments[..., 1:]), axis=-2) @ rows
 
 
 def _channel_information(scene: Scene, blocks: np.ndarray) -> np.ndarray:
-    """Channel FIM (4L x 4L) from each link's 4 x 4 Gram (real part) of the
-    derivatives of its mean in its own (delay, angle, Re gain, Im gain),
-    stacked (L, 4, 4) in :func:`link_order`.
+    """Channel FIMs (..., 4L, 4L) from each link's 4 x 4 Gram (real part) of
+    the derivatives of its mean in its own (delay, angle, Re gain, Im gain),
+    stacked (..., L, 4, 4) in :func:`link_order`.
 
     Links at different Rx panels or on disjoint subcarrier sets only couple
     through the shared timing offset, so each link's Gram block sits on the
-    diagonal; the offset map then folds the timing offset, which shifts every
-    link's delay, into column 0.
+    diagonal. The timing offset shifts every link's delay, so the offset map
+    O (the identity plus ones at [0::4, 0]) folds it into column 0: O^T J O
+    sums the delay columns into column 0, then the delay rows into row 0.
     """
-    n_links = len(blocks)
+    n_links = blocks.shape[-3]
     n = 4 * n_links
-    j = np.zeros((n, n))
-    diagonal = np.arange(n_links)
-    j.reshape(n_links, 4, n_links, 4)[diagonal, :, diagonal, :] = blocks
-    offset = np.eye(n)
-    offset[0::4, 0] = 1.0
-    j = 2.0 * scene.ofdm.n_symbols / scene.noise_variance * (offset.T @ j @ offset)
-    return 0.5 * (j + j.T)
+    j = np.einsum("...kab,kl->...kalb", blocks, np.eye(n_links)).reshape(*blocks.shape[:-3], n, n)
+    j[..., :, 0] = j[..., :, 0::4].sum(axis=-1)
+    j[..., 0, :] = j[..., 0::4, :].sum(axis=-2)
+    j *= 2.0 * scene.ofdm.n_symbols / scene.noise_variance
+    return 0.5 * (j + j.swapaxes(-1, -2))
+
+
+def channel_fims(
+    scene: Scene, t: np.ndarray, r: np.ndarray, angle: np.ndarray, h: np.ndarray
+) -> np.ndarray:
+    """Analytic channel FIMs (n, 4L, 4L) of n placements from their links' Tx
+    and Rx panels, vehicle-frame arrival angles and complex gains (n, L), in
+    :func:`link_order`; ``scene`` is any of the n (they differ only in poses).
+
+    A link's mean is a ⊗ b (:func:`link_mean`), so each of its derivative
+    columns is fa_k ⊗ fb_k, with Fa = [-1j omega a, a, a/h, 1j a/h] and
+    Fb = [b, 1j dphase b, b, b], and its Gram is Re((Fa^H Fa) ∘ (Fb^H Fb)).
+    As |a_s|^2 is the subcarrier power P_s and |b_e| = |h|, these need only
+    the Tx array's moments sum P omega^p (p = 0, 1, 2), |h|^2 and the Rx
+    panel's (N_r, sum dphase, sum dphase^2): no subcarrier or element axis.
+    """
+    omega, power = _subcarriers(scene)
+    # Summed along the contiguous axis, which numpy adds pairwise.
+    tx = _moment_gram(_FA, np.sum(power[:, None] * omega[:, None] ** np.arange(3)[:, None], -1))
+    rx, k = scene.rx_vehicle.arrays, scene.ofdm.omega_c / SPEED_OF_LIGHT
+    # dphase_i = k d_perp_i . u, u = unit_dir(angle), so sum dphase = k u . sum d_perp
+    # and sum dphase^2 = k^2 N_r u^T S u, with S the panel's saaf_matrix.
+    d_perp = np.array([(np.sum(d * np.sin(a)), -np.sum(d * np.cos(a))) for d, a in rx.elements])
+    u = np.stack((np.cos(angle), np.sin(angle)), axis=-1)
+    n_r = rx.n_elements[r]
+    sums = (k * np.sum(d_perp[r] * u, axis=-1),
+            k**2 * n_r * np.einsum("...i,...ij,...j", u, rx.saaf_s[r], u))
+    rx_gram = _moment_gram(_FB, np.stack((n_r, *sums), axis=-1))
+    # |h|^2 times the 1/h of the gain columns: conj(v_k) v_l, v = [h, h, 1, 1].
+    v = np.stack((h, h, np.ones_like(h), np.ones_like(h)), axis=-1)
+    weight = v.conj()[..., :, None] * v[..., None, :]
+    return _channel_information(scene, (weight * tx[t] * rx_gram).real)
 
 
 def fim_channel(
@@ -125,35 +167,11 @@ def fim_channel(
 ) -> np.ndarray:
     """Analytic Fisher information of the channel parameters (4L x 4L), in
     the :func:`link_order` layout; ``reference`` forces a reference link.
-
-    A link's mean is a ⊗ b (:func:`link_mean`), so each of its derivative
-    columns is fa_k ⊗ fb_k, with Fa = [-1j omega a, a, a/h, 1j a/h] and
-    Fb = [b, 1j dphase b, b, b], and its Gram is Re((Fa^H Fa) ∘ (Fb^H Fb)).
-    Every link's factors are formed in one pass, on subcarrier and element
-    axes zero-padded to the largest set; zero entries add nothing to a Gram.
-    """
+    The one-placement call of :func:`channel_fims`."""
     order = link_order(links, reference)
-    ordered = [links[i] for i in order]
-    delay = np.array([link.delay for link in ordered])
-    angle = np.array([link.theta_R_local for link in ordered])
-    h = np.array([gains[i].h for i in order])[:, None]
-
-    omega, amps = _subcarriers(scene, [link.tx_panel for link in ordered])
-    a = amps * np.exp(-1j * omega * (delay - delay[0])[:, None])
-    a_h = a / h
-    fa = np.stack((-1j * omega * a, a, a_h, 1j * a_h), axis=1)
-
-    rx = scene.rx_vehicle.arrays
-    elements = np.zeros((2, len(rx.elements), rx.n_elements.max()))
-    for r, panel in enumerate(rx.elements):
-        elements[:, r, :panel.shape[1]] = panel
-    rx_panels = [link.rx_panel for link in ordered]
-    phase, dphase = _element_phases(scene, *elements[:, rx_panels], angle[:, None])
-    present = np.arange(elements.shape[2]) < rx.n_elements[rx_panels, None]
-    b = np.where(present, h * np.exp(1j * phase), 0.0)
-    fb = np.stack((b, 1j * dphase * b, b, b), axis=1)
-
-    return _channel_information(scene, (_gram(fa) * _gram(fb)).real)
+    t, r, angle = (np.array([[getattr(links[i], name) for i in order]])
+                   for name in ("tx_panel", "rx_panel", "theta_R_local"))
+    return channel_fims(scene, t, r, angle, np.array([[gains[i].h for i in order]]))[0]
 
 
 def fim_channel_fd(
@@ -193,11 +211,13 @@ def fim_channel_fd(
     return _channel_information(scene, np.array(blocks))
 
 
-def transform_matrix(
-    scene: Scene, links: Sequence[Link], variant: str, reference: int | None = None
+def transform_matrices(
+    v_tau: np.ndarray, v_theta: np.ndarray, distance: np.ndarray, variant: str
 ) -> np.ndarray:
-    """Geometric Jacobian from channel parameters (columns, :func:`link_order`
-    layout) to estimation parameters (rows, [q_x, q_y, alpha_T] first).
+    """Geometric Jacobians (n, R, 4L) from channel parameters (columns,
+    :func:`link_order` layout) to estimation parameters (rows, [q_x, q_y,
+    alpha_T] first), from the links' delay and angle information vectors
+    (n, L, 3) (:func:`link_info_vectors`) and distances (n, L) in link order.
 
     Angles carry geometry in both variants, delay differences only under
     AOA_TDOA; every other channel parameter (the timing offset, the gains
@@ -206,49 +226,64 @@ def transform_matrix(
     """
     if variant not in (AOA_TDOA, AOA_ONLY):
         raise ValueError(f"unknown variant {variant!r}")
-    order = link_order(links, reference)
-    v_tau, v_theta, _ = link_info_vectors(scene, links)
-    distance = np.array([link.distance for link in links])
-    n = 4 * len(order)
-    geometric = np.zeros(n, dtype=bool)
-    t_po = np.zeros((3, n))
-    geometric[1::4] = True
-    t_po[:, 1::4] = (v_theta[order] / distance[order, None]).T
+    n = 4 * distance.shape[-1]
+    t_po = np.zeros(distance.shape[:-1] + (3, n))
+    t_po[..., 1::4] = (v_theta / distance[..., None]).swapaxes(-1, -2)
+    geometric = np.arange(n) % 4 == 1
     if variant == AOA_TDOA:
+        delay_rows = (v_tau[..., 1:, :] - v_tau[..., :1, :]) / SPEED_OF_LIGHT
+        t_po[..., 4::4] = delay_rows.swapaxes(-1, -2)
         geometric[4::4] = True
-        t_po[:, 4::4] = ((v_tau[order[1:]] - v_tau[order[0]]) / SPEED_OF_LIGHT).T
-    return np.vstack((t_po, np.eye(n)[~geometric]))
+    nuisance = np.eye(n)[~geometric]
+    return np.concatenate((t_po, np.broadcast_to(nuisance, t_po.shape[:-2] + nuisance.shape)), -2)
 
 
-def efim_schur(j_phi: np.ndarray, t_matrix: np.ndarray) -> FimResult:
-    """Schur-complement EFIM over position and orientation, from the channel
-    FIM and a :func:`transform_matrix` (rows [:3] geometric, [3:] nuisance).
+def transform_matrix(
+    scene: Scene, links: Sequence[Link], variant: str, reference: int | None = None
+) -> np.ndarray:
+    """Geometric Jacobian (R x 4L) of one placement's links, the one-placement
+    call of :func:`transform_matrices`."""
+    ordered = [links[i] for i in link_order(links, reference)]
+    v_tau, v_theta, _ = link_info_vectors(scene, ordered)
+    distance = np.array([[link.distance for link in ordered]])
+    return transform_matrices(v_tau[None], v_theta[None], distance, variant)[0]
+
+
+def schur_efims(j_phi: np.ndarray, t_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Schur-complement EFIMs (n, 3, 3) over position and orientation, and
+    nuisance-singular flags (n,), from channel FIMs (n, 4L, 4L) and
+    :func:`transform_matrices` (rows [:3] geometric, [3:] nuisance).
 
     The nuisance information block is Jacobi-equilibrated before the
     condition check so that the mixed parameter units (seconds, radians,
-    linear gains) do not masquerade as degeneracy; a genuinely singular
-    block raises NuisanceSingular rather than being pseudo-inverted.
+    linear gains) do not masquerade as degeneracy. A flagged block has a
+    non-positive diagonal entry or a condition above NUISANCE_COND_LIMIT.
     """
-    t_po, t_np = t_matrix[:3], t_matrix[3:]
-    a = t_po @ j_phi @ t_po.T
-    b = t_po @ j_phi @ t_np.T
-    n = t_np @ j_phi @ t_np.T
-    n = 0.5 * (n + n.T)
-    diag = np.diag(n).copy()
-    if np.any(diag <= 0.0):
-        raise NuisanceSingular("nuisance block has a non-positive diagonal entry")
-    scale = np.sqrt(diag)
-    n_eq = n / np.outer(scale, scale)
+    full = t_matrix @ j_phi @ t_matrix.swapaxes(-1, -2)
+    a, b, n = full[..., :3, :3], full[..., :3, 3:], full[..., 3:, 3:]
+    n = 0.5 * (n + n.swapaxes(-1, -2))
+    diag = n.diagonal(0, -2, -1)
+    positive = np.all(diag > 0.0, axis=-1)
+    scale = np.sqrt(np.where(positive[..., None], diag, 1.0))
+    n_eq = n / (scale[..., :, None] * scale[..., None, :])
     eigvals = np.linalg.eigvalsh(n_eq)
-    if eigvals[0] <= 0.0 or eigvals[-1] / eigvals[0] > NUISANCE_COND_LIMIT:
-        cond = math.inf if eigvals[0] <= 0.0 else eigvals[-1] / eigvals[0]
-        raise NuisanceSingular(
-            f"nuisance block condition {cond:.3e} exceeds the invertibility limit"
-        )
-    b_eq = b / scale[None, :]
-    correction = b_eq @ np.linalg.solve(n_eq, b_eq.T)
-    j_po = a - correction
-    return bounds_from_fim(0.5 * (j_po + j_po.T))
+    regular = positive & (eigvals[..., 0] > 0.0) & (
+        eigvals[..., -1] <= NUISANCE_COND_LIMIT * eigvals[..., 0])
+    b_eq = b / scale[..., None, :]
+    # The right-hand side stays (..., M, 3), a stack of matrices on every numpy.
+    n_eq = np.where(regular[..., None, None], n_eq, np.eye(n.shape[-1]))
+    j_po = a - b_eq @ np.linalg.solve(n_eq, b_eq.swapaxes(-1, -2))
+    return 0.5 * (j_po + j_po.swapaxes(-1, -2)), ~regular
+
+
+def efim_schur(j_phi: np.ndarray, t_matrix: np.ndarray) -> FimResult:
+    """Schur-complement EFIM of one placement (:func:`schur_efims`); a
+    singular nuisance block raises NuisanceSingular rather than being
+    pseudo-inverted."""
+    j_po, singular = schur_efims(j_phi[None], t_matrix[None])
+    if singular[0]:
+        raise NuisanceSingular("nuisance block is singular or beyond NUISANCE_COND_LIMIT")
+    return bounds_from_fim(j_po[0])
 
 
 def efim_general(

@@ -206,24 +206,17 @@ def calibrated_scene(preset: PresetConfig, q: Vec2, alpha_t: float = 0.0) -> Sce
     return build_scene(preset, q, alpha_t=alpha_t, total_power=calibrated_power(preset))
 
 
-def evaluate_points(
-    preset: PresetConfig,
-    q: np.ndarray | Sequence[tuple[float, float]],
-    alpha_t: float | np.ndarray = 0.0,
-    measurements: Sequence[Measurement] = ("aoa_tdoa", "aoa"),
-) -> list[SweepRow]:
-    """Bounds for an (N, 2) array of placements q in one numpy pass.
-
-    ``alpha_t`` is the Tx heading, per row or one for all; the Rx heading is
-    0. Rows without LOS links, and measurement sets left out, get +inf. The
-    visibility test, EFIM assembly and bounds are the Scene-level API's.
-    """
+def placement_efims(
+    preset: PresetConfig, q: np.ndarray, alpha_t: float | np.ndarray = 0.0
+) -> tuple[np.ndarray, ...]:
+    """The EFIM assembly of :func:`evaluate_points` for placements q (N, 2)
+    and Tx headings alpha_t (per row or one for all): the Tx and Rx panel
+    centroids (N, K, 2), the (N, Kt, Kr) LOS mask, and the AOA-only and
+    AOA+TDOA EFIMs (N, 3, 3), zero without links. The visibility test and
+    EFIM assembly are the Scene-level API's."""
     ctx = preset_context(preset)
     ofdm, arrays = ctx.ofdm, ctx.vehicle.arrays
-    q = np.asarray(q, dtype=float).reshape(-1, 2)
     n, k = len(q), len(ctx.vehicle.panels)
-    if not (np.isfinite(q).all() and np.isfinite(alpha_t).all()):
-        raise ValueError("placements and Tx headings must be finite")
     heading = wrap_angles(np.broadcast_to(np.asarray(alpha_t, dtype=float), (n,)))
     tx_c, rx_c, visible = visibility(arrays, (np.zeros((n, 2)), heading),
                                      arrays, (q, np.zeros(n)))
@@ -240,14 +233,34 @@ def evaluate_points(
         *(a.reshape(n, k * k, *a.shape[3:]) for a in (*vectors, g, distance)),
         np.repeat(ctx.betas, k), ofdm.omega_c,
     )
-    unused = np.full((n, 3), np.inf)
-    both = bound_arrays(j_both)[2] if "aoa_tdoa" in measurements else unused
-    aoa = bound_arrays(j_aoa)[2] if "aoa" in measurements else unused
+    return tx_c, rx_c, visible, j_aoa, j_both
+
+
+def evaluate_points(
+    preset: PresetConfig,
+    q: np.ndarray | Sequence[tuple[float, float]],
+    alpha_t: float | np.ndarray = 0.0,
+    measurements: Sequence[Measurement] = ("aoa_tdoa", "aoa"),
+) -> list[SweepRow]:
+    """Bounds for an (N, 2) array of placements q in one numpy pass.
+
+    ``alpha_t`` is the Tx heading, per row or one for all; the Rx heading is
+    0. Rows without LOS links, and measurement sets left out, get +inf. One
+    bound extraction covers every requested set's :func:`placement_efims`.
+    """
+    q = np.asarray(q, dtype=float).reshape(-1, 2)
+    if not (np.isfinite(q).all() and np.isfinite(alpha_t).all()):
+        raise ValueError("placements and Tx headings must be finite")
+    _, _, visible, j_aoa, j_both = placement_efims(preset, q, alpha_t)
+    bounds = np.full((2, len(q), 3), np.inf)
+    wanted = [i for i, m in enumerate(("aoa_tdoa", "aoa")) if m in measurements]
+    if wanted:
+        bounds[wanted] = bound_arrays(np.stack((j_both, j_aoa))[wanted])[2]
     return [
         SweepRow(q_x, q_y, abs(q_y) - preset.vehicle_length, n_links,
                  lat_both, lon_both, lat_aoa, lon_aoa, oeb_both, oeb_aoa)
         for (q_x, q_y), n_links, (lat_both, lon_both, oeb_both), (lat_aoa, lon_aoa, oeb_aoa)
-        in zip(q.tolist(), visible.sum(axis=(1, 2)).tolist(), both.tolist(), aoa.tolist())
+        in zip(q.tolist(), visible.sum(axis=(1, 2)).tolist(), *bounds.tolist())
     ]
 
 

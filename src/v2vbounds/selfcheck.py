@@ -2,7 +2,12 @@
 
 Scenes are drawn with a fixed, documented seed (SELFCHECK_SEED) from an
 annulus of relative positions 5..40 m around the Tx vehicle with a uniform
-random Tx heading, so every run checks the same scene family.
+random Tx heading, so every run checks the same scene family. The draws come
+in blocks with one visibility call per block and preset, accepted in order
+(:func:`random_placements`). The closed-form vs Schur suite checks the EFIM
+assembly behind every sweep row (``scenarios.placement_efims``) against the
+batched Schur kernels, on those scenes and on each preset's fixed edge set
+(:func:`edge_placements`): bumper overlap, short gaps, blocked-sector edges.
 """
 
 from __future__ import annotations
@@ -13,20 +18,14 @@ import time
 
 import numpy as np
 
-from .channel import link_gains
-from .errors import NoActiveLinks
-from .fim_closed import efim_aoa_only, efim_aoa_tdoa
+from .channel import free_space_gain, link_gains
+from .fim_closed import link_vectors
 from .fim_general import (
-    AOA_ONLY,
-    AOA_TDOA,
-    efim_general,
-    efim_schur,
-    fim_channel,
-    fim_channel_fd,
-    transform_matrix,
+    AOA_ONLY, AOA_TDOA, channel_fims, efim_general, fim_channel, fim_channel_fd, link_orders,
+    schur_efims, transform_matrices,
 )
-from .geometry import Vec2, active_links
-from .scenarios import PRESETS, PresetConfig, calibrated_scene, preset_context
+from .geometry import SPEED_OF_LIGHT, Vec2, active_links
+from .scenarios import PRESETS, PresetConfig, calibrated_scene, placement_efims, preset_context
 
 SELFCHECK_SEED = 20240311
 
@@ -34,25 +33,45 @@ CLOSED_VS_SCHUR_TOL = 1e-8
 ANALYTIC_VS_FD_TOL = 1e-5
 REFERENCE_INVARIANCE_TOL = 1e-10
 
-
-def random_placement(rng: np.random.Generator) -> tuple[Vec2, float]:
-    """Relative position in a 5..40 m annulus plus a random Tx heading."""
-    radius = rng.uniform(5.0, 40.0)
-    angle = rng.uniform(-math.pi, math.pi)
-    alpha_t = rng.uniform(-math.pi, math.pi)
-    return Vec2(radius * math.cos(angle), radius * math.sin(angle)), alpha_t
+# Scenes per call of the Schur kernels, which bounds their (n, 4L, 4L) stacks.
+_SCHUR_CHUNK = 8
 
 
-def random_scene(rng: np.random.Generator, preset: PresetConfig):
-    """Calibrated scene at a random placement that has at least one link."""
-    while True:
-        q, alpha_t = random_placement(rng)
-        scene = calibrated_scene(preset, q, alpha_t=alpha_t)
-        try:
-            links = active_links(scene)
-        except NoActiveLinks:
-            continue
-        return scene, links
+def random_placements(
+    rng: np.random.Generator, presets: list[PresetConfig], n_scenes: int
+) -> list[tuple[PresetConfig, np.ndarray, float]]:
+    """The first n_scenes drawn placements (preset, q, alpha_t) with a link,
+    scene i under presets[i % len(presets)]. Each draw takes a radius, a
+    bearing and a Tx heading from the stream, so the scenes are those of
+    drawing one placement at a time and redrawing those without a link."""
+    accepted = []
+    while len(accepted) < n_scenes:  # each block draws one placement per missing scene
+        radius, bearing, alpha_t = rng.uniform([5.0, -math.pi, -math.pi], [40.0, math.pi, math.pi],
+                                               size=(n_scenes - len(accepted), 3)).T
+        q = np.column_stack((radius * np.cos(bearing), radius * np.sin(bearing)))
+        linked = [placement_efims(p, q, alpha_t)[2].any(axis=(1, 2)) for p in presets]
+        for j in range(len(q)):
+            i = len(accepted) % len(presets)
+            if linked[i][j]:
+                accepted.append((presets[i], q[j], float(alpha_t[j])))
+    return accepted
+
+
+def edge_placements(preset: PresetConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Placements q (M, 2) and Tx headings (M,) that the annulus never reaches:
+    overtaking at q_y in {0, +-0.5, +-2.25, +-length}, platooning at gaps
+    0.25..1 m, and Tx headings pi/4 and atan2(width, length) with the Rx rear
+    left panel 8 m ahead of the Tx front right corner along the Tx's right
+    side, so the link from the Tx rear right panel lies on its sector edge."""
+    length, width = preset.vehicle_length, preset.vehicle_width
+    q = [(-preset.lane_width, y) for y in (0.0, 0.5, -0.5, 2.25, -2.25, length, -length)]
+    q += [(0.0, -(length + gap)) for gap in (0.25, 0.5, 0.75, 1.0)]
+    headings, y = [0.0] * len(q), length / 2.0 + 8.0
+    for heading in (math.pi / 4.0, math.atan2(width, length)):
+        c, s = math.cos(heading), math.sin(heading)
+        q.append((c * width / 2.0 - s * y + width / 2.0, s * width / 2.0 + c * y + length / 2.0))
+        headings.append(heading)
+    return np.array(q), np.array(headings)
 
 
 def relative_frobenius(a: np.ndarray, b: np.ndarray) -> float:
@@ -71,29 +90,57 @@ def equilibrated_frobenius(a: np.ndarray, b: np.ndarray) -> float:
     return relative_frobenius(a * weight, b * weight)
 
 
+def _schur_efims(
+    preset: PresetConfig, tx_c: np.ndarray, rx_c: np.ndarray, visible: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Schur-path EFIMs (2, n, 3, 3) and nuisance-singular flags (2, n),
+    AOA+TDOA then AOA-only, of n placements with equal link counts, from
+    their panel centroids and LOS masks. Each link's geometry, gain and
+    information vectors are rebuilt here, in link_order, from the centroids."""
+    n = len(visible)
+    _, t, r = (index.reshape(n, -1) for index in np.nonzero(visible))  # (t, r) order
+    rows = np.arange(n)[:, None]
+    offset = rx_c[rows, r] - tx_c[rows, t]
+    order = link_orders(np.hypot(offset[..., 0], offset[..., 1]) / SPEED_OF_LIGHT, t, r)
+    t, r = np.take_along_axis(t, order, axis=1), np.take_along_axis(r, order, axis=1)
+    offset = rx_c[rows, r] - tx_c[rows, t]
+    distance = np.hypot(offset[..., 0], offset[..., 1])
+    ctx = preset_context(preset)
+    v_tau, v_theta, _ = link_vectors(offset / distance[..., None], tx_c[rows, t], np.zeros(()),
+                                     ctx.vehicle.arrays.saaf_s[r])
+    # Any scene of the preset: the kernel reads its waveform, allocation and Rx panels.
+    j_phi = channel_fims(calibrated_scene(preset, Vec2(0.0, 0.0)), t, r,
+                         np.arctan2(offset[..., 1], offset[..., 0]),
+                         free_space_gain(distance, ctx.ofdm.wavelength))
+    schur = [schur_efims(j_phi, transform_matrices(v_tau, v_theta, distance, variant))
+             for variant in (AOA_TDOA, AOA_ONLY)]
+    return tuple(np.stack(parts) for parts in zip(*schur))
+
+
 def closed_vs_schur_errors(
     n_scenes: int = 100, seed: int = SELFCHECK_SEED
 ) -> tuple[float, float]:
-    """Max relative Frobenius error of the closed forms vs the Schur path."""
-    rng = np.random.default_rng(seed)
+    """Max relative Frobenius error, AOA+TDOA and AOA-only, of the batched
+    closed-form EFIMs vs the Schur path over n_scenes seeded scenes and both
+    presets' edge sets; a singular nuisance block counts as inf."""
     presets = [PRESETS["cfg_3p5GHz"], PRESETS["cfg_28GHz"]]
-    worst_both = 0.0
-    worst_aoa = 0.0
-    for i in range(n_scenes):
-        preset = presets[i % len(presets)]
-        scene, links = random_scene(rng, preset)
-        gains = link_gains(scene, links)
-        betas = preset_context(preset).betas
-        j_phi = fim_channel(scene, links, gains)
-
-        closed_both = efim_aoa_tdoa(scene, links, gains, betas)
-        schur_both = efim_schur(j_phi, transform_matrix(scene, links, AOA_TDOA))
-        worst_both = max(worst_both, relative_frobenius(closed_both.j_po, schur_both.j_po))
-
-        closed_aoa = efim_aoa_only(scene, links, gains)
-        schur_aoa = efim_schur(j_phi, transform_matrix(scene, links, AOA_ONLY))
-        worst_aoa = max(worst_aoa, relative_frobenius(closed_aoa.j_po, schur_aoa.j_po))
-    return worst_both, worst_aoa
+    drawn = random_placements(np.random.default_rng(seed), presets, n_scenes)
+    worst = np.zeros(2)
+    for preset in presets:
+        edge_q, edge_alpha = edge_placements(preset)
+        q = np.array([q for p, q, _ in drawn if p is preset] + edge_q.tolist())
+        alpha_t = np.array([a for p, _, a in drawn if p is preset] + edge_alpha.tolist())
+        tx_c, rx_c, visible, j_aoa, j_both = placement_efims(preset, q, alpha_t)
+        n_links = visible.sum(axis=(1, 2))
+        for count in sorted(set(n_links.tolist())):
+            group = np.flatnonzero(n_links == count)
+            for chunk in np.split(group, range(_SCHUR_CHUNK, len(group), _SCHUR_CHUNK)):
+                j_po, singular = _schur_efims(preset, tx_c[chunk], rx_c[chunk], visible[chunk])
+                closed = np.stack((j_both[chunk], j_aoa[chunk]))
+                error = (np.linalg.norm(closed - j_po, axis=(-2, -1))
+                         / np.linalg.norm(closed, axis=(-2, -1)))
+                worst = np.maximum(worst, np.where(singular, math.inf, error).max(axis=1))
+    return float(worst[0]), float(worst[1])
 
 
 def analytic_vs_fd_errors(n_scenes: int = 20, seed: int = SELFCHECK_SEED) -> float:
@@ -103,15 +150,14 @@ def analytic_vs_fd_errors(n_scenes: int = 20, seed: int = SELFCHECK_SEED) -> flo
     Uses a narrower subcarrier grid than the full presets; the derivative
     structure is identical and the finite-difference sweep stays fast.
     """
-    rng = np.random.default_rng(seed)
     worst = 0.0
     light = [
         dataclasses.replace(PRESETS["cfg_3p5GHz"], name="fd_3p5", max_occupied_index=30),
         dataclasses.replace(PRESETS["cfg_28GHz"], name="fd_28", max_occupied_index=30),
     ]
-    for i in range(n_scenes):
-        preset = light[i % len(light)]
-        scene, links = random_scene(rng, preset)
+    for preset, q, alpha_t in random_placements(np.random.default_rng(seed), light, n_scenes):
+        scene = calibrated_scene(preset, Vec2(*q), alpha_t=alpha_t)
+        links = active_links(scene)
         gains = link_gains(scene, links)
         analytic = fim_channel(scene, links, gains)
         fd = fim_channel_fd(scene, links, gains)
@@ -121,8 +167,10 @@ def analytic_vs_fd_errors(n_scenes: int = 20, seed: int = SELFCHECK_SEED) -> flo
 
 def reference_invariance_error(seed: int = SELFCHECK_SEED) -> float:
     """Max relative deviation of the Schur EFIM over all reference choices."""
-    rng = np.random.default_rng(seed)
-    scene, links = random_scene(rng, PRESETS["cfg_3p5GHz"])
+    [(preset, q, alpha_t)] = random_placements(np.random.default_rng(seed),
+                                               [PRESETS["cfg_3p5GHz"]], 1)
+    scene = calibrated_scene(preset, Vec2(*q), alpha_t=alpha_t)
+    links = active_links(scene)
     gains = link_gains(scene, links)
     j_po = [efim_general(scene, links, gains, AOA_TDOA, reference=ref).j_po
             for ref in range(len(links))]

@@ -1,9 +1,9 @@
 """Brute-force reference constructions that only the tests use as oracles.
 
-Each one builds a quantity the package computes in factorised or batched
-form the long way, from the model objects alone (the allocation's dicts and
-tuples, the panels' element offsets), so a comparison checks the shortcut
-and not a shared helper.
+Each one builds a quantity the package computes in moment or batched form
+the long way, from the model objects alone (the allocation's dicts and
+tuples, the panels' element offsets, one placement at a time), so a
+comparison checks the shortcut and not a shared helper.
 """
 
 from __future__ import annotations
@@ -12,8 +12,10 @@ import math
 
 import numpy as np
 
+from v2vbounds.errors import NoActiveLinks
 from v2vbounds.fim_general import link_order
-from v2vbounds.geometry import SPEED_OF_LIGHT
+from v2vbounds.geometry import SPEED_OF_LIGHT, Vec2, active_links
+from v2vbounds.scenarios import calibrated_scene
 
 
 def link_samples(scene, link, delay, angle, gain):
@@ -56,3 +58,25 @@ def brute_force_fim_channel(scene, links, gains, reference=None):
     offset[0::4, 0] = 1.0
     j = 2.0 * scene.ofdm.n_symbols / scene.noise_variance * (offset.T @ j @ offset)
     return 0.5 * (j + j.T)
+
+
+def sequential_placements(rng, presets, n_scenes):
+    """The selfcheck's scenes drawn one placement at a time: scene i under
+    presets[i % len(presets)] is the first draw (radius, bearing, Tx heading)
+    whose calibrated scene has a link, as (preset, q, alpha_t)."""
+    accepted = []
+    for i in range(n_scenes):
+        preset = presets[i % len(presets)]
+        while True:
+            radius = rng.uniform(5.0, 40.0)
+            bearing = rng.uniform(-math.pi, math.pi)
+            alpha_t = rng.uniform(-math.pi, math.pi)
+            q = Vec2(radius * math.cos(bearing), radius * math.sin(bearing))
+            scene = calibrated_scene(preset, q, alpha_t=alpha_t)
+            try:
+                active_links(scene)
+            except NoActiveLinks:
+                continue
+            accepted.append((preset, q.as_tuple(), scene.tx_pose.orientation))
+            break
+    return accepted

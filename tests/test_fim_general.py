@@ -10,21 +10,28 @@ from hypothesis import strategies as st
 
 from v2vbounds.channel import link_gains
 from v2vbounds.errors import NoActiveLinks, NuisanceSingular
-from v2vbounds.fim_closed import efim_aoa_only, efim_aoa_tdoa
+from v2vbounds.fim_closed import efim_aoa_only, efim_aoa_tdoa, link_info_vectors
 from v2vbounds.fim_general import (
     AOA_ONLY,
     AOA_TDOA,
+    channel_fims,
     efim_general,
     efim_schur,
     fim_channel,
     fim_channel_fd,
     link_mean,
     link_order,
+    schur_efims,
+    transform_matrices,
     transform_matrix,
 )
-from v2vbounds.geometry import Pose, Vec2, active_links, link_geometry, wrap_angle
+from v2vbounds.geometry import (
+    SPEED_OF_LIGHT, Pose, Vec2, active_links, link_geometry, wrap_angles,
+)
 from v2vbounds.scenarios import PRESETS, calibrated_scene
-from v2vbounds.selfcheck import equilibrated_frobenius, relative_frobenius
+from v2vbounds.selfcheck import (
+    SELFCHECK_SEED, equilibrated_frobenius, random_placements, relative_frobenius,
+)
 from v2vbounds.waveform import effective_bandwidths
 
 from conftest import open_panel, small_scene
@@ -41,6 +48,17 @@ def medium_scene():
     links = active_links(scene)
     gains = link_gains(scene, links)
     return scene, links, gains
+
+
+def sampled_scenes(preset, n_scenes):
+    """(scene, links, gains) at the selfcheck's first n_scenes placements."""
+    samples = []
+    for _, q, alpha_t in random_placements(np.random.default_rng(SELFCHECK_SEED), [preset],
+                                           n_scenes):
+        scene = calibrated_scene(preset, Vec2(*q), alpha_t=alpha_t)
+        links = active_links(scene)
+        samples.append((scene, links, link_gains(scene, links)))
+    return samples
 
 
 class TestMeanVector:
@@ -142,7 +160,7 @@ def assert_matches_oracle(scene):
 
 
 class TestFactorisedGram:
-    """fim_channel's batched Re(Ga o Gb) against the per-link derivative stack."""
+    """fim_channel's moment-form Re(Ga o Gb) against the per-link derivative stack."""
 
     def test_small_scenes(self):
         for kwargs in ({}, dict(n_tx_panels=3, n_rx_panels=2, n_elements=3, n_occupied=10),
@@ -298,48 +316,36 @@ class TestTransformMatrix:
             np.array([lk.theta_R_local for lk in links]),
         )
 
-    def test_entries_match_fd_of_geometry(self):
-        scene = small_scene(n_tx_panels=2, n_rx_panels=2, n_elements=2)
-        links = active_links(scene)
-        gains = link_gains(scene, links)
+    def _assert_rows_match_fd(self, scene, links):
+        """transform_matrix's geometric rows equal central differences of the
+        link_geometry delay differences and local angles over (q_x, q_y,
+        alpha_T)."""
         t_mat = transform_matrix(scene, links, AOA_TDOA)
         pairs = [(links[i].tx_panel, links[i].rx_panel) for i in link_order(links)]
         q0 = scene.rx_pose.position
         alpha0 = scene.tx_pose.orientation
-        h_pos = 1e-5
-        h_ang = 1e-7
+        for row, (dq, da, h) in enumerate(((Vec2(1.0, 0.0), 0.0, 1e-5),
+                                           (Vec2(0.0, 1.0), 0.0, 1e-5),
+                                           (Vec2(0.0, 0.0), 1.0, 1e-7))):
+            taus_p, thetas_p = self._pair_geometry(scene, pairs, q0 + dq * h, alpha0 + da * h)
+            taus_m, thetas_m = self._pair_geometry(scene, pairs, q0 + dq * -h, alpha0 - da * h)
+            dtheta = wrap_angles(thetas_p - thetas_m) / (2.0 * h)
+            # Delay columns in meters (times c).
+            dtau = (taus_p - taus_m) / (2.0 * h) * SPEED_OF_LIGHT
+            angle_err = np.abs(t_mat[row, 1::4] - dtheta)
+            delay_err = np.abs(t_mat[row, 4::4] * SPEED_OF_LIGHT - dtau[1:])
+            assert np.all(angle_err < 1e-6 * np.maximum(1.0, np.abs(dtheta)))
+            assert np.all(delay_err < 1e-6 * np.maximum(1.0, np.abs(dtau[1:])))
 
-        def fd(delta_q, delta_alpha, h):
-            taus_p, thetas_p = self._pair_geometry(
-                scene, pairs, q0 + delta_q * h, alpha0 + delta_alpha * h
-            )
-            taus_m, thetas_m = self._pair_geometry(
-                scene, pairs, q0 + delta_q * (-h), alpha0 - delta_alpha * h
-            )
-            dtau = (taus_p - taus_m) / (2.0 * h)
-            dtheta = np.array(
-                [wrap_angle(a - b) for a, b in zip(thetas_p, thetas_m)]
-            ) / (2.0 * h)
-            return dtau, dtheta
+    def test_entries_match_fd_of_geometry(self):
+        scene = small_scene(n_tx_panels=2, n_rx_panels=2, n_elements=2)
+        self._assert_rows_match_fd(scene, active_links(scene))
 
-        for row, (dq, da, h) in enumerate(
-            (
-                (Vec2(1.0, 0.0), 0.0, h_pos),
-                (Vec2(0.0, 1.0), 0.0, h_pos),
-                (Vec2(0.0, 0.0), 1.0, h_ang),
-            )
-        ):
-            dtau, dtheta = fd(dq, da, h)
-            for position in range(len(links)):
-                assert abs(t_mat[row, 4 * position + 1] - dtheta[position]) < 1e-6 * max(
-                    1.0, abs(dtheta[position])
-                )
-                if position > 0:
-                    # Delay columns: scale by c to compare in meters.
-                    c = 299792458.0
-                    assert abs(
-                        t_mat[row, 4 * position] - dtau[position]
-                    ) * c < 1e-6 * max(1.0, abs(dtau[position]) * c)
+    @pytest.mark.parametrize("preset_name", ["cfg_3p5GHz", "cfg_28GHz"])
+    def test_geometric_rows_match_fd_on_preset_scenes(self, preset_name):
+        # 12 sampled selfcheck scenes per preset, not only one small scene.
+        for scene, links, _ in sampled_scenes(PRESETS[preset_name], 12):
+            self._assert_rows_match_fd(scene, links)
 
     def _links_for_all_pairs(self, scene):
         # Bypass visibility: transform entries are pure geometry.
@@ -486,6 +492,57 @@ class TestSchurEfim:
         t_mat = transform_matrix(scene, links, AOA_ONLY)
         with pytest.raises(NuisanceSingular):
             efim_schur(j_phi, t_mat)
+
+
+class TestBatchedKernels:
+    """channel_fims, transform_matrices and schur_efims over a stack of
+    placements with equal link counts give what their one-placement
+    wrappers give each placement."""
+
+    @pytest.mark.parametrize("preset_name", ["cfg_3p5GHz", "cfg_28GHz"])
+    @pytest.mark.parametrize("forced", [False, True], ids=["default_ref", "forced_ref"])
+    def test_batched_equals_wrapped(self, preset_name, forced):
+        groups = {}
+        for sample in sampled_scenes(PRESETS[preset_name], 40):
+            groups.setdefault(len(sample[1]), []).append(sample)
+        groups = [group for group in groups.values() if len(group) > 1]
+        assert groups
+        for group in groups:
+            reference = len(group[0][1]) - 1 if forced else None
+            ordered = [[(links[i], gains[i]) for i in link_order(links, reference)]
+                       for _, links, gains in group]
+            t, r, angle, distance = (
+                np.array([[getattr(link, name) for link, _ in links] for links in ordered])
+                for name in ("tx_panel", "rx_panel", "theta_R_local", "distance"))
+            h = np.array([[gain.h for _, gain in links] for links in ordered])
+            vectors = [link_info_vectors(scene, [link for link, _ in links])
+                       for (scene, _, _), links in zip(group, ordered)]
+            v_tau, v_theta = (np.array([v[k] for v in vectors]) for k in (0, 1))
+            j_phi = channel_fims(group[0][0], t, r, angle, h)
+            for variant in (AOA_TDOA, AOA_ONLY):
+                t_mat = transform_matrices(v_tau, v_theta, distance, variant)
+                j_po, singular = schur_efims(j_phi, t_mat)
+                assert not singular.any()
+                for k, (scene, links, gains) in enumerate(group):
+                    j_one = fim_channel(scene, links, gains, reference)
+                    t_one = transform_matrix(scene, links, variant, reference)
+                    assert equilibrated_frobenius(j_one, j_phi[k]) < 1e-14
+                    assert np.array_equal(t_one, t_mat[k])
+                    assert rel_frob(efim_schur(j_one, t_one).j_po, j_po[k]) < 1e-14
+
+    def test_singular_placement_flags_only_itself(self):
+        # One subcarrier per Tx array leaves no delay information (see
+        # test_zero_bandwidth_nuisance_singular); stacked with a regular scene
+        # of the same geometry, only that placement is flagged.
+        j_phi, t_mat = [], []
+        for n_occupied in (2, 8):
+            scene = small_scene(n_tx_panels=2, n_rx_panels=2, n_occupied=n_occupied)
+            links = active_links(scene)
+            j_phi.append(fim_channel(scene, links, link_gains(scene, links)))
+            t_mat.append(transform_matrix(scene, links, AOA_ONLY))
+        j_po, singular = schur_efims(np.array(j_phi), np.array(t_mat))
+        assert singular.tolist() == [True, False]
+        assert rel_frob(efim_schur(j_phi[1], t_mat[1]).j_po, j_po[1]) < 1e-14
 
 
 def closed_and_schur(scene):
