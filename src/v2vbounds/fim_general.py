@@ -61,29 +61,43 @@ def link_orders(delay: np.ndarray, t: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.argsort(np.arange(delay.shape[-1]) != reference, axis=-1, kind="stable")
 
 
+def link_means(scene: Scene, t: np.ndarray, r: np.ndarray, delay: np.ndarray, angle: np.ndarray,
+               gain: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Noiseless received samples of links (n, L) from their Tx and Rx panels,
+    delay differences, vehicle-frame arrival angles and complex gains.
+
+    A link's (subcarrier, Rx element) mean is ``a ⊗ b``, ``a`` (n, L, S_max)
+    over the subcarrier slots of ``Allocation.arrays`` and ``b`` (n, L, E_max)
+    over the Rx elements, both zero on padding. Returns ``(a, omega, b,
+    dphase)``: the slots' baseband angular frequencies (the delay derivative
+    of ``a`` is ``-1j * omega * a``) and the angle derivative of the element
+    phases (that of ``b`` is ``1j * dphase * b``). Equal pilot energy on every
+    OFDM symbol makes the mean symbol-independent.
+    """
+    omega, power = _subcarriers(scene)
+    omega, amps = omega[t], np.sqrt(power[t])
+    rx = scene.rx_vehicle.arrays
+    width = rx.n_elements.max()
+    dist, ang = np.stack([np.pad(e, ((0, 0), (0, width - e.shape[1]))) for e in rx.elements],
+                         axis=1)[:, r]
+    angle, omega_c = angle[..., None], scene.ofdm.omega_c
+    phase = omega_c * dist * np.cos(ang - angle) / SPEED_OF_LIGHT
+    dphase = omega_c * dist * np.sin(ang - angle) / SPEED_OF_LIGHT
+    b = np.where(np.arange(width) < rx.n_elements[r][..., None],
+                 gain[..., None] * np.exp(1j * phase), 0.0)
+    return amps * np.exp(-1j * omega * delay[..., None]), omega, b, dphase
+
+
 def link_mean(
     scene: Scene, link: Link, delay: float, angle: float, gain: complex
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Noiseless received samples of one link as a function of its channel
-    parameters: delay difference, vehicle-frame arrival angle and complex gain.
-
-    The (subcarrier, Rx element) mean is the outer product
-    ``np.multiply.outer(a, b)`` of a factor ``a`` over the link's Tx
-    subcarrier set and a factor ``b`` over its Rx elements. Returns ``(a,
-    omega, b, dphase)``: the subcarriers' baseband angular frequencies (the
-    delay derivative of ``a`` is ``-1j * omega * a``) and the angle
-    derivative of the per-element phases (that of ``b`` is ``1j * dphase *
-    b``). The pilot symbols carry the same energy on every OFDM symbol, so
-    the mean does not depend on the symbol.
-    """
+    """One link's :func:`link_means` ``(a, omega, b, dphase)``, sliced to its
+    own subcarriers and Rx elements."""
+    stacks = link_means(scene, *(np.array([[x]]) for x in (
+        link.tx_panel, link.rx_panel, delay, angle, gain)))
     count = len(scene.allocation.per_array_sets[link.tx_panel])
-    omega, power = _subcarriers(scene)
-    omega, amps = omega[link.tx_panel, :count], np.sqrt(power[link.tx_panel, :count])
-    dist, ang = scene.rx_vehicle.arrays.elements[link.rx_panel]
-    omega_c = scene.ofdm.omega_c
-    phase = omega_c * dist * np.cos(ang - angle) / SPEED_OF_LIGHT
-    dphase = omega_c * dist * np.sin(ang - angle) / SPEED_OF_LIGHT
-    return amps * np.exp(-1j * omega * delay), omega, gain * np.exp(1j * phase), dphase
+    n_e = scene.rx_vehicle.arrays.n_elements[link.rx_panel]
+    return tuple(x[0, 0, :size] for x, size in zip(stacks, (count, count, n_e, n_e)))
 
 
 def _subcarriers(scene: Scene) -> tuple[np.ndarray, np.ndarray]:
@@ -159,6 +173,17 @@ def channel_fims(
     return _channel_information(scene, (weight * tx[t] * rx_gram).real)
 
 
+def _link_stacks(
+    links: Sequence[Link], gains: Sequence[LinkGain], reference: int | None = None
+) -> tuple[np.ndarray, ...]:
+    """One placement's (t, r, delay difference, angle, h) as (1, L) stacks in
+    :func:`link_order`, the input of the stacked kernels."""
+    order = link_order(links, reference)
+    t, r, delay, angle = (np.array([[getattr(links[i], name) for i in order]])
+                          for name in ("tx_panel", "rx_panel", "delay", "theta_R_local"))
+    return t, r, delay - delay[:, :1], angle, np.array([[gains[i].h for i in order]])
+
+
 def fim_channel(
     scene: Scene,
     links: Sequence[Link],
@@ -168,10 +193,35 @@ def fim_channel(
     """Analytic Fisher information of the channel parameters (4L x 4L), in
     the :func:`link_order` layout; ``reference`` forces a reference link.
     The one-placement call of :func:`channel_fims`."""
-    order = link_order(links, reference)
-    t, r, angle = (np.array([[getattr(links[i], name) for i in order]])
-                   for name in ("tx_panel", "rx_panel", "theta_R_local"))
-    return channel_fims(scene, t, r, angle, np.array([[gains[i].h for i in order]]))[0]
+    t, r, _, angle, h = _link_stacks(links, gains, reference)
+    return channel_fims(scene, t, r, angle, h)[0]
+
+
+def channel_fims_fd(scene: Scene, t: np.ndarray, r: np.ndarray, delay: np.ndarray,
+                    angle: np.ndarray, h: np.ndarray, step: float = 1e-7) -> np.ndarray:
+    """Central-finite-difference twin of :func:`channel_fims`, from the same
+    (n, L) stacks plus the links' delay differences to the reference link.
+    Each parameter is stepped in the full samples ``a ⊗ b`` of
+    :func:`link_means`, in proportion to its own scale (1/omega_c for the
+    delay, |h| for the gain), so the twin uses no factorisation or moments.
+    """
+    if step <= 0.0:
+        raise ValueError("step must be positive")
+    # One column per parameter: steps (n, L, 4) of delay, angle and gain,
+    # taken both ways in one link_means call on (2, n, L, 4) stacks.
+    d_tau, d_theta = np.eye(4)[:2] * [[step / scene.ofdm.omega_c], [step]]
+    d_h = step * np.abs(h)[..., None] * np.array([0.0, 0.0, 1.0, 1j])
+    sign = np.array([1.0, -1.0])[:, None, None, None]
+    a, _, b, _ = link_means(scene, t[..., None], r[..., None], delay[..., None] + sign * d_tau,
+                            angle[..., None] + sign * d_theta, h[..., None] + sign * d_h)
+    grad = a[0][..., :, None] * b[0][..., None, :]  # (n, L, 4, S_max, E_max)
+    for k in range(4):  # a column at a time keeps the temporary small
+        grad[..., k, :, :] -= a[1][..., k, :, None] * b[1][..., k, None, :]
+    grad = grad.reshape(d_h.shape + (-1,))
+    grad /= 2.0 * np.abs(d_tau + d_theta + d_h)[..., None]
+    # Viewed as (re, im) pairs, g g^T sums Re(conj(g_k) g_l) over the samples.
+    g = grad.view(float)
+    return _channel_information(scene, g @ g.swapaxes(-1, -2))
 
 
 def fim_channel_fd(
@@ -180,35 +230,9 @@ def fim_channel_fd(
     gains: Sequence[LinkGain],
     step: float = 1e-7,
 ) -> np.ndarray:
-    """Central-finite-difference twin of :func:`fim_channel`.
-
-    Each of a link's four parameters is stepped in its full samples
-    ``np.multiply.outer(a, b)`` from :func:`link_mean`, in proportion to its
-    own scale (1/omega_c for the delay, |h| for the gain), so the twin does
-    not rely on the factorisation :func:`fim_channel` uses.
-    """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    order = link_order(links)
-    ref_delay = links[order[0]].delay
-
-    def samples(link, delay, angle, h):
-        a, _, b, _ = link_mean(scene, link, delay, angle, h)
-        return np.multiply.outer(a, b).ravel()
-
-    blocks = []
-    for i in order:
-        link, h = links[i], gains[i].h
-        delay, angle, h_step = link.delay - ref_delay, link.theta_R_local, step * abs(h)
-        columns = []
-        for d_tau, d_theta, d_h in ((step / scene.ofdm.omega_c, 0.0, 0.0), (0.0, step, 0.0),
-                                    (0.0, 0.0, h_step), (0.0, 0.0, 1j * h_step)):
-            plus = samples(link, delay + d_tau, angle + d_theta, h + d_h)
-            minus = samples(link, delay - d_tau, angle - d_theta, h - d_h)
-            columns.append((plus - minus) / (2.0 * abs(d_tau + d_theta + d_h)))
-        grad = np.column_stack(columns)
-        blocks.append((grad.conj().T @ grad).real)
-    return _channel_information(scene, np.array(blocks))
+    """Central-finite-difference twin of :func:`fim_channel`, the
+    one-placement call of :func:`channel_fims_fd`."""
+    return channel_fims_fd(scene, *_link_stacks(links, gains), step)[0]
 
 
 def transform_matrices(

@@ -1,13 +1,16 @@
-"""Internal consistency suites: closed form vs general path, analytic vs FD.
+"""Internal consistency suites: closed form vs general path, analytic vs FD,
+and reference-link invariance, all on the stacked kernels of ``fim_general``.
 
 Scenes are drawn with a fixed, documented seed (SELFCHECK_SEED) from an
 annulus of relative positions 5..40 m around the Tx vehicle with a uniform
 random Tx heading, so every run checks the same scene family. The draws come
 in blocks with one visibility call per block and preset, accepted in order
-(:func:`random_placements`). The closed-form vs Schur suite checks the EFIM
-assembly behind every sweep row (``scenarios.placement_efims``) against the
-batched Schur kernels, on those scenes and on each preset's fixed edge set
-(:func:`edge_placements`): bumper overlap, short gaps, blocked-sector edges.
+(:func:`random_placements`), and their links are rebuilt from the panel
+centroids apart from the Scene path (:func:`_placement_links`). The
+closed-form vs Schur suite checks the EFIM assembly behind every sweep row
+(``scenarios.placement_efims``) against the Schur kernels, on those scenes
+and on each preset's fixed edge set (:func:`edge_placements`): bumper
+overlap, short gaps, blocked-sector edges. A NaN error fails every suite.
 """
 
 from __future__ import annotations
@@ -18,13 +21,13 @@ import time
 
 import numpy as np
 
-from .channel import free_space_gain, link_gains
+from .channel import free_space_gain
 from .fim_closed import link_vectors
 from .fim_general import (
-    AOA_ONLY, AOA_TDOA, channel_fims, efim_general, fim_channel, fim_channel_fd, link_orders,
-    schur_efims, transform_matrices,
+    AOA_ONLY, AOA_TDOA, channel_fims, channel_fims_fd, link_orders, schur_efims,
+    transform_matrices,
 )
-from .geometry import SPEED_OF_LIGHT, Vec2, active_links
+from .geometry import SPEED_OF_LIGHT, Vec2
 from .scenarios import PRESETS, PresetConfig, calibrated_scene, placement_efims, preset_context
 
 SELFCHECK_SEED = 20240311
@@ -33,8 +36,10 @@ CLOSED_VS_SCHUR_TOL = 1e-8
 ANALYTIC_VS_FD_TOL = 1e-5
 REFERENCE_INVARIANCE_TOL = 1e-10
 
-# Scenes per call of the Schur kernels, which bounds their (n, 4L, 4L) stacks.
+# Scenes per call of the Schur kernels, which bounds their (n, 4L, 4L) stacks,
+# and of the FD twin, whose gradient sets the peak RSS (+0.4 MB at 2 per call).
 _SCHUR_CHUNK = 8
+_FD_CHUNK = 1
 
 
 def random_placements(
@@ -74,44 +79,64 @@ def edge_placements(preset: PresetConfig) -> tuple[np.ndarray, np.ndarray]:
     return np.array(q), np.array(headings)
 
 
-def relative_frobenius(a: np.ndarray, b: np.ndarray) -> float:
-    denom = np.linalg.norm(a)
-    if denom == 0.0:
-        return float(np.linalg.norm(a - b))
-    return float(np.linalg.norm(a - b) / denom)
+def relative_frobenius(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """||a - b|| / ||a|| over the last two axes (||a - b|| where a is zero)."""
+    denom = np.linalg.norm(a, axis=(-2, -1))
+    return np.linalg.norm(a - b, axis=(-2, -1)) / np.where(denom == 0.0, 1.0, denom)
 
 
-def equilibrated_frobenius(a: np.ndarray, b: np.ndarray) -> float:
+def equilibrated_frobenius(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """relative_frobenius of D^-1/2 a D^-1/2 and D^-1/2 b D^-1/2, D = diag(a):
     every parameter weighs the same, so the delay entries (~ omega^2) cannot
-    hide an error in the angle or gain entries."""
-    scale = 1.0 / np.sqrt(np.diag(a))
-    weight = np.outer(scale, scale)
+    hide an error in the angle or gain entries. A parameter without
+    information (zero diagonal) keeps scale 1, as in schur_efims."""
+    diag = a.diagonal(0, -2, -1)
+    scale = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    weight = scale[..., :, None] * scale[..., None, :]
     return relative_frobenius(a * weight, b * weight)
 
 
-def _schur_efims(
-    preset: PresetConfig, tx_c: np.ndarray, rx_c: np.ndarray, visible: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Schur-path EFIMs (2, n, 3, 3) and nuisance-singular flags (2, n),
-    AOA+TDOA then AOA-only, of n placements with equal link counts, from
-    their panel centroids and LOS masks. Each link's geometry, gain and
-    information vectors are rebuilt here, in link_order, from the centroids."""
+def _link_count_chunks(visible: np.ndarray, size: int):
+    """Indices of placements with equal link counts, at most size at a time."""
+    n_links = visible.sum(axis=(1, 2))
+    for count in sorted(set(n_links.tolist())):
+        group = np.flatnonzero(n_links == count)
+        yield from np.split(group, range(size, len(group), size))
+
+
+def _placement_links(
+    preset: PresetConfig, tx_c: np.ndarray, rx_c: np.ndarray, visible: np.ndarray,
+    order: np.ndarray | None = None,
+) -> tuple[np.ndarray, ...]:
+    """Links of n placements with equal link counts from their panel centroids
+    and LOS masks, in link_order or in ``order`` (n, L) of their (t, r) order:
+    Tx and Rx panels, Tx centroids and offsets to the Rx centroids (n, L, 2),
+    distances, arrival angles and free-space gains."""
     n = len(visible)
     _, t, r = (index.reshape(n, -1) for index in np.nonzero(visible))  # (t, r) order
     rows = np.arange(n)[:, None]
-    offset = rx_c[rows, r] - tx_c[rows, t]
-    order = link_orders(np.hypot(offset[..., 0], offset[..., 1]) / SPEED_OF_LIGHT, t, r)
+    if order is None:
+        offset = rx_c[rows, r] - tx_c[rows, t]
+        order = link_orders(np.hypot(offset[..., 0], offset[..., 1]) / SPEED_OF_LIGHT, t, r)
     t, r = np.take_along_axis(t, order, axis=1), np.take_along_axis(r, order, axis=1)
     offset = rx_c[rows, r] - tx_c[rows, t]
     distance = np.hypot(offset[..., 0], offset[..., 1])
-    ctx = preset_context(preset)
-    v_tau, v_theta, _ = link_vectors(offset / distance[..., None], tx_c[rows, t], np.zeros(()),
-                                     ctx.vehicle.arrays.saaf_s[r])
+    return (t, r, tx_c[rows, t], offset, distance, np.arctan2(offset[..., 1], offset[..., 0]),
+            free_space_gain(distance, preset_context(preset).ofdm.wavelength))
+
+
+def _schur_efims(
+    preset: PresetConfig, tx_c: np.ndarray, rx_c: np.ndarray, visible: np.ndarray,
+    order: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Schur-path EFIMs (2, n, 3, 3) and nuisance-singular flags (2, n),
+    AOA+TDOA then AOA-only, of n placements with equal link counts, from
+    their links as :func:`_placement_links` rebuilds them."""
+    t, r, tx_at, offset, distance, angle, h = _placement_links(preset, tx_c, rx_c, visible, order)
+    v_tau, v_theta, _ = link_vectors(offset / distance[..., None], tx_at, np.zeros(()),
+                                     preset_context(preset).vehicle.arrays.saaf_s[r])
     # Any scene of the preset: the kernel reads its waveform, allocation and Rx panels.
-    j_phi = channel_fims(calibrated_scene(preset, Vec2(0.0, 0.0)), t, r,
-                         np.arctan2(offset[..., 1], offset[..., 0]),
-                         free_space_gain(distance, ctx.ofdm.wavelength))
+    j_phi = channel_fims(calibrated_scene(preset, Vec2(0.0, 0.0)), t, r, angle, h)
     schur = [schur_efims(j_phi, transform_matrices(v_tau, v_theta, distance, variant))
              for variant in (AOA_TDOA, AOA_ONLY)]
     return tuple(np.stack(parts) for parts in zip(*schur))
@@ -131,50 +156,55 @@ def closed_vs_schur_errors(
         q = np.array([q for p, q, _ in drawn if p is preset] + edge_q.tolist())
         alpha_t = np.array([a for p, _, a in drawn if p is preset] + edge_alpha.tolist())
         tx_c, rx_c, visible, j_aoa, j_both = placement_efims(preset, q, alpha_t)
-        n_links = visible.sum(axis=(1, 2))
-        for count in sorted(set(n_links.tolist())):
-            group = np.flatnonzero(n_links == count)
-            for chunk in np.split(group, range(_SCHUR_CHUNK, len(group), _SCHUR_CHUNK)):
-                j_po, singular = _schur_efims(preset, tx_c[chunk], rx_c[chunk], visible[chunk])
-                closed = np.stack((j_both[chunk], j_aoa[chunk]))
-                error = (np.linalg.norm(closed - j_po, axis=(-2, -1))
-                         / np.linalg.norm(closed, axis=(-2, -1)))
-                worst = np.maximum(worst, np.where(singular, math.inf, error).max(axis=1))
+        for chunk in _link_count_chunks(visible, _SCHUR_CHUNK):
+            j_po, singular = _schur_efims(preset, tx_c[chunk], rx_c[chunk], visible[chunk])
+            error = relative_frobenius(np.stack((j_both[chunk], j_aoa[chunk])), j_po)
+            worst = np.maximum(worst, np.where(singular, math.inf, error).max(axis=1))
     return float(worst[0]), float(worst[1])
 
 
 def analytic_vs_fd_errors(n_scenes: int = 20, seed: int = SELFCHECK_SEED) -> float:
     """Max equilibrated relative Frobenius error (see equilibrated_frobenius)
-    of the analytic channel FIM vs central FD.
+    of the analytic channel FIMs vs their central-FD twin.
 
     Uses a narrower subcarrier grid than the full presets; the derivative
     structure is identical and the finite-difference sweep stays fast.
     """
-    worst = 0.0
     light = [
         dataclasses.replace(PRESETS["cfg_3p5GHz"], name="fd_3p5", max_occupied_index=30),
         dataclasses.replace(PRESETS["cfg_28GHz"], name="fd_28", max_occupied_index=30),
     ]
-    for preset, q, alpha_t in random_placements(np.random.default_rng(seed), light, n_scenes):
-        scene = calibrated_scene(preset, Vec2(*q), alpha_t=alpha_t)
-        links = active_links(scene)
-        gains = link_gains(scene, links)
-        analytic = fim_channel(scene, links, gains)
-        fd = fim_channel_fd(scene, links, gains)
-        worst = max(worst, equilibrated_frobenius(analytic, fd))
-    return worst
+    drawn = random_placements(np.random.default_rng(seed), light, n_scenes)
+    worst = np.zeros(())
+    for preset in light:
+        q = np.array([q for p, q, _ in drawn if p is preset]).reshape(-1, 2)
+        alpha_t = np.array([a for p, _, a in drawn if p is preset])
+        tx_c, rx_c, visible, _, _ = placement_efims(preset, q, alpha_t)
+        scene = calibrated_scene(preset, Vec2(0.0, 0.0))
+        for chunk in _link_count_chunks(visible, _FD_CHUNK):
+            t, r, _, _, distance, angle, h = _placement_links(
+                preset, tx_c[chunk], rx_c[chunk], visible[chunk])
+            delay = distance / SPEED_OF_LIGHT
+            fd = channel_fims_fd(scene, t, r, delay - delay[:, :1], angle, h)
+            error = equilibrated_frobenius(channel_fims(scene, t, r, angle, h), fd)
+            worst = np.maximum(worst, error.max())
+    return float(worst)
 
 
 def reference_invariance_error(seed: int = SELFCHECK_SEED) -> float:
-    """Max relative deviation of the Schur EFIM over all reference choices."""
+    """Max relative deviation of the Schur EFIM (AOA+TDOA) over all
+    reference choices, as one stack: row k takes link k as the reference,
+    the others in (t, r) order."""
     [(preset, q, alpha_t)] = random_placements(np.random.default_rng(seed),
                                                [PRESETS["cfg_3p5GHz"]], 1)
-    scene = calibrated_scene(preset, Vec2(*q), alpha_t=alpha_t)
-    links = active_links(scene)
-    gains = link_gains(scene, links)
-    j_po = [efim_general(scene, links, gains, AOA_TDOA, reference=ref).j_po
-            for ref in range(len(links))]
-    return max((relative_frobenius(j_po[0], other) for other in j_po[1:]), default=0.0)
+    tx_c, rx_c, visible, _, _ = placement_efims(preset, q[None], alpha_t)
+    n_links = int(visible.sum())
+    order = np.argsort(np.arange(n_links) != np.arange(n_links)[:, None], axis=-1, kind="stable")
+    (j_po, _), (singular, _) = _schur_efims(
+        preset, *(np.repeat(x, n_links, axis=0) for x in (tx_c, rx_c, visible)), order)
+    if singular.any():
+        return math.inf
+    return float(relative_frobenius(j_po[:1], j_po[1:]).max(initial=0.0))
 
 
 def run_selfcheck() -> int:

@@ -2,14 +2,27 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import os
 
 import pytest
+from hypothesis import settings
 
 from v2vbounds.geometry import ArrayPanel, ElementOffset, Pose, Vec2, VehicleSpec
 from v2vbounds.scene import Scene
 from v2vbounds.scenarios import PRESETS
 from v2vbounds.waveform import OfdmSpec, interleaved_allocation
+
+# CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run, and a
+# failure prints the blob that replays it (@reproduce_failure).
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+# The presets of selfcheck.analytic_vs_fd_errors: 15 subcarriers per Tx array.
+LIGHT = [dataclasses.replace(PRESETS["cfg_3p5GHz"], name="fd_3p5", max_occupied_index=30),
+         dataclasses.replace(PRESETS["cfg_28GHz"], name="fd_28", max_occupied_index=30)]
 
 
 @pytest.fixture(scope="session")

@@ -35,14 +35,27 @@ def link_samples(scene, link, delay, angle, gain):
     return mean, omega, dphase
 
 
+def _folded_information(scene, blocks):
+    """Channel FIM from each link's 4 x 4 Gram in link order: the blocks on
+    the diagonal, then the timing offset, which shifts every link's delay,
+    folded into column 0."""
+    n = 4 * len(blocks)
+    j = np.zeros((n, n))
+    for k, block in enumerate(blocks):
+        j[4 * k:4 * k + 4, 4 * k:4 * k + 4] = block
+    offset = np.eye(n)
+    offset[0::4, 0] = 1.0
+    j = 2.0 * scene.ofdm.n_symbols / scene.noise_variance * (offset.T @ j @ offset)
+    return 0.5 * (j + j.T)
+
+
 def brute_force_fim_channel(scene, links, gains, reference=None):
     """Channel FIM from each link's full (samples, 4) derivative stack, one
     link at a time, in the fim_channel layout."""
     order = link_order(links, reference)
     ref_delay = links[order[0]].delay
-    n = 4 * len(order)
-    j = np.zeros((n, n))
-    for k, i in enumerate(order):
+    blocks = []
+    for i in order:
         link, h = links[i], gains[i].h
         mean, omega, dphase = link_samples(scene, link, link.delay - ref_delay,
                                            link.theta_R_local, h)
@@ -52,12 +65,29 @@ def brute_force_fim_channel(scene, links, gains, reference=None):
             mean / h,  # Re gain
             1j * mean / h,  # Im gain
         ), axis=-1).reshape(-1, 4)
-        j[4 * k:4 * k + 4, 4 * k:4 * k + 4] = (grad.conj().T @ grad).real
-    # The timing offset shifts every link's delay: fold it into column 0.
-    offset = np.eye(n)
-    offset[0::4, 0] = 1.0
-    j = 2.0 * scene.ofdm.n_symbols / scene.noise_variance * (offset.T @ j @ offset)
-    return 0.5 * (j + j.T)
+        blocks.append((grad.conj().T @ grad).real)
+    return _folded_information(scene, blocks)
+
+
+def per_link_fim_channel_fd(scene, links, gains, step=1e-7):
+    """Central-FD channel FIM one link and one parameter at a time, each of a
+    link's four parameters stepped in its sample-by-sample mean with the
+    steps of fim_channel_fd (1/omega_c for the delay, |h| for the gain)."""
+    order = link_order(links)
+    ref_delay = links[order[0]].delay
+    blocks = []
+    for i in order:
+        link, h = links[i], gains[i].h
+        delay, angle, h_step = link.delay - ref_delay, link.theta_R_local, step * abs(h)
+        columns = []
+        for d_tau, d_theta, d_h in ((step / scene.ofdm.omega_c, 0.0, 0.0), (0.0, step, 0.0),
+                                    (0.0, 0.0, h_step), (0.0, 0.0, 1j * h_step)):
+            plus = link_samples(scene, link, delay + d_tau, angle + d_theta, h + d_h)[0]
+            minus = link_samples(scene, link, delay - d_tau, angle - d_theta, h - d_h)[0]
+            columns.append((plus - minus).ravel() / (2.0 * abs(d_tau + d_theta + d_h)))
+        grad = np.column_stack(columns)
+        blocks.append((grad.conj().T @ grad).real)
+    return _folded_information(scene, blocks)
 
 
 def sequential_placements(rng, presets, n_scenes):

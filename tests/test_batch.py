@@ -145,6 +145,45 @@ def test_visibility_mask_equals_los_visible(case):
                 assert bool(mask[i, t, r]) == expected, (i, t, r)
 
 
+@st.composite
+def preset_and_mirrored_placements(draw):
+    preset = draw(custom_presets())
+    try:
+        preset_context(preset)
+    except NoActiveLinks:
+        assume(False)
+    # Drawn from the float ranges only: a link on a sector edge, which the
+    # grazing sample points produce, can flip at one ulp under the mirror.
+    placement = st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0),
+                          st.floats(-math.pi, math.pi))
+    return preset, draw(st.lists(placement, min_size=1, max_size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(preset_and_mirrored_placements())
+def test_mirror_invariance(case):
+    # Both vehicles are symmetric about their axes, so mirroring the scene
+    # across the Tx vehicle's axes, (q_x, q_y, alpha_T) -> (q_x, -q_y,
+    # -alpha_T) or (-q_x, q_y, -alpha_T), keeps every link count and bound.
+    preset, placements = case
+    x, y, alpha_t = np.array(placements).T
+    rows = [evaluate_points(preset, np.column_stack((sx * x, sy * y)), sa * alpha_t)
+            for sx, sy, sa in ((1, 1, 1), (1, -1, -1), (-1, 1, -1))]
+    # A mirror swaps Tx arrays, and the interleaved allocation gives them
+    # different subcarrier sets: the AOA+TDOA bounds are mirror-invariant only
+    # where their effective bandwidths agree (not at max_occupied_index 5).
+    betas = preset_context(preset).betas
+    fields = BOUND_FIELDS if np.ptp(betas) <= 1e-12 * betas.max() else BOUND_FIELDS[3:]
+    for row, *mirrors in zip(*rows):
+        for mirror in mirrors:
+            assert mirror.n_links == row.n_links
+            for name in fields:
+                got, expected = getattr(mirror, name), getattr(row, name)
+                assert math.isinf(got) == math.isinf(expected), (name, got, expected)
+                if not math.isinf(expected):
+                    assert abs(got - expected) <= 1e-6 * abs(expected), (name, got, expected)
+
+
 @given(st.floats(-1e6, 1e6) | st.sampled_from([math.pi, -math.pi, math.tau, -0.0, 3 * math.pi]))
 def test_wrap_angles_equals_wrap_angle_bitwise(angle):
     wrapped = float(wrap_angles(np.array([angle]))[0])

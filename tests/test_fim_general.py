@@ -15,11 +15,13 @@ from v2vbounds.fim_general import (
     AOA_ONLY,
     AOA_TDOA,
     channel_fims,
+    channel_fims_fd,
     efim_general,
     efim_schur,
     fim_channel,
     fim_channel_fd,
     link_mean,
+    link_means,
     link_order,
     schur_efims,
     transform_matrices,
@@ -30,12 +32,12 @@ from v2vbounds.geometry import (
 )
 from v2vbounds.scenarios import PRESETS, calibrated_scene
 from v2vbounds.selfcheck import (
-    SELFCHECK_SEED, equilibrated_frobenius, random_placements, relative_frobenius,
+    SELFCHECK_SEED, equilibrated_frobenius, random_placements,
 )
 from v2vbounds.waveform import effective_bandwidths
 
-from conftest import open_panel, small_scene
-from reference import brute_force_fim_channel, link_samples
+from conftest import LIGHT, open_panel, small_scene
+from reference import brute_force_fim_channel, link_samples, per_link_fim_channel_fd
 
 
 def rel_frob(a, b):
@@ -138,24 +140,14 @@ class TestMeanVector:
         assert np.linalg.norm(fd - analytic) < 1e-6 * np.linalg.norm(analytic)
 
 
-def oracle_error(j: np.ndarray, oracle: np.ndarray) -> float:
-    """equilibrated_frobenius of j against the brute-force oracle, where a
-    parameter the oracle gives no information (a zero diagonal entry, as for
-    the angle of a single element or a Tx array without subcarriers) keeps
-    its row and column unscaled."""
-    diag = np.diag(oracle)
-    scale = np.where(diag > 0.0, 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0)), 1.0)
-    weight = np.outer(scale, scale)
-    return relative_frobenius(oracle * weight, j * weight)
-
-
 def assert_matches_oracle(scene):
     """fim_channel equals the brute-force Gram to 1e-12 at every reference."""
     links = active_links(scene)
     gains = link_gains(scene, links)
     for reference in range(len(links)):
         j = fim_channel(scene, links, gains, reference)
-        assert oracle_error(j, brute_force_fim_channel(scene, links, gains, reference)) < 1e-12
+        oracle = brute_force_fim_channel(scene, links, gains, reference)
+        assert equilibrated_frobenius(oracle, j) < 1e-12
     return links, gains
 
 
@@ -198,13 +190,91 @@ class TestFactorisedGram:
         assert_matches_oracle(calibrated_scene(preset, Vec2(-3.5, 10.0)))
 
     def test_rx_panels_with_different_element_counts(self):
-        scene = small_scene(n_tx_panels=2, n_rx_panels=4, n_elements=2)
-        rx_panels = tuple(dataclasses.replace(panel, elements=open_panel(n_elements=n).elements)
-                          for panel, n in zip(scene.rx_vehicle.panels, (1, 4, 2, 3)))
-        scene = dataclasses.replace(
-            scene, rx_vehicle=dataclasses.replace(scene.rx_vehicle, panels=rx_panels))
-        links = assert_matches_oracle(scene)[0]
+        links = assert_matches_oracle(mixed_panel_scene())[0]
         assert len(links) == 8
+
+
+def mixed_panel_scene():
+    """small_scene with Rx panels of 1, 4, 2 and 3 elements."""
+    scene = small_scene(n_tx_panels=2, n_rx_panels=4, n_elements=2)
+    rx_panels = tuple(dataclasses.replace(panel, elements=open_panel(n_elements=n).elements)
+                      for panel, n in zip(scene.rx_vehicle.panels, (1, 4, 2, 3)))
+    return dataclasses.replace(
+        scene, rx_vehicle=dataclasses.replace(scene.rx_vehicle, panels=rx_panels))
+
+
+def link_stacks(group, reference=None):
+    """(t, r, delay difference, angle, h) stacks (n, L), in link_order, of
+    (scene, links, gains) samples with equal link counts."""
+    ordered = [[(links[i], gains[i]) for i in link_order(links, reference)]
+               for _, links, gains in group]
+    t, r, delay, angle = (
+        np.array([[getattr(link, name) for link, _ in links] for links in ordered])
+        for name in ("tx_panel", "rx_panel", "delay", "theta_R_local"))
+    h = np.array([[gain.h for _, gain in links] for links in ordered])
+    return t, r, delay - delay[:, :1], angle, h
+
+
+def assert_fd_matches_oracle(group):
+    """channel_fims_fd over a stack of (scene, links, gains) with equal link
+    counts equals the per-link FD loop of each, and fim_channel_fd is its row."""
+    fd = channel_fims_fd(group[0][0], *link_stacks(group))
+    for k, (scene, links, gains) in enumerate(group):
+        oracle = per_link_fim_channel_fd(scene, links, gains)
+        assert equilibrated_frobenius(oracle, fd[k]) < 1e-9
+        assert equilibrated_frobenius(oracle, fim_channel_fd(scene, links, gains)) < 1e-9
+
+
+class TestFdTwin:
+    """The stacked channel_fims_fd against the per-link FD loop it replaced."""
+
+    @pytest.mark.parametrize("preset", LIGHT, ids=lambda p: p.name)
+    def test_batched_equals_oracle_on_sampled_scenes(self, preset):
+        groups = {}
+        for sample in sampled_scenes(preset, 20):
+            groups.setdefault(len(sample[1]), []).append(sample)
+        assert any(len(group) > 1 for group in groups.values())
+        for group in groups.values():
+            assert_fd_matches_oracle(group)
+
+    @pytest.mark.parametrize("preset_name", ["cfg_3p5GHz", "cfg_28GHz"])
+    @pytest.mark.parametrize("max_occupied_index", [601, 1], ids=["unequal", "empty"])
+    def test_unequal_and_empty_subcarrier_sets(self, preset_name, max_occupied_index):
+        preset = dataclasses.replace(PRESETS[preset_name], name="odd",
+                                     max_occupied_index=max_occupied_index)
+        group = []
+        for q in (Vec2(-3.5, 10.0), Vec2(3.5, -12.0)):  # both have 9 links
+            scene = calibrated_scene(preset, q)
+            links = active_links(scene)
+            group.append((scene, links, link_gains(scene, links)))
+        assert_fd_matches_oracle(group)
+
+    def test_rx_panels_with_different_element_counts(self):
+        scene = mixed_panel_scene()
+        links = active_links(scene)
+        assert_fd_matches_oracle([(scene, links, link_gains(scene, links))])
+
+    @pytest.mark.parametrize("scene", [
+        mixed_panel_scene(),
+        calibrated_scene(dataclasses.replace(PRESETS["cfg_28GHz"], name="odd",
+                                             max_occupied_index=601), Vec2(-3.5, 10.0)),
+    ], ids=["mixed_panels", "unequal_subcarriers"])
+    def test_link_mean_is_the_unpadded_slice_of_link_means(self, scene):
+        links = active_links(scene)
+        gains = link_gains(scene, links)
+        t, r, delay, angle, h = link_stacks([(scene, links, gains)])
+        stacks = link_means(scene, t, r, delay, angle, h)
+        for k, i in enumerate(link_order(links)):
+            one = link_mean(scene, links[i], delay[0, k], angle[0, k], h[0, k])
+            for padded, sliced in zip(stacks, one):
+                assert np.array_equal(padded[0, k, :len(sliced)], sliced)
+            a, _, b, _ = (x[0, k] for x in stacks)
+            assert not a[len(one[0]):].any() and not b[len(one[2]):].any()
+
+    def test_step_must_be_positive(self, medium_scene):
+        scene, links, gains = medium_scene
+        with pytest.raises(ValueError):
+            fim_channel_fd(scene, links, gains, step=0.0)
 
 
 class TestLinkOrder:

@@ -1,4 +1,4 @@
-"""The selfcheck's block drawer, edge set and Schur-side link stacks."""
+"""The selfcheck's block drawer, edge set, link stacks and NaN handling."""
 
 import dataclasses
 import math
@@ -6,25 +6,33 @@ import math
 import numpy as np
 import pytest
 
+from v2vbounds import selfcheck
 from v2vbounds.channel import link_gains
-from v2vbounds.fim_general import AOA_ONLY, AOA_TDOA, efim_general
-from v2vbounds.geometry import Vec2, active_links, wrap_angles
+from v2vbounds.fim_general import (
+    AOA_ONLY, AOA_TDOA, channel_fims, channel_fims_fd, efim_general, fim_channel, fim_channel_fd,
+    link_order,
+)
+from v2vbounds.geometry import SPEED_OF_LIGHT, Vec2, active_links, wrap_angles
 from v2vbounds.scenarios import PRESETS, calibrated_scene, placement_efims, preset_context
 from v2vbounds.selfcheck import (
+    ANALYTIC_VS_FD_TOL,
     SELFCHECK_SEED,
+    _placement_links,
     _schur_efims,
     closed_vs_schur_errors,
     edge_placements,
+    equilibrated_frobenius,
     random_placements,
+    reference_invariance_error,
+    relative_frobenius,
+    run_selfcheck,
 )
 
+from conftest import LIGHT
 from reference import sequential_placements
 
 P35 = PRESETS["cfg_3p5GHz"]
 P28 = PRESETS["cfg_28GHz"]
-# The analytic-vs-FD suite's presets.
-LIGHT = [dataclasses.replace(P35, name="fd_3p5", max_occupied_index=30),
-         dataclasses.replace(P28, name="fd_28", max_occupied_index=30)]
 # Every annulus placement of the default presets has a link; panels blind
 # over +-2.3 rad leave about one in ten without one, so draws get rejected.
 NARROW = dataclasses.replace(P35, name="narrow", fov_blocked_halfwidth=2.3)
@@ -96,3 +104,109 @@ def test_closed_vs_schur_covers_the_edge_set():
     # With no random scenes, only the edge set of both presets is checked.
     worst_both, worst_aoa = closed_vs_schur_errors(n_scenes=0)
     assert 0.0 < worst_both < 1e-12 and 0.0 < worst_aoa < 1e-12
+
+
+@pytest.mark.parametrize("preset", [P35, P28], ids=lambda p: p.name)
+def test_placement_links_equal_the_scene_path(preset):
+    # The link rebuild all three suites share gives, placement by placement,
+    # the links and gains of active_links/link_gains in link_order.
+    drawn = random_placements(np.random.default_rng(SELFCHECK_SEED), [preset], 30)
+    edge_q, edge_alpha = edge_placements(preset)
+    q = np.concatenate((np.array([q for _, q, _ in drawn]), edge_q))
+    alpha_t = np.concatenate(([a for _, _, a in drawn], edge_alpha))
+    tx_c, rx_c, visible, _, _ = placement_efims(preset, q, alpha_t)
+    for i in range(len(q)):
+        t, r, _, _, distance, angle, h = _placement_links(
+            preset, tx_c[i:i + 1], rx_c[i:i + 1], visible[i:i + 1])
+        scene = calibrated_scene(preset, Vec2(*q[i]), alpha_t=alpha_t[i])
+        links = active_links(scene)
+        gains = link_gains(scene, links)
+        order = link_order(links)
+        assert t[0].tolist() == [links[k].tx_panel for k in order]
+        assert r[0].tolist() == [links[k].rx_panel for k in order]
+        for got, expected in ((distance, [links[k].distance for k in order]),
+                              (angle, [links[k].theta_R_local for k in order]),
+                              (h, [gains[k].h for k in order])):
+            assert np.allclose(got[0], expected, rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("preset", LIGHT, ids=lambda p: p.name)
+def test_fd_twin_on_the_edge_set(preset):
+    # Kept out of --selfcheck so the benchmark pass does not grow: the FD
+    # twin agrees with the analytic channel FIM at bumper overlap, short
+    # gaps and blocked-sector edges too.
+    q, alpha_t = edge_placements(preset)
+    tx_c, rx_c, visible, _, _ = placement_efims(preset, q, alpha_t)
+    n_links = visible.sum(axis=(1, 2))
+    scene = calibrated_scene(preset, Vec2(0.0, 0.0))
+    worst = 0.0
+    for count in set(n_links.tolist()):
+        group = np.flatnonzero(n_links == count)
+        t, r, _, _, distance, angle, h = _placement_links(
+            preset, tx_c[group], rx_c[group], visible[group])
+        delay = distance / SPEED_OF_LIGHT
+        fd = channel_fims_fd(scene, t, r, delay - delay[:, :1], angle, h)
+        worst = max(worst, equilibrated_frobenius(channel_fims(scene, t, r, angle, h), fd).max())
+    assert worst < ANALYTIC_VS_FD_TOL
+
+
+@pytest.mark.parametrize("seed", range(SELFCHECK_SEED, SELFCHECK_SEED + 3))
+def test_stacked_reference_suite_equals_per_reference_loop(seed):
+    [(preset, q, alpha_t)] = random_placements(np.random.default_rng(seed), [P35], 1)
+    scene = calibrated_scene(preset, Vec2(*q), alpha_t=alpha_t)
+    links = active_links(scene)
+    gains = link_gains(scene, links)
+    j_po = [efim_general(scene, links, gains, AOA_TDOA, reference=ref).j_po
+            for ref in range(len(links))]
+    expected = max(relative_frobenius(j_po[0], other) for other in j_po[1:])
+    assert len(links) > 1
+    assert abs(reference_invariance_error(seed) - expected) <= 1e-15
+
+
+def test_equilibration_keeps_silent_parameters_unscaled():
+    # A parameter without information (zero diagonal) keeps scale 1: the
+    # error stays finite and its entries count unscaled.
+    a = np.diag([4.0, 0.0])
+    assert equilibrated_frobenius(a, a + np.diag([0.0, 1e-3])) == pytest.approx(1e-3, rel=1e-15)
+    # Two of four Tx arrays without subcarriers leave their links' delays
+    # and gains without information on both sides; the comparison is finite.
+    preset = dataclasses.replace(P35, name="sparse", max_occupied_index=1)
+    scene = calibrated_scene(preset, Vec2(-3.5, 10.0))
+    links = active_links(scene)
+    gains = link_gains(scene, links)
+    analytic = fim_channel(scene, links, gains)
+    assert (analytic.diagonal() == 0.0).any()
+    assert np.isfinite(equilibrated_frobenius(analytic, fim_channel_fd(scene, links, gains)))
+
+
+def _poison(monkeypatch, name, call, row):
+    """Make the call-th call of selfcheck's kernel ``name`` return NaN in
+    the given placement row of its (first) result."""
+    original, calls = getattr(selfcheck, name), []
+
+    def poisoned(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append(None)
+        if len(calls) - 1 == call:
+            out = result[0] if isinstance(result, tuple) else result
+            out[row] = np.nan
+        return result
+
+    monkeypatch.setattr(selfcheck, name, poisoned)
+
+
+@pytest.mark.parametrize("suite, kernel, call, row", [
+    ("closed_vs_schur_errors", "schur_efims", 3, -1),
+    ("analytic_vs_fd_errors", "channel_fims_fd", 3, -1),
+    ("reference_invariance_error", "schur_efims", 0, -1),
+], ids=["closed_vs_schur", "fd", "reference"])
+def test_nan_error_fails_the_selfcheck(monkeypatch, capsys, suite, kernel, call, row):
+    # A NaN in one placement, neither the first nor the only one, must reach
+    # the suite's maximum and fail --selfcheck with exit 3; max() dropped it.
+    _poison(monkeypatch, kernel, call, row)
+    errors = getattr(selfcheck, suite)()
+    assert np.isnan(errors).any()
+    monkeypatch.undo()
+    monkeypatch.setattr(selfcheck, suite, lambda: errors)
+    assert run_selfcheck() == 3
+    assert "selfcheck FAIL" in capsys.readouterr().out
