@@ -17,6 +17,7 @@ from .scenarios import (
     PresetConfig,
     Requirements,
     SweepRow,
+    bound_table,
     calibrated_scene,
     evaluate_point,
     evaluate_points,

@@ -18,23 +18,21 @@ import numpy as np
 import yaml
 
 from . import selfcheck as selfcheck_mod
-from .errors import ConfigError, NoActiveLinks, NuisanceSingular
+from .errors import ConfigError, NoActiveLinks
 from .scenarios import (
+    COLUMNS,
     PRESETS,
     DEFAULT_SWEEP_STEP,
     Measurement,
     PresetConfig,
     Requirements,
-    SweepRow,
-    custom_sweep,
-    overtaking_sweep,
-    platooning_sweep,
+    bound_table,
     scenario_crossings,
+    sweep_placements,
 )
 
-_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
-CSV_HEADER = ",".join(_COLUMNS)
-_BOUND_COLUMNS = _COLUMNS[4:]
+CSV_HEADER = ",".join(COLUMNS)
+_ROW_FORMAT = ",".join(["%.9g"] * len(COLUMNS))
 
 _SCENARIOS = ("overtaking", "platooning", "custom")
 _MEASUREMENT_CHOICES = {"aoa": ("aoa",), "aoa+tdoa": ("aoa_tdoa",), "both": ("aoa_tdoa", "aoa")}
@@ -165,35 +163,17 @@ def _parse_measurements(text: str) -> tuple[Measurement, ...]:
     return _MEASUREMENT_CHOICES[key]
 
 
-def _format_value(value: float) -> str:
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return f"{value:.9g}"
-
-
-def emit_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
-    """Write sweep rows with a fixed column order and 9 significant digits."""
-    if not rows:
+def emit_csv(table: np.ndarray, path: str | Path) -> None:
+    """Write a bound table (scenarios.bound_table) with its fixed column order
+    and 9 significant digits."""
+    if not len(table):
         raise ValueError("refusing to write an empty sweep")
-    lines = [CSV_HEADER]
-    lines += [",".join(_format_value(getattr(row, name)) for name in _COLUMNS) for row in rows]
+    lines = [CSV_HEADER, *(_ROW_FORMAT % tuple(row) for row in table.tolist())]
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
-
-
-def _run_sweep(cfg: RunConfig, preset: PresetConfig) -> list[SweepRow]:
-    if cfg.scenario == "overtaking":
-        return overtaking_sweep(
-            preset, cfg.q_y_min, cfg.q_y_max, cfg.step, measurements=cfg.measurements
-        )
-    if cfg.scenario == "platooning":
-        return platooning_sweep(preset, q_y_min=cfg.q_y_min, step=cfg.step,
-                                measurements=cfg.measurements)
-    return custom_sweep(preset, cfg.q_x, cfg.q_y_min, cfg.q_y_max, cfg.step,
-                        alpha_t=cfg.alpha_t, measurements=cfg.measurements)
 
 
 def _crossing_summary(cfg: RunConfig, preset: PresetConfig) -> list[str]:
@@ -230,16 +210,18 @@ def run(cfg: RunConfig) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        rows = _run_sweep(cfg, preset)
-        for row in rows:
-            nan = [name for name in _BOUND_COLUMNS if math.isnan(getattr(row, name))]
-            if nan:
-                print(f"numerical failure at q_y = {row.q_y}: NaN {', '.join(nan)}",
-                      file=sys.stderr)
-                return 3
+        q = sweep_placements(preset, cfg.scenario, cfg.q_y_min, cfg.q_y_max, cfg.step, cfg.q_x)
+        alpha_t = cfg.alpha_t if cfg.scenario == "custom" else 0.0
+        table = bound_table(preset, q, alpha_t, cfg.measurements)
+        nan = np.isnan(table[:, 4:])
+        if nan.any():
+            row = nan.any(axis=1).argmax()
+            names = ", ".join(name for name, bad in zip(COLUMNS[4:], nan[row]) if bad)
+            print(f"numerical failure at q_y = {table[row, 1]}: NaN {names}", file=sys.stderr)
+            return 3
         out_path = cfg.output_path()
-        emit_csv(rows, out_path)
-        print(f"wrote {len(rows)} rows to {out_path}")
+        emit_csv(table, out_path)
+        print(f"wrote {len(table)} rows to {out_path}")
         for line in _crossing_summary(cfg, preset):
             print(line)
     except NoActiveLinks as exc:
@@ -247,7 +229,7 @@ def run(cfg: RunConfig) -> int:
         # the calibration placement itself has none.
         print(f"numerical failure: cannot calibrate preset ({exc})", file=sys.stderr)
         return 3
-    except (NuisanceSingular, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

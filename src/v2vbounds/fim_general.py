@@ -77,13 +77,11 @@ def link_means(scene: Scene, t: np.ndarray, r: np.ndarray, delay: np.ndarray, an
     omega, power = _subcarriers(scene)
     omega, amps = omega[t], np.sqrt(power[t])
     rx = scene.rx_vehicle.arrays
-    width = rx.n_elements.max()
-    dist, ang = np.stack([np.pad(e, ((0, 0), (0, width - e.shape[1]))) for e in rx.elements],
-                         axis=1)[:, r]
+    dist, ang = rx.elements[:, r]
     angle, omega_c = angle[..., None], scene.ofdm.omega_c
     phase = omega_c * dist * np.cos(ang - angle) / SPEED_OF_LIGHT
     dphase = omega_c * dist * np.sin(ang - angle) / SPEED_OF_LIGHT
-    b = np.where(np.arange(width) < rx.n_elements[r][..., None],
+    b = np.where(np.arange(dist.shape[-1]) < rx.n_elements[r][..., None],
                  gain[..., None] * np.exp(1j * phase), 0.0)
     return amps * np.exp(-1j * omega * delay[..., None]), omega, b, dphase
 
@@ -161,10 +159,9 @@ def channel_fims(
     rx, k = scene.rx_vehicle.arrays, scene.ofdm.omega_c / SPEED_OF_LIGHT
     # dphase_i = k d_perp_i . u, u = unit_dir(angle), so sum dphase = k u . sum d_perp
     # and sum dphase^2 = k^2 N_r u^T S u, with S the panel's saaf_matrix.
-    d_perp = np.array([(np.sum(d * np.sin(a)), -np.sum(d * np.cos(a))) for d, a in rx.elements])
     u = np.stack((np.cos(angle), np.sin(angle)), axis=-1)
     n_r = rx.n_elements[r]
-    sums = (k * np.sum(d_perp[r] * u, axis=-1),
+    sums = (k * np.sum(rx.d_perp[r] * u, axis=-1),
             k**2 * n_r * np.einsum("...i,...ij,...j", u, rx.saaf_s[r], u))
     rx_gram = _moment_gram(_FB, np.stack((n_r, *sums), axis=-1))
     # |h|^2 times the 1/h of the gain columns: conj(v_k) v_l, v = [h, h, 1, 1].

@@ -205,12 +205,23 @@ class VehicleSpec:
         """The panels as arrays, built on first use and kept with this spec."""
         columns = read_only(np.array([(p.mount_distance, p.mount_angle, p.fov_blocked_center,
                                        p.fov_blocked_halfwidth) for p in self.panels]))
+        distance, angle, center, halfwidth = columns.T
+        x, y = distance * np.cos(angle), distance * np.sin(angle)
+        # 1e-13 m admits rounding only, far inside _crosses_body's 1e-12 m probe margin.
+        on_corner = np.hypot(np.abs(x) - self.width / 2.0, np.abs(y) - self.length / 2.0) <= 1e-13
+        wedge = np.arctan2(-np.sign(y), -np.sign(x))  # bisector of the corner's body wedge
+        covered = np.abs(wrap_angles(center - wedge)) + math.pi / 4 <= halfwidth + _SECTOR_EDGE_TOL
+        elements = [np.array([(e.distance, e.angle) for e in p.elements]).T for p in self.panels]
+        width = max(e.shape[1] for e in elements)
         return VehicleArrays(
             self.length, self.width, *columns.T,
             n_elements=read_only(np.array([p.n_elements for p in self.panels])),
             saaf_s=read_only(np.stack([saaf_matrix(p) for p in self.panels])),
-            elements=tuple(read_only(np.array([(e.distance, e.angle) for e in p.elements])).T
-                           for p in self.panels),
+            elements=read_only(np.stack([np.pad(e, ((0, 0), (0, width - e.shape[1])))
+                                         for e in elements], axis=1)),
+            d_perp=read_only(np.array([(np.sum(d * np.sin(a)), -np.sum(d * np.cos(a)))
+                                       for d, a in elements])),
+            sectors_imply_body=bool(np.all(on_corner & covered)),
         )
 
 
@@ -396,7 +407,12 @@ class VehicleArrays:
     blocked_halfwidth: np.ndarray  # (K,)
     n_elements: np.ndarray  # (K,)
     saaf_s: np.ndarray  # (K, 2, 2) saaf_matrix per panel
-    elements: tuple[np.ndarray, ...]  # per panel, (2, n_elements): distances, angles
+    elements: np.ndarray  # (2, K, E_max) element distances, angles; zero past n_elements
+    d_perp: np.ndarray  # (K, 2) sum over a panel's elements of d (sin psi, -cos psi)
+    # Every panel on a body corner, its blocked sector covering the corner's 90-degree
+    # wedge into the body: a segment from a corner enters the convex body only along
+    # that wedge, so the sector test already rejects every link the body test would.
+    sectors_imply_body: bool
 
     def centroids(self, position: np.ndarray, heading: np.ndarray) -> np.ndarray:
         """World-frame panel centroids (..., K, 2) for poses (..., 2) and (...)."""
@@ -410,23 +426,25 @@ def _in_blocked_sector(direction: np.ndarray, center: np.ndarray, halfwidth) -> 
 
 
 def los_mask(tx_c: np.ndarray, tx_sector: tuple, rx_c: np.ndarray, rx_sector: tuple,
-             tx_body: tuple, rx_body: tuple) -> np.ndarray:
+             *bodies: tuple) -> np.ndarray:
     """Elementwise line of sight from Tx panels at tx_c to Rx panels at rx_c.
 
     Requires (a) the direction from the Tx panel toward the Rx panel to fall
     outside the Tx panel's blocked sector, (b) the reverse direction to fall
     outside the Rx panel's blocked sector, and (c) the open segment between
-    the centroids to miss both vehicle-body interiors. Coincident centroids
-    have no defined direction and are reported as not visible. Sectors are
-    (world-frame center, halfwidth), bodies as in BodyRect.arrays; all
-    broadcast against the centroids (..., 2).
+    the centroids to miss each given body's interior (both vehicles' in
+    full). Coincident centroids have no defined direction and are reported as
+    not visible. Sectors are (world-frame center, halfwidth), bodies as in
+    BodyRect.arrays; all broadcast against the centroids (..., 2).
     """
     offset = rx_c - tx_c
     towards_rx = np.arctan2(offset[..., 1], offset[..., 0])
-    return ((np.hypot(offset[..., 0], offset[..., 1]) >= 1e-9)
+    mask = ((np.hypot(offset[..., 0], offset[..., 1]) >= 1e-9)
             & ~_in_blocked_sector(towards_rx, *tx_sector)
-            & ~_in_blocked_sector(wrap_angles(towards_rx + math.pi), *rx_sector)
-            & ~_crosses_body(tx_c, rx_c, tx_body) & ~_crosses_body(tx_c, rx_c, rx_body))
+            & ~_in_blocked_sector(wrap_angles(towards_rx + math.pi), *rx_sector))
+    for body in bodies:
+        mask &= ~_crosses_body(tx_c, rx_c, body)
+    return mask
 
 
 def los_visible(
@@ -454,11 +472,12 @@ def visibility(tx: VehicleArrays, tx_pose: tuple, rx: VehicleArrays, rx_pose: tu
     tx_c, rx_c = tx.centroids(tx_p, tx_h), rx.centroids(rx_p, rx_h)
     tx_center = wrap_angles(tx.blocked_center + tx_h[..., None])
     rx_center = wrap_angles(rx.blocked_center + rx_h[..., None])
+    bodies = () if tx.sectors_imply_body and rx.sectors_imply_body else (
+        (tx_p[..., None, None, :], tx_h[..., None, None], tx.length, tx.width),
+        (rx_p[..., None, None, :], rx_h[..., None, None], rx.length, rx.width))
     mask = los_mask(
         tx_c[..., :, None, :], (tx_center[..., :, None], tx.blocked_halfwidth[:, None]),
-        rx_c[..., None, :, :], (rx_center[..., None, :], rx.blocked_halfwidth),
-        (tx_p[..., None, None, :], tx_h[..., None, None], tx.length, tx.width),
-        (rx_p[..., None, None, :], rx_h[..., None, None], rx.length, rx.width),
+        rx_c[..., None, :, :], (rx_center[..., None, :], rx.blocked_halfwidth), *bodies,
     )
     return tx_c, rx_c, mask
 

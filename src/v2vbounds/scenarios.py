@@ -12,7 +12,7 @@ the reference SNR after Rx beamforming.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import Callable, Literal, Sequence
 
@@ -63,6 +63,11 @@ class SweepRow:
     peb_lon_aoa: float
     oeb_both: float
     oeb_aoa: float
+
+
+# The bound table's columns (SweepRow's); aoa_tdoa's and aoa's (peb_lat, peb_lon, oeb).
+COLUMNS = tuple(f.name for f in fields(SweepRow))
+_SET_COLUMNS = np.array([[4, 5, 8], [6, 7, 9]])
 
 
 @dataclass(frozen=True)
@@ -236,13 +241,14 @@ def placement_efims(
     return tx_c, rx_c, visible, j_aoa, j_both
 
 
-def evaluate_points(
+def bound_table(
     preset: PresetConfig,
     q: np.ndarray | Sequence[tuple[float, float]],
     alpha_t: float | np.ndarray = 0.0,
     measurements: Sequence[Measurement] = ("aoa_tdoa", "aoa"),
-) -> list[SweepRow]:
-    """Bounds for an (N, 2) array of placements q in one numpy pass.
+) -> np.ndarray:
+    """Bounds for an (N, 2) array of placements q in one numpy pass, as an
+    (N, 10) float table with the columns of SweepRow (COLUMNS).
 
     ``alpha_t`` is the Tx heading, per row or one for all; the Rx heading is
     0. Rows without LOS links, and measurement sets left out, get +inf. One
@@ -252,16 +258,25 @@ def evaluate_points(
     if not (np.isfinite(q).all() and np.isfinite(alpha_t).all()):
         raise ValueError("placements and Tx headings must be finite")
     _, _, visible, j_aoa, j_both = placement_efims(preset, q, alpha_t)
-    bounds = np.full((2, len(q), 3), np.inf)
+    table = np.full((len(q), len(COLUMNS)), np.inf)
+    table[:, :4] = np.column_stack((q, np.abs(q[:, 1]) - preset.vehicle_length,
+                                    visible.sum(axis=(1, 2))))
     wanted = [i for i, m in enumerate(("aoa_tdoa", "aoa")) if m in measurements]
     if wanted:
-        bounds[wanted] = bound_arrays(np.stack((j_both, j_aoa))[wanted])[2]
-    return [
-        SweepRow(q_x, q_y, abs(q_y) - preset.vehicle_length, n_links,
-                 lat_both, lon_both, lat_aoa, lon_aoa, oeb_both, oeb_aoa)
-        for (q_x, q_y), n_links, (lat_both, lon_both, oeb_both), (lat_aoa, lon_aoa, oeb_aoa)
-        in zip(q.tolist(), visible.sum(axis=(1, 2)).tolist(), *bounds.tolist())
-    ]
+        bounds = bound_arrays(np.stack((j_both, j_aoa))[wanted])[2]
+        table[:, _SET_COLUMNS[wanted]] = bounds.swapaxes(0, 1)
+    return table
+
+
+def evaluate_points(
+    preset: PresetConfig,
+    q: np.ndarray | Sequence[tuple[float, float]],
+    alpha_t: float | np.ndarray = 0.0,
+    measurements: Sequence[Measurement] = ("aoa_tdoa", "aoa"),
+) -> list[SweepRow]:
+    """:func:`bound_table` as one SweepRow per placement, in input order."""
+    return [SweepRow(*row[:3], int(row[3]), *row[4:])
+            for row in bound_table(preset, q, alpha_t, measurements).tolist()]
 
 
 def evaluate_point(
@@ -289,6 +304,20 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
     return [start + i * step for i in range(count + 1)]
 
 
+def sweep_placements(preset: PresetConfig, scenario: Literal["overtaking", "platooning", "custom"],
+                     q_y_min: float, q_y_max: float, step: float,
+                     q_x: float = 0.0) -> list[tuple[float, float]]:
+    """The (q_x, q_y) grid of a sweep, as the sweep below of that name has
+    it; ``q_x`` places a custom sweep only, and platooning reads no q_y_max."""
+    if scenario == "platooning":
+        gaps = _grid(0.0, -q_y_min - preset.vehicle_length, step)[1:]
+        return [(0.0, -(preset.vehicle_length + gap)) for gap in gaps]
+    if scenario not in ("overtaking", "custom"):
+        raise ValueError(f"unknown scenario {scenario!r}")
+    q_x = -preset.lane_width if scenario == "overtaking" else q_x
+    return [(q_x, q_y) for q_y in _grid(q_y_min, q_y_max, step)]
+
+
 def overtaking_sweep(
     preset: PresetConfig,
     q_y_min: float = -30.0,
@@ -301,8 +330,7 @@ def overtaking_sweep(
     Lateral offset is held at one lane width (toward -x); the longitudinal
     offset runs from q_y_min in whole steps up to q_y_max.
     """
-    q_x = -preset.lane_width
-    q = [(q_x, q_y) for q_y in _grid(q_y_min, q_y_max, step)]
+    q = sweep_placements(preset, "overtaking", q_y_min, q_y_max, step)
     return evaluate_points(preset, q, measurements=measurements)
 
 
@@ -320,8 +348,7 @@ def platooning_sweep(
     gain diverges: rows sit at q_y = -(vehicle_length + k step) for
     k = 1, 2, ... as long as q_y >= q_y_min.
     """
-    gaps = _grid(0.0, -q_y_min - preset.vehicle_length, step)[1:]
-    q = [(0.0, -(preset.vehicle_length + gap)) for gap in gaps]
+    q = sweep_placements(preset, "platooning", q_y_min, math.inf, step)
     return evaluate_points(preset, q, measurements=measurements)
 
 
@@ -335,14 +362,8 @@ def custom_sweep(
     measurements: Sequence[Measurement] = ("aoa_tdoa", "aoa"),
 ) -> list[SweepRow]:
     """Bounds at lateral offset q_x and Tx heading alpha_t over [q_y_min, q_y_max]."""
-    q = [(q_x, q_y) for q_y in _grid(q_y_min, q_y_max, step)]
+    q = sweep_placements(preset, "custom", q_y_min, q_y_max, step, q_x)
     return evaluate_points(preset, q, alpha_t, measurements)
-
-
-def _row_bound(row: SweepRow, axis: Axis, measurement: Measurement) -> float:
-    if measurement == "aoa_tdoa":
-        return row.peb_lat_both if axis == "lat" else row.peb_lon_both
-    return row.peb_lat_aoa if axis == "lat" else row.peb_lon_aoa
 
 
 # Each search call after the endpoints splits every open bracket into at most
@@ -454,7 +475,7 @@ def scenario_crossings(
     The distance is the longitudinal offset q_y >= 0 at one lane width
     (overtaking; the layout is mirror symmetric in q_y), searched over
     [0, 30] m, or the bumper gap (platooning), searched over
-    [0.25, 30 - vehicle_length] m. All curves share each evaluate_points call
+    [0.25, 30 - vehicle_length] m. All curves share each bound_table call
     of one search, three at the defaults. Keys run over the measurements in
     the order aoa_tdoa, aoa, then lat, lon.
     """
@@ -472,11 +493,11 @@ def scenario_crossings(
         raise ValueError(f"unknown scenario {scenario!r}")
     curves = [(m, axis) for m in ("aoa_tdoa", "aoa") if m in measurements
               for axis in ("lat", "lon")]
+    columns = [_SET_COLUMNS[("aoa_tdoa", "aoa").index(m), ("lat", "lon").index(axis)]
+               for m, axis in curves]
 
     def bounds_at(s: np.ndarray) -> np.ndarray:
-        rows = evaluate_points(preset, place(s), measurements=measurements)
-        return np.array([[_row_bound(row, axis, m) for row in rows]
-                         for m, axis in curves]).reshape(len(curves), len(s))
+        return bound_table(preset, place(s), measurements=measurements)[:, columns].T
     thresholds = [requirements.threshold(axis) for _, axis in curves]
     found = _lattice_search(bounds_at, thresholds, s_min,
                             s_top if s_max is None else s_max, tol)

@@ -25,6 +25,11 @@ LIGHT = [dataclasses.replace(PRESETS["cfg_3p5GHz"], name="fd_3p5", max_occupied_
          dataclasses.replace(PRESETS["cfg_28GHz"], name="fd_28", max_occupied_index=30)]
 
 
+# Every annulus placement of the default presets has a link; panels blind
+# over +-2.3 rad leave about one in ten without one, so draws get rejected.
+NARROW = dataclasses.replace(PRESETS["cfg_3p5GHz"], name="narrow", fov_blocked_halfwidth=2.3)
+
+
 @pytest.fixture(scope="session")
 def preset_3p5():
     return PRESETS["cfg_3p5GHz"]

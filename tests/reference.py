@@ -90,6 +90,14 @@ def per_link_fim_channel_fd(scene, links, gains, step=1e-7):
     return _folded_information(scene, blocks)
 
 
+def format_cell(value: float) -> str:
+    """One CSV cell formatted on its own: the per-cell reference for the row
+    format of ``app.emit_csv``."""
+    if math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    return f"{value:.9g}"
+
+
 def sequential_placements(rng, presets, n_scenes):
     """The selfcheck's scenes drawn one placement at a time: scene i under
     presets[i % len(presets)] is the first draw (radius, bearing, Tx heading)

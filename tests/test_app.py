@@ -1,14 +1,18 @@
 """CLI, config parsing, CSV emission, and end-to-end determinism."""
 
-import dataclasses
 import math
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from v2vbounds.app import CSV_HEADER, emit_csv, load_config, main
 from v2vbounds.errors import ConfigError
-from v2vbounds.scenarios import SweepRow
+from v2vbounds.scenarios import COLUMNS
+
+from reference import format_cell
 
 
 def write_config(tmp_path, name="run.yaml", **kwargs):
@@ -103,20 +107,25 @@ class TestConfigParsing:
             load_config(path).resolve_preset()
 
 
+# Cell values the writer must format as the per-cell oracle does.
+CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072e-308,
+                     1e300, -1e-300, 123456789.5, 0.00123456789]),
+)
+
+
 class TestCsv:
-    def _rows(self):
-        return [
-            SweepRow(
-                q_x=-3.5, q_y=1.25, d_y=-3.25, n_links=9,
-                peb_lat_both=0.00123456789, peb_lon_both=0.5,
-                peb_lat_aoa=0.002, peb_lon_aoa=0.6,
-                oeb_both=0.01, oeb_aoa=math.inf,
-            )
-        ]
+    def _table(self):
+        row = dict(q_x=-3.5, q_y=1.25, d_y=-3.25, n_links=9,
+                   peb_lat_both=0.00123456789, peb_lon_both=0.5,
+                   peb_lat_aoa=0.002, peb_lon_aoa=0.6,
+                   oeb_both=0.01, oeb_aoa=math.inf)
+        return np.array([[row[name] for name in COLUMNS]])
 
     def test_header_and_roundtrip(self, tmp_path):
         path = tmp_path / "rows.csv"
-        emit_csv(self._rows(), path)
+        emit_csv(self._table(), path)
         text = path.read_text(encoding="utf-8")
         lines = text.splitlines()
         assert lines[0] == CSV_HEADER
@@ -128,7 +137,18 @@ class TestCsv:
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_csv([], tmp_path / "empty.csv")
+            emit_csv(np.empty((0, len(COLUMNS))), tmp_path / "empty.csv")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.lists(CELLS, min_size=9, max_size=9), st.integers(0, 64)),
+                    min_size=1, max_size=4))
+    def test_rows_equal_the_per_cell_oracle(self, tmp_path_factory, rows):
+        # n_links is integer-valued in the table: the oracle formats the int.
+        path = tmp_path_factory.mktemp("csv") / "rows.csv"
+        cells = [[*values[:3], n_links, *values[3:]] for values, n_links in rows]
+        emit_csv(np.array(cells, dtype=float), path)
+        lines = path.read_bytes().decode("utf-8").split("\n")
+        assert lines == [CSV_HEADER, *(",".join(map(format_cell, row)) for row in cells), ""]
 
 
 class TestCli:
@@ -269,20 +289,22 @@ class TestCli:
         assert "config error: override n_rx_elements must be an integer" in \
             capsys.readouterr().err
 
-    def test_nan_in_any_bound_column_exit_3(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("column", COLUMNS[4:])
+    def test_nan_in_any_bound_column_exit_3(self, tmp_path, monkeypatch, capsys, column):
         import v2vbounds.app as app
 
-        real = app.overtaking_sweep
+        real = app.bound_table
 
         def with_nan(*args, **kwargs):
-            rows = real(*args, **kwargs)
-            rows[2] = dataclasses.replace(rows[2], oeb_aoa=math.nan)
-            return rows
+            table = real(*args, **kwargs)
+            table[2, COLUMNS.index(column)] = math.nan
+            return table
 
-        monkeypatch.setattr(app, "overtaking_sweep", with_nan)
+        monkeypatch.setattr(app, "bound_table", with_nan)
         out = tmp_path / "nan.csv"
         assert main(["--config", fast_overtaking_config(tmp_path, out)]) == 3
-        assert "NaN oeb_aoa" in capsys.readouterr().err
+        # The fast config's third row sits at q_y = -6 + 2 * 1.
+        assert f"numerical failure at q_y = -4.0: NaN {column}\n" == capsys.readouterr().err
         assert not out.exists()
 
     def test_uncalibratable_preset_exit_3(self, tmp_path):

@@ -7,6 +7,7 @@ same links and the same bounds, including at grazing placements where the
 bodies touch and panels coincide.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -29,12 +30,15 @@ from v2vbounds.geometry import (
 from v2vbounds.scenarios import (
     PRESETS,
     PresetConfig,
+    _build_vehicle,
     calibrated_scene,
     evaluate_point,
     evaluate_points,
     preset_context,
 )
 from v2vbounds.waveform import effective_bandwidths
+
+from conftest import NARROW, small_scene
 
 BOUND_FIELDS = (
     "peb_lat_both", "peb_lon_both", "oeb_both", "peb_lat_aoa", "peb_lon_aoa", "oeb_aoa",
@@ -46,7 +50,7 @@ HEADINGS = st.one_of(
 
 
 @st.composite
-def custom_presets(draw):
+def custom_presets(draw, halfwidths=st.none() | st.floats(0.0, 1.2)):
     return PresetConfig(
         name="custom",
         carrier_frequency=draw(st.floats(1e9, 80e9)),
@@ -58,7 +62,7 @@ def custom_presets(draw):
         vehicle_length=draw(st.floats(3.0, 6.0)),
         vehicle_width=draw(st.floats(1.5, 2.5)),
         lane_width=draw(st.floats(2.6, 4.0)),
-        fov_blocked_halfwidth=draw(st.none() | st.floats(0.0, 1.2)),
+        fov_blocked_halfwidth=draw(halfwidths),
     )
 
 
@@ -143,6 +147,39 @@ def test_visibility_mask_equals_los_visible(case):
                     scene.tx_panel_state(t), scene.rx_panel_state(r), tx_rect, rx_rect
                 )
                 assert bool(mask[i, t, r]) == expected, (i, t, r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(custom_presets(st.floats(0.0, math.pi) | st.sampled_from([math.pi / 4, math.pi])),
+       st.lists(st.tuples(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0), HEADINGS, HEADINGS),
+                min_size=1, max_size=6))
+def test_skipped_body_test_changes_no_link(preset, placements):
+    # With the flag set, visibility leaves out the Liang-Barsky body test;
+    # the same arrays with the flag cleared run the full los_mask.
+    arrays = _build_vehicle(preset).arrays
+    halfwidth = preset.fov_blocked_halfwidth
+    if halfwidth >= math.pi / 4 or halfwidth < math.pi / 4 - 1e-11:
+        assert arrays.sectors_imply_body == (halfwidth >= math.pi / 4)
+    full = dataclasses.replace(arrays, sectors_imply_body=False)
+    x, y, alpha_t, alpha_r = np.array(placements).T
+    poses = ((np.zeros((len(x), 2)), wrap_angles(alpha_t)),
+             (np.column_stack((x, y)), wrap_angles(alpha_r)))
+    np.testing.assert_array_equal(visibility(arrays, poses[0], arrays, poses[1])[2],
+                                  visibility(full, poses[0], full, poses[1])[2])
+
+
+@pytest.mark.parametrize("vehicle, flag", [
+    (_build_vehicle(PRESETS["cfg_3p5GHz"]), True),
+    (_build_vehicle(PRESETS["cfg_28GHz"]), True),
+    (_build_vehicle(NARROW), True),
+    (_build_vehicle(dataclasses.replace(PRESETS["cfg_3p5GHz"], fov_blocked_halfwidth=0.78)), False),
+    (dataclasses.replace(_build_vehicle(PRESETS["cfg_3p5GHz"]), length=5.0), False),
+    (small_scene().tx_vehicle, False),
+    (small_scene(n_rx_panels=4).rx_vehicle, False),
+], ids=["cfg_3p5GHz", "cfg_28GHz", "narrow", "halfwidth_0.78", "longer_body", "off_corner_2",
+        "off_corner_4"])
+def test_sectors_imply_body_flag(vehicle, flag):
+    assert vehicle.arrays.sectors_imply_body is flag
 
 
 @st.composite

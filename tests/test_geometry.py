@@ -504,9 +504,13 @@ class TestVehicleArrays:
             assert arrays.n_elements[k] == panel.n_elements
             np.testing.assert_array_equal(arrays.saaf_s[k], saaf_matrix(panel))
             np.testing.assert_array_equal(
-                arrays.elements[k],
-                [[e.distance for e in panel.elements], [e.angle for e in panel.elements]],
+                arrays.elements[:, k],
+                [[e.distance for e in panel.elements] + [0.0] * (3 - panel.n_elements),
+                 [e.angle for e in panel.elements] + [0.0] * (3 - panel.n_elements)],
             )
+            np.testing.assert_allclose(arrays.d_perp[k], [
+                sum(e.distance * math.sin(e.angle) for e in panel.elements),
+                -sum(e.distance * math.cos(e.angle) for e in panel.elements)], rtol=0, atol=1e-15)
         assert not arrays.saaf_s[0].any()  # one element has no aperture
         assert vehicle.arrays is arrays
 
@@ -516,5 +520,5 @@ class TestVehicleArrays:
         wider = dataclasses.replace(vehicle, width=2.0)
         assert wider.arrays is not arrays and wider.arrays.width == 2.0
         fewer = dataclasses.replace(vehicle, panels=vehicle.panels[:2])
-        assert list(fewer.arrays.n_elements) == [1, 2] and len(fewer.arrays.elements) == 2
+        assert list(fewer.arrays.n_elements) == [1, 2] and fewer.arrays.elements.shape == (2, 2, 2)
         assert vehicle.arrays is arrays and arrays.width == 1.8

@@ -170,8 +170,8 @@ class TestEvaluatePoint:
         assert evaluate_point(preset_3p5, Vec2(-3.5, 10.0)) == before
         shared = [getattr(arrays, f.name) for f in dataclasses.fields(arrays)
                   if isinstance(getattr(arrays, f.name), np.ndarray)]
-        shared += [*arrays.elements, ctx.betas, ctx.power_fractions]
-        assert len(shared) == 12
+        shared += [ctx.betas, ctx.power_fractions]
+        assert len(shared) == 10
         assert not any(a.flags.writeable for a in shared)
 
 
@@ -292,16 +292,17 @@ class TestScenarioCrossings:
     @pytest.mark.parametrize("preset, scenario", SCENARIO_CASES)
     def test_at_most_three_batched_calls(self, preset, scenario, monkeypatch):
         calls = []
-        batched = scenarios.evaluate_points
+        batched = scenarios.bound_table
 
         def counting(*args, **kwargs):
             calls.append(len(args[1]))
             return batched(*args, **kwargs)
 
-        def single(*args, **kwargs):
-            raise AssertionError("the crossing search calls evaluate_point")
-        monkeypatch.setattr(scenarios, "evaluate_points", counting)
-        monkeypatch.setattr(scenarios, "evaluate_point", single)
+        def rows(*args, **kwargs):
+            raise AssertionError("the crossing search builds SweepRows")
+        monkeypatch.setattr(scenarios, "bound_table", counting)
+        monkeypatch.setattr(scenarios, "evaluate_points", rows)
+        monkeypatch.setattr(scenarios, "evaluate_point", rows)
         scenario_crossings(PRESETS[preset], scenario)
         assert 1 <= len(calls) <= 3
         assert calls[:2] == [2, 127][:len(calls)]  # endpoints, then the coarse interior

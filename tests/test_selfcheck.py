@@ -28,14 +28,11 @@ from v2vbounds.selfcheck import (
     run_selfcheck,
 )
 
-from conftest import LIGHT
+from conftest import LIGHT, NARROW
 from reference import sequential_placements
 
 P35 = PRESETS["cfg_3p5GHz"]
 P28 = PRESETS["cfg_28GHz"]
-# Every annulus placement of the default presets has a link; panels blind
-# over +-2.3 rad leave about one in ten without one, so draws get rejected.
-NARROW = dataclasses.replace(P35, name="narrow", fov_blocked_halfwidth=2.3)
 
 
 @pytest.mark.parametrize("seed", range(SELFCHECK_SEED, SELFCHECK_SEED + 3))
