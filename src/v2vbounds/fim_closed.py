@@ -1,13 +1,13 @@
 """Closed-form position/orientation information matrices and error bounds.
 
-The 3x3 information matrix is laid out over [q_x, q_y, alpha_T]: lateral
-position, longitudinal position, and Tx-vehicle heading. Each active link
-contributes a rank-one delay (TDOA) term along the link direction and a
-rank-one angle (AOA) term along the orthogonal direction, weighted by the
-link SNR, the effective baseband bandwidth, and the squared array aperture
-function. Referencing all delay differences to a common link costs a
-weighted-mean correction, implemented here in covariance form so the result
-is independent of the reference choice and numerically stable.
+The 3x3 EFIM over [q_x, q_y, alpha_T] (lateral and longitudinal position, Tx
+heading) sums, per active link, a rank-one delay (TDOA) term along the link
+direction and a rank-one angle (AOA) term orthogonal to it, weighted by the
+link SNR, the effective bandwidth and the squared array aperture function;
+the delay terms enter in covariance form (weighted mean removed), so the
+result does not depend on a reference link. Stacks of EFIMs are assembled by
+batched matmul and their bounds read from LDL^T factors as elementwise 3x3
+algebra; only the rank test calls LAPACK (eigvalsh).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import LinkGain
 from .errors import NoActiveLinks
-from .geometry import SPEED_OF_LIGHT, ArrayPanel, Link, saaf_matrix, unit_dir
+from .geometry import SPEED_OF_LIGHT, Link
 from .scene import Scene
 
 # Eigenvalues below RANK_EPS * lambda_max count as zero when ranking.
@@ -43,33 +43,43 @@ class FimResult:
     singular: bool
 
 
-def saaf(panel: ArrayPanel, theta_local: float) -> float:
-    """Squared array aperture function of a panel at a vehicle-frame angle.
-
-    Mean squared projection of the element offsets orthogonal to the arrival
-    direction; zero for a single-element panel, and the quantity that scales
-    the angle information of a link.
-    """
-    u = np.array(unit_dir(theta_local).as_tuple())
-    return float(u @ saaf_matrix(panel) @ u)
-
-
 def bound_arrays(j_po: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Symmetrised EFIMs, ranks and [peb_lat, peb_lon, oeb] of (..., 3, 3)
-    EFIMs; below full rank (see RANK_EPS) the bounds are +inf. The rank is
-    that of D^-1/2 J D^-1/2, D = diag(J), so no unit of position or heading
-    can change it; a non-positive diagonal entry is a missing direction."""
+    EFIMs: +inf below full rank, NaN where an entry is not finite (rank 0).
+    The rank is that of A = D^-1/2 J D^-1/2, D = diag(J) (see RANK_EPS), so no
+    unit of position or heading can change it; a diagonal entry below the
+    smallest normal float is a missing direction. The position block, in one
+    unit, is ranked as it stands: an eigenvalue ratio below RANK_EPS caps the
+    rank at 2. The bounds are sqrt([A^-1]_ii / D_ii), from A's LDL^T factors."""
     sym = 0.5 * (j_po + np.swapaxes(j_po, -1, -2))
-    diag = sym.diagonal(0, -2, -1)
-    scale = np.sqrt(np.divide(1.0, diag, where=diag > 0.0, out=np.zeros(diag.shape)))
-    eigvals = np.linalg.eigvalsh(sym * (scale[..., :, None] * scale[..., None, :]))
+    finite = np.isfinite(sym).all(axis=(-2, -1))
+    safe = np.where(finite[..., None, None], sym, 0.0)
+    diag = safe.diagonal(0, -2, -1)
+    scale = np.sqrt(np.divide(1.0, diag, where=diag >= np.finfo(float).tiny,
+                              out=np.zeros(diag.shape)))
+    a = safe * (scale[..., :, None] * scale[..., None, :])
+    eigvals = np.linalg.eigvalsh(a)
     lam_max = eigvals[..., -1:]
     rank = np.where(lam_max[..., 0] > 0.0, np.sum(eigvals > RANK_EPS * lam_max, axis=-1), 0)
-    full = (rank == 3)[..., None]
-    inv = np.linalg.inv(np.where(full[..., None], sym, np.eye(3)))
-    with np.errstate(invalid="ignore"):  # a negative variance becomes NaN, not an error
-        bounds = np.sqrt(np.diagonal(inv, axis1=-2, axis2=-1))
-    return sym, rank, np.where(full, bounds, math.inf)
+    a00, a01, a02, _, a11, a12, _, _, a22 = a.reshape(-1, 9).T.copy()
+    scale = scale.reshape(-1, 3).T
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows below full rank are masked
+        # A = L diag(a00, d1, d2) L^T, L unit lower triangular: [A^-1]_ii is
+        # sum_k [L^-1]_ki^2 / d_k, a sum of positive terms.
+        l10, l20 = a01 / a00, a02 / a00
+        d1, e12 = a11 - l10 * a01, a12 - l20 * a01
+        l21 = e12 / d1
+        d2 = a22 - l20 * a02 - l21 * e12
+        inv = (1.0 / a00 + l10 * l10 / d1 + (l10 * l21 - l20)**2 / d2, 1.0 / d1 + l21 * l21 / d2,
+               1.0 / d2)
+        # The position block over sqrt(J_xx J_yy): [[a00 r, a01], [a01, a11 / r]], r the
+        # ratio sqrt(J_xx / J_yy), with determinant a00 d1.
+        u, w = a00 * scale[1] / scale[0], a11 * scale[0] / scale[1]
+        flat = a00 * d1 < RANK_EPS * (0.5 * (u + w) + np.hypot(0.5 * (u - w), a01))**2
+        bounds = (scale * np.sqrt(inv)).T.reshape(j_po.shape[:-1])
+    rank = np.where(flat.reshape(rank.shape), np.minimum(rank, 2), rank)
+    fill = np.where(finite, math.inf, math.nan)[..., None]
+    return sym, rank, np.where((rank == 3)[..., None], bounds, fill)
 
 
 def bounds_from_fim(j_po: np.ndarray) -> FimResult:
@@ -85,13 +95,13 @@ def link_vectors(
     """:func:`link_info_vectors` from (..., 2) arrays: the unit direction from
     the Tx toward the Rx panel, the Tx panel's offset from the Tx reference
     point, the Rx vehicle heading and the Rx panel's (..., 2, 2) SAAF matrix."""
-    perp = np.stack((-direction[..., 1], direction[..., 0]), axis=-1)  # unit_perp(theta_T)
-    v_tau = np.concatenate((direction, np.sum(perp * tx_offset, axis=-1)[..., None]), axis=-1)
-    v_theta = np.concatenate((perp, -np.sum(direction * tx_offset, axis=-1)[..., None]), axis=-1)
+    x, y, x_t, y_t = direction[..., 0], direction[..., 1], tx_offset[..., 0], tx_offset[..., 1]
+    v_tau = np.stack((x, y, x * y_t - y * x_t), axis=-1)
+    v_theta = np.stack((-y, x, -(x * x_t + y * y_t)), axis=-1)  # unit_perp(theta_T) first
     c, s = np.cos(rx_heading), np.sin(rx_heading)
-    local = np.stack((c * direction[..., 0] + s * direction[..., 1],
-                      c * direction[..., 1] - s * direction[..., 0]), axis=-1)
-    return v_tau, v_theta, np.einsum("...i,...ij,...j->...", local, saaf_s, local)
+    u, w = c * x + s * y, c * y - s * x  # the arrival direction in the Rx frame
+    cross = (saaf_s[..., 0, 1] + saaf_s[..., 1, 0]) * u * w
+    return v_tau, v_theta, saaf_s[..., 0, 0] * u * u + cross + saaf_s[..., 1, 1] * w * w
 
 
 def link_info_vectors(
@@ -129,12 +139,12 @@ def information(
     """
     c2 = SPEED_OF_LIGHT**2
     w_theta = g * omega_c**2 * aperture / (c2 * distance**2)
-    j_aoa = np.einsum("...k,...ki,...kj->...ij", w_theta, v_theta, v_theta)
+    j_aoa = (v_theta * w_theta[..., None]).swapaxes(-1, -2) @ v_theta
     w_tau = g * beta**2 / c2
     total = np.sum(w_tau, axis=-1, keepdims=True)
-    mean = np.einsum("...k,...ki->...i", w_tau, v_tau) / np.where(total > 0.0, total, 1.0)
-    centered = v_tau - mean[..., None, :]
-    return j_aoa, j_aoa + np.einsum("...k,...ki,...kj->...ij", w_tau, centered, centered)
+    mean = (w_tau[..., None, :] @ v_tau) / np.where(total > 0.0, total, 1.0)[..., None]
+    centered = v_tau - mean
+    return j_aoa, j_aoa + (centered * w_tau[..., None]).swapaxes(-1, -2) @ centered
 
 
 def _scene_information(

@@ -151,7 +151,11 @@ class PresetContext:
     allocation: Allocation
     ofdm: OfdmSpec  # total_power calibrated to the preset's reference SNR
     betas: np.ndarray  # (K,) effective bandwidth per Tx array, rad/s
-    power_fractions: np.ndarray  # (K,) per Tx array
+    # Per link (Tx panel t, Rx panel r) in Kt*Kr order, each (Kt*Kr, ...):
+    link_panels: tuple[np.ndarray, np.ndarray]  # t and r
+    link_gd2: np.ndarray  # calibrated information weight g times distance^2
+    link_beta: np.ndarray  # betas[t]
+    link_saaf: np.ndarray  # the Rx panel's (2, 2) SAAF matrix
 
 
 def _scene(vehicle: VehicleSpec, allocation: Allocation, ofdm: OfdmSpec,
@@ -178,13 +182,14 @@ def preset_context(preset: PresetConfig) -> PresetContext:
     )
     reference = _scene(vehicle, allocation, unit_power, Vec2(-preset.lane_width, 0.0))
     ofdm = replace(unit_power, total_power=calibrate_power(reference, preset.target_snr_db))
-    return PresetContext(
-        vehicle=vehicle,
-        allocation=allocation,
-        ofdm=ofdm,
-        betas=read_only(np.array(effective_bandwidths(allocation, ofdm))),
-        power_fractions=read_only(np.array(allocation.array_power_fractions)),
-    )
+    betas = read_only(np.array(effective_bandwidths(allocation, ofdm)))
+    t, r = (read_only(i.ravel()) for i in np.indices((len(vehicle.panels),) * 2))
+    # Preset scenes keep unit noise; the calibrated power carries the SNR.
+    gd2 = ofdm.total_power * information_weight(
+        1.0, ofdm.wavelength, vehicle.arrays.n_elements[r],
+        np.array(allocation.array_power_fractions)[t], ofdm.n_symbols, 1.0)
+    return PresetContext(vehicle, allocation, ofdm, betas, (t, r), read_only(gd2),
+                         read_only(betas[t]), read_only(vehicle.arrays.saaf_s[r]))
 
 
 def build_scene(
@@ -220,24 +225,19 @@ def placement_efims(
     AOA+TDOA EFIMs (N, 3, 3), zero without links. The visibility test and
     EFIM assembly are the Scene-level API's."""
     ctx = preset_context(preset)
-    ofdm, arrays = ctx.ofdm, ctx.vehicle.arrays
-    n, k = len(q), len(ctx.vehicle.panels)
+    arrays, (t, r), n = ctx.vehicle.arrays, ctx.link_panels, len(q)
     heading = wrap_angles(np.broadcast_to(np.asarray(alpha_t, dtype=float), (n,)))
     tx_c, rx_c, visible = visibility(arrays, (np.zeros((n, 2)), heading),
                                      arrays, (q, np.zeros(n)))
-    # Links over (N, Kt, Kr); hidden pairs get a dummy offset and g = 0.
-    offset = np.where(visible[..., None], rx_c[:, None] - tx_c[:, :, None], 1.0)
-    distance = np.hypot(offset[..., 0], offset[..., 1])
-    vectors = link_vectors(offset / distance[..., None], tx_c[:, :, None], np.zeros(()),
-                           arrays.saaf_s)
-    # Preset scenes keep unit noise; the calibrated power carries the SNR.
-    g = np.where(visible, ofdm.total_power * information_weight(
-        distance, ofdm.wavelength, arrays.n_elements, ctx.power_fractions[:, None],
-        ofdm.n_symbols, 1.0), 0.0)
-    j_aoa, j_both = information(
-        *(a.reshape(n, k * k, *a.shape[3:]) for a in (*vectors, g, distance)),
-        np.repeat(ctx.betas, k), ofdm.omega_c,
-    )
+    # Links (N, Kt*Kr), coordinates first so that each is contiguous; a hidden
+    # link gets distance inf, so g = 0 and a zero direction.
+    tx_at = np.take(tx_c.transpose(2, 0, 1), t, axis=-1)
+    offset = np.take(rx_c.transpose(2, 0, 1), r, axis=-1) - tx_at
+    distance = np.where(visible.reshape(n, -1), np.hypot(*offset), np.inf)
+    vectors = link_vectors((offset / distance).transpose(1, 2, 0), tx_at.transpose(1, 2, 0),
+                           np.zeros(()), ctx.link_saaf)
+    g = ctx.link_gd2 / distance**2
+    j_aoa, j_both = information(*vectors, g, distance, ctx.link_beta, ctx.ofdm.omega_c)
     return tx_c, rx_c, visible, j_aoa, j_both
 
 
@@ -259,8 +259,9 @@ def bound_table(
         raise ValueError("placements and Tx headings must be finite")
     _, _, visible, j_aoa, j_both = placement_efims(preset, q, alpha_t)
     table = np.full((len(q), len(COLUMNS)), np.inf)
-    table[:, :4] = np.column_stack((q, np.abs(q[:, 1]) - preset.vehicle_length,
-                                    visible.sum(axis=(1, 2))))
+    table[:, :2] = q
+    table[:, 2] = np.abs(q[:, 1]) - preset.vehicle_length
+    table[:, 3] = visible.sum(axis=(1, 2))
     wanted = [i for i, m in enumerate(("aoa_tdoa", "aoa")) if m in measurements]
     if wanted:
         bounds = bound_arrays(np.stack((j_both, j_aoa))[wanted])[2]

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from v2vbounds.errors import NoActiveLinks
+from v2vbounds.fim_closed import RANK_EPS
 from v2vbounds.fim_general import link_order
 from v2vbounds.geometry import SPEED_OF_LIGHT, Vec2, active_links
 from v2vbounds.scenarios import calibrated_scene
@@ -88,6 +89,36 @@ def per_link_fim_channel_fd(scene, links, gains, step=1e-7):
         grad = np.column_stack(columns)
         blocks.append((grad.conj().T @ grad).real)
     return _folded_information(scene, blocks)
+
+
+def einsum_information(v_tau, v_theta, aperture, g, distance, beta, omega_c):
+    """AOA-only and AOA+TDOA EFIMs as einsum sums over the links: the
+    reference for the batched matmul form of ``fim_closed.information``."""
+    c2 = SPEED_OF_LIGHT**2
+    w_theta = g * omega_c**2 * aperture / (c2 * distance**2)
+    j_aoa = np.einsum("...k,...ki,...kj->...ij", w_theta, v_theta, v_theta)
+    w_tau = g * beta**2 / c2
+    total = np.sum(w_tau, axis=-1, keepdims=True)
+    mean = np.einsum("...k,...ki->...i", w_tau, v_tau) / np.where(total > 0.0, total, 1.0)
+    centered = v_tau - mean[..., None, :]
+    return j_aoa, j_aoa + np.einsum("...k,...ki,...kj->...ij", w_tau, centered, centered)
+
+
+def inverse_bound_arrays(j_po):
+    """Ranks and bounds of (..., 3, 3) EFIMs from eigvalsh and a LAPACK
+    inverse: the reference for ``fim_closed.bound_arrays`` on finite
+    matrices, without its position-block rank rule."""
+    sym = 0.5 * (j_po + np.swapaxes(j_po, -1, -2))
+    diag = sym.diagonal(0, -2, -1)
+    scale = np.sqrt(np.divide(1.0, diag, where=diag > 0.0, out=np.zeros(diag.shape)))
+    eigvals = np.linalg.eigvalsh(sym * (scale[..., :, None] * scale[..., None, :]))
+    lam_max = eigvals[..., -1:]
+    rank = np.where(lam_max[..., 0] > 0.0, np.sum(eigvals > RANK_EPS * lam_max, axis=-1), 0)
+    full = (rank == 3)[..., None]
+    inv = np.linalg.inv(np.where(full[..., None], sym, np.eye(3)))
+    with np.errstate(invalid="ignore"):
+        bounds = np.sqrt(np.diagonal(inv, axis1=-2, axis2=-1))
+    return rank, np.where(full, bounds, math.inf)
 
 
 def format_cell(value: float) -> str:

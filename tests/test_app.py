@@ -307,6 +307,25 @@ class TestCli:
         assert f"numerical failure at q_y = -4.0: NaN {column}\n" == capsys.readouterr().err
         assert not out.exists()
 
+    def test_nan_efim_exit_3_names_the_row(self, tmp_path, monkeypatch, capsys):
+        # NaN at [1, 1], an entry eigvalsh cannot take: only that row's bounds
+        # become NaN, and the NaN check names the row.
+        import v2vbounds.scenarios as scenarios
+
+        real = scenarios.placement_efims
+
+        def with_nan(*args, **kwargs):
+            *rest, j_both = real(*args, **kwargs)
+            j_both[2, 1, 1] = math.nan
+            return (*rest, j_both)
+
+        monkeypatch.setattr(scenarios, "placement_efims", with_nan)
+        out = tmp_path / "nan.csv"
+        assert main(["--config", fast_overtaking_config(tmp_path, out)]) == 3
+        assert ("numerical failure at q_y = -4.0: NaN peb_lat_both, peb_lon_both, oeb_both\n"
+                == capsys.readouterr().err)
+        assert not out.exists()
+
     def test_uncalibratable_preset_exit_3(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -5,20 +5,34 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from v2vbounds.channel import link_gains
-from v2vbounds.fim_closed import bounds_from_fim, efim_aoa_only, efim_aoa_tdoa, saaf
+from v2vbounds.fim_closed import (
+    RANK_EPS,
+    bound_arrays,
+    bounds_from_fim,
+    efim_aoa_only,
+    efim_aoa_tdoa,
+    information,
+    link_vectors,
+)
 from v2vbounds.geometry import (
+    SPEED_OF_LIGHT,
     ArrayPanel,
     ElementOffset,
     Vec2,
     active_links,
     build_conformal_panel,
+    saaf_matrix,
 )
 from v2vbounds.scenarios import calibrated_scene
 from v2vbounds.waveform import effective_bandwidths
 
 from conftest import small_scene
+from reference import einsum_information, inverse_bound_arrays
 
 
 def two_element_panel(d: float) -> ArrayPanel:
@@ -29,6 +43,15 @@ def two_element_panel(d: float) -> ArrayPanel:
         fov_blocked_center=0.0,
         fov_blocked_halfwidth=0.0,
     )
+
+
+def saaf(panel: ArrayPanel, theta_local, rx_heading: float = 0.0):
+    """The squared array aperture function link_vectors gives a link that
+    arrives on the panel at vehicle-frame angle theta_local, the Rx vehicle
+    at heading rx_heading."""
+    world = theta_local + rx_heading
+    direction = np.stack((np.cos(world), np.sin(world)), axis=-1)
+    return link_vectors(direction, np.zeros(2), np.asarray(rx_heading), saaf_matrix(panel))[2]
 
 
 class TestSaaf:
@@ -52,7 +75,7 @@ class TestSaaf:
         # sum(d_i^2) / (2 N).
         panel = build_conformal_panel(n, 0.0857, 2)
         grid = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-        average = float(np.mean([saaf(panel, float(t)) for t in grid]))
+        average = float(np.mean(saaf(panel, grid)))
         expected = sum(e.distance**2 for e in panel.elements) / (2.0 * n)
         assert abs(average - expected) < 1e-12
 
@@ -60,6 +83,14 @@ class TestSaaf:
         panel = build_conformal_panel(4, 0.0857, 3)
         for theta in np.linspace(-math.pi, math.pi, 101):
             assert saaf(panel, float(theta)) >= 0.0
+
+    @pytest.mark.parametrize("rx_heading", [0.7, -2.0, math.pi])
+    def test_depends_on_the_vehicle_frame_angle_only(self, rx_heading):
+        # link_vectors rotates the world-frame direction into the Rx frame.
+        panel = build_conformal_panel(4, 0.0857, 3)
+        theta = np.linspace(-math.pi, math.pi, 101)
+        np.testing.assert_allclose(saaf(panel, theta, rx_heading), saaf(panel, theta),
+                                   rtol=1e-12, atol=1e-18)
 
 
 class TestBoundsFromFim:
@@ -71,12 +102,52 @@ class TestBoundsFromFim:
         assert result.rank == 3 and not result.singular
 
     def test_scaling(self):
+        # The bounds scale as s^-1/2 down to 1e-160 and up to 1e160, where
+        # products of raw entries would underflow or overflow.
         j = np.array([[9.0, 1.0, 0.5], [1.0, 6.0, 0.2], [0.5, 0.2, 3.0]])
         r1 = bounds_from_fim(j)
-        r4 = bounds_from_fim(4.0 * j)
-        assert abs(r4.peb_lat - r1.peb_lat / 2.0) < 1e-12
-        assert abs(r4.peb_lon - r1.peb_lon / 2.0) < 1e-12
-        assert abs(r4.oeb - r1.oeb / 2.0) < 1e-12
+        for s in (4.0, 1e-160, 1e160):
+            rs = bounds_from_fim(s * j)
+            assert rs.rank == 3, s
+            for name in ("peb_lat", "peb_lon", "oeb"):
+                expected = getattr(r1, name) / math.sqrt(s)
+                assert abs(getattr(rs, name) - expected) <= 1e-12 * expected, (s, name)
+        # Position and heading units 1e160 apart, either way round.
+        for p, h in ((1e80, 1e-80), (1e-80, 1e80)):
+            unit = np.array([p, p, h])
+            _, rank, bounds = bound_arrays(j * np.outer(unit, unit))
+            assert rank == 3
+            np.testing.assert_allclose(bounds * unit, [r1.peb_lat, r1.peb_lon, r1.oeb], rtol=1e-12)
+
+    @pytest.mark.parametrize("ratio, rank", [(1e-12, 2), (1e-9, 3)])
+    def test_position_block_ranked_in_its_own_units(self, ratio, rank):
+        # Equilibrated, diag(1, ratio, 1) is the identity; the position block
+        # alone, in 1/m^2 on both axes, has eigenvalue ratio `ratio`.
+        result = bounds_from_fim(np.diag([1.0, ratio, 1.0]))
+        assert result.rank == rank and result.singular == (rank < 3)
+        assert math.isinf(result.peb_lon) == (rank < 3)
+        tilted = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + ratio, 0.0], [0.0, 0.0, 1.0]])
+        assert bounds_from_fim(tilted).rank == rank
+
+    def test_subnormal_diagonal_is_a_missing_direction(self):
+        # 1 / 9e-310 overflows: the direction counts as missing, not as a NaN scale.
+        result = bounds_from_fim(np.diag([9e-310, 1.0, 1.0]))
+        assert result.rank == 2 and math.isinf(result.peb_lat) and math.isinf(result.oeb)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)])
+    def test_non_finite_entry_gives_nan_row(self, entry, value):
+        good = np.array([[9.0, 1.0, 0.5], [1.0, 6.0, 0.2], [0.5, 0.2, 3.0]])
+        bad = good.copy()
+        bad[entry] = value
+        _, rank, bounds = bound_arrays(np.stack((good, bad, good)))
+        expected = bounds_from_fim(good)
+        for row in (0, 2):
+            assert rank[row] == 3
+            assert bounds[row].tolist() == [expected.peb_lat, expected.peb_lon, expected.oeb]
+        assert rank[1] == 0 and np.isnan(bounds[1]).all()
+        alone = bounds_from_fim(bad)
+        assert alone.singular and math.isnan(alone.peb_lat) and math.isnan(alone.oeb)
 
     def test_singular_sentinels(self):
         j = np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
@@ -107,6 +178,76 @@ class TestBoundsFromFim:
             for s in np.logspace(-4.0, 4.0, 17):
                 heading_unit = np.diag([1.0, 1.0, s])
                 assert bounds_from_fim(heading_unit @ j @ heading_unit).rank == rank, (j, s)
+
+
+@st.composite
+def link_arrays(draw):
+    """Per-link inputs of ``information`` for a batch of placements, with
+    hidden links (g = 0) and Tx arrays without subcarriers (beta = 0)."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 16))
+    coordinate = st.floats(-5.0, 5.0)
+    v_tau = draw(arrays(float, (n, k, 3), elements=coordinate))
+    v_theta = draw(arrays(float, (n, k, 3), elements=coordinate))
+    aperture = draw(arrays(float, (k,), elements=st.floats(0.0, 1e-2)))
+    g = draw(arrays(float, (n, k), elements=st.just(0.0) | st.floats(1e-3, 1e6)))
+    distance = draw(arrays(float, (n, k), elements=st.floats(0.5, 100.0)))
+    beta = draw(arrays(float, (k,), elements=st.just(0.0) | st.floats(1e5, 1e8)))
+    return v_tau, v_theta, aperture, g, distance, beta, 2.0 * math.pi * 3.5e9
+
+
+@settings(max_examples=200, deadline=None)
+@given(link_arrays())
+def test_information_matches_einsum_oracle(case):
+    # Matmul and einsum sum the links in different orders: the difference is
+    # bounded by 1e-13 of sum_k w_k (sum_i |v_ki|)^2, a bound on the
+    # uncentered terms' magnitudes (the delay part centres its vectors first).
+    v_tau, v_theta, aperture, g, distance, beta, omega_c = case
+    c2 = SPEED_OF_LIGHT**2
+    size_aoa = np.einsum("...k,...ki,...kj->...", g * omega_c**2 * aperture / (c2 * distance**2),
+                         np.abs(v_theta), np.abs(v_theta))
+    size_tau = np.einsum("...k,...ki,...kj->...", g * beta**2 / c2, np.abs(v_tau), np.abs(v_tau))
+    for got, expected, size in zip(information(*case), einsum_information(*case),
+                                   (size_aoa, size_aoa + size_tau)):
+        assert got.shape == expected.shape
+        assert (np.abs(got - expected) <= 1e-13 * size[..., None, None]).all()
+
+
+@st.composite
+def scaled_psd(draw):
+    """A PSD 3x3 EFIM of rank 0-3, with position entries scaled by 10^e_p
+    and the heading entry by 10^e_h, e_p and e_h in [-160, 160]."""
+    rank = draw(st.integers(0, 3))
+    # Nonzero factors are at least 1e-3, so no diagonal entry is subnormal.
+    factor = st.just(0.0) | st.floats(1e-3, 1.0) | st.floats(-1.0, -1e-3)
+    factors = draw(arrays(float, (3, rank), elements=factor))
+    e_p, e_h = draw(st.floats(-160.0, 160.0)), draw(st.floats(-160.0, 160.0))
+    unit = np.array([10.0 ** (e_p / 2), 10.0 ** (e_p / 2), 10.0 ** (e_h / 2)])
+    return (factors @ factors.T) * np.outer(unit, unit)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(scaled_psd(), min_size=1, max_size=4))
+def test_bound_arrays_matches_inverse_oracle(matrices):
+    j = np.array(matrices)
+    _, rank, bounds = bound_arrays(j)
+    expected_rank, expected = inverse_bound_arrays(j)
+    eps = np.finfo(float).eps
+    for i, m in enumerate(j):
+        # The position block's eigenvalue ratio, over its larger diagonal entry.
+        top = max(m[0, 0], m[1, 1])
+        low, high = np.linalg.eigvalsh(m[:2, :2] / top) if top > 0.0 else (0.0, 1.0)
+        assume(not 0.1 * RANK_EPS * high <= low <= 10.0 * RANK_EPS * high)
+        flat = low < RANK_EPS * high
+        assert rank[i] == (min(expected_rank[i], 2) if flat else expected_rank[i])
+        if rank[i] < 3:
+            assert np.isinf(bounds[i]).all()
+            continue
+        d = np.sqrt(np.diag(m))
+        cond = np.linalg.cond(m / np.outer(d, d))
+        if cond <= 1e8:
+            # Both are backward stable: each within a few eps * cond of the exact value.
+            error = np.abs(bounds[i] - expected[i]) / expected[i]
+            assert (error <= 1e-13 + 64.0 * eps * cond).all(), (error, cond)
 
 
 def _scene_links_gains(preset, q):

@@ -170,8 +170,8 @@ class TestEvaluatePoint:
         assert evaluate_point(preset_3p5, Vec2(-3.5, 10.0)) == before
         shared = [getattr(arrays, f.name) for f in dataclasses.fields(arrays)
                   if isinstance(getattr(arrays, f.name), np.ndarray)]
-        shared += [ctx.betas, ctx.power_fractions]
-        assert len(shared) == 10
+        shared += [ctx.betas, *ctx.link_panels, ctx.link_gd2, ctx.link_beta, ctx.link_saaf]
+        assert len(shared) == 14
         assert not any(a.flags.writeable for a in shared)
 
 
