@@ -43,6 +43,14 @@ _OVERRIDABLE = {f.name for f in dataclasses.fields(PresetConfig)} - {"name"}
 _INT_OVERRIDES = {f.name for f in dataclasses.fields(PresetConfig) if f.type in ("int", int)}
 
 
+def _number(value) -> float:
+    """float(value) for a config value; YAML reads yes and true as True, and
+    float(True) is 1.0, so a boolean raises TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is a boolean")
+    return float(value)
+
+
 @dataclass
 class RunConfig:
     """Validated run description."""
@@ -77,7 +85,7 @@ class RunConfig:
             raise ConfigError(f"unknown preset {self.preset!r}")
         for key, value in overrides.items():
             try:
-                number = float(value)
+                number = _number(value)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"override {key} is not numeric: {value!r}") from exc
             if key in _INT_OVERRIDES and not number.is_integer():
@@ -135,7 +143,7 @@ def _config_from_mapping(raw: dict) -> RunConfig:
     for key in ("step", "q_x", "q_y_min", "q_y_max", "alpha_t"):
         if key in raw:
             try:
-                setattr(cfg, key, float(raw[key]))
+                setattr(cfg, key, _number(raw[key]))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"config key {key} is not numeric: {raw[key]!r}") from exc
     if "overrides" in raw and raw["overrides"] is not None:
@@ -220,7 +228,11 @@ def run(cfg: RunConfig) -> int:
             print(f"numerical failure at q_y = {table[row, 1]}: NaN {names}", file=sys.stderr)
             return 3
         out_path = cfg.output_path()
-        emit_csv(table, out_path)
+        try:
+            emit_csv(table, out_path)
+        except OSError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
         print(f"wrote {len(table)} rows to {out_path}")
         for line in _crossing_summary(cfg, preset):
             print(line)

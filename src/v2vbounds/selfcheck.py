@@ -11,6 +11,12 @@ closed-form vs Schur suite checks the EFIM assembly behind every sweep row
 (``scenarios.placement_efims``) against the Schur kernels, on those scenes
 and on each preset's fixed edge set (:func:`edge_placements`): bumper
 overlap, short gaps, blocked-sector edges. A NaN error fails every suite.
+
+The kernels run once per preset and link count, on the whole stack of those
+placements, cut only where its largest array would pass _STACK_BYTES
+(:func:`_link_count_chunks`): the fixed cost of a kernel call, not its
+arithmetic, dominates these suites, and the budget still bounds memory for
+any n_scenes.
 """
 
 from __future__ import annotations
@@ -27,8 +33,9 @@ from .fim_general import (
     AOA_ONLY, AOA_TDOA, channel_fims, channel_fims_fd, link_orders, schur_efims,
     transform_matrices,
 )
-from .geometry import SPEED_OF_LIGHT, Vec2
+from .geometry import SPEED_OF_LIGHT, Vec2, visibility, wrap_angles
 from .scenarios import PRESETS, PresetConfig, calibrated_scene, placement_efims, preset_context
+from .scene import Scene
 
 SELFCHECK_SEED = 20240311
 
@@ -36,10 +43,11 @@ CLOSED_VS_SCHUR_TOL = 1e-8
 ANALYTIC_VS_FD_TOL = 1e-5
 REFERENCE_INVARIANCE_TOL = 1e-10
 
-# Scenes per call of the Schur kernels, which bounds their (n, 4L, 4L) stacks,
-# and of the FD twin, whose gradient sets the peak RSS (+0.4 MB at 2 per call).
-_SCHUR_CHUNK = 8
-_FD_CHUNK = 1
+# Bytes of the largest stack one kernel call may build: the Schur kernels'
+# (n, 4L, 4L) floats, the FD twin's (n, L, 4, S_max, E_max) complex gradient.
+# At 1 MiB every default Schur group runs in one call and the 28 GHz FD
+# groups about 4 placements at a time.
+_STACK_BYTES = 1 << 20
 
 
 def random_placements(
@@ -49,12 +57,14 @@ def random_placements(
     scene i under presets[i % len(presets)]. Each draw takes a radius, a
     bearing and a Tx heading from the stream, so the scenes are those of
     drawing one placement at a time and redrawing those without a link."""
-    accepted = []
+    accepted, arrays = [], [preset_context(p).vehicle.arrays for p in presets]
     while len(accepted) < n_scenes:  # each block draws one placement per missing scene
         radius, bearing, alpha_t = rng.uniform([5.0, -math.pi, -math.pi], [40.0, math.pi, math.pi],
                                                size=(n_scenes - len(accepted), 3)).T
         q = np.column_stack((radius * np.cos(bearing), radius * np.sin(bearing)))
-        linked = [placement_efims(p, q, alpha_t)[2].any(axis=(1, 2)) for p in presets]
+        # The LOS mask of placement_efims, without its EFIM assembly.
+        tx_pose, rx_pose = (np.zeros_like(q), wrap_angles(alpha_t)), (q, np.zeros(len(q)))
+        linked = [visibility(a, tx_pose, a, rx_pose)[2].any(axis=(1, 2)) for a in arrays]
         for j in range(len(q)):
             i = len(accepted) % len(presets)
             if linked[i][j]:
@@ -96,11 +106,14 @@ def equilibrated_frobenius(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return relative_frobenius(a * weight, b * weight)
 
 
-def _link_count_chunks(visible: np.ndarray, size: int):
-    """Indices of placements with equal link counts, at most size at a time."""
+def _link_count_chunks(visible: np.ndarray, scene_bytes):
+    """Indices of placements with equal link counts, as many at a time as fit
+    _STACK_BYTES when one placement with L links takes scene_bytes(L) > 0
+    bytes; a placement that alone takes more comes on its own."""
     n_links = visible.sum(axis=(1, 2))
     for count in sorted(set(n_links.tolist())):
         group = np.flatnonzero(n_links == count)
+        size = max(1, _STACK_BYTES // scene_bytes(count))
         yield from np.split(group, range(size, len(group), size))
 
 
@@ -126,17 +139,18 @@ def _placement_links(
 
 
 def _schur_efims(
-    preset: PresetConfig, tx_c: np.ndarray, rx_c: np.ndarray, visible: np.ndarray,
+    preset: PresetConfig, scene: Scene, tx_c: np.ndarray, rx_c: np.ndarray, visible: np.ndarray,
     order: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Schur-path EFIMs (2, n, 3, 3) and nuisance-singular flags (2, n),
     AOA+TDOA then AOA-only, of n placements with equal link counts, from
-    their links as :func:`_placement_links` rebuilds them."""
+    their links as :func:`_placement_links` rebuilds them. ``scene`` is any
+    scene of the preset: the kernel reads its waveform, allocation and Rx
+    panels."""
     t, r, tx_at, offset, distance, angle, h = _placement_links(preset, tx_c, rx_c, visible, order)
     v_tau, v_theta, _ = link_vectors(offset / distance[..., None], tx_at, np.zeros(()),
                                      preset_context(preset).vehicle.arrays.saaf_s[r])
-    # Any scene of the preset: the kernel reads its waveform, allocation and Rx panels.
-    j_phi = channel_fims(calibrated_scene(preset, Vec2(0.0, 0.0)), t, r, angle, h)
+    j_phi = channel_fims(scene, t, r, angle, h)
     schur = [schur_efims(j_phi, transform_matrices(v_tau, v_theta, distance, variant))
              for variant in (AOA_TDOA, AOA_ONLY)]
     return tuple(np.stack(parts) for parts in zip(*schur))
@@ -156,8 +170,9 @@ def closed_vs_schur_errors(
         q = np.array([q for p, q, _ in drawn if p is preset] + edge_q.tolist())
         alpha_t = np.array([a for p, _, a in drawn if p is preset] + edge_alpha.tolist())
         tx_c, rx_c, visible, j_aoa, j_both = placement_efims(preset, q, alpha_t)
-        for chunk in _link_count_chunks(visible, _SCHUR_CHUNK):
-            j_po, singular = _schur_efims(preset, tx_c[chunk], rx_c[chunk], visible[chunk])
+        scene = calibrated_scene(preset, Vec2(0.0, 0.0))
+        for chunk in _link_count_chunks(visible, lambda n_links: 8 * (4 * n_links)**2):
+            j_po, singular = _schur_efims(preset, scene, tx_c[chunk], rx_c[chunk], visible[chunk])
             error = relative_frobenius(np.stack((j_both[chunk], j_aoa[chunk])), j_po)
             worst = np.maximum(worst, np.where(singular, math.inf, error).max(axis=1))
     return float(worst[0]), float(worst[1])
@@ -181,7 +196,9 @@ def analytic_vs_fd_errors(n_scenes: int = 20, seed: int = SELFCHECK_SEED) -> flo
         alpha_t = np.array([a for p, _, a in drawn if p is preset])
         tx_c, rx_c, visible, _, _ = placement_efims(preset, q, alpha_t)
         scene = calibrated_scene(preset, Vec2(0.0, 0.0))
-        for chunk in _link_count_chunks(visible, _FD_CHUNK):
+        samples = (scene.allocation.arrays.indices.shape[-1]
+                   * scene.rx_vehicle.arrays.elements.shape[-1])
+        for chunk in _link_count_chunks(visible, lambda n_links: 16 * 4 * n_links * samples):
             t, r, _, _, distance, angle, h = _placement_links(
                 preset, tx_c[chunk], rx_c[chunk], visible[chunk])
             delay = distance / SPEED_OF_LIGHT
@@ -201,7 +218,8 @@ def reference_invariance_error(seed: int = SELFCHECK_SEED) -> float:
     n_links = int(visible.sum())
     order = np.argsort(np.arange(n_links) != np.arange(n_links)[:, None], axis=-1, kind="stable")
     (j_po, _), (singular, _) = _schur_efims(
-        preset, *(np.repeat(x, n_links, axis=0) for x in (tx_c, rx_c, visible)), order)
+        preset, calibrated_scene(preset, Vec2(0.0, 0.0)),
+        *(np.repeat(x, n_links, axis=0) for x in (tx_c, rx_c, visible)), order)
     if singular.any():
         return math.inf
     return float(relative_frobenius(j_po[:1], j_po[1:]).max(initial=0.0))

@@ -289,6 +289,30 @@ class TestCli:
         assert "config error: override n_rx_elements must be an integer" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("step: yes", "config key step is not numeric: True"),
+        ("q_x: false", "config key q_x is not numeric: False"),
+        ("overrides: {n_rx_elements: true}", "override n_rx_elements is not numeric: True"),
+        ("overrides: {target_snr_db: no}", "override target_snr_db is not numeric: False"),
+    ])
+    def test_yaml_boolean_is_not_a_number_exit_2(self, tmp_path, capsys, text, message):
+        # YAML reads yes/true as True and float(True) is 1.0: step: yes ran
+        # 1 m steps and n_rx_elements: true one element, both with exit 0.
+        out = tmp_path / "x.csv"
+        path = tmp_path / "run.yaml"
+        path.write_text(f"out: {out}\n{text}\n", encoding="utf-8")
+        assert main(["--config", str(path)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "x.csv"
+        assert main(["--config", fast_overtaking_config(tmp_path, out)]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: cannot write CSV to {out}" in captured.err
+        assert "Traceback" not in captured.err and "wrote" not in captured.out
+        assert not (tmp_path / "no").exists()
+
     @pytest.mark.parametrize("column", COLUMNS[4:])
     def test_nan_in_any_bound_column_exit_3(self, tmp_path, monkeypatch, capsys, column):
         import v2vbounds.app as app

@@ -10,7 +10,7 @@ from v2vbounds import selfcheck
 from v2vbounds.channel import link_gains
 from v2vbounds.fim_general import (
     AOA_ONLY, AOA_TDOA, channel_fims, channel_fims_fd, efim_general, fim_channel, fim_channel_fd,
-    link_order,
+    link_order, schur_efims,
 )
 from v2vbounds.geometry import SPEED_OF_LIGHT, Vec2, active_links, wrap_angles
 from v2vbounds.scenarios import PRESETS, calibrated_scene, placement_efims, preset_context
@@ -19,6 +19,7 @@ from v2vbounds.selfcheck import (
     SELFCHECK_SEED,
     _placement_links,
     _schur_efims,
+    analytic_vs_fd_errors,
     closed_vs_schur_errors,
     edge_placements,
     equilibrated_frobenius,
@@ -84,9 +85,10 @@ def test_link_stacks_give_the_scene_paths_schur_efims(preset):
     q, alpha_t = edge_placements(preset)
     tx_c, rx_c, visible, _, _ = placement_efims(preset, q, alpha_t)
     n_links = visible.sum(axis=(1, 2))
+    any_scene = calibrated_scene(preset, Vec2(0.0, 0.0))
     for count in set(n_links.tolist()):
         group = np.flatnonzero(n_links == count)
-        j_po, singular = _schur_efims(preset, tx_c[group], rx_c[group], visible[group])
+        j_po, singular = _schur_efims(preset, any_scene, tx_c[group], rx_c[group], visible[group])
         assert not singular.any()
         for k, i in enumerate(group):
             scene = calibrated_scene(preset, Vec2(*q[i]), alpha_t=alpha_t[i])
@@ -158,6 +160,50 @@ def test_stacked_reference_suite_equals_per_reference_loop(seed):
     expected = max(relative_frobenius(j_po[0], other) for other in j_po[1:])
     assert len(links) > 1
     assert abs(reference_invariance_error(seed) - expected) <= 1e-15
+
+
+def test_one_placement_per_call_gives_the_same_errors(monkeypatch):
+    # Whole link-count stacks give the errors of one kernel call per placement.
+    sizes = []
+
+    def schur(j_phi, t_matrix):
+        sizes.append(len(j_phi))
+        return schur_efims(j_phi, t_matrix)
+
+    def fd(scene, t, *rest):
+        sizes.append(len(t))
+        return channel_fims_fd(scene, t, *rest)
+
+    monkeypatch.setattr(selfcheck, "schur_efims", schur)
+    monkeypatch.setattr(selfcheck, "channel_fims_fd", fd)
+    grouped = (*closed_vs_schur_errors(), analytic_vs_fd_errors())
+    assert max(sizes) > 1
+    sizes.clear()
+    monkeypatch.setattr(selfcheck, "_STACK_BYTES", 1)
+    single = (*closed_vs_schur_errors(), analytic_vs_fd_errors())
+    assert set(sizes) == {1}
+    assert np.allclose(single, grouped, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("scene_bytes", [
+    lambda n_links: 8 * (4 * n_links)**2,  # the Schur suite's
+    lambda n_links: 16 * 4 * n_links * 15 * 25,  # the FD suite's at 28 GHz
+    lambda n_links: 2**17 * n_links,  # more than the budget alone above 8 links
+], ids=["schur", "fd", "oversized"])
+def test_link_count_chunks_cut_only_for_the_budget(scene_bytes):
+    visible = np.random.default_rng(5).random((5000, 4, 4)) < 0.5
+    visible[:, 0, 0] = True
+    n_links = visible.sum(axis=(1, 2))
+    chunks = list(selfcheck._link_count_chunks(visible, scene_bytes))
+    assert np.array_equal(np.sort(np.concatenate(chunks)), np.arange(5000))
+    for chunk in chunks:
+        [count] = set(n_links[chunk].tolist())
+        assert len(chunk) == 1 or len(chunk) * scene_bytes(count) <= selfcheck._STACK_BYTES
+    # Only the budget cuts a group: each takes as few calls as it allows.
+    for count in set(n_links.tolist()):
+        per_call = max(1, selfcheck._STACK_BYTES // scene_bytes(count))
+        calls = sum(n_links[chunk[0]] == count for chunk in chunks)
+        assert calls == -(-(n_links == count).sum() // per_call)
 
 
 def test_equilibration_keeps_silent_parameters_unscaled():
