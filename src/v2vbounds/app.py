@@ -135,11 +135,13 @@ def _config_from_mapping(raw: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     cfg = RunConfig()
-    for key in ("scenario", "preset", "out"):
-        if raw.get(key) is not None:
-            setattr(cfg, key, str(raw[key]))
-    if "measurements" in raw:
-        cfg.measurements = _parse_measurements(str(raw["measurements"]))
+    for key in ("scenario", "preset", "out", "measurements"):
+        value = raw.get(key)
+        if value is None:  # null means the default
+            continue
+        if not isinstance(value, str):
+            raise ConfigError(f"config key {key} must be a string, got {value!r}")
+        setattr(cfg, key, _parse_measurements(value) if key == "measurements" else value)
     for key in ("step", "q_x", "q_y_min", "q_y_max", "alpha_t"):
         if key in raw:
             try:

@@ -1,4 +1,4 @@
-"""Free-space link gains, SNR calibration, and per-link information weights."""
+"""Free-space link gains and per-link information weights."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ZeroDistance
-from .geometry import Link, active_links
+from .geometry import Link
 from .scene import Scene
 
 
@@ -41,42 +41,17 @@ def information_weight(distance, wavelength, n_rx, gamma_t, n_symbols, noise_var
     return 2.0 * n_rx * n_symbols * gamma_t * amplitude**2 / noise_variance
 
 
-def _unit_power_weight(scene: Scene, tx_panel: int, rx_panel: int, distance: float) -> float:
-    """Information weight g of one link at total_power = 1."""
-    return information_weight(
-        distance, scene.ofdm.wavelength, scene.rx_vehicle.panels[rx_panel].n_elements,
-        scene.allocation.array_power_fractions[tx_panel], scene.ofdm.n_symbols,
-        scene.noise_variance,
-    )
-
-
 def link_gains(scene: Scene, links: Sequence[Link]) -> list[LinkGain]:
     """Per-link complex gains and information weights, aligned with ``links``."""
     gains = []
     for link in links:
         h = free_space_gain(link.distance, scene.ofdm.wavelength)
-        g = scene.ofdm.total_power * _unit_power_weight(
-            scene, link.tx_panel, link.rx_panel, link.distance
-        )
+        g = scene.ofdm.total_power * information_weight(
+            link.distance, scene.ofdm.wavelength, scene.rx_vehicle.panels[link.rx_panel].n_elements,
+            scene.allocation.array_power_fractions[link.tx_panel], scene.ofdm.n_symbols,
+            scene.noise_variance)
         n_sub = len(scene.allocation.per_array_sets[link.tx_panel])
         snr_db = 10.0 * math.log10(g / n_sub) if n_sub else -math.inf
         gains.append(LinkGain(h=h, g=g, snr_after_bf_db=snr_db))
     return gains
 
-
-def calibrate_power(scene_at_reference: Scene, target_snr_db: float) -> float:
-    """Transmit power that hits the target post-beamforming SNR.
-
-    The target applies to g/|P_t| on the active link with the shortest
-    distance (ties broken by smallest (t, r)) in the supplied reference
-    scene. Independent of the scene's current total_power, so calibration is
-    idempotent.
-    """
-    links = active_links(scene_at_reference)
-    shortest = min(links, key=lambda lk: (lk.distance, lk.tx_panel, lk.rx_panel))
-    unit_g = _unit_power_weight(
-        scene_at_reference, shortest.tx_panel, shortest.rx_panel, shortest.distance
-    )
-    n_sub = len(scene_at_reference.allocation.per_array_sets[shortest.tx_panel])
-    target_linear = 10.0 ** (target_snr_db / 10.0)
-    return target_linear * n_sub / unit_g

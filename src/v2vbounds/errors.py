@@ -5,10 +5,6 @@ class InvalidCount(ValueError):
     """An element/panel count is outside its valid range."""
 
 
-class CoincidentPanels(ValueError):
-    """Tx and Rx panel centroids coincide; link geometry is undefined."""
-
-
 class ZeroDistance(ValueError):
     """Propagation distance must be strictly positive."""
 

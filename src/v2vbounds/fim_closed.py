@@ -97,7 +97,7 @@ def link_vectors(
     point, the Rx vehicle heading and the Rx panel's (..., 2, 2) SAAF matrix."""
     x, y, x_t, y_t = direction[..., 0], direction[..., 1], tx_offset[..., 0], tx_offset[..., 1]
     v_tau = np.stack((x, y, x * y_t - y * x_t), axis=-1)
-    v_theta = np.stack((-y, x, -(x * x_t + y * y_t)), axis=-1)  # unit_perp(theta_T) first
+    v_theta = np.stack((-y, x, -(x * x_t + y * y_t)), axis=-1)  # (sin, -cos)(theta_T) first
     c, s = np.cos(rx_heading), np.sin(rx_heading)
     u, w = c * x + s * y, c * y - s * x  # the arrival direction in the Rx frame
     cross = (saaf_s[..., 0, 1] + saaf_s[..., 1, 0]) * u * w

@@ -157,7 +157,7 @@ def channel_fims(
     # Summed along the contiguous axis, which numpy adds pairwise.
     tx = _moment_gram(_FA, np.sum(power[:, None] * omega[:, None] ** np.arange(3)[:, None], -1))
     rx, k = scene.rx_vehicle.arrays, scene.ofdm.omega_c / SPEED_OF_LIGHT
-    # dphase_i = k d_perp_i . u, u = unit_dir(angle), so sum dphase = k u . sum d_perp
+    # dphase_i = k d_perp_i . u, u = (cos, sin)(angle), so sum dphase = k u . sum d_perp
     # and sum dphase^2 = k^2 N_r u^T S u, with S the panel's saaf_matrix.
     u = np.stack((np.cos(angle), np.sin(angle)), axis=-1)
     n_r = rx.n_elements[r]

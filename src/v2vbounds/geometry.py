@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import CoincidentPanels, InvalidCount, NoActiveLinks
+from .errors import InvalidCount, NoActiveLinks
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scene import Scene
@@ -99,16 +99,6 @@ class Vec2:
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.x, self.y)
-
-
-def unit_dir(psi: float) -> Vec2:
-    """Unit vector [cos(psi), sin(psi)]."""
-    return Vec2(math.cos(psi), math.sin(psi))
-
-
-def unit_perp(psi: float) -> Vec2:
-    """Unit vector orthogonal to unit_dir(psi), equal to unit_dir(psi - pi/2)."""
-    return unit_dir(psi - math.pi / 2.0)
 
 
 @dataclass(frozen=True)
@@ -238,39 +228,10 @@ class Link:
     delay: float  # s
 
 
-@dataclass(frozen=True)
-class PanelState:
-    """A panel resolved into the world frame."""
-
-    centroid: Vec2
-    elements: tuple[Vec2, ...]
-    blocked_center: float  # rad, world frame
-    blocked_halfwidth: float  # rad
-
-
-@dataclass(frozen=True)
-class BodyRect:
-    """Oriented vehicle footprint used for body-blockage tests."""
-
-    pose: Pose
-    length: float
-    width: float
-
-    def segment_crosses_interior(self, a: Vec2, b: Vec2) -> bool:
-        """True iff the open segment a-b meets the open rectangle interior.
-
-        Segments running along an edge or touching only a corner do not
-        count as crossing.
-        """
-        return bool(_crosses_body(np.array(a.as_tuple()), np.array(b.as_tuple()), self.arrays()))
-
-    def arrays(self) -> tuple:
-        return (*self.pose.arrays(), self.length, self.width)
-
-
 def _crosses_body(a: np.ndarray, b: np.ndarray, body: tuple) -> np.ndarray:
-    """Elementwise segment_crosses_interior of (..., 2) endpoints and a body
-    (position (..., 2), orientation (...), length, width)."""
+    """Elementwise: does the open segment a-b, from (..., 2) endpoints, meet the
+    open interior of a body (position (..., 2), orientation (...), length,
+    width)? Segments running along an edge or touching only a corner do not."""
     position, orientation, length, width = body
     c, s = np.cos(-orientation), np.sin(-orientation)
     da, db = a - position, b - position
@@ -292,10 +253,6 @@ def _crosses_body(a: np.ndarray, b: np.ndarray, body: tuple) -> np.ndarray:
     tm, eps = 0.5 * (t0 + t1), 1e-12
     return ((t0 < t1) & (np.abs(ax + tm * (bx - ax)) < width / 2.0 - eps)
             & (np.abs(ay + tm * (by - ay)) < length / 2.0 - eps))
-
-
-def vehicle_rect(vehicle: VehicleSpec, pose: Pose) -> BodyRect:
-    return BodyRect(pose=pose, length=vehicle.length, width=vehicle.width)
 
 
 def build_conformal_panel(
@@ -379,22 +336,6 @@ def build_cornered_vehicle(
     return VehicleSpec(length=length, width=width, panels=panels)
 
 
-def panel_world_state(vehicle: VehicleSpec, pose: Pose, panel_index: int) -> PanelState:
-    """Resolve a panel (0-based index) into world-frame centroid and elements."""
-    panel = vehicle.panels[panel_index]
-    alpha = pose.orientation
-    centroid = pose.position + panel.mount_distance * unit_dir(panel.mount_angle + alpha)
-    elements = tuple(
-        centroid + e.distance * unit_dir(e.angle + alpha) for e in panel.elements
-    )
-    return PanelState(
-        centroid=centroid,
-        elements=elements,
-        blocked_center=wrap_angle(panel.fov_blocked_center + alpha),
-        blocked_halfwidth=panel.fov_blocked_halfwidth,
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class VehicleArrays:
     """A vehicle's K panels as arrays, from VehicleSpec.arrays; shared, read-only."""
@@ -434,8 +375,8 @@ def los_mask(tx_c: np.ndarray, tx_sector: tuple, rx_c: np.ndarray, rx_sector: tu
     outside the Rx panel's blocked sector, and (c) the open segment between
     the centroids to miss each given body's interior (both vehicles' in
     full). Coincident centroids have no defined direction and are reported as
-    not visible. Sectors are (world-frame center, halfwidth), bodies as in
-    BodyRect.arrays; all broadcast against the centroids (..., 2).
+    not visible. Sectors are (world-frame center, halfwidth), bodies as
+    _crosses_body takes them; all broadcast against the centroids (..., 2).
     """
     offset = rx_c - tx_c
     towards_rx = np.arctan2(offset[..., 1], offset[..., 0])
@@ -445,21 +386,6 @@ def los_mask(tx_c: np.ndarray, tx_sector: tuple, rx_c: np.ndarray, rx_sector: tu
     for body in bodies:
         mask &= ~_crosses_body(tx_c, rx_c, body)
     return mask
-
-
-def los_visible(
-    tx_panel_state: PanelState,
-    rx_panel_state: PanelState,
-    tx_vehicle_rect: BodyRect,
-    rx_vehicle_rect: BodyRect,
-) -> bool:
-    """True iff the Tx panel has line of sight to the Rx panel (see los_mask)."""
-    tx, rx = tx_panel_state, rx_panel_state
-    return bool(los_mask(
-        np.array(tx.centroid.as_tuple()), (tx.blocked_center, tx.blocked_halfwidth),
-        np.array(rx.centroid.as_tuple()), (rx.blocked_center, rx.blocked_halfwidth),
-        tx_vehicle_rect.arrays(), rx_vehicle_rect.arrays(),
-    ))
 
 
 def visibility(tx: VehicleArrays, tx_pose: tuple, rx: VehicleArrays, rx_pose: tuple):
@@ -482,32 +408,22 @@ def visibility(tx: VehicleArrays, tx_pose: tuple, rx: VehicleArrays, rx_pose: tu
     return tx_c, rx_c, mask
 
 
-def link_geometry(
-    tx_centroid: Vec2,
-    rx_centroid: Vec2,
-    alpha_R: float,
-    tx_panel: int = 0,
-    rx_panel: int = 0,
-) -> Link:
-    """Distances, world/local angles, and delay for one panel pair; alpha_R
-    is the Rx vehicle heading."""
-    offset = rx_centroid - tx_centroid
-    distance = offset.norm()
-    if distance < 1e-9:
-        raise CoincidentPanels(
-            f"panels ({tx_panel}, {rx_panel}) coincide: separation {distance:.3e} m"
-        )
-    theta_r = offset.angle()
-    theta_t = wrap_angle(theta_r + math.pi)
-    return Link(
-        tx_panel=tx_panel,
-        rx_panel=rx_panel,
-        distance=distance,
-        theta_R=theta_r,
-        theta_T=theta_t,
-        theta_R_local=wrap_angle(theta_r - alpha_R),
-        delay=distance / SPEED_OF_LIGHT,
-    )
+def visible_links(tx_c: np.ndarray, rx_c: np.ndarray, visible: np.ndarray) -> tuple:
+    """The visible links of n placements with equal link counts, from the
+    centroids (n, K, 2) and LOS mask (n, Kt, Kr) of :func:`visibility`, in
+    (t, r) order: Tx and Rx panels (n, L), the Tx centroids and their offsets
+    to the Rx centroids (n, L, 2), distances and arrival angles (n, L).
+    Visible pairs never coincide. Raises NoActiveLinks when no pair is visible.
+    """
+    if not visible.any():
+        raise NoActiveLinks("no Tx-Rx panel pair has line of sight")
+    n = len(visible)
+    _, t, r = (index.reshape(n, -1) for index in np.nonzero(visible))
+    rows = np.arange(n)[:, None]
+    tx_at = tx_c[rows, t]
+    offset = rx_c[rows, r] - tx_at
+    return (t, r, tx_at, offset, np.hypot(offset[..., 0], offset[..., 1]),
+            np.arctan2(offset[..., 1], offset[..., 0]))
 
 
 def active_links(scene: "Scene") -> tuple[Link, ...]:
@@ -518,13 +434,8 @@ def active_links(scene: "Scene") -> tuple[Link, ...]:
     """
     tx_c, rx_c, visible = visibility(scene.tx_vehicle.arrays, scene.tx_pose.arrays(),
                                      scene.rx_vehicle.arrays, scene.rx_pose.arrays())
-    tx, rx = np.nonzero(visible)
-    if not len(tx):
-        raise NoActiveLinks("no Tx-Rx panel pair has line of sight")
-    # link_geometry for every visible pair at once; visible pairs never coincide.
-    offset = rx_c[rx] - tx_c[tx]
-    distance = np.hypot(offset[:, 0], offset[:, 1])
-    theta_r = np.arctan2(offset[:, 1], offset[:, 0])
-    columns = (tx, rx, distance, theta_r, wrap_angles(theta_r + math.pi),
+    t, r, _, _, distance, theta_r = (
+        column[0] for column in visible_links(tx_c[None], rx_c[None], visible[None]))
+    columns = (t, r, distance, theta_r, wrap_angles(theta_r + math.pi),
                wrap_angles(theta_r - scene.rx_pose.orientation), distance / SPEED_OF_LIGHT)
     return tuple(Link(*fields) for fields in zip(*(c.tolist() for c in columns)))

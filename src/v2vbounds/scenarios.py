@@ -18,12 +18,12 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .channel import calibrate_power, information_weight
+from .channel import information_weight
 from .errors import NoBracket
 from .fim_closed import bound_arrays, information, link_vectors
 from .geometry import (
     SPEED_OF_LIGHT, Pose, Vec2, VehicleSpec, build_cornered_vehicle, read_only, visibility,
-    wrap_angles,
+    visible_links, wrap_angles,
 )
 from .scene import Scene
 from .waveform import Allocation, OfdmSpec, effective_bandwidths, interleaved_allocation
@@ -158,21 +158,17 @@ class PresetContext:
     link_saaf: np.ndarray  # the Rx panel's (2, 2) SAAF matrix
 
 
-def _scene(vehicle: VehicleSpec, allocation: Allocation, ofdm: OfdmSpec,
-           q: Vec2, alpha_t: float = 0.0, alpha_r: float = 0.0) -> Scene:
-    return Scene(tx_vehicle=vehicle, tx_pose=Pose(Vec2(0.0, 0.0), alpha_t), rx_vehicle=vehicle,
-                 rx_pose=Pose(q, alpha_r), ofdm=ofdm, allocation=allocation)
-
-
 @lru_cache(maxsize=32)
 def preset_context(preset: PresetConfig) -> PresetContext:
     """The preset's placement-independent pieces, built on first use.
 
     The transmit power is calibrated side by side in neighboring lanes
-    (lateral offset one lane width, zero longitudinal offset); raises
-    NoActiveLinks when that placement has no LOS link.
+    (lateral offset one lane width, zero longitudinal offset), where the
+    shortest visible link (ties to the smallest (t, r)) gets the target SNR
+    g / (its Tx array's subcarrier count); raises NoActiveLinks without one.
     """
     vehicle = _build_vehicle(preset)
+    arrays = vehicle.arrays
     allocation = interleaved_allocation(preset.occupied, len(vehicle.panels))
     unit_power = OfdmSpec(
         n_fft=preset.n_fft,
@@ -180,16 +176,23 @@ def preset_context(preset: PresetConfig) -> PresetContext:
         carrier_frequency=preset.carrier_frequency,
         occupied=preset.occupied,
     )
-    reference = _scene(vehicle, allocation, unit_power, Vec2(-preset.lane_width, 0.0))
-    ofdm = replace(unit_power, total_power=calibrate_power(reference, preset.target_snr_db))
+    side_by_side = (np.array([[-preset.lane_width, 0.0]]), np.zeros(1))
+    ref_t, ref_r, _, _, distance, _ = (column[0] for column in visible_links(
+        *visibility(arrays, (np.zeros((1, 2)), np.zeros(1)), arrays, side_by_side)))
+    k = np.argmin(distance)  # the first shortest link in (t, r) order
+    # Preset scenes keep unit noise; the calibrated power carries the SNR.
+    unit_g = information_weight(distance[k], unit_power.wavelength, arrays.n_elements[ref_r[k]],
+                                allocation.array_power_fractions[ref_t[k]],
+                                unit_power.n_symbols, 1.0)
+    power = 10.0 ** (preset.target_snr_db / 10.0) * len(allocation.per_array_sets[ref_t[k]])
+    ofdm = replace(unit_power, total_power=float(power / unit_g))
     betas = read_only(np.array(effective_bandwidths(allocation, ofdm)))
     t, r = (read_only(i.ravel()) for i in np.indices((len(vehicle.panels),) * 2))
-    # Preset scenes keep unit noise; the calibrated power carries the SNR.
     gd2 = ofdm.total_power * information_weight(
-        1.0, ofdm.wavelength, vehicle.arrays.n_elements[r],
+        1.0, ofdm.wavelength, arrays.n_elements[r],
         np.array(allocation.array_power_fractions)[t], ofdm.n_symbols, 1.0)
     return PresetContext(vehicle, allocation, ofdm, betas, (t, r), read_only(gd2),
-                         read_only(betas[t]), read_only(vehicle.arrays.saaf_s[r]))
+                         read_only(betas[t]), read_only(arrays.saaf_s[r]))
 
 
 def build_scene(
@@ -204,7 +207,9 @@ def build_scene(
     ofdm = ctx.ofdm
     if total_power != ofdm.total_power:
         ofdm = replace(ofdm, total_power=total_power)
-    return _scene(ctx.vehicle, ctx.allocation, ofdm, q, alpha_t, alpha_r)
+    return Scene(tx_vehicle=ctx.vehicle, tx_pose=Pose(Vec2(0.0, 0.0), alpha_t),
+                 rx_vehicle=ctx.vehicle, rx_pose=Pose(q, alpha_r), ofdm=ofdm,
+                 allocation=ctx.allocation)
 
 
 def calibrated_power(preset: PresetConfig) -> float:
@@ -308,8 +313,9 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
 def sweep_placements(preset: PresetConfig, scenario: Literal["overtaking", "platooning", "custom"],
                      q_y_min: float, q_y_max: float, step: float,
                      q_x: float = 0.0) -> list[tuple[float, float]]:
-    """The (q_x, q_y) grid of a sweep, as the sweep below of that name has
-    it; ``q_x`` places a custom sweep only, and platooning reads no q_y_max."""
+    """The (q_x, q_y) grid of a sweep: overtaking and platooning as the sweeps
+    below have it, custom at lateral offset ``q_x`` (which only it reads);
+    platooning reads no q_y_max."""
     if scenario == "platooning":
         gaps = _grid(0.0, -q_y_min - preset.vehicle_length, step)[1:]
         return [(0.0, -(preset.vehicle_length + gap)) for gap in gaps]
@@ -351,20 +357,6 @@ def platooning_sweep(
     """
     q = sweep_placements(preset, "platooning", q_y_min, math.inf, step)
     return evaluate_points(preset, q, measurements=measurements)
-
-
-def custom_sweep(
-    preset: PresetConfig,
-    q_x: float,
-    q_y_min: float,
-    q_y_max: float,
-    step: float = DEFAULT_SWEEP_STEP,
-    alpha_t: float = 0.0,
-    measurements: Sequence[Measurement] = ("aoa_tdoa", "aoa"),
-) -> list[SweepRow]:
-    """Bounds at lateral offset q_x and Tx heading alpha_t over [q_y_min, q_y_max]."""
-    q = sweep_placements(preset, "custom", q_y_min, q_y_max, step, q_x)
-    return evaluate_points(preset, q, alpha_t, measurements)
 
 
 # Each search call after the endpoints splits every open bracket into at most
@@ -442,25 +434,6 @@ def _lattice_search(
         else:
             crossings.append(Crossing(float(s_min + lo[c] * h), None, int(sign_changes[c])))
     return crossings
-
-
-def requirement_crossing(
-    bound_fn: Callable[[np.ndarray], np.ndarray],
-    threshold: float,
-    s_min: float,
-    s_max: float,
-    tol: float = 0.01,
-) -> float:
-    """Largest distance at which the bound still meets the threshold.
-
-    ``bound_fn`` maps an array of distances to an array of bounds. The search
-    runs on the lattice of a bisection to ``tol`` (see _lattice_search) in at
-    most three calls for up to 2**14 lattice steps. The bound must be within
-    the threshold at s_min and above it at s_max, otherwise NoBracket reports
-    whether the requirement is met over the whole range or nowhere.
-    """
-    return _lattice_search(lambda s: np.asarray(bound_fn(s), dtype=float)[None],
-                           [threshold], s_min, s_max, tol)[0].value()
 
 
 def scenario_crossings(

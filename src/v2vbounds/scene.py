@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import PanelState, Pose, VehicleSpec, panel_world_state
+from .geometry import Pose, VehicleSpec
 from .waveform import Allocation, OfdmSpec
 
 
@@ -33,9 +33,3 @@ class Scene:
                 "allocation must provide one subcarrier set per Tx panel "
                 f"({self.allocation.n_arrays} sets, {len(self.tx_vehicle.panels)} panels)"
             )
-
-    def tx_panel_state(self, t: int) -> PanelState:
-        return panel_world_state(self.tx_vehicle, self.tx_pose, t)
-
-    def rx_panel_state(self, r: int) -> PanelState:
-        return panel_world_state(self.rx_vehicle, self.rx_pose, r)

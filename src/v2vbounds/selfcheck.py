@@ -33,7 +33,7 @@ from .fim_general import (
     AOA_ONLY, AOA_TDOA, channel_fims, channel_fims_fd, link_orders, schur_efims,
     transform_matrices,
 )
-from .geometry import SPEED_OF_LIGHT, Vec2, visibility, wrap_angles
+from .geometry import SPEED_OF_LIGHT, Vec2, visibility, visible_links, wrap_angles
 from .scenarios import PRESETS, PresetConfig, calibrated_scene, placement_efims, preset_context
 from .scene import Scene
 
@@ -122,20 +122,16 @@ def _placement_links(
     order: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ...]:
     """Links of n placements with equal link counts from their panel centroids
-    and LOS masks, in link_order or in ``order`` (n, L) of their (t, r) order:
-    Tx and Rx panels, Tx centroids and offsets to the Rx centroids (n, L, 2),
-    distances, arrival angles and free-space gains."""
-    n = len(visible)
-    _, t, r = (index.reshape(n, -1) for index in np.nonzero(visible))  # (t, r) order
-    rows = np.arange(n)[:, None]
+    and LOS masks (geometry.visible_links), in link_order or in ``order``
+    (n, L) of their (t, r) order: Tx and Rx panels, Tx centroids and offsets
+    to the Rx centroids (n, L, 2), distances, arrival angles and free-space
+    gains."""
+    t, r, tx_at, offset, distance, angle = visible_links(tx_c, rx_c, visible)
     if order is None:
-        offset = rx_c[rows, r] - tx_c[rows, t]
-        order = link_orders(np.hypot(offset[..., 0], offset[..., 1]) / SPEED_OF_LIGHT, t, r)
-    t, r = np.take_along_axis(t, order, axis=1), np.take_along_axis(r, order, axis=1)
-    offset = rx_c[rows, r] - tx_c[rows, t]
-    distance = np.hypot(offset[..., 0], offset[..., 1])
-    return (t, r, tx_c[rows, t], offset, distance, np.arctan2(offset[..., 1], offset[..., 0]),
-            free_space_gain(distance, preset_context(preset).ofdm.wavelength))
+        order = link_orders(distance / SPEED_OF_LIGHT, t, r)
+    rows = np.arange(len(visible))[:, None]
+    links = tuple(column[rows, order] for column in (t, r, tx_at, offset, distance, angle))
+    return (*links, free_space_gain(links[4], preset_context(preset).ofdm.wavelength))
 
 
 def _schur_efims(

@@ -58,10 +58,6 @@ class OfdmSpec:
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_frequency
 
-    def omega(self, p: int) -> float:
-        """Baseband angular frequency of subcarrier p (signed), rad/s."""
-        return 2.0 * math.pi * p * self.subcarrier_spacing
-
 
 @dataclass(frozen=True)
 class Allocation:
@@ -151,21 +147,13 @@ def interleaved_allocation(occupied: Iterable[int], k_tx: int) -> Allocation:
     )
 
 
-def effective_bandwidth(alloc: Allocation, spec: OfdmSpec, t: int) -> float:
-    """Power-weighted standard deviation of array t's subcarrier frequencies.
-
-    Computed in centered (variance) form for numerical stability; rad/s.
-    """
-    subset = alloc.per_array_sets[t]
-    if not subset:
-        return 0.0
-    weights = [alloc.per_subcarrier_fractions[p] for p in subset]
-    omegas = [spec.omega(p) for p in subset]
-    mean = sum(w * o for w, o in zip(weights, omegas))
-    var = sum(w * (o - mean) ** 2 for w, o in zip(weights, omegas))
-    return math.sqrt(max(var, 0.0))
-
-
 def effective_bandwidths(alloc: Allocation, spec: OfdmSpec) -> tuple[float, ...]:
-    """Effective baseband bandwidth of every Tx array."""
-    return tuple(effective_bandwidth(alloc, spec, t) for t in range(alloc.n_arrays))
+    """Power-weighted standard deviation of each Tx array's subcarrier
+    angular frequencies, rad/s (0 without subcarriers), in centered form for
+    numerical stability and summed in subcarrier order, as a cumulative sum:
+    numpy's pairwise sum can differ in the last bit."""
+    arrays = alloc.arrays
+    omega = 2.0 * math.pi * arrays.indices * spec.subcarrier_spacing
+    mean = np.cumsum(arrays.fractions * omega, axis=-1)[:, -1:]
+    var = np.cumsum(arrays.fractions * (omega - mean) ** 2, axis=-1)[:, -1]
+    return tuple(np.sqrt(np.maximum(var, 0.0)).tolist())

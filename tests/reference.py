@@ -3,20 +3,169 @@
 Each one builds a quantity the package computes in moment or batched form
 the long way, from the model objects alone (the allocation's dicts and
 tuples, the panels' element offsets, one placement at a time), so a
-comparison checks the shortcut and not a shared helper.
+comparison checks the shortcut and not a shared helper. The scalar
+geometry (panel world states, line of sight, link geometry) and the scalar
+effective bandwidth and power calibration live here too: the package
+computes them on arrays only.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from v2vbounds.errors import NoActiveLinks
 from v2vbounds.fim_closed import RANK_EPS
 from v2vbounds.fim_general import link_order
-from v2vbounds.geometry import SPEED_OF_LIGHT, Vec2, active_links
-from v2vbounds.scenarios import calibrated_scene
+from v2vbounds.geometry import SPEED_OF_LIGHT, Link, Pose, Vec2, active_links, wrap_angle
+from v2vbounds.scenarios import _build_vehicle, calibrated_scene
+from v2vbounds.waveform import OfdmSpec, interleaved_allocation
+
+
+def unit_dir(psi: float) -> Vec2:
+    """Unit vector [cos(psi), sin(psi)]."""
+    return Vec2(math.cos(psi), math.sin(psi))
+
+
+def unit_perp(psi: float) -> Vec2:
+    """Unit vector orthogonal to unit_dir(psi), equal to unit_dir(psi - pi/2)."""
+    return unit_dir(psi - math.pi / 2.0)
+
+
+@dataclass(frozen=True)
+class PanelState:
+    """A panel resolved into the world frame."""
+
+    centroid: Vec2
+    elements: tuple[Vec2, ...]
+    blocked_center: float  # rad, world frame
+    blocked_halfwidth: float  # rad
+
+
+def panel_world_state(vehicle, pose, panel_index: int) -> PanelState:
+    """Resolve a panel (0-based index) into world-frame centroid and elements."""
+    panel = vehicle.panels[panel_index]
+    alpha = pose.orientation
+    centroid = pose.position + panel.mount_distance * unit_dir(panel.mount_angle + alpha)
+    elements = tuple(
+        centroid + e.distance * unit_dir(e.angle + alpha) for e in panel.elements
+    )
+    return PanelState(
+        centroid=centroid,
+        elements=elements,
+        blocked_center=wrap_angle(panel.fov_blocked_center + alpha),
+        blocked_halfwidth=panel.fov_blocked_halfwidth,
+    )
+
+
+def tx_panel_state(scene, t: int) -> PanelState:
+    return panel_world_state(scene.tx_vehicle, scene.tx_pose, t)
+
+
+def rx_panel_state(scene, r: int) -> PanelState:
+    return panel_world_state(scene.rx_vehicle, scene.rx_pose, r)
+
+
+def link_geometry(tx_centroid: Vec2, rx_centroid: Vec2, alpha_R: float, tx_panel: int = 0,
+                  rx_panel: int = 0) -> Link:
+    """Distances, world/local angles, and delay for one panel pair; alpha_R
+    is the Rx vehicle heading. The centroids must not coincide."""
+    offset = rx_centroid - tx_centroid
+    distance = offset.norm()
+    theta_r = offset.angle()
+    return Link(tx_panel=tx_panel, rx_panel=rx_panel, distance=distance, theta_R=theta_r,
+                theta_T=wrap_angle(theta_r + math.pi), theta_R_local=wrap_angle(theta_r - alpha_R),
+                delay=distance / SPEED_OF_LIGHT)
+
+
+def body(vehicle, pose) -> tuple:
+    """A vehicle's footprint at a pose, as geometry.los_mask and _crosses_body take it."""
+    return (*pose.arrays(), vehicle.length, vehicle.width)
+
+
+def reference_segment_crosses(vehicle, pose, a: Vec2, b: Vec2) -> bool:
+    """Does the open segment a-b meet the open interior of the vehicle's body
+    at the pose? A scalar Liang-Barsky clip, the reference for the vectorised
+    geometry._crosses_body; running along an edge or touching only a corner
+    does not count."""
+    pa = (a - pose.position).rotated(-pose.orientation)
+    pb = (b - pose.position).rotated(-pose.orientation)
+    hw, hl = vehicle.width / 2.0, vehicle.length / 2.0
+    t0, t1 = 0.0, 1.0
+    for start, delta, lo, hi in ((pa.x, pb.x - pa.x, -hw, hw), (pa.y, pb.y - pa.y, -hl, hl)):
+        if delta == 0.0:
+            if start < lo or start > hi:
+                return False
+            continue
+        ta, tb = sorted(((lo - start) / delta, (hi - start) / delta))
+        t0, t1 = max(t0, ta), min(t1, tb)
+        if t0 >= t1:
+            return False
+    tm = 0.5 * (t0 + t1)
+    mx, my = pa.x + tm * (pb.x - pa.x), pa.y + tm * (pb.y - pa.y)
+    eps = 1e-12
+    return (-hw + eps < mx < hw - eps) and (-hl + eps < my < hl - eps)
+
+
+def reference_los_visible(tx: PanelState, rx: PanelState, tx_body, rx_body) -> bool:
+    """Line of sight from the Tx to the Rx panel, bodies as (vehicle, pose):
+    the scalar reference for geometry.los_mask."""
+    offset = rx.centroid - tx.centroid
+    if offset.norm() < 1e-9:
+        return False
+    towards_rx = offset.angle()
+    towards_tx = wrap_angle(towards_rx + math.pi)
+    for direction, state in ((towards_rx, tx), (towards_tx, rx)):
+        if abs(wrap_angle(direction - state.blocked_center)) <= state.blocked_halfwidth + 1e-12:
+            return False
+    return not (reference_segment_crosses(*tx_body, tx.centroid, rx.centroid)
+                or reference_segment_crosses(*rx_body, tx.centroid, rx.centroid))
+
+
+def reference_effective_bandwidth(alloc, spec, t: int) -> float:
+    """Power-weighted standard deviation of array t's subcarrier angular
+    frequencies, in centered form, one subcarrier at a time from the
+    allocation's tuples and dicts. Squares are products: a float's ** 2 goes
+    through the C library's pow, which can miss the correctly rounded square
+    (numpy's ** 2) in the last bit."""
+    subset = alloc.per_array_sets[t]
+    if not subset:
+        return 0.0
+    weights = [alloc.per_subcarrier_fractions[p] for p in subset]
+    omegas = [2.0 * math.pi * p * spec.subcarrier_spacing for p in subset]
+    mean = sum(w * o for w, o in zip(weights, omegas))
+    var = sum(w * ((o - mean) * (o - mean)) for w, o in zip(weights, omegas))
+    return math.sqrt(max(var, 0.0))
+
+
+def reference_calibrated_power(preset) -> float:
+    """The preset's transmit power from the scalar objects alone: side by
+    side in neighboring lanes, the shortest line-of-sight link (ties to the
+    smallest (t, r)) gets the target SNR g / (its Tx array's subcarrier
+    count), g = 2 N_rx n_symbols gamma_t |h|^2 P / noise_variance with unit
+    noise. Raises NoActiveLinks when no panel pair has line of sight."""
+    vehicle = _build_vehicle(preset)
+    allocation = interleaved_allocation(preset.occupied, len(vehicle.panels))
+    ofdm = OfdmSpec(preset.n_fft, preset.subcarrier_spacing, preset.carrier_frequency,
+                    preset.occupied)
+    tx_pose, rx_pose = Pose(Vec2(0.0, 0.0), 0.0), Pose(Vec2(-preset.lane_width, 0.0), 0.0)
+    links = []
+    for t in range(len(vehicle.panels)):
+        for r in range(len(vehicle.panels)):
+            tx = panel_world_state(vehicle, tx_pose, t)
+            rx = panel_world_state(vehicle, rx_pose, r)
+            if reference_los_visible(tx, rx, (vehicle, tx_pose), (vehicle, rx_pose)):
+                links.append(link_geometry(tx.centroid, rx.centroid, 0.0, t, r))
+    if not links:
+        raise NoActiveLinks("no Tx-Rx panel pair has line of sight")
+    shortest = min(links, key=lambda lk: (lk.distance, lk.tx_panel, lk.rx_panel))
+    amplitude = ofdm.wavelength / (4.0 * math.pi * shortest.distance)
+    unit_g = (2.0 * vehicle.panels[shortest.rx_panel].n_elements * ofdm.n_symbols
+              * allocation.array_power_fractions[shortest.tx_panel] * amplitude**2)
+    n_sub = len(allocation.per_array_sets[shortest.tx_panel])
+    return 10.0 ** (preset.target_snr_db / 10.0) * n_sub / unit_g
 
 
 def link_samples(scene, link, delay, angle, gain):

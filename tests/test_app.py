@@ -305,6 +305,33 @@ class TestCli:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("out: yes", "config key out must be a string, got True"),
+        ("out: 2024", "config key out must be a string, got 2024"),
+        ("preset: true", "config key preset must be a string, got True"),
+        ("scenario: 1", "config key scenario must be a string, got 1"),
+        ("measurements: [aoa]", "config key measurements must be a string, got ['aoa']"),
+    ])
+    def test_yaml_non_string_in_a_string_key_exit_2(self, tmp_path, monkeypatch, capsys, text,
+                                                     message):
+        # str() of the value used to be taken: out: yes wrote the CSV to a file
+        # named True with exit 0.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.yaml").write_text(f"step: 1.0\n{text}\n", encoding="utf-8")
+        assert main(["--config", "run.yaml"]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["run.yaml"]
+
+    def test_quoted_and_null_string_keys(self, tmp_path, monkeypatch):
+        # A quoted value is a string; null, like a missing key, is the default.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.yaml").write_text(
+            'q_y_min: -1.0\nq_y_max: 1.0\nstep: 1.0\nout: "2024"\npreset: null\n'
+            "measurements: null\n", encoding="utf-8")
+        assert main(["--config", "run.yaml"]) == 0
+        lines = (tmp_path / "2024").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1 + 3 and "inf" not in lines[1]
+
     def test_unwritable_out_exit_2(self, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "x.csv"
         assert main(["--config", fast_overtaking_config(tmp_path, out)]) == 2
@@ -350,16 +377,22 @@ class TestCli:
                 == capsys.readouterr().err)
         assert not out.exists()
 
-    def test_uncalibratable_preset_exit_3(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            out=str(tmp_path / "x.csv"),
-            q_y_min=-2.0,
-            q_y_max=2.0,
-            step=1.0,
-            overrides={"fov_blocked_halfwidth": math.pi},
-        )
-        assert main(["--config", cfg]) == 3
+    def test_uncalibratable_preset_exit_3(self, tmp_path, capsys):
+        # Panels this blind leave the side-by-side calibration placement
+        # without a visible link.
+        for halfwidth in (math.pi, 3.1):
+            cfg = write_config(
+                tmp_path,
+                out=str(tmp_path / "x.csv"),
+                q_y_min=-2.0,
+                q_y_max=2.0,
+                step=1.0,
+                overrides={"fov_blocked_halfwidth": halfwidth},
+            )
+            assert main(["--config", cfg]) == 3
+            captured = capsys.readouterr()
+            assert captured.err.startswith("numerical failure: cannot calibrate preset (")
+            assert captured.out == "" and not (tmp_path / "x.csv").exists()
 
     def test_no_config_defaults(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -18,15 +18,7 @@ from hypothesis import strategies as st
 from v2vbounds.channel import link_gains
 from v2vbounds.errors import NoActiveLinks
 from v2vbounds.fim_closed import efim_aoa_only, efim_aoa_tdoa
-from v2vbounds.geometry import (
-    Vec2,
-    active_links,
-    los_visible,
-    vehicle_rect,
-    visibility,
-    wrap_angle,
-    wrap_angles,
-)
+from v2vbounds.geometry import Vec2, active_links, visibility, wrap_angle, wrap_angles
 from v2vbounds.scenarios import (
     PRESETS,
     PresetConfig,
@@ -39,6 +31,9 @@ from v2vbounds.scenarios import (
 from v2vbounds.waveform import effective_bandwidths
 
 from conftest import NARROW, small_scene
+from reference import (
+    reference_calibrated_power, reference_los_visible, rx_panel_state, tx_panel_state,
+)
 
 BOUND_FIELDS = (
     "peb_lat_both", "peb_lon_both", "oeb_both", "peb_lat_aoa", "peb_lon_aoa", "oeb_aoa",
@@ -139,13 +134,11 @@ def test_visibility_mask_equals_los_visible(case):
     _, _, mask = visibility(arrays, (np.zeros((n, 2)), heading), arrays, (q, np.zeros(n)))
     for i, (x, y, alpha_t) in enumerate(placements):
         scene = calibrated_scene(preset, Vec2(x, y), alpha_t)
-        tx_rect = vehicle_rect(scene.tx_vehicle, scene.tx_pose)
-        rx_rect = vehicle_rect(scene.rx_vehicle, scene.rx_pose)
+        bodies = (scene.tx_vehicle, scene.tx_pose), (scene.rx_vehicle, scene.rx_pose)
         for t in range(len(scene.tx_vehicle.panels)):
             for r in range(len(scene.rx_vehicle.panels)):
-                expected = los_visible(
-                    scene.tx_panel_state(t), scene.rx_panel_state(r), tx_rect, rx_rect
-                )
+                expected = reference_los_visible(
+                    tx_panel_state(scene, t), rx_panel_state(scene, r), *bodies)
                 assert bool(mask[i, t, r]) == expected, (i, t, r)
 
 
@@ -251,6 +244,23 @@ def test_non_finite_placements_rejected():
         evaluate_points(preset, [(-3.5, 1.0), (math.nan, 2.0)])
     with pytest.raises(ValueError):
         evaluate_point(preset, Vec2(-3.5, 1.0), alpha_t=math.inf)
+
+
+@example(PRESETS["cfg_3p5GHz"])
+@example(PRESETS["cfg_28GHz"])
+@settings(max_examples=60, deadline=None)
+@given(custom_presets(st.none() | st.floats(0.0, math.pi)))
+def test_calibration_equals_scalar_oracle(preset):
+    # The calibration reads the preset's visible links as arrays; the oracle
+    # walks the panel pairs one at a time from the scalar objects.
+    try:
+        expected = reference_calibrated_power(preset)
+    except NoActiveLinks:
+        with pytest.raises(NoActiveLinks):
+            preset_context(preset)
+        return
+    power = preset_context(preset).ofdm.total_power
+    assert abs(power - expected) <= 1e-12 * expected
 
 
 def test_scenes_share_the_preset_context():

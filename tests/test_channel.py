@@ -6,10 +6,12 @@ import math
 
 import pytest
 
-from v2vbounds.channel import calibrate_power, free_space_gain, link_gains
+from v2vbounds.channel import free_space_gain, link_gains
 from v2vbounds.errors import ZeroDistance
 from v2vbounds.geometry import Vec2, active_links
 from v2vbounds.scenarios import build_scene, calibrated_power, calibrated_scene
+
+from reference import reference_calibrated_power
 
 
 class TestFreeSpaceGain:
@@ -63,19 +65,16 @@ class TestCalibration:
         assert abs(gains[shortest].g / n_sub - 1000.0) < 1e-6 * 1000.0
 
     def test_linearity(self, preset_3p5):
-        reference = build_scene(preset_3p5, Vec2(-3.5, 0.0))
-        p1 = calibrate_power(reference, 36.0)
-        p2 = calibrate_power(reference, 36.0 + 10.0 * math.log10(2.0))
-        assert abs(p2 / p1 - 2.0) < 1e-12
+        p1 = calibrated_power(preset_3p5)
+        louder = dataclasses.replace(preset_3p5, target_snr_db=36.0 + 10.0 * math.log10(2.0))
+        assert abs(calibrated_power(louder) / p1 - 2.0) < 1e-12
 
     def test_idempotent(self, preset_3p5):
-        reference = build_scene(preset_3p5, Vec2(-3.5, 0.0))
-        p1 = calibrate_power(reference, 36.0)
-        recalibrated = dataclasses.replace(
-            reference, ofdm=dataclasses.replace(reference.ofdm, total_power=p1)
-        )
-        p2 = calibrate_power(recalibrated, 36.0)
-        assert abs(p2 - p1) <= 1e-12 * p1
+        # The calibration reads only the preset: built again under another name
+        # (a new cache entry) it gives the same power, that of the scalar oracle.
+        p1 = calibrated_power(preset_3p5)
+        assert calibrated_power(dataclasses.replace(preset_3p5, name="again")) == p1
+        assert abs(reference_calibrated_power(preset_3p5) - p1) <= 1e-12 * p1
 
     def test_shortest_pair_distance(self, preset_3p5):
         # Side by side, facing corners are lane width minus vehicle width apart.

@@ -32,7 +32,7 @@ from v2vbounds.scenarios import calibrated_scene
 from v2vbounds.waveform import effective_bandwidths
 
 from conftest import small_scene
-from reference import einsum_information, inverse_bound_arrays
+from reference import einsum_information, inverse_bound_arrays, tx_panel_state
 
 
 def two_element_panel(d: float) -> ArrayPanel:
@@ -365,7 +365,7 @@ class TestRankRules:
         betas = effective_bandwidths(scene.allocation, scene.ofdm)
         result = efim_aoa_tdoa(scene, links, gains, betas)
         assert result.singular and result.rank == 2
-        offset = scene.tx_panel_state(0).centroid - scene.tx_pose.position
+        offset = tx_panel_state(scene, 0).centroid - scene.tx_pose.position
         null = np.array([-offset.y, offset.x, 1.0])
         assert np.linalg.norm(result.j_po @ null) < 1e-9 * np.linalg.norm(result.j_po)
 

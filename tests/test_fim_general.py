@@ -27,9 +27,7 @@ from v2vbounds.fim_general import (
     transform_matrices,
     transform_matrix,
 )
-from v2vbounds.geometry import (
-    SPEED_OF_LIGHT, Pose, Vec2, active_links, link_geometry, wrap_angles,
-)
+from v2vbounds.geometry import SPEED_OF_LIGHT, Pose, Vec2, active_links, wrap_angles
 from v2vbounds.scenarios import PRESETS, calibrated_scene
 from v2vbounds.selfcheck import (
     SELFCHECK_SEED, equilibrated_frobenius, random_placements,
@@ -37,7 +35,10 @@ from v2vbounds.selfcheck import (
 from v2vbounds.waveform import effective_bandwidths
 
 from conftest import LIGHT, open_panel, small_scene
-from reference import brute_force_fim_channel, link_samples, per_link_fim_channel_fd
+from reference import (
+    brute_force_fim_channel, link_geometry, link_samples, per_link_fim_channel_fd,
+    rx_panel_state, tx_panel_state,
+)
 
 
 def rel_frob(a, b):
@@ -372,8 +373,8 @@ class TestTransformMatrix:
         )
         links = [
             link_geometry(
-                moved.tx_panel_state(t).centroid,
-                moved.rx_panel_state(r).centroid,
+                tx_panel_state(moved, t).centroid,
+                rx_panel_state(moved, r).centroid,
                 moved.rx_pose.orientation,
                 tx_panel=t,
                 rx_panel=r,
@@ -421,8 +422,8 @@ class TestTransformMatrix:
         # Bypass visibility: transform entries are pure geometry.
         return tuple(
             link_geometry(
-                scene.tx_panel_state(t).centroid,
-                scene.rx_panel_state(r).centroid,
+                tx_panel_state(scene, t).centroid,
+                rx_panel_state(scene, r).centroid,
                 scene.rx_pose.orientation,
                 tx_panel=t,
                 rx_panel=r,

@@ -8,35 +8,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from v2vbounds.errors import CoincidentPanels, InvalidCount, NoActiveLinks
+from v2vbounds.errors import InvalidCount, NoActiveLinks
 from v2vbounds.geometry import (
     SPEED_OF_LIGHT,
     ArrayPanel,
     ElementOffset,
-    PanelState,
     Pose,
     Vec2,
     VehicleSpec,
+    _crosses_body,
     active_links,
     build_conformal_panel,
     build_cornered_vehicle,
-    link_geometry,
-    los_visible,
-    panel_world_state,
+    los_mask,
     saaf_matrix,
-    unit_dir,
-    unit_perp,
-    vehicle_rect,
+    visibility,
     wrap_angle,
 )
 from v2vbounds.scenarios import build_scene
 
 from conftest import open_panel, panels_with_links, small_scene
+from reference import (
+    PanelState,
+    body,
+    link_geometry,
+    panel_world_state,
+    reference_los_visible,
+    reference_segment_crosses,
+    rx_panel_state,
+    tx_panel_state,
+    unit_dir,
+    unit_perp,
+)
 
 angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
 
 class TestUnitVectors:
+    """The oracles' unit vectors."""
+
     def test_axis_cases(self):
         assert unit_dir(0.0).as_tuple() == (1.0, 0.0)
         d = unit_dir(math.pi / 2)
@@ -163,6 +173,9 @@ class TestConformalPanel:
 
 
 class TestPanelWorldState:
+    """The scalar oracle, pinned by hand values; TestCentroidsMatchPanelWorldState
+    checks the package's VehicleArrays.centroids against it."""
+
     def _vehicle(self):
         return VehicleSpec(length=1.0, width=1.0, panels=(open_panel(1.0, 0.0),))
 
@@ -193,7 +206,22 @@ class TestPanelWorldState:
             panel_world_state(self._vehicle(), Pose(Vec2(0, 0), 0.0), 5)
 
 
+class TestCentroidsMatchPanelWorldState:
+    @given(st.floats(-100, 100), st.floats(-100, 100), angles)
+    @settings(max_examples=50)
+    def test_mixed_vehicle(self, x, y, heading):
+        vehicle = TestVehicleArrays.mixed_vehicle()
+        pose = Pose(Vec2(x, y), heading)
+        centroids = vehicle.arrays.centroids(*pose.arrays())
+        for k in range(len(vehicle.panels)):
+            expected = panel_world_state(vehicle, pose, k).centroid.as_tuple()
+            np.testing.assert_allclose(centroids[k], expected, rtol=0, atol=1e-12)
+
+
 class TestLinkGeometry:
+    """The scalar oracle, pinned by hand values; TestActiveLinksMatchLinkGeometry
+    checks active_links against it."""
+
     def test_axis_aligned(self):
         link = link_geometry(Vec2(0, 0), Vec2(10, 0), 0.0)
         assert link.distance == 10.0
@@ -212,8 +240,10 @@ class TestLinkGeometry:
         assert abs(link.theta_R - 0.9272952180016122) < 1e-12
 
     def test_coincident_rejected(self):
-        with pytest.raises(CoincidentPanels):
-            link_geometry(Vec2(1, 1), Vec2(1, 1), 0.0)
+        # Coincident centroids have no direction: never a link, even with open sectors.
+        centroid, sector = np.array([1.0, 1.0]), (0.0, 0.0)
+        assert not los_mask(centroid, sector, centroid, sector)
+        assert los_mask(centroid, sector, centroid + 1e-9, sector)
 
     def test_opposite_directions(self):
         link = link_geometry(Vec2(-2, 7), Vec2(4, -3), -0.8)
@@ -304,21 +334,14 @@ class TestVisibility:
     def test_role_swap_symmetry(self, preset_3p5):
         # Swapping which vehicle transmits swaps the two sector tests with
         # reversed direction, leaving visibility unchanged.
-        from v2vbounds.geometry import los_visible
-
         for q, alpha_t in ((Vec2(-3.5, 7.0), 0.0), (Vec2(4.0, -9.0), 0.7), (Vec2(0.0, -12.0), -0.4)):
             scene = build_scene(preset_3p5, q, alpha_t=alpha_t)
-            tx_rect = vehicle_rect(scene.tx_vehicle, scene.tx_pose)
-            rx_rect = vehicle_rect(scene.rx_vehicle, scene.rx_pose)
-            for t in range(4):
-                for r in range(4):
-                    forward = los_visible(
-                        scene.tx_panel_state(t), scene.rx_panel_state(r), tx_rect, rx_rect
-                    )
-                    backward = los_visible(
-                        scene.rx_panel_state(r), scene.tx_panel_state(t), rx_rect, tx_rect
-                    )
-                    assert forward == backward
+            tx = (scene.tx_vehicle.arrays, scene.tx_pose.arrays())
+            rx = (scene.rx_vehicle.arrays, scene.rx_pose.arrays())
+            full = [(dataclasses.replace(a, sectors_imply_body=False), pose) for a, pose in (tx, rx)]
+            for tx_side, rx_side in ((tx, rx), full):
+                forward = visibility(*tx_side, *rx_side)[2]
+                np.testing.assert_array_equal(visibility(*rx_side, *tx_side)[2], forward.T)
 
 
 class TestActiveLinksMatchLinkGeometry:
@@ -329,8 +352,8 @@ class TestActiveLinksMatchLinkGeometry:
     def assert_links_match(scene):
         links = active_links(scene)
         for link in links:
-            ref = link_geometry(scene.tx_panel_state(link.tx_panel).centroid,
-                                scene.rx_panel_state(link.rx_panel).centroid,
+            ref = link_geometry(tx_panel_state(scene, link.tx_panel).centroid,
+                                rx_panel_state(scene, link.rx_panel).centroid,
                                 scene.rx_pose.orientation, link.tx_panel, link.rx_panel)
             assert (link.tx_panel, link.rx_panel) == (ref.tx_panel, ref.rx_panel)
             assert abs(link.distance - ref.distance) < 1e-12 * ref.distance
@@ -355,87 +378,46 @@ class TestActiveLinksMatchLinkGeometry:
             self.assert_links_match(build_scene(preset, q, alpha_t=alpha_t))
 
 
+def crosses_body(vehicle, pose, a: Vec2, b: Vec2) -> bool:
+    """geometry._crosses_body for one segment and one body."""
+    return bool(_crosses_body(np.array(a.as_tuple()), np.array(b.as_tuple()), body(vehicle, pose)))
+
+
 class TestBodyBlockage:
+    CAR = VehicleSpec(4.5, 1.8, (open_panel(),))
+
     def test_segment_through_interior(self):
-        rect = vehicle_rect(
-            VehicleSpec(4.5, 1.8, (open_panel(),)), Pose(Vec2(0, 0), 0.0)
-        )
-        assert rect.segment_crosses_interior(Vec2(-2.0, 0.0), Vec2(2.0, 0.0))
+        assert crosses_body(self.CAR, Pose(Vec2(0, 0), 0.0), Vec2(-2.0, 0.0), Vec2(2.0, 0.0))
 
     def test_segment_along_edge_is_clear(self):
-        rect = vehicle_rect(
-            VehicleSpec(4.5, 1.8, (open_panel(),)), Pose(Vec2(0, 0), 0.0)
-        )
-        assert not rect.segment_crosses_interior(Vec2(0.9, -5.0), Vec2(0.9, 5.0))
+        assert not crosses_body(self.CAR, Pose(Vec2(0, 0), 0.0), Vec2(0.9, -5.0), Vec2(0.9, 5.0))
 
     def test_segment_touching_corner_is_clear(self):
-        rect = vehicle_rect(
-            VehicleSpec(4.5, 1.8, (open_panel(),)), Pose(Vec2(0, 0), 0.0)
-        )
-        assert not rect.segment_crosses_interior(Vec2(0.9, 2.25), Vec2(5.0, 2.25))
+        assert not crosses_body(self.CAR, Pose(Vec2(0, 0), 0.0), Vec2(0.9, 2.25), Vec2(5.0, 2.25))
 
     def test_rotated_rect(self):
-        rect = vehicle_rect(
-            VehicleSpec(4.5, 1.8, (open_panel(),)), Pose(Vec2(0, 0), math.pi / 2)
-        )
+        pose = Pose(Vec2(0, 0), math.pi / 2)
         # Long axis now lies along world x, spanning |x| <= 2.25.
-        assert rect.segment_crosses_interior(Vec2(0.0, -2.0), Vec2(0.0, 2.0))
-        assert rect.segment_crosses_interior(Vec2(2.0, -2.0), Vec2(2.0, 2.0))
-        assert not rect.segment_crosses_interior(Vec2(3.0, -2.0), Vec2(3.0, 2.0))
-
-
-def reference_segment_crosses(rect, a: Vec2, b: Vec2) -> bool:
-    """Scalar loop version of BodyRect.segment_crosses_interior, kept as the
-    reference for the vectorised one."""
-    pa = (a - rect.pose.position).rotated(-rect.pose.orientation)
-    pb = (b - rect.pose.position).rotated(-rect.pose.orientation)
-    hw, hl = rect.width / 2.0, rect.length / 2.0
-    t0, t1 = 0.0, 1.0
-    for start, delta, lo, hi in ((pa.x, pb.x - pa.x, -hw, hw), (pa.y, pb.y - pa.y, -hl, hl)):
-        if delta == 0.0:
-            if start < lo or start > hi:
-                return False
-            continue
-        ta, tb = sorted(((lo - start) / delta, (hi - start) / delta))
-        t0, t1 = max(t0, ta), min(t1, tb)
-        if t0 >= t1:
-            return False
-    tm = 0.5 * (t0 + t1)
-    mx, my = pa.x + tm * (pb.x - pa.x), pa.y + tm * (pb.y - pa.y)
-    eps = 1e-12
-    return (-hw + eps < mx < hw - eps) and (-hl + eps < my < hl - eps)
-
-
-def reference_los_visible(tx, rx, tx_rect, rx_rect) -> bool:
-    """Scalar version of los_visible, kept as the reference for los_mask."""
-    offset = rx.centroid - tx.centroid
-    if offset.norm() < 1e-9:
-        return False
-    towards_rx = offset.angle()
-    towards_tx = wrap_angle(towards_rx + math.pi)
-    for direction, state in ((towards_rx, tx), (towards_tx, rx)):
-        if abs(wrap_angle(direction - state.blocked_center)) <= state.blocked_halfwidth + 1e-12:
-            return False
-    return not (reference_segment_crosses(tx_rect, tx.centroid, rx.centroid)
-                or reference_segment_crosses(rx_rect, tx.centroid, rx.centroid))
+        assert crosses_body(self.CAR, pose, Vec2(0.0, -2.0), Vec2(0.0, 2.0))
+        assert crosses_body(self.CAR, pose, Vec2(2.0, -2.0), Vec2(2.0, 2.0))
+        assert not crosses_body(self.CAR, pose, Vec2(3.0, -2.0), Vec2(3.0, 2.0))
 
 
 @st.composite
 def rect_and_points(draw, n_points=2):
-    """A body rectangle plus points on its corners, edges, axes, or anywhere;
+    """A body (vehicle, pose) plus points on its corners, edges, axes, or anywhere;
     headings include the exact quarter turns, where edges stay axis-aligned."""
     length, width = draw(st.floats(0.5, 6.0)), draw(st.floats(0.5, 3.0))
     heading = draw(st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 2])
                    | st.floats(-math.pi, math.pi))
-    rect = vehicle_rect(VehicleSpec(length, width, (open_panel(),)),
-                        Pose(Vec2(draw(st.floats(-5, 5)), draw(st.floats(-5, 5))), heading))
+    pose = Pose(Vec2(draw(st.floats(-5, 5)), draw(st.floats(-5, 5))), heading)
     xs = st.sampled_from([-width / 2, width / 2, 0.0]) | st.floats(-8.0, 8.0)
     ys = st.sampled_from([-length / 2, length / 2, 0.0]) | st.floats(-8.0, 8.0)
     points = [
-        rect.pose.position + Vec2(draw(xs), draw(ys)).rotated(rect.pose.orientation)
+        pose.position + Vec2(draw(xs), draw(ys)).rotated(pose.orientation)
         for _ in range(n_points)
     ]
-    return rect, points
+    return (VehicleSpec(length, width, (open_panel(),)), pose), points
 
 
 class TestVectorisedVisibilityMatchesLoop:
@@ -443,7 +425,7 @@ class TestVectorisedVisibilityMatchesLoop:
     @given(rect_and_points())
     def test_segment_crossing(self, case):
         rect, (a, b) = case
-        assert rect.segment_crosses_interior(a, b) == reference_segment_crosses(rect, a, b)
+        assert crosses_body(*rect, a, b) == reference_segment_crosses(*rect, a, b)
 
     @settings(max_examples=300)
     @given(rect_and_points(n_points=3), rect_and_points(n_points=0),
@@ -459,9 +441,14 @@ class TestVectorisedVisibilityMatchesLoop:
         rx = PanelState(rx_c, (), centers[1], halfwidths[1])
         for tx_state in (tx, PanelState(tx_c, (), centers[0], halfwidths[0])):
             for rx_state in (rx, PanelState(toward, (), centers[1], halfwidths[1])):
-                assert los_visible(tx_state, rx_state, tx_rect, rx_rect) == reference_los_visible(
-                    tx_state, rx_state, tx_rect, rx_rect
+                visible = los_mask(
+                    np.array(tx_state.centroid.as_tuple()),
+                    (tx_state.blocked_center, tx_state.blocked_halfwidth),
+                    np.array(rx_state.centroid.as_tuple()),
+                    (rx_state.blocked_center, rx_state.blocked_halfwidth),
+                    body(*tx_rect), body(*rx_rect),
                 )
+                assert bool(visible) == reference_los_visible(tx_state, rx_state, tx_rect, rx_rect)
 
 
 class TestBuiltVehicle:

@@ -15,15 +15,15 @@ from v2vbounds.scenarios import (
     PRESETS,
     Requirements,
     calibrated_scene,
-    custom_sweep,
     evaluate_point,
+    evaluate_points,
     overtaking_sweep,
     platooning_sweep,
     build_scene,
     preset_context,
-    requirement_crossing,
     scenario_crossing,
     scenario_crossings,
+    sweep_placements,
 )
 
 from conftest import panels_with_links
@@ -83,11 +83,12 @@ class TestOvertakingSweep:
 
     def test_q_y_max_off_the_grid_drops_the_partial_step(self, preset_3p5):
         # Rows never pass q_y_max; one on the grid keeps its row despite round-off.
+        custom = sweep_placements(preset_3p5, "custom", -1.0, 1.3, 0.5, -3.5)
         for sweep in (overtaking_sweep(preset_3p5, -1.0, 1.3, 0.5, ("aoa",)),
-                      custom_sweep(preset_3p5, -3.5, -1.0, 1.3, 0.5, measurements=("aoa",))):
+                      evaluate_points(preset_3p5, custom, measurements=("aoa",))):
             assert [r.q_y for r in sweep] == [-1.0, -0.5, 0.0, 0.5, 1.0]
-        rows = custom_sweep(preset_3p5, -3.5, 0.0, 0.3, 0.1, measurements=("aoa",))
-        assert [r.q_y for r in rows] == pytest.approx([0.0, 0.1, 0.2, 0.3])
+        rows = sweep_placements(preset_3p5, "custom", 0.0, 0.3, 0.1, -3.5)
+        assert [q_y for _, q_y in rows] == pytest.approx([0.0, 0.1, 0.2, 0.3])
 
 
 class TestPlatooningSweep:
@@ -173,6 +174,12 @@ class TestEvaluatePoint:
         shared += [ctx.betas, *ctx.link_panels, ctx.link_gd2, ctx.link_beta, ctx.link_saaf]
         assert len(shared) == 14
         assert not any(a.flags.writeable for a in shared)
+
+
+def requirement_crossing(bound_fn, threshold, s_min, s_max, tol=0.01):
+    """One curve's crossing distance from scenarios._lattice_search; raises NoBracket."""
+    return scenarios._lattice_search(lambda s: np.asarray(bound_fn(s), dtype=float)[None],
+                                     [threshold], s_min, s_max, tol)[0].value()
 
 
 class TestRequirementCrossing:

@@ -1,5 +1,6 @@
 """OFDM allocation and effective-bandwidth tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,10 +12,11 @@ from v2vbounds.errors import EmptySet
 from v2vbounds.waveform import (
     Allocation,
     OfdmSpec,
-    effective_bandwidth,
     effective_bandwidths,
     interleaved_allocation,
 )
+
+from reference import reference_effective_bandwidth
 
 
 def spec_with(occupied, spacing=60e3, fc=3.5e9, n_fft=2048):
@@ -118,7 +120,7 @@ class TestEffectiveBandwidth:
     def test_single_subcarrier_zero(self):
         spec = spec_with((100,))
         alloc = interleaved_allocation((100,), 1)
-        assert effective_bandwidth(alloc, spec, 0) == 0.0
+        assert effective_bandwidths(alloc, spec)[0] == 0.0
 
     def test_two_tone(self):
         # Oracle: two equal-power tones at +-600 with 60 kHz spacing have
@@ -126,18 +128,18 @@ class TestEffectiveBandwidth:
         spec = spec_with((-600, 600))
         alloc = interleaved_allocation((-600, 600), 1)
         expected = 2.0 * math.pi * 600 * 60e3
-        assert abs(effective_bandwidth(alloc, spec, 0) - expected) < 1e-3
+        assert abs(effective_bandwidths(alloc, spec)[0] - expected) < 1e-3
         assert abs(expected - 2.2619467e8) < 1e1
 
     def test_symmetric_set_rms(self):
         occupied = tuple(range(-10, 0)) + tuple(range(1, 11))
         spec = spec_with(occupied)
         alloc = interleaved_allocation(occupied, 1)
-        omegas = [spec.omega(p) for p in occupied]
+        omegas = [2.0 * math.pi * p * spec.subcarrier_spacing for p in occupied]
         mean = sum(omegas) / len(omegas)
         assert abs(mean) < 1e-6
         rms = math.sqrt(sum(o * o for o in omegas) / len(omegas))
-        assert abs(effective_bandwidth(alloc, spec, 0) - rms) < 1e-6 * rms
+        assert abs(effective_bandwidths(alloc, spec)[0] - rms) < 1e-6 * rms
 
     def test_shift_invariance(self):
         base = (3, 5, 9, 14)
@@ -146,15 +148,15 @@ class TestEffectiveBandwidth:
         spec_b = spec_with(shifted)
         alloc_a = interleaved_allocation(base, 1)
         alloc_b = interleaved_allocation(shifted, 1)
-        ba = effective_bandwidth(alloc_a, spec_a, 0)
-        bb = effective_bandwidth(alloc_b, spec_b, 0)
+        ba = effective_bandwidths(alloc_a, spec_a)[0]
+        bb = effective_bandwidths(alloc_b, spec_b)[0]
         assert abs(ba - bb) < 1e-9 * ba
 
     def test_linear_in_spacing(self):
         occupied = (-9, -2, 4, 11)
         alloc = interleaved_allocation(occupied, 1)
-        b1 = effective_bandwidth(alloc, spec_with(occupied, spacing=60e3), 0)
-        b3 = effective_bandwidth(alloc, spec_with(occupied, spacing=180e3), 0)
+        b1 = effective_bandwidths(alloc, spec_with(occupied, spacing=60e3))[0]
+        b3 = effective_bandwidths(alloc, spec_with(occupied, spacing=180e3))[0]
         assert abs(b3 - 3.0 * b1) < 1e-9 * b3
 
     def test_all_arrays(self):
@@ -165,11 +167,36 @@ class TestEffectiveBandwidth:
         assert len(betas) == 4
         assert all(b > 0 for b in betas)
 
+    @given(st.sets(st.integers(-1023, 1023).filter(bool), min_size=1, max_size=80),
+           st.integers(1, 8), st.floats(1e3, 1e6), st.data())
+    @settings(max_examples=200)
+    def test_equals_scalar_oracle_bitwise(self, occupied, k, spacing, data):
+        # Interleaved (uniform) and random subcarrier powers; arrays beyond the
+        # set's size get no subcarriers, so beta = 0.
+        spec = spec_with(occupied, spacing=spacing)
+        alloc = interleaved_allocation(occupied, k)
+        weights = data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(occupied),
+                                     max_size=len(occupied)))
+        drawn = dict(zip(sorted(occupied), weights))
+        fractions = {p: drawn[p] / sum(drawn[q] for q in subset)
+                     for subset in alloc.per_array_sets for p in subset}
+        for alloc in (alloc, dataclasses.replace(alloc, per_subcarrier_fractions=fractions)):
+            expected = tuple(reference_effective_bandwidth(alloc, spec, t) for t in range(k))
+            assert effective_bandwidths(alloc, spec) == expected
+            assert all(b == 0.0 for b, subset in zip(expected, alloc.per_array_sets)
+                       if len(subset) < 2)
+
 
 class TestOfdmSpec:
     def test_omega_signed(self):
-        spec = spec_with((-5, 5))
-        assert spec.omega(-5) == -spec.omega(5)
+        # Subcarrier frequencies are signed: a set and its mirror about DC have
+        # the same bandwidth, the two-tone set +-5 that of its spread 2*5.
+        for occupied in ((-5, 5), (-9, -2, 4, 11)):
+            mirror = tuple(-p for p in occupied)
+            assert (effective_bandwidths(interleaved_allocation(occupied, 1), spec_with(occupied))
+                    == effective_bandwidths(interleaved_allocation(mirror, 1), spec_with(mirror)))
+        beta = effective_bandwidths(interleaved_allocation((-5, 5), 1), spec_with((-5, 5)))[0]
+        assert beta == 2.0 * math.pi * 5 * 60e3
 
     def test_occupied_outside_grid_rejected(self):
         with pytest.raises(ValueError):
