@@ -20,12 +20,11 @@ delay difference to the reference link. 4L parameters in total.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
-from .channel import LinkGain
+from .channel import LinkContext, LinkGain
 from .errors import NoActiveLinks, NuisanceSingular
 from .fim_closed import FimResult, bounds_from_fim, link_info_vectors
 from .geometry import SPEED_OF_LIGHT, Link
@@ -45,23 +44,24 @@ def link_order(links: Sequence[Link], reference: int | None = None) -> list[int]
     link (default: minimum delay, ties by (t, r); see :func:`link_orders`)."""
     if len(links) == 0:
         raise NoActiveLinks("cannot parameterize an empty link set")
-    if reference is None:
-        return link_orders(*(np.array([[getattr(link, name) for link in links]])
-                             for name in ("delay", "tx_panel", "rx_panel")))[0].tolist()
-    if not 0 <= reference < len(links):
+    if reference is not None and not 0 <= reference < len(links):
         raise IndexError(f"reference link index {reference} out of range")
-    return [reference, *(i for i in range(len(links)) if i != reference)]
+    return link_orders(*(np.array([[getattr(link, name) for link in links]])
+                         for name in ("delay", "tx_panel", "rx_panel")),
+                       None if reference is None else [reference])[0].tolist()
 
 
-def link_orders(delay: np.ndarray, t: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Default :func:`link_order` of each row of links given as delays and
-    Tx and Rx panels (n, L): the link of minimum delay, ties broken by
-    (t, r), first, then the others in their given order."""
-    reference = np.lexsort((r, t, delay))[..., :1]
-    return np.argsort(np.arange(delay.shape[-1]) != reference, axis=-1, kind="stable")
+def link_orders(delay: np.ndarray, t: np.ndarray, r: np.ndarray,
+                reference: np.ndarray | None = None) -> np.ndarray:
+    """:func:`link_order` of each row of links given as delays and Tx and Rx
+    panels (n, L): the reference link first, then the others in their given
+    order. ``reference`` (n,) forces each row's reference link (default: the
+    link of minimum delay, ties broken by (t, r))."""
+    first = np.lexsort((r, t, delay))[..., 0] if reference is None else np.asarray(reference)
+    return np.argsort(np.arange(delay.shape[-1]) != first[..., None], axis=-1, kind="stable")
 
 
-def link_means(scene: Scene, t: np.ndarray, r: np.ndarray, delay: np.ndarray, angle: np.ndarray,
+def link_means(ctx: LinkContext, t: np.ndarray, r: np.ndarray, delay: np.ndarray, angle: np.ndarray,
                gain: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Noiseless received samples of links (n, L) from their Tx and Rx panels,
     delay differences, vehicle-frame arrival angles and complex gains.
@@ -74,11 +74,10 @@ def link_means(scene: Scene, t: np.ndarray, r: np.ndarray, delay: np.ndarray, an
     phases (that of ``b`` is ``1j * dphase * b``). Equal pilot energy on every
     OFDM symbol makes the mean symbol-independent.
     """
-    omega, power = _subcarriers(scene)
-    omega, amps = omega[t], np.sqrt(power[t])
-    rx = scene.rx_vehicle.arrays
+    omega, amps = ctx.omega[t], np.sqrt(ctx.power[t])
+    rx = ctx.rx_vehicle.arrays
     dist, ang = rx.elements[:, r]
-    angle, omega_c = angle[..., None], scene.ofdm.omega_c
+    angle, omega_c = angle[..., None], ctx.ofdm.omega_c
     phase = omega_c * dist * np.cos(ang - angle) / SPEED_OF_LIGHT
     dphase = omega_c * dist * np.sin(ang - angle) / SPEED_OF_LIGHT
     b = np.where(np.arange(dist.shape[-1]) < rx.n_elements[r][..., None],
@@ -91,20 +90,11 @@ def link_mean(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One link's :func:`link_means` ``(a, omega, b, dphase)``, sliced to its
     own subcarriers and Rx elements."""
-    stacks = link_means(scene, *(np.array([[x]]) for x in (
+    stacks = link_means(scene.context, *(np.array([[x]]) for x in (
         link.tx_panel, link.rx_panel, delay, angle, gain)))
     count = len(scene.allocation.per_array_sets[link.tx_panel])
     n_e = scene.rx_vehicle.arrays.n_elements[link.rx_panel]
     return tuple(x[0, 0, :size] for x, size in zip(stacks, (count, count, n_e, n_e)))
-
-
-def _subcarriers(scene: Scene) -> tuple[np.ndarray, np.ndarray]:
-    """Baseband angular frequencies and powers (K, S_max) of the Tx arrays'
-    subcarriers; a padded slot has zero power."""
-    alloc = scene.allocation
-    gamma_t = np.array(alloc.array_power_fractions)[:, None]
-    omega = 2.0 * math.pi * scene.ofdm.subcarrier_spacing * alloc.arrays.indices
-    return omega, gamma_t * alloc.arrays.fractions * scene.ofdm.total_power
 
 
 # Per subcarrier a link's derivative columns are a (row 0 + omega row 1), its
@@ -119,7 +109,7 @@ def _moment_gram(rows: np.ndarray, moments: np.ndarray) -> np.ndarray:
     return rows.conj().T @ np.stack((moments[..., :2], moments[..., 1:]), axis=-2) @ rows
 
 
-def _channel_information(scene: Scene, blocks: np.ndarray) -> np.ndarray:
+def _channel_information(ctx: LinkContext, blocks: np.ndarray) -> np.ndarray:
     """Channel FIMs (..., 4L, 4L) from each link's 4 x 4 Gram (real part) of
     the derivatives of its mean in its own (delay, angle, Re gain, Im gain),
     stacked (..., L, 4, 4) in :func:`link_order`.
@@ -135,16 +125,16 @@ def _channel_information(scene: Scene, blocks: np.ndarray) -> np.ndarray:
     j = np.einsum("...kab,kl->...kalb", blocks, np.eye(n_links)).reshape(*blocks.shape[:-3], n, n)
     j[..., :, 0] = j[..., :, 0::4].sum(axis=-1)
     j[..., 0, :] = j[..., 0::4, :].sum(axis=-2)
-    j *= 2.0 * scene.ofdm.n_symbols / scene.noise_variance
+    j *= 2.0 * ctx.ofdm.n_symbols / ctx.noise_variance
     return 0.5 * (j + j.swapaxes(-1, -2))
 
 
 def channel_fims(
-    scene: Scene, t: np.ndarray, r: np.ndarray, angle: np.ndarray, h: np.ndarray
+    ctx: LinkContext, t: np.ndarray, r: np.ndarray, angle: np.ndarray, h: np.ndarray
 ) -> np.ndarray:
     """Analytic channel FIMs (n, 4L, 4L) of n placements from their links' Tx
     and Rx panels, vehicle-frame arrival angles and complex gains (n, L), in
-    :func:`link_order`; ``scene`` is any of the n (they differ only in poses).
+    :func:`link_order`, under one link context.
 
     A link's mean is a ⊗ b (:func:`link_mean`), so each of its derivative
     columns is fa_k ⊗ fb_k, with Fa = [-1j omega a, a, a/h, 1j a/h] and
@@ -153,10 +143,10 @@ def channel_fims(
     the Tx array's moments sum P omega^p (p = 0, 1, 2), |h|^2 and the Rx
     panel's (N_r, sum dphase, sum dphase^2): no subcarrier or element axis.
     """
-    omega, power = _subcarriers(scene)
     # Summed along the contiguous axis, which numpy adds pairwise.
-    tx = _moment_gram(_FA, np.sum(power[:, None] * omega[:, None] ** np.arange(3)[:, None], -1))
-    rx, k = scene.rx_vehicle.arrays, scene.ofdm.omega_c / SPEED_OF_LIGHT
+    tx = _moment_gram(_FA, np.sum(
+        ctx.power[:, None] * ctx.omega[:, None] ** np.arange(3)[:, None], -1))
+    rx, k = ctx.rx_vehicle.arrays, ctx.ofdm.omega_c / SPEED_OF_LIGHT
     # dphase_i = k d_perp_i . u, u = (cos, sin)(angle), so sum dphase = k u . sum d_perp
     # and sum dphase^2 = k^2 N_r u^T S u, with S the panel's saaf_matrix.
     u = np.stack((np.cos(angle), np.sin(angle)), axis=-1)
@@ -167,7 +157,7 @@ def channel_fims(
     # |h|^2 times the 1/h of the gain columns: conj(v_k) v_l, v = [h, h, 1, 1].
     v = np.stack((h, h, np.ones_like(h), np.ones_like(h)), axis=-1)
     weight = v.conj()[..., :, None] * v[..., None, :]
-    return _channel_information(scene, (weight * tx[t] * rx_gram).real)
+    return _channel_information(ctx, (weight * tx[t] * rx_gram).real)
 
 
 def _link_stacks(
@@ -191,25 +181,26 @@ def fim_channel(
     the :func:`link_order` layout; ``reference`` forces a reference link.
     The one-placement call of :func:`channel_fims`."""
     t, r, _, angle, h = _link_stacks(links, gains, reference)
-    return channel_fims(scene, t, r, angle, h)[0]
+    return channel_fims(scene.context, t, r, angle, h)[0]
 
 
-def channel_fims_fd(scene: Scene, t: np.ndarray, r: np.ndarray, delay: np.ndarray,
+def channel_fims_fd(ctx: LinkContext, t: np.ndarray, r: np.ndarray, delay: np.ndarray,
                     angle: np.ndarray, h: np.ndarray, step: float = 1e-7) -> np.ndarray:
     """Central-finite-difference twin of :func:`channel_fims`, from the same
     (n, L) stacks plus the links' delay differences to the reference link.
     Each parameter is stepped in the full samples ``a ⊗ b`` of
-    :func:`link_means`, in proportion to its own scale (1/omega_c for the
-    delay, |h| for the gain), so the twin uses no factorisation or moments.
+    :func:`link_means`, in proportion to its own scale (1/max|omega| for
+    the delay, |h| for the gain), so the twin uses no factorisation or moments.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
     # One column per parameter: steps (n, L, 4) of delay, angle and gain,
-    # taken both ways in one link_means call on (2, n, L, 4) stacks.
-    d_tau, d_theta = np.eye(4)[:2] * [[step / scene.ofdm.omega_c], [step]]
+    # taken both ways in one link_means call on (2, n, L, 4) stacks; on DC
+    # alone no delay turns a phase, so any delay step gives the zero column.
+    d_tau, d_theta = np.eye(4)[:2] * [[step / (np.abs(ctx.omega).max() or 1.0)], [step]]
     d_h = step * np.abs(h)[..., None] * np.array([0.0, 0.0, 1.0, 1j])
     sign = np.array([1.0, -1.0])[:, None, None, None]
-    a, _, b, _ = link_means(scene, t[..., None], r[..., None], delay[..., None] + sign * d_tau,
+    a, _, b, _ = link_means(ctx, t[..., None], r[..., None], delay[..., None] + sign * d_tau,
                             angle[..., None] + sign * d_theta, h[..., None] + sign * d_h)
     grad = a[0][..., :, None] * b[0][..., None, :]  # (n, L, 4, S_max, E_max)
     for k in range(4):  # a column at a time keeps the temporary small
@@ -218,7 +209,7 @@ def channel_fims_fd(scene: Scene, t: np.ndarray, r: np.ndarray, delay: np.ndarra
     grad /= 2.0 * np.abs(d_tau + d_theta + d_h)[..., None]
     # Viewed as (re, im) pairs, g g^T sums Re(conj(g_k) g_l) over the samples.
     g = grad.view(float)
-    return _channel_information(scene, g @ g.swapaxes(-1, -2))
+    return _channel_information(ctx, g @ g.swapaxes(-1, -2))
 
 
 def fim_channel_fd(
@@ -229,7 +220,7 @@ def fim_channel_fd(
 ) -> np.ndarray:
     """Central-finite-difference twin of :func:`fim_channel`, the
     one-placement call of :func:`channel_fims_fd`."""
-    return channel_fims_fd(scene, *_link_stacks(links, gains), step)[0]
+    return channel_fims_fd(scene.context, *_link_stacks(links, gains), step)[0]
 
 
 def transform_matrices(

@@ -54,6 +54,14 @@ def read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def require_positive_finite(owner, *names: str) -> None:
+    """Raise ValueError, naming it, at the first field not positive and finite (NaN fails)."""
+    for name in names:
+        value = getattr(owner, name)
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def wrap_angles(angles: np.ndarray) -> np.ndarray:
     """Elementwise wrap_angle, equal bitwise: fmod and one shift by tau are exact."""
     wrapped = np.fmod(angles, math.tau)
@@ -149,6 +157,9 @@ class ArrayPanel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "elements", tuple(self.elements))
+        for name in ("mount_distance", "mount_angle", "fov_blocked_center"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.elements:
             raise InvalidCount("panel must have at least one element")
         if not 0.0 <= self.fov_blocked_halfwidth <= math.pi:
@@ -185,8 +196,7 @@ class VehicleSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "panels", tuple(self.panels))
-        if self.length <= 0.0 or self.width <= 0.0:
-            raise ValueError("vehicle length and width must be positive")
+        require_positive_finite(self, "length", "width")
         if not self.panels:
             raise InvalidCount("vehicle must carry at least one panel")
 

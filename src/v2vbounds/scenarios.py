@@ -18,15 +18,15 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .channel import information_weight
+from .channel import LinkContext, information_weight, link_context
 from .errors import NoBracket
 from .fim_closed import bound_arrays, information, link_vectors
 from .geometry import (
-    SPEED_OF_LIGHT, Pose, Vec2, VehicleSpec, build_cornered_vehicle, read_only, visibility,
-    visible_links, wrap_angles,
+    SPEED_OF_LIGHT, Pose, Vec2, VehicleSpec, build_cornered_vehicle, require_positive_finite,
+    visibility, visible_links, wrap_angles,
 )
 from .scene import Scene
-from .waveform import Allocation, OfdmSpec, effective_bandwidths, interleaved_allocation
+from .waveform import OfdmSpec, interleaved_allocation
 
 Axis = Literal["lat", "lon"]
 Measurement = Literal["aoa", "aoa_tdoa"]
@@ -88,11 +88,9 @@ class PresetConfig:
     fov_blocked_halfwidth: float | None = None  # override, rad
 
     def __post_init__(self) -> None:
-        for name in ("carrier_frequency", "subcarrier_spacing", "n_rx_elements", "n_fft",
-                     "max_occupied_index", "vehicle_length", "vehicle_width", "lane_width"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:  # NaN fails too
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        require_positive_finite(self, "carrier_frequency", "subcarrier_spacing", "n_rx_elements",
+                                "n_fft", "max_occupied_index", "vehicle_length", "vehicle_width",
+                                "lane_width")
         if not math.isfinite(self.target_snr_db):
             raise ValueError(f"target_snr_db must be finite, got {self.target_snr_db!r}")
         if 2 * self.max_occupied_index >= self.n_fft:
@@ -143,24 +141,9 @@ def _build_vehicle(preset: PresetConfig) -> VehicleSpec:
     return vehicle
 
 
-@dataclass(frozen=True, eq=False)
-class PresetContext:
-    """Everything about a preset that does not depend on the placement; shared, read-only."""
-
-    vehicle: VehicleSpec
-    allocation: Allocation
-    ofdm: OfdmSpec  # total_power calibrated to the preset's reference SNR
-    betas: np.ndarray  # (K,) effective bandwidth per Tx array, rad/s
-    # Per link (Tx panel t, Rx panel r) in Kt*Kr order, each (Kt*Kr, ...):
-    link_panels: tuple[np.ndarray, np.ndarray]  # t and r
-    link_gd2: np.ndarray  # calibrated information weight g times distance^2
-    link_beta: np.ndarray  # betas[t]
-    link_saaf: np.ndarray  # the Rx panel's (2, 2) SAAF matrix
-
-
 @lru_cache(maxsize=32)
-def preset_context(preset: PresetConfig) -> PresetContext:
-    """The preset's placement-independent pieces, built on first use.
+def preset_context(preset: PresetConfig) -> LinkContext:
+    """The preset's link context (its vehicle at both ends, unit noise), built on first use.
 
     The transmit power is calibrated side by side in neighboring lanes
     (lateral offset one lane width, zero longitudinal offset), where the
@@ -186,13 +169,7 @@ def preset_context(preset: PresetConfig) -> PresetContext:
                                 unit_power.n_symbols, 1.0)
     power = 10.0 ** (preset.target_snr_db / 10.0) * len(allocation.per_array_sets[ref_t[k]])
     ofdm = replace(unit_power, total_power=float(power / unit_g))
-    betas = read_only(np.array(effective_bandwidths(allocation, ofdm)))
-    t, r = (read_only(i.ravel()) for i in np.indices((len(vehicle.panels),) * 2))
-    gd2 = ofdm.total_power * information_weight(
-        1.0, ofdm.wavelength, arrays.n_elements[r],
-        np.array(allocation.array_power_fractions)[t], ofdm.n_symbols, 1.0)
-    return PresetContext(vehicle, allocation, ofdm, betas, (t, r), read_only(gd2),
-                         read_only(betas[t]), read_only(arrays.saaf_s[r]))
+    return link_context(vehicle, vehicle, ofdm, allocation)
 
 
 def build_scene(
@@ -207,8 +184,8 @@ def build_scene(
     ofdm = ctx.ofdm
     if total_power != ofdm.total_power:
         ofdm = replace(ofdm, total_power=total_power)
-    return Scene(tx_vehicle=ctx.vehicle, tx_pose=Pose(Vec2(0.0, 0.0), alpha_t),
-                 rx_vehicle=ctx.vehicle, rx_pose=Pose(q, alpha_r), ofdm=ofdm,
+    return Scene(tx_vehicle=ctx.tx_vehicle, tx_pose=Pose(Vec2(0.0, 0.0), alpha_t),
+                 rx_vehicle=ctx.rx_vehicle, rx_pose=Pose(q, alpha_r), ofdm=ofdm,
                  allocation=ctx.allocation)
 
 
@@ -230,10 +207,10 @@ def placement_efims(
     AOA+TDOA EFIMs (N, 3, 3), zero without links. The visibility test and
     EFIM assembly are the Scene-level API's."""
     ctx = preset_context(preset)
-    arrays, (t, r), n = ctx.vehicle.arrays, ctx.link_panels, len(q)
+    (t, r), n = ctx.link_panels, len(q)
     heading = wrap_angles(np.broadcast_to(np.asarray(alpha_t, dtype=float), (n,)))
-    tx_c, rx_c, visible = visibility(arrays, (np.zeros((n, 2)), heading),
-                                     arrays, (q, np.zeros(n)))
+    tx_c, rx_c, visible = visibility(ctx.tx_vehicle.arrays, (np.zeros((n, 2)), heading),
+                                     ctx.rx_vehicle.arrays, (q, np.zeros(n)))
     # Links (N, Kt*Kr), coordinates first so that each is contiguous; a hidden
     # link gets distance inf, so g = 0 and a zero direction.
     tx_at = np.take(tx_c.transpose(2, 0, 1), t, axis=-1)

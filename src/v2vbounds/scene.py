@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .geometry import Pose, VehicleSpec
+from .channel import LinkContext, link_context
+from .geometry import Pose, VehicleSpec, require_positive_finite
 from .waveform import Allocation, OfdmSpec
 
 
@@ -26,10 +28,15 @@ class Scene:
     noise_variance: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.noise_variance <= 0.0:
-            raise ValueError("noise_variance must be positive")
+        require_positive_finite(self, "noise_variance")
         if self.allocation.n_arrays != len(self.tx_vehicle.panels):
             raise ValueError(
                 "allocation must provide one subcarrier set per Tx panel "
                 f"({self.allocation.n_arrays} sets, {len(self.tx_vehicle.panels)} panels)"
             )
+
+    @cached_property
+    def context(self) -> LinkContext:
+        """The scene's pose-free link context, built on first use and kept."""
+        return link_context(self.tx_vehicle, self.rx_vehicle, self.ofdm, self.allocation,
+                            self.noise_variance)

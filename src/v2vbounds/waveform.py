@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import EmptySet
-from .geometry import SPEED_OF_LIGHT, read_only
+from .geometry import SPEED_OF_LIGHT, read_only, require_positive_finite
 
 
 @dataclass(frozen=True)
@@ -33,14 +33,9 @@ class OfdmSpec:
         object.__setattr__(self, "occupied", tuple(sorted(self.occupied)))
         if self.n_fft < 1:
             raise ValueError("n_fft must be >= 1")
-        if self.subcarrier_spacing <= 0.0:
-            raise ValueError("subcarrier_spacing must be positive")
-        if self.carrier_frequency <= 0.0:
-            raise ValueError("carrier_frequency must be positive")
+        require_positive_finite(self, "subcarrier_spacing", "carrier_frequency", "total_power")
         if self.n_symbols < 1:
             raise ValueError("n_symbols must be >= 1")
-        if self.total_power <= 0.0:
-            raise ValueError("total_power must be positive")
         if len(self.occupied) > self.n_fft:
             raise ValueError("occupied set larger than the FFT grid")
         if len(set(self.occupied)) != len(self.occupied):

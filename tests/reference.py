@@ -222,15 +222,19 @@ def brute_force_fim_channel(scene, links, gains, reference=None):
 def per_link_fim_channel_fd(scene, links, gains, step=1e-7):
     """Central-FD channel FIM one link and one parameter at a time, each of a
     link's four parameters stepped in its sample-by-sample mean with the
-    steps of fim_channel_fd (1/omega_c for the delay, |h| for the gain)."""
+    steps of fim_channel_fd (1/omega_max for the delay, omega_max the largest
+    |omega| of the allocation's subcarriers, 1 rad/s without one off DC, and
+    |h| for the gain)."""
     order = link_order(links)
     ref_delay = links[order[0]].delay
+    omega_max = 2.0 * math.pi * scene.ofdm.subcarrier_spacing * max(
+        abs(p) for subset in scene.allocation.per_array_sets for p in subset)
     blocks = []
     for i in order:
         link, h = links[i], gains[i].h
         delay, angle, h_step = link.delay - ref_delay, link.theta_R_local, step * abs(h)
         columns = []
-        for d_tau, d_theta, d_h in ((step / scene.ofdm.omega_c, 0.0, 0.0), (0.0, step, 0.0),
+        for d_tau, d_theta, d_h in ((step / (omega_max or 1.0), 0.0, 0.0), (0.0, step, 0.0),
                                     (0.0, 0.0, h_step), (0.0, 0.0, 1j * h_step)):
             plus = link_samples(scene, link, delay + d_tau, angle + d_theta, h + d_h)[0]
             minus = link_samples(scene, link, delay - d_tau, angle - d_theta, h - d_h)[0]

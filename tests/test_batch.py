@@ -102,6 +102,12 @@ def same_bound(a: float, b: float) -> bool:
     return abs(a - b) <= 1e-9 * abs(b)
 
 
+# The bodies touch and every beta is 0: both paths must read g from the same
+# link_gd2 / d^2, or one-ulp weight differences move the bounds by 1e-8.
+@example((PresetConfig(name="custom", carrier_frequency=1e9, subcarrier_spacing=15e3,
+                       n_rx_elements=2, target_snr_db=0.0, max_occupied_index=1,
+                       vehicle_length=3.0, vehicle_width=1.5, lane_width=3.0),
+          [(0.0, -3.0, 0.01)]))
 @settings(max_examples=60, deadline=None)
 @given(preset_and_placements())
 def test_batched_rows_equal_scene_path(case):
@@ -130,8 +136,8 @@ def test_visibility_mask_equals_los_visible(case):
     q = np.array([(x, y) for x, y, _ in placements])
     # Wrapped like Pose wraps a heading, as evaluate_points does.
     heading = wrap_angles(np.array([a for _, _, a in placements]))
-    arrays = ctx.vehicle.arrays
-    _, _, mask = visibility(arrays, (np.zeros((n, 2)), heading), arrays, (q, np.zeros(n)))
+    _, _, mask = visibility(ctx.tx_vehicle.arrays, (np.zeros((n, 2)), heading),
+                            ctx.rx_vehicle.arrays, (q, np.zeros(n)))
     for i, (x, y, alpha_t) in enumerate(placements):
         scene = calibrated_scene(preset, Vec2(x, y), alpha_t)
         bodies = (scene.tx_vehicle, scene.tx_pose), (scene.rx_vehicle, scene.rx_pose)
@@ -267,7 +273,7 @@ def test_scenes_share_the_preset_context():
     preset = PRESETS["cfg_3p5GHz"]
     ctx = preset_context(preset)
     scene = calibrated_scene(preset, Vec2(-3.5, 7.0), 0.2)
-    assert scene.tx_vehicle is ctx.vehicle and scene.rx_vehicle is ctx.vehicle
+    assert scene.tx_vehicle is ctx.tx_vehicle and scene.rx_vehicle is ctx.rx_vehicle
     assert scene.allocation is ctx.allocation and scene.ofdm is ctx.ofdm
-    assert scene.tx_vehicle.arrays is ctx.vehicle.arrays
+    assert scene.tx_vehicle.arrays is ctx.tx_vehicle.arrays
     assert preset_context(preset) is ctx

@@ -9,7 +9,7 @@ import pytest
 from v2vbounds.channel import free_space_gain, link_gains
 from v2vbounds.errors import ZeroDistance
 from v2vbounds.geometry import Vec2, active_links
-from v2vbounds.scenarios import build_scene, calibrated_power, calibrated_scene
+from v2vbounds.scenarios import PRESETS, build_scene, calibrated_power, calibrated_scene
 
 from reference import reference_calibrated_power
 
@@ -81,6 +81,15 @@ class TestCalibration:
         scene = build_scene(preset_3p5, Vec2(-3.5, 0.0))
         links = active_links(scene)
         assert abs(min(lk.distance for lk in links) - 1.7) < 1e-12
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_scene_noise_variance_must_be_positive_and_finite(value):
+    # A NaN noise would give NaN bounds at rank 0, an inf one a math domain
+    # error in link_gains.
+    scene = build_scene(PRESETS["cfg_3p5GHz"], Vec2(-3.5, 10.0))
+    with pytest.raises(ValueError, match="noise_variance"):
+        dataclasses.replace(scene, noise_variance=value)
 
 
 class TestLinkGains:

@@ -30,9 +30,9 @@ from v2vbounds.fim_general import (
 from v2vbounds.geometry import SPEED_OF_LIGHT, Pose, Vec2, active_links, wrap_angles
 from v2vbounds.scenarios import PRESETS, calibrated_scene
 from v2vbounds.selfcheck import (
-    SELFCHECK_SEED, equilibrated_frobenius, random_placements,
+    ANALYTIC_VS_FD_TOL, SELFCHECK_SEED, equilibrated_frobenius, random_placements,
 )
-from v2vbounds.waveform import effective_bandwidths
+from v2vbounds.waveform import effective_bandwidths, interleaved_allocation
 
 from conftest import LIGHT, open_panel, small_scene
 from reference import (
@@ -219,7 +219,7 @@ def link_stacks(group, reference=None):
 def assert_fd_matches_oracle(group):
     """channel_fims_fd over a stack of (scene, links, gains) with equal link
     counts equals the per-link FD loop of each, and fim_channel_fd is its row."""
-    fd = channel_fims_fd(group[0][0], *link_stacks(group))
+    fd = channel_fims_fd(group[0][0].context, *link_stacks(group))
     for k, (scene, links, gains) in enumerate(group):
         oracle = per_link_fim_channel_fd(scene, links, gains)
         assert equilibrated_frobenius(oracle, fd[k]) < 1e-9
@@ -264,13 +264,26 @@ class TestFdTwin:
         links = active_links(scene)
         gains = link_gains(scene, links)
         t, r, delay, angle, h = link_stacks([(scene, links, gains)])
-        stacks = link_means(scene, t, r, delay, angle, h)
+        stacks = link_means(scene.context, t, r, delay, angle, h)
         for k, i in enumerate(link_order(links)):
             one = link_mean(scene, links[i], delay[0, k], angle[0, k], h[0, k])
             for padded, sliced in zip(stacks, one):
                 assert np.array_equal(padded[0, k, :len(sliced)], sliced)
             a, _, b, _ = (x[0, k] for x in stacks)
             assert not a[len(one[0]):].any() and not b[len(one[2]):].any()
+
+    def test_dc_only_allocation_gives_zero_delay_columns(self):
+        # Every omega is 0, so no delay step turns a phase: the delay columns
+        # are zero on both sides, with no division by the largest |omega|.
+        scene = small_scene(n_tx_panels=2, n_rx_panels=2)
+        scene = dataclasses.replace(scene, ofdm=dataclasses.replace(scene.ofdm, occupied=(0,)),
+                                    allocation=interleaved_allocation((0,), 2))
+        links = active_links(scene)
+        gains = link_gains(scene, links)
+        fd = fim_channel_fd(scene, links, gains)
+        assert np.isfinite(fd).all() and not fd[:, 4::4].any()
+        assert equilibrated_frobenius(fim_channel(scene, links, gains), fd) < ANALYTIC_VS_FD_TOL
+        assert_fd_matches_oracle([(scene, links, gains)])
 
     def test_step_must_be_positive(self, medium_scene):
         scene, links, gains = medium_scene
@@ -304,7 +317,7 @@ class TestChannelFim:
         scene, links, gains = medium_scene
         analytic = fim_channel(scene, links, gains)
         fd = fim_channel_fd(scene, links, gains)
-        assert equilibrated_frobenius(analytic, fd) < 1e-5
+        assert equilibrated_frobenius(analytic, fd) < ANALYTIC_VS_FD_TOL
 
     def test_matches_fd_on_preset_scene(self, preset_3p5):
         preset = dataclasses.replace(preset_3p5, max_occupied_index=20)
@@ -312,7 +325,19 @@ class TestChannelFim:
         links = active_links(scene)
         gains = link_gains(scene, links)
         assert equilibrated_frobenius(fim_channel(scene, links, gains),
-                                      fim_channel_fd(scene, links, gains)) < 1e-5
+                                      fim_channel_fd(scene, links, gains)) < ANALYTIC_VS_FD_TOL
+
+    @pytest.mark.parametrize("max_occupied_index", [1, 2, 3])
+    def test_matches_fd_on_narrow_allocations(self, preset_3p5, max_occupied_index):
+        # The delay step scales with the allocation's own largest |omega|, so
+        # the twin stays accurate with a few subcarriers near DC.
+        preset = dataclasses.replace(preset_3p5, name="narrow",
+                                     max_occupied_index=max_occupied_index)
+        scene = calibrated_scene(preset, Vec2(-3.5, 10.0))
+        links = active_links(scene)
+        gains = link_gains(scene, links)
+        assert equilibrated_frobenius(fim_channel(scene, links, gains),
+                                      fim_channel_fd(scene, links, gains)) < ANALYTIC_VS_FD_TOL
 
     def test_fd_step_convergence(self, medium_scene):
         scene, links, gains = medium_scene
@@ -589,7 +614,7 @@ class TestBatchedKernels:
             vectors = [link_info_vectors(scene, [link for link, _ in links])
                        for (scene, _, _), links in zip(group, ordered)]
             v_tau, v_theta = (np.array([v[k] for v in vectors]) for k in (0, 1))
-            j_phi = channel_fims(group[0][0], t, r, angle, h)
+            j_phi = channel_fims(group[0][0].context, t, r, angle, h)
             for variant in (AOA_TDOA, AOA_ONLY):
                 t_mat = transform_matrices(v_tau, v_theta, distance, variant)
                 j_po, singular = schur_efims(j_phi, t_mat)

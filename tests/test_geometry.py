@@ -112,6 +112,18 @@ class TestTypes:
         with pytest.raises(ValueError):
             VehicleSpec(length=0.0, width=1.0, panels=(open_panel(),))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["length", "width"])
+    def test_non_finite_vehicle_dims_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            VehicleSpec(**{"length": 4.5, "width": 1.8, field: value}, panels=(open_panel(),))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["mount_distance", "mount_angle", "fov_blocked_center"])
+    def test_non_finite_panel_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(open_panel(), **{field: value})
+
 
 class TestConformalPanel:
     def test_four_element_layout(self):

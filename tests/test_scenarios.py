@@ -164,15 +164,16 @@ class TestEvaluatePoint:
 
     def test_shared_preset_arrays_are_read_only(self, preset_3p5):
         ctx = preset_context(preset_3p5)
-        arrays = ctx.vehicle.arrays
+        arrays = ctx.tx_vehicle.arrays
         before = evaluate_point(preset_3p5, Vec2(-3.5, 10.0))
         with pytest.raises(ValueError):
             arrays.saaf_s[:] *= 4
         assert evaluate_point(preset_3p5, Vec2(-3.5, 10.0)) == before
         shared = [getattr(arrays, f.name) for f in dataclasses.fields(arrays)
                   if isinstance(getattr(arrays, f.name), np.ndarray)]
-        shared += [ctx.betas, *ctx.link_panels, ctx.link_gd2, ctx.link_beta, ctx.link_saaf]
-        assert len(shared) == 14
+        shared += [ctx.betas, ctx.omega, ctx.power, *ctx.link_panels, ctx.link_gd2,
+                   ctx.link_beta, ctx.link_saaf]
+        assert len(shared) == 16
         assert not any(a.flags.writeable for a in shared)
 
 

@@ -69,7 +69,7 @@ def test_edge_set_reaches_the_edges(preset):
     assert np.hypot(q[:, 0], q[:, 1]).min() < 5.0  # inside the annulus
     # Each heading placement's link from the Tx rear right panel (3) to the
     # Rx rear left panel (2) lies on the Tx panel's blocked-sector edge.
-    arrays = preset_context(preset).vehicle.arrays
+    arrays = preset_context(preset).tx_vehicle.arrays
     for i in (-2, -1):
         offset = rx_c[i, 2] - tx_c[i, 3]
         toward_rx = math.atan2(offset[1], offset[0])
@@ -85,10 +85,9 @@ def test_link_stacks_give_the_scene_paths_schur_efims(preset):
     q, alpha_t = edge_placements(preset)
     tx_c, rx_c, visible, _, _ = placement_efims(preset, q, alpha_t)
     n_links = visible.sum(axis=(1, 2))
-    any_scene = calibrated_scene(preset, Vec2(0.0, 0.0))
     for count in set(n_links.tolist()):
         group = np.flatnonzero(n_links == count)
-        j_po, singular = _schur_efims(preset, any_scene, tx_c[group], rx_c[group], visible[group])
+        j_po, singular = _schur_efims(preset, tx_c[group], rx_c[group], visible[group])
         assert not singular.any()
         for k, i in enumerate(group):
             scene = calibrated_scene(preset, Vec2(*q[i]), alpha_t=alpha_t[i])
@@ -137,15 +136,15 @@ def test_fd_twin_on_the_edge_set(preset):
     q, alpha_t = edge_placements(preset)
     tx_c, rx_c, visible, _, _ = placement_efims(preset, q, alpha_t)
     n_links = visible.sum(axis=(1, 2))
-    scene = calibrated_scene(preset, Vec2(0.0, 0.0))
+    ctx = preset_context(preset)
     worst = 0.0
     for count in set(n_links.tolist()):
         group = np.flatnonzero(n_links == count)
         t, r, _, _, distance, angle, h = _placement_links(
             preset, tx_c[group], rx_c[group], visible[group])
         delay = distance / SPEED_OF_LIGHT
-        fd = channel_fims_fd(scene, t, r, delay - delay[:, :1], angle, h)
-        worst = max(worst, equilibrated_frobenius(channel_fims(scene, t, r, angle, h), fd).max())
+        fd = channel_fims_fd(ctx, t, r, delay - delay[:, :1], angle, h)
+        worst = max(worst, equilibrated_frobenius(channel_fims(ctx, t, r, angle, h), fd).max())
     assert worst < ANALYTIC_VS_FD_TOL
 
 
@@ -170,9 +169,9 @@ def test_one_placement_per_call_gives_the_same_errors(monkeypatch):
         sizes.append(len(j_phi))
         return schur_efims(j_phi, t_matrix)
 
-    def fd(scene, t, *rest):
+    def fd(ctx, t, *rest):
         sizes.append(len(t))
-        return channel_fims_fd(scene, t, *rest)
+        return channel_fims_fd(ctx, t, *rest)
 
     monkeypatch.setattr(selfcheck, "schur_efims", schur)
     monkeypatch.setattr(selfcheck, "channel_fims_fd", fd)

@@ -28,6 +28,13 @@ def spec_with(occupied, spacing=60e3, fc=3.5e9, n_fft=2048):
     )
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["subcarrier_spacing", "carrier_frequency", "total_power"])
+def test_non_finite_ofdm_field_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(spec_with((1, 2)), **{field: value})
+
+
 class TestInterleaving:
     def test_small_example(self):
         alloc = interleaved_allocation({1, 2, 3, 4}, 2)
