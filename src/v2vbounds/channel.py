@@ -1,19 +1,17 @@
-"""Free-space link gains, information weights, and the pose-free link context."""
+"""Free-space link gains, information weights, the pose-free link context,
+and a Scene: one link context at two poses."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ZeroDistance
-from .geometry import Link, VehicleSpec, read_only
+from .geometry import Link, Pose, VehicleSpec, read_only
 from .waveform import Allocation, OfdmSpec, effective_bandwidths
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .scene import Scene
 
 
 @dataclass(frozen=True)
@@ -56,6 +54,7 @@ class LinkContext:
     betas: np.ndarray  # (K,) effective bandwidth per Tx array, rad/s
     omega: np.ndarray  # (K, S_max) baseband angular frequency of each Allocation.arrays slot
     power: np.ndarray  # (K, S_max) power of each slot, zero on padding
+    tx_moments: np.ndarray  # (K, 3) each Tx array's power moments sum P omega^p, p = 0, 1, 2
     # Per link (Tx panel t, Rx panel r) in Kt*Kr order, each (Kt*Kr, ...):
     link_panels: tuple[np.ndarray, np.ndarray]  # t and r
     link_gd2: np.ndarray  # information weight g times distance^2
@@ -65,17 +64,43 @@ class LinkContext:
 
 def link_context(tx_vehicle: VehicleSpec, rx_vehicle: VehicleSpec, ofdm: OfdmSpec,
                  allocation: Allocation, noise_variance: float = 1.0) -> LinkContext:
-    """The context every kernel reads, of links from tx_vehicle to rx_vehicle."""
+    """The context every kernel reads, of links from tx_vehicle to rx_vehicle;
+    raises ValueError unless the allocation has one subcarrier set per Tx
+    panel and the noise variance is positive and finite."""
+    if allocation.n_arrays != len(tx_vehicle.panels):
+        raise ValueError("allocation must provide one subcarrier set per Tx panel "
+                         f"({allocation.n_arrays} sets, {len(tx_vehicle.panels)} panels)")
+    if not 0 < noise_variance < math.inf:
+        raise ValueError(f"noise_variance must be positive and finite, got {noise_variance!r}")
     rx, fractions = rx_vehicle.arrays, np.array(allocation.array_power_fractions)
     betas = read_only(np.array(effective_bandwidths(allocation, ofdm)))
+    omega = read_only(2.0 * math.pi * ofdm.subcarrier_spacing * allocation.arrays.indices)
+    power = read_only(fractions[:, None] * allocation.arrays.fractions * ofdm.total_power)
+    # Summed along the contiguous axis, which numpy adds pairwise.
+    moments = np.sum(power[:, None] * omega[:, None] ** np.arange(3)[:, None], -1)
     t, r = (read_only(i.ravel()) for i in np.indices((len(tx_vehicle.panels), len(rx.saaf_s))))
     gd2 = ofdm.total_power * information_weight(1.0, ofdm.wavelength, rx.n_elements[r],
                                                 fractions[t], ofdm.n_symbols, noise_variance)
-    return LinkContext(
-        tx_vehicle, rx_vehicle, ofdm, allocation, noise_variance, betas,
-        read_only(2.0 * math.pi * ofdm.subcarrier_spacing * allocation.arrays.indices),
-        read_only(fractions[:, None] * allocation.arrays.fractions * ofdm.total_power),
-        (t, r), read_only(gd2), read_only(betas[t]), read_only(rx.saaf_s[r]))
+    return LinkContext(tx_vehicle, rx_vehicle, ofdm, allocation, noise_variance, betas, omega,
+                       power, read_only(moments), (t, r), read_only(gd2), read_only(betas[t]),
+                       read_only(rx.saaf_s[r]))
+
+
+@dataclass(frozen=True)
+class Scene:
+    """One relative placement of two vehicles: their link context and both poses.
+
+    The context's vehicles and allocation read through, for callers that
+    walk a scene's panels or subcarrier sets.
+    """
+
+    context: LinkContext
+    tx_pose: Pose
+    rx_pose: Pose
+
+    tx_vehicle = property(lambda self: self.context.tx_vehicle)
+    rx_vehicle = property(lambda self: self.context.rx_vehicle)
+    allocation = property(lambda self: self.context.allocation)
 
 
 def link_gains(scene: Scene, links: Sequence[Link]) -> list[LinkGain]:

@@ -18,10 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import LinkGain
-from .errors import NoActiveLinks
-from .geometry import SPEED_OF_LIGHT, Link
-from .scene import Scene
+from .channel import LinkGain, Scene
+from .geometry import SPEED_OF_LIGHT, Link, scene_placement, visible_links
 
 # Eigenvalues below RANK_EPS * lambda_max count as zero when ranking.
 RANK_EPS = 1e-10
@@ -113,17 +111,15 @@ def link_info_vectors(
     of link k's absolute delay, v_theta[k] that of its arrival angle (both as
     gradients of c*delay and distance*angle w.r.t. [q_x, q_y, alpha_T]), and
     aperture[k] is the Rx panel's squared array aperture function at the
-    link's local arrival angle.
+    link's local arrival angle. ``links`` are in (t, r) order, as
+    active_links gives them; the links are those of the placement kernels
+    (geometry.scene_placement, visible_links, link_vectors).
     """
-    t = [link.tx_panel for link in links]
-    r = [link.rx_panel for link in links]
-    tx_position, tx_heading = scene.tx_pose.arrays()
-    rx_position, rx_heading = scene.rx_pose.arrays()
-    rx = scene.rx_vehicle.arrays
-    tx_c = scene.tx_vehicle.arrays.centroids(tx_position, tx_heading)[t]
-    offset = rx.centroids(rx_position, rx_heading)[r] - tx_c
-    direction = offset / np.hypot(offset[:, 0], offset[:, 1])[:, None]
-    return link_vectors(direction, tx_c - tx_position, rx_heading, rx.saaf_s[r])
+    tx_c, rx_c, visible, rx_heading = scene_placement(scene, links)
+    _, r, tx_at, offset, distance, _ = visible_links(tx_c, rx_c, visible)
+    vectors = link_vectors(offset / distance[..., None], tx_at, rx_heading[:, None],
+                           scene.rx_vehicle.arrays.saaf_s[r])
+    return tuple(v[0] for v in vectors)
 
 
 def information(
@@ -147,30 +143,23 @@ def information(
     return j_aoa, j_aoa + (centered * w_tau[..., None]).swapaxes(-1, -2) @ centered
 
 
-def _scene_information(
-    scene: Scene, links: Sequence[Link], gains: Sequence[LinkGain], betas: Sequence[float] | None
-) -> tuple[np.ndarray, np.ndarray]:
-    if len(links) == 0:
-        raise NoActiveLinks("cannot assemble an EFIM without active links")
-    return information(
-        *link_info_vectors(scene, links),
-        np.array([gain.g for gain in gains]),
-        np.array([link.distance for link in links]),
-        np.array([0.0 if betas is None else betas[link.tx_panel] for link in links]),
-        scene.ofdm.omega_c,
-    )
-
-
 def efim_aoa_tdoa(
     scene: Scene,
     links: Sequence[Link],
     gains: Sequence[LinkGain],
     betas: Sequence[float],
 ) -> FimResult:
-    """Closed-form EFIM using both arrival angles and delay differences."""
-    return bounds_from_fim(_scene_information(scene, links, gains, betas)[1])
+    """Closed-form EFIM of the links (as link_info_vectors takes them) using
+    both arrival angles and delay differences, from their link_gains and the
+    Tx arrays' effective bandwidths: the n = 1 call of :func:`information`."""
+    g, distance = np.array([[gain.g for gain in gains], [link.distance for link in links]])
+    beta = np.asarray(betas, dtype=float)[[link.tx_panel for link in links]]
+    j_both = information(*link_info_vectors(scene, links), g, distance, beta,
+                         scene.context.ofdm.omega_c)[1]
+    return bounds_from_fim(j_both)
 
 
 def efim_aoa_only(scene: Scene, links: Sequence[Link], gains: Sequence[LinkGain]) -> FimResult:
-    """Closed-form EFIM using arrival angles only."""
-    return bounds_from_fim(_scene_information(scene, links, gains, None)[0])
+    """Closed-form EFIM using arrival angles only: :func:`efim_aoa_tdoa`
+    without delay information, every beta 0."""
+    return efim_aoa_tdoa(scene, links, gains, np.zeros(len(scene.tx_vehicle.panels)))

@@ -6,11 +6,12 @@ gains), maps it onto position/orientation through the geometric Jacobian,
 and removes nuisance parameters with a Schur complement. A central-finite-
 difference twin of the channel FIM serves as a numerical oracle for the
 analytic derivatives. The three stages are kernels over a stack of
-placements with equal link counts (:func:`channel_fims`,
-:func:`transform_matrices`, :func:`schur_efims`); :func:`fim_channel`,
-:func:`transform_matrix` and :func:`efim_schur` are their one-placement calls.
+placements with equal link counts under one link context;
+:func:`placement_links` builds their inputs from a visibility pass and
+:func:`placement_schur_efims` chains them, the general-path twin of
+``scenarios.placement_efims``. The one-scene functions are n = 1 calls.
 
-Parameter layout for L active links, decided by :func:`link_order`: the
+Parameter layout for L active links, decided by :func:`link_orders`: the
 reference link first (the active link of minimum delay, ties broken by
 (t, r)), then the remaining links in (t, r) order. Each link holds four
 consecutive columns [delay, angle, Re gain, Im gain]; the reference link's
@@ -24,11 +25,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import LinkContext, LinkGain
-from .errors import NoActiveLinks, NuisanceSingular
-from .fim_closed import FimResult, bounds_from_fim, link_info_vectors
-from .geometry import SPEED_OF_LIGHT, Link
-from .scene import Scene
+from .channel import LinkContext, LinkGain, Scene, free_space_gain
+from .errors import NuisanceSingular
+from .fim_closed import FimResult, bounds_from_fim, link_vectors
+from .geometry import SPEED_OF_LIGHT, Link, scene_placement, visible_links
 
 AOA_TDOA = "AOA_TDOA"
 AOA_ONLY = "AOA_ONLY"
@@ -38,26 +38,16 @@ AOA_ONLY = "AOA_ONLY"
 NUISANCE_COND_LIMIT = 1e12
 
 
-def link_order(links: Sequence[Link], reference: int | None = None) -> list[int]:
-    """Indices of ``links`` in parameter order: the reference link first, then
-    the others in their given (t, r) order. ``reference`` forces a reference
-    link (default: minimum delay, ties by (t, r); see :func:`link_orders`)."""
-    if len(links) == 0:
-        raise NoActiveLinks("cannot parameterize an empty link set")
-    if reference is not None and not 0 <= reference < len(links):
-        raise IndexError(f"reference link index {reference} out of range")
-    return link_orders(*(np.array([[getattr(link, name) for link in links]])
-                         for name in ("delay", "tx_panel", "rx_panel")),
-                       None if reference is None else [reference])[0].tolist()
-
-
 def link_orders(delay: np.ndarray, t: np.ndarray, r: np.ndarray,
                 reference: np.ndarray | None = None) -> np.ndarray:
-    """:func:`link_order` of each row of links given as delays and Tx and Rx
-    panels (n, L): the reference link first, then the others in their given
-    order. ``reference`` (n,) forces each row's reference link (default: the
-    link of minimum delay, ties broken by (t, r))."""
+    """Parameter order of each row of links given as delays and Tx and Rx
+    panels (n, L) in (t, r) order: the indices of the reference link first,
+    then the others in their given order. ``reference`` (n,) forces each
+    row's reference link (default: the link of minimum delay, ties broken by
+    (t, r)); one outside 0..L-1 raises IndexError."""
     first = np.lexsort((r, t, delay))[..., 0] if reference is None else np.asarray(reference)
+    if not np.all((0 <= first) & (first < delay.shape[-1])):
+        raise IndexError(f"reference link index out of range 0..{delay.shape[-1] - 1}")
     return np.argsort(np.arange(delay.shape[-1]) != first[..., None], axis=-1, kind="stable")
 
 
@@ -85,18 +75,6 @@ def link_means(ctx: LinkContext, t: np.ndarray, r: np.ndarray, delay: np.ndarray
     return amps * np.exp(-1j * omega * delay[..., None]), omega, b, dphase
 
 
-def link_mean(
-    scene: Scene, link: Link, delay: float, angle: float, gain: complex
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One link's :func:`link_means` ``(a, omega, b, dphase)``, sliced to its
-    own subcarriers and Rx elements."""
-    stacks = link_means(scene.context, *(np.array([[x]]) for x in (
-        link.tx_panel, link.rx_panel, delay, angle, gain)))
-    count = len(scene.allocation.per_array_sets[link.tx_panel])
-    n_e = scene.rx_vehicle.arrays.n_elements[link.rx_panel]
-    return tuple(x[0, 0, :size] for x, size in zip(stacks, (count, count, n_e, n_e)))
-
-
 # Per subcarrier a link's derivative columns are a (row 0 + omega row 1), its
 # gain columns then divided by h; per element b (row 0 + dphase row 1).
 _FA = np.array([[0.0, 1.0, 1.0, 1j], [-1j, 0.0, 0.0, 0.0]])
@@ -112,7 +90,7 @@ def _moment_gram(rows: np.ndarray, moments: np.ndarray) -> np.ndarray:
 def _channel_information(ctx: LinkContext, blocks: np.ndarray) -> np.ndarray:
     """Channel FIMs (..., 4L, 4L) from each link's 4 x 4 Gram (real part) of
     the derivatives of its mean in its own (delay, angle, Re gain, Im gain),
-    stacked (..., L, 4, 4) in :func:`link_order`.
+    stacked (..., L, 4, 4) in :func:`link_orders`.
 
     Links at different Rx panels or on disjoint subcarrier sets only couple
     through the shared timing offset, so each link's Gram block sits on the
@@ -134,18 +112,17 @@ def channel_fims(
 ) -> np.ndarray:
     """Analytic channel FIMs (n, 4L, 4L) of n placements from their links' Tx
     and Rx panels, vehicle-frame arrival angles and complex gains (n, L), in
-    :func:`link_order`, under one link context.
+    :func:`link_orders`, under one link context.
 
-    A link's mean is a ⊗ b (:func:`link_mean`), so each of its derivative
+    A link's mean is a ⊗ b (:func:`link_means`), so each of its derivative
     columns is fa_k ⊗ fb_k, with Fa = [-1j omega a, a, a/h, 1j a/h] and
     Fb = [b, 1j dphase b, b, b], and its Gram is Re((Fa^H Fa) ∘ (Fb^H Fb)).
     As |a_s|^2 is the subcarrier power P_s and |b_e| = |h|, these need only
-    the Tx array's moments sum P omega^p (p = 0, 1, 2), |h|^2 and the Rx
-    panel's (N_r, sum dphase, sum dphase^2): no subcarrier or element axis.
+    the Tx array's moments sum P omega^p (p = 0, 1, 2, ``ctx.tx_moments``),
+    |h|^2 and the Rx panel's (N_r, sum dphase, sum dphase^2): no subcarrier
+    or element axis.
     """
-    # Summed along the contiguous axis, which numpy adds pairwise.
-    tx = _moment_gram(_FA, np.sum(
-        ctx.power[:, None] * ctx.omega[:, None] ** np.arange(3)[:, None], -1))
+    tx = _moment_gram(_FA, ctx.tx_moments)
     rx, k = ctx.rx_vehicle.arrays, ctx.ofdm.omega_c / SPEED_OF_LIGHT
     # dphase_i = k d_perp_i . u, u = (cos, sin)(angle), so sum dphase = k u . sum d_perp
     # and sum dphase^2 = k^2 N_r u^T S u, with S the panel's saaf_matrix.
@@ -158,30 +135,6 @@ def channel_fims(
     v = np.stack((h, h, np.ones_like(h), np.ones_like(h)), axis=-1)
     weight = v.conj()[..., :, None] * v[..., None, :]
     return _channel_information(ctx, (weight * tx[t] * rx_gram).real)
-
-
-def _link_stacks(
-    links: Sequence[Link], gains: Sequence[LinkGain], reference: int | None = None
-) -> tuple[np.ndarray, ...]:
-    """One placement's (t, r, delay difference, angle, h) as (1, L) stacks in
-    :func:`link_order`, the input of the stacked kernels."""
-    order = link_order(links, reference)
-    t, r, delay, angle = (np.array([[getattr(links[i], name) for i in order]])
-                          for name in ("tx_panel", "rx_panel", "delay", "theta_R_local"))
-    return t, r, delay - delay[:, :1], angle, np.array([[gains[i].h for i in order]])
-
-
-def fim_channel(
-    scene: Scene,
-    links: Sequence[Link],
-    gains: Sequence[LinkGain],
-    reference: int | None = None,
-) -> np.ndarray:
-    """Analytic Fisher information of the channel parameters (4L x 4L), in
-    the :func:`link_order` layout; ``reference`` forces a reference link.
-    The one-placement call of :func:`channel_fims`."""
-    t, r, _, angle, h = _link_stacks(links, gains, reference)
-    return channel_fims(scene.context, t, r, angle, h)[0]
 
 
 def channel_fims_fd(ctx: LinkContext, t: np.ndarray, r: np.ndarray, delay: np.ndarray,
@@ -212,24 +165,13 @@ def channel_fims_fd(ctx: LinkContext, t: np.ndarray, r: np.ndarray, delay: np.nd
     return _channel_information(ctx, g @ g.swapaxes(-1, -2))
 
 
-def fim_channel_fd(
-    scene: Scene,
-    links: Sequence[Link],
-    gains: Sequence[LinkGain],
-    step: float = 1e-7,
-) -> np.ndarray:
-    """Central-finite-difference twin of :func:`fim_channel`, the
-    one-placement call of :func:`channel_fims_fd`."""
-    return channel_fims_fd(scene.context, *_link_stacks(links, gains), step)[0]
-
-
 def transform_matrices(
     v_tau: np.ndarray, v_theta: np.ndarray, distance: np.ndarray, variant: str
 ) -> np.ndarray:
     """Geometric Jacobians (n, R, 4L) from channel parameters (columns,
-    :func:`link_order` layout) to estimation parameters (rows, [q_x, q_y,
+    :func:`link_orders` layout) to estimation parameters (rows, [q_x, q_y,
     alpha_T] first), from the links' delay and angle information vectors
-    (n, L, 3) (:func:`link_info_vectors`) and distances (n, L) in link order.
+    (n, L, 3) (``fim_closed.link_vectors``) and distances (n, L) in link order.
 
     Angles carry geometry in both variants, delay differences only under
     AOA_TDOA; every other channel parameter (the timing offset, the gains
@@ -248,17 +190,6 @@ def transform_matrices(
         geometric[4::4] = True
     nuisance = np.eye(n)[~geometric]
     return np.concatenate((t_po, np.broadcast_to(nuisance, t_po.shape[:-2] + nuisance.shape)), -2)
-
-
-def transform_matrix(
-    scene: Scene, links: Sequence[Link], variant: str, reference: int | None = None
-) -> np.ndarray:
-    """Geometric Jacobian (R x 4L) of one placement's links, the one-placement
-    call of :func:`transform_matrices`."""
-    ordered = [links[i] for i in link_order(links, reference)]
-    v_tau, v_theta, _ = link_info_vectors(scene, ordered)
-    distance = np.array([[link.distance for link in ordered]])
-    return transform_matrices(v_tau[None], v_theta[None], distance, variant)[0]
 
 
 def schur_efims(j_phi: np.ndarray, t_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -286,6 +217,83 @@ def schur_efims(j_phi: np.ndarray, t_matrix: np.ndarray) -> tuple[np.ndarray, np
     n_eq = np.where(regular[..., None, None], n_eq, np.eye(n.shape[-1]))
     j_po = a - b_eq @ np.linalg.solve(n_eq, b_eq.swapaxes(-1, -2))
     return 0.5 * (j_po + j_po.swapaxes(-1, -2)), ~regular
+
+
+def placement_links(ctx: LinkContext, tx_c: np.ndarray, rx_c: np.ndarray, visible: np.ndarray,
+                    rx_heading: np.ndarray, reference: np.ndarray | None = None) -> tuple:
+    """The kernels' per-link inputs of n placements with equal link counts,
+    from the panel centroids (n, K, 2) and LOS mask (n, Kt, Kr) of
+    geometry.visibility, the Tx reference point at the origin, and the Rx
+    headings (n,), in :func:`link_orders` (``reference`` (n,) forces each
+    row's reference link, by its index in (t, r) order): Tx and Rx panels
+    (n, L), delay and angle information vectors (n, L, 3), distances, Rx-frame
+    arrival angles and free-space gains (n, L)."""
+    t, r, tx_at, offset, distance, angle = visible_links(tx_c, rx_c, visible)
+    order = link_orders(distance / SPEED_OF_LIGHT, t, r, reference)
+    rows, heading = np.arange(len(visible))[:, None], rx_heading[:, None]
+    t, r, tx_at, offset, distance, angle = (
+        column[rows, order] for column in (t, r, tx_at, offset, distance, angle))
+    v_tau, v_theta, _ = link_vectors(offset / distance[..., None], tx_at, heading,
+                                     ctx.rx_vehicle.arrays.saaf_s[r])
+    return (t, r, v_tau, v_theta, distance, angle - heading,
+            free_space_gain(distance, ctx.ofdm.wavelength))
+
+
+def placement_schur_efims(ctx: LinkContext, tx_c: np.ndarray, rx_c: np.ndarray,
+                          visible: np.ndarray, rx_heading: np.ndarray,
+                          reference: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Schur-path EFIMs (2, n, 3, 3) and nuisance-singular flags (2, n),
+    AOA+TDOA then AOA-only, of n placements with equal link counts, given as
+    :func:`placement_links` takes them."""
+    t, r, v_tau, v_theta, distance, angle, h = placement_links(
+        ctx, tx_c, rx_c, visible, rx_heading, reference)
+    j_phi = channel_fims(ctx, t, r, angle, h)
+    schur = [schur_efims(j_phi, transform_matrices(v_tau, v_theta, distance, variant))
+             for variant in (AOA_TDOA, AOA_ONLY)]
+    return tuple(np.stack(parts) for parts in zip(*schur))
+
+
+def _scene_links(scene: Scene, links: Sequence[Link], reference: int | None = None) -> tuple:
+    """:func:`placement_links` of one scene (n = 1) for the panel pairs of
+    ``links`` (geometry.scene_placement), ``reference`` indexing ``links``.
+    The calls below take link_gains' gains, which these rebuild from the distances."""
+    return placement_links(scene.context, *scene_placement(scene, links),
+                           None if reference is None else np.array([reference]))
+
+
+def fim_channel(
+    scene: Scene,
+    links: Sequence[Link],
+    gains: Sequence[LinkGain],
+    reference: int | None = None,
+) -> np.ndarray:
+    """Analytic Fisher information of the channel parameters (4L x 4L), in
+    the :func:`link_orders` layout; ``reference`` forces a reference link.
+    The one-placement call of :func:`channel_fims`."""
+    t, r, _, _, _, angle, h = _scene_links(scene, links, reference)
+    return channel_fims(scene.context, t, r, angle, h)[0]
+
+
+def fim_channel_fd(
+    scene: Scene,
+    links: Sequence[Link],
+    gains: Sequence[LinkGain],
+    step: float = 1e-7,
+) -> np.ndarray:
+    """Central-finite-difference twin of :func:`fim_channel`, the
+    one-placement call of :func:`channel_fims_fd`."""
+    t, r, _, _, distance, angle, h = _scene_links(scene, links)
+    delay = distance / SPEED_OF_LIGHT
+    return channel_fims_fd(scene.context, t, r, delay - delay[:, :1], angle, h, step)[0]
+
+
+def transform_matrix(
+    scene: Scene, links: Sequence[Link], variant: str, reference: int | None = None
+) -> np.ndarray:
+    """Geometric Jacobian (R x 4L) of one placement's links, the one-placement
+    call of :func:`transform_matrices`."""
+    _, _, v_tau, v_theta, distance, _, _ = _scene_links(scene, links, reference)
+    return transform_matrices(v_tau, v_theta, distance, variant)[0]
 
 
 def efim_schur(j_phi: np.ndarray, t_matrix: np.ndarray) -> FimResult:

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import InvalidCount, NoActiveLinks
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .scene import Scene
+    from .channel import Scene
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -436,16 +436,32 @@ def visible_links(tx_c: np.ndarray, rx_c: np.ndarray, visible: np.ndarray) -> tu
             np.arctan2(offset[..., 1], offset[..., 0]))
 
 
+def scene_placement(scene: "Scene", links=None) -> tuple:
+    """One scene as a placement (n = 1) of the placement kernels, its Tx
+    reference point moved to the origin: the panel centroids (1, K, 2), the
+    LOS mask (1, Kt, Kr), or with ``links`` (distinct panel pairs in (t, r)
+    order, as active_links gives them) the mask of their pairs, visible or
+    not, and the Rx heading (1,)."""
+    (tx_p, tx_h), (rx_p, rx_h) = scene.tx_pose.arrays(), scene.rx_pose.arrays()
+    tx_c, rx_c, visible = visibility(scene.tx_vehicle.arrays, (np.zeros((1, 2)), tx_h[None]),
+                                     scene.rx_vehicle.arrays, ((rx_p - tx_p)[None], rx_h[None]))
+    if links is not None:
+        pairs = [(link.tx_panel, link.rx_panel) for link in links]
+        if pairs != sorted(set(pairs)):
+            raise ValueError("links must be distinct panel pairs in (t, r) order")
+        visible = np.zeros_like(visible)
+        visible[0, [t for t, _ in pairs], [r for _, r in pairs]] = True
+    return tx_c, rx_c, visible, rx_h[None]
+
+
 def active_links(scene: "Scene") -> tuple[Link, ...]:
     """Enumerate all panel pairs and keep the LOS-visible ones.
 
     Output is ordered by (tx_panel, rx_panel). Raises NoActiveLinks when no
     pair is visible.
     """
-    tx_c, rx_c, visible = visibility(scene.tx_vehicle.arrays, scene.tx_pose.arrays(),
-                                     scene.rx_vehicle.arrays, scene.rx_pose.arrays())
-    t, r, _, _, distance, theta_r = (
-        column[0] for column in visible_links(tx_c[None], rx_c[None], visible[None]))
+    tx_c, rx_c, visible, _ = scene_placement(scene)
+    t, r, _, _, distance, theta_r = (column[0] for column in visible_links(tx_c, rx_c, visible))
     columns = (t, r, distance, theta_r, wrap_angles(theta_r + math.pi),
                wrap_angles(theta_r - scene.rx_pose.orientation), distance / SPEED_OF_LIGHT)
     return tuple(Link(*fields) for fields in zip(*(c.tolist() for c in columns)))

@@ -18,14 +18,13 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .channel import LinkContext, information_weight, link_context
+from .channel import LinkContext, Scene, information_weight, link_context
 from .errors import NoBracket
 from .fim_closed import bound_arrays, information, link_vectors
 from .geometry import (
     SPEED_OF_LIGHT, Pose, Vec2, VehicleSpec, build_cornered_vehicle, require_positive_finite,
     visibility, visible_links, wrap_angles,
 )
-from .scene import Scene
 from .waveform import OfdmSpec, interleaved_allocation
 
 Axis = Literal["lat", "lon"]
@@ -179,14 +178,13 @@ def build_scene(
     alpha_r: float = 0.0,
     total_power: float = 1.0,
 ) -> Scene:
-    """Scene with the Tx vehicle at the origin and the Rx vehicle at q."""
+    """Scene with the Tx vehicle at the origin and the Rx vehicle at q, on the
+    preset's context, rebuilt only for a total_power other than the calibrated one."""
     ctx = preset_context(preset)
-    ofdm = ctx.ofdm
-    if total_power != ofdm.total_power:
-        ofdm = replace(ofdm, total_power=total_power)
-    return Scene(tx_vehicle=ctx.tx_vehicle, tx_pose=Pose(Vec2(0.0, 0.0), alpha_t),
-                 rx_vehicle=ctx.rx_vehicle, rx_pose=Pose(q, alpha_r), ofdm=ofdm,
-                 allocation=ctx.allocation)
+    if total_power != ctx.ofdm.total_power:
+        ctx = link_context(ctx.tx_vehicle, ctx.rx_vehicle,
+                           replace(ctx.ofdm, total_power=total_power), ctx.allocation)
+    return Scene(ctx, Pose(Vec2(0.0, 0.0), alpha_t), Pose(q, alpha_r))
 
 
 def calibrated_power(preset: PresetConfig) -> float:
@@ -198,26 +196,33 @@ def calibrated_scene(preset: PresetConfig, q: Vec2, alpha_t: float = 0.0) -> Sce
     return build_scene(preset, q, alpha_t=alpha_t, total_power=calibrated_power(preset))
 
 
-def placement_efims(
-    preset: PresetConfig, q: np.ndarray, alpha_t: float | np.ndarray = 0.0
-) -> tuple[np.ndarray, ...]:
-    """The EFIM assembly of :func:`evaluate_points` for placements q (N, 2)
-    and Tx headings alpha_t (per row or one for all): the Tx and Rx panel
-    centroids (N, K, 2), the (N, Kt, Kr) LOS mask, and the AOA-only and
-    AOA+TDOA EFIMs (N, 3, 3), zero without links. The visibility test and
-    EFIM assembly are the Scene-level API's."""
-    ctx = preset_context(preset)
-    (t, r), n = ctx.link_panels, len(q)
+def placement_poses(q: np.ndarray, alpha_t: float | np.ndarray = 0.0) -> tuple[tuple, tuple]:
+    """Poses of placements q (N, 2), as geometry.visibility takes them: the Tx
+    vehicle at the origin with heading alpha_t (per row or one for all,
+    wrapped), the Rx vehicle at q with heading 0."""
+    n = len(q)
     heading = wrap_angles(np.broadcast_to(np.asarray(alpha_t, dtype=float), (n,)))
-    tx_c, rx_c, visible = visibility(ctx.tx_vehicle.arrays, (np.zeros((n, 2)), heading),
-                                     ctx.rx_vehicle.arrays, (q, np.zeros(n)))
+    return (np.zeros((n, 2)), heading), (q, np.zeros(n))
+
+
+def placement_efims(ctx: LinkContext, tx_pose: tuple, rx_pose: tuple) -> tuple[np.ndarray, ...]:
+    """The EFIM assembly of :func:`bound_table` for N placements of the
+    context's vehicles at poses (position (N, 2), heading (N,)) as
+    geometry.visibility takes them: the Tx and Rx panel centroids (N, K, 2),
+    the (N, Kt, Kr) LOS mask, and the AOA-only and AOA+TDOA EFIMs (N, 3, 3),
+    zero without links. ``fim_general.placement_schur_efims`` is its
+    general-path twin."""
+    (t, r), (tx_p, _), (_, rx_h) = ctx.link_panels, tx_pose, rx_pose
+    tx_c, rx_c, visible = visibility(ctx.tx_vehicle.arrays, tx_pose, ctx.rx_vehicle.arrays,
+                                     rx_pose)
     # Links (N, Kt*Kr), coordinates first so that each is contiguous; a hidden
     # link gets distance inf, so g = 0 and a zero direction.
     tx_at = np.take(tx_c.transpose(2, 0, 1), t, axis=-1)
     offset = np.take(rx_c.transpose(2, 0, 1), r, axis=-1) - tx_at
-    distance = np.where(visible.reshape(n, -1), np.hypot(*offset), np.inf)
-    vectors = link_vectors((offset / distance).transpose(1, 2, 0), tx_at.transpose(1, 2, 0),
-                           np.zeros(()), ctx.link_saaf)
+    distance = np.where(visible.reshape(len(visible), -1), np.hypot(*offset), np.inf)
+    vectors = link_vectors((offset / distance).transpose(1, 2, 0),
+                           (tx_at - tx_p.T[..., None]).transpose(1, 2, 0), rx_h[:, None],
+                           ctx.link_saaf)
     g = ctx.link_gd2 / distance**2
     j_aoa, j_both = information(*vectors, g, distance, ctx.link_beta, ctx.ofdm.omega_c)
     return tx_c, rx_c, visible, j_aoa, j_both
@@ -239,7 +244,8 @@ def bound_table(
     q = np.asarray(q, dtype=float).reshape(-1, 2)
     if not (np.isfinite(q).all() and np.isfinite(alpha_t).all()):
         raise ValueError("placements and Tx headings must be finite")
-    _, _, visible, j_aoa, j_both = placement_efims(preset, q, alpha_t)
+    _, _, visible, j_aoa, j_both = placement_efims(preset_context(preset),
+                                                   *placement_poses(q, alpha_t))
     table = np.full((len(q), len(COLUMNS)), np.inf)
     table[:, :2] = q
     table[:, 2] = np.abs(q[:, 1]) - preset.vehicle_length

@@ -5,10 +5,11 @@ Scenes are drawn with a fixed, documented seed (SELFCHECK_SEED) from an
 annulus of relative positions 5..40 m around the Tx vehicle with a uniform
 random Tx heading, so every run checks the same scene family. The draws come
 in blocks with one visibility call per block and preset, accepted in order
-(:func:`random_placements`), and their links are rebuilt from the panel
-centroids apart from the Scene path (:func:`_placement_links`). The
-closed-form vs Schur suite checks the EFIM assembly behind every sweep row
-(``scenarios.placement_efims``) against the Schur kernels, on those scenes
+(:func:`random_placements`). Every suite takes the centroids and LOS mask of
+one ``scenarios.placement_efims`` call per preset and builds the general
+path's links from them (``fim_general.placement_links``). The closed-form
+vs Schur suite checks the EFIM assembly behind every sweep row against its
+general-path twin (``fim_general.placement_schur_efims``), on those scenes
 and on each preset's fixed edge set (:func:`edge_placements`): bumper
 overlap, short gaps, blocked-sector edges. A NaN error fails every suite.
 
@@ -27,14 +28,9 @@ import time
 
 import numpy as np
 
-from .channel import free_space_gain
-from .fim_closed import link_vectors
-from .fim_general import (
-    AOA_ONLY, AOA_TDOA, channel_fims, channel_fims_fd, link_orders, schur_efims,
-    transform_matrices,
-)
-from .geometry import SPEED_OF_LIGHT, visibility, visible_links, wrap_angles
-from .scenarios import PRESETS, PresetConfig, placement_efims, preset_context
+from .fim_general import channel_fims, channel_fims_fd, placement_links, placement_schur_efims
+from .geometry import SPEED_OF_LIGHT, visibility
+from .scenarios import PRESETS, PresetConfig, placement_efims, placement_poses, preset_context
 
 SELFCHECK_SEED = 20240311
 
@@ -63,7 +59,7 @@ def random_placements(
                                                size=(n_scenes - len(accepted), 3)).T
         q = np.column_stack((radius * np.cos(bearing), radius * np.sin(bearing)))
         # The LOS mask of placement_efims, without its EFIM assembly.
-        tx_pose, rx_pose = (np.zeros_like(q), wrap_angles(alpha_t)), (q, np.zeros(len(q)))
+        tx_pose, rx_pose = placement_poses(q, alpha_t)
         linked = [visibility(tx, tx_pose, rx, rx_pose)[2].any(axis=(1, 2)) for tx, rx in vehicles]
         for j in range(len(q)):
             i = len(accepted) % len(presets)
@@ -117,39 +113,6 @@ def _link_count_chunks(visible: np.ndarray, scene_bytes):
         yield from np.split(group, range(size, len(group), size))
 
 
-def _placement_links(
-    preset: PresetConfig, tx_c: np.ndarray, rx_c: np.ndarray, visible: np.ndarray,
-    ref: np.ndarray | None = None,
-) -> tuple[np.ndarray, ...]:
-    """Links of n placements with equal link counts from their panel centroids
-    and LOS masks (geometry.visible_links), in link_orders (``ref`` (n,)
-    forces each row's reference, by its index in (t, r) order): Tx and Rx
-    panels, Tx centroids and offsets to the Rx centroids (n, L, 2),
-    distances, arrival angles and free-space gains."""
-    t, r, tx_at, offset, distance, angle = visible_links(tx_c, rx_c, visible)
-    order = link_orders(distance / SPEED_OF_LIGHT, t, r, ref)
-    rows = np.arange(len(visible))[:, None]
-    links = tuple(column[rows, order] for column in (t, r, tx_at, offset, distance, angle))
-    return (*links, free_space_gain(links[4], preset_context(preset).ofdm.wavelength))
-
-
-def _schur_efims(
-    preset: PresetConfig, tx_c: np.ndarray, rx_c: np.ndarray, visible: np.ndarray,
-    ref: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Schur-path EFIMs (2, n, 3, 3) and nuisance-singular flags (2, n),
-    AOA+TDOA then AOA-only, of n placements with equal link counts, from
-    their links as :func:`_placement_links` rebuilds them (``ref`` as there)."""
-    ctx = preset_context(preset)
-    t, r, tx_at, offset, distance, angle, h = _placement_links(preset, tx_c, rx_c, visible, ref)
-    v_tau, v_theta, _ = link_vectors(offset / distance[..., None], tx_at, np.zeros(()),
-                                     ctx.rx_vehicle.arrays.saaf_s[r])
-    j_phi = channel_fims(ctx, t, r, angle, h)
-    schur = [schur_efims(j_phi, transform_matrices(v_tau, v_theta, distance, variant))
-             for variant in (AOA_TDOA, AOA_ONLY)]
-    return tuple(np.stack(parts) for parts in zip(*schur))
-
-
 def closed_vs_schur_errors(
     n_scenes: int = 100, seed: int = SELFCHECK_SEED
 ) -> tuple[float, float]:
@@ -160,12 +123,14 @@ def closed_vs_schur_errors(
     drawn = random_placements(np.random.default_rng(seed), presets, n_scenes)
     worst = np.zeros(2)
     for preset in presets:
-        edge_q, edge_alpha = edge_placements(preset)
+        ctx, (edge_q, edge_alpha) = preset_context(preset), edge_placements(preset)
         q = np.array([q for p, q, _ in drawn if p is preset] + edge_q.tolist())
         alpha_t = np.array([a for p, _, a in drawn if p is preset] + edge_alpha.tolist())
-        tx_c, rx_c, visible, j_aoa, j_both = placement_efims(preset, q, alpha_t)
+        poses = placement_poses(q, alpha_t)
+        tx_c, rx_c, visible, j_aoa, j_both = placement_efims(ctx, *poses)
         for chunk in _link_count_chunks(visible, lambda n_links: 8 * (4 * n_links)**2):
-            j_po, singular = _schur_efims(preset, tx_c[chunk], rx_c[chunk], visible[chunk])
+            j_po, singular = placement_schur_efims(ctx, tx_c[chunk], rx_c[chunk], visible[chunk],
+                                                   poses[1][1][chunk])
             error = relative_frobenius(np.stack((j_both[chunk], j_aoa[chunk])), j_po)
             worst = np.maximum(worst, np.where(singular, math.inf, error).max(axis=1))
     return float(worst[0]), float(worst[1])
@@ -187,12 +152,12 @@ def analytic_vs_fd_errors(n_scenes: int = 20, seed: int = SELFCHECK_SEED) -> flo
     for preset in light:
         q = np.array([q for p, q, _ in drawn if p is preset]).reshape(-1, 2)
         alpha_t = np.array([a for p, _, a in drawn if p is preset])
-        tx_c, rx_c, visible, _, _ = placement_efims(preset, q, alpha_t)
-        ctx = preset_context(preset)
+        ctx, poses = preset_context(preset), placement_poses(q, alpha_t)
+        tx_c, rx_c, visible, _, _ = placement_efims(ctx, *poses)
         samples = ctx.omega.shape[-1] * ctx.rx_vehicle.arrays.elements.shape[-1]
         for chunk in _link_count_chunks(visible, lambda n_links: 16 * 4 * n_links * samples):
-            t, r, _, _, distance, angle, h = _placement_links(
-                preset, tx_c[chunk], rx_c[chunk], visible[chunk])
+            t, r, _, _, distance, angle, h = placement_links(
+                ctx, tx_c[chunk], rx_c[chunk], visible[chunk], poses[1][1][chunk])
             delay = distance / SPEED_OF_LIGHT
             fd = channel_fims_fd(ctx, t, r, delay - delay[:, :1], angle, h)
             error = equilibrated_frobenius(channel_fims(ctx, t, r, angle, h), fd)
@@ -206,11 +171,12 @@ def reference_invariance_error(seed: int = SELFCHECK_SEED) -> float:
     the others in (t, r) order."""
     [(preset, q, alpha_t)] = random_placements(np.random.default_rng(seed),
                                                [PRESETS["cfg_3p5GHz"]], 1)
-    tx_c, rx_c, visible, _, _ = placement_efims(preset, q[None], alpha_t)
+    ctx = preset_context(preset)
+    tx_c, rx_c, visible, _, _ = placement_efims(ctx, *placement_poses(q[None], alpha_t))
     n_links = int(visible.sum())
-    (j_po, _), (singular, _) = _schur_efims(
-        preset, *(np.repeat(x, n_links, axis=0) for x in (tx_c, rx_c, visible)),
-        np.arange(n_links))
+    (j_po, _), (singular, _) = placement_schur_efims(
+        ctx, *(np.repeat(x, n_links, axis=0) for x in (tx_c, rx_c, visible)),
+        np.zeros(n_links), np.arange(n_links))
     if singular.any():
         return math.inf
     return float(relative_frobenius(j_po[:1], j_po[1:]).max(initial=0.0))

@@ -9,8 +9,8 @@ import os
 import pytest
 from hypothesis import settings
 
+from v2vbounds.channel import Scene, link_context
 from v2vbounds.geometry import ArrayPanel, ElementOffset, Pose, Vec2, VehicleSpec
-from v2vbounds.scene import Scene
 from v2vbounds.scenarios import PRESETS
 from v2vbounds.waveform import OfdmSpec, interleaved_allocation
 
@@ -107,15 +107,17 @@ def small_scene(
         n_symbols=n_symbols,
         total_power=total_power,
     )
-    return Scene(
-        tx_vehicle=tx,
-        tx_pose=Pose(Vec2(0.0, 0.0), alpha_t),
-        rx_vehicle=rx,
-        rx_pose=Pose(q, alpha_r),
-        ofdm=ofdm,
-        allocation=interleaved_allocation(occupied, n_tx_panels),
-        noise_variance=noise_variance,
-    )
+    ctx = link_context(tx, rx, ofdm, interleaved_allocation(occupied, n_tx_panels), noise_variance)
+    return Scene(ctx, Pose(Vec2(0.0, 0.0), alpha_t), Pose(q, alpha_r))
+
+
+def with_context(scene: Scene, **changes) -> Scene:
+    """The scene at its poses on a context rebuilt with some of link_context's
+    inputs (tx_vehicle, rx_vehicle, ofdm, allocation, noise_variance) changed."""
+    ctx = scene.context
+    inputs = dict(tx_vehicle=ctx.tx_vehicle, rx_vehicle=ctx.rx_vehicle, ofdm=ctx.ofdm,
+                  allocation=ctx.allocation, noise_variance=ctx.noise_variance)
+    return Scene(link_context(**{**inputs, **changes}), scene.tx_pose, scene.rx_pose)
 
 
 def panels_with_links(links) -> tuple[set[int], set[int]]:

@@ -18,7 +18,6 @@ import numpy as np
 
 from v2vbounds.errors import NoActiveLinks
 from v2vbounds.fim_closed import RANK_EPS
-from v2vbounds.fim_general import link_order
 from v2vbounds.geometry import SPEED_OF_LIGHT, Link, Pose, Vec2, active_links, wrap_angle
 from v2vbounds.scenarios import _build_vehicle, calibrated_scene
 from v2vbounds.waveform import OfdmSpec, interleaved_allocation
@@ -168,19 +167,31 @@ def reference_calibrated_power(preset) -> float:
     return 10.0 ** (preset.target_snr_db / 10.0) * n_sub / unit_g
 
 
+def link_order(links, reference=None):
+    """Indices of links (in (t, r) order) in parameter order, one link at a
+    time: the reference link first (``reference``, or the link of minimum
+    delay, ties broken by (t, r)), then the others in their given order. The
+    reference for ``fim_general.link_orders``."""
+    if reference is None:
+        reference = min(range(len(links)),
+                        key=lambda i: (links[i].delay, links[i].tx_panel, links[i].rx_panel))
+    return [reference] + [i for i in range(len(links)) if i != reference]
+
+
 def link_samples(scene, link, delay, angle, gain):
     """The link's (subcarrier, Rx element) mean, its subcarriers' angular
     frequencies and its element phases' angle derivatives, sample by sample."""
-    subset = scene.allocation.per_array_sets[link.tx_panel]
-    omega = 2.0 * math.pi * scene.ofdm.subcarrier_spacing * np.array(subset, dtype=float)
-    gamma_t = scene.allocation.array_power_fractions[link.tx_panel]
-    fracs = np.array([scene.allocation.per_subcarrier_fractions[p] for p in subset], dtype=float)
-    amps = np.sqrt(gamma_t * fracs * scene.ofdm.total_power)
+    ofdm, allocation = scene.context.ofdm, scene.allocation
+    subset = allocation.per_array_sets[link.tx_panel]
+    omega = 2.0 * math.pi * ofdm.subcarrier_spacing * np.array(subset, dtype=float)
+    gamma_t = allocation.array_power_fractions[link.tx_panel]
+    fracs = np.array([allocation.per_subcarrier_fractions[p] for p in subset], dtype=float)
+    amps = np.sqrt(gamma_t * fracs * ofdm.total_power)
     elements = scene.rx_vehicle.panels[link.rx_panel].elements
     dist = np.array([e.distance for e in elements])
     ang = np.array([e.angle for e in elements])
-    phase = scene.ofdm.omega_c * dist * np.cos(ang - angle) / SPEED_OF_LIGHT
-    dphase = scene.ofdm.omega_c * dist * np.sin(ang - angle) / SPEED_OF_LIGHT
+    phase = ofdm.omega_c * dist * np.cos(ang - angle) / SPEED_OF_LIGHT
+    dphase = ofdm.omega_c * dist * np.sin(ang - angle) / SPEED_OF_LIGHT
     mean = (amps * np.exp(-1j * omega * delay))[:, None] * (gain * np.exp(1j * phase))[None, :]
     return mean, omega, dphase
 
@@ -195,7 +206,7 @@ def _folded_information(scene, blocks):
         j[4 * k:4 * k + 4, 4 * k:4 * k + 4] = block
     offset = np.eye(n)
     offset[0::4, 0] = 1.0
-    j = 2.0 * scene.ofdm.n_symbols / scene.noise_variance * (offset.T @ j @ offset)
+    j = 2.0 * scene.context.ofdm.n_symbols / scene.context.noise_variance * (offset.T @ j @ offset)
     return 0.5 * (j + j.T)
 
 
@@ -227,7 +238,7 @@ def per_link_fim_channel_fd(scene, links, gains, step=1e-7):
     |h| for the gain)."""
     order = link_order(links)
     ref_delay = links[order[0]].delay
-    omega_max = 2.0 * math.pi * scene.ofdm.subcarrier_spacing * max(
+    omega_max = 2.0 * math.pi * scene.context.ofdm.subcarrier_spacing * max(
         abs(p) for subset in scene.allocation.per_array_sets for p in subset)
     blocks = []
     for i in order:

@@ -39,7 +39,7 @@ from v2vbounds.selfcheck import (
 from v2vbounds.waveform import effective_bandwidths
 from v2vbounds import app
 
-from conftest import small_scene
+from conftest import small_scene, with_context
 
 _MODULE_START = time.monotonic()
 
@@ -235,7 +235,7 @@ def test_criterion_6_rank_rules():
     single = small_scene(n_tx_panels=1, n_rx_panels=1)
     links = active_links(single)
     gains = link_gains(single, links)
-    betas = effective_bandwidths(single.allocation, single.ofdm)
+    betas = effective_bandwidths(single.allocation, single.context.ofdm)
     r1 = efim_aoa_tdoa(single, links, gains, betas)
     one_ok = r1.singular and r1.rank <= 2
 
@@ -272,10 +272,10 @@ def test_criterion_7_invariances():
 
     links = links_a
     gains = link_gains(scene_a, links)
-    betas = effective_bandwidths(scene_a.allocation, scene_a.ofdm)
+    betas = effective_bandwidths(scene_a.allocation, scene_a.context.ofdm)
     base = efim_aoa_tdoa(scene_a, links, gains, betas)
-    boosted_scene = dataclasses.replace(
-        scene_a, ofdm=dataclasses.replace(scene_a.ofdm, n_symbols=4)
+    boosted_scene = with_context(
+        scene_a, ofdm=dataclasses.replace(scene_a.context.ofdm, n_symbols=4)
     )
     boosted = efim_aoa_tdoa(boosted_scene, links, link_gains(boosted_scene, links), betas)
     nb_err = abs(boosted.peb_lat - base.peb_lat / 2.0) / base.peb_lat

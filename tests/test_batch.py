@@ -23,6 +23,7 @@ from v2vbounds.scenarios import (
     PRESETS,
     PresetConfig,
     _build_vehicle,
+    build_scene,
     calibrated_scene,
     evaluate_point,
     evaluate_points,
@@ -87,7 +88,7 @@ def scene_path(preset, q_x, q_y, alpha_t):
     except NoActiveLinks:
         return 0, dict.fromkeys(BOUND_FIELDS, math.inf)
     gains = link_gains(scene, links)
-    betas = effective_bandwidths(scene.allocation, scene.ofdm)
+    betas = effective_bandwidths(scene.allocation, scene.context.ofdm)
     both = efim_aoa_tdoa(scene, links, gains, betas)
     aoa = efim_aoa_only(scene, links, gains)
     return len(links), {
@@ -273,7 +274,13 @@ def test_scenes_share_the_preset_context():
     preset = PRESETS["cfg_3p5GHz"]
     ctx = preset_context(preset)
     scene = calibrated_scene(preset, Vec2(-3.5, 7.0), 0.2)
+    assert scene.context is ctx
     assert scene.tx_vehicle is ctx.tx_vehicle and scene.rx_vehicle is ctx.rx_vehicle
-    assert scene.allocation is ctx.allocation and scene.ofdm is ctx.ofdm
+    assert scene.allocation is ctx.allocation
     assert scene.tx_vehicle.arrays is ctx.tx_vehicle.arrays
     assert preset_context(preset) is ctx
+    # Only a power other than the calibrated one builds a context of its own.
+    power = 2.0 * ctx.ofdm.total_power
+    louder = build_scene(preset, Vec2(-3.5, 7.0), total_power=power).context
+    assert louder is not ctx and louder.ofdm.total_power == power
+    assert louder.allocation is ctx.allocation and louder.noise_variance == 1.0

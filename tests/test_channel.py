@@ -6,11 +6,13 @@ import math
 
 import pytest
 
-from v2vbounds.channel import free_space_gain, link_gains
+from v2vbounds.channel import free_space_gain, link_context, link_gains
 from v2vbounds.errors import ZeroDistance
 from v2vbounds.geometry import Vec2, active_links
 from v2vbounds.scenarios import PRESETS, build_scene, calibrated_power, calibrated_scene
+from v2vbounds.waveform import interleaved_allocation
 
+from conftest import with_context
 from reference import reference_calibrated_power
 
 
@@ -86,10 +88,20 @@ class TestCalibration:
 @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
 def test_scene_noise_variance_must_be_positive_and_finite(value):
     # A NaN noise would give NaN bounds at rank 0, an inf one a math domain
-    # error in link_gains.
+    # error in link_gains; a scene's noise is its context's.
     scene = build_scene(PRESETS["cfg_3p5GHz"], Vec2(-3.5, 10.0))
     with pytest.raises(ValueError, match="noise_variance"):
-        dataclasses.replace(scene, noise_variance=value)
+        with_context(scene, noise_variance=value)
+
+
+@pytest.mark.parametrize("n_sets", [3, 5])
+def test_link_context_needs_one_subcarrier_set_per_tx_panel(n_sets):
+    # Five sets on four panels would give five betas and power fractions of
+    # 1/5; three would index past the allocation.
+    ctx = calibrated_scene(PRESETS["cfg_3p5GHz"], Vec2(-3.5, 10.0)).context
+    allocation = interleaved_allocation(PRESETS["cfg_3p5GHz"].occupied, n_sets)
+    with pytest.raises(ValueError, match=rf"\({n_sets} sets, 4 panels\)"):
+        link_context(ctx.tx_vehicle, ctx.rx_vehicle, ctx.ofdm, allocation)
 
 
 class TestLinkGains:
@@ -98,13 +110,13 @@ class TestLinkGains:
         links = active_links(base)
         g0 = [lg.g for lg in link_gains(base, links)]
 
-        more_symbols = dataclasses.replace(
-            base, ofdm=dataclasses.replace(base.ofdm, n_symbols=4)
+        more_symbols = with_context(
+            base, ofdm=dataclasses.replace(base.context.ofdm, n_symbols=4)
         )
         g_sym = [lg.g for lg in link_gains(more_symbols, links)]
         assert all(abs(b / a - 4.0) < 1e-12 for a, b in zip(g0, g_sym))
 
-        half_noise = dataclasses.replace(base, noise_variance=0.5)
+        half_noise = with_context(base, noise_variance=0.5)
         g_noise = [lg.g for lg in link_gains(half_noise, links)]
         assert all(abs(b / a - 2.0) < 1e-12 for a, b in zip(g0, g_noise))
 

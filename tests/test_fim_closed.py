@@ -31,7 +31,7 @@ from v2vbounds.geometry import (
 from v2vbounds.scenarios import calibrated_scene
 from v2vbounds.waveform import effective_bandwidths
 
-from conftest import small_scene
+from conftest import small_scene, with_context
 from reference import einsum_information, inverse_bound_arrays, tx_panel_state
 
 
@@ -269,7 +269,7 @@ class TestClosedForms:
         # Tx array carrying zero bandwidth the matrices must match on the
         # angle part. Cross-check by subtracting the delay covariance.
         scene, links, gains = _scene_links_gains(preset_3p5, Vec2(-3.5, 9.0))
-        betas = effective_bandwidths(scene.allocation, scene.ofdm)
+        betas = effective_bandwidths(scene.allocation, scene.context.ofdm)
         both = efim_aoa_tdoa(scene, links, gains, betas)
         aoa = efim_aoa_only(scene, links, gains)
         delta = both.j_po - aoa.j_po
@@ -283,7 +283,7 @@ class TestClosedForms:
             (preset_3p5, Vec2(6.0, 17.0)),
         ):
             scene, links, gains = _scene_links_gains(preset, q)
-            betas = effective_bandwidths(scene.allocation, scene.ofdm)
+            betas = effective_bandwidths(scene.allocation, scene.context.ofdm)
             both = efim_aoa_tdoa(scene, links, gains, betas)
             aoa = efim_aoa_only(scene, links, gains)
             if not both.singular and not aoa.singular:
@@ -292,7 +292,7 @@ class TestClosedForms:
 
     def test_symmetric_psd(self, preset_3p5):
         scene, links, gains = _scene_links_gains(preset_3p5, Vec2(2.5, -11.0))
-        betas = effective_bandwidths(scene.allocation, scene.ofdm)
+        betas = effective_bandwidths(scene.allocation, scene.context.ofdm)
         for result in (
             efim_aoa_tdoa(scene, links, gains, betas),
             efim_aoa_only(scene, links, gains),
@@ -304,10 +304,10 @@ class TestClosedForms:
 
     def test_nb_scaling_law(self, preset_3p5):
         scene, links, gains = _scene_links_gains(preset_3p5, Vec2(-3.5, 13.0))
-        betas = effective_bandwidths(scene.allocation, scene.ofdm)
+        betas = effective_bandwidths(scene.allocation, scene.context.ofdm)
         base = efim_aoa_tdoa(scene, links, gains, betas)
-        boosted_scene = dataclasses.replace(
-            scene, ofdm=dataclasses.replace(scene.ofdm, n_symbols=4)
+        boosted_scene = with_context(
+            scene, ofdm=dataclasses.replace(scene.context.ofdm, n_symbols=4)
         )
         boosted = efim_aoa_tdoa(
             boosted_scene, links, link_gains(boosted_scene, links), betas
@@ -317,9 +317,9 @@ class TestClosedForms:
 
     def test_noise_scaling_law(self, preset_3p5):
         scene, links, gains = _scene_links_gains(preset_3p5, Vec2(-3.5, 13.0))
-        betas = effective_bandwidths(scene.allocation, scene.ofdm)
+        betas = effective_bandwidths(scene.allocation, scene.context.ofdm)
         base = efim_aoa_tdoa(scene, links, gains, betas)
-        noisy_scene = dataclasses.replace(scene, noise_variance=3.0)
+        noisy_scene = with_context(scene, noise_variance=3.0)
         noisy = efim_aoa_tdoa(noisy_scene, links, link_gains(noisy_scene, links), betas)
         assert np.allclose(noisy.j_po, base.j_po / 3.0, rtol=1e-12)
 
@@ -330,7 +330,7 @@ class TestRankRules:
         links = active_links(scene)
         assert len(links) == 1
         gains = link_gains(scene, links)
-        betas = effective_bandwidths(scene.allocation, scene.ofdm)
+        betas = effective_bandwidths(scene.allocation, scene.context.ofdm)
         result = efim_aoa_tdoa(scene, links, gains, betas)
         assert result.singular and result.rank <= 2
         assert math.isinf(result.peb_lat) and math.isinf(result.peb_lon)
@@ -350,7 +350,7 @@ class TestRankRules:
         links = active_links(scene)
         assert len(links) == 2
         gains = link_gains(scene, links)
-        betas = effective_bandwidths(scene.allocation, scene.ofdm)
+        betas = effective_bandwidths(scene.allocation, scene.context.ofdm)
         result = efim_aoa_tdoa(scene, links, gains, betas)
         assert not result.singular and result.rank == 3
 
@@ -362,7 +362,7 @@ class TestRankRules:
         links = active_links(scene)
         assert len(links) == 2
         gains = link_gains(scene, links)
-        betas = effective_bandwidths(scene.allocation, scene.ofdm)
+        betas = effective_bandwidths(scene.allocation, scene.context.ofdm)
         result = efim_aoa_tdoa(scene, links, gains, betas)
         assert result.singular and result.rank == 2
         offset = tx_panel_state(scene, 0).centroid - scene.tx_pose.position

@@ -20,24 +20,30 @@ from v2vbounds.fim_general import (
     efim_schur,
     fim_channel,
     fim_channel_fd,
-    link_mean,
     link_means,
-    link_order,
+    link_orders,
+    placement_links,
+    placement_schur_efims,
     schur_efims,
     transform_matrices,
     transform_matrix,
 )
-from v2vbounds.geometry import SPEED_OF_LIGHT, Pose, Vec2, active_links, wrap_angles
-from v2vbounds.scenarios import PRESETS, calibrated_scene
+from v2vbounds.geometry import (
+    SPEED_OF_LIGHT, Pose, Vec2, active_links, scene_placement, visibility, wrap_angles,
+)
+from v2vbounds.scenarios import (
+    PRESETS, calibrated_scene, placement_efims, placement_poses, preset_context,
+)
 from v2vbounds.selfcheck import (
-    ANALYTIC_VS_FD_TOL, SELFCHECK_SEED, equilibrated_frobenius, random_placements,
+    ANALYTIC_VS_FD_TOL, CLOSED_VS_SCHUR_TOL, SELFCHECK_SEED, equilibrated_frobenius,
+    random_placements, relative_frobenius,
 )
 from v2vbounds.waveform import effective_bandwidths, interleaved_allocation
 
-from conftest import LIGHT, open_panel, small_scene
+from conftest import LIGHT, open_panel, small_scene, with_context
 from reference import (
-    brute_force_fim_channel, link_geometry, link_samples, per_link_fim_channel_fd,
-    rx_panel_state, tx_panel_state,
+    brute_force_fim_channel, einsum_information, link_geometry, link_order, link_samples,
+    per_link_fim_channel_fd, rx_panel_state, tx_panel_state,
 )
 
 
@@ -51,6 +57,24 @@ def medium_scene():
     links = active_links(scene)
     gains = link_gains(scene, links)
     return scene, links, gains
+
+
+def link_mean(scene, link, delay, angle, gain):
+    """One link's link_means (a, omega, b, dphase) at n = L = 1, sliced to its
+    own subcarriers and Rx elements."""
+    stacks = link_means(scene.context, *(np.array([[x]]) for x in (
+        link.tx_panel, link.rx_panel, delay, angle, gain)))
+    count = len(scene.allocation.per_array_sets[link.tx_panel])
+    n_e = scene.rx_vehicle.panels[link.rx_panel].n_elements
+    return tuple(x[0, 0, :size] for x, size in zip(stacks, (count, count, n_e, n_e)))
+
+
+def closed_form(scene, links, gains):
+    """AOA-only and AOA+TDOA EFIMs of a scene's links from the einsum oracle."""
+    betas = scene.context.betas[[link.tx_panel for link in links]]
+    return einsum_information(*link_info_vectors(scene, links), np.array([g.g for g in gains]),
+                              np.array([link.distance for link in links]), betas,
+                              scene.context.ofdm.omega_c)
 
 
 def sampled_scenes(preset, n_scenes):
@@ -76,7 +100,7 @@ class TestMeanVector:
         m = a[0] * b[0]
         gamma_t = scene.allocation.array_power_fractions[link.tx_panel]
         gamma_tp = scene.allocation.per_subcarrier_fractions[p]
-        x = math.sqrt(gamma_t * gamma_tp * scene.ofdm.total_power)
+        x = math.sqrt(gamma_t * gamma_tp * scene.context.ofdm.total_power)
         assert abs(abs(m) - abs(gains[0].h) * x) < 1e-12 * abs(m)
 
     def test_phase_factor_unit_modulus(self, medium_scene):
@@ -89,7 +113,7 @@ class TestMeanVector:
         subset = scene.allocation.per_array_sets[link.tx_panel]
         gamma_t = scene.allocation.array_power_fractions[link.tx_panel]
         power = np.array([gamma_t * scene.allocation.per_subcarrier_fractions[p]
-                          * scene.ofdm.total_power for p in subset])
+                          * scene.context.ofdm.total_power for p in subset])
         assert a.shape == omega.shape == (len(subset),)
         assert b.shape == dphase.shape == (scene.rx_vehicle.panels[link.rx_panel].n_elements,)
         assert np.allclose(np.abs(a), np.sqrt(power), rtol=1e-12, atol=0.0)
@@ -200,7 +224,7 @@ def mixed_panel_scene():
     scene = small_scene(n_tx_panels=2, n_rx_panels=4, n_elements=2)
     rx_panels = tuple(dataclasses.replace(panel, elements=open_panel(n_elements=n).elements)
                       for panel, n in zip(scene.rx_vehicle.panels, (1, 4, 2, 3)))
-    return dataclasses.replace(
+    return with_context(
         scene, rx_vehicle=dataclasses.replace(scene.rx_vehicle, panels=rx_panels))
 
 
@@ -261,22 +285,25 @@ class TestFdTwin:
                                              max_occupied_index=601), Vec2(-3.5, 10.0)),
     ], ids=["mixed_panels", "unequal_subcarriers"])
     def test_link_mean_is_the_unpadded_slice_of_link_means(self, scene):
+        # Each link's slice of the padded stacks is the sample model built
+        # sample by sample, and the padding carries nothing.
         links = active_links(scene)
         gains = link_gains(scene, links)
         t, r, delay, angle, h = link_stacks([(scene, links, gains)])
         stacks = link_means(scene.context, t, r, delay, angle, h)
         for k, i in enumerate(link_order(links)):
-            one = link_mean(scene, links[i], delay[0, k], angle[0, k], h[0, k])
-            for padded, sliced in zip(stacks, one):
-                assert np.array_equal(padded[0, k, :len(sliced)], sliced)
-            a, _, b, _ = (x[0, k] for x in stacks)
-            assert not a[len(one[0]):].any() and not b[len(one[2]):].any()
+            mean, omega, dphase = link_samples(scene, links[i], delay[0, k], angle[0, k], h[0, k])
+            n_s, n_e = mean.shape
+            a, omega_k, b, dphase_k = (x[0, k] for x in stacks)
+            assert np.allclose(np.multiply.outer(a[:n_s], b[:n_e]), mean, rtol=1e-12, atol=0.0)
+            assert np.array_equal(omega_k[:n_s], omega) and np.array_equal(dphase_k[:n_e], dphase)
+            assert not a[n_s:].any() and not b[n_e:].any()
 
     def test_dc_only_allocation_gives_zero_delay_columns(self):
         # Every omega is 0, so no delay step turns a phase: the delay columns
         # are zero on both sides, with no division by the largest |omega|.
         scene = small_scene(n_tx_panels=2, n_rx_panels=2)
-        scene = dataclasses.replace(scene, ofdm=dataclasses.replace(scene.ofdm, occupied=(0,)),
+        scene = with_context(scene, ofdm=dataclasses.replace(scene.context.ofdm, occupied=(0,)),
                                     allocation=interleaved_allocation((0,), 2))
         links = active_links(scene)
         gains = link_gains(scene, links)
@@ -292,24 +319,38 @@ class TestFdTwin:
 
 
 class TestLinkOrder:
+    """link_orders on arrays against the one-link-at-a-time oracle."""
+
     def test_reference_first_then_given_order(self, medium_scene):
         _, links, _ = medium_scene
+        delay, t, r = (np.array([[getattr(link, name) for link in links]])
+                       for name in ("delay", "tx_panel", "rx_panel"))
         nearest = min(range(len(links)), key=lambda i: links[i].delay)
         for ref, forced in ((nearest, None), (len(links) - 1, len(links) - 1)):
             rest = [i for i in range(len(links)) if i != ref]
-            assert link_order(links, reference=forced) == [ref, *rest]
+            got = link_orders(delay, t, r, None if forced is None else [forced])[0].tolist()
+            assert got == [ref, *rest] == link_order(links, forced)
 
     def test_delay_tie_broken_by_panel_pair(self):
         link = link_geometry(Vec2(0.0, 0.0), Vec2(10.0, 0.0), 0.0, tx_panel=1, rx_panel=0)
         twin = dataclasses.replace(link, tx_panel=0, rx_panel=1)
-        assert link_order((link, twin)) == [1, 0]
+        delay, t, r = (np.array([[getattr(x, name) for x in (link, twin)]])
+                       for name in ("delay", "tx_panel", "rx_panel"))
+        assert link_orders(delay, t, r)[0].tolist() == [1, 0] == link_order((link, twin))
 
     def test_invalid_input_rejected(self, medium_scene):
-        _, links, _ = medium_scene
+        scene, links, gains = medium_scene
+        delay, t, r = (np.array([[getattr(link, name) for link in links]] * 2)
+                       for name in ("delay", "tx_panel", "rx_panel"))
+        for reference in ([0, len(links)], [-1, 0]):
+            with pytest.raises(IndexError):
+                link_orders(delay, t, r, reference)
         with pytest.raises(IndexError):
-            link_order(links, reference=len(links))
+            fim_channel(scene, links, gains, reference=len(links))
         with pytest.raises(NoActiveLinks):
-            link_order(())
+            fim_channel(scene, (), ())
+        with pytest.raises(ValueError, match=r"\(t, r\) order"):
+            fim_channel(scene, links[::-1], gains[::-1])
 
 
 class TestChannelFim:
@@ -367,7 +408,7 @@ class TestChannelFim:
     def test_noise_scaling(self, medium_scene):
         scene, links, gains = medium_scene
         j1 = fim_channel(scene, links, gains)
-        noisy = dataclasses.replace(scene, noise_variance=2.0 * scene.noise_variance)
+        noisy = with_context(scene, noise_variance=2.0 * scene.context.noise_variance)
         j2 = fim_channel(noisy, links, link_gains(noisy, links))
         assert np.allclose(j2, 0.5 * j1, rtol=1e-12)
 
@@ -463,7 +504,7 @@ class TestTransformMatrix:
         scene = small_scene(
             n_tx_panels=1, n_rx_panels=1, q=Vec2(10.0, 0.0), alpha_t=0.0, alpha_r=0.0
         )
-        scene = dataclasses.replace(
+        scene = with_context(
             scene,
             tx_vehicle=dataclasses.replace(
                 scene.tx_vehicle,
@@ -482,7 +523,7 @@ class TestTransformMatrix:
 
     def test_center_mounted_tx_panel_zero_orientation_rows(self):
         scene = small_scene(n_tx_panels=2, n_rx_panels=1)
-        scene = dataclasses.replace(
+        scene = with_context(
             scene,
             tx_vehicle=dataclasses.replace(
                 scene.tx_vehicle,
@@ -520,7 +561,7 @@ class TestTransformMatrix:
 class TestSchurEfim:
     def test_matches_closed_form_both(self, medium_scene):
         scene, links, gains = medium_scene
-        betas = effective_bandwidths(scene.allocation, scene.ofdm)
+        betas = effective_bandwidths(scene.allocation, scene.context.ofdm)
         closed = efim_aoa_tdoa(scene, links, gains, betas)
         schur = efim_general(scene, links, gains, AOA_TDOA)
         assert rel_frob(closed.j_po, schur.j_po) < 1e-8
@@ -535,7 +576,7 @@ class TestSchurEfim:
         scene = calibrated_scene(preset_3p5, Vec2(0.0, -12.0))
         links = active_links(scene)
         gains = link_gains(scene, links)
-        betas = effective_bandwidths(scene.allocation, scene.ofdm)
+        betas = effective_bandwidths(scene.allocation, scene.context.ofdm)
         closed = efim_aoa_tdoa(scene, links, gains, betas)
         schur = efim_general(scene, links, gains, AOA_TDOA)
         assert rel_frob(closed.j_po, schur.j_po) < 1e-8
@@ -549,7 +590,7 @@ class TestSchurEfim:
         scene = calibrated_scene(PRESETS[preset_name], Vec2(-3.5, q_y))
         links = active_links(scene)
         gains = link_gains(scene, links)
-        betas = effective_bandwidths(scene.allocation, scene.ofdm)
+        betas = effective_bandwidths(scene.allocation, scene.context.ofdm)
         closed = efim_aoa_tdoa(scene, links, gains, betas)
         schur = efim_general(scene, links, gains, AOA_TDOA)
         assert rel_frob(closed.j_po, schur.j_po) < 1e-8
@@ -583,7 +624,7 @@ class TestSchurEfim:
         scene = small_scene(n_tx_panels=2, n_rx_panels=2, n_occupied=2)
         links = active_links(scene)
         gains = link_gains(scene, links)
-        assert effective_bandwidths(scene.allocation, scene.ofdm) == (0.0, 0.0)
+        assert effective_bandwidths(scene.allocation, scene.context.ofdm) == (0.0, 0.0)
         j_phi = fim_channel(scene, links, gains)
         t_mat = transform_matrix(scene, links, AOA_ONLY)
         with pytest.raises(NuisanceSingular):
@@ -591,61 +632,92 @@ class TestSchurEfim:
 
 
 class TestBatchedKernels:
-    """channel_fims, transform_matrices and schur_efims over a stack of
-    placements with equal link counts give what their one-placement
-    wrappers give each placement."""
+    """channel_fims and schur_efims over a stack of placements with equal
+    link counts, from placement_links, against the per-link oracles of each
+    placement's Scene-level links."""
 
     @pytest.mark.parametrize("preset_name", ["cfg_3p5GHz", "cfg_28GHz"])
     @pytest.mark.parametrize("forced", [False, True], ids=["default_ref", "forced_ref"])
-    def test_batched_equals_wrapped(self, preset_name, forced):
-        groups = {}
-        for sample in sampled_scenes(PRESETS[preset_name], 40):
-            groups.setdefault(len(sample[1]), []).append(sample)
-        groups = [group for group in groups.values() if len(group) > 1]
-        assert groups
+    def test_batched_equals_oracles(self, preset_name, forced):
+        preset = PRESETS[preset_name]
+        ctx = preset_context(preset)
+        drawn = random_placements(np.random.default_rng(SELFCHECK_SEED), [preset], 40)
+        q, alpha_t = np.array([q for _, q, _ in drawn]), np.array([a for _, _, a in drawn])
+        tx_pose, rx_pose = placement_poses(q, alpha_t)
+        tx_c, rx_c, visible = visibility(ctx.tx_vehicle.arrays, tx_pose, ctx.rx_vehicle.arrays,
+                                         rx_pose)
+        n_links = visible.sum(axis=(1, 2))
+        groups = [np.flatnonzero(n_links == count) for count in set(n_links.tolist())]
+        assert any(len(group) > 1 for group in groups)
         for group in groups:
-            reference = len(group[0][1]) - 1 if forced else None
-            ordered = [[(links[i], gains[i]) for i in link_order(links, reference)]
-                       for _, links, gains in group]
-            t, r, angle, distance = (
-                np.array([[getattr(link, name) for link, _ in links] for links in ordered])
-                for name in ("tx_panel", "rx_panel", "theta_R_local", "distance"))
-            h = np.array([[gain.h for _, gain in links] for links in ordered])
-            vectors = [link_info_vectors(scene, [link for link, _ in links])
-                       for (scene, _, _), links in zip(group, ordered)]
-            v_tau, v_theta = (np.array([v[k] for v in vectors]) for k in (0, 1))
-            j_phi = channel_fims(group[0][0].context, t, r, angle, h)
-            for variant in (AOA_TDOA, AOA_ONLY):
-                t_mat = transform_matrices(v_tau, v_theta, distance, variant)
-                j_po, singular = schur_efims(j_phi, t_mat)
-                assert not singular.any()
-                for k, (scene, links, gains) in enumerate(group):
-                    j_one = fim_channel(scene, links, gains, reference)
-                    t_one = transform_matrix(scene, links, variant, reference)
-                    assert equilibrated_frobenius(j_one, j_phi[k]) < 1e-14
-                    assert np.array_equal(t_one, t_mat[k])
-                    assert rel_frob(efim_schur(j_one, t_one).j_po, j_po[k]) < 1e-14
+            reference = np.full(len(group), n_links[group[0]] - 1) if forced else None
+            t, r, v_tau, v_theta, distance, angle, h = placement_links(
+                ctx, tx_c[group], rx_c[group], visible[group], rx_pose[1][group], reference)
+            j_phi = channel_fims(ctx, t, r, angle, h)
+            j_po = [schur_efims(j_phi, transform_matrices(v_tau, v_theta, distance, variant))
+                    for variant in (AOA_ONLY, AOA_TDOA)]
+            for k, i in enumerate(group):
+                scene = calibrated_scene(preset, Vec2(*q[i]), alpha_t=alpha_t[i])
+                links = active_links(scene)
+                gains = link_gains(scene, links)
+                oracle = brute_force_fim_channel(scene, links, gains,
+                                                 None if reference is None else reference[k])
+                assert equilibrated_frobenius(oracle, j_phi[k]) < 1e-12
+                for (schur, singular), closed in zip(j_po, closed_form(scene, links, gains)):
+                    assert not singular[k]
+                    assert rel_frob(closed, schur[k]) < CLOSED_VS_SCHUR_TOL
 
     def test_singular_placement_flags_only_itself(self):
         # One subcarrier per Tx array leaves no delay information (see
         # test_zero_bandwidth_nuisance_singular); stacked with a regular scene
-        # of the same geometry, only that placement is flagged.
+        # of the same geometry, only that placement is flagged, and the
+        # regular one keeps the closed form.
         j_phi, t_mat = [], []
         for n_occupied in (2, 8):
             scene = small_scene(n_tx_panels=2, n_rx_panels=2, n_occupied=n_occupied)
             links = active_links(scene)
-            j_phi.append(fim_channel(scene, links, link_gains(scene, links)))
+            gains = link_gains(scene, links)
+            j_phi.append(brute_force_fim_channel(scene, links, gains))
             t_mat.append(transform_matrix(scene, links, AOA_ONLY))
         j_po, singular = schur_efims(np.array(j_phi), np.array(t_mat))
         assert singular.tolist() == [True, False]
-        assert rel_frob(efim_schur(j_phi[1], t_mat[1]).j_po, j_po[1]) < 1e-14
+        assert rel_frob(closed_form(scene, links, gains)[0], j_po[1]) < CLOSED_VS_SCHUR_TOL
+
+
+# Both headings of a custom scene, the Rx one away from 0.
+HEADING = st.floats(-math.pi, math.pi)
+RX_HEADING = st.floats(0.05, math.pi) | st.floats(-math.pi, -0.05)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_tx=st.integers(1, 4), n_rx=st.integers(1, 4), n_elements=st.integers(2, 3),
+       radius=st.floats(5.0, 40.0), bearing=HEADING, alpha_t=HEADING, alpha_r=RX_HEADING,
+       shift=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)))
+def test_general_path_equals_placement_efims_at_an_rx_heading(
+        n_tx, n_rx, n_elements, radius, bearing, alpha_t, alpha_r, shift):
+    # A custom scene through the placement kernels, as the presets run: the
+    # Schur path at the scene's placement equals the closed-form assembly of
+    # the same placement with both vehicles moved by ``shift``.
+    q = Vec2(radius * math.cos(bearing), radius * math.sin(bearing))
+    scene = small_scene(n_tx, n_rx, n_elements, q=q, alpha_t=alpha_t, alpha_r=alpha_r)
+    ctx = scene.context
+    tx_c, rx_c, visible, rx_heading = scene_placement(scene)
+    assume(visible.any())  # a panel mount can sit behind the other body
+    j_po, singular = placement_schur_efims(ctx, tx_c, rx_c, visible, rx_heading)
+    shift = np.array([shift])
+    _, _, moved, j_aoa, j_both = placement_efims(
+        ctx, (shift, np.array([scene.tx_pose.orientation])),
+        (np.array([q.as_tuple()]) + shift, rx_heading))
+    assert np.array_equal(moved, visible) and not singular.any()
+    error = relative_frobenius(np.stack((j_both, j_aoa)), j_po)
+    assert (error < CLOSED_VS_SCHUR_TOL).all(), error
 
 
 def closed_and_schur(scene):
     """(closed form, Schur) FimResults for AOA+TDOA and for AOA-only."""
     links = active_links(scene)
     gains = link_gains(scene, links)
-    betas = effective_bandwidths(scene.allocation, scene.ofdm)
+    betas = effective_bandwidths(scene.allocation, scene.context.ofdm)
     both = (efim_aoa_tdoa(scene, links, gains, betas),
             efim_general(scene, links, gains, AOA_TDOA))
     aoa = (efim_aoa_only(scene, links, gains), efim_general(scene, links, gains, AOA_ONLY))

@@ -27,7 +27,7 @@ from v2vbounds.geometry import (
 )
 from v2vbounds.scenarios import build_scene
 
-from conftest import open_panel, panels_with_links, small_scene
+from conftest import open_panel, panels_with_links, small_scene, with_context
 from reference import (
     PanelState,
     body,
@@ -323,7 +323,7 @@ class TestVisibility:
         rx_panel = dataclasses.replace(rx_panel, fov_blocked_halfwidth=math.pi / 3)
         scene = small_scene(n_tx_panels=1, n_rx_panels=1, q=Vec2(100.0, 0.0),
                             alpha_t=0.0, alpha_r=0.0)
-        scene = dataclasses.replace(
+        scene = with_context(
             scene,
             tx_vehicle=dataclasses.replace(scene.tx_vehicle, panels=(tx_panel,)),
             rx_vehicle=dataclasses.replace(scene.rx_vehicle, panels=(rx_panel,)),

@@ -6,19 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from v2vbounds import selfcheck
+from v2vbounds import fim_general, selfcheck
 from v2vbounds.channel import link_gains
 from v2vbounds.fim_general import (
-    AOA_ONLY, AOA_TDOA, channel_fims, channel_fims_fd, efim_general, fim_channel, fim_channel_fd,
-    link_order, schur_efims,
+    AOA_ONLY, AOA_TDOA, channel_fims, channel_fims_fd, efim_general, efim_schur, fim_channel,
+    fim_channel_fd, placement_links, placement_schur_efims, schur_efims, transform_matrix,
 )
 from v2vbounds.geometry import SPEED_OF_LIGHT, Vec2, active_links, wrap_angles
-from v2vbounds.scenarios import PRESETS, calibrated_scene, placement_efims, preset_context
+from v2vbounds.scenarios import (
+    PRESETS, calibrated_scene, placement_efims, placement_poses, preset_context,
+)
 from v2vbounds.selfcheck import (
     ANALYTIC_VS_FD_TOL,
     SELFCHECK_SEED,
-    _placement_links,
-    _schur_efims,
     analytic_vs_fd_errors,
     closed_vs_schur_errors,
     edge_placements,
@@ -30,7 +30,7 @@ from v2vbounds.selfcheck import (
 )
 
 from conftest import LIGHT, NARROW
-from reference import sequential_placements
+from reference import brute_force_fim_channel, link_order, sequential_placements
 
 P35 = PRESETS["cfg_3p5GHz"]
 P28 = PRESETS["cfg_28GHz"]
@@ -57,13 +57,15 @@ def test_rejecting_preset_rejects(seed):
     radius, bearing, alpha_t = np.random.default_rng(seed).uniform(
         [5.0, -math.pi, -math.pi], [40.0, math.pi, math.pi], size=(40, 3)).T
     q = np.column_stack((radius * np.cos(bearing), radius * np.sin(bearing)))
-    assert not placement_efims(NARROW, q, alpha_t)[2].any(axis=(1, 2)).all()
+    visible = placement_efims(preset_context(NARROW), *placement_poses(q, alpha_t))[2]
+    assert not visible.any(axis=(1, 2)).all()
 
 
 @pytest.mark.parametrize("preset", [P35, P28], ids=lambda p: p.name)
 def test_edge_set_reaches_the_edges(preset):
     q, alpha_t = edge_placements(preset)
-    tx_c, rx_c, visible, _, _ = placement_efims(preset, q, alpha_t)
+    tx_c, rx_c, visible, _, _ = placement_efims(preset_context(preset),
+                                                *placement_poses(q, alpha_t))
     n_links = visible.sum(axis=(1, 2))
     assert 4 <= n_links.min() and n_links.max() <= 9
     assert np.hypot(q[:, 0], q[:, 1]).min() < 5.0  # inside the annulus
@@ -80,21 +82,24 @@ def test_edge_set_reaches_the_edges(preset):
 
 @pytest.mark.parametrize("preset", [P35, P28], ids=lambda p: p.name)
 def test_link_stacks_give_the_scene_paths_schur_efims(preset):
-    # The selfcheck rebuilds links from centroids; per placement its Schur
-    # EFIMs must be efim_general's on the Scene path.
-    q, alpha_t = edge_placements(preset)
-    tx_c, rx_c, visible, _, _ = placement_efims(preset, q, alpha_t)
+    # The selfcheck's general path builds links from centroids; per placement
+    # its Schur EFIMs must be those of the Scene path's links through the
+    # brute-force channel FIM.
+    ctx, (q, alpha_t) = preset_context(preset), edge_placements(preset)
+    poses = placement_poses(q, alpha_t)
+    tx_c, rx_c, visible, _, _ = placement_efims(ctx, *poses)
     n_links = visible.sum(axis=(1, 2))
     for count in set(n_links.tolist()):
         group = np.flatnonzero(n_links == count)
-        j_po, singular = _schur_efims(preset, tx_c[group], rx_c[group], visible[group])
+        j_po, singular = placement_schur_efims(ctx, tx_c[group], rx_c[group], visible[group],
+                                               poses[1][1][group])
         assert not singular.any()
         for k, i in enumerate(group):
             scene = calibrated_scene(preset, Vec2(*q[i]), alpha_t=alpha_t[i])
             links = active_links(scene)
-            gains = link_gains(scene, links)
+            j_phi = brute_force_fim_channel(scene, links, link_gains(scene, links))
             for v, variant in enumerate((AOA_TDOA, AOA_ONLY)):
-                expected = efim_general(scene, links, gains, variant).j_po
+                expected = efim_schur(j_phi, transform_matrix(scene, links, variant)).j_po
                 assert np.linalg.norm(j_po[v, k] - expected) < 1e-12 * np.linalg.norm(expected)
 
 
@@ -106,16 +111,17 @@ def test_closed_vs_schur_covers_the_edge_set():
 
 @pytest.mark.parametrize("preset", [P35, P28], ids=lambda p: p.name)
 def test_placement_links_equal_the_scene_path(preset):
-    # The link rebuild all three suites share gives, placement by placement,
-    # the links and gains of active_links/link_gains in link_order.
+    # The link build all three suites share gives, placement by placement,
+    # the links and gains of active_links/link_gains in the oracle's order.
     drawn = random_placements(np.random.default_rng(SELFCHECK_SEED), [preset], 30)
     edge_q, edge_alpha = edge_placements(preset)
     q = np.concatenate((np.array([q for _, q, _ in drawn]), edge_q))
     alpha_t = np.concatenate(([a for _, _, a in drawn], edge_alpha))
-    tx_c, rx_c, visible, _, _ = placement_efims(preset, q, alpha_t)
+    ctx, poses = preset_context(preset), placement_poses(q, alpha_t)
+    tx_c, rx_c, visible, _, _ = placement_efims(ctx, *poses)
     for i in range(len(q)):
-        t, r, _, _, distance, angle, h = _placement_links(
-            preset, tx_c[i:i + 1], rx_c[i:i + 1], visible[i:i + 1])
+        t, r, _, _, distance, angle, h = placement_links(
+            ctx, tx_c[i:i + 1], rx_c[i:i + 1], visible[i:i + 1], poses[1][1][i:i + 1])
         scene = calibrated_scene(preset, Vec2(*q[i]), alpha_t=alpha_t[i])
         links = active_links(scene)
         gains = link_gains(scene, links)
@@ -133,15 +139,15 @@ def test_fd_twin_on_the_edge_set(preset):
     # Kept out of --selfcheck so the benchmark pass does not grow: the FD
     # twin agrees with the analytic channel FIM at bumper overlap, short
     # gaps and blocked-sector edges too.
-    q, alpha_t = edge_placements(preset)
-    tx_c, rx_c, visible, _, _ = placement_efims(preset, q, alpha_t)
+    ctx, (q, alpha_t) = preset_context(preset), edge_placements(preset)
+    poses = placement_poses(q, alpha_t)
+    tx_c, rx_c, visible, _, _ = placement_efims(ctx, *poses)
     n_links = visible.sum(axis=(1, 2))
-    ctx = preset_context(preset)
     worst = 0.0
     for count in set(n_links.tolist()):
         group = np.flatnonzero(n_links == count)
-        t, r, _, _, distance, angle, h = _placement_links(
-            preset, tx_c[group], rx_c[group], visible[group])
+        t, r, _, _, distance, angle, h = placement_links(
+            ctx, tx_c[group], rx_c[group], visible[group], poses[1][1][group])
         delay = distance / SPEED_OF_LIGHT
         fd = channel_fims_fd(ctx, t, r, delay - delay[:, :1], angle, h)
         worst = max(worst, equilibrated_frobenius(channel_fims(ctx, t, r, angle, h), fd).max())
@@ -173,7 +179,7 @@ def test_one_placement_per_call_gives_the_same_errors(monkeypatch):
         sizes.append(len(t))
         return channel_fims_fd(ctx, t, *rest)
 
-    monkeypatch.setattr(selfcheck, "schur_efims", schur)
+    monkeypatch.setattr(fim_general, "schur_efims", schur)
     monkeypatch.setattr(selfcheck, "channel_fims_fd", fd)
     grouped = (*closed_vs_schur_errors(), analytic_vs_fd_errors())
     assert max(sizes) > 1
@@ -221,10 +227,10 @@ def test_equilibration_keeps_silent_parameters_unscaled():
     assert np.isfinite(equilibrated_frobenius(analytic, fim_channel_fd(scene, links, gains)))
 
 
-def _poison(monkeypatch, name, call, row):
-    """Make the call-th call of selfcheck's kernel ``name`` return NaN in
-    the given placement row of its (first) result."""
-    original, calls = getattr(selfcheck, name), []
+def _poison(monkeypatch, module, name, call, row):
+    """Make the call-th call of the kernel ``name`` that the suites look up
+    in ``module`` return NaN in the given placement row of its (first) result."""
+    original, calls = getattr(module, name), []
 
     def poisoned(*args, **kwargs):
         result = original(*args, **kwargs)
@@ -234,18 +240,18 @@ def _poison(monkeypatch, name, call, row):
             out[row] = np.nan
         return result
 
-    monkeypatch.setattr(selfcheck, name, poisoned)
+    monkeypatch.setattr(module, name, poisoned)
 
 
-@pytest.mark.parametrize("suite, kernel, call, row", [
-    ("closed_vs_schur_errors", "schur_efims", 3, -1),
-    ("analytic_vs_fd_errors", "channel_fims_fd", 3, -1),
-    ("reference_invariance_error", "schur_efims", 0, -1),
+@pytest.mark.parametrize("suite, module, kernel, call, row", [
+    ("closed_vs_schur_errors", fim_general, "schur_efims", 3, -1),
+    ("analytic_vs_fd_errors", selfcheck, "channel_fims_fd", 3, -1),
+    ("reference_invariance_error", fim_general, "schur_efims", 0, -1),
 ], ids=["closed_vs_schur", "fd", "reference"])
-def test_nan_error_fails_the_selfcheck(monkeypatch, capsys, suite, kernel, call, row):
+def test_nan_error_fails_the_selfcheck(monkeypatch, capsys, suite, module, kernel, call, row):
     # A NaN in one placement, neither the first nor the only one, must reach
     # the suite's maximum and fail --selfcheck with exit 3; max() dropped it.
-    _poison(monkeypatch, kernel, call, row)
+    _poison(monkeypatch, module, kernel, call, row)
     errors = getattr(selfcheck, suite)()
     assert np.isnan(errors).any()
     monkeypatch.undo()
