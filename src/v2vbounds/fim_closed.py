@@ -7,7 +7,8 @@ link SNR, the effective bandwidth and the squared array aperture function;
 the delay terms enter in covariance form (weighted mean removed), so the
 result does not depend on a reference link. Stacks of EFIMs are assembled by
 batched matmul and their bounds read from LDL^T factors as elementwise 3x3
-algebra; only the rank test calls LAPACK (eigvalsh).
+algebra. The same factors certify full rank; LAPACK (eigvalsh) ranks only the
+rows the certificate leaves open.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from .geometry import SPEED_OF_LIGHT, Link, scene_placement, visible_links
 
 # Eigenvalues below RANK_EPS * lambda_max count as zero when ranking.
 RANK_EPS = 1e-10
+# A unit-diagonal A with positive LDL^T pivots has lambda_max <= 3 and
+# lambda_min >= 1 / trace(A^-1): below this trace, rank 3 with a 10x margin.
+_CERTIFIED_TRACE = 1.0 / (30.0 * RANK_EPS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +52,10 @@ def bound_arrays(j_po: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     unit of position or heading can change it; a diagonal entry below the
     smallest normal float is a missing direction. The position block, in one
     unit, is ranked as it stands: an eigenvalue ratio below RANK_EPS caps the
-    rank at 2. The bounds are sqrt([A^-1]_ii / D_ii), from A's LDL^T factors."""
+    rank at 2. The bounds are sqrt([A^-1]_ii / D_ii), from A's LDL^T factors.
+    Positive pivots and trace(A^-1) < _CERTIFIED_TRACE prove rank 3; eigvalsh
+    ranks only the other rows, which include every row with a non-finite,
+    zero or subnormal diagonal entry (a pivot is then not positive)."""
     sym = 0.5 * (j_po + np.swapaxes(j_po, -1, -2))
     finite = np.isfinite(sym).all(axis=(-2, -1))
     safe = np.where(finite[..., None, None], sym, 0.0)
@@ -56,9 +63,6 @@ def bound_arrays(j_po: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     scale = np.sqrt(np.divide(1.0, diag, where=diag >= np.finfo(float).tiny,
                               out=np.zeros(diag.shape)))
     a = safe * (scale[..., :, None] * scale[..., None, :])
-    eigvals = np.linalg.eigvalsh(a)
-    lam_max = eigvals[..., -1:]
-    rank = np.where(lam_max[..., 0] > 0.0, np.sum(eigvals > RANK_EPS * lam_max, axis=-1), 0)
     a00, a01, a02, _, a11, a12, _, _, a22 = a.reshape(-1, 9).T.copy()
     scale = scale.reshape(-1, 3).T
     with np.errstate(divide="ignore", invalid="ignore"):  # rows below full rank are masked
@@ -75,7 +79,14 @@ def bound_arrays(j_po: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         u, w = a00 * scale[1] / scale[0], a11 * scale[0] / scale[1]
         flat = a00 * d1 < RANK_EPS * (0.5 * (u + w) + np.hypot(0.5 * (u - w), a01))**2
         bounds = (scale * np.sqrt(inv)).T.reshape(j_po.shape[:-1])
-    rank = np.where(flat.reshape(rank.shape), np.minimum(rank, 2), rank)
+        certified = (a00 > 0.0) & (d1 > 0.0) & (d2 > 0.0) & (sum(inv) < _CERTIFIED_TRACE)
+    rank = np.full(certified.shape, 3)
+    if not certified.all():
+        eigvals = np.linalg.eigvalsh(a.reshape(-1, 3, 3)[~certified])
+        lam_max = eigvals[..., -1:]
+        rank[~certified] = np.where(lam_max[..., 0] > 0.0,
+                                    np.sum(eigvals > RANK_EPS * lam_max, axis=-1), 0)
+    rank = np.where(flat, np.minimum(rank, 2), rank).reshape(j_po.shape[:-2])
     fill = np.where(finite, math.inf, math.nan)[..., None]
     return sym, rank, np.where((rank == 3)[..., None], bounds, fill)
 

@@ -313,7 +313,8 @@ def efim_general(
     variant: str,
     reference: int | None = None,
 ) -> FimResult:
-    """Full general-path EFIM: channel FIM, transform, Schur complement."""
-    j_phi = fim_channel(scene, links, gains, reference)
-    t = transform_matrix(scene, links, variant, reference)
-    return efim_schur(j_phi, t)
+    """Full general-path EFIM: channel FIM, transform, Schur complement,
+    from one build of the scene's links."""
+    t, r, v_tau, v_theta, distance, angle, h = _scene_links(scene, links, reference)
+    return efim_schur(channel_fims(scene.context, t, r, angle, h)[0],
+                      transform_matrices(v_tau, v_theta, distance, variant)[0])

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from v2vbounds.app import main
 from v2vbounds.channel import link_gains
 from v2vbounds.fim_closed import (
     RANK_EPS,
@@ -28,7 +29,7 @@ from v2vbounds.geometry import (
     build_conformal_panel,
     saaf_matrix,
 )
-from v2vbounds.scenarios import calibrated_scene
+from v2vbounds.scenarios import PRESETS, calibrated_scene, evaluate_point
 from v2vbounds.waveform import effective_bandwidths
 
 from conftest import small_scene, with_context
@@ -178,6 +179,78 @@ class TestBoundsFromFim:
             for s in np.logspace(-4.0, 4.0, 17):
                 heading_unit = np.diag([1.0, 1.0, s])
                 assert bounds_from_fim(heading_unit @ j @ heading_unit).rank == rank, (j, s)
+
+
+def rotated_flat(eps: float) -> np.ndarray:
+    """diag(1, 1, eps) turned by a fixed rotation that mixes all three axes,
+    symmetrised: its position block stays well-conditioned."""
+    q, _ = np.linalg.qr(np.array([[1.0, 2.0, 0.5], [-0.3, 1.0, 2.0], [0.7, -1.0, 1.0]]))
+    j = q @ np.diag([1.0, 1.0, eps]) @ q.T
+    return 0.5 * (j + j.T)
+
+
+class TestRankCertificate:
+    """bound_arrays proves rank 3 from its LDL^T pivots and trace(A^-1) and
+    runs eigvalsh on the other rows only; at eps = 1e-8 the trace is 4.5e7,
+    at 1e-9 it is 4.5e8, past 1 / (30 RANK_EPS) = 3.3e8."""
+
+    rows = np.stack([rotated_flat(1e-8), rotated_flat(1e-9), rotated_flat(1e-11),
+                     np.outer([1.0, -2.0, 0.5], [1.0, -2.0, 0.5]), np.zeros((3, 3)),
+                     np.full((3, 3), math.nan)])
+
+    @pytest.fixture()
+    def eigvalsh_inputs(self, monkeypatch):
+        received, eigvalsh = [], np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            received.append(np.array(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        return received
+
+    def test_ranks_and_bounds_match_the_oracle(self):
+        _, rank, bounds = bound_arrays(self.rows)
+        expected_rank, expected = inverse_bound_arrays(self.rows[:5])
+        assert rank.tolist() == [3, 3, 2, 1, 0, 0]
+        assert rank[:5].tolist() == expected_rank.tolist()
+        for i in range(5):
+            d = np.sqrt(np.diag(self.rows[i]))
+            cond = np.linalg.cond(self.rows[i] / np.outer(d, d)) if expected_rank[i] == 3 else 1.0
+            np.testing.assert_allclose(bounds[i], expected[i],
+                                       rtol=1e-13 + 64.0 * np.finfo(float).eps * cond)
+        assert np.isnan(bounds[5]).all()
+
+    def test_eigvalsh_sees_the_uncertified_rows_only(self, eigvalsh_inputs):
+        bound_arrays(self.rows)
+        [received] = eigvalsh_inputs
+        # Rows 1-3 equilibrated, then the zero and NaN rows, which equilibrate to zero.
+        diag = self.rows[1:4].diagonal(0, -2, -1)
+        a = self.rows[1:4] / np.sqrt(diag[:, :, None] * diag[:, None, :])
+        np.testing.assert_allclose(received, np.concatenate((a, np.zeros((2, 3, 3)))),
+                                   rtol=1e-15, atol=0.0)
+        eigvalsh_inputs.clear()
+        _, rank, _ = bound_arrays(self.rows[:1])
+        assert rank.tolist() == [3] and eigvalsh_inputs == []
+
+    def test_default_runs_and_points_need_no_lapack(self, eigvalsh_inputs, tmp_path, capsys):
+        # Every EFIM of the four default CLI runs and of seeded annulus
+        # placements is certified: a threshold slip would bring eigvalsh back
+        # with every number unchanged.
+        for scenario in ("overtaking", "platooning"):
+            for preset in ("cfg_3p5GHz", "cfg_28GHz"):
+                out = tmp_path / f"{scenario}_{preset}.csv"
+                assert main(["--scenario", scenario, "--preset", preset, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert eigvalsh_inputs == []
+        rng = np.random.default_rng(20240311)
+        presets = (PRESETS["cfg_3p5GHz"], PRESETS["cfg_28GHz"])
+        for i in range(200):
+            radius, bearing, alpha_t = rng.uniform([5.0, -math.pi, -math.pi],
+                                                   [40.0, math.pi, math.pi])
+            q = Vec2(radius * math.cos(bearing), radius * math.sin(bearing))
+            evaluate_point(presets[i % 2], q, alpha_t=alpha_t)
+        assert eigvalsh_inputs == []
 
 
 @st.composite

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from v2vbounds import fim_general
 from v2vbounds.channel import link_gains
 from v2vbounds.errors import NoActiveLinks, NuisanceSingular
 from v2vbounds.fim_closed import efim_aoa_only, efim_aoa_tdoa, link_info_vectors
@@ -597,6 +598,27 @@ class TestSchurEfim:
         closed = efim_aoa_only(scene, links, gains)
         schur = efim_general(scene, links, gains, AOA_ONLY)
         assert rel_frob(closed.j_po, schur.j_po) < 1e-8
+
+    @pytest.mark.parametrize("reference", [None, 1])
+    def test_builds_the_links_once(self, medium_scene, monkeypatch, reference):
+        # One placement_links call feeds the channel FIM, the transform and
+        # the Schur complement, with the numbers of the one-step calls.
+        scene, links, gains = medium_scene
+        expected = {variant: efim_schur(fim_channel(scene, links, gains, reference),
+                                        transform_matrix(scene, links, variant, reference)).j_po
+                    for variant in (AOA_TDOA, AOA_ONLY)}
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return placement_links(*args, **kwargs)
+
+        monkeypatch.setattr(fim_general, "placement_links", counted)
+        for variant, j_po in expected.items():
+            calls.clear()
+            result = efim_general(scene, links, gains, variant, reference)
+            assert len(calls) == 1, variant
+            np.testing.assert_array_equal(result.j_po, j_po)
 
     def test_information_loss_psd(self, medium_scene):
         scene, links, gains = medium_scene
