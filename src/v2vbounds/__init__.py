@@ -21,13 +21,12 @@ from .scenarios import (
     calibrated_scene,
     evaluate_point,
     evaluate_points,
-    overtaking_sweep,
     placement_efims,
     placement_poses,
-    platooning_sweep,
     preset_context,
     scenario_crossing,
     scenario_crossings,
+    sweep_placements,
 )
 from .waveform import effective_bandwidths
 

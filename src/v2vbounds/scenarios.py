@@ -7,6 +7,10 @@ setup calibrated to 30 dB. Both use four corner panels per vehicle, a
 Tx arrays, one OFDM symbol, and unit noise variance; the transmit power is
 set so the shortest side-by-side link (lateral offset one lane width) hits
 the reference SNR after Rx beamforming.
+
+:func:`scenario_placements` alone puts the Rx vehicle at a scenario's
+distance s; the sweep grids, the crossing search, the calibration and the
+selfcheck's edge set all place it through that function.
 """
 
 from __future__ import annotations
@@ -124,6 +128,21 @@ PRESETS: dict[str, PresetConfig] = {
 }
 
 
+def scenario_placements(preset: PresetConfig,
+                        scenario: Literal["overtaking", "platooning", "custom"],
+                        s: np.ndarray | Sequence[float], q_x: float = 0.0) -> np.ndarray:
+    """Rx positions (N, 2) at distances s (N,): overtaking at (-lane_width,
+    s), platooning at bumper gap s behind the Tx vehicle, (0, -(vehicle_length
+    + s)), custom at (q_x, s), which only it reads; any other scenario raises
+    ValueError."""
+    s = np.asarray(s, dtype=float)
+    lateral = {"overtaking": -preset.lane_width, "platooning": 0.0, "custom": q_x}
+    if scenario not in lateral:
+        raise ValueError(f"unknown scenario {scenario!r}")
+    q_y = -(preset.vehicle_length + s) if scenario == "platooning" else s
+    return np.column_stack((np.full_like(s, lateral[scenario]), q_y))
+
+
 def _build_vehicle(preset: PresetConfig) -> VehicleSpec:
     wavelength = SPEED_OF_LIGHT / preset.carrier_frequency
     vehicle = build_cornered_vehicle(
@@ -158,7 +177,7 @@ def preset_context(preset: PresetConfig) -> LinkContext:
         carrier_frequency=preset.carrier_frequency,
         occupied=preset.occupied,
     )
-    side_by_side = (np.array([[-preset.lane_width, 0.0]]), np.zeros(1))
+    side_by_side = (scenario_placements(preset, "overtaking", [0.0]), np.zeros(1))
     ref_t, ref_r, _, _, distance, _ = (column[0] for column in visible_links(
         *visibility(arrays, (np.zeros((1, 2)), np.zeros(1)), arrays, side_by_side)))
     k = np.argmin(distance)  # the first shortest link in (t, r) order
@@ -295,51 +314,19 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
 
 def sweep_placements(preset: PresetConfig, scenario: Literal["overtaking", "platooning", "custom"],
                      q_y_min: float, q_y_max: float, step: float,
-                     q_x: float = 0.0) -> list[tuple[float, float]]:
-    """The (q_x, q_y) grid of a sweep: overtaking and platooning as the sweeps
-    below have it, custom at lateral offset ``q_x`` (which only it reads);
-    platooning reads no q_y_max."""
+                     q_x: float = 0.0) -> np.ndarray:
+    """The Rx positions (N, 2) of a sweep, :func:`scenario_placements` on a
+    grid of distances. Overtaking and custom run q_y from q_y_min in whole
+    steps up to q_y_max. Platooning reads no q_y_max: its grid is anchored at
+    the touching point |q_y| = vehicle length, where the facing corner panels
+    would coincide and the free-space gain diverges, so its rows sit at bumper
+    gaps k step, k = 1, 2, ..., as long as q_y >= q_y_min.
+    """
     if scenario == "platooning":
-        gaps = _grid(0.0, -q_y_min - preset.vehicle_length, step)[1:]
-        return [(0.0, -(preset.vehicle_length + gap)) for gap in gaps]
-    if scenario not in ("overtaking", "custom"):
-        raise ValueError(f"unknown scenario {scenario!r}")
-    q_x = -preset.lane_width if scenario == "overtaking" else q_x
-    return [(q_x, q_y) for q_y in _grid(q_y_min, q_y_max, step)]
-
-
-def overtaking_sweep(
-    preset: PresetConfig,
-    q_y_min: float = -30.0,
-    q_y_max: float = 30.0,
-    step: float = DEFAULT_SWEEP_STEP,
-    measurements: Sequence[Measurement] = ("aoa_tdoa", "aoa"),
-) -> list[SweepRow]:
-    """Bounds along a pass in the neighboring lane.
-
-    Lateral offset is held at one lane width (toward -x); the longitudinal
-    offset runs from q_y_min in whole steps up to q_y_max.
-    """
-    q = sweep_placements(preset, "overtaking", q_y_min, q_y_max, step)
-    return evaluate_points(preset, q, measurements=measurements)
-
-
-def platooning_sweep(
-    preset: PresetConfig,
-    q_y_min: float = -30.0,
-    step: float = DEFAULT_SWEEP_STEP,
-    measurements: Sequence[Measurement] = ("aoa_tdoa", "aoa"),
-) -> list[SweepRow]:
-    """Bounds for an in-lane follower at increasing bumper gaps.
-
-    The Rx vehicle trails the Tx vehicle (negative q_y, zero lateral
-    offset). The grid is anchored at the touching point |q_y| = vehicle
-    length, where the facing corner panels would coincide and the free-space
-    gain diverges: rows sit at q_y = -(vehicle_length + k step) for
-    k = 1, 2, ... as long as q_y >= q_y_min.
-    """
-    q = sweep_placements(preset, "platooning", q_y_min, math.inf, step)
-    return evaluate_points(preset, q, measurements=measurements)
+        s = _grid(0.0, -q_y_min - preset.vehicle_length, step)[1:]
+    else:
+        s = _grid(q_y_min, q_y_max, step)
+    return scenario_placements(preset, scenario, s, q_x)
 
 
 # Each search call after the endpoints splits every open bracket into at most
@@ -436,25 +423,17 @@ def scenario_crossings(
     of one search, three at the defaults. Keys run over the measurements in
     the order aoa_tdoa, aoa, then lat, lon.
     """
-    if scenario == "overtaking":
-        s_min, s_top = 0.0, 30.0
-
-        def place(s: np.ndarray) -> np.ndarray:
-            return np.column_stack((np.full_like(s, -preset.lane_width), s))
-    elif scenario == "platooning":
-        s_min, s_top = 0.25, 30.0 - preset.vehicle_length
-
-        def place(s: np.ndarray) -> np.ndarray:
-            return np.column_stack((np.zeros_like(s), -(preset.vehicle_length + s)))
-    else:
+    if scenario not in ("overtaking", "platooning"):
         raise ValueError(f"unknown scenario {scenario!r}")
+    s_min, s_top = (0.0, 30.0) if scenario == "overtaking" else (0.25, 30.0 - preset.vehicle_length)
     curves = [(m, axis) for m in ("aoa_tdoa", "aoa") if m in measurements
               for axis in ("lat", "lon")]
     columns = [_SET_COLUMNS[("aoa_tdoa", "aoa").index(m), ("lat", "lon").index(axis)]
                for m, axis in curves]
 
     def bounds_at(s: np.ndarray) -> np.ndarray:
-        return bound_table(preset, place(s), measurements=measurements)[:, columns].T
+        q = scenario_placements(preset, scenario, s)
+        return bound_table(preset, q, measurements=measurements)[:, columns].T
     thresholds = [requirements.threshold(axis) for _, axis in curves]
     found = _lattice_search(bounds_at, thresholds, s_min,
                             s_top if s_max is None else s_max, tol)

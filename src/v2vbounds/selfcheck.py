@@ -30,7 +30,9 @@ import numpy as np
 
 from .fim_general import channel_fims, channel_fims_fd, placement_links, placement_schur_efims
 from .geometry import SPEED_OF_LIGHT, visibility
-from .scenarios import PRESETS, PresetConfig, placement_efims, placement_poses, preset_context
+from .scenarios import (
+    PRESETS, PresetConfig, placement_efims, placement_poses, preset_context, scenario_placements,
+)
 
 SELFCHECK_SEED = 20240311
 
@@ -75,8 +77,8 @@ def edge_placements(preset: PresetConfig) -> tuple[np.ndarray, np.ndarray]:
     left panel 8 m ahead of the Tx front right corner along the Tx's right
     side, so the link from the Tx rear right panel lies on its sector edge."""
     length, width = preset.vehicle_length, preset.vehicle_width
-    q = [(-preset.lane_width, y) for y in (0.0, 0.5, -0.5, 2.25, -2.25, length, -length)]
-    q += [(0.0, -(length + gap)) for gap in (0.25, 0.5, 0.75, 1.0)]
+    q = [*scenario_placements(preset, "overtaking", [0.0, 0.5, -0.5, 2.25, -2.25, length, -length]),
+         *scenario_placements(preset, "platooning", [0.25, 0.5, 0.75, 1.0])]
     headings, y = [0.0] * len(q), length / 2.0 + 8.0
     for heading in (math.pi / 4.0, math.atan2(width, length)):
         c, s = math.cos(heading), math.sin(heading)
@@ -114,11 +116,12 @@ def _link_count_chunks(visible: np.ndarray, scene_bytes):
 
 
 def closed_vs_schur_errors(
-    n_scenes: int = 100, seed: int = SELFCHECK_SEED
+    *, n_scenes: int = 100, seed: int = SELFCHECK_SEED
 ) -> tuple[float, float]:
     """Max relative Frobenius error, AOA+TDOA and AOA-only, of the batched
     closed-form EFIMs vs the Schur path over n_scenes seeded scenes and both
-    presets' edge sets; a singular nuisance block counts as inf."""
+    presets' edge sets; a singular nuisance block counts as inf. The scenes
+    are drawn in one block, so memory grows with n_scenes."""
     presets = [PRESETS["cfg_3p5GHz"], PRESETS["cfg_28GHz"]]
     drawn = random_placements(np.random.default_rng(seed), presets, n_scenes)
     worst = np.zeros(2)
@@ -136,9 +139,10 @@ def closed_vs_schur_errors(
     return float(worst[0]), float(worst[1])
 
 
-def analytic_vs_fd_errors(n_scenes: int = 20, seed: int = SELFCHECK_SEED) -> float:
+def analytic_vs_fd_errors(*, n_scenes: int = 20, seed: int = SELFCHECK_SEED) -> float:
     """Max equilibrated relative Frobenius error (see equilibrated_frobenius)
-    of the analytic channel FIMs vs their central-FD twin.
+    of the analytic channel FIMs vs their central-FD twin over n_scenes
+    seeded scenes, drawn in one block, so memory grows with n_scenes.
 
     Uses a narrower subcarrier grid than the full presets; the derivative
     structure is identical and the finite-difference sweep stays fast.

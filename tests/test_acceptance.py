@@ -27,9 +27,9 @@ from v2vbounds.scenarios import (
     PRESETS,
     Requirements,
     calibrated_scene,
-    overtaking_sweep,
-    platooning_sweep,
+    evaluate_points,
     scenario_crossing,
+    sweep_placements,
 )
 from v2vbounds.selfcheck import (
     analytic_vs_fd_errors,
@@ -54,12 +54,12 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def sweeps():
-    return {
-        ("overtaking", "3p5"): overtaking_sweep(P35),
-        ("overtaking", "28"): overtaking_sweep(P28),
-        ("platooning", "3p5"): platooning_sweep(P35),
-        ("platooning", "28"): platooning_sweep(P28),
-    }
+    rows = {}
+    for scenario in ("overtaking", "platooning"):
+        for short, preset in (("3p5", P35), ("28", P28)):
+            q = sweep_placements(preset, scenario, -30.0, 30.0, 0.25)
+            rows[scenario, short] = evaluate_points(preset, q)
+    return rows
 
 
 def test_criterion_1_closed_vs_schur_oracle():

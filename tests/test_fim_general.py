@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from v2vbounds import fim_general
 from v2vbounds.channel import link_gains
 from v2vbounds.errors import NoActiveLinks, NuisanceSingular
-from v2vbounds.fim_closed import efim_aoa_only, efim_aoa_tdoa, link_info_vectors
+from v2vbounds.fim_closed import bound_arrays, efim_aoa_only, efim_aoa_tdoa, link_info_vectors
 from v2vbounds.fim_general import (
     AOA_ONLY,
     AOA_TDOA,
@@ -33,7 +33,7 @@ from v2vbounds.geometry import (
     SPEED_OF_LIGHT, Pose, Vec2, active_links, scene_placement, visibility, wrap_angles,
 )
 from v2vbounds.scenarios import (
-    PRESETS, calibrated_scene, placement_efims, placement_poses, preset_context,
+    PRESETS, calibrated_scene, evaluate_point, placement_efims, placement_poses, preset_context,
 )
 from v2vbounds.selfcheck import (
     ANALYTIC_VS_FD_TOL, CLOSED_VS_SCHUR_TOL, SELFCHECK_SEED, equilibrated_frobenius,
@@ -787,3 +787,28 @@ class TestSingleElementPanels:
         assert aoa[0].singular
         assert_same_bounds(*both)
         assert_same_bounds(*aoa)
+
+
+def test_placement_without_information_stays_inf():
+    # One Rx element, and one subcarrier on two of the four Tx arrays: at
+    # q = (8, 0), 4 links carry no position information, and the closed form
+    # gives inf. Whether the Schur path fails on its nuisance block or
+    # pseudo-inverts it, the rounding residue left of the complement (entries
+    # near 1e-23 against a block near 1e-8) must not come out as a finite bound.
+    preset = dataclasses.replace(PRESETS["cfg_3p5GHz"], name="uninformed", n_rx_elements=1,
+                                 max_occupied_index=1, vehicle_width=2.0, target_snr_db=8.0)
+    q = Vec2(8.0, 0.0)
+    assert evaluate_point(preset, q).peb_lat_both == math.inf
+    scene = calibrated_scene(preset, q)
+    links = active_links(scene)
+    assert len(links) == 4
+    try:
+        result = efim_general(scene, links, link_gains(scene, links), AOA_TDOA)
+    except NuisanceSingular:
+        pass
+    else:
+        assert not any(map(math.isfinite, (result.peb_lat, result.peb_lon, result.oeb)))
+    ctx = preset_context(preset)
+    tx_c, rx_c, visible, _, _ = placement_efims(ctx, *placement_poses(np.array([q.as_tuple()])))
+    j_po, singular = placement_schur_efims(ctx, tx_c, rx_c, visible, np.zeros(1))
+    assert singular[0, 0] or bound_arrays(j_po[0])[1][0] < 3

@@ -17,12 +17,12 @@ from v2vbounds.scenarios import (
     calibrated_scene,
     evaluate_point,
     evaluate_points,
-    overtaking_sweep,
-    platooning_sweep,
     build_scene,
+    bound_table,
     preset_context,
     scenario_crossing,
     scenario_crossings,
+    scenario_placements,
     sweep_placements,
 )
 
@@ -49,12 +49,14 @@ class TestRequirements:
 
 @pytest.fixture(scope="module")
 def overtaking_rows(preset_3p5):
-    return overtaking_sweep(preset_3p5)
+    return evaluate_points(preset_3p5,
+                           sweep_placements(preset_3p5, "overtaking", -30.0, 30.0, 0.25))
 
 
 @pytest.fixture(scope="module")
 def platooning_rows(preset_3p5):
-    return platooning_sweep(preset_3p5)
+    return evaluate_points(preset_3p5,
+                           sweep_placements(preset_3p5, "platooning", -30.0, math.inf, 0.25))
 
 
 class TestOvertakingSweep:
@@ -84,8 +86,9 @@ class TestOvertakingSweep:
     def test_q_y_max_off_the_grid_drops_the_partial_step(self, preset_3p5):
         # Rows never pass q_y_max; one on the grid keeps its row despite round-off.
         custom = sweep_placements(preset_3p5, "custom", -1.0, 1.3, 0.5, -3.5)
-        for sweep in (overtaking_sweep(preset_3p5, -1.0, 1.3, 0.5, ("aoa",)),
-                      evaluate_points(preset_3p5, custom, measurements=("aoa",))):
+        overtaking = sweep_placements(preset_3p5, "overtaking", -1.0, 1.3, 0.5)
+        for q in (overtaking, custom):
+            sweep = evaluate_points(preset_3p5, q, measurements=("aoa",))
             assert [r.q_y for r in sweep] == [-1.0, -0.5, 0.0, 0.5, 1.0]
         rows = sweep_placements(preset_3p5, "custom", 0.0, 0.3, 0.1, -3.5)
         assert [q_y for _, q_y in rows] == pytest.approx([0.0, 0.1, 0.2, 0.3])
@@ -102,7 +105,8 @@ class TestPlatooningSweep:
     def test_grid_anchored_at_touching_point(self, preset_3p5):
         # A q_y_min off the grid drops the partial step at the far end, not
         # at the touching point.
-        rows = platooning_sweep(preset_3p5, q_y_min=-30.2, measurements=("aoa",))
+        q = sweep_placements(preset_3p5, "platooning", -30.2, math.inf, 0.25)
+        rows = evaluate_points(preset_3p5, q, measurements=("aoa",))
         assert [r.d_y for r in rows] == pytest.approx([0.25 * k for k in range(1, 103)])
 
     def test_four_links_everywhere(self, platooning_rows):
@@ -115,7 +119,8 @@ class TestPlatooningSweep:
             assert b.peb_lat_aoa >= a.peb_lat_aoa - 1e-9
 
     def test_longitudinal_tdoa_impact_small(self, platooning_rows, preset_28):
-        rows = platooning_rows + platooning_sweep(preset_28)
+        q = sweep_placements(preset_28, "platooning", -30.0, math.inf, 0.25)
+        rows = platooning_rows + evaluate_points(preset_28, q)
         worst = max((r.peb_lon_aoa - r.peb_lon_both) / r.peb_lon_aoa for r in rows)
         assert worst < 0.10
 
@@ -323,3 +328,54 @@ class TestScenarioCrossings:
     def test_unknown_scenario_rejected(self, preset_3p5):
         with pytest.raises(ValueError):
             scenario_crossings(preset_3p5, "custom")
+
+
+class TestScenarioGeometry:
+    """scenario_placements is the one place that puts the Rx vehicle at a
+    scenario's distance; the sweeps and the crossing search go through it."""
+
+    def test_placements(self):
+        preset = dataclasses.replace(PRESETS["cfg_3p5GHz"], vehicle_length=5.0, lane_width=3.0)
+        s = np.array([0.0, 0.25, 12.5])
+        np.testing.assert_array_equal(scenario_placements(preset, "overtaking", s, q_x=9.0),
+                                      [[-3.0, 0.0], [-3.0, 0.25], [-3.0, 12.5]])
+        np.testing.assert_array_equal(scenario_placements(preset, "platooning", s, q_x=9.0),
+                                      [[0.0, -5.0], [0.0, -5.25], [0.0, -17.5]])
+        np.testing.assert_array_equal(scenario_placements(preset, "custom", s, q_x=-2.0),
+                                      [[-2.0, 0.0], [-2.0, 0.25], [-2.0, 12.5]])
+        assert scenario_placements(preset, "overtaking", []).shape == (0, 2)
+
+    @pytest.mark.parametrize("preset, scenario", SCENARIO_CASES)
+    def test_crossing_search_places_through_it(self, preset, scenario, monkeypatch):
+        preset = PRESETS[preset]
+        placed = []
+
+        def recording(preset_, q, *args, **kwargs):
+            placed.append(np.array(q))
+            return bound_table(preset_, q, *args, **kwargs)
+        monkeypatch.setattr(scenarios, "bound_table", recording)
+        scenario_crossings(preset, scenario)
+        q = np.concatenate(placed)
+        s = q[:, 1] if scenario == "overtaking" else -q[:, 1] - preset.vehicle_length
+        np.testing.assert_array_equal(q, scenario_placements(preset, scenario, s))
+
+    @pytest.mark.parametrize("name", list(PRESETS))
+    def test_sweeps_place_through_it(self, name):
+        preset = PRESETS[name]
+        q_y = scenarios._grid(-1.0, 1.3, 0.5)  # 1.3 lies off the grid
+        assert q_y == [-1.0, -0.5, 0.0, 0.5, 1.0]
+        for scenario in ("overtaking", "custom"):
+            np.testing.assert_array_equal(
+                sweep_placements(preset, scenario, -1.0, 1.3, 0.5, q_x=-2.0),
+                scenario_placements(preset, scenario, q_y, q_x=-2.0))
+        gaps = scenarios._grid(0.0, 30.2 - preset.vehicle_length, 0.25)[1:]  # the touching point
+        assert len(gaps) == 102
+        np.testing.assert_array_equal(sweep_placements(preset, "platooning", -30.2, 0.0, 0.25),
+                                      scenario_placements(preset, "platooning", gaps))
+
+    def test_unknown_scenario_rejected(self, preset_3p5):
+        for call in (lambda: scenario_placements(preset_3p5, "merging", [0.0]),
+                     lambda: sweep_placements(preset_3p5, "merging", -1.0, 1.0, 0.5),
+                     lambda: scenario_crossings(preset_3p5, "merging")):
+            with pytest.raises(ValueError, match="unknown scenario 'merging'"):
+                call()

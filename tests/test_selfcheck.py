@@ -103,6 +103,16 @@ def test_link_stacks_give_the_scene_paths_schur_efims(preset):
                 assert np.linalg.norm(j_po[v, k] - expected) < 1e-12 * np.linalg.norm(expected)
 
 
+def test_suites_take_scene_count_and_seed_by_keyword(monkeypatch):
+    # A seed passed positionally would be taken as n_scenes: 20 million draws.
+    def draw(*args, **kwargs):
+        raise AssertionError("placements drawn")
+    monkeypatch.setattr(selfcheck, "random_placements", draw)
+    for suite in (closed_vs_schur_errors, analytic_vs_fd_errors):
+        with pytest.raises(TypeError):
+            suite(SELFCHECK_SEED)
+
+
 def test_closed_vs_schur_covers_the_edge_set():
     # With no random scenes, only the edge set of both presets is checked.
     worst_both, worst_aoa = closed_vs_schur_errors(n_scenes=0)
