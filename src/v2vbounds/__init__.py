@@ -9,8 +9,10 @@ in the submodules.
 
 from .channel import link_gains
 from .errors import ConfigError, NoActiveLinks, NoBracket, NuisanceSingular
-from .fim_closed import FimResult, bound_arrays, bounds_from_fim, efim_aoa_only, efim_aoa_tdoa
-from .fim_general import AOA_ONLY, AOA_TDOA, efim_general, placement_schur_efims
+from .fim_closed import (
+    MEASUREMENTS, FimResult, bound_arrays, bounds_from_fim, efim_aoa_only, efim_aoa_tdoa,
+)
+from .fim_general import efim_general, placement_schur_efims
 from .geometry import Vec2, active_links
 from .scenarios import (
     PRESETS,

@@ -19,11 +19,11 @@ import yaml
 
 from . import selfcheck as selfcheck_mod
 from .errors import ConfigError, NoActiveLinks
+from .fim_closed import MEASUREMENTS, Measurement
 from .scenarios import (
     COLUMNS,
     PRESETS,
     DEFAULT_SWEEP_STEP,
-    Measurement,
     PresetConfig,
     Requirements,
     bound_table,
@@ -35,7 +35,7 @@ CSV_HEADER = ",".join(COLUMNS)
 _ROW_FORMAT = ",".join(["%.9g"] * len(COLUMNS))
 
 _SCENARIOS = ("overtaking", "platooning", "custom")
-_MEASUREMENT_CHOICES = {"aoa": ("aoa",), "aoa+tdoa": ("aoa_tdoa",), "both": ("aoa_tdoa", "aoa")}
+_MEASUREMENT_CHOICES = {"aoa": ("aoa",), "aoa+tdoa": ("aoa_tdoa",), "both": MEASUREMENTS}
 _MEASUREMENT_LABELS = {"aoa_tdoa": "AOA+TDOA", "aoa": "AOA-only"}
 
 # Preset fields a config file may override, and those read as integers.
@@ -57,7 +57,7 @@ class RunConfig:
 
     scenario: str = "overtaking"
     preset: str = "cfg_3p5GHz"
-    measurements: tuple[Measurement, ...] = ("aoa_tdoa", "aoa")
+    measurements: tuple[Measurement, ...] = MEASUREMENTS
     step: float = DEFAULT_SWEEP_STEP
     out: str | None = None
     q_x: float = -3.5
@@ -216,11 +216,12 @@ def run(cfg: RunConfig) -> int:
         if cfg.scenario == "platooning" and cfg.q_y_min > nearest:
             raise ConfigError(f"q_y_min = {cfg.q_y_min} leaves no platooning gap; it must be "
                               f"at most -(vehicle_length + step) = {nearest}")
-    except ConfigError as exc:
+        # A grid beyond MAX_GRID_ROWS raises ValueError before it is built.
+        q = sweep_placements(preset, cfg.scenario, cfg.q_y_min, cfg.q_y_max, cfg.step, cfg.q_x)
+    except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        q = sweep_placements(preset, cfg.scenario, cfg.q_y_min, cfg.q_y_max, cfg.step, cfg.q_x)
         alpha_t = cfg.alpha_t if cfg.scenario == "custom" else 0.0
         table = bound_table(preset, q, alpha_t, cfg.measurements)
         nan = np.isnan(table[:, 4:])

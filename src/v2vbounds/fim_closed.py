@@ -9,18 +9,25 @@ result does not depend on a reference link. Stacks of EFIMs are assembled by
 batched matmul and their bounds read from LDL^T factors as elementwise 3x3
 algebra. The same factors certify full rank; LAPACK (eigvalsh) ranks only the
 rows the certificate leaves open.
+
+Every EFIM stack of both paths holds the measurement sets along its first
+axis in MEASUREMENTS order: AOA+TDOA, then AOA-only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Literal, Sequence, get_args
 
 import numpy as np
 
 from .channel import LinkGain, Scene
 from .geometry import SPEED_OF_LIGHT, Link, scene_placement, visible_links
+
+Measurement = Literal["aoa_tdoa", "aoa"]
+# The measurement sets in the order of every EFIM stack.
+MEASUREMENTS: tuple[Measurement, ...] = get_args(Measurement)
 
 # Eigenvalues below RANK_EPS * lambda_max count as zero when ranking.
 RANK_EPS = 1e-10
@@ -136,9 +143,10 @@ def link_info_vectors(
 def information(
     v_tau: np.ndarray, v_theta: np.ndarray, aperture: np.ndarray,
     g: np.ndarray, distance: np.ndarray, beta: np.ndarray, omega_c: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """AOA-only and AOA+TDOA EFIMs (..., 3, 3) from per-link arrays, links
-    along the last axis of the weights; a link with g = 0 adds nothing.
+) -> np.ndarray:
+    """AOA+TDOA and AOA-only EFIMs (2, ..., 3, 3), in MEASUREMENTS order,
+    from per-link arrays, links along the last axis of the weights; a link
+    with g = 0 adds nothing.
 
     The angle part sums rank-one terms weighted by g omega_c^2 SAAF / (c d)^2.
     The delay part is the weighted covariance of the delay vectors with
@@ -146,12 +154,26 @@ def information(
     """
     c2 = SPEED_OF_LIGHT**2
     w_theta = g * omega_c**2 * aperture / (c2 * distance**2)
-    j_aoa = (v_theta * w_theta[..., None]).swapaxes(-1, -2) @ v_theta
+    # Allocated before the temporaries below: after them, glibc's heap trimming cost 2-3%.
+    j = np.empty((2,) + np.broadcast_shapes(v_theta.shape[:-2], w_theta.shape[:-1]) + (3, 3))
+    np.matmul((v_theta * w_theta[..., None]).swapaxes(-1, -2), v_theta, out=j[1])
     w_tau = g * beta**2 / c2
     total = np.sum(w_tau, axis=-1, keepdims=True)
     mean = (w_tau[..., None, :] @ v_tau) / np.where(total > 0.0, total, 1.0)[..., None]
     centered = v_tau - mean
-    return j_aoa, j_aoa + (centered * w_tau[..., None]).swapaxes(-1, -2) @ centered
+    np.matmul((centered * w_tau[..., None]).swapaxes(-1, -2), centered, out=j[0])
+    j[0] += j[1]
+    return j
+
+
+def _scene_information(scene: Scene, links: Sequence[Link], gains: Sequence[LinkGain],
+                       betas: Sequence[float]) -> np.ndarray:
+    """:func:`information` (n = 1) of the links (as link_info_vectors takes
+    them) from their link_gains and the Tx arrays' effective bandwidths."""
+    g, distance = np.array([[gain.g for gain in gains], [link.distance for link in links]])
+    beta = np.asarray(betas, dtype=float)[[link.tx_panel for link in links]]
+    return information(*link_info_vectors(scene, links), g, distance, beta,
+                       scene.context.ofdm.omega_c)
 
 
 def efim_aoa_tdoa(
@@ -160,17 +182,10 @@ def efim_aoa_tdoa(
     gains: Sequence[LinkGain],
     betas: Sequence[float],
 ) -> FimResult:
-    """Closed-form EFIM of the links (as link_info_vectors takes them) using
-    both arrival angles and delay differences, from their link_gains and the
-    Tx arrays' effective bandwidths: the n = 1 call of :func:`information`."""
-    g, distance = np.array([[gain.g for gain in gains], [link.distance for link in links]])
-    beta = np.asarray(betas, dtype=float)[[link.tx_panel for link in links]]
-    j_both = information(*link_info_vectors(scene, links), g, distance, beta,
-                         scene.context.ofdm.omega_c)[1]
-    return bounds_from_fim(j_both)
+    """Closed-form EFIM using both arrival angles and delay differences."""
+    return bounds_from_fim(_scene_information(scene, links, gains, betas)[0])
 
 
 def efim_aoa_only(scene: Scene, links: Sequence[Link], gains: Sequence[LinkGain]) -> FimResult:
-    """Closed-form EFIM using arrival angles only: :func:`efim_aoa_tdoa`
-    without delay information, every beta 0."""
-    return efim_aoa_tdoa(scene, links, gains, np.zeros(len(scene.tx_vehicle.panels)))
+    """Closed-form EFIM using arrival angles only, which reads no bandwidth."""
+    return bounds_from_fim(_scene_information(scene, links, gains, scene.context.betas)[1])

@@ -9,7 +9,8 @@ analytic derivatives. The three stages are kernels over a stack of
 placements with equal link counts under one link context;
 :func:`placement_links` builds their inputs from a visibility pass and
 :func:`placement_schur_efims` chains them, the general-path twin of
-``scenarios.placement_efims``. The one-scene functions are n = 1 calls.
+``scenarios.placement_efims``, with the measurement sets in the same order
+(``fim_closed.MEASUREMENTS``). The one-scene functions are n = 1 calls.
 
 Parameter layout for L active links, decided by :func:`link_orders`: the
 reference link first (the active link of minimum delay, ties broken by
@@ -25,13 +26,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import LinkContext, LinkGain, Scene, free_space_gain
+from .channel import LinkContext, Scene, free_space_gain
 from .errors import NuisanceSingular
-from .fim_closed import FimResult, bounds_from_fim, link_vectors
+from .fim_closed import MEASUREMENTS, FimResult, Measurement, bounds_from_fim, link_vectors
 from .geometry import SPEED_OF_LIGHT, Link, scene_placement, visible_links
-
-AOA_TDOA = "AOA_TDOA"
-AOA_ONLY = "AOA_ONLY"
 
 # Equilibrated condition number beyond which the nuisance block is treated
 # as singular.
@@ -166,25 +164,25 @@ def channel_fims_fd(ctx: LinkContext, t: np.ndarray, r: np.ndarray, delay: np.nd
 
 
 def transform_matrices(
-    v_tau: np.ndarray, v_theta: np.ndarray, distance: np.ndarray, variant: str
+    v_tau: np.ndarray, v_theta: np.ndarray, distance: np.ndarray, measurement: Measurement
 ) -> np.ndarray:
     """Geometric Jacobians (n, R, 4L) from channel parameters (columns,
     :func:`link_orders` layout) to estimation parameters (rows, [q_x, q_y,
     alpha_T] first), from the links' delay and angle information vectors
     (n, L, 3) (``fim_closed.link_vectors``) and distances (n, L) in link order.
 
-    Angles carry geometry in both variants, delay differences only under
-    AOA_TDOA; every other channel parameter (the timing offset, the gains
-    and, for AOA_ONLY, the delay differences) is a nuisance parameter with
-    an identity row, in column order.
+    ``measurement`` is one of MEASUREMENTS: angles carry geometry in both,
+    delay differences only in "aoa_tdoa"; every other channel parameter (the
+    timing offset, the gains and, for "aoa", the delay differences) is a
+    nuisance parameter with an identity row, in column order.
     """
-    if variant not in (AOA_TDOA, AOA_ONLY):
-        raise ValueError(f"unknown variant {variant!r}")
+    if measurement not in MEASUREMENTS:
+        raise ValueError(f"unknown measurement {measurement!r}, expected one of {MEASUREMENTS}")
     n = 4 * distance.shape[-1]
     t_po = np.zeros(distance.shape[:-1] + (3, n))
     t_po[..., 1::4] = (v_theta / distance[..., None]).swapaxes(-1, -2)
     geometric = np.arange(n) % 4 == 1
-    if variant == AOA_TDOA:
+    if measurement == "aoa_tdoa":
         delay_rows = (v_tau[..., 1:, :] - v_tau[..., :1, :]) / SPEED_OF_LIGHT
         t_po[..., 4::4] = delay_rows.swapaxes(-1, -2)
         geometric[4::4] = True
@@ -242,31 +240,25 @@ def placement_links(ctx: LinkContext, tx_c: np.ndarray, rx_c: np.ndarray, visibl
 def placement_schur_efims(ctx: LinkContext, tx_c: np.ndarray, rx_c: np.ndarray,
                           visible: np.ndarray, rx_heading: np.ndarray,
                           reference: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Schur-path EFIMs (2, n, 3, 3) and nuisance-singular flags (2, n),
-    AOA+TDOA then AOA-only, of n placements with equal link counts, given as
+    """Schur-path EFIMs (2, n, 3, 3) and nuisance-singular flags (2, n), in
+    MEASUREMENTS order, of n placements with equal link counts, given as
     :func:`placement_links` takes them."""
     t, r, v_tau, v_theta, distance, angle, h = placement_links(
         ctx, tx_c, rx_c, visible, rx_heading, reference)
     j_phi = channel_fims(ctx, t, r, angle, h)
-    schur = [schur_efims(j_phi, transform_matrices(v_tau, v_theta, distance, variant))
-             for variant in (AOA_TDOA, AOA_ONLY)]
+    schur = [schur_efims(j_phi, transform_matrices(v_tau, v_theta, distance, measurement))
+             for measurement in MEASUREMENTS]
     return tuple(np.stack(parts) for parts in zip(*schur))
 
 
 def _scene_links(scene: Scene, links: Sequence[Link], reference: int | None = None) -> tuple:
     """:func:`placement_links` of one scene (n = 1) for the panel pairs of
-    ``links`` (geometry.scene_placement), ``reference`` indexing ``links``.
-    The calls below take link_gains' gains, which these rebuild from the distances."""
+    ``links`` (geometry.scene_placement), ``reference`` indexing ``links``."""
     return placement_links(scene.context, *scene_placement(scene, links),
                            None if reference is None else np.array([reference]))
 
 
-def fim_channel(
-    scene: Scene,
-    links: Sequence[Link],
-    gains: Sequence[LinkGain],
-    reference: int | None = None,
-) -> np.ndarray:
+def fim_channel(scene: Scene, links: Sequence[Link], reference: int | None = None) -> np.ndarray:
     """Analytic Fisher information of the channel parameters (4L x 4L), in
     the :func:`link_orders` layout; ``reference`` forces a reference link.
     The one-placement call of :func:`channel_fims`."""
@@ -274,12 +266,7 @@ def fim_channel(
     return channel_fims(scene.context, t, r, angle, h)[0]
 
 
-def fim_channel_fd(
-    scene: Scene,
-    links: Sequence[Link],
-    gains: Sequence[LinkGain],
-    step: float = 1e-7,
-) -> np.ndarray:
+def fim_channel_fd(scene: Scene, links: Sequence[Link], step: float = 1e-7) -> np.ndarray:
     """Central-finite-difference twin of :func:`fim_channel`, the
     one-placement call of :func:`channel_fims_fd`."""
     t, r, _, _, distance, angle, h = _scene_links(scene, links)
@@ -288,12 +275,12 @@ def fim_channel_fd(
 
 
 def transform_matrix(
-    scene: Scene, links: Sequence[Link], variant: str, reference: int | None = None
+    scene: Scene, links: Sequence[Link], measurement: Measurement, reference: int | None = None
 ) -> np.ndarray:
     """Geometric Jacobian (R x 4L) of one placement's links, the one-placement
     call of :func:`transform_matrices`."""
     _, _, v_tau, v_theta, distance, _, _ = _scene_links(scene, links, reference)
-    return transform_matrices(v_tau, v_theta, distance, variant)[0]
+    return transform_matrices(v_tau, v_theta, distance, measurement)[0]
 
 
 def efim_schur(j_phi: np.ndarray, t_matrix: np.ndarray) -> FimResult:
@@ -307,14 +294,10 @@ def efim_schur(j_phi: np.ndarray, t_matrix: np.ndarray) -> FimResult:
 
 
 def efim_general(
-    scene: Scene,
-    links: Sequence[Link],
-    gains: Sequence[LinkGain],
-    variant: str,
-    reference: int | None = None,
+    scene: Scene, links: Sequence[Link], measurement: Measurement, reference: int | None = None
 ) -> FimResult:
-    """Full general-path EFIM: channel FIM, transform, Schur complement,
-    from one build of the scene's links."""
+    """Full general-path EFIM of one measurement set: channel FIM, transform,
+    Schur complement, from one build of the scene's links."""
     t, r, v_tau, v_theta, distance, angle, h = _scene_links(scene, links, reference)
     return efim_schur(channel_fims(scene.context, t, r, angle, h)[0],
-                      transform_matrices(v_tau, v_theta, distance, variant)[0])
+                      transform_matrices(v_tau, v_theta, distance, measurement)[0])

@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import LinkContext, Scene, information_weight, link_context
 from .errors import NoBracket
-from .fim_closed import bound_arrays, information, link_vectors
+from .fim_closed import MEASUREMENTS, Measurement, bound_arrays, information, link_vectors
 from .geometry import (
     SPEED_OF_LIGHT, Pose, Vec2, VehicleSpec, build_cornered_vehicle, require_positive_finite,
     visibility, visible_links, wrap_angles,
@@ -32,9 +32,11 @@ from .geometry import (
 from .waveform import OfdmSpec, interleaved_allocation
 
 Axis = Literal["lat", "lon"]
-Measurement = Literal["aoa", "aoa_tdoa"]
 
 DEFAULT_SWEEP_STEP = 0.25  # m
+# Rows a sweep grid may have: a bound_table row peaks at about 3 KB.
+MAX_GRID_ROWS = 100_000
+CROSSING_TOL = 0.01  # m, the distance resolution of the requirement-crossing search
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,7 @@ class SweepRow:
     oeb_aoa: float
 
 
-# The bound table's columns (SweepRow's); aoa_tdoa's and aoa's (peb_lat, peb_lon, oeb).
+# The bound table's columns (SweepRow's); each MEASUREMENTS entry's (peb_lat, peb_lon, oeb).
 COLUMNS = tuple(f.name for f in fields(SweepRow))
 _SET_COLUMNS = np.array([[4, 5, 8], [6, 7, 9]])
 
@@ -171,12 +173,7 @@ def preset_context(preset: PresetConfig) -> LinkContext:
     vehicle = _build_vehicle(preset)
     arrays = vehicle.arrays
     allocation = interleaved_allocation(preset.occupied, len(vehicle.panels))
-    unit_power = OfdmSpec(
-        n_fft=preset.n_fft,
-        subcarrier_spacing=preset.subcarrier_spacing,
-        carrier_frequency=preset.carrier_frequency,
-        occupied=preset.occupied,
-    )
+    unit_power = OfdmSpec(preset.subcarrier_spacing, preset.carrier_frequency)
     side_by_side = (scenario_placements(preset, "overtaking", [0.0]), np.zeros(1))
     ref_t, ref_r, _, _, distance, _ = (column[0] for column in visible_links(
         *visibility(arrays, (np.zeros((1, 2)), np.zeros(1)), arrays, side_by_side)))
@@ -190,20 +187,10 @@ def preset_context(preset: PresetConfig) -> LinkContext:
     return link_context(vehicle, vehicle, ofdm, allocation)
 
 
-def build_scene(
-    preset: PresetConfig,
-    q: Vec2,
-    alpha_t: float = 0.0,
-    alpha_r: float = 0.0,
-    total_power: float = 1.0,
-) -> Scene:
-    """Scene with the Tx vehicle at the origin and the Rx vehicle at q, on the
-    preset's context, rebuilt only for a total_power other than the calibrated one."""
-    ctx = preset_context(preset)
-    if total_power != ctx.ofdm.total_power:
-        ctx = link_context(ctx.tx_vehicle, ctx.rx_vehicle,
-                           replace(ctx.ofdm, total_power=total_power), ctx.allocation)
-    return Scene(ctx, Pose(Vec2(0.0, 0.0), alpha_t), Pose(q, alpha_r))
+def build_scene(preset: PresetConfig, q: Vec2, alpha_t: float = 0.0) -> Scene:
+    """Scene on the preset's context with the Tx vehicle at the origin, heading
+    alpha_t, and the Rx vehicle at q, heading 0."""
+    return Scene(preset_context(preset), Pose(Vec2(0.0, 0.0), alpha_t), Pose(q, 0.0))
 
 
 def calibrated_power(preset: PresetConfig) -> float:
@@ -212,7 +199,7 @@ def calibrated_power(preset: PresetConfig) -> float:
 
 
 def calibrated_scene(preset: PresetConfig, q: Vec2, alpha_t: float = 0.0) -> Scene:
-    return build_scene(preset, q, alpha_t=alpha_t, total_power=calibrated_power(preset))
+    return build_scene(preset, q, alpha_t)
 
 
 def placement_poses(q: np.ndarray, alpha_t: float | np.ndarray = 0.0) -> tuple[tuple, tuple]:
@@ -228,9 +215,9 @@ def placement_efims(ctx: LinkContext, tx_pose: tuple, rx_pose: tuple) -> tuple[n
     """The EFIM assembly of :func:`bound_table` for N placements of the
     context's vehicles at poses (position (N, 2), heading (N,)) as
     geometry.visibility takes them: the Tx and Rx panel centroids (N, K, 2),
-    the (N, Kt, Kr) LOS mask, and the AOA-only and AOA+TDOA EFIMs (N, 3, 3),
-    zero without links. ``fim_general.placement_schur_efims`` is its
-    general-path twin."""
+    the (N, Kt, Kr) LOS mask, and the EFIMs (2, N, 3, 3) of :func:`information`,
+    in MEASUREMENTS order, zero without links.
+    ``fim_general.placement_schur_efims`` is its general-path twin."""
     (t, r), (tx_p, _), (_, rx_h) = ctx.link_panels, tx_pose, rx_pose
     tx_c, rx_c, visible = visibility(ctx.tx_vehicle.arrays, tx_pose, ctx.rx_vehicle.arrays,
                                      rx_pose)
@@ -243,15 +230,15 @@ def placement_efims(ctx: LinkContext, tx_pose: tuple, rx_pose: tuple) -> tuple[n
                            (tx_at - tx_p.T[..., None]).transpose(1, 2, 0), rx_h[:, None],
                            ctx.link_saaf)
     g = ctx.link_gd2 / distance**2
-    j_aoa, j_both = information(*vectors, g, distance, ctx.link_beta, ctx.ofdm.omega_c)
-    return tx_c, rx_c, visible, j_aoa, j_both
+    return tx_c, rx_c, visible, information(*vectors, g, distance, ctx.link_beta,
+                                            ctx.ofdm.omega_c)
 
 
 def bound_table(
     preset: PresetConfig,
     q: np.ndarray | Sequence[tuple[float, float]],
     alpha_t: float | np.ndarray = 0.0,
-    measurements: Sequence[Measurement] = ("aoa_tdoa", "aoa"),
+    measurements: Sequence[Measurement] = MEASUREMENTS,
 ) -> np.ndarray:
     """Bounds for an (N, 2) array of placements q in one numpy pass, as an
     (N, 10) float table with the columns of SweepRow (COLUMNS).
@@ -263,15 +250,14 @@ def bound_table(
     q = np.asarray(q, dtype=float).reshape(-1, 2)
     if not (np.isfinite(q).all() and np.isfinite(alpha_t).all()):
         raise ValueError("placements and Tx headings must be finite")
-    _, _, visible, j_aoa, j_both = placement_efims(preset_context(preset),
-                                                   *placement_poses(q, alpha_t))
+    _, _, visible, j = placement_efims(preset_context(preset), *placement_poses(q, alpha_t))
     table = np.full((len(q), len(COLUMNS)), np.inf)
     table[:, :2] = q
     table[:, 2] = np.abs(q[:, 1]) - preset.vehicle_length
     table[:, 3] = visible.sum(axis=(1, 2))
-    wanted = [i for i, m in enumerate(("aoa_tdoa", "aoa")) if m in measurements]
+    wanted = [i for i, m in enumerate(MEASUREMENTS) if m in measurements]
     if wanted:
-        bounds = bound_arrays(np.stack((j_both, j_aoa))[wanted])[2]
+        bounds = bound_arrays(j[wanted])[2]
         table[:, _SET_COLUMNS[wanted]] = bounds.swapaxes(0, 1)
     return table
 
@@ -280,7 +266,7 @@ def evaluate_points(
     preset: PresetConfig,
     q: np.ndarray | Sequence[tuple[float, float]],
     alpha_t: float | np.ndarray = 0.0,
-    measurements: Sequence[Measurement] = ("aoa_tdoa", "aoa"),
+    measurements: Sequence[Measurement] = MEASUREMENTS,
 ) -> list[SweepRow]:
     """:func:`bound_table` as one SweepRow per placement, in input order."""
     return [SweepRow(*row[:3], int(row[3]), *row[4:])
@@ -291,7 +277,7 @@ def evaluate_point(
     preset: PresetConfig,
     q: Vec2,
     alpha_t: float = 0.0,
-    measurements: Sequence[Measurement] = ("aoa_tdoa", "aoa"),
+    measurements: Sequence[Measurement] = MEASUREMENTS,
 ) -> SweepRow:
     """Bounds for one relative placement; +inf sentinels when unsolvable.
 
@@ -304,12 +290,16 @@ def evaluate_point(
 
 def _grid(start: float, stop: float, step: float) -> list[float]:
     """Grid start + i step, i = 0, 1, ..., up to stop; a stop off the grid
-    drops the partial step."""
+    drops the partial step. More than MAX_GRID_ROWS rows, or a count that is
+    not finite, raises ValueError."""
     if step <= 0.0:
         raise ValueError("step must be positive")
     # The slack keeps a stop on the grid from losing its row to round-off.
-    count = math.floor((stop - start) / step + 1e-9)
-    return [start + i * step for i in range(count + 1)]
+    count = (stop - start) / step + 1e-9
+    if not (math.isfinite(count) and count < MAX_GRID_ROWS):
+        raise ValueError(f"a grid from {start} to {stop} in steps of {step} has {count + 1:.3g} "
+                         f"rows, more than MAX_GRID_ROWS = {MAX_GRID_ROWS}")
+    return [start + i * step for i in range(math.floor(count) + 1)]
 
 
 def sweep_placements(preset: PresetConfig, scenario: Literal["overtaking", "platooning", "custom"],
@@ -410,33 +400,29 @@ def scenario_crossings(
     preset: PresetConfig,
     scenario: Literal["overtaking", "platooning"],
     requirements: Requirements = Requirements(),
-    measurements: Sequence[Measurement] = ("aoa_tdoa", "aoa"),
-    s_max: float | None = None,
-    tol: float = 0.01,
+    measurements: Sequence[Measurement] = MEASUREMENTS,
 ) -> dict[tuple[Measurement, Axis], Crossing]:
     """Requirement crossings of every (measurement, axis) curve of a built-in scenario.
 
     The distance is the longitudinal offset q_y >= 0 at one lane width
     (overtaking; the layout is mirror symmetric in q_y), searched over
     [0, 30] m, or the bumper gap (platooning), searched over
-    [0.25, 30 - vehicle_length] m. All curves share each bound_table call
-    of one search, three at the defaults. Keys run over the measurements in
-    the order aoa_tdoa, aoa, then lat, lon.
+    [0.25, 30 - vehicle_length] m, to CROSSING_TOL. All curves share each
+    bound_table call of one search, three at the defaults. Keys run over the
+    measurements in MEASUREMENTS order, then lat, lon.
     """
     if scenario not in ("overtaking", "platooning"):
         raise ValueError(f"unknown scenario {scenario!r}")
-    s_min, s_top = (0.0, 30.0) if scenario == "overtaking" else (0.25, 30.0 - preset.vehicle_length)
-    curves = [(m, axis) for m in ("aoa_tdoa", "aoa") if m in measurements
-              for axis in ("lat", "lon")]
-    columns = [_SET_COLUMNS[("aoa_tdoa", "aoa").index(m), ("lat", "lon").index(axis)]
+    s_min, s_max = (0.0, 30.0) if scenario == "overtaking" else (0.25, 30.0 - preset.vehicle_length)
+    curves = [(m, axis) for m in MEASUREMENTS if m in measurements for axis in ("lat", "lon")]
+    columns = [_SET_COLUMNS[MEASUREMENTS.index(m), ("lat", "lon").index(axis)]
                for m, axis in curves]
 
     def bounds_at(s: np.ndarray) -> np.ndarray:
         q = scenario_placements(preset, scenario, s)
         return bound_table(preset, q, measurements=measurements)[:, columns].T
     thresholds = [requirements.threshold(axis) for _, axis in curves]
-    found = _lattice_search(bounds_at, thresholds, s_min,
-                            s_top if s_max is None else s_max, tol)
+    found = _lattice_search(bounds_at, thresholds, s_min, s_max, CROSSING_TOL)
     return dict(zip(curves, found))
 
 
@@ -446,8 +432,6 @@ def scenario_crossing(
     axis: Axis,
     measurement: Measurement,
     requirements: Requirements = Requirements(),
-    s_max: float | None = None,
-    tol: float = 0.01,
 ) -> float:
     """Requirement-crossing distance of one curve of a built-in scenario.
 
@@ -456,5 +440,5 @@ def scenario_crossing(
     finds it; raises NoBracket when it holds everywhere or nowhere in the
     searched range.
     """
-    crossings = scenario_crossings(preset, scenario, requirements, (measurement,), s_max, tol)
+    crossings = scenario_crossings(preset, scenario, requirements, (measurement,))
     return crossings[measurement, axis].value()

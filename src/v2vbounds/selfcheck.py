@@ -8,10 +8,11 @@ in blocks with one visibility call per block and preset, accepted in order
 (:func:`random_placements`). Every suite takes the centroids and LOS mask of
 one ``scenarios.placement_efims`` call per preset and builds the general
 path's links from them (``fim_general.placement_links``). The closed-form
-vs Schur suite checks the EFIM assembly behind every sweep row against its
-general-path twin (``fim_general.placement_schur_efims``), on those scenes
-and on each preset's fixed edge set (:func:`edge_placements`): bumper
-overlap, short gaps, blocked-sector edges. A NaN error fails every suite.
+vs Schur suite compares the EFIM stack behind every sweep row with its
+general-path twin (``fim_general.placement_schur_efims``), set by set in
+``fim_closed.MEASUREMENTS`` order, on those scenes and on each preset's fixed
+edge set (:func:`edge_placements`): bumper overlap, short gaps, blocked-sector
+edges. A NaN error fails every suite.
 
 The kernels run once per preset and link count, on the whole stack of those
 placements, cut only where its largest array would pass _STACK_BYTES
@@ -130,11 +131,11 @@ def closed_vs_schur_errors(
         q = np.array([q for p, q, _ in drawn if p is preset] + edge_q.tolist())
         alpha_t = np.array([a for p, _, a in drawn if p is preset] + edge_alpha.tolist())
         poses = placement_poses(q, alpha_t)
-        tx_c, rx_c, visible, j_aoa, j_both = placement_efims(ctx, *poses)
+        tx_c, rx_c, visible, j = placement_efims(ctx, *poses)
         for chunk in _link_count_chunks(visible, lambda n_links: 8 * (4 * n_links)**2):
             j_po, singular = placement_schur_efims(ctx, tx_c[chunk], rx_c[chunk], visible[chunk],
                                                    poses[1][1][chunk])
-            error = relative_frobenius(np.stack((j_both[chunk], j_aoa[chunk])), j_po)
+            error = relative_frobenius(j[:, chunk], j_po)
             worst = np.maximum(worst, np.where(singular, math.inf, error).max(axis=1))
     return float(worst[0]), float(worst[1])
 
@@ -157,7 +158,7 @@ def analytic_vs_fd_errors(*, n_scenes: int = 20, seed: int = SELFCHECK_SEED) -> 
         q = np.array([q for p, q, _ in drawn if p is preset]).reshape(-1, 2)
         alpha_t = np.array([a for p, _, a in drawn if p is preset])
         ctx, poses = preset_context(preset), placement_poses(q, alpha_t)
-        tx_c, rx_c, visible, _, _ = placement_efims(ctx, *poses)
+        tx_c, rx_c, visible, _ = placement_efims(ctx, *poses)
         samples = ctx.omega.shape[-1] * ctx.rx_vehicle.arrays.elements.shape[-1]
         for chunk in _link_count_chunks(visible, lambda n_links: 16 * 4 * n_links * samples):
             t, r, _, _, distance, angle, h = placement_links(
@@ -176,7 +177,7 @@ def reference_invariance_error(seed: int = SELFCHECK_SEED) -> float:
     [(preset, q, alpha_t)] = random_placements(np.random.default_rng(seed),
                                                [PRESETS["cfg_3p5GHz"]], 1)
     ctx = preset_context(preset)
-    tx_c, rx_c, visible, _, _ = placement_efims(ctx, *placement_poses(q[None], alpha_t))
+    tx_c, rx_c, visible, _ = placement_efims(ctx, *placement_poses(q[None], alpha_t))
     n_links = int(visible.sum())
     (j_po, _), (singular, _) = placement_schur_efims(
         ctx, *(np.repeat(x, n_links, axis=0) for x in (tx_c, rx_c, visible)),

@@ -20,29 +20,18 @@ from .geometry import SPEED_OF_LIGHT, read_only, require_positive_finite
 
 @dataclass(frozen=True)
 class OfdmSpec:
-    """OFDM numerology plus total transmit power per symbol."""
+    """OFDM numerology plus total transmit power per symbol; the subcarriers
+    themselves are an Allocation's."""
 
-    n_fft: int
     subcarrier_spacing: float  # Hz
     carrier_frequency: float  # Hz
-    occupied: tuple[int, ...]  # signed subcarrier indices, sorted ascending
     n_symbols: int = 1
     total_power: float = 1.0  # W per OFDM symbol, all Tx arrays combined
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "occupied", tuple(sorted(self.occupied)))
-        if self.n_fft < 1:
-            raise ValueError("n_fft must be >= 1")
         require_positive_finite(self, "subcarrier_spacing", "carrier_frequency", "total_power")
         if self.n_symbols < 1:
             raise ValueError("n_symbols must be >= 1")
-        if len(self.occupied) > self.n_fft:
-            raise ValueError("occupied set larger than the FFT grid")
-        if len(set(self.occupied)) != len(self.occupied):
-            raise ValueError("occupied indices must be unique")
-        half = self.n_fft / 2.0
-        if self.occupied and not (-half < self.occupied[0] and self.occupied[-1] < half):
-            raise ValueError("occupied indices must lie strictly inside (-n_fft/2, n_fft/2)")
 
     @property
     def omega_c(self) -> float:

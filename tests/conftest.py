@@ -100,10 +100,8 @@ def small_scene(
     rx = VehicleSpec(length=0.1, width=0.1, panels=rx_panels)
     occupied = tuple(range(-n_occupied // 2, 0)) + tuple(range(1, n_occupied // 2 + 1))
     ofdm = OfdmSpec(
-        n_fft=64,
         subcarrier_spacing=subcarrier_spacing,
         carrier_frequency=carrier_frequency,
-        occupied=occupied,
         n_symbols=n_symbols,
         total_power=total_power,
     )

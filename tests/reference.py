@@ -147,8 +147,7 @@ def reference_calibrated_power(preset) -> float:
     noise. Raises NoActiveLinks when no panel pair has line of sight."""
     vehicle = _build_vehicle(preset)
     allocation = interleaved_allocation(preset.occupied, len(vehicle.panels))
-    ofdm = OfdmSpec(preset.n_fft, preset.subcarrier_spacing, preset.carrier_frequency,
-                    preset.occupied)
+    ofdm = OfdmSpec(preset.subcarrier_spacing, preset.carrier_frequency)
     tx_pose, rx_pose = Pose(Vec2(0.0, 0.0), 0.0), Pose(Vec2(-preset.lane_width, 0.0), 0.0)
     links = []
     for t in range(len(vehicle.panels)):
@@ -256,8 +255,9 @@ def per_link_fim_channel_fd(scene, links, gains, step=1e-7):
 
 
 def einsum_information(v_tau, v_theta, aperture, g, distance, beta, omega_c):
-    """AOA-only and AOA+TDOA EFIMs as einsum sums over the links: the
-    reference for the batched matmul form of ``fim_closed.information``."""
+    """AOA+TDOA and AOA-only EFIMs (MEASUREMENTS order) as einsum sums over
+    the links: the reference for the batched matmul form of
+    ``fim_closed.information``."""
     c2 = SPEED_OF_LIGHT**2
     w_theta = g * omega_c**2 * aperture / (c2 * distance**2)
     j_aoa = np.einsum("...k,...ki,...kj->...ij", w_theta, v_theta, v_theta)
@@ -265,7 +265,7 @@ def einsum_information(v_tau, v_theta, aperture, g, distance, beta, omega_c):
     total = np.sum(w_tau, axis=-1, keepdims=True)
     mean = np.einsum("...k,...ki->...i", w_tau, v_tau) / np.where(total > 0.0, total, 1.0)
     centered = v_tau - mean[..., None, :]
-    return j_aoa, j_aoa + np.einsum("...k,...ki,...kj->...ij", w_tau, centered, centered)
+    return j_aoa + np.einsum("...k,...ki,...kj->...ij", w_tau, centered, centered), j_aoa
 
 
 def inverse_bound_arrays(j_po):

@@ -252,6 +252,19 @@ class TestCli:
         assert "config error: q_y_min" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, keys", [
+        (["--step", "1e-9"], {}),  # 6e10 rows of about 3 KB each
+        ([], {"q_y_min": -1.7e308, "q_y_max": 1.7e308}),  # a span that overflows to inf
+    ])
+    def test_over_limit_grid_exit_2(self, tmp_path, capsys, flags, keys):
+        out = tmp_path / "grid.csv"
+        cfg = write_config(tmp_path, out=str(out), **keys)
+        assert main(["--config", cfg, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: a grid from") and "MAX_GRID_ROWS" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_platooning_single_gap(self, tmp_path):
         out = tmp_path / "pl.csv"
         cfg = write_config(tmp_path, scenario="platooning", q_y_min=-4.75, out=str(out))
@@ -366,9 +379,9 @@ class TestCli:
         real = scenarios.placement_efims
 
         def with_nan(*args, **kwargs):
-            *rest, j_both = real(*args, **kwargs)
-            j_both[2, 1, 1] = math.nan
-            return (*rest, j_both)
+            *rest, j = real(*args, **kwargs)
+            j[0, 2, 1, 1] = math.nan
+            return (*rest, j)
 
         monkeypatch.setattr(scenarios, "placement_efims", with_nan)
         out = tmp_path / "nan.csv"

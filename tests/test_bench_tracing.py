@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 import v2vbounds
-from v2vbounds.channel import link_gains
 from v2vbounds.geometry import active_links
 
 from conftest import small_scene
@@ -63,12 +62,12 @@ def test_counters_read_real_calls(monkeypatch):
     spec.loader.exec_module(tracing)
     scene = small_scene()  # 2 x 2 panels, all linked; 4 subcarriers per Tx array, 2 elements
     links = active_links(scene)
-    gains = link_gains(scene, links)
+    # Each counter reads only a call's first two arguments.
     calls = {
         "geometry.active_links": ((scene,), {"pairs": 4, "kept": 4}),
         "fim_closed.bounds_from_fim": ((np.eye(3),), {"singular": 0}),
-        "fim_general.fim_channel": ((scene, links, gains), {"samples": 4 * 4 * 2}),
-        "fim_general.fim_channel_fd": ((scene, links, gains), {"evals": 2 * 4 * 4}),
+        "fim_general.fim_channel": ((scene, links), {"samples": 4 * 4 * 2}),
+        "fim_general.fim_channel_fd": ((scene, links), {"evals": 2 * 4 * 4}),
     }
     assert set(tracing.COUNTERS) == set(calls)
     for key, counter in tracing.COUNTERS.items():

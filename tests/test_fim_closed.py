@@ -280,7 +280,7 @@ def test_information_matches_einsum_oracle(case):
                          np.abs(v_theta), np.abs(v_theta))
     size_tau = np.einsum("...k,...ki,...kj->...", g * beta**2 / c2, np.abs(v_tau), np.abs(v_tau))
     for got, expected, size in zip(information(*case), einsum_information(*case),
-                                   (size_aoa, size_aoa + size_tau)):
+                                   (size_aoa + size_tau, size_aoa)):
         assert got.shape == expected.shape
         assert (np.abs(got - expected) <= 1e-13 * size[..., None, None]).all()
 

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from v2vbounds import fim_general
 from v2vbounds.channel import link_gains
 from v2vbounds.errors import NoActiveLinks, NuisanceSingular
-from v2vbounds.fim_closed import bound_arrays, efim_aoa_only, efim_aoa_tdoa, link_info_vectors
+from v2vbounds.fim_closed import (
+    MEASUREMENTS, bound_arrays, efim_aoa_only, efim_aoa_tdoa, link_info_vectors,
+)
 from v2vbounds.fim_general import (
-    AOA_ONLY,
-    AOA_TDOA,
     channel_fims,
     channel_fims_fd,
     efim_general,
@@ -71,7 +71,7 @@ def link_mean(scene, link, delay, angle, gain):
 
 
 def closed_form(scene, links, gains):
-    """AOA-only and AOA+TDOA EFIMs of a scene's links from the einsum oracle."""
+    """A scene's links' EFIMs, in MEASUREMENTS order, from the einsum oracle."""
     betas = scene.context.betas[[link.tx_panel for link in links]]
     return einsum_information(*link_info_vectors(scene, links), np.array([g.g for g in gains]),
                               np.array([link.distance for link in links]), betas,
@@ -171,7 +171,7 @@ def assert_matches_oracle(scene):
     links = active_links(scene)
     gains = link_gains(scene, links)
     for reference in range(len(links)):
-        j = fim_channel(scene, links, gains, reference)
+        j = fim_channel(scene, links, reference)
         oracle = brute_force_fim_channel(scene, links, gains, reference)
         assert equilibrated_frobenius(oracle, j) < 1e-12
     return links, gains
@@ -198,11 +198,11 @@ class TestFactorisedGram:
     def test_tx_array_without_subcarriers(self, preset_3p5, q):
         preset = dataclasses.replace(preset_3p5, name="sparse", max_occupied_index=1)
         scene = calibrated_scene(preset, q)
-        links, gains = assert_matches_oracle(scene)
+        links, _ = assert_matches_oracle(scene)
         silent = [k for k, i in enumerate(link_order(links))
                   if not scene.allocation.per_array_sets[links[i].tx_panel]]
         assert silent
-        j = fim_channel(scene, links, gains)
+        j = fim_channel(scene, links)
         for k in silent:
             # No samples, no information: only the timing offset column,
             # which the reference link's block holds, may be nonzero.
@@ -248,7 +248,7 @@ def assert_fd_matches_oracle(group):
     for k, (scene, links, gains) in enumerate(group):
         oracle = per_link_fim_channel_fd(scene, links, gains)
         assert equilibrated_frobenius(oracle, fd[k]) < 1e-9
-        assert equilibrated_frobenius(oracle, fim_channel_fd(scene, links, gains)) < 1e-9
+        assert equilibrated_frobenius(oracle, fim_channel_fd(scene, links)) < 1e-9
 
 
 class TestFdTwin:
@@ -304,19 +304,18 @@ class TestFdTwin:
         # Every omega is 0, so no delay step turns a phase: the delay columns
         # are zero on both sides, with no division by the largest |omega|.
         scene = small_scene(n_tx_panels=2, n_rx_panels=2)
-        scene = with_context(scene, ofdm=dataclasses.replace(scene.context.ofdm, occupied=(0,)),
-                                    allocation=interleaved_allocation((0,), 2))
+        scene = with_context(scene, allocation=interleaved_allocation((0,), 2))
         links = active_links(scene)
         gains = link_gains(scene, links)
-        fd = fim_channel_fd(scene, links, gains)
+        fd = fim_channel_fd(scene, links)
         assert np.isfinite(fd).all() and not fd[:, 4::4].any()
-        assert equilibrated_frobenius(fim_channel(scene, links, gains), fd) < ANALYTIC_VS_FD_TOL
+        assert equilibrated_frobenius(fim_channel(scene, links), fd) < ANALYTIC_VS_FD_TOL
         assert_fd_matches_oracle([(scene, links, gains)])
 
     def test_step_must_be_positive(self, medium_scene):
-        scene, links, gains = medium_scene
+        scene, links, _ = medium_scene
         with pytest.raises(ValueError):
-            fim_channel_fd(scene, links, gains, step=0.0)
+            fim_channel_fd(scene, links, step=0.0)
 
 
 class TestLinkOrder:
@@ -340,34 +339,33 @@ class TestLinkOrder:
         assert link_orders(delay, t, r)[0].tolist() == [1, 0] == link_order((link, twin))
 
     def test_invalid_input_rejected(self, medium_scene):
-        scene, links, gains = medium_scene
+        scene, links, _ = medium_scene
         delay, t, r = (np.array([[getattr(link, name) for link in links]] * 2)
                        for name in ("delay", "tx_panel", "rx_panel"))
         for reference in ([0, len(links)], [-1, 0]):
             with pytest.raises(IndexError):
                 link_orders(delay, t, r, reference)
         with pytest.raises(IndexError):
-            fim_channel(scene, links, gains, reference=len(links))
+            fim_channel(scene, links, reference=len(links))
         with pytest.raises(NoActiveLinks):
-            fim_channel(scene, (), ())
+            fim_channel(scene, ())
         with pytest.raises(ValueError, match=r"\(t, r\) order"):
-            fim_channel(scene, links[::-1], gains[::-1])
+            fim_channel(scene, links[::-1])
 
 
 class TestChannelFim:
     def test_matches_fd(self, medium_scene):
-        scene, links, gains = medium_scene
-        analytic = fim_channel(scene, links, gains)
-        fd = fim_channel_fd(scene, links, gains)
+        scene, links, _ = medium_scene
+        analytic = fim_channel(scene, links)
+        fd = fim_channel_fd(scene, links)
         assert equilibrated_frobenius(analytic, fd) < ANALYTIC_VS_FD_TOL
 
     def test_matches_fd_on_preset_scene(self, preset_3p5):
         preset = dataclasses.replace(preset_3p5, max_occupied_index=20)
         scene = calibrated_scene(preset, Vec2(-3.5, 8.0))
         links = active_links(scene)
-        gains = link_gains(scene, links)
-        assert equilibrated_frobenius(fim_channel(scene, links, gains),
-                                      fim_channel_fd(scene, links, gains)) < ANALYTIC_VS_FD_TOL
+        assert equilibrated_frobenius(fim_channel(scene, links),
+                                      fim_channel_fd(scene, links)) < ANALYTIC_VS_FD_TOL
 
     @pytest.mark.parametrize("max_occupied_index", [1, 2, 3])
     def test_matches_fd_on_narrow_allocations(self, preset_3p5, max_occupied_index):
@@ -377,19 +375,18 @@ class TestChannelFim:
                                      max_occupied_index=max_occupied_index)
         scene = calibrated_scene(preset, Vec2(-3.5, 10.0))
         links = active_links(scene)
-        gains = link_gains(scene, links)
-        assert equilibrated_frobenius(fim_channel(scene, links, gains),
-                                      fim_channel_fd(scene, links, gains)) < ANALYTIC_VS_FD_TOL
+        assert equilibrated_frobenius(fim_channel(scene, links),
+                                      fim_channel_fd(scene, links)) < ANALYTIC_VS_FD_TOL
 
     def test_fd_step_convergence(self, medium_scene):
-        scene, links, gains = medium_scene
-        fd1 = fim_channel_fd(scene, links, gains, step=1e-6)
-        fd2 = fim_channel_fd(scene, links, gains, step=5e-7)
+        scene, links, _ = medium_scene
+        fd1 = fim_channel_fd(scene, links, step=1e-6)
+        fd2 = fim_channel_fd(scene, links, step=5e-7)
         assert rel_frob(fd1, fd2) < 1e-6
 
     def test_symmetric_psd(self, medium_scene):
-        scene, links, gains = medium_scene
-        j = fim_channel(scene, links, gains)
+        scene, links, _ = medium_scene
+        j = fim_channel(scene, links)
         assert np.allclose(j, j.T, rtol=0, atol=1e-9 * np.abs(j).max())
         eig = np.linalg.eigvalsh(j)
         assert eig[0] >= -1e-10 * eig[-1]
@@ -397,8 +394,8 @@ class TestChannelFim:
     def test_cross_link_blocks_vanish(self, medium_scene):
         # Parameters of different links only couple through the timing
         # offset (row/column 0).
-        scene, links, gains = medium_scene
-        j = fim_channel(scene, links, gains)
+        scene, links, _ = medium_scene
+        j = fim_channel(scene, links)
         n = len(links)
         for a in range(n):
             for b in range(a + 1, n):
@@ -407,24 +404,24 @@ class TestChannelFim:
                 assert np.all(j[np.ix_(cols_a, cols_b)] == 0.0)
 
     def test_noise_scaling(self, medium_scene):
-        scene, links, gains = medium_scene
-        j1 = fim_channel(scene, links, gains)
+        scene, links, _ = medium_scene
+        j1 = fim_channel(scene, links)
         noisy = with_context(scene, noise_variance=2.0 * scene.context.noise_variance)
-        j2 = fim_channel(noisy, links, link_gains(noisy, links))
+        j2 = fim_channel(noisy, links)
         assert np.allclose(j2, 0.5 * j1, rtol=1e-12)
 
     def test_timing_offset_accumulates_all_links(self, medium_scene):
         # J[0,0] must equal the sum over links of each link's delay-delay
         # information; read the reference link's own share by re-assembling
         # with a different reference.
-        scene, links, gains = medium_scene
+        scene, links, _ = medium_scene
         order = link_order(links)
-        j = fim_channel(scene, links, gains)
+        j = fim_channel(scene, links)
         total = 0.0
         for position in range(1, len(links)):
             total += j[4 * position, 4 * position]
         other_ref = order[1]
-        j_alt = fim_channel(scene, links, gains, reference=other_ref)
+        j_alt = fim_channel(scene, links, reference=other_ref)
         col = 4 * link_order(links, reference=other_ref).index(order[0])
         total += j_alt[col, col]
         assert abs(j[0, 0] - total) < 1e-9 * abs(j[0, 0])
@@ -458,7 +455,7 @@ class TestTransformMatrix:
         """transform_matrix's geometric rows equal central differences of the
         link_geometry delay differences and local angles over (q_x, q_y,
         alpha_T)."""
-        t_mat = transform_matrix(scene, links, AOA_TDOA)
+        t_mat = transform_matrix(scene, links, "aoa_tdoa")
         pairs = [(links[i].tx_panel, links[i].rx_panel) for i in link_order(links)]
         q0 = scene.rx_pose.position
         alpha0 = scene.tx_pose.orientation
@@ -518,7 +515,7 @@ class TestTransformMatrix:
         )
         links = self._links_for_all_pairs(scene)
         assert abs(links[0].theta_R) < 1e-12 and abs(links[0].distance - 10.0) < 1e-12
-        t_mat = transform_matrix(scene, links, AOA_TDOA)
+        t_mat = transform_matrix(scene, links, "aoa_tdoa")
         assert abs(t_mat[0, 1] - 0.0) < 1e-12
         assert abs(t_mat[1, 1] - 0.1) < 1e-12
 
@@ -535,7 +532,7 @@ class TestTransformMatrix:
             ),
         )
         links = self._links_for_all_pairs(scene)
-        t_mat = transform_matrix(scene, links, AOA_TDOA)
+        t_mat = transform_matrix(scene, links, "aoa_tdoa")
         for position in range(len(links)):
             assert abs(t_mat[2, 4 * position + 1]) < 1e-15
             if position > 0:
@@ -544,12 +541,12 @@ class TestTransformMatrix:
     def test_shapes(self, medium_scene):
         scene, links, _ = medium_scene
         n = len(links)
-        assert transform_matrix(scene, links, AOA_TDOA).shape == (4 + 2 * n, 4 * n)
-        assert transform_matrix(scene, links, AOA_ONLY).shape == (3 + 3 * n, 4 * n)
+        assert transform_matrix(scene, links, "aoa_tdoa").shape == (4 + 2 * n, 4 * n)
+        assert transform_matrix(scene, links, "aoa").shape == (3 + 3 * n, 4 * n)
 
     def test_identity_rows(self, medium_scene):
         scene, links, _ = medium_scene
-        t_mat = transform_matrix(scene, links, AOA_TDOA)
+        t_mat = transform_matrix(scene, links, "aoa_tdoa")
         # Timing-offset row points at column 0, with no other entries.
         assert t_mat[3, 0] == 1.0
         assert np.sum(t_mat[3]) == 1.0
@@ -564,13 +561,13 @@ class TestSchurEfim:
         scene, links, gains = medium_scene
         betas = effective_bandwidths(scene.allocation, scene.context.ofdm)
         closed = efim_aoa_tdoa(scene, links, gains, betas)
-        schur = efim_general(scene, links, gains, AOA_TDOA)
+        schur = efim_general(scene, links, "aoa_tdoa")
         assert rel_frob(closed.j_po, schur.j_po) < 1e-8
 
     def test_matches_closed_form_aoa(self, medium_scene):
         scene, links, gains = medium_scene
         closed = efim_aoa_only(scene, links, gains)
-        schur = efim_general(scene, links, gains, AOA_ONLY)
+        schur = efim_general(scene, links, "aoa")
         assert rel_frob(closed.j_po, schur.j_po) < 1e-8
 
     def test_matches_on_full_preset_scene(self, preset_3p5):
@@ -579,7 +576,7 @@ class TestSchurEfim:
         gains = link_gains(scene, links)
         betas = effective_bandwidths(scene.allocation, scene.context.ofdm)
         closed = efim_aoa_tdoa(scene, links, gains, betas)
-        schur = efim_general(scene, links, gains, AOA_TDOA)
+        schur = efim_general(scene, links, "aoa_tdoa")
         assert rel_frob(closed.j_po, schur.j_po) < 1e-8
         assert abs(closed.peb_lat - schur.peb_lat) < 1e-8 * closed.peb_lat
 
@@ -593,20 +590,20 @@ class TestSchurEfim:
         gains = link_gains(scene, links)
         betas = effective_bandwidths(scene.allocation, scene.context.ofdm)
         closed = efim_aoa_tdoa(scene, links, gains, betas)
-        schur = efim_general(scene, links, gains, AOA_TDOA)
+        schur = efim_general(scene, links, "aoa_tdoa")
         assert rel_frob(closed.j_po, schur.j_po) < 1e-8
         closed = efim_aoa_only(scene, links, gains)
-        schur = efim_general(scene, links, gains, AOA_ONLY)
+        schur = efim_general(scene, links, "aoa")
         assert rel_frob(closed.j_po, schur.j_po) < 1e-8
 
     @pytest.mark.parametrize("reference", [None, 1])
     def test_builds_the_links_once(self, medium_scene, monkeypatch, reference):
         # One placement_links call feeds the channel FIM, the transform and
         # the Schur complement, with the numbers of the one-step calls.
-        scene, links, gains = medium_scene
-        expected = {variant: efim_schur(fim_channel(scene, links, gains, reference),
-                                        transform_matrix(scene, links, variant, reference)).j_po
-                    for variant in (AOA_TDOA, AOA_ONLY)}
+        scene, links, _ = medium_scene
+        expected = {m: efim_schur(fim_channel(scene, links, reference),
+                                  transform_matrix(scene, links, m, reference)).j_po
+                    for m in MEASUREMENTS}
         calls = []
 
         def counted(*args, **kwargs):
@@ -616,14 +613,14 @@ class TestSchurEfim:
         monkeypatch.setattr(fim_general, "placement_links", counted)
         for variant, j_po in expected.items():
             calls.clear()
-            result = efim_general(scene, links, gains, variant, reference)
+            result = efim_general(scene, links, variant, reference)
             assert len(calls) == 1, variant
             np.testing.assert_array_equal(result.j_po, j_po)
 
     def test_information_loss_psd(self, medium_scene):
-        scene, links, gains = medium_scene
-        j_phi = fim_channel(scene, links, gains)
-        t_mat = transform_matrix(scene, links, AOA_TDOA)
+        scene, links, _ = medium_scene
+        j_phi = fim_channel(scene, links)
+        t_mat = transform_matrix(scene, links, "aoa_tdoa")
         schur = efim_schur(j_phi, t_mat)
         prior = t_mat[:3] @ j_phi @ t_mat[:3].T
         loss = prior - schur.j_po
@@ -631,11 +628,11 @@ class TestSchurEfim:
         assert eig[0] >= -1e-10 * max(eig[-1], 1.0)
 
     def test_reference_choice_irrelevant(self, medium_scene):
-        scene, links, gains = medium_scene
+        scene, links, _ = medium_scene
         results = []
         for ref in range(len(links)):
-            j_phi = fim_channel(scene, links, gains, reference=ref)
-            t_mat = transform_matrix(scene, links, AOA_TDOA, reference=ref)
+            j_phi = fim_channel(scene, links, reference=ref)
+            t_mat = transform_matrix(scene, links, "aoa_tdoa", reference=ref)
             results.append(efim_schur(j_phi, t_mat).j_po)
         for other in results[1:]:
             assert rel_frob(results[0], other) < 1e-10
@@ -645,10 +642,9 @@ class TestSchurEfim:
         # the delay-difference nuisance block is singular.
         scene = small_scene(n_tx_panels=2, n_rx_panels=2, n_occupied=2)
         links = active_links(scene)
-        gains = link_gains(scene, links)
         assert effective_bandwidths(scene.allocation, scene.context.ofdm) == (0.0, 0.0)
-        j_phi = fim_channel(scene, links, gains)
-        t_mat = transform_matrix(scene, links, AOA_ONLY)
+        j_phi = fim_channel(scene, links)
+        t_mat = transform_matrix(scene, links, "aoa")
         with pytest.raises(NuisanceSingular):
             efim_schur(j_phi, t_mat)
 
@@ -676,8 +672,8 @@ class TestBatchedKernels:
             t, r, v_tau, v_theta, distance, angle, h = placement_links(
                 ctx, tx_c[group], rx_c[group], visible[group], rx_pose[1][group], reference)
             j_phi = channel_fims(ctx, t, r, angle, h)
-            j_po = [schur_efims(j_phi, transform_matrices(v_tau, v_theta, distance, variant))
-                    for variant in (AOA_ONLY, AOA_TDOA)]
+            j_po = [schur_efims(j_phi, transform_matrices(v_tau, v_theta, distance, m))
+                    for m in MEASUREMENTS]
             for k, i in enumerate(group):
                 scene = calibrated_scene(preset, Vec2(*q[i]), alpha_t=alpha_t[i])
                 links = active_links(scene)
@@ -700,10 +696,10 @@ class TestBatchedKernels:
             links = active_links(scene)
             gains = link_gains(scene, links)
             j_phi.append(brute_force_fim_channel(scene, links, gains))
-            t_mat.append(transform_matrix(scene, links, AOA_ONLY))
+            t_mat.append(transform_matrix(scene, links, "aoa"))
         j_po, singular = schur_efims(np.array(j_phi), np.array(t_mat))
         assert singular.tolist() == [True, False]
-        assert rel_frob(closed_form(scene, links, gains)[0], j_po[1]) < CLOSED_VS_SCHUR_TOL
+        assert rel_frob(closed_form(scene, links, gains)[1], j_po[1]) < CLOSED_VS_SCHUR_TOL
 
 
 # Both headings of a custom scene, the Rx one away from 0.
@@ -727,11 +723,11 @@ def test_general_path_equals_placement_efims_at_an_rx_heading(
     assume(visible.any())  # a panel mount can sit behind the other body
     j_po, singular = placement_schur_efims(ctx, tx_c, rx_c, visible, rx_heading)
     shift = np.array([shift])
-    _, _, moved, j_aoa, j_both = placement_efims(
+    _, _, moved, j = placement_efims(
         ctx, (shift, np.array([scene.tx_pose.orientation])),
         (np.array([q.as_tuple()]) + shift, rx_heading))
     assert np.array_equal(moved, visible) and not singular.any()
-    error = relative_frobenius(np.stack((j_both, j_aoa)), j_po)
+    error = relative_frobenius(j, j_po)
     assert (error < CLOSED_VS_SCHUR_TOL).all(), error
 
 
@@ -741,8 +737,8 @@ def closed_and_schur(scene):
     gains = link_gains(scene, links)
     betas = effective_bandwidths(scene.allocation, scene.context.ofdm)
     both = (efim_aoa_tdoa(scene, links, gains, betas),
-            efim_general(scene, links, gains, AOA_TDOA))
-    aoa = (efim_aoa_only(scene, links, gains), efim_general(scene, links, gains, AOA_ONLY))
+            efim_general(scene, links, "aoa_tdoa"))
+    aoa = (efim_aoa_only(scene, links, gains), efim_general(scene, links, "aoa"))
     return both, aoa
 
 
@@ -803,12 +799,12 @@ def test_placement_without_information_stays_inf():
     links = active_links(scene)
     assert len(links) == 4
     try:
-        result = efim_general(scene, links, link_gains(scene, links), AOA_TDOA)
+        result = efim_general(scene, links, "aoa_tdoa")
     except NuisanceSingular:
         pass
     else:
         assert not any(map(math.isfinite, (result.peb_lat, result.peb_lon, result.oeb)))
     ctx = preset_context(preset)
-    tx_c, rx_c, visible, _, _ = placement_efims(ctx, *placement_poses(np.array([q.as_tuple()])))
+    tx_c, rx_c, visible, _ = placement_efims(ctx, *placement_poses(np.array([q.as_tuple()])))
     j_po, singular = placement_schur_efims(ctx, tx_c, rx_c, visible, np.zeros(1))
     assert singular[0, 0] or bound_arrays(j_po[0])[1][0] < 3

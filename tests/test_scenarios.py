@@ -9,9 +9,12 @@ import pytest
 from v2vbounds import scenarios
 from v2vbounds.channel import link_gains
 from v2vbounds.errors import NoBracket
-from v2vbounds.fim_closed import efim_aoa_only
+from v2vbounds.fim_closed import MEASUREMENTS, bound_arrays, efim_aoa_only
+from v2vbounds.fim_general import placement_schur_efims, transform_matrices
 from v2vbounds.geometry import Vec2, active_links
 from v2vbounds.scenarios import (
+    _SET_COLUMNS,
+    MAX_GRID_ROWS,
     PRESETS,
     Requirements,
     calibrated_scene,
@@ -19,12 +22,15 @@ from v2vbounds.scenarios import (
     evaluate_points,
     build_scene,
     bound_table,
+    placement_efims,
+    placement_poses,
     preset_context,
     scenario_crossing,
     scenario_crossings,
     scenario_placements,
     sweep_placements,
 )
+from v2vbounds.selfcheck import CLOSED_VS_SCHUR_TOL, relative_frobenius
 
 from conftest import panels_with_links
 
@@ -379,3 +385,45 @@ class TestScenarioGeometry:
                      lambda: scenario_crossings(preset_3p5, "merging")):
             with pytest.raises(ValueError, match="unknown scenario 'merging'"):
                 call()
+
+    @pytest.mark.parametrize("start, stop, step", [
+        (0.0, float(MAX_GRID_ROWS), 1.0),  # one row over the limit
+        (-30.0, 30.0, 1e-9),  # 6e10 rows
+        (-1.7e308, 1.7e308, 0.25),  # the span overflows to inf
+        (1.7e308, -1.7e308, 0.25),  # to -inf
+    ])
+    def test_grid_beyond_the_row_limit_rejected(self, start, stop, step):
+        with pytest.raises(ValueError, match="MAX_GRID_ROWS"):
+            scenarios._grid(start, stop, step)
+
+    def test_grid_at_the_row_limit(self):
+        assert len(scenarios._grid(0.0, MAX_GRID_ROWS - 1.0, 1.0)) == MAX_GRID_ROWS
+        with pytest.raises(ValueError, match="MAX_GRID_ROWS"):
+            sweep_placements(PRESETS["cfg_3p5GHz"], "platooning", -1.7e308, 0.0, 0.25)
+
+
+@pytest.mark.parametrize("name", list(PRESETS))
+def test_both_paths_stack_the_measurement_sets_in_one_order(name):
+    # Entry i of each EFIM stack and the bound table's _SET_COLUMNS[i] are
+    # MEASUREMENTS[i], on both paths.
+    preset = PRESETS[name]
+    ctx, q = preset_context(preset), np.array([[-3.5, 9.0]])
+    tx_pose, rx_pose = placement_poses(q, 0.2)
+    tx_c, rx_c, visible, j = placement_efims(ctx, tx_pose, rx_pose)
+    j_po, singular = placement_schur_efims(ctx, tx_c, rx_c, visible, rx_pose[1])
+    table = bound_table(preset, q, 0.2)
+    assert j.shape == j_po.shape == (2, 1, 3, 3) and not singular.any()
+    for i, measurement in enumerate(MEASUREMENTS):
+        assert relative_frobenius(j[i], j_po[i]).max() < CLOSED_VS_SCHUR_TOL
+        assert relative_frobenius(j[i], j_po[1 - i]).max() > 1e-3  # the sets differ
+        np.testing.assert_array_equal(table[:, _SET_COLUMNS[i]], bound_arrays(j[i])[2])
+        alone = bound_table(preset, q, 0.2, (measurement,))
+        np.testing.assert_array_equal(alone[:, _SET_COLUMNS[i]], table[:, _SET_COLUMNS[i]])
+        assert np.isinf(alone[:, _SET_COLUMNS[1 - i]]).all()
+
+
+def test_measurement_names_are_the_lower_case_ones():
+    assert MEASUREMENTS == ("aoa_tdoa", "aoa")
+    v, distance, upper = np.zeros((1, 2, 3)), np.ones((1, 2)), "aoa_tdoa".upper()
+    with pytest.raises(ValueError, match=f"unknown measurement '{upper}'"):
+        transform_matrices(v, v, distance, upper)

@@ -8,8 +8,9 @@ import pytest
 
 from v2vbounds import fim_general, selfcheck
 from v2vbounds.channel import link_gains
+from v2vbounds.fim_closed import MEASUREMENTS
 from v2vbounds.fim_general import (
-    AOA_ONLY, AOA_TDOA, channel_fims, channel_fims_fd, efim_general, efim_schur, fim_channel,
+    channel_fims, channel_fims_fd, efim_general, efim_schur, fim_channel,
     fim_channel_fd, placement_links, placement_schur_efims, schur_efims, transform_matrix,
 )
 from v2vbounds.geometry import SPEED_OF_LIGHT, Vec2, active_links, wrap_angles
@@ -64,7 +65,7 @@ def test_rejecting_preset_rejects(seed):
 @pytest.mark.parametrize("preset", [P35, P28], ids=lambda p: p.name)
 def test_edge_set_reaches_the_edges(preset):
     q, alpha_t = edge_placements(preset)
-    tx_c, rx_c, visible, _, _ = placement_efims(preset_context(preset),
+    tx_c, rx_c, visible, _ = placement_efims(preset_context(preset),
                                                 *placement_poses(q, alpha_t))
     n_links = visible.sum(axis=(1, 2))
     assert 4 <= n_links.min() and n_links.max() <= 9
@@ -87,7 +88,7 @@ def test_link_stacks_give_the_scene_paths_schur_efims(preset):
     # brute-force channel FIM.
     ctx, (q, alpha_t) = preset_context(preset), edge_placements(preset)
     poses = placement_poses(q, alpha_t)
-    tx_c, rx_c, visible, _, _ = placement_efims(ctx, *poses)
+    tx_c, rx_c, visible, _ = placement_efims(ctx, *poses)
     n_links = visible.sum(axis=(1, 2))
     for count in set(n_links.tolist()):
         group = np.flatnonzero(n_links == count)
@@ -98,8 +99,8 @@ def test_link_stacks_give_the_scene_paths_schur_efims(preset):
             scene = calibrated_scene(preset, Vec2(*q[i]), alpha_t=alpha_t[i])
             links = active_links(scene)
             j_phi = brute_force_fim_channel(scene, links, link_gains(scene, links))
-            for v, variant in enumerate((AOA_TDOA, AOA_ONLY)):
-                expected = efim_schur(j_phi, transform_matrix(scene, links, variant)).j_po
+            for v, measurement in enumerate(MEASUREMENTS):
+                expected = efim_schur(j_phi, transform_matrix(scene, links, measurement)).j_po
                 assert np.linalg.norm(j_po[v, k] - expected) < 1e-12 * np.linalg.norm(expected)
 
 
@@ -128,7 +129,7 @@ def test_placement_links_equal_the_scene_path(preset):
     q = np.concatenate((np.array([q for _, q, _ in drawn]), edge_q))
     alpha_t = np.concatenate(([a for _, _, a in drawn], edge_alpha))
     ctx, poses = preset_context(preset), placement_poses(q, alpha_t)
-    tx_c, rx_c, visible, _, _ = placement_efims(ctx, *poses)
+    tx_c, rx_c, visible, _ = placement_efims(ctx, *poses)
     for i in range(len(q)):
         t, r, _, _, distance, angle, h = placement_links(
             ctx, tx_c[i:i + 1], rx_c[i:i + 1], visible[i:i + 1], poses[1][1][i:i + 1])
@@ -151,7 +152,7 @@ def test_fd_twin_on_the_edge_set(preset):
     # gaps and blocked-sector edges too.
     ctx, (q, alpha_t) = preset_context(preset), edge_placements(preset)
     poses = placement_poses(q, alpha_t)
-    tx_c, rx_c, visible, _, _ = placement_efims(ctx, *poses)
+    tx_c, rx_c, visible, _ = placement_efims(ctx, *poses)
     n_links = visible.sum(axis=(1, 2))
     worst = 0.0
     for count in set(n_links.tolist()):
@@ -169,8 +170,7 @@ def test_stacked_reference_suite_equals_per_reference_loop(seed):
     [(preset, q, alpha_t)] = random_placements(np.random.default_rng(seed), [P35], 1)
     scene = calibrated_scene(preset, Vec2(*q), alpha_t=alpha_t)
     links = active_links(scene)
-    gains = link_gains(scene, links)
-    j_po = [efim_general(scene, links, gains, AOA_TDOA, reference=ref).j_po
+    j_po = [efim_general(scene, links, "aoa_tdoa", reference=ref).j_po
             for ref in range(len(links))]
     expected = max(relative_frobenius(j_po[0], other) for other in j_po[1:])
     assert len(links) > 1
@@ -231,10 +231,9 @@ def test_equilibration_keeps_silent_parameters_unscaled():
     preset = dataclasses.replace(P35, name="sparse", max_occupied_index=1)
     scene = calibrated_scene(preset, Vec2(-3.5, 10.0))
     links = active_links(scene)
-    gains = link_gains(scene, links)
-    analytic = fim_channel(scene, links, gains)
+    analytic = fim_channel(scene, links)
     assert (analytic.diagonal() == 0.0).any()
-    assert np.isfinite(equilibrated_frobenius(analytic, fim_channel_fd(scene, links, gains)))
+    assert np.isfinite(equilibrated_frobenius(analytic, fim_channel_fd(scene, links)))
 
 
 def _poison(monkeypatch, module, name, call, row):
