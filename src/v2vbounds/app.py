@@ -27,6 +27,7 @@ from .scenarios import (
     PresetConfig,
     Requirements,
     bound_table,
+    calibrated_power,
     scenario_crossings,
     sweep_placements,
 )
@@ -218,9 +219,14 @@ def run(cfg: RunConfig) -> int:
                               f"at most -(vehicle_length + step) = {nearest}")
         # A grid beyond MAX_GRID_ROWS raises ValueError before it is built.
         q = sweep_placements(preset, cfg.scenario, cfg.q_y_min, cfg.q_y_max, cfg.step, cfg.q_x)
+        # So does a target SNR that no positive, finite transmit power meets.
+        calibrated_power(preset)
     except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except NoActiveLinks as exc:
+        print(f"numerical failure: cannot calibrate preset ({exc})", file=sys.stderr)
+        return 3
     try:
         alpha_t = cfg.alpha_t if cfg.scenario == "custom" else 0.0
         table = bound_table(preset, q, alpha_t, cfg.measurements)
@@ -239,11 +245,6 @@ def run(cfg: RunConfig) -> int:
         print(f"wrote {len(table)} rows to {out_path}")
         for line in _crossing_summary(cfg, preset):
             print(line)
-    except NoActiveLinks as exc:
-        # A sweep row with no links becomes an inf row; reaching here means
-        # the calibration placement itself has none.
-        print(f"numerical failure: cannot calibrate preset ({exc})", file=sys.stderr)
-        return 3
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -47,8 +47,7 @@ class Requirements:
     longitudinal_max: float = 0.5  # m
 
     def __post_init__(self) -> None:
-        if self.lateral_max <= 0.0 or self.longitudinal_max <= 0.0:
-            raise ValueError("requirements must be positive")
+        require_positive_finite(self, "lateral_max", "longitudinal_max")
 
     def threshold(self, axis: Axis) -> float:
         return self.lateral_max if axis == "lat" else self.longitudinal_max
@@ -167,24 +166,34 @@ def preset_context(preset: PresetConfig) -> LinkContext:
 
     The transmit power is calibrated side by side in neighboring lanes
     (lateral offset one lane width, zero longitudinal offset), where the
-    shortest visible link (ties to the smallest (t, r)) gets the target SNR
-    g / (its Tx array's subcarrier count); raises NoActiveLinks without one.
+    shortest visible link whose Tx array carries signal (ties to the smallest
+    (t, r)) gets the target SNR g / (its Tx array's subcarrier count); raises
+    NoActiveLinks without one, and ValueError, naming target_snr_db, when the
+    power that meets it is not positive and finite.
     """
     vehicle = _build_vehicle(preset)
     arrays = vehicle.arrays
     allocation = interleaved_allocation(preset.occupied, len(vehicle.panels))
+    fractions = np.array(allocation.array_power_fractions)
     unit_power = OfdmSpec(preset.subcarrier_spacing, preset.carrier_frequency)
     side_by_side = (scenario_placements(preset, "overtaking", [0.0]), np.zeros(1))
+    tx_c, rx_c, visible = visibility(arrays, (np.zeros((1, 2)), np.zeros(1)), arrays, side_by_side)
+    # A silent Tx array's links are no links to calibrate on.
     ref_t, ref_r, _, _, distance, _ = (column[0] for column in visible_links(
-        *visibility(arrays, (np.zeros((1, 2)), np.zeros(1)), arrays, side_by_side)))
+        tx_c, rx_c, visible & (fractions > 0.0)[:, None]))
     k = np.argmin(distance)  # the first shortest link in (t, r) order
     # Preset scenes keep unit noise; the calibrated power carries the SNR.
     unit_g = information_weight(distance[k], unit_power.wavelength, arrays.n_elements[ref_r[k]],
-                                allocation.array_power_fractions[ref_t[k]],
-                                unit_power.n_symbols, 1.0)
-    power = 10.0 ** (preset.target_snr_db / 10.0) * len(allocation.per_array_sets[ref_t[k]])
-    ofdm = replace(unit_power, total_power=float(power / unit_g))
-    return link_context(vehicle, vehicle, ofdm, allocation)
+                                fractions[ref_t[k]], unit_power.n_symbols, 1.0)
+    try:
+        snr = 10.0 ** (preset.target_snr_db / 10.0)
+    except OverflowError:
+        snr = math.inf
+    power = snr * len(allocation.per_array_sets[ref_t[k]]) / float(unit_g)
+    if not 0.0 < power < math.inf:
+        raise ValueError(f"target_snr_db = {preset.target_snr_db} calibrates the transmit "
+                         f"power to {power!r} W, which is not positive and finite")
+    return link_context(vehicle, vehicle, replace(unit_power, total_power=power), allocation)
 
 
 def build_scene(preset: PresetConfig, q: Vec2, alpha_t: float = 0.0) -> Scene:

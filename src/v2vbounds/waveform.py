@@ -1,13 +1,14 @@
 """OFDM grid, subcarrier/power allocation, and effective baseband bandwidth.
 
 Transmit symbols never appear explicitly: every bound depends on them only
-through per-subcarrier energies, so allocations carry power fractions and the
-symbol energy is reconstructed where needed.
+through per-subcarrier energies, which an allocation's subcarrier partition
+fixes, so the symbol energy is reconstructed where needed.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -30,8 +31,8 @@ class OfdmSpec:
 
     def __post_init__(self) -> None:
         require_positive_finite(self, "subcarrier_spacing", "carrier_frequency", "total_power")
-        if self.n_symbols < 1:
-            raise ValueError("n_symbols must be >= 1")
+        if not isinstance(self.n_symbols, numbers.Integral) or self.n_symbols < 1:
+            raise ValueError(f"n_symbols must be an integer >= 1, got {self.n_symbols!r}")
 
     @property
     def omega_c(self) -> float:
@@ -45,45 +46,33 @@ class OfdmSpec:
 
 @dataclass(frozen=True)
 class Allocation:
-    """Partition of the occupied subcarriers across Tx arrays with power fractions."""
+    """Partition of the occupied subcarriers across Tx arrays, which fixes the power.
+
+    Each array with subcarriers gets an equal share of the total power, split
+    evenly over its own subcarriers; an array without subcarriers gets none.
+    Raises EmptySet without any subcarrier and ValueError when an index repeats.
+    """
 
     per_array_sets: tuple[tuple[int, ...], ...]
-    array_power_fractions: tuple[float, ...]
-    per_subcarrier_fractions: dict[int, float]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "per_array_sets", tuple(tuple(s) for s in self.per_array_sets)
-        )
-        object.__setattr__(
-            self, "array_power_fractions", tuple(self.array_power_fractions)
-        )
-        if len(self.per_array_sets) != len(self.array_power_fractions):
-            raise ValueError("one power fraction required per array")
-        seen: set[int] = set()
-        for subset in self.per_array_sets:
-            overlap = seen.intersection(subset)
-            if overlap:
-                raise ValueError(f"subcarrier sets must be disjoint, overlap {sorted(overlap)}")
-            seen.update(subset)
-        if abs(sum(self.array_power_fractions) - 1.0) > 1e-12:
-            raise ValueError("array power fractions must sum to 1")
-        for frac in self.array_power_fractions:
-            if not 0.0 <= frac <= 1.0:
-                raise ValueError("array power fractions must lie in [0, 1]")
-        for t, subset in enumerate(self.per_array_sets):
-            if not subset:
-                continue
-            total = sum(self.per_subcarrier_fractions[p] for p in subset)
-            if abs(total - 1.0) > 1e-12:
-                raise ValueError(f"subcarrier fractions of array {t} must sum to 1")
-        for frac in self.per_subcarrier_fractions.values():
-            if not 0.0 <= frac <= 1.0:
-                raise ValueError("subcarrier power fractions must lie in [0, 1]")
+        sets = tuple(tuple(s) for s in self.per_array_sets)
+        object.__setattr__(self, "per_array_sets", sets)
+        flat = [p for subset in sets for p in subset]
+        if not flat:
+            raise EmptySet("allocation has no subcarriers")
+        if len(set(flat)) != len(flat):
+            raise ValueError("subcarrier indices must be distinct within and across arrays")
 
     @property
     def n_arrays(self) -> int:
         return len(self.per_array_sets)
+
+    @property
+    def array_power_fractions(self) -> tuple[float, ...]:
+        """Each array's share of the total power: 1 / (arrays with subcarriers), or 0."""
+        share = 1.0 / sum(map(bool, self.per_array_sets))
+        return tuple(share if subset else 0.0 for subset in self.per_array_sets)
 
     @cached_property
     def arrays(self) -> "AllocationArrays":
@@ -93,7 +82,7 @@ class Allocation:
         fractions = np.zeros((self.n_arrays, width))
         for t, subset in enumerate(self.per_array_sets):
             indices[t, :len(subset)] = subset
-            fractions[t, :len(subset)] = [self.per_subcarrier_fractions[p] for p in subset]
+            fractions[t, :len(subset)] = 1.0 / max(len(subset), 1)
         return AllocationArrays(read_only(indices), read_only(fractions))
 
 
@@ -109,26 +98,12 @@ class AllocationArrays:
 
 
 def interleaved_allocation(occupied: Iterable[int], k_tx: int) -> Allocation:
-    """Round-robin the occupied subcarriers over k_tx arrays, uniform power.
-
-    Sorting the occupied indices ascending, the j-th (0-based) index goes to
-    array j mod k_tx. Every array gets power fraction 1/k_tx, split uniformly
-    over its own subcarriers.
-    """
-    indices = sorted(occupied)
-    if not indices:
-        raise EmptySet("occupied subcarrier set is empty")
+    """Round-robin the occupied subcarriers over k_tx arrays: sorting the
+    occupied indices ascending, the j-th (0-based) index goes to array j mod k_tx."""
     if k_tx < 1:
         raise ValueError("k_tx must be >= 1")
-    sets: list[list[int]] = [[] for _ in range(k_tx)]
-    for j, p in enumerate(indices):
-        sets[j % k_tx].append(p)
-    fractions = {p: 1.0 / len(subset) for subset in sets if subset for p in subset}
-    return Allocation(
-        per_array_sets=tuple(tuple(s) for s in sets),
-        array_power_fractions=tuple(1.0 / k_tx for _ in range(k_tx)),
-        per_subcarrier_fractions=fractions,
-    )
+    indices = sorted(occupied)
+    return Allocation(tuple(indices[t::k_tx] for t in range(k_tx)))
 
 
 def effective_bandwidths(alloc: Allocation, spec: OfdmSpec) -> tuple[float, ...]:

@@ -1,9 +1,9 @@
 """Brute-force reference constructions that only the tests use as oracles.
 
 Each one builds a quantity the package computes in moment or batched form
-the long way, from the model objects alone (the allocation's dicts and
-tuples, the panels' element offsets, one placement at a time), so a
-comparison checks the shortcut and not a shared helper. The scalar
+the long way, from the model objects alone (the allocation's subcarrier
+tuples and its power rule, the panels' element offsets, one placement at a
+time), so a comparison checks the shortcut and not a shared helper. The scalar
 geometry (panel world states, line of sight, link geometry) and the scalar
 effective bandwidth and power calibration live here too: the package
 computes them on arrays only.
@@ -126,13 +126,13 @@ def reference_los_visible(tx: PanelState, rx: PanelState, tx_body, rx_body) -> b
 def reference_effective_bandwidth(alloc, spec, t: int) -> float:
     """Power-weighted standard deviation of array t's subcarrier angular
     frequencies, in centered form, one subcarrier at a time from the
-    allocation's tuples and dicts. Squares are products: a float's ** 2 goes
-    through the C library's pow, which can miss the correctly rounded square
-    (numpy's ** 2) in the last bit."""
+    allocation's tuples, each of array t's subcarriers weighted 1/len(subset).
+    Squares are products: a float's ** 2 goes through the C library's pow,
+    which can miss the correctly rounded square (numpy's ** 2) in the last bit."""
     subset = alloc.per_array_sets[t]
     if not subset:
         return 0.0
-    weights = [alloc.per_subcarrier_fractions[p] for p in subset]
+    weights = [1.0 / len(subset)] * len(subset)
     omegas = [2.0 * math.pi * p * spec.subcarrier_spacing for p in subset]
     mean = sum(w * o for w, o in zip(weights, omegas))
     var = sum(w * ((o - mean) * (o - mean)) for w, o in zip(weights, omegas))
@@ -141,23 +141,25 @@ def reference_effective_bandwidth(alloc, spec, t: int) -> float:
 
 def reference_calibrated_power(preset) -> float:
     """The preset's transmit power from the scalar objects alone: side by
-    side in neighboring lanes, the shortest line-of-sight link (ties to the
-    smallest (t, r)) gets the target SNR g / (its Tx array's subcarrier
-    count), g = 2 N_rx n_symbols gamma_t |h|^2 P / noise_variance with unit
-    noise. Raises NoActiveLinks when no panel pair has line of sight."""
+    side in neighboring lanes, the shortest line-of-sight link from a Tx
+    array with subcarriers (ties to the smallest (t, r)) gets the target SNR
+    g / (its Tx array's subcarrier count), g = 2 N_rx n_symbols gamma_t |h|^2
+    P / noise_variance with unit noise. Raises NoActiveLinks without one."""
     vehicle = _build_vehicle(preset)
     allocation = interleaved_allocation(preset.occupied, len(vehicle.panels))
     ofdm = OfdmSpec(preset.subcarrier_spacing, preset.carrier_frequency)
     tx_pose, rx_pose = Pose(Vec2(0.0, 0.0), 0.0), Pose(Vec2(-preset.lane_width, 0.0), 0.0)
     links = []
     for t in range(len(vehicle.panels)):
+        if not allocation.per_array_sets[t]:
+            continue  # a Tx array without subcarriers sends nothing
         for r in range(len(vehicle.panels)):
             tx = panel_world_state(vehicle, tx_pose, t)
             rx = panel_world_state(vehicle, rx_pose, r)
             if reference_los_visible(tx, rx, (vehicle, tx_pose), (vehicle, rx_pose)):
                 links.append(link_geometry(tx.centroid, rx.centroid, 0.0, t, r))
     if not links:
-        raise NoActiveLinks("no Tx-Rx panel pair has line of sight")
+        raise NoActiveLinks("no Tx-Rx panel pair with signal has line of sight")
     shortest = min(links, key=lambda lk: (lk.distance, lk.tx_panel, lk.rx_panel))
     amplitude = ofdm.wavelength / (4.0 * math.pi * shortest.distance)
     unit_g = (2.0 * vehicle.panels[shortest.rx_panel].n_elements * ofdm.n_symbols
@@ -184,7 +186,7 @@ def link_samples(scene, link, delay, angle, gain):
     subset = allocation.per_array_sets[link.tx_panel]
     omega = 2.0 * math.pi * ofdm.subcarrier_spacing * np.array(subset, dtype=float)
     gamma_t = allocation.array_power_fractions[link.tx_panel]
-    fracs = np.array([allocation.per_subcarrier_fractions[p] for p in subset], dtype=float)
+    fracs = np.full(len(subset), 1.0 / max(len(subset), 1))
     amps = np.sqrt(gamma_t * fracs * ofdm.total_power)
     elements = scene.rx_vehicle.panels[link.rx_panel].elements
     dist = np.array([e.distance for e in elements])

@@ -390,6 +390,17 @@ class TestCli:
                 == capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("target_snr_db", [4000, -4000])
+    def test_target_snr_beyond_any_power_exit_2(self, tmp_path, capsys, target_snr_db):
+        # 10**400 overflows the calibrated power and 10**-400 makes it zero.
+        out = tmp_path / "x.csv"
+        cfg = write_config(tmp_path, out=str(out), overrides={"target_snr_db": target_snr_db})
+        assert main(["--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: target_snr_db = {target_snr_db}")
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
+        assert not out.exists()
+
     def test_uncalibratable_preset_exit_3(self, tmp_path, capsys):
         # Panels this blind leave the side-by-side calibration placement
         # without a visible link.

@@ -7,10 +7,10 @@ import math
 import pytest
 
 from v2vbounds.channel import free_space_gain, link_context, link_gains
-from v2vbounds.errors import ZeroDistance
+from v2vbounds.errors import NoActiveLinks, ZeroDistance
 from v2vbounds.geometry import Vec2, active_links
 from v2vbounds.scenarios import PRESETS, build_scene, calibrated_power, calibrated_scene
-from v2vbounds.waveform import interleaved_allocation
+from v2vbounds.waveform import Allocation, interleaved_allocation
 
 from conftest import with_context
 from reference import reference_calibrated_power
@@ -78,6 +78,35 @@ class TestCalibration:
         assert calibrated_power(dataclasses.replace(preset_3p5, name="again")) == p1
         assert abs(reference_calibrated_power(preset_3p5) - p1) <= 1e-12 * p1
 
+    @pytest.mark.parametrize("sets, oracle", [
+        (None, True),  # max_occupied_index 1: the front panels 0 and 1 send
+        (((-1,), (), (1,), ()), True),  # the shortest link's panel 1 is silent
+        (((-1,), (), (), (1,)), False),  # only the right panels send, facing away
+    ])
+    def test_only_a_sending_tx_array_calibrates(self, preset_3p5, monkeypatch, sets, oracle):
+        import reference
+        import v2vbounds.scenarios as scenarios
+
+        if sets is not None:
+            for module in (scenarios, reference):
+                monkeypatch.setattr(module, "interleaved_allocation",
+                                    lambda occupied, k_tx: Allocation(sets))
+        preset = dataclasses.replace(preset_3p5, name=f"sparse {sets}", max_occupied_index=1)
+        if not oracle:
+            for calibrate in (calibrated_power, reference_calibrated_power):
+                with pytest.raises(NoActiveLinks):
+                    calibrate(preset)
+            return
+        power = calibrated_power(preset)
+        assert abs(reference_calibrated_power(preset) - power) <= 1e-12 * power
+
+    @pytest.mark.parametrize("target_snr_db", [4000.0, -4000.0])
+    def test_power_beyond_float_range_rejected(self, preset_3p5, target_snr_db):
+        # 10**400 overflows and 10**-400 underflows to a zero power.
+        preset = dataclasses.replace(preset_3p5, target_snr_db=target_snr_db)
+        with pytest.raises(ValueError, match="target_snr_db"):
+            calibrated_power(preset)
+
     def test_shortest_pair_distance(self, preset_3p5):
         # Side by side, facing corners are lane width minus vehicle width apart.
         scene = build_scene(preset_3p5, Vec2(-3.5, 0.0))
@@ -133,6 +162,18 @@ class TestLinkGains:
         scene = calibrated_scene(preset_28, Vec2(0.0, -15.0))
         links = active_links(scene)
         assert all(lg.g > 0 for lg in link_gains(scene, links))
+
+    def test_silent_tx_array_carries_nothing(self, preset_3p5):
+        # At max_occupied_index 1 the rear arrays get no subcarriers, so no
+        # power: their links weigh g = 0 and reach an SNR of -inf dB.
+        preset = dataclasses.replace(preset_3p5, name="sparse", max_occupied_index=1)
+        scene = calibrated_scene(preset, Vec2(-3.5, 10.0))
+        links = active_links(scene)
+        silent = [not scene.allocation.per_array_sets[lk.tx_panel] for lk in links]
+        assert any(silent) and not all(silent)
+        for is_silent, gain in zip(silent, link_gains(scene, links)):
+            assert (gain.g == 0.0) is is_silent
+            assert (gain.snr_after_bf_db == -math.inf) is is_silent
 
     def test_calibrated_power_cached(self, preset_3p5):
         assert calibrated_power(preset_3p5) == calibrated_power(preset_3p5)

@@ -95,12 +95,11 @@ class TestMeanVector:
         links = active_links(scene)
         gains = link_gains(scene, links)
         link = links[0]
-        p = scene.allocation.per_array_sets[link.tx_panel][0]
         a, _, b, _ = link_mean(scene, link, 0.0, link.theta_R_local, gains[0].h)
         assert b.shape == (1,)
         m = a[0] * b[0]
         gamma_t = scene.allocation.array_power_fractions[link.tx_panel]
-        gamma_tp = scene.allocation.per_subcarrier_fractions[p]
+        gamma_tp = 1.0 / len(scene.allocation.per_array_sets[link.tx_panel])
         x = math.sqrt(gamma_t * gamma_tp * scene.context.ofdm.total_power)
         assert abs(abs(m) - abs(gains[0].h) * x) < 1e-12 * abs(m)
 
@@ -113,16 +112,15 @@ class TestMeanVector:
         a, omega, b, dphase = link_mean(scene, link, delay, link.theta_R_local, h)
         subset = scene.allocation.per_array_sets[link.tx_panel]
         gamma_t = scene.allocation.array_power_fractions[link.tx_panel]
-        power = np.array([gamma_t * scene.allocation.per_subcarrier_fractions[p]
-                          * scene.context.ofdm.total_power for p in subset])
+        power = np.full(len(subset), gamma_t / len(subset) * scene.context.ofdm.total_power)
         assert a.shape == omega.shape == (len(subset),)
         assert b.shape == dphase.shape == (scene.rx_vehicle.panels[link.rx_panel].n_elements,)
         assert np.allclose(np.abs(a), np.sqrt(power), rtol=1e-12, atol=0.0)
         assert np.allclose(np.abs(b), abs(h), rtol=1e-12, atol=0.0)
 
     def test_outer_product_is_the_sample_model(self, medium_scene):
-        # Oracle: the mean built sample by sample from the allocation's dicts
-        # and the panels' element offsets.
+        # Oracle: the mean built sample by sample from the allocation's
+        # power rule and the panels' element offsets.
         scene, links, gains = medium_scene
         for link, gain in zip(links, gains):
             delay, angle = link.delay - links[0].delay, link.theta_R_local

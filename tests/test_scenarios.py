@@ -52,6 +52,13 @@ class TestRequirements:
         with pytest.raises(ValueError):
             Requirements(lateral_max=0.0)
 
+    @pytest.mark.parametrize("value", [-0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["lateral_max", "longitudinal_max"])
+    def test_positive_and_finite_named(self, field, value):
+        # A NaN threshold would put both lateral crossings at 0.0 m.
+        with pytest.raises(ValueError, match=field):
+            Requirements(**{field: value})
+
 
 @pytest.fixture(scope="module")
 def overtaking_rows(preset_3p5):
@@ -167,6 +174,25 @@ class TestEvaluatePoint:
         assert row.n_links == 0
         assert math.isinf(row.peb_lat_both)
         assert math.isinf(row.peb_lon_aoa)
+
+    # peb_lat of both measurement sets at q = (-3.5, 10): below two
+    # subcarriers per array the rear arrays fall silent and add no angle
+    # information; from two up every array sends.
+    @pytest.mark.parametrize("max_occupied_index, peb_lat_both, peb_lat_aoa", [
+        (1, 1.2023085862592793, 1.2023085862592793),
+        (2, 0.24449989101810599, 0.24449989101810599),
+        (3, 0.1728865506296627, 0.17288753093827475),
+        (4, 0.17288584852260558, 0.17288753093827475),
+        (5, 0.14115971832717109, 0.14116207789613813),
+    ])
+    def test_silent_tx_arrays_add_no_information(self, preset_3p5, max_occupied_index,
+                                                 peb_lat_both, peb_lat_aoa):
+        preset = dataclasses.replace(preset_3p5, name="narrow",
+                                     max_occupied_index=max_occupied_index)
+        row = evaluate_point(preset, Vec2(-3.5, 10.0))
+        assert row.n_links == 9
+        assert row.peb_lat_both == pytest.approx(peb_lat_both, rel=1e-12)
+        assert row.peb_lat_aoa == pytest.approx(peb_lat_aoa, rel=1e-12)
 
     def test_measurement_restriction(self, preset_3p5):
         row = evaluate_point(preset_3p5, Vec2(-3.5, 10.0), measurements=("aoa",))

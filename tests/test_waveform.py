@@ -30,18 +30,27 @@ def test_non_finite_ofdm_field_rejected(field, value):
         dataclasses.replace(spec_with(), **{field: value})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, 1.0, 0, -1])
+def test_n_symbols_not_a_positive_integer_rejected(value):
+    # NaN < 1 is False: a bare comparison would let NaN reach every bound.
+    with pytest.raises(ValueError, match="n_symbols"):
+        dataclasses.replace(spec_with(), n_symbols=value)
+
+
 class TestInterleaving:
     def test_small_example(self):
         alloc = interleaved_allocation({1, 2, 3, 4}, 2)
         assert alloc.per_array_sets == ((1, 3), (2, 4))
         assert alloc.array_power_fractions == (0.5, 0.5)
-        assert all(abs(v - 0.5) < 1e-15 for v in alloc.per_subcarrier_fractions.values())
+        assert alloc.arrays.fractions.tolist() == [[0.5, 0.5], [0.5, 0.5]]
 
     def test_full_grid_four_arrays(self):
         occupied = tuple(range(-600, 0)) + tuple(range(1, 601))
         alloc = interleaved_allocation(occupied, 4)
         assert all(len(s) == 300 for s in alloc.per_array_sets)
+        # The default presets' power, bit for bit: 1/4 per array, 1/300 per subcarrier.
         assert alloc.array_power_fractions == (0.25,) * 4
+        assert (alloc.arrays.fractions == 1.0 / 300).all()
         # Round-robin from the smallest index.
         assert alloc.per_array_sets[0][0] == -600
         assert alloc.per_array_sets[1][0] == -599
@@ -67,27 +76,39 @@ class TestInterleaving:
         assert sorted(union) == sorted(occupied)
         assert len(set(union)) == len(union)
         assert abs(sum(alloc.array_power_fractions) - 1.0) < 1e-12
-        for subset in alloc.per_array_sets:
-            if subset:
-                assert abs(sum(alloc.per_subcarrier_fractions[p] for p in subset) - 1.0) < 1e-12
+        fractions = alloc.arrays.fractions
+        assert np.all(np.abs(fractions.sum(axis=1)[fractions.any(axis=1)] - 1.0) < 1e-12)
 
 
 class TestAllocationValidation:
     def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            Allocation(
-                per_array_sets=((1, 2), (2, 3)),
-                array_power_fractions=(0.5, 0.5),
-                per_subcarrier_fractions={1: 0.5, 2: 0.5, 3: 0.5},
-            )
+        with pytest.raises(ValueError, match="distinct"):
+            Allocation(((1, 2), (2, 3)))
 
-    def test_bad_power_sum_rejected(self):
-        with pytest.raises(ValueError):
-            Allocation(
-                per_array_sets=((1,), (2,)),
-                array_power_fractions=(0.5, 0.4),
-                per_subcarrier_fractions={1: 1.0, 2: 1.0},
-            )
+    def test_repeat_within_an_array_rejected(self):
+        # Counted twice, subcarrier 1 would carry two thirds of the power.
+        with pytest.raises(ValueError, match="distinct"):
+            interleaved_allocation((1, 1, 2), 1)
+
+    @pytest.mark.parametrize("sets", [(), ((),), ((), ())])
+    def test_no_subcarrier_rejected(self, sets):
+        with pytest.raises(EmptySet):
+            Allocation(sets)
+
+    def test_power_follows_from_the_partition(self):
+        # Arrays with subcarriers share the power equally; a silent one gets none.
+        alloc = interleaved_allocation((-1, 1), 4)
+        assert alloc.array_power_fractions == (0.5, 0.5, 0.0, 0.0)
+        alloc = Allocation(((), (4, 5, 6), (), (7,)))
+        assert alloc.array_power_fractions == (0.0, 0.5, 0.0, 0.5)
+        assert alloc.arrays.fractions.tolist() == [[0.0] * 3, [1 / 3] * 3, [0.0] * 3,
+                                                   [1.0, 0.0, 0.0]]
+
+    def test_one_settable_field(self):
+        alloc = interleaved_allocation((1, 2, 3), 2)
+        assert [f.name for f in dataclasses.fields(alloc)] == ["per_array_sets"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            alloc.array_power_fractions = (1.0, 0.0)
 
 
 class TestAllocationArrays:
@@ -98,8 +119,7 @@ class TestAllocationArrays:
         for t, subset in enumerate(alloc.per_array_sets):
             n = len(subset)
             assert arrays.indices[t, :n].tolist() == list(subset)
-            assert arrays.fractions[t, :n].tolist() == [
-                alloc.per_subcarrier_fractions[p] for p in subset]
+            assert arrays.fractions[t, :n].tolist() == [1.0 / n] * n
             assert not arrays.indices[t, n:].any() and not arrays.fractions[t, n:].any()
         assert arrays.indices.dtype.kind == "i"
 
@@ -166,20 +186,15 @@ class TestEffectiveBandwidth:
         assert len(betas) == 4
         assert all(b > 0 for b in betas)
 
-    @given(st.sets(st.integers(-1023, 1023).filter(bool), min_size=1, max_size=80),
-           st.integers(1, 8), st.floats(1e3, 1e6), st.data())
+    @given(st.lists(st.integers(-1023, 1023).filter(bool), min_size=1, max_size=80,
+                    unique=True), st.integers(1, 8), st.floats(1e3, 1e6), st.randoms())
     @settings(max_examples=200)
-    def test_equals_scalar_oracle_bitwise(self, occupied, k, spacing, data):
-        # Interleaved (uniform) and random subcarrier powers; arrays beyond the
-        # set's size get no subcarriers, so beta = 0.
+    def test_equals_scalar_oracle_bitwise(self, occupied, k, spacing, rng):
+        # Interleaved and any other partition, in any subcarrier order; arrays
+        # beyond the set's size get no subcarriers, so beta = 0.
         spec = spec_with(spacing=spacing)
-        alloc = interleaved_allocation(occupied, k)
-        weights = data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(occupied),
-                                     max_size=len(occupied)))
-        drawn = dict(zip(sorted(occupied), weights))
-        fractions = {p: drawn[p] / sum(drawn[q] for q in subset)
-                     for subset in alloc.per_array_sets for p in subset}
-        for alloc in (alloc, dataclasses.replace(alloc, per_subcarrier_fractions=fractions)):
+        shuffled = Allocation(tuple(occupied[t::k] for t in rng.sample(range(k), k)))
+        for alloc in (interleaved_allocation(occupied, k), shuffled):
             expected = tuple(reference_effective_bandwidth(alloc, spec, t) for t in range(k))
             assert effective_bandwidths(alloc, spec) == expected
             assert all(b == 0.0 for b, subset in zip(expected, alloc.per_array_sets)
