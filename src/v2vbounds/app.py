@@ -15,9 +15,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import yaml
 
-from . import selfcheck as selfcheck_mod
 from .errors import ConfigError, NoActiveLinks
 from .fim_closed import MEASUREMENTS, Measurement
 from .scenarios import (
@@ -117,6 +115,8 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def _read_config(path: str | Path) -> dict:
+    import yaml  # only a run with a config file pays for PyYAML's import
+
     try:
         raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -280,7 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.selfcheck:
-        return selfcheck_mod.run_selfcheck()
+        from .selfcheck import run_selfcheck
+
+        return run_selfcheck()
     try:
         raw = _read_config(args.config) if args.config is not None else {}
         # Flags override the file before validation; an empty flag is a value.

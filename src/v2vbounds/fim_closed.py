@@ -34,6 +34,8 @@ RANK_EPS = 1e-10
 # A unit-diagonal A with positive LDL^T pivots has lambda_max <= 3 and
 # lambda_min >= 1 / trace(A^-1): below this trace, rank 3 with a 10x margin.
 _CERTIFIED_TRACE = 1.0 / (30.0 * RANK_EPS)
+# The smallest normal float: a diagonal entry below it is a missing direction.
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,15 +66,13 @@ def bound_arrays(j_po: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ranks only the other rows, which include every row with a non-finite,
     zero or subnormal diagonal entry (a pivot is then not positive)."""
     sym = 0.5 * (j_po + np.swapaxes(j_po, -1, -2))
-    finite = np.isfinite(sym).all(axis=(-2, -1))
-    safe = np.where(finite[..., None, None], sym, 0.0)
-    diag = safe.diagonal(0, -2, -1)
-    scale = np.sqrt(np.divide(1.0, diag, where=diag >= np.finfo(float).tiny,
-                              out=np.zeros(diag.shape)))
-    a = safe * (scale[..., :, None] * scale[..., None, :])
-    a00, a01, a02, _, a11, a12, _, _, a22 = a.reshape(-1, 9).T.copy()
-    scale = scale.reshape(-1, 3).T
+    diag = sym.diagonal(0, -2, -1)
+    scale = np.sqrt(np.divide(1.0, diag, where=diag >= _TINY, out=np.zeros(diag.shape)))
     with np.errstate(divide="ignore", invalid="ignore"):  # rows below full rank are masked
+        # A non-finite entry leaves a pivot NaN or -inf: every certified row is finite.
+        a = sym * (scale[..., :, None] * scale[..., None, :])
+        a00, a01, a02, _, a11, a12, _, _, a22 = a.reshape(-1, 9).T.copy()
+        scale = scale.reshape(-1, 3).T
         # A = L diag(a00, d1, d2) L^T, L unit lower triangular: [A^-1]_ii is
         # sum_k [L^-1]_ki^2 / d_k, a sum of positive terms.
         l10, l20 = a01 / a00, a02 / a00
@@ -86,15 +86,19 @@ def bound_arrays(j_po: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         u, w = a00 * scale[1] / scale[0], a11 * scale[0] / scale[1]
         flat = a00 * d1 < RANK_EPS * (0.5 * (u + w) + np.hypot(0.5 * (u - w), a01))**2
         bounds = (scale * np.sqrt(inv)).T.reshape(j_po.shape[:-1])
-        certified = (a00 > 0.0) & (d1 > 0.0) & (d2 > 0.0) & (sum(inv) < _CERTIFIED_TRACE)
-    rank = np.full(certified.shape, 3)
+        certified = ((np.minimum(np.minimum(a00, d1), d2) > 0.0)
+                     & (inv[0] + inv[1] + inv[2] < _CERTIFIED_TRACE))
+    rank, fill = 3 - flat, math.inf  # a flat position block caps the rank at 2
     if not certified.all():
-        eigvals = np.linalg.eigvalsh(a.reshape(-1, 3, 3)[~certified])
+        finite = np.isfinite(sym).all(axis=(-2, -1))
+        fill = np.where(finite, math.inf, math.nan)[..., None]
+        rows = ~certified
+        eigvals = np.linalg.eigvalsh(np.where(finite.reshape(-1, 1, 1)[rows],
+                                              a.reshape(-1, 3, 3)[rows], 0.0))
         lam_max = eigvals[..., -1:]
-        rank[~certified] = np.where(lam_max[..., 0] > 0.0,
-                                    np.sum(eigvals > RANK_EPS * lam_max, axis=-1), 0)
-    rank = np.where(flat, np.minimum(rank, 2), rank).reshape(j_po.shape[:-2])
-    fill = np.where(finite, math.inf, math.nan)[..., None]
+        rank[rows] = np.minimum(rank[rows], np.where(
+            lam_max[..., 0] > 0.0, np.sum(eigvals > RANK_EPS * lam_max, axis=-1), 0))
+    rank = rank.reshape(j_po.shape[:-2])
     return sym, rank, np.where((rank == 3)[..., None], bounds, fill)
 
 
@@ -112,8 +116,12 @@ def link_vectors(
     the Tx toward the Rx panel, the Tx panel's offset from the Tx reference
     point, the Rx vehicle heading and the Rx panel's (..., 2, 2) SAAF matrix."""
     x, y, x_t, y_t = direction[..., 0], direction[..., 1], tx_offset[..., 0], tx_offset[..., 1]
-    v_tau = np.stack((x, y, x * y_t - y * x_t), axis=-1)
-    v_theta = np.stack((-y, x, -(x * x_t + y * y_t)), axis=-1)  # (sin, -cos)(theta_T) first
+    v_tau, v_theta = np.empty((2,) + direction.shape[:-1] + (3,))
+    v_tau[..., 0], v_tau[..., 1] = x, y
+    np.subtract(x * y_t, y * x_t, out=v_tau[..., 2])
+    np.negative(y, out=v_theta[..., 0])  # (sin, -cos)(theta_T) first
+    v_theta[..., 1] = x
+    np.negative(x * x_t + y * y_t, out=v_theta[..., 2])
     c, s = np.cos(rx_heading), np.sin(rx_heading)
     u, w = c * x + s * y, c * y - s * x  # the arrival direction in the Rx frame
     cross = (saaf_s[..., 0, 1] + saaf_s[..., 1, 0]) * u * w
@@ -155,10 +163,11 @@ def information(
     c2 = SPEED_OF_LIGHT**2
     w_theta = g * omega_c**2 * aperture / (c2 * distance**2)
     # Allocated before the temporaries below: after them, glibc's heap trimming cost 2-3%.
-    j = np.empty((2,) + np.broadcast_shapes(v_theta.shape[:-2], w_theta.shape[:-1]) + (3, 3))
+    # np.broadcast of two views gives the batch shape faster than np.broadcast_shapes.
+    j = np.empty((2,) + np.broadcast(v_theta[..., 0, 0], w_theta[..., 0]).shape + (3, 3))
     np.matmul((v_theta * w_theta[..., None]).swapaxes(-1, -2), v_theta, out=j[1])
     w_tau = g * beta**2 / c2
-    total = np.sum(w_tau, axis=-1, keepdims=True)
+    total = np.add.reduce(w_tau, axis=-1, keepdims=True)
     mean = (w_tau[..., None, :] @ v_tau) / np.where(total > 0.0, total, 1.0)[..., None]
     centered = v_tau - mean
     np.matmul((centered * w_tau[..., None]).swapaxes(-1, -2), centered, out=j[0])

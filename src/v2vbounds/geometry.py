@@ -64,9 +64,18 @@ def require_positive_finite(owner, *names: str) -> None:
 
 def wrap_angles(angles: np.ndarray) -> np.ndarray:
     """Elementwise wrap_angle, equal bitwise: fmod and one shift by tau are exact."""
-    wrapped = np.fmod(angles, math.tau)
-    wrapped = np.where(wrapped > math.pi, wrapped - math.tau, wrapped)
-    return np.where(wrapped <= -math.pi, wrapped + math.tau, wrapped)
+    wrapped = np.fmod(angles, math.tau, out=np.empty(np.shape(angles)))
+    np.subtract(wrapped, math.tau, out=wrapped, where=wrapped > math.pi)
+    return np.add(wrapped, math.tau, out=wrapped, where=wrapped <= -math.pi)
+
+
+def sector_edge(halfwidth) -> np.ndarray:
+    """cos and sin (2, ...) of the angle h' = min(halfwidth + _SECTOR_EDGE_TOL,
+    pi) that los_mask's sector test reads for blocked-sector halfwidths (...).
+    At h' = pi the sine is 0, not sin(pi) = 1.2e-16, so that the sector is the
+    whole circle, the exact backward direction included."""
+    h = np.minimum(np.asarray(halfwidth, dtype=float) + _SECTOR_EDGE_TOL, math.pi)
+    return np.array([np.cos(h), np.where(h < math.pi, np.sin(h), 0.0)])
 
 
 @dataclass(frozen=True)
@@ -214,7 +223,7 @@ class VehicleSpec:
         elements = [np.array([(e.distance, e.angle) for e in p.elements]).T for p in self.panels]
         width = max(e.shape[1] for e in elements)
         return VehicleArrays(
-            self.length, self.width, *columns.T,
+            self.length, self.width, *columns.T, blocked_edge=read_only(sector_edge(halfwidth)),
             n_elements=read_only(np.array([p.n_elements for p in self.panels])),
             saaf_s=read_only(np.stack([saaf_matrix(p) for p in self.panels])),
             elements=read_only(np.stack([np.pad(e, ((0, 0), (0, width - e.shape[1])))
@@ -356,6 +365,7 @@ class VehicleArrays:
     mount_angle: np.ndarray  # (K,)
     blocked_center: np.ndarray  # (K,), vehicle frame
     blocked_halfwidth: np.ndarray  # (K,)
+    blocked_edge: np.ndarray  # (2, K) sector_edge of blocked_halfwidth
     n_elements: np.ndarray  # (K,)
     saaf_s: np.ndarray  # (K, 2, 2) saaf_matrix per panel
     elements: np.ndarray  # (2, K, E_max) element distances, angles; zero past n_elements
@@ -368,12 +378,27 @@ class VehicleArrays:
     def centroids(self, position: np.ndarray, heading: np.ndarray) -> np.ndarray:
         """World-frame panel centroids (..., K, 2) for poses (..., 2) and (...)."""
         angle = self.mount_angle + heading[..., None]
-        return position[..., None, :] + self.mount_distance[:, None] * np.stack(
-            (np.cos(angle), np.sin(angle)), axis=-1)
+        centroids = np.empty(angle.shape + (2,))
+        np.multiply(self.mount_distance, np.cos(angle), out=centroids[..., 0])
+        np.multiply(self.mount_distance, np.sin(angle), out=centroids[..., 1])
+        centroids += position[..., None, :]
+        return centroids
+
+    def sectors(self, heading: np.ndarray) -> tuple:
+        """The blocked sectors (..., K) of the panels at headings (...), as
+        los_mask takes them: cos and sin of the world-frame centers, then
+        blocked_edge."""
+        center = self.blocked_center + heading[..., None]
+        return (np.cos(center), np.sin(center), *self.blocked_edge)
 
 
-def _in_blocked_sector(direction: np.ndarray, center: np.ndarray, halfwidth) -> np.ndarray:
-    return np.abs(wrap_angles(direction - center)) <= halfwidth + _SECTOR_EDGE_TOL
+def _outside_sector(dx: np.ndarray, dy: np.ndarray, sector: tuple) -> np.ndarray:
+    """Does the direction (dx, dy) miss the blocked sector (cos c, sin c, cos h',
+    sin h'), c its world-frame center, h' its halfwidth from sector_edge? In
+    the frame of c the direction is (a, b) = (d . u_c, u_c x d), which lies
+    in the sector, |atan2(b, a)| <= h', iff a sin h' >= |b| cos h'."""
+    cos_c, sin_c, cos_h, sin_h = sector
+    return (dx * cos_c + dy * sin_c) * sin_h < np.abs(dy * cos_c - dx * sin_c) * cos_h
 
 
 def los_mask(tx_c: np.ndarray, tx_sector: tuple, rx_c: np.ndarray, rx_sector: tuple,
@@ -385,14 +410,14 @@ def los_mask(tx_c: np.ndarray, tx_sector: tuple, rx_c: np.ndarray, rx_sector: tu
     outside the Rx panel's blocked sector, and (c) the open segment between
     the centroids to miss each given body's interior (both vehicles' in
     full). Coincident centroids have no defined direction and are reported as
-    not visible. Sectors are (world-frame center, halfwidth), bodies as
-    _crosses_body takes them; all broadcast against the centroids (..., 2).
+    not visible. Sectors are (cos c, sin c, cos h', sin h') as from
+    VehicleArrays.sectors, bodies as _crosses_body takes them; all broadcast
+    against the centroids (..., 2).
     """
     offset = rx_c - tx_c
-    towards_rx = np.arctan2(offset[..., 1], offset[..., 0])
-    mask = ((np.hypot(offset[..., 0], offset[..., 1]) >= 1e-9)
-            & ~_in_blocked_sector(towards_rx, *tx_sector)
-            & ~_in_blocked_sector(wrap_angles(towards_rx + math.pi), *rx_sector))
+    dx, dy = offset[..., 0], offset[..., 1]
+    mask = ((np.hypot(dx, dy) >= 1e-9) & _outside_sector(dx, dy, tx_sector)
+            & _outside_sector(-dx, -dy, rx_sector))
     for body in bodies:
         mask &= ~_crosses_body(tx_c, rx_c, body)
     return mask
@@ -406,15 +431,11 @@ def visibility(tx: VehicleArrays, tx_pose: tuple, rx: VehicleArrays, rx_pose: tu
     """
     (tx_p, tx_h), (rx_p, rx_h) = tx_pose, rx_pose
     tx_c, rx_c = tx.centroids(tx_p, tx_h), rx.centroids(rx_p, rx_h)
-    tx_center = wrap_angles(tx.blocked_center + tx_h[..., None])
-    rx_center = wrap_angles(rx.blocked_center + rx_h[..., None])
     bodies = () if tx.sectors_imply_body and rx.sectors_imply_body else (
         (tx_p[..., None, None, :], tx_h[..., None, None], tx.length, tx.width),
         (rx_p[..., None, None, :], rx_h[..., None, None], rx.length, rx.width))
-    mask = los_mask(
-        tx_c[..., :, None, :], (tx_center[..., :, None], tx.blocked_halfwidth[:, None]),
-        rx_c[..., None, :, :], (rx_center[..., None, :], rx.blocked_halfwidth), *bodies,
-    )
+    mask = los_mask(tx_c[..., :, None, :], [a[..., :, None] for a in tx.sectors(tx_h)],
+                    rx_c[..., None, :, :], [a[..., None, :] for a in rx.sectors(rx_h)], *bodies)
     return tx_c, rx_c, mask
 
 

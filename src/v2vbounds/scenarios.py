@@ -36,6 +36,10 @@ Axis = Literal["lat", "lon"]
 DEFAULT_SWEEP_STEP = 0.25  # m
 # Rows a sweep grid may have: a bound_table row peaks at about 3 KB.
 MAX_GRID_ROWS = 100_000
+# Occupied subcarriers (2 max_occupied_index) a preset may have: a CLI run
+# holds about 120 B per subcarrier (peak RSS 34 MB at 2e4, 271 MB at 2e6 on
+# CPython 3.11, numpy 2.4), so this caps that at about 240 MB.
+MAX_SUBCARRIERS = 2_000_000
 CROSSING_TOL = 0.01  # m, the distance resolution of the requirement-crossing search
 
 
@@ -101,6 +105,9 @@ class PresetConfig:
             raise ValueError(f"max_occupied_index must be below n_fft / 2 for the occupied "
                              f"subcarriers to fit inside the FFT grid, got "
                              f"{self.max_occupied_index} with n_fft = {self.n_fft}")
+        if 2 * self.max_occupied_index > MAX_SUBCARRIERS:
+            raise ValueError(f"max_occupied_index must be at most MAX_SUBCARRIERS / 2 = "
+                             f"{MAX_SUBCARRIERS // 2}, got {self.max_occupied_index}")
         halfwidth = self.fov_blocked_halfwidth
         if halfwidth is not None and not 0.0 <= halfwidth <= math.pi:
             raise ValueError(f"fov_blocked_halfwidth must lie in [0, pi], got {halfwidth!r}")
@@ -216,8 +223,7 @@ def placement_poses(q: np.ndarray, alpha_t: float | np.ndarray = 0.0) -> tuple[t
     vehicle at the origin with heading alpha_t (per row or one for all,
     wrapped), the Rx vehicle at q with heading 0."""
     n = len(q)
-    heading = wrap_angles(np.broadcast_to(np.asarray(alpha_t, dtype=float), (n,)))
-    return (np.zeros((n, 2)), heading), (q, np.zeros(n))
+    return (np.zeros((n, 2)), wrap_angles(np.full(n, alpha_t, dtype=float))), (q, np.zeros(n))
 
 
 def placement_efims(ctx: LinkContext, tx_pose: tuple, rx_pose: tuple) -> tuple[np.ndarray, ...]:
@@ -254,20 +260,21 @@ def bound_table(
 
     ``alpha_t`` is the Tx heading, per row or one for all; the Rx heading is
     0. Rows without LOS links, and measurement sets left out, get +inf. One
-    bound extraction covers every requested set's :func:`placement_efims`.
+    bound extraction covers both sets of :func:`placement_efims`. ``n_links``
+    counts the visible links whose Tx array sends.
     """
     q = np.asarray(q, dtype=float).reshape(-1, 2)
     if not (np.isfinite(q).all() and np.isfinite(alpha_t).all()):
         raise ValueError("placements and Tx headings must be finite")
-    _, _, visible, j = placement_efims(preset_context(preset), *placement_poses(q, alpha_t))
-    table = np.full((len(q), len(COLUMNS)), np.inf)
+    ctx = preset_context(preset)
+    _, _, visible, j = placement_efims(ctx, *placement_poses(q, alpha_t))
+    table = np.empty((len(q), len(COLUMNS)))
     table[:, :2] = q
-    table[:, 2] = np.abs(q[:, 1]) - preset.vehicle_length
-    table[:, 3] = visible.sum(axis=(1, 2))
-    wanted = [i for i, m in enumerate(MEASUREMENTS) if m in measurements]
-    if wanted:
-        bounds = bound_arrays(j[wanted])[2]
-        table[:, _SET_COLUMNS[wanted]] = bounds.swapaxes(0, 1)
+    np.subtract(np.abs(q[:, 1]), preset.vehicle_length, out=table[:, 2])
+    np.add.reduce(visible.reshape(len(q), -1) & (ctx.link_gd2 > 0.0), axis=1, out=table[:, 3])
+    bounds = bound_arrays(j)[2]
+    bounds[[i for i, m in enumerate(MEASUREMENTS) if m not in measurements]] = math.inf
+    table[:, _SET_COLUMNS] = bounds.swapaxes(0, 1)
     return table
 
 

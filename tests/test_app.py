@@ -1,6 +1,10 @@
 """CLI, config parsing, CSV emission, and end-to-end determinism."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import v2vbounds
 from v2vbounds.app import CSV_HEADER, emit_csv, load_config, main
 from v2vbounds.errors import ConfigError
 from v2vbounds.scenarios import COLUMNS
@@ -32,6 +37,26 @@ def fast_overtaking_config(tmp_path, out, **extra):
         out=str(out),
         **extra,
     )
+
+
+def test_app_imports_yaml_and_selfcheck_only_on_their_branches(tmp_path):
+    # A fresh interpreter: importing the CLI leaves PyYAML and the selfcheck
+    # out, --config brings in PyYAML alone and still writes its CSV.
+    out = tmp_path / "lazy.csv"
+    code = ("import sys\n"
+            "from v2vbounds.app import main\n"
+            "loaded = lambda: [m for m in ('yaml', 'v2vbounds.selfcheck') if m in sys.modules]\n"
+            "print(loaded())\n"
+            "print(main(['--config', sys.argv[1]]), loaded())\n")
+    src = str(Path(v2vbounds.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", code, fast_overtaking_config(tmp_path, out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "[]"
+    assert proc.stdout.splitlines()[-1] == "0 ['yaml']"
+    assert out.read_text(encoding="utf-8").startswith(CSV_HEADER)
 
 
 class TestConfigParsing:
@@ -284,6 +309,8 @@ class TestCli:
             {"noise_variance": 1.0},
             {"n_symbols": 1},
             {"fov_blocked_halfwidth": 3.2},  # > pi
+            # 8e8 subcarriers, about 95 GB: refused before any allocation is built.
+            {"max_occupied_index": 400_000_000, "n_fft": 1_000_000_000},
         ],
     )
     def test_invalid_preset_exit_2(self, tmp_path, capsys, override):

@@ -22,6 +22,7 @@ from v2vbounds.geometry import (
     build_cornered_vehicle,
     los_mask,
     saaf_matrix,
+    sector_edge,
     visibility,
     wrap_angle,
 )
@@ -253,7 +254,7 @@ class TestLinkGeometry:
 
     def test_coincident_rejected(self):
         # Coincident centroids have no direction: never a link, even with open sectors.
-        centroid, sector = np.array([1.0, 1.0]), (0.0, 0.0)
+        centroid, sector = np.array([1.0, 1.0]), (1.0, 0.0, *sector_edge(0.0))
         assert not los_mask(centroid, sector, centroid, sector)
         assert los_mask(centroid, sector, centroid + 1e-9, sector)
 
@@ -395,6 +396,12 @@ def crosses_body(vehicle, pose, a: Vec2, b: Vec2) -> bool:
     return bool(_crosses_body(np.array(a.as_tuple()), np.array(b.as_tuple()), body(vehicle, pose)))
 
 
+def world_sector(state: PanelState) -> tuple:
+    """A panel state's blocked sector as los_mask takes it."""
+    return (math.cos(state.blocked_center), math.sin(state.blocked_center),
+            *sector_edge(state.blocked_halfwidth))
+
+
 class TestBodyBlockage:
     CAR = VehicleSpec(4.5, 1.8, (open_panel(),))
 
@@ -454,13 +461,98 @@ class TestVectorisedVisibilityMatchesLoop:
         for tx_state in (tx, PanelState(tx_c, (), centers[0], halfwidths[0])):
             for rx_state in (rx, PanelState(toward, (), centers[1], halfwidths[1])):
                 visible = los_mask(
-                    np.array(tx_state.centroid.as_tuple()),
-                    (tx_state.blocked_center, tx_state.blocked_halfwidth),
-                    np.array(rx_state.centroid.as_tuple()),
-                    (rx_state.blocked_center, rx_state.blocked_halfwidth),
+                    np.array(tx_state.centroid.as_tuple()), world_sector(tx_state),
+                    np.array(rx_state.centroid.as_tuple()), world_sector(rx_state),
                     body(*tx_rect), body(*rx_rect),
                 )
                 assert bool(visible) == reference_los_visible(tx_state, rx_state, tx_rect, rx_rect)
+
+
+class TestSectorEdges:
+    """los_mask's angle-free sector test against the angle-based oracle where
+    the two could part: the tolerance edge, halfwidths 0 and pi, grazing
+    links and coincident centroids."""
+
+    # A body far from every link, so that only the sectors decide.
+    FAR = (VehicleSpec(1.0, 1.0, (open_panel(),)), Pose(Vec2(1e3, 1e3), 0.0))
+
+    def visible(self, center: float, halfwidth: float, rx_c: Vec2) -> bool:
+        """los_mask from a Tx panel at the origin with the blocked sector
+        (center, halfwidth) to an Rx panel at rx_c whose zero-width sector
+        faces away from the Tx panel, checked against the oracle."""
+        tx = PanelState(Vec2(0.0, 0.0), (), wrap_angle(center), halfwidth)
+        rx = PanelState(rx_c, (), rx_c.angle(), 0.0)
+        visible = bool(los_mask(np.zeros(2), world_sector(tx), np.array(rx_c.as_tuple()),
+                                world_sector(rx)))
+        assert visible == reference_los_visible(tx, rx, self.FAR, self.FAR)
+        return visible
+
+    @pytest.mark.parametrize("center", [0.0, 1.0, -2.5, math.pi, -math.pi + 1e-3, 3.0])
+    @pytest.mark.parametrize("halfwidth", [0.0, math.pi / 4, math.pi / 2, 2.0, math.pi - 1e-11])
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_tolerance_edge(self, center, halfwidth, side):
+        # Directions 1e-13 rad inside and outside halfwidth + _SECTOR_EDGE_TOL.
+        for margin, blocked in ((-1e-13, True), (1e-13, False)):
+            direction = center + side * (halfwidth + 1e-12 + margin)
+            assert self.visible(center, halfwidth, 7.0 * unit_dir(direction)) is not blocked
+
+    @pytest.mark.parametrize("center", [0.0, math.pi / 2, -2.0, math.pi])
+    def test_halfwidth_zero_blocks_the_center_only(self, center):
+        assert not self.visible(center, 0.0, 7.0 * unit_dir(center))
+        assert self.visible(center, 0.0, 7.0 * unit_dir(center + 2e-12))
+        assert self.visible(center, 0.0, 7.0 * unit_dir(center - 2e-12))
+        assert self.visible(center, 0.0, 7.0 * unit_dir(center + math.pi))
+
+    @pytest.mark.parametrize("halfwidth", [math.pi, math.pi - 5e-13])
+    def test_halfwidth_pi_blocks_every_direction(self, halfwidth):
+        # (-7, 0) from a sector centred on +x is the exact backward direction,
+        # where sin(pi) = 1.2e-16 in place of 0 would let it through.
+        assert sector_edge(halfwidth)[1] == 0.0
+        for rx_c in (Vec2(-7.0, 0.0), Vec2(7.0, 0.0), Vec2(0.0, -7.0), Vec2(-7.0, 1e-15),
+                     7.0 * unit_dir(3.0)):
+            assert not self.visible(0.0, halfwidth, rx_c)
+
+    @pytest.mark.parametrize("preset_name", ["preset_3p5", "preset_28"])
+    def test_grazing_overtaking_links_stay_blocked(self, preset_name, request):
+        # At q_y = +-vehicle_length the facing bumpers line up: the links along
+        # them run on a blocked-sector edge, and the body test lets them pass.
+        preset = request.getfixturevalue(preset_name)
+        length = preset.vehicle_length
+        for q_y, grazing, clear in ((length, [(0, 2), (0, 3), (1, 2)], (1, 3)),
+                                    (-length, [(3, 0), (3, 1), (2, 1)], (2, 0))):
+            scene = build_scene(preset, Vec2(-preset.lane_width, q_y))
+            bodies = (scene.tx_vehicle, scene.tx_pose), (scene.rx_vehicle, scene.rx_pose)
+            expected = np.array([[reference_los_visible(tx_panel_state(scene, t),
+                                                        rx_panel_state(scene, r), *bodies)
+                                  for r in range(4)] for t in range(4)])
+            assert not any(expected[t, r] for t, r in grazing) and expected[clear]
+            tx, rx = scene.tx_vehicle.arrays, scene.rx_vehicle.arrays
+            full = [dataclasses.replace(a, sectors_imply_body=False) for a in (tx, rx)]
+            for tx_arrays, rx_arrays in ((tx, rx), full):
+                np.testing.assert_array_equal(visibility(tx_arrays, scene.tx_pose.arrays(),
+                                                         rx_arrays, scene.rx_pose.arrays())[2],
+                                              expected)
+
+    def test_visibility_takes_no_angles(self, monkeypatch, preset_3p5):
+        # The sector test reads direction vectors: no arctan2 and no wrap.
+        def refuse(*args, **kwargs):
+            raise AssertionError("angle arithmetic in visibility")
+
+        arrays = build_scene(preset_3p5, Vec2(0.0, 0.0)).tx_vehicle.arrays
+        full = dataclasses.replace(arrays, sectors_imply_body=False)
+        poses = (np.zeros((3, 2)), np.array([0.0, 2.0, -3.0])), (
+            np.array([[-3.5, 4.5], [4.0, -9.0], [0.5, 20.0]]), np.array([0.0, 1.0, -0.5]))
+        expected = visibility(full, poses[0], full, poses[1])[2]
+        monkeypatch.setattr(np, "arctan2", refuse)
+        monkeypatch.setattr("v2vbounds.geometry.wrap_angles", refuse)
+        for vehicle in (arrays, full):
+            np.testing.assert_array_equal(visibility(vehicle, poses[0], vehicle, poses[1])[2],
+                                          expected)
+
+    @pytest.mark.parametrize("halfwidth", [0.0, math.pi / 4, math.pi])
+    def test_coincident_centroids(self, halfwidth):
+        for rx_c, expected in ((Vec2(0.0, 0.0), False), (Vec2(1e-9, 1e-9), halfwidth < 1.0)):
+            assert self.visible(-math.pi / 2, halfwidth, rx_c) is expected
 
 
 class TestBuiltVehicle:

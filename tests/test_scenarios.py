@@ -14,7 +14,9 @@ from v2vbounds.fim_general import placement_schur_efims, transform_matrices
 from v2vbounds.geometry import Vec2, active_links
 from v2vbounds.scenarios import (
     _SET_COLUMNS,
+    COLUMNS,
     MAX_GRID_ROWS,
+    MAX_SUBCARRIERS,
     PRESETS,
     Requirements,
     calibrated_scene,
@@ -175,9 +177,10 @@ class TestEvaluatePoint:
         assert math.isinf(row.peb_lat_both)
         assert math.isinf(row.peb_lon_aoa)
 
-    # peb_lat of both measurement sets at q = (-3.5, 10): below two
-    # subcarriers per array the rear arrays fall silent and add no angle
-    # information; from two up every array sends.
+    # peb_lat of both measurement sets at q = (-3.5, 10), where 9 links are
+    # visible: below two subcarriers per array the rear arrays fall silent,
+    # add no angle information and no link to n_links; from two up every
+    # array sends.
     @pytest.mark.parametrize("max_occupied_index, peb_lat_both, peb_lat_aoa", [
         (1, 1.2023085862592793, 1.2023085862592793),
         (2, 0.24449989101810599, 0.24449989101810599),
@@ -190,9 +193,20 @@ class TestEvaluatePoint:
         preset = dataclasses.replace(preset_3p5, name="narrow",
                                      max_occupied_index=max_occupied_index)
         row = evaluate_point(preset, Vec2(-3.5, 10.0))
-        assert row.n_links == 9
+        assert row.n_links == (6 if max_occupied_index == 1 else 9)
         assert row.peb_lat_both == pytest.approx(peb_lat_both, rel=1e-12)
         assert row.peb_lat_aoa == pytest.approx(peb_lat_aoa, rel=1e-12)
+
+    @pytest.mark.parametrize("q, n_links", [(Vec2(0.0, -10.0), 0), (Vec2(-3.5, -10.0), 3)])
+    def test_n_links_counts_sending_links(self, preset_3p5, q, n_links):
+        # Two subcarriers: only the front Tx arrays send. Behind the Tx vehicle
+        # 4 (platooning) and 9 (overtaking) links are visible, but none and
+        # three, all from the front left array, send; one array's angle
+        # terms span two directions, so every bound is inf.
+        preset = dataclasses.replace(preset_3p5, name="silent_rear", max_occupied_index=1)
+        row = evaluate_point(preset, q)
+        assert row.n_links == n_links
+        assert all(math.isinf(getattr(row, name)) for name in COLUMNS[4:])
 
     def test_measurement_restriction(self, preset_3p5):
         row = evaluate_point(preset_3p5, Vec2(-3.5, 10.0), measurements=("aoa",))
@@ -210,7 +224,7 @@ class TestEvaluatePoint:
                   if isinstance(getattr(arrays, f.name), np.ndarray)]
         shared += [ctx.betas, ctx.omega, ctx.power, *ctx.link_panels, ctx.link_gd2,
                    ctx.link_beta, ctx.link_saaf]
-        assert len(shared) == 16
+        assert len(shared) == 17
         assert not any(a.flags.writeable for a in shared)
 
 
@@ -426,6 +440,15 @@ class TestScenarioGeometry:
         assert len(scenarios._grid(0.0, MAX_GRID_ROWS - 1.0, 1.0)) == MAX_GRID_ROWS
         with pytest.raises(ValueError, match="MAX_GRID_ROWS"):
             sweep_placements(PRESETS["cfg_3p5GHz"], "platooning", -1.7e308, 0.0, 0.25)
+
+    def test_subcarriers_at_and_beyond_the_limit(self):
+        # Checked on the preset, before any allocation is built.
+        half = MAX_SUBCARRIERS // 2
+        at_limit = dataclasses.replace(PRESETS["cfg_3p5GHz"], max_occupied_index=half,
+                                       n_fft=4 * half)
+        assert len(at_limit.occupied) == MAX_SUBCARRIERS
+        with pytest.raises(ValueError, match="max_occupied_index .* MAX_SUBCARRIERS"):
+            dataclasses.replace(at_limit, max_occupied_index=half + 1)
 
 
 @pytest.mark.parametrize("name", list(PRESETS))
