@@ -8,7 +8,7 @@ in the submodules.
 """
 
 from .channel import link_gains
-from .errors import ConfigError, NoActiveLinks, NoBracket, NuisanceSingular
+from .errors import ConfigError, NoActiveLinks, NoBracket
 from .fim_closed import (
     MEASUREMENTS, FimResult, bound_arrays, bounds_from_fim, efim_aoa_only, efim_aoa_tdoa,
 )

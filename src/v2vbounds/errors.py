@@ -17,10 +17,6 @@ class EmptySet(ValueError):
     """A subcarrier set that must be nonempty is empty."""
 
 
-class NuisanceSingular(RuntimeError):
-    """The nuisance-parameter information block is numerically singular."""
-
-
 class NoBracket(RuntimeError):
     """A requirement-crossing search found no sign change in the range.
 

@@ -3,12 +3,13 @@
 Assembles the Fisher information of the raw channel parameters (common
 timing offset, per-link delay differences, arrival angles, and complex
 gains), maps it onto position/orientation through the geometric Jacobian,
-and removes nuisance parameters with a Schur complement. A central-finite-
-difference twin of the channel FIM serves as a numerical oracle for the
-analytic derivatives. The three stages are kernels over a stack of
-placements with equal link counts under one link context;
-:func:`placement_links` builds their inputs from a visibility pass and
-:func:`placement_schur_efims` chains them, the general-path twin of
+and removes nuisance parameters with a Schur complement through a
+pseudo-inverse, so that a singular nuisance block still gives the closed
+form's EFIM. A central-finite-difference twin of the channel FIM serves as
+a numerical oracle for the analytic derivatives. The three stages are
+kernels over a stack of placements with equal link counts under one link
+context; :func:`placement_links` builds their inputs from a visibility pass
+and :func:`placement_schur_efims` chains them, the general-path twin of
 ``scenarios.placement_efims``, with the measurement sets in the same order
 (``fim_closed.MEASUREMENTS``). The one-scene functions are n = 1 calls.
 
@@ -27,13 +28,10 @@ from typing import Sequence
 import numpy as np
 
 from .channel import LinkContext, Scene, free_space_gain
-from .errors import NuisanceSingular
-from .fim_closed import MEASUREMENTS, FimResult, Measurement, bounds_from_fim, link_vectors
+from .fim_closed import (
+    MEASUREMENTS, RANK_EPS, FimResult, Measurement, bounds_from_fim, link_vectors,
+)
 from .geometry import SPEED_OF_LIGHT, Link, scene_placement, visible_links
-
-# Equilibrated condition number beyond which the nuisance block is treated
-# as singular.
-NUISANCE_COND_LIMIT = 1e12
 
 
 def link_orders(delay: np.ndarray, t: np.ndarray, r: np.ndarray,
@@ -190,31 +188,36 @@ def transform_matrices(
     return np.concatenate((t_po, np.broadcast_to(nuisance, t_po.shape[:-2] + nuisance.shape)), -2)
 
 
-def schur_efims(j_phi: np.ndarray, t_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Schur-complement EFIMs (n, 3, 3) over position and orientation, and
-    nuisance-singular flags (n,), from channel FIMs (n, 4L, 4L) and
-    :func:`transform_matrices` (rows [:3] geometric, [3:] nuisance).
+def schur_efims(j_phi: np.ndarray, t_matrix: np.ndarray) -> np.ndarray:
+    """Schur-complement EFIMs (n, 3, 3) over position and orientation from
+    channel FIMs (n, 4L, 4L) and :func:`transform_matrices` (rows [:3]
+    geometric, [3:] nuisance): A - B N^+ B^T of the blocks of T J T^T.
 
-    The nuisance information block is Jacobi-equilibrated before the
-    condition check so that the mixed parameter units (seconds, radians,
-    linear gains) do not masquerade as degeneracy. A flagged block has a
-    non-positive diagonal entry or a condition above NUISANCE_COND_LIMIT.
+    T J T^T is equilibrated by its diagonal (1 where it is not positive), so
+    that the mixed parameter units (seconds, radians, linear gains) do not
+    masquerade as degeneracy, and N is pseudo-inverted from one eigh,
+    keeping eigenvalues above RANK_EPS lambda_max. For a PSD FIM, N z = 0
+    forces B z = 0, so B^T lies in the range of N and the complement is the
+    EFIM even where N is singular (one subcarrier per array turns a delay
+    like its gain phase). The complement, in the units where A has a unit
+    diagonal, is ranked against the block it was taken from: an eigenvalue
+    up to RANK_EPS is the rounding residue of the subtraction and is set to
+    zero, so it reads as a missing direction.
     """
     full = t_matrix @ j_phi @ t_matrix.swapaxes(-1, -2)
+    diag = full.diagonal(0, -2, -1)
+    scale = np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    full /= scale[..., :, None] * scale[..., None, :]
     a, b, n = full[..., :3, :3], full[..., :3, 3:], full[..., 3:, 3:]
-    n = 0.5 * (n + n.swapaxes(-1, -2))
-    diag = n.diagonal(0, -2, -1)
-    positive = np.all(diag > 0.0, axis=-1)
-    scale = np.sqrt(np.where(positive[..., None], diag, 1.0))
-    n_eq = n / (scale[..., :, None] * scale[..., None, :])
-    eigvals = np.linalg.eigvalsh(n_eq)
-    regular = positive & (eigvals[..., 0] > 0.0) & (
-        eigvals[..., -1] <= NUISANCE_COND_LIMIT * eigvals[..., 0])
-    b_eq = b / scale[..., None, :]
-    # The right-hand side stays (..., M, 3), a stack of matrices on every numpy.
-    n_eq = np.where(regular[..., None, None], n_eq, np.eye(n.shape[-1]))
-    j_po = a - b_eq @ np.linalg.solve(n_eq, b_eq.swapaxes(-1, -2))
-    return 0.5 * (j_po + j_po.swapaxes(-1, -2)), ~regular
+    eigvals, vectors = np.linalg.eigh(n)
+    c = b @ vectors
+    inverse = np.divide(1.0, eigvals, where=eigvals > RANK_EPS * eigvals[..., -1:],
+                        out=np.zeros(eigvals.shape))
+    eigvals, vectors = np.linalg.eigh(a - (c * inverse[..., None, :]) @ c.swapaxes(-1, -2))
+    eigvals[eigvals <= RANK_EPS] = 0.0
+    scale = scale[..., :3]
+    return (vectors * eigvals[..., None, :]) @ vectors.swapaxes(-1, -2) * (
+        scale[..., :, None] * scale[..., None, :])
 
 
 def placement_links(ctx: LinkContext, tx_c: np.ndarray, rx_c: np.ndarray, visible: np.ndarray,
@@ -239,16 +242,14 @@ def placement_links(ctx: LinkContext, tx_c: np.ndarray, rx_c: np.ndarray, visibl
 
 def placement_schur_efims(ctx: LinkContext, tx_c: np.ndarray, rx_c: np.ndarray,
                           visible: np.ndarray, rx_heading: np.ndarray,
-                          reference: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Schur-path EFIMs (2, n, 3, 3) and nuisance-singular flags (2, n), in
-    MEASUREMENTS order, of n placements with equal link counts, given as
-    :func:`placement_links` takes them."""
+                          reference: np.ndarray | None = None) -> np.ndarray:
+    """Schur-path EFIMs (2, n, 3, 3), in MEASUREMENTS order, of n placements
+    with equal link counts, given as :func:`placement_links` takes them."""
     t, r, v_tau, v_theta, distance, angle, h = placement_links(
         ctx, tx_c, rx_c, visible, rx_heading, reference)
     j_phi = channel_fims(ctx, t, r, angle, h)
-    schur = [schur_efims(j_phi, transform_matrices(v_tau, v_theta, distance, measurement))
-             for measurement in MEASUREMENTS]
-    return tuple(np.stack(parts) for parts in zip(*schur))
+    return np.stack([schur_efims(j_phi, transform_matrices(v_tau, v_theta, distance, measurement))
+                     for measurement in MEASUREMENTS])
 
 
 def _scene_links(scene: Scene, links: Sequence[Link], reference: int | None = None) -> tuple:
@@ -284,13 +285,9 @@ def transform_matrix(
 
 
 def efim_schur(j_phi: np.ndarray, t_matrix: np.ndarray) -> FimResult:
-    """Schur-complement EFIM of one placement (:func:`schur_efims`); a
-    singular nuisance block raises NuisanceSingular rather than being
-    pseudo-inverted."""
-    j_po, singular = schur_efims(j_phi[None], t_matrix[None])
-    if singular[0]:
-        raise NuisanceSingular("nuisance block is singular or beyond NUISANCE_COND_LIMIT")
-    return bounds_from_fim(j_po[0])
+    """Schur-complement EFIM of one placement, the n = 1 call of
+    :func:`schur_efims`."""
+    return bounds_from_fim(schur_efims(j_phi[None], t_matrix[None])[0])
 
 
 def efim_general(

@@ -22,6 +22,7 @@ can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -60,6 +61,14 @@ def require_positive_finite(owner, *names: str) -> None:
         value = getattr(owner, name)
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def require_count(owner, *names: str) -> None:
+    """Raise ValueError, naming it, at the first field not an integer >= 1 (a bool is not one)."""
+    for name in names:
+        value = getattr(owner, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def wrap_angles(angles: np.ndarray) -> np.ndarray:

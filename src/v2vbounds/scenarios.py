@@ -26,8 +26,8 @@ from .channel import LinkContext, Scene, information_weight, link_context
 from .errors import NoBracket
 from .fim_closed import MEASUREMENTS, Measurement, bound_arrays, information, link_vectors
 from .geometry import (
-    SPEED_OF_LIGHT, Pose, Vec2, VehicleSpec, build_cornered_vehicle, require_positive_finite,
-    visibility, visible_links, wrap_angles,
+    SPEED_OF_LIGHT, Pose, Vec2, VehicleSpec, build_cornered_vehicle, require_count,
+    require_positive_finite, visibility, visible_links, wrap_angles,
 )
 from .waveform import OfdmSpec, interleaved_allocation
 
@@ -96,9 +96,9 @@ class PresetConfig:
     fov_blocked_halfwidth: float | None = None  # override, rad
 
     def __post_init__(self) -> None:
-        require_positive_finite(self, "carrier_frequency", "subcarrier_spacing", "n_rx_elements",
-                                "n_fft", "max_occupied_index", "vehicle_length", "vehicle_width",
-                                "lane_width")
+        require_count(self, "n_rx_elements", "n_fft", "max_occupied_index")
+        require_positive_finite(self, "carrier_frequency", "subcarrier_spacing", "vehicle_length",
+                                "vehicle_width", "lane_width")
         if not math.isfinite(self.target_snr_db):
             raise ValueError(f"target_snr_db must be finite, got {self.target_snr_db!r}")
         if 2 * self.max_occupied_index >= self.n_fft:

@@ -12,7 +12,8 @@ vs Schur suite compares the EFIM stack behind every sweep row with its
 general-path twin (``fim_general.placement_schur_efims``), set by set in
 ``fim_closed.MEASUREMENTS`` order, on those scenes and on each preset's fixed
 edge set (:func:`edge_placements`): bumper overlap, short gaps, blocked-sector
-edges. A NaN error fails every suite.
+edges. The Schur path answers for every placement, a singular nuisance block
+included, so every one is compared. A NaN error fails every suite.
 
 The kernels run once per preset and link count, on the whole stack of those
 placements, cut only where its largest array would pass _STACK_BYTES
@@ -121,8 +122,8 @@ def closed_vs_schur_errors(
 ) -> tuple[float, float]:
     """Max relative Frobenius error, AOA+TDOA and AOA-only, of the batched
     closed-form EFIMs vs the Schur path over n_scenes seeded scenes and both
-    presets' edge sets; a singular nuisance block counts as inf. The scenes
-    are drawn in one block, so memory grows with n_scenes."""
+    presets' edge sets. The scenes are drawn in one block, so memory grows
+    with n_scenes."""
     presets = [PRESETS["cfg_3p5GHz"], PRESETS["cfg_28GHz"]]
     drawn = random_placements(np.random.default_rng(seed), presets, n_scenes)
     worst = np.zeros(2)
@@ -133,10 +134,9 @@ def closed_vs_schur_errors(
         poses = placement_poses(q, alpha_t)
         tx_c, rx_c, visible, j = placement_efims(ctx, *poses)
         for chunk in _link_count_chunks(visible, lambda n_links: 8 * (4 * n_links)**2):
-            j_po, singular = placement_schur_efims(ctx, tx_c[chunk], rx_c[chunk], visible[chunk],
-                                                   poses[1][1][chunk])
-            error = relative_frobenius(j[:, chunk], j_po)
-            worst = np.maximum(worst, np.where(singular, math.inf, error).max(axis=1))
+            j_po = placement_schur_efims(ctx, tx_c[chunk], rx_c[chunk], visible[chunk],
+                                         poses[1][1][chunk])
+            worst = np.maximum(worst, relative_frobenius(j[:, chunk], j_po).max(axis=1))
     return float(worst[0]), float(worst[1])
 
 
@@ -179,11 +179,9 @@ def reference_invariance_error(seed: int = SELFCHECK_SEED) -> float:
     ctx = preset_context(preset)
     tx_c, rx_c, visible, _ = placement_efims(ctx, *placement_poses(q[None], alpha_t))
     n_links = int(visible.sum())
-    (j_po, _), (singular, _) = placement_schur_efims(
+    j_po = placement_schur_efims(
         ctx, *(np.repeat(x, n_links, axis=0) for x in (tx_c, rx_c, visible)),
-        np.zeros(n_links), np.arange(n_links))
-    if singular.any():
-        return math.inf
+        np.zeros(n_links), np.arange(n_links))[0]
     return float(relative_frobenius(j_po[:1], j_po[1:]).max(initial=0.0))
 
 

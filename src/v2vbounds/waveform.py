@@ -8,7 +8,6 @@ fixes, so the symbol energy is reconstructed where needed.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -16,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import EmptySet
-from .geometry import SPEED_OF_LIGHT, read_only, require_positive_finite
+from .geometry import SPEED_OF_LIGHT, read_only, require_count, require_positive_finite
 
 
 @dataclass(frozen=True)
@@ -31,8 +30,7 @@ class OfdmSpec:
 
     def __post_init__(self) -> None:
         require_positive_finite(self, "subcarrier_spacing", "carrier_frequency", "total_power")
-        if not isinstance(self.n_symbols, numbers.Integral) or self.n_symbols < 1:
-            raise ValueError(f"n_symbols must be an integer >= 1, got {self.n_symbols!r}")
+        require_count(self, "n_symbols")
 
     @property
     def omega_c(self) -> float:

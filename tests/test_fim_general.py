@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from v2vbounds import fim_general
 from v2vbounds.channel import link_gains
-from v2vbounds.errors import NoActiveLinks, NuisanceSingular
+from v2vbounds.errors import NoActiveLinks
 from v2vbounds.fim_closed import (
     MEASUREMENTS, bound_arrays, efim_aoa_only, efim_aoa_tdoa, link_info_vectors,
 )
@@ -635,16 +635,44 @@ class TestSchurEfim:
         for other in results[1:]:
             assert rel_frob(results[0], other) < 1e-10
 
-    def test_zero_bandwidth_nuisance_singular(self):
-        # One subcarrier per Tx array leaves no delay information at all, so
-        # the delay-difference nuisance block is singular.
+    def test_singular_nuisance_block_gives_the_closed_form(self):
+        # One subcarrier per Tx array leaves no delay information at all: a
+        # delay turns that subcarrier's phase as the gain phase does, so the
+        # nuisance block is singular, yet its complement is the closed form.
         scene = small_scene(n_tx_panels=2, n_rx_panels=2, n_occupied=2)
         links = active_links(scene)
         assert effective_bandwidths(scene.allocation, scene.context.ofdm) == (0.0, 0.0)
         j_phi = fim_channel(scene, links)
-        t_mat = transform_matrix(scene, links, "aoa")
-        with pytest.raises(NuisanceSingular):
-            efim_schur(j_phi, t_mat)
+        closed = closed_form(scene, links, link_gains(scene, links))
+        for measurement, expected in zip(MEASUREMENTS, closed):
+            t_mat = transform_matrix(scene, links, measurement)
+            nuisance = (t_mat @ j_phi @ t_mat.T)[3:, 3:]
+            scale = np.sqrt(nuisance.diagonal())
+            assert np.linalg.matrix_rank(nuisance / np.outer(scale, scale)) < len(nuisance)
+            assert rel_frob(expected, efim_schur(j_phi, t_mat).j_po) < CLOSED_VS_SCHUR_TOL
+
+    @pytest.mark.parametrize("max_occupied_index, peb_lat", [
+        (1, (1.202308586, 1.202308586)),
+        (2, (0.2444998910, 0.2444998910)),
+        (3, (0.1728865506, 0.1728875309)),
+    ])
+    def test_silent_tx_arrays_give_the_closed_form(self, max_occupied_index, peb_lat):
+        # Fewer subcarriers than Tx arrays at q = (-3.5, 10): the silent
+        # arrays' links carry nothing and the sending ones one subcarrier
+        # each, so the nuisance block is singular; both paths give one
+        # answer for each measurement set, in MEASUREMENTS order.
+        preset = dataclasses.replace(PRESETS["cfg_3p5GHz"], name="sparse",
+                                     max_occupied_index=max_occupied_index)
+        scene = calibrated_scene(preset, Vec2(-3.5, 10.0))
+        links = active_links(scene)
+        gains = link_gains(scene, links)
+        betas = effective_bandwidths(scene.allocation, scene.context.ofdm)
+        closed = efim_aoa_tdoa(scene, links, gains, betas), efim_aoa_only(scene, links, gains)
+        for measurement, expected, pinned in zip(MEASUREMENTS, closed, peb_lat):
+            result = efim_general(scene, links, measurement)
+            assert result.rank == 3
+            assert rel_frob(expected.j_po, result.j_po) < CLOSED_VS_SCHUR_TOL
+            assert result.peb_lat == pytest.approx(pinned, rel=1e-8)
 
 
 class TestBatchedKernels:
@@ -679,25 +707,26 @@ class TestBatchedKernels:
                 oracle = brute_force_fim_channel(scene, links, gains,
                                                  None if reference is None else reference[k])
                 assert equilibrated_frobenius(oracle, j_phi[k]) < 1e-12
-                for (schur, singular), closed in zip(j_po, closed_form(scene, links, gains)):
-                    assert not singular[k]
+                for schur, closed in zip(j_po, closed_form(scene, links, gains)):
                     assert rel_frob(closed, schur[k]) < CLOSED_VS_SCHUR_TOL
 
-    def test_singular_placement_flags_only_itself(self):
-        # One subcarrier per Tx array leaves no delay information (see
-        # test_zero_bandwidth_nuisance_singular); stacked with a regular scene
-        # of the same geometry, only that placement is flagged, and the
-        # regular one keeps the closed form.
-        j_phi, t_mat = [], []
+    def test_singular_placement_in_a_stack_gives_the_closed_form(self):
+        # One subcarrier per Tx array leaves the nuisance block singular (see
+        # test_singular_nuisance_block_gives_the_closed_form); stacked with a
+        # regular scene of the same geometry, each row is its own closed form.
+        j_phi, t_mat, closed = [], {m: [] for m in MEASUREMENTS}, []
         for n_occupied in (2, 8):
             scene = small_scene(n_tx_panels=2, n_rx_panels=2, n_occupied=n_occupied)
             links = active_links(scene)
             gains = link_gains(scene, links)
             j_phi.append(brute_force_fim_channel(scene, links, gains))
-            t_mat.append(transform_matrix(scene, links, "aoa"))
-        j_po, singular = schur_efims(np.array(j_phi), np.array(t_mat))
-        assert singular.tolist() == [True, False]
-        assert rel_frob(closed_form(scene, links, gains)[1], j_po[1]) < CLOSED_VS_SCHUR_TOL
+            for measurement in MEASUREMENTS:
+                t_mat[measurement].append(transform_matrix(scene, links, measurement))
+            closed.append(closed_form(scene, links, gains))
+        for v, measurement in enumerate(MEASUREMENTS):
+            j_po = schur_efims(np.array(j_phi), np.array(t_mat[measurement]))
+            error = relative_frobenius(np.array(closed)[:, v], j_po)
+            assert (error < CLOSED_VS_SCHUR_TOL).all(), (measurement, error)
 
 
 # Both headings of a custom scene, the Rx one away from 0.
@@ -719,12 +748,12 @@ def test_general_path_equals_placement_efims_at_an_rx_heading(
     ctx = scene.context
     tx_c, rx_c, visible, rx_heading = scene_placement(scene)
     assume(visible.any())  # a panel mount can sit behind the other body
-    j_po, singular = placement_schur_efims(ctx, tx_c, rx_c, visible, rx_heading)
+    j_po = placement_schur_efims(ctx, tx_c, rx_c, visible, rx_heading)
     shift = np.array([shift])
     _, _, moved, j = placement_efims(
         ctx, (shift, np.array([scene.tx_pose.orientation])),
         (np.array([q.as_tuple()]) + shift, rx_heading))
-    assert np.array_equal(moved, visible) and not singular.any()
+    assert np.array_equal(moved, visible)
     error = relative_frobenius(j, j_po)
     assert (error < CLOSED_VS_SCHUR_TOL).all(), error
 
@@ -786,9 +815,9 @@ class TestSingleElementPanels:
 def test_placement_without_information_stays_inf():
     # One Rx element, and one subcarrier on two of the four Tx arrays: at
     # q = (8, 0), 4 links carry no position information, and the closed form
-    # gives inf. Whether the Schur path fails on its nuisance block or
-    # pseudo-inverts it, the rounding residue left of the complement (entries
-    # near 1e-23 against a block near 1e-8) must not come out as a finite bound.
+    # gives inf. The Schur path pseudo-inverts its singular nuisance block;
+    # the rounding residue left of the complement (entries near 1e-23 against
+    # a block near 1e-8) must not come out as a finite bound.
     preset = dataclasses.replace(PRESETS["cfg_3p5GHz"], name="uninformed", n_rx_elements=1,
                                  max_occupied_index=1, vehicle_width=2.0, target_snr_db=8.0)
     q = Vec2(8.0, 0.0)
@@ -796,13 +825,10 @@ def test_placement_without_information_stays_inf():
     scene = calibrated_scene(preset, q)
     links = active_links(scene)
     assert len(links) == 4
-    try:
-        result = efim_general(scene, links, "aoa_tdoa")
-    except NuisanceSingular:
-        pass
-    else:
-        assert not any(map(math.isfinite, (result.peb_lat, result.peb_lon, result.oeb)))
+    result = efim_general(scene, links, "aoa_tdoa")
+    assert result.rank < 3
+    assert not any(map(math.isfinite, (result.peb_lat, result.peb_lon, result.oeb)))
     ctx = preset_context(preset)
     tx_c, rx_c, visible, _ = placement_efims(ctx, *placement_poses(np.array([q.as_tuple()])))
-    j_po, singular = placement_schur_efims(ctx, tx_c, rx_c, visible, np.zeros(1))
-    assert singular[0, 0] or bound_arrays(j_po[0])[1][0] < 3
+    j_po = placement_schur_efims(ctx, tx_c, rx_c, visible, np.zeros(1))
+    assert bound_arrays(j_po[0])[1][0] < 3

@@ -92,9 +92,8 @@ def test_link_stacks_give_the_scene_paths_schur_efims(preset):
     n_links = visible.sum(axis=(1, 2))
     for count in set(n_links.tolist()):
         group = np.flatnonzero(n_links == count)
-        j_po, singular = placement_schur_efims(ctx, tx_c[group], rx_c[group], visible[group],
-                                               poses[1][1][group])
-        assert not singular.any()
+        j_po = placement_schur_efims(ctx, tx_c[group], rx_c[group], visible[group],
+                                     poses[1][1][group])
         for k, i in enumerate(group):
             scene = calibrated_scene(preset, Vec2(*q[i]), alpha_t=alpha_t[i])
             links = active_links(scene)
@@ -238,15 +237,14 @@ def test_equilibration_keeps_silent_parameters_unscaled():
 
 def _poison(monkeypatch, module, name, call, row):
     """Make the call-th call of the kernel ``name`` that the suites look up
-    in ``module`` return NaN in the given placement row of its (first) result."""
+    in ``module`` return NaN in the given placement row."""
     original, calls = getattr(module, name), []
 
     def poisoned(*args, **kwargs):
         result = original(*args, **kwargs)
         calls.append(None)
         if len(calls) - 1 == call:
-            out = result[0] if isinstance(result, tuple) else result
-            out[row] = np.nan
+            result[row] = np.nan
         return result
 
     monkeypatch.setattr(module, name, poisoned)

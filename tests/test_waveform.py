@@ -30,9 +30,10 @@ def test_non_finite_ofdm_field_rejected(field, value):
         dataclasses.replace(spec_with(), **{field: value})
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, 1.0, 0, -1])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, 1.0, 0, -1, True])
 def test_n_symbols_not_a_positive_integer_rejected(value):
-    # NaN < 1 is False: a bare comparison would let NaN reach every bound.
+    # NaN < 1 is False: a bare comparison would let NaN reach every bound;
+    # True is an Integral that would run as one symbol.
     with pytest.raises(ValueError, match="n_symbols"):
         dataclasses.replace(spec_with(), n_symbols=value)
 
