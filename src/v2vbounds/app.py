@@ -104,7 +104,7 @@ class RunConfig:
         return preset
 
     def output_path(self) -> Path:
-        if self.out:
+        if self.out is not None:
             return Path(self.out)
         return Path(f"{self.scenario}_{self.preset}.csv")
 
@@ -142,6 +142,8 @@ def _config_from_mapping(raw: dict) -> RunConfig:
             continue
         if not isinstance(value, str):
             raise ConfigError(f"config key {key} must be a string, got {value!r}")
+        if key == "out" and not value:
+            raise ConfigError("config key out must name a file, got ''")
         setattr(cfg, key, _parse_measurements(value) if key == "measurements" else value)
     for key in ("step", "q_x", "q_y_min", "q_y_max", "alpha_t"):
         if key in raw:

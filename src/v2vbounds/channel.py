@@ -56,7 +56,6 @@ class LinkContext:
     power: np.ndarray  # (K, S_max) power of each slot, zero on padding
     tx_moments: np.ndarray  # (K, 3) each Tx array's power moments sum P omega^p, p = 0, 1, 2
     # Per link (Tx panel t, Rx panel r) in Kt*Kr order, each (Kt*Kr, ...):
-    link_panels: tuple[np.ndarray, np.ndarray]  # t and r
     link_gd2: np.ndarray  # information weight g times distance^2
     link_beta: np.ndarray  # betas[t]
     link_saaf: np.ndarray  # the Rx panel's (2, 2) SAAF matrix
@@ -78,11 +77,11 @@ def link_context(tx_vehicle: VehicleSpec, rx_vehicle: VehicleSpec, ofdm: OfdmSpe
     power = read_only(fractions[:, None] * allocation.arrays.fractions * ofdm.total_power)
     # Summed along the contiguous axis, which numpy adds pairwise.
     moments = np.sum(power[:, None] * omega[:, None] ** np.arange(3)[:, None], -1)
-    t, r = (read_only(i.ravel()) for i in np.indices((len(tx_vehicle.panels), len(rx.saaf_s))))
+    t, r = (i.ravel() for i in np.indices((len(tx_vehicle.panels), len(rx.saaf_s))))
     gd2 = ofdm.total_power * information_weight(1.0, ofdm.wavelength, rx.n_elements[r],
                                                 fractions[t], ofdm.n_symbols, noise_variance)
     return LinkContext(tx_vehicle, rx_vehicle, ofdm, allocation, noise_variance, betas, omega,
-                       power, read_only(moments), (t, r), read_only(gd2), read_only(betas[t]),
+                       power, read_only(moments), read_only(gd2), read_only(betas[t]),
                        read_only(rx.saaf_s[r]))
 
 

@@ -141,8 +141,8 @@ def link_info_vectors(
     active_links gives them; the links are those of the placement kernels
     (geometry.scene_placement, visible_links, link_vectors).
     """
-    tx_c, rx_c, visible, rx_heading = scene_placement(scene, links)
-    _, r, tx_at, offset, distance, _ = visible_links(tx_c, rx_c, visible)
+    *placement, rx_heading = scene_placement(scene, links)
+    _, r, tx_at, offset, distance, _ = visible_links(*placement)
     vectors = link_vectors(offset / distance[..., None], tx_at, rx_heading[:, None],
                            scene.rx_vehicle.arrays.saaf_s[r])
     return tuple(v[0] for v in vectors)

@@ -220,16 +220,16 @@ def schur_efims(j_phi: np.ndarray, t_matrix: np.ndarray) -> np.ndarray:
         scale[..., :, None] * scale[..., None, :])
 
 
-def placement_links(ctx: LinkContext, tx_c: np.ndarray, rx_c: np.ndarray, visible: np.ndarray,
+def placement_links(ctx: LinkContext, tx_c: np.ndarray, offset: np.ndarray, visible: np.ndarray,
                     rx_heading: np.ndarray, reference: np.ndarray | None = None) -> tuple:
     """The kernels' per-link inputs of n placements with equal link counts,
-    from the panel centroids (n, K, 2) and LOS mask (n, Kt, Kr) of
-    geometry.visibility, the Tx reference point at the origin, and the Rx
-    headings (n,), in :func:`link_orders` (``reference`` (n,) forces each
-    row's reference link, by its index in (t, r) order): Tx and Rx panels
+    from the Tx centroids (n, Kt, 2), pair offsets (n, Kt, Kr, 2) and LOS mask
+    (n, Kt, Kr) of geometry.visibility, the Tx reference point at the origin,
+    and the Rx headings (n,), in :func:`link_orders` (``reference`` (n,) forces
+    each row's reference link, by its index in (t, r) order): Tx and Rx panels
     (n, L), delay and angle information vectors (n, L, 3), distances, Rx-frame
     arrival angles and free-space gains (n, L)."""
-    t, r, tx_at, offset, distance, angle = visible_links(tx_c, rx_c, visible)
+    t, r, tx_at, offset, distance, angle = visible_links(tx_c, offset, visible)
     order = link_orders(distance / SPEED_OF_LIGHT, t, r, reference)
     rows, heading = np.arange(len(visible))[:, None], rx_heading[:, None]
     t, r, tx_at, offset, distance, angle = (
@@ -240,13 +240,13 @@ def placement_links(ctx: LinkContext, tx_c: np.ndarray, rx_c: np.ndarray, visibl
             free_space_gain(distance, ctx.ofdm.wavelength))
 
 
-def placement_schur_efims(ctx: LinkContext, tx_c: np.ndarray, rx_c: np.ndarray,
+def placement_schur_efims(ctx: LinkContext, tx_c: np.ndarray, offset: np.ndarray,
                           visible: np.ndarray, rx_heading: np.ndarray,
                           reference: np.ndarray | None = None) -> np.ndarray:
     """Schur-path EFIMs (2, n, 3, 3), in MEASUREMENTS order, of n placements
     with equal link counts, given as :func:`placement_links` takes them."""
     t, r, v_tau, v_theta, distance, angle, h = placement_links(
-        ctx, tx_c, rx_c, visible, rx_heading, reference)
+        ctx, tx_c, offset, visible, rx_heading, reference)
     j_phi = channel_fims(ctx, t, r, angle, h)
     return np.stack([schur_efims(j_phi, transform_matrices(v_tau, v_theta, distance, measurement))
                      for measurement in MEASUREMENTS])

@@ -411,8 +411,8 @@ def _outside_sector(dx: np.ndarray, dy: np.ndarray, sector: tuple) -> np.ndarray
 
 
 def los_mask(tx_c: np.ndarray, tx_sector: tuple, rx_c: np.ndarray, rx_sector: tuple,
-             *bodies: tuple) -> np.ndarray:
-    """Elementwise line of sight from Tx panels at tx_c to Rx panels at rx_c.
+             *bodies: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets rx_c - tx_c and line of sight, from Tx panels at tx_c to Rx at rx_c.
 
     Requires (a) the direction from the Tx panel toward the Rx panel to fall
     outside the Tx panel's blocked sector, (b) the reverse direction to fall
@@ -429,11 +429,12 @@ def los_mask(tx_c: np.ndarray, tx_sector: tuple, rx_c: np.ndarray, rx_sector: tu
             & _outside_sector(-dx, -dy, rx_sector))
     for body in bodies:
         mask &= ~_crosses_body(tx_c, rx_c, body)
-    return mask
+    return offset, mask
 
 
 def visibility(tx: VehicleArrays, tx_pose: tuple, rx: VehicleArrays, rx_pose: tuple):
-    """Panel centroids of both vehicles and their (..., Kt, Kr) LOS mask.
+    """Tx panel centroids (..., Kt, 2) and, per Tx-Rx panel pair, the offset
+    (..., Kt, Kr, 2) all link geometry reads and the LOS mask (..., Kt, Kr).
 
     Poses are (position (..., 2), heading (...)) as from Pose.arrays; the
     leading axes broadcast, so one call tests a whole grid of placements.
@@ -443,45 +444,43 @@ def visibility(tx: VehicleArrays, tx_pose: tuple, rx: VehicleArrays, rx_pose: tu
     bodies = () if tx.sectors_imply_body and rx.sectors_imply_body else (
         (tx_p[..., None, None, :], tx_h[..., None, None], tx.length, tx.width),
         (rx_p[..., None, None, :], rx_h[..., None, None], rx.length, rx.width))
-    mask = los_mask(tx_c[..., :, None, :], [a[..., :, None] for a in tx.sectors(tx_h)],
-                    rx_c[..., None, :, :], [a[..., None, :] for a in rx.sectors(rx_h)], *bodies)
-    return tx_c, rx_c, mask
+    return tx_c, *los_mask(tx_c[..., :, None, :], [a[..., :, None] for a in tx.sectors(tx_h)],
+                           rx_c[..., None, :, :], [a[..., None, :] for a in rx.sectors(rx_h)],
+                           *bodies)
 
 
-def visible_links(tx_c: np.ndarray, rx_c: np.ndarray, visible: np.ndarray) -> tuple:
+def visible_links(tx_c: np.ndarray, offset: np.ndarray, visible: np.ndarray) -> tuple:
     """The visible links of n placements with equal link counts, from the
-    centroids (n, K, 2) and LOS mask (n, Kt, Kr) of :func:`visibility`, in
-    (t, r) order: Tx and Rx panels (n, L), the Tx centroids and their offsets
-    to the Rx centroids (n, L, 2), distances and arrival angles (n, L).
-    Visible pairs never coincide. Raises NoActiveLinks when no pair is visible.
+    output of :func:`visibility`, in (t, r) order: Tx and Rx panels (n, L),
+    the Tx centroids and their offsets to the Rx centroids (n, L, 2),
+    distances and arrival angles (n, L). Visible pairs never coincide.
+    Raises NoActiveLinks when no pair is visible.
     """
     if not visible.any():
         raise NoActiveLinks("no Tx-Rx panel pair has line of sight")
     n = len(visible)
     _, t, r = (index.reshape(n, -1) for index in np.nonzero(visible))
     rows = np.arange(n)[:, None]
-    tx_at = tx_c[rows, t]
-    offset = rx_c[rows, r] - tx_at
-    return (t, r, tx_at, offset, np.hypot(offset[..., 0], offset[..., 1]),
+    offset = offset[rows, t, r]
+    return (t, r, tx_c[rows, t], offset, np.hypot(offset[..., 0], offset[..., 1]),
             np.arctan2(offset[..., 1], offset[..., 0]))
 
 
 def scene_placement(scene: "Scene", links=None) -> tuple:
     """One scene as a placement (n = 1) of the placement kernels, its Tx
-    reference point moved to the origin: the panel centroids (1, K, 2), the
-    LOS mask (1, Kt, Kr), or with ``links`` (distinct panel pairs in (t, r)
-    order, as active_links gives them) the mask of their pairs, visible or
-    not, and the Rx heading (1,)."""
+    reference point moved to the origin: :func:`visibility`'s output, with
+    ``links`` (distinct panel pairs in (t, r) order, as active_links gives
+    them) the mask of their pairs, visible or not, and the Rx heading (1,)."""
     (tx_p, tx_h), (rx_p, rx_h) = scene.tx_pose.arrays(), scene.rx_pose.arrays()
-    tx_c, rx_c, visible = visibility(scene.tx_vehicle.arrays, (np.zeros((1, 2)), tx_h[None]),
-                                     scene.rx_vehicle.arrays, ((rx_p - tx_p)[None], rx_h[None]))
+    tx_c, offset, visible = visibility(scene.tx_vehicle.arrays, (np.zeros((1, 2)), tx_h[None]),
+                                       scene.rx_vehicle.arrays, ((rx_p - tx_p)[None], rx_h[None]))
     if links is not None:
         pairs = [(link.tx_panel, link.rx_panel) for link in links]
         if pairs != sorted(set(pairs)):
             raise ValueError("links must be distinct panel pairs in (t, r) order")
         visible = np.zeros_like(visible)
         visible[0, [t for t, _ in pairs], [r for _, r in pairs]] = True
-    return tx_c, rx_c, visible, rx_h[None]
+    return tx_c, offset, visible, rx_h[None]
 
 
 def active_links(scene: "Scene") -> tuple[Link, ...]:
@@ -490,8 +489,8 @@ def active_links(scene: "Scene") -> tuple[Link, ...]:
     Output is ordered by (tx_panel, rx_panel). Raises NoActiveLinks when no
     pair is visible.
     """
-    tx_c, rx_c, visible, _ = scene_placement(scene)
-    t, r, _, _, distance, theta_r = (column[0] for column in visible_links(tx_c, rx_c, visible))
+    tx_c, offset, visible, _ = scene_placement(scene)
+    t, r, _, _, distance, theta_r = (column[0] for column in visible_links(tx_c, offset, visible))
     columns = (t, r, distance, theta_r, wrap_angles(theta_r + math.pi),
                wrap_angles(theta_r - scene.rx_pose.orientation), distance / SPEED_OF_LIGHT)
     return tuple(Link(*fields) for fields in zip(*(c.tolist() for c in columns)))

@@ -16,6 +16,7 @@ selfcheck's edge set all place it through that function.
 from __future__ import annotations
 
 import math
+from collections.abc import Collection
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import Callable, Literal, Sequence
@@ -183,11 +184,11 @@ def preset_context(preset: PresetConfig) -> LinkContext:
     allocation = interleaved_allocation(preset.occupied, len(vehicle.panels))
     fractions = np.array(allocation.array_power_fractions)
     unit_power = OfdmSpec(preset.subcarrier_spacing, preset.carrier_frequency)
-    side_by_side = (scenario_placements(preset, "overtaking", [0.0]), np.zeros(1))
-    tx_c, rx_c, visible = visibility(arrays, (np.zeros((1, 2)), np.zeros(1)), arrays, side_by_side)
+    tx_pose, rx_pose = placement_poses(scenario_placements(preset, "overtaking", [0.0]))
+    tx_c, offset, visible = visibility(arrays, tx_pose, arrays, rx_pose)
     # A silent Tx array's links are no links to calibrate on.
     ref_t, ref_r, _, _, distance, _ = (column[0] for column in visible_links(
-        tx_c, rx_c, visible & (fractions > 0.0)[:, None]))
+        tx_c, offset, visible & (fractions > 0.0)[:, None]))
     k = np.argmin(distance)  # the first shortest link in (t, r) order
     # Preset scenes keep unit noise; the calibrated power carries the SNR.
     unit_g = information_weight(distance[k], unit_power.wavelength, arrays.n_elements[ref_r[k]],
@@ -229,24 +230,33 @@ def placement_poses(q: np.ndarray, alpha_t: float | np.ndarray = 0.0) -> tuple[t
 def placement_efims(ctx: LinkContext, tx_pose: tuple, rx_pose: tuple) -> tuple[np.ndarray, ...]:
     """The EFIM assembly of :func:`bound_table` for N placements of the
     context's vehicles at poses (position (N, 2), heading (N,)) as
-    geometry.visibility takes them: the Tx and Rx panel centroids (N, K, 2),
-    the (N, Kt, Kr) LOS mask, and the EFIMs (2, N, 3, 3) of :func:`information`,
-    in MEASUREMENTS order, zero without links.
+    geometry.visibility takes them: its Tx centroids (N, Kt, 2), pair offsets
+    (N, Kt, Kr, 2) and LOS mask (N, Kt, Kr), and the EFIMs (2, N, 3, 3) of
+    :func:`information`, in MEASUREMENTS order, zero without links.
     ``fim_general.placement_schur_efims`` is its general-path twin."""
-    (t, r), (tx_p, _), (_, rx_h) = ctx.link_panels, tx_pose, rx_pose
-    tx_c, rx_c, visible = visibility(ctx.tx_vehicle.arrays, tx_pose, ctx.rx_vehicle.arrays,
-                                     rx_pose)
-    # Links (N, Kt*Kr), coordinates first so that each is contiguous; a hidden
-    # link gets distance inf, so g = 0 and a zero direction.
-    tx_at = np.take(tx_c.transpose(2, 0, 1), t, axis=-1)
-    offset = np.take(rx_c.transpose(2, 0, 1), r, axis=-1) - tx_at
-    distance = np.where(visible.reshape(len(visible), -1), np.hypot(*offset), np.inf)
-    vectors = link_vectors((offset / distance).transpose(1, 2, 0),
-                           (tx_at - tx_p.T[..., None]).transpose(1, 2, 0), rx_h[:, None],
-                           ctx.link_saaf)
+    (tx_p, _), (_, rx_h) = tx_pose, rx_pose
+    tx_c, offset, visible = visibility(ctx.tx_vehicle.arrays, tx_pose, ctx.rx_vehicle.arrays,
+                                       rx_pose)
+    # Links (N, Kt*Kr) in (t, r) order; a hidden link gets distance inf, so g =
+    # 0 and a zero direction.
+    n, _, kr = visible.shape
+    links = offset.reshape(n, -1, 2)
+    distance = np.where(visible.reshape(n, -1), np.hypot(links[..., 0], links[..., 1]), np.inf)
+    vectors = link_vectors(links / distance[..., None], np.repeat(tx_c - tx_p[:, None], kr, 1),
+                           rx_h[:, None], ctx.link_saaf)
     g = ctx.link_gd2 / distance**2
-    return tx_c, rx_c, visible, information(*vectors, g, distance, ctx.link_beta,
-                                            ctx.ofdm.omega_c)
+    return tx_c, offset, visible, information(*vectors, g, distance, ctx.link_beta,
+                                              ctx.ofdm.omega_c)
+
+
+def _require_measurements(measurements: Collection[Measurement]) -> None:
+    """Raise ValueError, naming the allowed values, unless measurements is a
+    collection of MEASUREMENTS members and not a string (whose substrings
+    would match)."""
+    if (isinstance(measurements, str) or not isinstance(measurements, Collection)
+            or not all(m in MEASUREMENTS for m in measurements)):
+        raise ValueError(f"measurements must be a collection of members of {MEASUREMENTS}, "
+                         f"got {measurements!r}")
 
 
 def bound_table(
@@ -261,8 +271,10 @@ def bound_table(
     ``alpha_t`` is the Tx heading, per row or one for all; the Rx heading is
     0. Rows without LOS links, and measurement sets left out, get +inf. One
     bound extraction covers both sets of :func:`placement_efims`. ``n_links``
-    counts the visible links whose Tx array sends.
+    counts the visible links whose Tx array sends. ``measurements`` other
+    than a non-string collection of MEASUREMENTS members raise ValueError.
     """
+    _require_measurements(measurements)
     q = np.asarray(q, dtype=float).reshape(-1, 2)
     if not (np.isfinite(q).all() and np.isfinite(alpha_t).all()):
         raise ValueError("placements and Tx headings must be finite")
@@ -425,8 +437,10 @@ def scenario_crossings(
     [0, 30] m, or the bumper gap (platooning), searched over
     [0.25, 30 - vehicle_length] m, to CROSSING_TOL. All curves share each
     bound_table call of one search, three at the defaults. Keys run over the
-    measurements in MEASUREMENTS order, then lat, lon.
+    measurements in MEASUREMENTS order, then lat, lon. ``measurements`` are
+    checked as :func:`bound_table` checks them.
     """
+    _require_measurements(measurements)
     if scenario not in ("overtaking", "platooning"):
         raise ValueError(f"unknown scenario {scenario!r}")
     s_min, s_max = (0.0, 30.0) if scenario == "overtaking" else (0.25, 30.0 - preset.vehicle_length)

@@ -5,15 +5,16 @@ Scenes are drawn with a fixed, documented seed (SELFCHECK_SEED) from an
 annulus of relative positions 5..40 m around the Tx vehicle with a uniform
 random Tx heading, so every run checks the same scene family. The draws come
 in blocks with one visibility call per block and preset, accepted in order
-(:func:`random_placements`). Every suite takes the centroids and LOS mask of
-one ``scenarios.placement_efims`` call per preset and builds the general
-path's links from them (``fim_general.placement_links``). The closed-form
-vs Schur suite compares the EFIM stack behind every sweep row with its
-general-path twin (``fim_general.placement_schur_efims``), set by set in
-``fim_closed.MEASUREMENTS`` order, on those scenes and on each preset's fixed
-edge set (:func:`edge_placements`): bumper overlap, short gaps, blocked-sector
-edges. The Schur path answers for every placement, a singular nuisance block
-included, so every one is compared. A NaN error fails every suite.
+(:func:`random_placements`). Every suite builds the general path's links
+(``fim_general.placement_links``) from one ``geometry.visibility`` pass per
+preset; the closed-form vs Schur suite takes the pass inside
+``scenarios.placement_efims`` and compares the EFIM stack behind every sweep
+row with its general-path twin (``fim_general.placement_schur_efims``), set
+by set in ``fim_closed.MEASUREMENTS`` order, on those scenes and on each
+preset's fixed edge set (:func:`edge_placements`): bumper overlap, short
+gaps, blocked-sector edges. The Schur path answers for every placement, a
+singular nuisance block included, so every one is compared. A NaN error
+fails every suite.
 
 The kernels run once per preset and link count, on the whole stack of those
 placements, cut only where its largest array would pass _STACK_BYTES
@@ -132,9 +133,9 @@ def closed_vs_schur_errors(
         q = np.array([q for p, q, _ in drawn if p is preset] + edge_q.tolist())
         alpha_t = np.array([a for p, _, a in drawn if p is preset] + edge_alpha.tolist())
         poses = placement_poses(q, alpha_t)
-        tx_c, rx_c, visible, j = placement_efims(ctx, *poses)
+        tx_c, offset, visible, j = placement_efims(ctx, *poses)
         for chunk in _link_count_chunks(visible, lambda n_links: 8 * (4 * n_links)**2):
-            j_po = placement_schur_efims(ctx, tx_c[chunk], rx_c[chunk], visible[chunk],
+            j_po = placement_schur_efims(ctx, tx_c[chunk], offset[chunk], visible[chunk],
                                          poses[1][1][chunk])
             worst = np.maximum(worst, relative_frobenius(j[:, chunk], j_po).max(axis=1))
     return float(worst[0]), float(worst[1])
@@ -157,12 +158,12 @@ def analytic_vs_fd_errors(*, n_scenes: int = 20, seed: int = SELFCHECK_SEED) -> 
     for preset in light:
         q = np.array([q for p, q, _ in drawn if p is preset]).reshape(-1, 2)
         alpha_t = np.array([a for p, _, a in drawn if p is preset])
-        ctx, poses = preset_context(preset), placement_poses(q, alpha_t)
-        tx_c, rx_c, visible, _ = placement_efims(ctx, *poses)
+        ctx, (tx_pose, rx_pose) = preset_context(preset), placement_poses(q, alpha_t)
+        placement = visibility(ctx.tx_vehicle.arrays, tx_pose, ctx.rx_vehicle.arrays, rx_pose)
         samples = ctx.omega.shape[-1] * ctx.rx_vehicle.arrays.elements.shape[-1]
-        for chunk in _link_count_chunks(visible, lambda n_links: 16 * 4 * n_links * samples):
+        for chunk in _link_count_chunks(placement[2], lambda n_links: 16 * 4 * n_links * samples):
             t, r, _, _, distance, angle, h = placement_links(
-                ctx, tx_c[chunk], rx_c[chunk], visible[chunk], poses[1][1][chunk])
+                ctx, *(x[chunk] for x in placement), rx_pose[1][chunk])
             delay = distance / SPEED_OF_LIGHT
             fd = channel_fims_fd(ctx, t, r, delay - delay[:, :1], angle, h)
             error = equilibrated_frobenius(channel_fims(ctx, t, r, angle, h), fd)
@@ -176,11 +177,11 @@ def reference_invariance_error(seed: int = SELFCHECK_SEED) -> float:
     the others in (t, r) order."""
     [(preset, q, alpha_t)] = random_placements(np.random.default_rng(seed),
                                                [PRESETS["cfg_3p5GHz"]], 1)
-    ctx = preset_context(preset)
-    tx_c, rx_c, visible, _ = placement_efims(ctx, *placement_poses(q[None], alpha_t))
-    n_links = int(visible.sum())
+    ctx, (tx_pose, rx_pose) = preset_context(preset), placement_poses(q[None], alpha_t)
+    placement = visibility(ctx.tx_vehicle.arrays, tx_pose, ctx.rx_vehicle.arrays, rx_pose)
+    n_links = int(placement[2].sum())
     j_po = placement_schur_efims(
-        ctx, *(np.repeat(x, n_links, axis=0) for x in (tx_c, rx_c, visible)),
+        ctx, *(np.repeat(x, n_links, axis=0) for x in placement),
         np.zeros(n_links), np.arange(n_links))[0]
     return float(relative_frobenius(j_po[:1], j_po[1:]).max(initial=0.0))
 

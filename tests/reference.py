@@ -17,8 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from v2vbounds.errors import NoActiveLinks
-from v2vbounds.fim_closed import RANK_EPS
-from v2vbounds.geometry import SPEED_OF_LIGHT, Link, Pose, Vec2, active_links, wrap_angle
+from v2vbounds.fim_closed import RANK_EPS, information, link_vectors
+from v2vbounds.geometry import (
+    SPEED_OF_LIGHT, Link, Pose, Vec2, active_links, visibility, wrap_angle,
+)
 from v2vbounds.scenarios import _build_vehicle, calibrated_scene
 from v2vbounds.waveform import OfdmSpec, interleaved_allocation
 
@@ -166,6 +168,25 @@ def reference_calibrated_power(preset) -> float:
               * allocation.array_power_fractions[shortest.tx_panel] * amplitude**2)
     n_sub = len(allocation.per_array_sets[shortest.tx_panel])
     return 10.0 ** (preset.target_snr_db / 10.0) * n_sub / unit_g
+
+
+def dense_link_efims(ctx, tx_pose, rx_pose):
+    """The EFIMs of ``scenarios.placement_efims`` from a dense link block of
+    their own: both vehicles' panel centroids taken per link (Kt*Kr, in
+    (t, r) order), their difference, its hypot and distance inf where
+    ``geometry.visibility`` sees no line of sight."""
+    (tx_p, tx_h), (rx_p, rx_h) = tx_pose, rx_pose
+    tx, rx = ctx.tx_vehicle.arrays, ctx.rx_vehicle.arrays
+    t, r = (i.ravel() for i in np.indices((len(tx.mount_angle), len(rx.mount_angle))))
+    tx_at = np.take(tx.centroids(tx_p, tx_h).transpose(2, 0, 1), t, axis=-1)
+    offset = np.take(rx.centroids(rx_p, rx_h).transpose(2, 0, 1), r, axis=-1) - tx_at
+    visible = visibility(tx, tx_pose, rx, rx_pose)[2]
+    distance = np.where(visible.reshape(len(visible), -1), np.hypot(*offset), np.inf)
+    vectors = link_vectors((offset / distance).transpose(1, 2, 0),
+                           (tx_at - tx_p.T[..., None]).transpose(1, 2, 0), rx_h[:, None],
+                           ctx.link_saaf)
+    return information(*vectors, ctx.link_gd2 / distance**2, distance, ctx.link_beta,
+                       ctx.ofdm.omega_c)
 
 
 def link_order(links, reference=None):

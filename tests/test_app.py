@@ -253,6 +253,14 @@ class TestCli:
         assert "config error: unknown preset ''" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_empty_out_exit_2(self, tmp_path, capsys, monkeypatch):
+        # An empty path is a value too: no CSV under the default name.
+        monkeypatch.chdir(tmp_path)
+        for argv in (["--out", ""], ["--config", write_config(tmp_path, out="")]):
+            assert main(argv) == 2
+            assert "config key out must name a file, got ''" in capsys.readouterr().err
+            assert list(tmp_path.glob("*.csv")) == []
+
     def test_empty_config_flag_exit_2(self, tmp_path, capsys):
         assert main(["--config", "", "--out", str(tmp_path / "x.csv")]) == 2
         assert "config error: cannot read config ''" in capsys.readouterr().err

@@ -43,7 +43,8 @@ from v2vbounds.waveform import effective_bandwidths
 
 from conftest import NARROW, small_scene
 from reference import (
-    reference_calibrated_power, reference_los_visible, rx_panel_state, tx_panel_state,
+    dense_link_efims, reference_calibrated_power, reference_los_visible, rx_panel_state,
+    tx_panel_state,
 )
 
 BOUND_FIELDS = (
@@ -73,8 +74,8 @@ def custom_presets(draw, halfwidths=st.none() | st.floats(0.0, 1.2)):
 
 
 @st.composite
-def preset_and_placements(draw):
-    preset = draw(custom_presets())
+def preset_and_placements(draw, presets=custom_presets()):
+    preset = draw(presets)
     try:
         preset_context(preset)
     except NoActiveLinks:
@@ -159,6 +160,23 @@ def test_visibility_mask_equals_los_visible(case):
                 expected = reference_los_visible(
                     tx_panel_state(scene, t), rx_panel_state(scene, r), *bodies)
                 assert bool(mask[i, t, r]) == expected, (i, t, r)
+
+
+# Halfwidths below pi/4 run the body test, which the default presets skip.
+@settings(max_examples=40, deadline=None)
+@given(preset_and_placements(custom_presets(st.floats(0.0, 1.2) | st.sampled_from(
+    [math.pi / 4 - 1e-3, math.pi / 4, math.pi / 4 + 1e-3]))))
+def test_pair_offsets_and_efims_equal_the_dense_link_block(case):
+    # visibility forms each pair's offset once; placement_efims reads its
+    # links from those offsets, bit for bit as from the centroids per link.
+    preset, placements = case
+    ctx = preset_context(preset)
+    x, y, alpha_t = np.array(placements).T
+    poses = placement_poses(np.column_stack((x, y)), alpha_t)
+    tx, rx = ctx.tx_vehicle.arrays, ctx.rx_vehicle.arrays
+    expected = rx.centroids(*poses[1])[..., None, :, :] - tx.centroids(*poses[0])[..., :, None, :]
+    assert np.array_equal(visibility(tx, poses[0], rx, poses[1])[1], expected)
+    assert np.array_equal(placement_efims(ctx, *poses)[3], dense_link_efims(ctx, *poses))
 
 
 @settings(max_examples=100, deadline=None)
@@ -284,11 +302,11 @@ def test_general_path_equals_closed_form_at_few_subcarriers(case):
     ctx = preset_context(preset)
     x, y, alpha_t = np.array(placements).T
     tx_pose, rx_pose = placement_poses(np.column_stack((x, y)), alpha_t)
-    tx_c, rx_c, visible, j = placement_efims(ctx, tx_pose, rx_pose)
+    tx_c, offset, visible, j = placement_efims(ctx, tx_pose, rx_pose)
     n_links = visible.sum(axis=(1, 2))
     for count in set(n_links.tolist()) - {0}:
         group = np.flatnonzero(n_links == count)
-        inputs = tx_c[group], rx_c[group], visible[group], rx_pose[1][group]
+        inputs = tx_c[group], offset[group], visible[group], rx_pose[1][group]
         j_po = placement_schur_efims(ctx, *inputs)
         closed, schur = bound_arrays(j[:, group])[2], bound_arrays(j_po)[2]
         np.testing.assert_array_equal(np.isinf(closed), np.isinf(schur))

@@ -688,15 +688,15 @@ class TestBatchedKernels:
         drawn = random_placements(np.random.default_rng(SELFCHECK_SEED), [preset], 40)
         q, alpha_t = np.array([q for _, q, _ in drawn]), np.array([a for _, _, a in drawn])
         tx_pose, rx_pose = placement_poses(q, alpha_t)
-        tx_c, rx_c, visible = visibility(ctx.tx_vehicle.arrays, tx_pose, ctx.rx_vehicle.arrays,
-                                         rx_pose)
+        tx_c, offset, visible = visibility(ctx.tx_vehicle.arrays, tx_pose, ctx.rx_vehicle.arrays,
+                                           rx_pose)
         n_links = visible.sum(axis=(1, 2))
         groups = [np.flatnonzero(n_links == count) for count in set(n_links.tolist())]
         assert any(len(group) > 1 for group in groups)
         for group in groups:
             reference = np.full(len(group), n_links[group[0]] - 1) if forced else None
             t, r, v_tau, v_theta, distance, angle, h = placement_links(
-                ctx, tx_c[group], rx_c[group], visible[group], rx_pose[1][group], reference)
+                ctx, tx_c[group], offset[group], visible[group], rx_pose[1][group], reference)
             j_phi = channel_fims(ctx, t, r, angle, h)
             j_po = [schur_efims(j_phi, transform_matrices(v_tau, v_theta, distance, m))
                     for m in MEASUREMENTS]
@@ -746,9 +746,9 @@ def test_general_path_equals_placement_efims_at_an_rx_heading(
     q = Vec2(radius * math.cos(bearing), radius * math.sin(bearing))
     scene = small_scene(n_tx, n_rx, n_elements, q=q, alpha_t=alpha_t, alpha_r=alpha_r)
     ctx = scene.context
-    tx_c, rx_c, visible, rx_heading = scene_placement(scene)
+    tx_c, offset, visible, rx_heading = scene_placement(scene)
     assume(visible.any())  # a panel mount can sit behind the other body
-    j_po = placement_schur_efims(ctx, tx_c, rx_c, visible, rx_heading)
+    j_po = placement_schur_efims(ctx, tx_c, offset, visible, rx_heading)
     shift = np.array([shift])
     _, _, moved, j = placement_efims(
         ctx, (shift, np.array([scene.tx_pose.orientation])),
@@ -829,6 +829,6 @@ def test_placement_without_information_stays_inf():
     assert result.rank < 3
     assert not any(map(math.isfinite, (result.peb_lat, result.peb_lon, result.oeb)))
     ctx = preset_context(preset)
-    tx_c, rx_c, visible, _ = placement_efims(ctx, *placement_poses(np.array([q.as_tuple()])))
-    j_po = placement_schur_efims(ctx, tx_c, rx_c, visible, np.zeros(1))
+    tx_c, offset, visible, _ = placement_efims(ctx, *placement_poses(np.array([q.as_tuple()])))
+    j_po = placement_schur_efims(ctx, tx_c, offset, visible, np.zeros(1))
     assert bound_arrays(j_po[0])[1][0] < 3

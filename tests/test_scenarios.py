@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -222,9 +223,8 @@ class TestEvaluatePoint:
         assert evaluate_point(preset_3p5, Vec2(-3.5, 10.0)) == before
         shared = [getattr(arrays, f.name) for f in dataclasses.fields(arrays)
                   if isinstance(getattr(arrays, f.name), np.ndarray)]
-        shared += [ctx.betas, ctx.omega, ctx.power, *ctx.link_panels, ctx.link_gd2,
-                   ctx.link_beta, ctx.link_saaf]
-        assert len(shared) == 17
+        shared += [ctx.betas, ctx.omega, ctx.power, ctx.link_gd2, ctx.link_beta, ctx.link_saaf]
+        assert len(shared) == 15
         assert not any(a.flags.writeable for a in shared)
 
 
@@ -467,8 +467,8 @@ def test_both_paths_stack_the_measurement_sets_in_one_order(name):
     preset = PRESETS[name]
     ctx, q = preset_context(preset), np.array([[-3.5, 9.0]])
     tx_pose, rx_pose = placement_poses(q, 0.2)
-    tx_c, rx_c, visible, j = placement_efims(ctx, tx_pose, rx_pose)
-    j_po = placement_schur_efims(ctx, tx_c, rx_c, visible, rx_pose[1])
+    tx_c, offset, visible, j = placement_efims(ctx, tx_pose, rx_pose)
+    j_po = placement_schur_efims(ctx, tx_c, offset, visible, rx_pose[1])
     table = bound_table(preset, q, 0.2)
     assert j.shape == j_po.shape == (2, 1, 3, 3)
     for i, measurement in enumerate(MEASUREMENTS):
@@ -478,6 +478,21 @@ def test_both_paths_stack_the_measurement_sets_in_one_order(name):
         alone = bound_table(preset, q, 0.2, (measurement,))
         np.testing.assert_array_equal(alone[:, _SET_COLUMNS[i]], table[:, _SET_COLUMNS[i]])
         assert np.isinf(alone[:, _SET_COLUMNS[1 - i]]).all()
+
+
+# A misspelled name once gave six inf bounds and no crossings, and a bare
+# string matched by substring ("aoa" in "aoa_tdoa"), so both sets ran.
+@pytest.mark.parametrize("measurements", [("aoa_tdao",), ("nope",), ("aoa", "AOA"), "aoa_tdoa",
+                                          "aoa", None, iter(MEASUREMENTS)])
+def test_bad_measurements_rejected(measurements):
+    preset, allowed = PRESETS["cfg_3p5GHz"], re.escape(repr(MEASUREMENTS))
+    calls = (lambda: bound_table(preset, [(-3.5, 10.0)], measurements=measurements),
+             lambda: evaluate_point(preset, Vec2(-3.5, 10.0), measurements=measurements),
+             lambda: evaluate_points(preset, [(-3.5, 10.0)], measurements=measurements),
+             lambda: scenario_crossings(preset, "overtaking", measurements=measurements))
+    for call in calls:
+        with pytest.raises(ValueError, match=allowed):
+            call()
 
 
 def test_measurement_names_are_the_lower_case_ones():

@@ -65,8 +65,7 @@ def test_rejecting_preset_rejects(seed):
 @pytest.mark.parametrize("preset", [P35, P28], ids=lambda p: p.name)
 def test_edge_set_reaches_the_edges(preset):
     q, alpha_t = edge_placements(preset)
-    tx_c, rx_c, visible, _ = placement_efims(preset_context(preset),
-                                                *placement_poses(q, alpha_t))
+    _, offset, visible, _ = placement_efims(preset_context(preset), *placement_poses(q, alpha_t))
     n_links = visible.sum(axis=(1, 2))
     assert 4 <= n_links.min() and n_links.max() <= 9
     assert np.hypot(q[:, 0], q[:, 1]).min() < 5.0  # inside the annulus
@@ -74,8 +73,7 @@ def test_edge_set_reaches_the_edges(preset):
     # Rx rear left panel (2) lies on the Tx panel's blocked-sector edge.
     arrays = preset_context(preset).tx_vehicle.arrays
     for i in (-2, -1):
-        offset = rx_c[i, 2] - tx_c[i, 3]
-        toward_rx = math.atan2(offset[1], offset[0])
+        toward_rx = math.atan2(offset[i, 3, 2, 1], offset[i, 3, 2, 0])
         edge = abs(wrap_angles(toward_rx - arrays.blocked_center[3] - alpha_t[i]))
         assert abs(edge - arrays.blocked_halfwidth[3]) < 1e-12
         assert not visible[i, 3, 2]
@@ -88,11 +86,11 @@ def test_link_stacks_give_the_scene_paths_schur_efims(preset):
     # brute-force channel FIM.
     ctx, (q, alpha_t) = preset_context(preset), edge_placements(preset)
     poses = placement_poses(q, alpha_t)
-    tx_c, rx_c, visible, _ = placement_efims(ctx, *poses)
+    tx_c, offset, visible, _ = placement_efims(ctx, *poses)
     n_links = visible.sum(axis=(1, 2))
     for count in set(n_links.tolist()):
         group = np.flatnonzero(n_links == count)
-        j_po = placement_schur_efims(ctx, tx_c[group], rx_c[group], visible[group],
+        j_po = placement_schur_efims(ctx, tx_c[group], offset[group], visible[group],
                                      poses[1][1][group])
         for k, i in enumerate(group):
             scene = calibrated_scene(preset, Vec2(*q[i]), alpha_t=alpha_t[i])
@@ -128,10 +126,10 @@ def test_placement_links_equal_the_scene_path(preset):
     q = np.concatenate((np.array([q for _, q, _ in drawn]), edge_q))
     alpha_t = np.concatenate(([a for _, _, a in drawn], edge_alpha))
     ctx, poses = preset_context(preset), placement_poses(q, alpha_t)
-    tx_c, rx_c, visible, _ = placement_efims(ctx, *poses)
+    tx_c, offset, visible, _ = placement_efims(ctx, *poses)
     for i in range(len(q)):
         t, r, _, _, distance, angle, h = placement_links(
-            ctx, tx_c[i:i + 1], rx_c[i:i + 1], visible[i:i + 1], poses[1][1][i:i + 1])
+            ctx, tx_c[i:i + 1], offset[i:i + 1], visible[i:i + 1], poses[1][1][i:i + 1])
         scene = calibrated_scene(preset, Vec2(*q[i]), alpha_t=alpha_t[i])
         links = active_links(scene)
         gains = link_gains(scene, links)
@@ -151,13 +149,13 @@ def test_fd_twin_on_the_edge_set(preset):
     # gaps and blocked-sector edges too.
     ctx, (q, alpha_t) = preset_context(preset), edge_placements(preset)
     poses = placement_poses(q, alpha_t)
-    tx_c, rx_c, visible, _ = placement_efims(ctx, *poses)
+    tx_c, offset, visible, _ = placement_efims(ctx, *poses)
     n_links = visible.sum(axis=(1, 2))
     worst = 0.0
     for count in set(n_links.tolist()):
         group = np.flatnonzero(n_links == count)
         t, r, _, _, distance, angle, h = placement_links(
-            ctx, tx_c[group], rx_c[group], visible[group], poses[1][1][group])
+            ctx, tx_c[group], offset[group], visible[group], poses[1][1][group])
         delay = distance / SPEED_OF_LIGHT
         fd = channel_fims_fd(ctx, t, r, delay - delay[:, :1], angle, h)
         worst = max(worst, equilibrated_frobenius(channel_fims(ctx, t, r, angle, h), fd).max())
