@@ -1,0 +1,20 @@
+#!/usr/bin/env bash
+# Checks of the installed v2vbounds console script: --selfcheck passes, an
+# over-limit grid, an unreachable target SNR and an over-budget subcarrier
+# count exit 2, and silent Tx arrays calibrate. Scratch files go to
+# $RUNNER_TEMP. Run from the repository root: bash .github/check_console_script.sh
+set -eo pipefail
+
+out="$(PYTHONWARNINGS=error::RuntimeWarning v2vbounds --selfcheck)"
+echo "$out"
+grep -qx "selfcheck PASS" <<< "$out"
+status=0; v2vbounds --step 1e-9 --out "$RUNNER_TEMP/over_limit.csv" || status=$?; test "$status" -eq 2
+# 10**400 overflows the calibrated power: a config error, not a traceback.
+echo "overrides: {target_snr_db: 4000}" > "$RUNNER_TEMP/snr.yaml"
+status=0; v2vbounds --config "$RUNNER_TEMP/snr.yaml" --out "$RUNNER_TEMP/snr.csv" || status=$?; test "$status" -eq 2
+# 8e8 subcarriers would need about 95 GB: refused by MAX_SUBCARRIERS before any allocation.
+echo "overrides: {max_occupied_index: 400000000, n_fft: 1000000000}" > "$RUNNER_TEMP/subcarriers.yaml"
+status=0; v2vbounds --config "$RUNNER_TEMP/subcarriers.yaml" --out "$RUNNER_TEMP/subcarriers.csv" || status=$?; test "$status" -eq 2
+# Two subcarriers leave the rear Tx arrays silent; the calibration skips them.
+echo "overrides: {max_occupied_index: 1}" > "$RUNNER_TEMP/silent.yaml"
+PYTHONWARNINGS=error::RuntimeWarning v2vbounds --config "$RUNNER_TEMP/silent.yaml" --out "$RUNNER_TEMP/silent.csv"

@@ -13,12 +13,12 @@ and :func:`placement_schur_efims` chains them, the general-path twin of
 ``scenarios.placement_efims``, with the measurement sets in the same order
 (``fim_closed.MEASUREMENTS``). The one-scene functions are n = 1 calls.
 
-Parameter layout for L active links, decided by :func:`link_orders`: the
-reference link first (the active link of minimum delay, ties broken by
-(t, r)), then the remaining links in (t, r) order. Each link holds four
-consecutive columns [delay, angle, Re gain, Im gain]; the reference link's
-delay column is the common timing offset (column 0), every other link's the
-delay difference to the reference link. 4L parameters in total.
+Parameter layout for L links: the links in the order they are given, which
+:func:`placement_links` takes from ``geometry.visible_links`` ((t, r) order).
+Column block k, four consecutive columns [delay, angle, Re gain, Im gain],
+belongs to the k-th link. The first link is the reference: its delay column is
+the common timing offset (column 0), every other link's the delay difference
+to the first link. 4L parameters in total.
 """
 
 from __future__ import annotations
@@ -32,19 +32,6 @@ from .fim_closed import (
     MEASUREMENTS, RANK_EPS, FimResult, Measurement, bounds_from_fim, link_vectors,
 )
 from .geometry import SPEED_OF_LIGHT, Link, scene_placement, visible_links
-
-
-def link_orders(delay: np.ndarray, t: np.ndarray, r: np.ndarray,
-                reference: np.ndarray | None = None) -> np.ndarray:
-    """Parameter order of each row of links given as delays and Tx and Rx
-    panels (n, L) in (t, r) order: the indices of the reference link first,
-    then the others in their given order. ``reference`` (n,) forces each
-    row's reference link (default: the link of minimum delay, ties broken by
-    (t, r)); one outside 0..L-1 raises IndexError."""
-    first = np.lexsort((r, t, delay))[..., 0] if reference is None else np.asarray(reference)
-    if not np.all((0 <= first) & (first < delay.shape[-1])):
-        raise IndexError(f"reference link index out of range 0..{delay.shape[-1] - 1}")
-    return np.argsort(np.arange(delay.shape[-1]) != first[..., None], axis=-1, kind="stable")
 
 
 def link_means(ctx: LinkContext, t: np.ndarray, r: np.ndarray, delay: np.ndarray, angle: np.ndarray,
@@ -86,7 +73,7 @@ def _moment_gram(rows: np.ndarray, moments: np.ndarray) -> np.ndarray:
 def _channel_information(ctx: LinkContext, blocks: np.ndarray) -> np.ndarray:
     """Channel FIMs (..., 4L, 4L) from each link's 4 x 4 Gram (real part) of
     the derivatives of its mean in its own (delay, angle, Re gain, Im gain),
-    stacked (..., L, 4, 4) in :func:`link_orders`.
+    stacked (..., L, 4, 4) in link order.
 
     Links at different Rx panels or on disjoint subcarrier sets only couple
     through the shared timing offset, so each link's Gram block sits on the
@@ -108,7 +95,7 @@ def channel_fims(
 ) -> np.ndarray:
     """Analytic channel FIMs (n, 4L, 4L) of n placements from their links' Tx
     and Rx panels, vehicle-frame arrival angles and complex gains (n, L), in
-    :func:`link_orders`, under one link context.
+    link order, under one link context.
 
     A link's mean is a ⊗ b (:func:`link_means`), so each of its derivative
     columns is fa_k ⊗ fb_k, with Fa = [-1j omega a, a, a/h, 1j a/h] and
@@ -136,7 +123,7 @@ def channel_fims(
 def channel_fims_fd(ctx: LinkContext, t: np.ndarray, r: np.ndarray, delay: np.ndarray,
                     angle: np.ndarray, h: np.ndarray, step: float = 1e-7) -> np.ndarray:
     """Central-finite-difference twin of :func:`channel_fims`, from the same
-    (n, L) stacks plus the links' delay differences to the reference link.
+    (n, L) stacks plus the links' delay differences to the first link.
     Each parameter is stepped in the full samples ``a ⊗ b`` of
     :func:`link_means`, in proportion to its own scale (1/max|omega| for
     the delay, |h| for the gain), so the twin uses no factorisation or moments.
@@ -164,8 +151,8 @@ def channel_fims_fd(ctx: LinkContext, t: np.ndarray, r: np.ndarray, delay: np.nd
 def transform_matrices(
     v_tau: np.ndarray, v_theta: np.ndarray, distance: np.ndarray, measurement: Measurement
 ) -> np.ndarray:
-    """Geometric Jacobians (n, R, 4L) from channel parameters (columns,
-    :func:`link_orders` layout) to estimation parameters (rows, [q_x, q_y,
+    """Geometric Jacobians (n, R, 4L) from channel parameters (columns, in
+    the module's layout) to estimation parameters (rows, [q_x, q_y,
     alpha_T] first), from the links' delay and angle information vectors
     (n, L, 3) (``fim_closed.link_vectors``) and distances (n, L) in link order.
 
@@ -221,19 +208,15 @@ def schur_efims(j_phi: np.ndarray, t_matrix: np.ndarray) -> np.ndarray:
 
 
 def placement_links(ctx: LinkContext, tx_c: np.ndarray, offset: np.ndarray, visible: np.ndarray,
-                    rx_heading: np.ndarray, reference: np.ndarray | None = None) -> tuple:
+                    rx_heading: np.ndarray) -> tuple:
     """The kernels' per-link inputs of n placements with equal link counts,
     from the Tx centroids (n, Kt, 2), pair offsets (n, Kt, Kr, 2) and LOS mask
     (n, Kt, Kr) of geometry.visibility, the Tx reference point at the origin,
-    and the Rx headings (n,), in :func:`link_orders` (``reference`` (n,) forces
-    each row's reference link, by its index in (t, r) order): Tx and Rx panels
-    (n, L), delay and angle information vectors (n, L, 3), distances, Rx-frame
-    arrival angles and free-space gains (n, L)."""
+    and the Rx headings (n,), with the visible links in (t, r) order: Tx and
+    Rx panels (n, L), delay and angle information vectors (n, L, 3),
+    distances, Rx-frame arrival angles and free-space gains (n, L)."""
     t, r, tx_at, offset, distance, angle = visible_links(tx_c, offset, visible)
-    order = link_orders(distance / SPEED_OF_LIGHT, t, r, reference)
-    rows, heading = np.arange(len(visible))[:, None], rx_heading[:, None]
-    t, r, tx_at, offset, distance, angle = (
-        column[rows, order] for column in (t, r, tx_at, offset, distance, angle))
+    heading = rx_heading[:, None]
     v_tau, v_theta, _ = link_vectors(offset / distance[..., None], tx_at, heading,
                                      ctx.rx_vehicle.arrays.saaf_s[r])
     return (t, r, v_tau, v_theta, distance, angle - heading,
@@ -241,29 +224,26 @@ def placement_links(ctx: LinkContext, tx_c: np.ndarray, offset: np.ndarray, visi
 
 
 def placement_schur_efims(ctx: LinkContext, tx_c: np.ndarray, offset: np.ndarray,
-                          visible: np.ndarray, rx_heading: np.ndarray,
-                          reference: np.ndarray | None = None) -> np.ndarray:
+                          visible: np.ndarray, rx_heading: np.ndarray) -> np.ndarray:
     """Schur-path EFIMs (2, n, 3, 3), in MEASUREMENTS order, of n placements
     with equal link counts, given as :func:`placement_links` takes them."""
     t, r, v_tau, v_theta, distance, angle, h = placement_links(
-        ctx, tx_c, offset, visible, rx_heading, reference)
+        ctx, tx_c, offset, visible, rx_heading)
     j_phi = channel_fims(ctx, t, r, angle, h)
     return np.stack([schur_efims(j_phi, transform_matrices(v_tau, v_theta, distance, measurement))
                      for measurement in MEASUREMENTS])
 
 
-def _scene_links(scene: Scene, links: Sequence[Link], reference: int | None = None) -> tuple:
+def _scene_links(scene: Scene, links: Sequence[Link]) -> tuple:
     """:func:`placement_links` of one scene (n = 1) for the panel pairs of
-    ``links`` (geometry.scene_placement), ``reference`` indexing ``links``."""
-    return placement_links(scene.context, *scene_placement(scene, links),
-                           None if reference is None else np.array([reference]))
+    ``links`` (geometry.scene_placement)."""
+    return placement_links(scene.context, *scene_placement(scene, links))
 
 
-def fim_channel(scene: Scene, links: Sequence[Link], reference: int | None = None) -> np.ndarray:
-    """Analytic Fisher information of the channel parameters (4L x 4L), in
-    the :func:`link_orders` layout; ``reference`` forces a reference link.
-    The one-placement call of :func:`channel_fims`."""
-    t, r, _, _, _, angle, h = _scene_links(scene, links, reference)
+def fim_channel(scene: Scene, links: Sequence[Link]) -> np.ndarray:
+    """Analytic Fisher information of the channel parameters (4L x 4L), the
+    one-placement call of :func:`channel_fims`."""
+    t, r, _, _, _, angle, h = _scene_links(scene, links)
     return channel_fims(scene.context, t, r, angle, h)[0]
 
 
@@ -275,12 +255,10 @@ def fim_channel_fd(scene: Scene, links: Sequence[Link], step: float = 1e-7) -> n
     return channel_fims_fd(scene.context, t, r, delay - delay[:, :1], angle, h, step)[0]
 
 
-def transform_matrix(
-    scene: Scene, links: Sequence[Link], measurement: Measurement, reference: int | None = None
-) -> np.ndarray:
+def transform_matrix(scene: Scene, links: Sequence[Link], measurement: Measurement) -> np.ndarray:
     """Geometric Jacobian (R x 4L) of one placement's links, the one-placement
     call of :func:`transform_matrices`."""
-    _, _, v_tau, v_theta, distance, _, _ = _scene_links(scene, links, reference)
+    _, _, v_tau, v_theta, distance, _, _ = _scene_links(scene, links)
     return transform_matrices(v_tau, v_theta, distance, measurement)[0]
 
 
@@ -290,11 +268,9 @@ def efim_schur(j_phi: np.ndarray, t_matrix: np.ndarray) -> FimResult:
     return bounds_from_fim(schur_efims(j_phi[None], t_matrix[None])[0])
 
 
-def efim_general(
-    scene: Scene, links: Sequence[Link], measurement: Measurement, reference: int | None = None
-) -> FimResult:
+def efim_general(scene: Scene, links: Sequence[Link], measurement: Measurement) -> FimResult:
     """Full general-path EFIM of one measurement set: channel FIM, transform,
     Schur complement, from one build of the scene's links."""
-    t, r, v_tau, v_theta, distance, angle, h = _scene_links(scene, links, reference)
+    t, r, v_tau, v_theta, distance, angle, h = _scene_links(scene, links)
     return efim_schur(channel_fims(scene.context, t, r, angle, h)[0],
                       transform_matrices(v_tau, v_theta, distance, measurement)[0])

@@ -177,7 +177,8 @@ def preset_context(preset: PresetConfig) -> LinkContext:
     shortest visible link whose Tx array carries signal (ties to the smallest
     (t, r)) gets the target SNR g / (its Tx array's subcarrier count); raises
     NoActiveLinks without one, and ValueError, naming target_snr_db, when the
-    power that meets it is not positive and finite.
+    power that meets it is not positive and finite, or when the context's
+    bandwidths, power moments or information weights leave the float range.
     """
     vehicle = _build_vehicle(preset)
     arrays = vehicle.arrays
@@ -197,11 +198,16 @@ def preset_context(preset: PresetConfig) -> LinkContext:
         snr = 10.0 ** (preset.target_snr_db / 10.0)
     except OverflowError:
         snr = math.inf
-    power = snr * len(allocation.per_array_sets[ref_t[k]]) / float(unit_g)
+    power = snr * len(allocation.per_array_sets[ref_t[k]]) / float(unit_g) if unit_g else math.inf
     if not 0.0 < power < math.inf:
         raise ValueError(f"target_snr_db = {preset.target_snr_db} calibrates the transmit "
                          f"power to {power!r} W, which is not positive and finite")
-    return link_context(vehicle, vehicle, replace(unit_power, total_power=power), allocation)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite context is refused
+        ctx = link_context(vehicle, vehicle, replace(unit_power, total_power=power), allocation)
+    if not all(np.isfinite(x).all() for x in (ctx.link_beta, ctx.tx_moments, ctx.link_gd2)):
+        raise ValueError(f"preset {preset.name!r} has bandwidths, power moments or "
+                         "information weights beyond the float range")
+    return ctx
 
 
 def build_scene(preset: PresetConfig, q: Vec2, alpha_t: float = 0.0) -> Scene:
@@ -244,19 +250,20 @@ def placement_efims(ctx: LinkContext, tx_pose: tuple, rx_pose: tuple) -> tuple[n
     distance = np.where(visible.reshape(n, -1), np.hypot(links[..., 0], links[..., 1]), np.inf)
     vectors = link_vectors(links / distance[..., None], np.repeat(tx_c - tx_p[:, None], kr, 1),
                            rx_h[:, None], ctx.link_saaf)
-    g = ctx.link_gd2 / distance**2
-    return tx_c, offset, visible, information(*vectors, g, distance, ctx.link_beta,
-                                              ctx.ofdm.omega_c)
+    with np.errstate(over="ignore"):  # beyond 1e154 m, distance**2 is inf: g = 0, as hidden
+        g = ctx.link_gd2 / distance**2
+        return tx_c, offset, visible, information(*vectors, g, distance, ctx.link_beta,
+                                                  ctx.ofdm.omega_c)
 
 
 def _require_measurements(measurements: Collection[Measurement]) -> None:
     """Raise ValueError, naming the allowed values, unless measurements is a
-    collection of MEASUREMENTS members and not a string (whose substrings
-    would match)."""
+    non-empty collection of MEASUREMENTS members and not a string (whose
+    substrings would match)."""
     if (isinstance(measurements, str) or not isinstance(measurements, Collection)
-            or not all(m in MEASUREMENTS for m in measurements)):
-        raise ValueError(f"measurements must be a collection of members of {MEASUREMENTS}, "
-                         f"got {measurements!r}")
+            or not len(measurements) or not all(m in MEASUREMENTS for m in measurements)):
+        raise ValueError(f"measurements must be a non-empty collection of members of "
+                         f"{MEASUREMENTS}, got {measurements!r}")
 
 
 def bound_table(

@@ -31,7 +31,10 @@ import time
 
 import numpy as np
 
-from .fim_general import channel_fims, channel_fims_fd, placement_links, placement_schur_efims
+from .fim_general import (
+    channel_fims, channel_fims_fd, placement_links, placement_schur_efims, schur_efims,
+    transform_matrices,
+)
 from .geometry import SPEED_OF_LIGHT, visibility
 from .scenarios import (
     PRESETS, PresetConfig, placement_efims, placement_poses, preset_context, scenario_placements,
@@ -173,16 +176,18 @@ def analytic_vs_fd_errors(*, n_scenes: int = 20, seed: int = SELFCHECK_SEED) -> 
 
 def reference_invariance_error(seed: int = SELFCHECK_SEED) -> float:
     """Max relative deviation of the Schur EFIM (AOA+TDOA) over all
-    reference choices, as one stack: row k takes link k as the reference,
-    the others in (t, r) order."""
+    reference choices, as one stack of the scene's links reordered: row k
+    puts link k first, the others in (t, r) order."""
     [(preset, q, alpha_t)] = random_placements(np.random.default_rng(seed),
                                                [PRESETS["cfg_3p5GHz"]], 1)
     ctx, (tx_pose, rx_pose) = preset_context(preset), placement_poses(q[None], alpha_t)
-    placement = visibility(ctx.tx_vehicle.arrays, tx_pose, ctx.rx_vehicle.arrays, rx_pose)
-    n_links = int(placement[2].sum())
-    j_po = placement_schur_efims(
-        ctx, *(np.repeat(x, n_links, axis=0) for x in placement),
-        np.zeros(n_links), np.arange(n_links))[0]
+    links = placement_links(ctx, *visibility(ctx.tx_vehicle.arrays, tx_pose,
+                                             ctx.rx_vehicle.arrays, rx_pose), rx_pose[1])
+    index = np.arange(links[0].shape[-1])
+    order = np.argsort(index != index[:, None], axis=-1, kind="stable")
+    t, r, v_tau, v_theta, distance, angle, h = (x[0, order] for x in links)
+    j_po = schur_efims(channel_fims(ctx, t, r, angle, h),
+                       transform_matrices(v_tau, v_theta, distance, "aoa_tdoa"))
     return float(relative_frobenius(j_po[:1], j_po[1:]).max(initial=0.0))
 
 

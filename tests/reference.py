@@ -189,14 +189,10 @@ def dense_link_efims(ctx, tx_pose, rx_pose):
                        ctx.ofdm.omega_c)
 
 
-def link_order(links, reference=None):
-    """Indices of links (in (t, r) order) in parameter order, one link at a
-    time: the reference link first (``reference``, or the link of minimum
-    delay, ties broken by (t, r)), then the others in their given order. The
-    reference for ``fim_general.link_orders``."""
-    if reference is None:
-        reference = min(range(len(links)),
-                        key=lambda i: (links[i].delay, links[i].tx_panel, links[i].rx_panel))
+def link_order(links, reference=0):
+    """Indices of links (in (t, r) order) in parameter order: the reference
+    link ``links[reference]`` first, then the others in their given order.
+    The default is the general path's own layout, the first link first."""
     return [reference] + [i for i in range(len(links)) if i != reference]
 
 
@@ -232,7 +228,7 @@ def _folded_information(scene, blocks):
     return 0.5 * (j + j.T)
 
 
-def brute_force_fim_channel(scene, links, gains, reference=None):
+def brute_force_fim_channel(scene, links, gains, reference=0):
     """Channel FIM from each link's full (samples, 4) derivative stack, one
     link at a time, in the fim_channel layout."""
     order = link_order(links, reference)

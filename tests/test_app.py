@@ -1,21 +1,24 @@
 """CLI, config parsing, CSV emission, and end-to-end determinism."""
 
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import v2vbounds
 from v2vbounds.app import CSV_HEADER, emit_csv, load_config, main
 from v2vbounds.errors import ConfigError
-from v2vbounds.scenarios import COLUMNS
+from v2vbounds.scenarios import COLUMNS, PRESETS
 
 from reference import format_cell
 
@@ -463,3 +466,92 @@ class TestCli:
         out = capsys.readouterr().out
         assert "closed vs Schur" in out
         assert "selfcheck PASS" in out
+
+
+# Values a YAML config can hold that no key accepts, mixed into every key. An
+# integral 1e300 as n_rx_elements would be taken as that many elements, built
+# one at a time, so that key draws the others only.
+ODD = [math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, -1e-300, True, False, "x", "",
+       [1.0], None, 0, -1]
+ODD_COUNT = [value for value in ODD if value != 1e300]
+
+
+def mixed(valid, odd=ODD):
+    """Valid values, and one draw in four an odd one."""
+    return st.integers(0, 3).flatmap(lambda i: st.sampled_from(odd) if i == 0 else valid)
+
+
+# Valid values keep every grid at most 49 rows: steps of at least 0.5 m over
+# spans of at most 24 m.
+OVERRIDE_VALUES = {
+    "carrier_frequency": mixed(st.floats(1e9, 80e9)),
+    "subcarrier_spacing": mixed(st.floats(15e3, 480e3)),
+    "n_rx_elements": mixed(st.integers(1, 9), ODD_COUNT),
+    "target_snr_db": mixed(st.floats(0.0, 50.0)),
+    "n_fft": mixed(st.integers(64, 4096)),
+    "max_occupied_index": mixed(st.integers(1, 40)),
+    "vehicle_length": mixed(st.floats(3.0, 6.0)),
+    "vehicle_width": mixed(st.floats(1.5, 2.5)),
+    "lane_width": mixed(st.floats(0.01, 4.0)),
+    "fov_blocked_halfwidth": mixed(st.floats(0.0, 3.2)),
+    "bogus": st.just(1.0),
+}
+RUN_VALUES = {
+    "scenario": st.sampled_from(["overtaking", "platooning", "custom"]),
+    "preset": st.sampled_from(["cfg_3p5GHz", "cfg_28GHz", "custom"]),
+    "measurements": st.sampled_from(["aoa", "aoa+tdoa", "both", "AOA_TDOA"]),
+    "step": st.floats(0.5, 5.0),
+    "q_y_min": st.floats(-12.0, 0.0),
+    "q_y_max": st.floats(0.0, 12.0),
+    "q_x": st.floats(-10.0, 10.0),
+    "alpha_t": st.floats(-math.pi, math.pi),
+    "overrides": st.fixed_dictionaries({}, optional=OVERRIDE_VALUES),
+}
+# step, q_y_min and q_y_max are always given, so no default 241-row grid runs.
+GRID_KEYS = ("step", "q_y_min", "q_y_max")
+RUN_CONFIGS = st.fixed_dictionaries(
+    {key: mixed(RUN_VALUES[key]) for key in GRID_KEYS},
+    optional={key: mixed(values) for key, values in RUN_VALUES.items() if key not in GRID_KEYS},
+)
+
+
+def grid_rows(raw):
+    """Rows of a valid config's sweep: whole steps from q_y_min up to q_y_max,
+    or, platooning, bumper gaps of whole steps down to q_y_min."""
+    step, q_y_min, q_y_max = (float(raw[key]) for key in GRID_KEYS)
+    if raw.get("scenario") != "platooning":
+        return math.floor((q_y_max - q_y_min) / step + 1e-9) + 1
+    preset = raw.get("preset") or "cfg_3p5GHz"
+    length = (raw.get("overrides") or {}).get(
+        "vehicle_length", PRESETS[preset if preset in PRESETS else "cfg_3p5GHz"].vehicle_length)
+    return math.floor((-q_y_min - float(length)) / step + 1e-9)
+
+
+# Configs at the edge of the float range: a grid row at 1e300 m, whose
+# distance**2 overflows (a row of inf bounds), a 1e300 Hz carrier, whose
+# calibration gain underflows to 0 (exit 2), and a 1e300 Hz subcarrier
+# spacing, whose effective bandwidths overflow (exit 2).
+@example(raw={"step": 1e300, "q_y_min": 0.0, "q_y_max": 1e300}, out="out.csv")
+@example(raw={"step": 1.0, "q_y_min": -1.0, "q_y_max": 1.0,
+              "overrides": {"carrier_frequency": 1e300}}, out="out.csv")
+@example(raw={"step": 1.0, "q_y_min": -1.0, "q_y_max": 1.0,
+              "overrides": {"subcarrier_spacing": 1e300}}, out="out.csv")
+@settings(max_examples=40, deadline=None)
+@given(raw=RUN_CONFIGS, out=st.just("out.csv") | st.sampled_from([math.nan, True, [1.0], ""]))
+def test_any_config_exits_0_2_or_3(tmp_path_factory, raw, out):
+    # Whatever a config file holds, the CLI answers with a documented exit
+    # code: 0 with a NaN-free CSV of the grid's rows, 2 with no CSV, or 3.
+    directory = tmp_path_factory.mktemp("fuzz")
+    csv = directory / "out.csv"
+    raw = {**raw, "out": str(csv) if out == "out.csv" else out}
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the narrowband warning
+        code = main(["--config", write_config(directory, **raw)])
+    assert code in (0, 2, 3) and "Traceback" not in stderr.getvalue()
+    if code == 0:
+        rows = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)
+        assert len(rows) == grid_rows(raw) and not np.isnan(rows).any()
+    elif code == 2:
+        assert not csv.exists()

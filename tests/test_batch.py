@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 from v2vbounds.channel import link_gains
 from v2vbounds.errors import NoActiveLinks
-from v2vbounds.fim_closed import bound_arrays, efim_aoa_only, efim_aoa_tdoa
+from v2vbounds.fim_closed import MEASUREMENTS, bound_arrays, efim_aoa_only, efim_aoa_tdoa
 from v2vbounds.fim_general import (
-    channel_fims, channel_fims_fd, placement_links, placement_schur_efims,
+    channel_fims, channel_fims_fd, placement_links, placement_schur_efims, schur_efims,
+    transform_matrices,
 )
 from v2vbounds.geometry import (
     SPEED_OF_LIGHT, Vec2, active_links, visibility, wrap_angle, wrap_angles,
@@ -37,14 +38,15 @@ from v2vbounds.scenarios import (
     preset_context,
 )
 from v2vbounds.selfcheck import (
-    ANALYTIC_VS_FD_TOL, CLOSED_VS_SCHUR_TOL, equilibrated_frobenius, relative_frobenius,
+    ANALYTIC_VS_FD_TOL, CLOSED_VS_SCHUR_TOL, REFERENCE_INVARIANCE_TOL, equilibrated_frobenius,
+    relative_frobenius,
 )
 from v2vbounds.waveform import effective_bandwidths
 
 from conftest import NARROW, small_scene
 from reference import (
-    dense_link_efims, reference_calibrated_power, reference_los_visible, rx_panel_state,
-    tx_panel_state,
+    dense_link_efims, link_order, reference_calibrated_power, reference_los_visible,
+    rx_panel_state, tx_panel_state,
 )
 
 BOUND_FIELDS = (
@@ -323,6 +325,51 @@ def test_general_path_equals_closed_form_at_few_subcarriers(case):
             fd = channel_fims_fd(ctx, t, r, delay - delay[:, :1], angle, h)
             error = equilibrated_frobenius(channel_fims(ctx, t, r, angle, h), fd)
             assert (error < ANALYTIC_VS_FD_TOL).all(), error
+
+
+# EFIMs, not bounds: at an ill-conditioned placement the bounds move more (at
+# the first example, AOA+TDOA bounds of about 3 km differ by 1.2e-8 between
+# its 2 references). Rows are compared only where the ranks agree: schur_efims
+# ranks the complement against the block it was taken from, which holds the
+# reference link's own range information. At the second example (8 links, four
+# 6.1e-5 m long) that block holds 1.3e4 of q_y information with link 1 or 3
+# first and 1.3e-6 otherwise, so the 1.3e-6 the EFIM keeps falls below RANK_EPS
+# of it there: rank 1, not 2 (every bound inf either way).
+@example((PresetConfig(name="custom", carrier_frequency=1e9, subcarrier_spacing=15e3,
+                       n_rx_elements=9, target_snr_db=0.0, max_occupied_index=5,
+                       vehicle_length=3.0, vehicle_width=2.0, lane_width=3.0),
+          [(1.0, 1.0, 1.0)]))
+@example((PresetConfig(name="custom", carrier_frequency=1e9, subcarrier_spacing=15e3,
+                       n_rx_elements=1, target_snr_db=0.0, max_occupied_index=5,
+                       vehicle_length=5.0, vehicle_width=2.0, lane_width=3.0,
+                       fov_blocked_halfwidth=0.0),
+          [(0.0, 6.103515625e-05, 0.0)]))
+@settings(max_examples=30, deadline=None)
+@given(preset_and_float_placements())
+def test_schur_efims_do_not_depend_on_the_reference_link(case):
+    # Each placement's links, reordered to put link k first and the others in
+    # (t, r) order, give both sets' Schur EFIMs of the (t, r) order itself.
+    preset, placements = case
+    ctx = preset_context(preset)
+    x, y, alpha_t = np.array(placements).T
+    tx_pose, rx_pose = placement_poses(np.column_stack((x, y)), alpha_t)
+    tx_c, offset, visible = visibility(ctx.tx_vehicle.arrays, tx_pose, ctx.rx_vehicle.arrays,
+                                       rx_pose)
+    n_links = visible.sum(axis=(1, 2))
+    for count in set(n_links.tolist()) - {0, 1}:
+        group = np.flatnonzero(n_links == count)
+        order = np.array([link_order(range(count), k) for k in range(count)])
+        stacks = placement_links(ctx, tx_c[group], offset[group], visible[group],
+                                 rx_pose[1][group])
+        t, r, v_tau, v_theta, distance, angle, h = (
+            column[:, order].reshape(-1, *column.shape[1:]) for column in stacks)
+        j_phi = channel_fims(ctx, t, r, angle, h)
+        for measurement in MEASUREMENTS:
+            j_po = schur_efims(j_phi, transform_matrices(v_tau, v_theta, distance, measurement))
+            j_po = j_po.reshape(len(group), count, 3, 3)
+            rank = bound_arrays(j_po)[1]
+            error = relative_frobenius(j_po[:, :1], j_po)[rank == rank[:, :1]]
+            assert (error < REFERENCE_INVARIANCE_TOL).all(), (measurement, error.max())
 
 
 @given(st.floats(-1e6, 1e6) | st.sampled_from([math.pi, -math.pi, math.tau, -0.0, 3 * math.pi]))

@@ -22,7 +22,6 @@ from v2vbounds.fim_general import (
     fim_channel,
     fim_channel_fd,
     link_means,
-    link_orders,
     placement_links,
     placement_schur_efims,
     schur_efims,
@@ -108,7 +107,7 @@ class TestMeanVector:
         # delay phase; the element factor |h| times a unit-modulus phase.
         scene, links, gains = medium_scene
         link, h = links[-1], gains[-1].h
-        delay = link.delay - links[link_order(links)[0]].delay
+        delay = link.delay - links[0].delay
         a, omega, b, dphase = link_mean(scene, link, delay, link.theta_R_local, h)
         subset = scene.allocation.per_array_sets[link.tx_panel]
         gamma_t = scene.allocation.array_power_fractions[link.tx_panel]
@@ -164,14 +163,25 @@ class TestMeanVector:
         assert np.linalg.norm(fd - analytic) < 1e-6 * np.linalg.norm(analytic)
 
 
+def scene_stacks(scene, links, reference=0):
+    """placement_links of one scene's links (n = 1), reordered as link_order
+    orders them, links[reference] first."""
+    order = link_order(links, reference)
+    return [x[:, order] for x in placement_links(scene.context, *scene_placement(scene, links))]
+
+
 def assert_matches_oracle(scene):
-    """fim_channel equals the brute-force Gram to 1e-12 at every reference."""
+    """channel_fims equals the brute-force Gram to 1e-12 at every reference,
+    the reference link put first in the stacks, and fim_channel at the first."""
     links = active_links(scene)
     gains = link_gains(scene, links)
     for reference in range(len(links)):
-        j = fim_channel(scene, links, reference)
+        t, r, _, _, _, angle, h = scene_stacks(scene, links, reference)
+        j = channel_fims(scene.context, t, r, angle, h)[0]
         oracle = brute_force_fim_channel(scene, links, gains, reference)
         assert equilibrated_frobenius(oracle, j) < 1e-12
+    oracle = brute_force_fim_channel(scene, links, gains)
+    assert equilibrated_frobenius(oracle, fim_channel(scene, links)) < 1e-12
     return links, gains
 
 
@@ -197,8 +207,8 @@ class TestFactorisedGram:
         preset = dataclasses.replace(preset_3p5, name="sparse", max_occupied_index=1)
         scene = calibrated_scene(preset, q)
         links, _ = assert_matches_oracle(scene)
-        silent = [k for k, i in enumerate(link_order(links))
-                  if not scene.allocation.per_array_sets[links[i].tx_panel]]
+        silent = [k for k, link in enumerate(links)
+                  if not scene.allocation.per_array_sets[link.tx_panel]]
         assert silent
         j = fim_channel(scene, links)
         for k in silent:
@@ -227,15 +237,13 @@ def mixed_panel_scene():
         scene, rx_vehicle=dataclasses.replace(scene.rx_vehicle, panels=rx_panels))
 
 
-def link_stacks(group, reference=None):
-    """(t, r, delay difference, angle, h) stacks (n, L), in link_order, of
+def link_stacks(group):
+    """(t, r, delay difference, angle, h) stacks (n, L), in link order, of
     (scene, links, gains) samples with equal link counts."""
-    ordered = [[(links[i], gains[i]) for i in link_order(links, reference)]
-               for _, links, gains in group]
     t, r, delay, angle = (
-        np.array([[getattr(link, name) for link, _ in links] for links in ordered])
+        np.array([[getattr(link, name) for link in links] for _, links, _ in group])
         for name in ("tx_panel", "rx_panel", "delay", "theta_R_local"))
-    h = np.array([[gain.h for _, gain in links] for links in ordered])
+    h = np.array([[gain.h for gain in gains] for _, _, gains in group])
     return t, r, delay - delay[:, :1], angle, h
 
 
@@ -290,8 +298,8 @@ class TestFdTwin:
         gains = link_gains(scene, links)
         t, r, delay, angle, h = link_stacks([(scene, links, gains)])
         stacks = link_means(scene.context, t, r, delay, angle, h)
-        for k, i in enumerate(link_order(links)):
-            mean, omega, dphase = link_samples(scene, links[i], delay[0, k], angle[0, k], h[0, k])
+        for k, link in enumerate(links):
+            mean, omega, dphase = link_samples(scene, link, delay[0, k], angle[0, k], h[0, k])
             n_s, n_e = mean.shape
             a, omega_k, b, dphase_k = (x[0, k] for x in stacks)
             assert np.allclose(np.multiply.outer(a[:n_s], b[:n_e]), mean, rtol=1e-12, atol=0.0)
@@ -317,34 +325,21 @@ class TestFdTwin:
 
 
 class TestLinkOrder:
-    """link_orders on arrays against the one-link-at-a-time oracle."""
+    """The links' own (t, r) order is the parameter layout."""
 
-    def test_reference_first_then_given_order(self, medium_scene):
-        _, links, _ = medium_scene
-        delay, t, r = (np.array([[getattr(link, name) for link in links]])
-                       for name in ("delay", "tx_panel", "rx_panel"))
+    def test_first_link_is_the_reference(self, medium_scene):
+        # The timing offset sits in the first link's delay column, though
+        # another link is nearer.
+        scene, links, gains = medium_scene
         nearest = min(range(len(links)), key=lambda i: links[i].delay)
-        for ref, forced in ((nearest, None), (len(links) - 1, len(links) - 1)):
-            rest = [i for i in range(len(links)) if i != ref]
-            got = link_orders(delay, t, r, None if forced is None else [forced])[0].tolist()
-            assert got == [ref, *rest] == link_order(links, forced)
-
-    def test_delay_tie_broken_by_panel_pair(self):
-        link = link_geometry(Vec2(0.0, 0.0), Vec2(10.0, 0.0), 0.0, tx_panel=1, rx_panel=0)
-        twin = dataclasses.replace(link, tx_panel=0, rx_panel=1)
-        delay, t, r = (np.array([[getattr(x, name) for x in (link, twin)]])
-                       for name in ("delay", "tx_panel", "rx_panel"))
-        assert link_orders(delay, t, r)[0].tolist() == [1, 0] == link_order((link, twin))
+        assert nearest != 0
+        j = fim_channel(scene, links)
+        assert equilibrated_frobenius(brute_force_fim_channel(scene, links, gains), j) < 1e-12
+        assert equilibrated_frobenius(brute_force_fim_channel(scene, links, gains, nearest),
+                                      j) > 1e-3
 
     def test_invalid_input_rejected(self, medium_scene):
         scene, links, _ = medium_scene
-        delay, t, r = (np.array([[getattr(link, name) for link in links]] * 2)
-                       for name in ("delay", "tx_panel", "rx_panel"))
-        for reference in ([0, len(links)], [-1, 0]):
-            with pytest.raises(IndexError):
-                link_orders(delay, t, r, reference)
-        with pytest.raises(IndexError):
-            fim_channel(scene, links, reference=len(links))
         with pytest.raises(NoActiveLinks):
             fim_channel(scene, ())
         with pytest.raises(ValueError, match=r"\(t, r\) order"):
@@ -410,17 +405,16 @@ class TestChannelFim:
 
     def test_timing_offset_accumulates_all_links(self, medium_scene):
         # J[0,0] must equal the sum over links of each link's delay-delay
-        # information; read the reference link's own share by re-assembling
-        # with a different reference.
+        # information; read the first link's own share by re-assembling with
+        # the second link first.
         scene, links, _ = medium_scene
-        order = link_order(links)
         j = fim_channel(scene, links)
         total = 0.0
         for position in range(1, len(links)):
             total += j[4 * position, 4 * position]
-        other_ref = order[1]
-        j_alt = fim_channel(scene, links, reference=other_ref)
-        col = 4 * link_order(links, reference=other_ref).index(order[0])
+        t, r, _, _, _, angle, h = scene_stacks(scene, links, 1)
+        j_alt = channel_fims(scene.context, t, r, angle, h)[0]
+        col = 4 * link_order(links, 1).index(0)
         total += j_alt[col, col]
         assert abs(j[0, 0] - total) < 1e-9 * abs(j[0, 0])
 
@@ -454,7 +448,7 @@ class TestTransformMatrix:
         link_geometry delay differences and local angles over (q_x, q_y,
         alpha_T)."""
         t_mat = transform_matrix(scene, links, "aoa_tdoa")
-        pairs = [(links[i].tx_panel, links[i].rx_panel) for i in link_order(links)]
+        pairs = [(link.tx_panel, link.rx_panel) for link in links]
         q0 = scene.rx_pose.position
         alpha0 = scene.tx_pose.orientation
         for row, (dq, da, h) in enumerate(((Vec2(1.0, 0.0), 0.0, 1e-5),
@@ -597,11 +591,18 @@ class TestSchurEfim:
     @pytest.mark.parametrize("reference", [None, 1])
     def test_builds_the_links_once(self, medium_scene, monkeypatch, reference):
         # One placement_links call feeds the channel FIM, the transform and
-        # the Schur complement, with the numbers of the one-step calls.
+        # the Schur complement, with the numbers of the one-step calls; with
+        # a reference, those agree to rounding with the kernels' numbers when
+        # links[reference] leads the layout.
         scene, links, _ = medium_scene
-        expected = {m: efim_schur(fim_channel(scene, links, reference),
-                                  transform_matrix(scene, links, m, reference)).j_po
+        expected = {m: efim_schur(fim_channel(scene, links), transform_matrix(scene, links, m)).j_po
                     for m in MEASUREMENTS}
+        if reference is not None:
+            t, r, v_tau, v_theta, distance, angle, h = scene_stacks(scene, links, reference)
+            j_phi = channel_fims(scene.context, t, r, angle, h)
+            for m, j_po in expected.items():
+                led = schur_efims(j_phi, transform_matrices(v_tau, v_theta, distance, m))[0]
+                assert rel_frob(j_po, led) < 1e-10, m
         calls = []
 
         def counted(*args, **kwargs):
@@ -611,7 +612,7 @@ class TestSchurEfim:
         monkeypatch.setattr(fim_general, "placement_links", counted)
         for variant, j_po in expected.items():
             calls.clear()
-            result = efim_general(scene, links, variant, reference)
+            result = efim_general(scene, links, variant)
             assert len(calls) == 1, variant
             np.testing.assert_array_equal(result.j_po, j_po)
 
@@ -629,9 +630,10 @@ class TestSchurEfim:
         scene, links, _ = medium_scene
         results = []
         for ref in range(len(links)):
-            j_phi = fim_channel(scene, links, reference=ref)
-            t_mat = transform_matrix(scene, links, "aoa_tdoa", reference=ref)
-            results.append(efim_schur(j_phi, t_mat).j_po)
+            t, r, v_tau, v_theta, distance, angle, h = scene_stacks(scene, links, ref)
+            j_phi = channel_fims(scene.context, t, r, angle, h)
+            t_mat = transform_matrices(v_tau, v_theta, distance, "aoa_tdoa")
+            results.append(schur_efims(j_phi, t_mat)[0])
         for other in results[1:]:
             assert rel_frob(results[0], other) < 1e-10
 
@@ -694,9 +696,10 @@ class TestBatchedKernels:
         groups = [np.flatnonzero(n_links == count) for count in set(n_links.tolist())]
         assert any(len(group) > 1 for group in groups)
         for group in groups:
-            reference = np.full(len(group), n_links[group[0]] - 1) if forced else None
-            t, r, v_tau, v_theta, distance, angle, h = placement_links(
-                ctx, tx_c[group], offset[group], visible[group], rx_pose[1][group], reference)
+            reference = n_links[group[0]] - 1 if forced else 0
+            order = link_order(range(n_links[group[0]]), reference)
+            t, r, v_tau, v_theta, distance, angle, h = (x[:, order] for x in placement_links(
+                ctx, tx_c[group], offset[group], visible[group], rx_pose[1][group]))
             j_phi = channel_fims(ctx, t, r, angle, h)
             j_po = [schur_efims(j_phi, transform_matrices(v_tau, v_theta, distance, m))
                     for m in MEASUREMENTS]
@@ -704,8 +707,7 @@ class TestBatchedKernels:
                 scene = calibrated_scene(preset, Vec2(*q[i]), alpha_t=alpha_t[i])
                 links = active_links(scene)
                 gains = link_gains(scene, links)
-                oracle = brute_force_fim_channel(scene, links, gains,
-                                                 None if reference is None else reference[k])
+                oracle = brute_force_fim_channel(scene, links, gains, reference)
                 assert equilibrated_frobenius(oracle, j_phi[k]) < 1e-12
                 for schur, closed in zip(j_po, closed_form(scene, links, gains)):
                     assert rel_frob(closed, schur[k]) < CLOSED_VS_SCHUR_TOL

@@ -481,9 +481,10 @@ def test_both_paths_stack_the_measurement_sets_in_one_order(name):
 
 
 # A misspelled name once gave six inf bounds and no crossings, and a bare
-# string matched by substring ("aoa" in "aoa_tdoa"), so both sets ran.
+# string matched by substring ("aoa" in "aoa_tdoa"), so both sets ran; an
+# empty collection gave the same sentinels.
 @pytest.mark.parametrize("measurements", [("aoa_tdao",), ("nope",), ("aoa", "AOA"), "aoa_tdoa",
-                                          "aoa", None, iter(MEASUREMENTS)])
+                                          "aoa", None, iter(MEASUREMENTS), (), []])
 def test_bad_measurements_rejected(measurements):
     preset, allowed = PRESETS["cfg_3p5GHz"], re.escape(repr(MEASUREMENTS))
     calls = (lambda: bound_table(preset, [(-3.5, 10.0)], measurements=measurements),
