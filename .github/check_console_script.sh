@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Checks of the installed v2vbounds console script: --selfcheck passes, an
-# over-limit grid, an unreachable target SNR and an over-budget subcarrier
-# count exit 2, and silent Tx arrays calibrate. Scratch files go to
+# over-limit grid, an unreachable target SNR, an over-budget subcarrier count
+# and an over-limit Rx element count exit 2, and silent Tx arrays calibrate. Scratch files go to
 # $RUNNER_TEMP. Run from the repository root: bash .github/check_console_script.sh
 set -eo pipefail
 
@@ -15,6 +15,9 @@ status=0; v2vbounds --config "$RUNNER_TEMP/snr.yaml" --out "$RUNNER_TEMP/snr.csv
 # 8e8 subcarriers would need about 95 GB: refused by MAX_SUBCARRIERS before any allocation.
 echo "overrides: {max_occupied_index: 400000000, n_fft: 1000000000}" > "$RUNNER_TEMP/subcarriers.yaml"
 status=0; v2vbounds --config "$RUNNER_TEMP/subcarriers.yaml" --out "$RUNNER_TEMP/subcarriers.csv" || status=$?; test "$status" -eq 2
+# 1e10 Rx elements, built one at a time, would run until killed: refused by MAX_RX_ELEMENTS.
+echo "overrides: {n_rx_elements: 10000000000}" > "$RUNNER_TEMP/elements.yaml"
+status=0; v2vbounds --config "$RUNNER_TEMP/elements.yaml" --out "$RUNNER_TEMP/elements.csv" || status=$?; test "$status" -eq 2
 # Two subcarriers leave the rear Tx arrays silent; the calibration skips them.
 echo "overrides: {max_occupied_index: 1}" > "$RUNNER_TEMP/silent.yaml"
 PYTHONWARNINGS=error::RuntimeWarning v2vbounds --config "$RUNNER_TEMP/silent.yaml" --out "$RUNNER_TEMP/silent.csv"

@@ -7,7 +7,7 @@ and removes nuisance parameters with a Schur complement through a
 pseudo-inverse, so that a singular nuisance block still gives the closed
 form's EFIM. A central-finite-difference twin of the channel FIM serves as
 a numerical oracle for the analytic derivatives. The three stages are
-kernels over a stack of placements with equal link counts under one link
+kernels over a stack of placements, padded to one link count, under one link
 context; :func:`placement_links` builds their inputs from a visibility pass
 and :func:`placement_schur_efims` chains them, the general-path twin of
 ``scenarios.placement_efims``, with the measurement sets in the same order
@@ -180,53 +180,69 @@ def schur_efims(j_phi: np.ndarray, t_matrix: np.ndarray) -> np.ndarray:
     channel FIMs (n, 4L, 4L) and :func:`transform_matrices` (rows [:3]
     geometric, [3:] nuisance): A - B N^+ B^T of the blocks of T J T^T.
 
-    T J T^T is equilibrated by its diagonal (1 where it is not positive), so
-    that the mixed parameter units (seconds, radians, linear gains) do not
-    masquerade as degeneracy, and N is pseudo-inverted from one eigh,
-    keeping eigenvalues above RANK_EPS lambda_max. For a PSD FIM, N z = 0
-    forces B z = 0, so B^T lies in the range of N and the complement is the
-    EFIM even where N is singular (one subcarrier per array turns a delay
-    like its gain phase). The complement, in the units where A has a unit
-    diagonal, is ranked against the block it was taken from: an eigenvalue
-    up to RANK_EPS is the rounding residue of the subtraction and is set to
-    zero, so it reads as a missing direction.
+    N is an arrow matrix: links couple only through the offset (row 3), and
+    each later row is the identity row of a column of link column // 4. By
+    the quotient property each link's nuisance block (its 4 x 4 block of J,
+    unit pivots for its other parameters) goes first, pseudo-inverted from
+    one batched eigh at RANK_EPS times its largest eigenvalue, then the
+    offset, at a pivot above RANK_EPS; all in the units where T J T^T has a
+    unit diagonal (1 where not positive), and no sum mixes links but in link
+    order, so a silent link adds exact zeros. For a PSD FIM, N z = 0 forces
+    B z = 0, so the complement is the EFIM even where N is singular (one
+    subcarrier per array turns a delay like its gain phase). It is ranked
+    where A has a unit diagonal: eigenvalues up to RANK_EPS are the
+    subtraction's rounding residue, set to 0.
     """
-    full = t_matrix @ j_phi @ t_matrix.swapaxes(-1, -2)
-    diag = full.diagonal(0, -2, -1)
-    scale = np.sqrt(np.where(diag > 0.0, diag, 1.0))
-    full /= scale[..., :, None] * scale[..., None, :]
-    a, b, n = full[..., :3, :3], full[..., :3, 3:], full[..., 3:, 3:]
-    eigvals, vectors = np.linalg.eigh(n)
-    c = b @ vectors
+    n_links = t_matrix.shape[-1] // 4
+    nuisance = np.zeros((n_links, 4), bool)
+    nuisance.flat[t_matrix[0, 4:].argmax(axis=-1)] = True
+    # Per link: its block of J and the rows [q_x, q_y, alpha_T, offset] of T on its columns.
+    j = np.moveaxis(np.diagonal(j_phi.reshape(-1, n_links, 4, n_links, 4), 0, 1, 3), -1, 1)
+    w = t_matrix[:, :4].reshape(-1, 4, n_links, 4).swapaxes(1, 2).copy()
+    w[..., 3, 0] = 1.0  # the offset shifts every link's delay
+    wj = w @ j
+    f = (wj @ w.swapaxes(-1, -2)).sum(axis=1)
+    f[:, 3, 3] = j_phi[:, 0, 0]  # link 0's block holds every link's offset term
+    d = np.where(nuisance[:, :, None] & nuisance[:, None, :], j, np.eye(4))
+    scale, scale_d = (np.sqrt(np.where(diag > 0.0, diag, 1.0))
+                      for diag in (f.diagonal(0, -2, -1), d.diagonal(0, -2, -1)))
+    f /= scale[:, :, None] * scale[:, None, :]
+    eigvals, vectors = np.linalg.eigh(d / (scale_d[..., :, None] * scale_d[..., None, :]))
+    c = (wj * nuisance[:, None, :] / (scale[:, None, :, None] * scale_d[..., None, :])) @ vectors
     inverse = np.divide(1.0, eigvals, where=eigvals > RANK_EPS * eigvals[..., -1:],
                         out=np.zeros(eigvals.shape))
-    eigvals, vectors = np.linalg.eigh(a - (c * inverse[..., None, :]) @ c.swapaxes(-1, -2))
+    f -= ((c * inverse[..., None, :]) @ c.swapaxes(-1, -2)).sum(axis=1)
+    f = f[:, :3, :3] - np.divide(f[:, :3, 3:] * f[:, 3:, :3], f[:, 3:, 3:],
+                                 where=f[:, 3:, 3:] > RANK_EPS, out=np.zeros((len(f), 3, 3)))
+    eigvals, vectors = np.linalg.eigh(f)
     eigvals[eigvals <= RANK_EPS] = 0.0
-    scale = scale[..., :3]
     return (vectors * eigvals[..., None, :]) @ vectors.swapaxes(-1, -2) * (
-        scale[..., :, None] * scale[..., None, :])
+        scale[:, :3, None] * scale[:, None, :3])
 
 
 def placement_links(ctx: LinkContext, tx_c: np.ndarray, offset: np.ndarray, visible: np.ndarray,
                     rx_heading: np.ndarray) -> tuple:
-    """The kernels' per-link inputs of n placements with equal link counts,
-    from the Tx centroids (n, Kt, 2), pair offsets (n, Kt, Kr, 2) and LOS mask
-    (n, Kt, Kr) of geometry.visibility, the Tx reference point at the origin,
-    and the Rx headings (n,), with the visible links in (t, r) order: Tx and
-    Rx panels (n, L), delay and angle information vectors (n, L, 3),
-    distances, Rx-frame arrival angles and free-space gains (n, L)."""
+    """The kernels' per-link inputs of n placements, from the Tx centroids
+    (n, Kt, 2), pair offsets (n, Kt, Kr, 2) and any LOS mask (n, Kt, Kr) of
+    geometry.visibility, the Tx reference point at the origin, and the Rx
+    headings (n,): Tx and Rx panels (n, L), delay and angle information
+    vectors (n, L, 3), distances, Rx-frame arrival angles and free-space
+    gains (n, L). The visible links come first, so the reference is visible;
+    silent links (h = 0, unit distance) pad to the largest link count."""
     t, r, tx_at, offset, distance, angle = visible_links(tx_c, offset, visible)
+    silent = np.arange(t.shape[-1]) >= visible.sum(axis=(1, 2))[:, None]
+    distance[silent] = 1.0
     heading = rx_heading[:, None]
     v_tau, v_theta, _ = link_vectors(offset / distance[..., None], tx_at, heading,
                                      ctx.rx_vehicle.arrays.saaf_s[r])
     return (t, r, v_tau, v_theta, distance, angle - heading,
-            free_space_gain(distance, ctx.ofdm.wavelength))
+            np.where(silent, 0.0, free_space_gain(distance, ctx.ofdm.wavelength)))
 
 
 def placement_schur_efims(ctx: LinkContext, tx_c: np.ndarray, offset: np.ndarray,
                           visible: np.ndarray, rx_heading: np.ndarray) -> np.ndarray:
     """Schur-path EFIMs (2, n, 3, 3), in MEASUREMENTS order, of n placements
-    with equal link counts, given as :func:`placement_links` takes them."""
+    given as :func:`placement_links` takes them."""
     t, r, v_tau, v_theta, distance, angle, h = placement_links(
         ctx, tx_c, offset, visible, rx_heading)
     j_phi = channel_fims(ctx, t, r, angle, h)

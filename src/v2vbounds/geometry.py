@@ -450,17 +450,17 @@ def visibility(tx: VehicleArrays, tx_pose: tuple, rx: VehicleArrays, rx_pose: tu
 
 
 def visible_links(tx_c: np.ndarray, offset: np.ndarray, visible: np.ndarray) -> tuple:
-    """The visible links of n placements with equal link counts, from the
-    output of :func:`visibility`, in (t, r) order: Tx and Rx panels (n, L),
-    the Tx centroids and their offsets to the Rx centroids (n, L, 2),
+    """The links of n placements from :func:`visibility`'s output, visible
+    pairs first, then hidden ones up to the largest link count, each in (t, r)
+    order: Tx and Rx panels (n, L), Tx centroids and offsets to the Rx (n, L, 2),
     distances and arrival angles (n, L). Visible pairs never coincide.
     Raises NoActiveLinks when no pair is visible.
     """
     if not visible.any():
         raise NoActiveLinks("no Tx-Rx panel pair has line of sight")
-    n = len(visible)
-    _, t, r = (index.reshape(n, -1) for index in np.nonzero(visible))
-    rows = np.arange(n)[:, None]
+    pairs = np.argsort(~visible.reshape(len(visible), -1), axis=-1, kind="stable")
+    t, r = np.divmod(pairs[:, :visible.sum(axis=(1, 2)).max()], visible.shape[-1])
+    rows = np.arange(len(visible))[:, None]
     offset = offset[rows, t, r]
     return (t, r, tx_c[rows, t], offset, np.hypot(offset[..., 0], offset[..., 1]),
             np.arctan2(offset[..., 1], offset[..., 0]))

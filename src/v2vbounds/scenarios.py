@@ -41,6 +41,7 @@ MAX_GRID_ROWS = 100_000
 # holds about 120 B per subcarrier (peak RSS 34 MB at 2e4, 271 MB at 2e6 on
 # CPython 3.11, numpy 2.4), so this caps that at about 240 MB.
 MAX_SUBCARRIERS = 2_000_000
+MAX_RX_ELEMENTS = 10_000  # per panel, built one at a time: 1e4 run in 0.5 s, 1e10 until killed
 CROSSING_TOL = 0.01  # m, the distance resolution of the requirement-crossing search
 
 
@@ -106,6 +107,9 @@ class PresetConfig:
             raise ValueError(f"max_occupied_index must be below n_fft / 2 for the occupied "
                              f"subcarriers to fit inside the FFT grid, got "
                              f"{self.max_occupied_index} with n_fft = {self.n_fft}")
+        if self.n_rx_elements > MAX_RX_ELEMENTS:
+            raise ValueError(f"n_rx_elements must be at most MAX_RX_ELEMENTS = {MAX_RX_ELEMENTS}, "
+                             f"got {self.n_rx_elements}")
         if 2 * self.max_occupied_index > MAX_SUBCARRIERS:
             raise ValueError(f"max_occupied_index must be at most MAX_SUBCARRIERS / 2 = "
                              f"{MAX_SUBCARRIERS // 2}, got {self.max_occupied_index}")

@@ -16,11 +16,10 @@ gaps, blocked-sector edges. The Schur path answers for every placement, a
 singular nuisance block included, so every one is compared. A NaN error
 fails every suite.
 
-The kernels run once per preset and link count, on the whole stack of those
-placements, cut only where its largest array would pass _STACK_BYTES
-(:func:`_link_count_chunks`): the fixed cost of a kernel call, not its
-arithmetic, dominates these suites, and the budget still bounds memory for
-any n_scenes.
+A kernel call's fixed cost, not its arithmetic, dominates: one call takes a
+draw block's placements of a preset, links padded (Schur), or of a preset and
+link count (FD, :func:`_link_count_chunks`), cut only where its largest array
+would pass _STACK_BYTES. Memory does not grow with n_scenes.
 """
 
 from __future__ import annotations
@@ -48,32 +47,47 @@ REFERENCE_INVARIANCE_TOL = 1e-10
 
 # Bytes of the largest stack one kernel call may build: the Schur kernels'
 # (n, 4L, 4L) floats, the FD twin's (n, L, 4, S_max, E_max) complex gradient.
-# At 1 MiB every default Schur group runs in one call and the 28 GHz FD
-# groups about 4 placements at a time.
+# At 1 MiB each default preset's Schur stack of a draw block runs in one call
+# and the 28 GHz FD groups about 4 placements at a time.
 _STACK_BYTES = 1 << 20
 
 
-def random_placements(
-    rng: np.random.Generator, presets: list[PresetConfig], n_scenes: int
-) -> list[tuple[PresetConfig, np.ndarray, float]]:
+def random_placements(rng: np.random.Generator, presets: list[PresetConfig], n_scenes: int):
     """The first n_scenes drawn placements (preset, q, alpha_t) with a link,
-    scene i under presets[i % len(presets)]. Each draw takes a radius, a
-    bearing and a Tx heading from the stream, so the scenes are those of
-    drawing one placement at a time and redrawing those without a link."""
-    accepted = []
+    scene i under presets[i % len(presets)], in lists of _STACK_BYTES // 8192
+    (128: a default preset's share, its edge set and 9 links fit one Schur
+    call), one empty list for n_scenes = 0. Each draw takes a radius, a bearing
+    and a Tx heading, as drawing one at a time and redrawing those unlinked."""
     vehicles = [(c.tx_vehicle.arrays, c.rx_vehicle.arrays) for c in map(preset_context, presets)]
-    while len(accepted) < n_scenes:  # each block draws one placement per missing scene
-        radius, bearing, alpha_t = rng.uniform([5.0, -math.pi, -math.pi], [40.0, math.pi, math.pi],
-                                               size=(n_scenes - len(accepted), 3)).T
-        q = np.column_stack((radius * np.cos(bearing), radius * np.sin(bearing)))
-        # The LOS mask of placement_efims, without its EFIM assembly.
-        tx_pose, rx_pose = placement_poses(q, alpha_t)
-        linked = [visibility(tx, tx_pose, rx, rx_pose)[2].any(axis=(1, 2)) for tx, rx in vehicles]
-        for j in range(len(q)):
-            i = len(accepted) % len(presets)
-            if linked[i][j]:
-                accepted.append((presets[i], q[j], float(alpha_t[j])))
-    return accepted
+    size = max(1, _STACK_BYTES // 8192)
+    for start in range(0, max(n_scenes, 1), size):
+        block, end = [], min(start + size, n_scenes)
+        while start + len(block) < end:  # each round draws one placement per missing scene
+            radius, bearing, alpha_t = rng.uniform([5.0, -math.pi, -math.pi],
+                                                   [40.0, math.pi, math.pi],
+                                                   size=(end - start - len(block), 3)).T
+            q = np.column_stack((radius * np.cos(bearing), radius * np.sin(bearing)))
+            # The LOS mask of placement_efims, without its EFIM assembly.
+            tx_pose, rx_pose = placement_poses(q, alpha_t)
+            linked = [visibility(tx, tx_pose, rx, rx_pose)[2].any(axis=(1, 2))
+                      for tx, rx in vehicles]
+            for j in range(len(q)):
+                i = (start + len(block)) % len(presets)
+                if linked[i][j]:
+                    block.append((presets[i], q[j], float(alpha_t[j])))
+        yield block
+
+
+def _preset_stacks(presets: list[PresetConfig], n_scenes: int, seed: int, extra=None):
+    """Per block of :func:`random_placements` and preset, its placements q (m, 2)
+    and Tx headings (m,), the (q, alpha_t) pairs extra[preset] after its first."""
+    extra = dict(extra or {})
+    for block in random_placements(np.random.default_rng(seed), presets, n_scenes):
+        for preset in presets:
+            scenes = [(q, a) for p, q, a in block if p is preset] + extra.pop(preset, [])
+            if scenes:
+                q, alpha_t = zip(*scenes)
+                yield preset, np.array(q), np.array(alpha_t)
 
 
 def edge_placements(preset: PresetConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -126,18 +140,16 @@ def closed_vs_schur_errors(
 ) -> tuple[float, float]:
     """Max relative Frobenius error, AOA+TDOA and AOA-only, of the batched
     closed-form EFIMs vs the Schur path over n_scenes seeded scenes and both
-    presets' edge sets. The scenes are drawn in one block, so memory grows
-    with n_scenes."""
+    presets' edge sets, taken and reduced block by block
+    (:func:`_preset_stacks`), so memory does not grow with n_scenes."""
     presets = [PRESETS["cfg_3p5GHz"], PRESETS["cfg_28GHz"]]
-    drawn = random_placements(np.random.default_rng(seed), presets, n_scenes)
     worst = np.zeros(2)
-    for preset in presets:
-        ctx, (edge_q, edge_alpha) = preset_context(preset), edge_placements(preset)
-        q = np.array([q for p, q, _ in drawn if p is preset] + edge_q.tolist())
-        alpha_t = np.array([a for p, _, a in drawn if p is preset] + edge_alpha.tolist())
-        poses = placement_poses(q, alpha_t)
+    edges = {preset: list(zip(*edge_placements(preset))) for preset in presets}
+    for preset, q, alpha_t in _preset_stacks(presets, n_scenes, seed, edges):
+        ctx, poses = preset_context(preset), placement_poses(q, alpha_t)
         tx_c, offset, visible, j = placement_efims(ctx, *poses)
-        for chunk in _link_count_chunks(visible, lambda n_links: 8 * (4 * n_links)**2):
+        size = max(1, _STACK_BYTES // (8 * (4 * visible.sum(axis=(1, 2)).max())**2))
+        for chunk in np.split(np.arange(len(q)), range(size, len(q), size)):
             j_po = placement_schur_efims(ctx, tx_c[chunk], offset[chunk], visible[chunk],
                                          poses[1][1][chunk])
             worst = np.maximum(worst, relative_frobenius(j[:, chunk], j_po).max(axis=1))
@@ -147,7 +159,8 @@ def closed_vs_schur_errors(
 def analytic_vs_fd_errors(*, n_scenes: int = 20, seed: int = SELFCHECK_SEED) -> float:
     """Max equilibrated relative Frobenius error (see equilibrated_frobenius)
     of the analytic channel FIMs vs their central-FD twin over n_scenes
-    seeded scenes, drawn in one block, so memory grows with n_scenes.
+    seeded scenes, taken and reduced block by block (:func:`_preset_stacks`);
+    the kernels run per link count, as padding would add FD arithmetic.
 
     Uses a narrower subcarrier grid than the full presets; the derivative
     structure is identical and the finite-difference sweep stays fast.
@@ -156,11 +169,8 @@ def analytic_vs_fd_errors(*, n_scenes: int = 20, seed: int = SELFCHECK_SEED) -> 
         dataclasses.replace(PRESETS["cfg_3p5GHz"], name="fd_3p5", max_occupied_index=30),
         dataclasses.replace(PRESETS["cfg_28GHz"], name="fd_28", max_occupied_index=30),
     ]
-    drawn = random_placements(np.random.default_rng(seed), light, n_scenes)
     worst = np.zeros(())
-    for preset in light:
-        q = np.array([q for p, q, _ in drawn if p is preset]).reshape(-1, 2)
-        alpha_t = np.array([a for p, _, a in drawn if p is preset])
+    for preset, q, alpha_t in _preset_stacks(light, n_scenes, seed):
         ctx, (tx_pose, rx_pose) = preset_context(preset), placement_poses(q, alpha_t)
         placement = visibility(ctx.tx_vehicle.arrays, tx_pose, ctx.rx_vehicle.arrays, rx_pose)
         samples = ctx.omega.shape[-1] * ctx.rx_vehicle.arrays.elements.shape[-1]
@@ -178,8 +188,8 @@ def reference_invariance_error(seed: int = SELFCHECK_SEED) -> float:
     """Max relative deviation of the Schur EFIM (AOA+TDOA) over all
     reference choices, as one stack of the scene's links reordered: row k
     puts link k first, the others in (t, r) order."""
-    [(preset, q, alpha_t)] = random_placements(np.random.default_rng(seed),
-                                               [PRESETS["cfg_3p5GHz"]], 1)
+    [[(preset, q, alpha_t)]] = random_placements(np.random.default_rng(seed),
+                                                 [PRESETS["cfg_3p5GHz"]], 1)
     ctx, (tx_pose, rx_pose) = preset_context(preset), placement_poses(q[None], alpha_t)
     links = placement_links(ctx, *visibility(ctx.tx_vehicle.arrays, tx_pose,
                                              ctx.rx_vehicle.arrays, rx_pose), rx_pose[1])

@@ -287,6 +287,27 @@ def einsum_information(v_tau, v_theta, aperture, g, distance, beta, omega_c):
     return j_aoa + np.einsum("...k,...ki,...kj->...ij", w_tau, centered, centered), j_aoa
 
 
+def reference_schur_efims(j_phi, t_matrix):
+    """``fim_general.schur_efims`` from one eigh of the whole nuisance block:
+    T J T^T equilibrated by its diagonal (1 where not positive), N
+    pseudo-inverted at RANK_EPS lambda_max(N), A - B N^+ B^T ranked as the
+    kernel ranks it. The reference for the kernel's per-link elimination."""
+    full = t_matrix @ j_phi @ t_matrix.swapaxes(-1, -2)
+    diag = full.diagonal(0, -2, -1)
+    scale = np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    full /= scale[..., :, None] * scale[..., None, :]
+    a, b, n = full[..., :3, :3], full[..., :3, 3:], full[..., 3:, 3:]
+    eigvals, vectors = np.linalg.eigh(n)
+    c = b @ vectors
+    inverse = np.divide(1.0, eigvals, where=eigvals > RANK_EPS * eigvals[..., -1:],
+                        out=np.zeros(eigvals.shape))
+    eigvals, vectors = np.linalg.eigh(a - (c * inverse[..., None, :]) @ c.swapaxes(-1, -2))
+    eigvals[eigvals <= RANK_EPS] = 0.0
+    scale = scale[..., :3]
+    return (vectors * eigvals[..., None, :]) @ vectors.swapaxes(-1, -2) * (
+        scale[..., :, None] * scale[..., None, :])
+
+
 def inverse_bound_arrays(j_po):
     """Ranks and bounds of (..., 3, 3) EFIMs from eigvalsh and a LAPACK
     inverse: the reference for ``fim_closed.bound_arrays`` on finite

@@ -46,7 +46,7 @@ from v2vbounds.waveform import effective_bandwidths
 from conftest import NARROW, small_scene
 from reference import (
     dense_link_efims, link_order, reference_calibrated_power, reference_los_visible,
-    rx_panel_state, tx_panel_state,
+    reference_schur_efims, rx_panel_state, tx_panel_state,
 )
 
 BOUND_FIELDS = (
@@ -325,6 +325,45 @@ def test_general_path_equals_closed_form_at_few_subcarriers(case):
             fd = channel_fims_fd(ctx, t, r, delay - delay[:, :1], angle, h)
             error = equilibrated_frobenius(channel_fims(ctx, t, r, angle, h), fd)
             assert (error < ANALYTIC_VS_FD_TOL).all(), error
+
+
+# Errors in the units where the block A the complement is taken from has a
+# unit diagonal, in which the kernels rank: where the EFIM keeps little of A,
+# the subtraction's rounding is a larger part of the EFIM itself. At the
+# example, the n_rx 1 / max_occupied_index 3 placement of the property above,
+# both kernels give rank 1 and EFIMs 8e-16 apart in A's units, 3e-10 apart
+# relative to the EFIM (2.3e-6 of A).
+@example((PresetConfig(name="custom", carrier_frequency=1e9, subcarrier_spacing=15e3,
+                       n_rx_elements=1, target_snr_db=0.0, max_occupied_index=3,
+                       vehicle_length=4.25, vehicle_width=1.5, lane_width=3.0),
+          [(2.875, 0.0, 2.5)]))
+@settings(max_examples=40, deadline=None)
+@given(preset_and_float_placements(st.builds(dataclasses.replace, custom_presets(),
+                                             max_occupied_index=st.integers(1, 8))))
+def test_schur_efims_equal_the_whole_nuisance_pseudo_inverse(case):
+    # The per-link elimination over one stack of every placement, padded to
+    # the largest link count, against one eigh of each whole nuisance block:
+    # equal ranks, and EFIMs equal to rounding.
+    preset, placements = case
+    ctx = preset_context(preset)
+    x, y, alpha_t = np.array(placements).T
+    tx_pose, rx_pose = placement_poses(np.column_stack((x, y)), alpha_t)
+    tx_c, offset, visible = visibility(ctx.tx_vehicle.arrays, tx_pose, ctx.rx_vehicle.arrays,
+                                       rx_pose)
+    assume(visible.any())
+    t, r, v_tau, v_theta, distance, angle, h = placement_links(ctx, tx_c, offset, visible,
+                                                               rx_pose[1])
+    j_phi = channel_fims(ctx, t, r, angle, h)
+    for measurement in MEASUREMENTS:
+        t_matrix = transform_matrices(v_tau, v_theta, distance, measurement)
+        j_po, expected = schur_efims(j_phi, t_matrix), reference_schur_efims(j_phi, t_matrix)
+        np.testing.assert_array_equal(bound_arrays(j_po)[1], bound_arrays(expected)[1])
+        geometric = t_matrix[:, :3]
+        diag = (geometric @ j_phi @ geometric.swapaxes(-1, -2)).diagonal(0, -2, -1)
+        scale = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+        error = np.linalg.norm((j_po - expected) * scale[:, :, None] * scale[:, None, :],
+                               axis=(-2, -1))
+        assert (error < 1e-12).all(), (measurement, error.max())
 
 
 # EFIMs, not bounds: at an ill-conditioned placement the bounds move more (at

@@ -80,8 +80,8 @@ def closed_form(scene, links, gains):
 def sampled_scenes(preset, n_scenes):
     """(scene, links, gains) at the selfcheck's first n_scenes placements."""
     samples = []
-    for _, q, alpha_t in random_placements(np.random.default_rng(SELFCHECK_SEED), [preset],
-                                           n_scenes):
+    [drawn] = random_placements(np.random.default_rng(SELFCHECK_SEED), [preset], n_scenes)
+    for _, q, alpha_t in drawn:
         scene = calibrated_scene(preset, Vec2(*q), alpha_t=alpha_t)
         links = active_links(scene)
         samples.append((scene, links, link_gains(scene, links)))
@@ -687,7 +687,7 @@ class TestBatchedKernels:
     def test_batched_equals_oracles(self, preset_name, forced):
         preset = PRESETS[preset_name]
         ctx = preset_context(preset)
-        drawn = random_placements(np.random.default_rng(SELFCHECK_SEED), [preset], 40)
+        [drawn] = random_placements(np.random.default_rng(SELFCHECK_SEED), [preset], 40)
         q, alpha_t = np.array([q for _, q, _ in drawn]), np.array([a for _, _, a in drawn])
         tx_pose, rx_pose = placement_poses(q, alpha_t)
         tx_c, offset, visible = visibility(ctx.tx_vehicle.arrays, tx_pose, ctx.rx_vehicle.arrays,
@@ -729,6 +729,49 @@ class TestBatchedKernels:
             j_po = schur_efims(np.array(j_phi), np.array(t_mat[measurement]))
             error = relative_frobenius(np.array(closed)[:, v], j_po)
             assert (error < CLOSED_VS_SCHUR_TOL).all(), (measurement, error)
+
+
+class TestPaddedLinks:
+    """placement_links pads a stack to its largest link count with silent
+    links, which change no EFIM."""
+
+    @pytest.mark.parametrize("preset", [PRESETS["cfg_3p5GHz"], PRESETS["cfg_28GHz"],
+                                        dataclasses.replace(PRESETS["cfg_3p5GHz"], name="sparse",
+                                                            max_occupied_index=1)],
+                             ids=lambda p: p.name)
+    def test_mixed_link_counts_equal_one_call_per_placement(self, preset):
+        ctx = preset_context(preset)
+        [drawn] = random_placements(np.random.default_rng(SELFCHECK_SEED), [preset], 20)
+        q, alpha_t = np.array([q for _, q, _ in drawn]), np.array([a for _, _, a in drawn])
+        poses = placement_poses(q, alpha_t)
+        rx_heading = poses[1][1]
+        tx_c, offset, visible, _ = placement_efims(ctx, *poses)
+        assert len(set(visible.sum(axis=(1, 2)).tolist())) > 2
+        stacked = placement_schur_efims(ctx, tx_c, offset, visible, rx_heading)
+        for i in range(len(q)):
+            one = placement_schur_efims(ctx, tx_c[i:i + 1], offset[i:i + 1], visible[i:i + 1],
+                                        rx_heading[i:i + 1])
+            assert (relative_frobenius(one[:, 0], stacked[:, i]) < 1e-12).all(), i
+
+    @pytest.mark.parametrize("max_occupied_index", [1, 2, 400])
+    def test_appended_silent_link_changes_no_efim(self, max_occupied_index):
+        # Any panel pair, direction and distance: with h = 0 the link carries
+        # no delay or angle information and its gains decouple.
+        preset = dataclasses.replace(PRESETS["cfg_3p5GHz"], name="padded",
+                                     max_occupied_index=max_occupied_index)
+        ctx = preset_context(preset)
+        tx_pose, rx_pose = placement_poses(np.array([[-3.5, 10.0], [4.0, -12.0]]),
+                                           np.array([0.0, 0.7]))
+        links = placement_links(ctx, *placement_efims(ctx, tx_pose, rx_pose)[:3], rx_pose[1])
+        silent = (np.array([[3], [0]]), np.array([[1], [2]]), np.full((2, 1, 3), 0.4),
+                  np.full((2, 1, 3), -0.2), np.array([[1.0], [7.5]]), np.array([[0.3], [-2.0]]),
+                  np.zeros((2, 1), complex))
+        padded = [np.concatenate(pair, axis=1) for pair in zip(links, silent)]
+        for measurement in MEASUREMENTS:
+            j_po = [schur_efims(channel_fims(ctx, t, r, angle, h),
+                                transform_matrices(v_tau, v_theta, distance, measurement))
+                    for t, r, v_tau, v_theta, distance, angle, h in (links, padded)]
+            assert (relative_frobenius(*j_po) < 1e-14).all(), measurement
 
 
 # Both headings of a custom scene, the Rx one away from 0.

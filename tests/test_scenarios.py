@@ -17,6 +17,7 @@ from v2vbounds.scenarios import (
     _SET_COLUMNS,
     COLUMNS,
     MAX_GRID_ROWS,
+    MAX_RX_ELEMENTS,
     MAX_SUBCARRIERS,
     PRESETS,
     Requirements,
@@ -440,6 +441,14 @@ class TestScenarioGeometry:
         assert len(scenarios._grid(0.0, MAX_GRID_ROWS - 1.0, 1.0)) == MAX_GRID_ROWS
         with pytest.raises(ValueError, match="MAX_GRID_ROWS"):
             sweep_placements(PRESETS["cfg_3p5GHz"], "platooning", -1.7e308, 0.0, 0.25)
+
+    def test_rx_elements_at_and_beyond_the_limit(self):
+        # Checked on the preset, before a panel is built element by element.
+        at_limit = dataclasses.replace(PRESETS["cfg_3p5GHz"], n_rx_elements=MAX_RX_ELEMENTS)
+        assert len(preset_context(at_limit).rx_vehicle.panels[0].elements) == MAX_RX_ELEMENTS
+        for count in (MAX_RX_ELEMENTS + 1, 10**10):
+            with pytest.raises(ValueError, match="n_rx_elements .* MAX_RX_ELEMENTS"):
+                dataclasses.replace(at_limit, n_rx_elements=count)
 
     def test_subcarriers_at_and_beyond_the_limit(self):
         # Checked on the preset, before any allocation is built.

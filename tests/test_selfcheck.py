@@ -39,15 +39,17 @@ P28 = PRESETS["cfg_28GHz"]
 
 @pytest.mark.parametrize("seed", range(SELFCHECK_SEED, SELFCHECK_SEED + 3))
 @pytest.mark.parametrize("presets, n_scenes", [([P35, P28], 100), (LIGHT, 20), ([P35], 1),
-                                               ([NARROW, P28], 40)],
-                         ids=["closed_vs_schur", "fd", "reference", "rejecting"])
+                                               ([NARROW, P28], 40), ([NARROW, P28], 300)],
+                         ids=["closed_vs_schur", "fd", "reference", "rejecting", "blocks"])
 def test_block_draws_match_sequential_loop(seed, presets, n_scenes):
-    block = random_placements(np.random.default_rng(seed), presets, n_scenes)
+    # Blocks of 128 scenes continue the stream where the last block left it.
+    drawn = [scene for block in random_placements(np.random.default_rng(seed), presets, n_scenes)
+             for scene in block]
     sequential = sequential_placements(np.random.default_rng(seed), presets, n_scenes)
-    assert [p.name for p, _, _ in block] == [p.name for p, _, _ in sequential]
+    assert [p.name for p, _, _ in drawn] == [p.name for p, _, _ in sequential]
     # The headings come straight from the stream; q goes through cos and sin.
-    assert [a for _, _, a in block] == [a for _, _, a in sequential]
-    assert np.allclose([q for _, q, _ in block], [q for _, q, _ in sequential],
+    assert [a for _, _, a in drawn] == [a for _, _, a in sequential]
+    assert np.allclose([q for _, q, _ in drawn], [q for _, q, _ in sequential],
                        rtol=1e-15, atol=1e-14)
 
 
@@ -121,7 +123,7 @@ def test_closed_vs_schur_covers_the_edge_set():
 def test_placement_links_equal_the_scene_path(preset):
     # The link build all three suites share gives, placement by placement,
     # the links and gains of active_links/link_gains in the oracle's order.
-    drawn = random_placements(np.random.default_rng(SELFCHECK_SEED), [preset], 30)
+    [drawn] = random_placements(np.random.default_rng(SELFCHECK_SEED), [preset], 30)
     edge_q, edge_alpha = edge_placements(preset)
     q = np.concatenate((np.array([q for _, q, _ in drawn]), edge_q))
     alpha_t = np.concatenate(([a for _, _, a in drawn], edge_alpha))
@@ -164,7 +166,7 @@ def test_fd_twin_on_the_edge_set(preset):
 
 @pytest.mark.parametrize("seed", range(SELFCHECK_SEED, SELFCHECK_SEED + 3))
 def test_stacked_reference_suite_equals_per_reference_loop(seed):
-    [(preset, q, alpha_t)] = random_placements(np.random.default_rng(seed), [P35], 1)
+    [[(preset, q, alpha_t)]] = random_placements(np.random.default_rng(seed), [P35], 1)
     scene = calibrated_scene(preset, Vec2(*q), alpha_t=alpha_t)
     links = active_links(scene)
     stacks = placement_links(scene.context, *scene_placement(scene, links))
@@ -179,26 +181,39 @@ def test_stacked_reference_suite_equals_per_reference_loop(seed):
 
 
 def test_one_placement_per_call_gives_the_same_errors(monkeypatch):
-    # Whole link-count stacks give the errors of one kernel call per placement.
-    sizes = []
+    # At the default n_scenes one Schur call per preset and measurement set
+    # takes every placement, links padded; the FD twin runs whole link-count
+    # stacks. With room for one placement per call, the errors are the same.
+    sizes = {"schur": [], "fd": []}
 
     def schur(j_phi, t_matrix):
-        sizes.append(len(j_phi))
+        sizes["schur"].append(len(j_phi))
         return schur_efims(j_phi, t_matrix)
 
     def fd(ctx, t, *rest):
-        sizes.append(len(t))
+        sizes["fd"].append(len(t))
         return channel_fims_fd(ctx, t, *rest)
 
     monkeypatch.setattr(fim_general, "schur_efims", schur)
     monkeypatch.setattr(selfcheck, "channel_fims_fd", fd)
     grouped = (*closed_vs_schur_errors(), analytic_vs_fd_errors())
-    assert max(sizes) > 1
-    sizes.clear()
+    assert len(sizes["schur"]) == 2 * len(MEASUREMENTS)
+    assert max(sizes["fd"]) > 1
+    sizes = {"schur": [], "fd": []}
     monkeypatch.setattr(selfcheck, "_STACK_BYTES", 1)
     single = (*closed_vs_schur_errors(), analytic_vs_fd_errors())
-    assert set(sizes) == {1}
+    assert set(sizes["schur"]) == set(sizes["fd"]) == {1}
     assert np.allclose(single, grouped, rtol=1e-12, atol=0.0)
+
+
+def test_blocked_draws_give_the_errors_of_one_block(monkeypatch):
+    # Draws taken and reduced in blocks of 128 scenes give the errors, repr
+    # for repr, of one block per suite with one kernel call per preset (and
+    # link count): the blocks keep the scenes and their order.
+    blocked = closed_vs_schur_errors(n_scenes=300), analytic_vs_fd_errors(n_scenes=150)
+    monkeypatch.setattr(selfcheck, "_STACK_BYTES", 1 << 40)
+    assert repr((closed_vs_schur_errors(n_scenes=300),
+                 analytic_vs_fd_errors(n_scenes=150))) == repr(blocked)
 
 
 @pytest.mark.parametrize("scene_bytes", [
