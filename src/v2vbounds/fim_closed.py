@@ -34,8 +34,8 @@ RANK_EPS = 1e-10
 # A unit-diagonal A with positive LDL^T pivots has lambda_max <= 3 and
 # lambda_min >= 1 / trace(A^-1): below this trace, rank 3 with a 10x margin.
 _CERTIFIED_TRACE = 1.0 / (30.0 * RANK_EPS)
-# The smallest normal float: a diagonal entry below it is a missing direction.
-_TINY = np.finfo(float).tiny
+# The smallest normal float (a diagonal entry below it is a missing direction), the roundoff.
+_TINY, _EPS = np.finfo(float).tiny, np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,7 +158,7 @@ def information(
 
     The angle part sums rank-one terms weighted by g omega_c^2 SAAF / (c d)^2.
     The delay part is the weighted covariance of the delay vectors with
-    weights g beta^2 / c^2, zero when all betas are.
+    weights g beta^2 / c^2, zero when all betas are or the vectors agree.
     """
     c2 = SPEED_OF_LIGHT**2
     w_theta = g * omega_c**2 * aperture / (c2 * distance**2)
@@ -170,6 +170,8 @@ def information(
     total = np.add.reduce(w_tau, axis=-1, keepdims=True)
     mean = (w_tau[..., None, :] @ v_tau) / np.where(total > 0.0, total, 1.0)[..., None]
     centered = v_tau - mean
+    # An entry within the mean's rounding, L ulps of the link's own, is no information.
+    np.copyto(centered, 0.0, where=abs(centered) <= v_tau.shape[-2] * _EPS * abs(v_tau))
     np.matmul((centered * w_tau[..., None]).swapaxes(-1, -2), centered, out=j[0])
     j[0] += j[1]
     return j

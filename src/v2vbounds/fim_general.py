@@ -1,24 +1,23 @@
 """General-path information pipeline from the received-signal model.
 
-Assembles the Fisher information of the raw channel parameters (common
-timing offset, per-link delay differences, arrival angles, and complex
-gains), maps it onto position/orientation through the geometric Jacobian,
-and removes nuisance parameters with a Schur complement through a
-pseudo-inverse, so that a singular nuisance block still gives the closed
-form's EFIM. A central-finite-difference twin of the channel FIM serves as
-a numerical oracle for the analytic derivatives. The three stages are
-kernels over a stack of placements, padded to one link count, under one link
-context; :func:`placement_links` builds their inputs from a visibility pass
-and :func:`placement_schur_efims` chains them, the general-path twin of
-``scenarios.placement_efims``, with the measurement sets in the same order
-(``fim_closed.MEASUREMENTS``). The one-scene functions are n = 1 calls.
+Assembles each link's Fisher information in its channel parameters (delay,
+arrival angle, complex gain), maps it onto position/orientation and the common
+timing offset through the geometric Jacobian, and removes nuisance parameters
+with a Schur complement through a pseudo-inverse, so that a singular nuisance
+block still gives the closed form's EFIM. A central-finite-difference twin of
+the channel FIM serves as a numerical oracle for the analytic derivatives. The
+three stages are kernels over a stack of placements, padded to one link count,
+under one link context; :func:`placement_links` builds their inputs from a
+visibility pass and :func:`placement_schur_efims` chains them, the general-path
+twin of ``scenarios.placement_efims``, with the measurement sets in the same
+order (``fim_closed.MEASUREMENTS``). The one-scene functions are n = 1 calls.
 
-Parameter layout for L links: the links in the order they are given, which
-:func:`placement_links` takes from ``geometry.visible_links`` ((t, r) order).
-Column block k, four consecutive columns [delay, angle, Re gain, Im gain],
-belongs to the k-th link. The first link is the reference: its delay column is
-the common timing offset (column 0), every other link's the delay difference
-to the first link. 4L parameters in total.
+Parameter layout: each of L links, in the order given (:func:`placement_links`
+takes (t, r) order from ``geometry.visible_links``), has its own [delay, angle,
+Re gain, Im gain]. Links couple only through the timing offset, which shifts
+every link's delay, so the channel FIMs are per-link 4 x 4 blocks (n, L, 4, 4)
+and each link's Jacobian (n, L, 4, 4) maps [q_x, q_y, alpha_T, offset] onto
+its parameters. No link is a reference.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .geometry import SPEED_OF_LIGHT, Link, scene_placement, visible_links
 def link_means(ctx: LinkContext, t: np.ndarray, r: np.ndarray, delay: np.ndarray, angle: np.ndarray,
                gain: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Noiseless received samples of links (n, L) from their Tx and Rx panels,
-    delay differences, vehicle-frame arrival angles and complex gains.
+    delays, vehicle-frame arrival angles and complex gains.
 
     A link's (subcarrier, Rx element) mean is ``a ⊗ b``, ``a`` (n, L, S_max)
     over the subcarrier slots of ``Allocation.arrays`` and ``b`` (n, L, E_max)
@@ -70,32 +69,19 @@ def _moment_gram(rows: np.ndarray, moments: np.ndarray) -> np.ndarray:
     return rows.conj().T @ np.stack((moments[..., :2], moments[..., 1:]), axis=-2) @ rows
 
 
-def _channel_information(ctx: LinkContext, blocks: np.ndarray) -> np.ndarray:
-    """Channel FIMs (..., 4L, 4L) from each link's 4 x 4 Gram (real part) of
-    the derivatives of its mean in its own (delay, angle, Re gain, Im gain),
-    stacked (..., L, 4, 4) in link order.
-
-    Links at different Rx panels or on disjoint subcarrier sets only couple
-    through the shared timing offset, so each link's Gram block sits on the
-    diagonal. The timing offset shifts every link's delay, so the offset map
-    O (the identity plus ones at [0::4, 0]) folds it into column 0: O^T J O
-    sums the delay columns into column 0, then the delay rows into row 0.
-    """
-    n_links = blocks.shape[-3]
-    n = 4 * n_links
-    j = np.einsum("...kab,kl->...kalb", blocks, np.eye(n_links)).reshape(*blocks.shape[:-3], n, n)
-    j[..., :, 0] = j[..., :, 0::4].sum(axis=-1)
-    j[..., 0, :] = j[..., 0::4, :].sum(axis=-2)
-    j *= 2.0 * ctx.ofdm.n_symbols / ctx.noise_variance
+def _information(ctx: LinkContext, grams: np.ndarray) -> np.ndarray:
+    """Fisher information: the real Grams times 2 n_symbols / noise_variance, symmetrised."""
+    j = grams * (2.0 * ctx.ofdm.n_symbols / ctx.noise_variance)
     return 0.5 * (j + j.swapaxes(-1, -2))
 
 
 def channel_fims(
     ctx: LinkContext, t: np.ndarray, r: np.ndarray, angle: np.ndarray, h: np.ndarray
 ) -> np.ndarray:
-    """Analytic channel FIMs (n, 4L, 4L) of n placements from their links' Tx
-    and Rx panels, vehicle-frame arrival angles and complex gains (n, L), in
-    link order, under one link context.
+    """Analytic channel FIMs of n placements, one 4 x 4 block per link (n, L,
+    4, 4) in its own [delay, angle, Re gain, Im gain], from the links' Tx and
+    Rx panels, vehicle-frame arrival angles and complex gains (n, L) under one
+    link context.
 
     A link's mean is a ⊗ b (:func:`link_means`), so each of its derivative
     columns is fa_k ⊗ fb_k, with Fa = [-1j omega a, a, a/h, 1j a/h] and
@@ -117,13 +103,13 @@ def channel_fims(
     # |h|^2 times the 1/h of the gain columns: conj(v_k) v_l, v = [h, h, 1, 1].
     v = np.stack((h, h, np.ones_like(h), np.ones_like(h)), axis=-1)
     weight = v.conj()[..., :, None] * v[..., None, :]
-    return _channel_information(ctx, (weight * tx[t] * rx_gram).real)
+    return _information(ctx, (weight * tx[t] * rx_gram).real)
 
 
 def channel_fims_fd(ctx: LinkContext, t: np.ndarray, r: np.ndarray, delay: np.ndarray,
                     angle: np.ndarray, h: np.ndarray, step: float = 1e-7) -> np.ndarray:
     """Central-finite-difference twin of :func:`channel_fims`, from the same
-    (n, L) stacks plus the links' delay differences to the first link.
+    (n, L) stacks plus the links' own delays.
     Each parameter is stepped in the full samples ``a ⊗ b`` of
     :func:`link_means`, in proportion to its own scale (1/max|omega| for
     the delay, |h| for the gain), so the twin uses no factorisation or moments.
@@ -145,79 +131,77 @@ def channel_fims_fd(ctx: LinkContext, t: np.ndarray, r: np.ndarray, delay: np.nd
     grad /= 2.0 * np.abs(d_tau + d_theta + d_h)[..., None]
     # Viewed as (re, im) pairs, g g^T sums Re(conj(g_k) g_l) over the samples.
     g = grad.view(float)
-    return _channel_information(ctx, g @ g.swapaxes(-1, -2))
+    return _information(ctx, g @ g.swapaxes(-1, -2))
+
+
+# Per measurement set, the nuisance parameters among each link's own [delay,
+# angle, Re gain, Im gain]: the gains, and in AOA-only the delay too.
+_NUISANCE = {"aoa_tdoa": np.array([False, False, True, True]),
+             "aoa": np.array([True, False, True, True])}
 
 
 def transform_matrices(
     v_tau: np.ndarray, v_theta: np.ndarray, distance: np.ndarray, measurement: Measurement
 ) -> np.ndarray:
-    """Geometric Jacobians (n, R, 4L) from channel parameters (columns, in
-    the module's layout) to estimation parameters (rows, [q_x, q_y,
-    alpha_T] first), from the links' delay and angle information vectors
-    (n, L, 3) (``fim_closed.link_vectors``) and distances (n, L) in link order.
+    """Geometric Jacobians (n, L, 4, 4) of each link's own channel parameters
+    (columns, in the module's layout) in [q_x, q_y, alpha_T, offset] (rows),
+    from the links' delay and angle information vectors (n, L, 3)
+    (``fim_closed.link_vectors``) and distances (n, L).
 
-    ``measurement`` is one of MEASUREMENTS: angles carry geometry in both,
-    delay differences only in "aoa_tdoa"; every other channel parameter (the
-    timing offset, the gains and, for "aoa", the delay differences) is a
-    nuisance parameter with an identity row, in column order.
+    ``measurement`` is one of MEASUREMENTS. The angle column is v_theta / d;
+    in "aoa_tdoa" the delay column is v_tau / c, plus 1 in the offset row, as
+    the timing offset shifts every link's delay. The nuisance parameters
+    (_NUISANCE) have zero columns.
     """
     if measurement not in MEASUREMENTS:
         raise ValueError(f"unknown measurement {measurement!r}, expected one of {MEASUREMENTS}")
-    n = 4 * distance.shape[-1]
-    t_po = np.zeros(distance.shape[:-1] + (3, n))
-    t_po[..., 1::4] = (v_theta / distance[..., None]).swapaxes(-1, -2)
-    geometric = np.arange(n) % 4 == 1
+    w = np.zeros(distance.shape + (4, 4))
+    w[..., :3, 1] = v_theta / distance[..., None]
     if measurement == "aoa_tdoa":
-        delay_rows = (v_tau[..., 1:, :] - v_tau[..., :1, :]) / SPEED_OF_LIGHT
-        t_po[..., 4::4] = delay_rows.swapaxes(-1, -2)
-        geometric[4::4] = True
-    nuisance = np.eye(n)[~geometric]
-    return np.concatenate((t_po, np.broadcast_to(nuisance, t_po.shape[:-2] + nuisance.shape)), -2)
+        w[..., :3, 0] = v_tau / SPEED_OF_LIGHT
+        w[..., 3, 0] = 1.0
+    return w
 
 
-def schur_efims(j_phi: np.ndarray, t_matrix: np.ndarray) -> np.ndarray:
-    """Schur-complement EFIMs (n, 3, 3) over position and orientation from
-    channel FIMs (n, 4L, 4L) and :func:`transform_matrices` (rows [:3]
-    geometric, [3:] nuisance): A - B N^+ B^T of the blocks of T J T^T.
+def schur_efims(blocks: np.ndarray, jacobians: np.ndarray, measurement: Measurement) -> np.ndarray:
+    """Schur-complement EFIMs (n, 3, 3) over position and orientation from the
+    links' channel FIMs (n, L, 4, 4) and their :func:`transform_matrices` of
+    one measurement set, once the timing offset and the links' nuisance
+    parameters (_NUISANCE) are gone.
 
-    N is an arrow matrix: links couple only through the offset (row 3), and
-    each later row is the identity row of a column of link column // 4. By
-    the quotient property each link's nuisance block (its 4 x 4 block of J,
-    unit pivots for its other parameters) goes first, pseudo-inverted from
-    one batched eigh at RANK_EPS times its largest eigenvalue, then the
-    offset, at a pivot above RANK_EPS; all in the units where T J T^T has a
-    unit diagonal (1 where not positive), and no sum mixes links but in link
-    order, so a silent link adds exact zeros. For a PSD FIM, N z = 0 forces
-    B z = 0, so the complement is the EFIM even where N is singular (one
-    subcarrier per array turns a delay like its gain phase). It is ranked
-    where A has a unit diagonal: eigenvalues up to RANK_EPS are the
-    subtraction's rounding residue, set to 0.
+    Links couple only through the offset, so by the quotient property each
+    link's nuisance block goes first, in its own parameters: equilibrated,
+    unit pivots for the others, pseudo-inverted from one batched eigh at
+    RANK_EPS times its largest eigenvalue (for a PSD FIM, N z = 0 forces
+    B z = 0: one subcarrier per array turns a delay like its gain phase).
+    Then the offset, where its remaining information is above RANK_EPS of
+    what it was: as in the closed form, the delays' geometry is centred on
+    the mean m their remaining information weighs, which moves the offset by
+    m . eta and decouples it with no difference of large terms. Sums run in
+    link order, so a silent link adds exact zeros. Ranked where the centred
+    information, no smaller than RANK_EPS of the uncentred (the centring's
+    rounding), has a unit diagonal: eigenvalues up to RANK_EPS are residue.
     """
-    n_links = t_matrix.shape[-1] // 4
-    nuisance = np.zeros((n_links, 4), bool)
-    nuisance.flat[t_matrix[0, 4:].argmax(axis=-1)] = True
-    # Per link: its block of J and the rows [q_x, q_y, alpha_T, offset] of T on its columns.
-    j = np.moveaxis(np.diagonal(j_phi.reshape(-1, n_links, 4, n_links, 4), 0, 1, 3), -1, 1)
-    w = t_matrix[:, :4].reshape(-1, 4, n_links, 4).swapaxes(1, 2).copy()
-    w[..., 3, 0] = 1.0  # the offset shifts every link's delay
-    wj = w @ j
-    f = (wj @ w.swapaxes(-1, -2)).sum(axis=1)
-    f[:, 3, 3] = j_phi[:, 0, 0]  # link 0's block holds every link's offset term
-    d = np.where(nuisance[:, :, None] & nuisance[:, None, :], j, np.eye(4))
-    scale, scale_d = (np.sqrt(np.where(diag > 0.0, diag, 1.0))
-                      for diag in (f.diagonal(0, -2, -1), d.diagonal(0, -2, -1)))
-    f /= scale[:, :, None] * scale[:, None, :]
-    eigvals, vectors = np.linalg.eigh(d / (scale_d[..., :, None] * scale_d[..., None, :]))
-    c = (wj * nuisance[:, None, :] / (scale[:, None, :, None] * scale_d[..., None, :])) @ vectors
+    nuisance = _NUISANCE[measurement]
+    d = np.where(nuisance[:, None] & nuisance, blocks, np.eye(4))
+    diag = d.diagonal(0, -2, -1)
+    scale = np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    eigvals, vectors = np.linalg.eigh(d / (scale[..., :, None] * scale[..., None, :]))
+    c = (blocks * nuisance / scale[..., None, :]) @ vectors
     inverse = np.divide(1.0, eigvals, where=eigvals > RANK_EPS * eigvals[..., -1:],
                         out=np.zeros(eigvals.shape))
-    f -= ((c * inverse[..., None, :]) @ c.swapaxes(-1, -2)).sum(axis=1)
-    f = f[:, :3, :3] - np.divide(f[:, :3, 3:] * f[:, 3:, :3], f[:, 3:, 3:],
-                                 where=f[:, 3:, 3:] > RANK_EPS, out=np.zeros((len(f), 3, 3)))
-    eigvals, vectors = np.linalg.eigh(f)
+    free = blocks - (c * inverse[..., None, :]) @ c.swapaxes(-1, -2)
+    before, after = ((jacobians @ j[..., :1]).sum(axis=1)[..., 0] for j in (blocks, free))
+    m = np.divide(after[:, :3], after[:, 3:], where=after[:, 3:] > RANK_EPS * before[:, 3:],
+                  out=np.zeros((len(after), 3)))
+    w = jacobians[..., :3, :] - m[:, None, :, None] * jacobians[..., 3:, :]
+    units = np.maximum(((w @ blocks) * w).sum(axis=(1, 3)), RANK_EPS * (
+        (jacobians[..., :3, :] @ blocks) * jacobians[..., :3, :]).sum(axis=(1, 3)))
+    unit = np.sqrt(np.where(units > 0.0, units, 1.0))
+    unit = unit[:, :, None] * unit[:, None, :]
+    eigvals, vectors = np.linalg.eigh((w @ free @ w.swapaxes(-1, -2)).sum(axis=1) / unit)
     eigvals[eigvals <= RANK_EPS] = 0.0
-    return (vectors * eigvals[..., None, :]) @ vectors.swapaxes(-1, -2) * (
-        scale[:, :3, None] * scale[:, None, :3])
+    return (vectors * eigvals[..., None, :]) @ vectors.swapaxes(-1, -2) * unit
 
 
 def placement_links(ctx: LinkContext, tx_c: np.ndarray, offset: np.ndarray, visible: np.ndarray,
@@ -227,8 +211,8 @@ def placement_links(ctx: LinkContext, tx_c: np.ndarray, offset: np.ndarray, visi
     geometry.visibility, the Tx reference point at the origin, and the Rx
     headings (n,): Tx and Rx panels (n, L), delay and angle information
     vectors (n, L, 3), distances, Rx-frame arrival angles and free-space
-    gains (n, L). The visible links come first, so the reference is visible;
-    silent links (h = 0, unit distance) pad to the largest link count."""
+    gains (n, L). The visible links come first; silent links (h = 0, unit
+    distance) pad to the largest link count."""
     t, r, tx_at, offset, distance, angle = visible_links(tx_c, offset, visible)
     silent = np.arange(t.shape[-1]) >= visible.sum(axis=(1, 2))[:, None]
     distance[silent] = 1.0
@@ -245,9 +229,9 @@ def placement_schur_efims(ctx: LinkContext, tx_c: np.ndarray, offset: np.ndarray
     given as :func:`placement_links` takes them."""
     t, r, v_tau, v_theta, distance, angle, h = placement_links(
         ctx, tx_c, offset, visible, rx_heading)
-    j_phi = channel_fims(ctx, t, r, angle, h)
-    return np.stack([schur_efims(j_phi, transform_matrices(v_tau, v_theta, distance, measurement))
-                     for measurement in MEASUREMENTS])
+    blocks = channel_fims(ctx, t, r, angle, h)
+    return np.stack([schur_efims(blocks, transform_matrices(v_tau, v_theta, distance, measurement),
+                                 measurement) for measurement in MEASUREMENTS])
 
 
 def _scene_links(scene: Scene, links: Sequence[Link]) -> tuple:
@@ -257,8 +241,8 @@ def _scene_links(scene: Scene, links: Sequence[Link]) -> tuple:
 
 
 def fim_channel(scene: Scene, links: Sequence[Link]) -> np.ndarray:
-    """Analytic Fisher information of the channel parameters (4L x 4L), the
-    one-placement call of :func:`channel_fims`."""
+    """Analytic Fisher information of the channel parameters, one 4 x 4 block
+    per link (L x 4 x 4), the one-placement call of :func:`channel_fims`."""
     t, r, _, _, _, angle, h = _scene_links(scene, links)
     return channel_fims(scene.context, t, r, angle, h)[0]
 
@@ -267,21 +251,20 @@ def fim_channel_fd(scene: Scene, links: Sequence[Link], step: float = 1e-7) -> n
     """Central-finite-difference twin of :func:`fim_channel`, the
     one-placement call of :func:`channel_fims_fd`."""
     t, r, _, _, distance, angle, h = _scene_links(scene, links)
-    delay = distance / SPEED_OF_LIGHT
-    return channel_fims_fd(scene.context, t, r, delay - delay[:, :1], angle, h, step)[0]
+    return channel_fims_fd(scene.context, t, r, distance / SPEED_OF_LIGHT, angle, h, step)[0]
 
 
 def transform_matrix(scene: Scene, links: Sequence[Link], measurement: Measurement) -> np.ndarray:
-    """Geometric Jacobian (R x 4L) of one placement's links, the one-placement
-    call of :func:`transform_matrices`."""
+    """Geometric Jacobians (L x 4 x 4) of one placement's links, the
+    one-placement call of :func:`transform_matrices`."""
     _, _, v_tau, v_theta, distance, _, _ = _scene_links(scene, links)
     return transform_matrices(v_tau, v_theta, distance, measurement)[0]
 
 
-def efim_schur(j_phi: np.ndarray, t_matrix: np.ndarray) -> FimResult:
+def efim_schur(blocks: np.ndarray, jacobians: np.ndarray, measurement: Measurement) -> FimResult:
     """Schur-complement EFIM of one placement, the n = 1 call of
     :func:`schur_efims`."""
-    return bounds_from_fim(schur_efims(j_phi[None], t_matrix[None])[0])
+    return bounds_from_fim(schur_efims(blocks[None], jacobians[None], measurement)[0])
 
 
 def efim_general(scene: Scene, links: Sequence[Link], measurement: Measurement) -> FimResult:
@@ -289,4 +272,4 @@ def efim_general(scene: Scene, links: Sequence[Link], measurement: Measurement) 
     Schur complement, from one build of the scene's links."""
     t, r, v_tau, v_theta, distance, angle, h = _scene_links(scene, links)
     return efim_schur(channel_fims(scene.context, t, r, angle, h)[0],
-                      transform_matrices(v_tau, v_theta, distance, measurement)[0])
+                      transform_matrices(v_tau, v_theta, distance, measurement)[0], measurement)

@@ -1,5 +1,5 @@
 """Internal consistency suites: closed form vs general path, analytic vs FD,
-and reference-link invariance, all on the stacked kernels of ``fim_general``.
+and link-order invariance, all on the stacked kernels of ``fim_general``.
 
 Scenes are drawn with a fixed, documented seed (SELFCHECK_SEED) from an
 annulus of relative positions 5..40 m around the Tx vehicle with a uniform
@@ -18,7 +18,7 @@ fails every suite.
 
 A kernel call's fixed cost, not its arithmetic, dominates: one call takes a
 draw block's placements of a preset, links padded (Schur), or of a preset and
-link count (FD, :func:`_link_count_chunks`), cut only where its largest array
+link count (FD, :func:`_link_count_chunks`), cut only where the FD gradient
 would pass _STACK_BYTES. Memory does not grow with n_scenes.
 """
 
@@ -45,18 +45,15 @@ CLOSED_VS_SCHUR_TOL = 1e-8
 ANALYTIC_VS_FD_TOL = 1e-7
 REFERENCE_INVARIANCE_TOL = 1e-10
 
-# Bytes of the largest stack one kernel call may build: the Schur kernels'
-# (n, 4L, 4L) floats, the FD twin's (n, L, 4, S_max, E_max) complex gradient.
-# At 1 MiB each default preset's Schur stack of a draw block runs in one call
-# and the 28 GHz FD groups about 4 placements at a time.
+# Bytes of the largest (n, L, 4, S_max, E_max) complex gradient of one FD twin call (28 GHz
+# groups take about 4 placements at a time); a draw block holds _STACK_BYTES // 8192 (128) scenes.
 _STACK_BYTES = 1 << 20
 
 
 def random_placements(rng: np.random.Generator, presets: list[PresetConfig], n_scenes: int):
     """The first n_scenes drawn placements (preset, q, alpha_t) with a link,
     scene i under presets[i % len(presets)], in lists of _STACK_BYTES // 8192
-    (128: a default preset's share, its edge set and 9 links fit one Schur
-    call), one empty list for n_scenes = 0. Each draw takes a radius, a bearing
+    (128), one empty list for n_scenes = 0. Each draw takes a radius, a bearing
     and a Tx heading, as drawing one at a time and redrawing those unlinked."""
     vehicles = [(c.tx_vehicle.arrays, c.rx_vehicle.arrays) for c in map(preset_context, presets)]
     size = max(1, _STACK_BYTES // 8192)
@@ -148,19 +145,17 @@ def closed_vs_schur_errors(
     for preset, q, alpha_t in _preset_stacks(presets, n_scenes, seed, edges):
         ctx, poses = preset_context(preset), placement_poses(q, alpha_t)
         tx_c, offset, visible, j = placement_efims(ctx, *poses)
-        size = max(1, _STACK_BYTES // (8 * (4 * visible.sum(axis=(1, 2)).max())**2))
-        for chunk in np.split(np.arange(len(q)), range(size, len(q), size)):
-            j_po = placement_schur_efims(ctx, tx_c[chunk], offset[chunk], visible[chunk],
-                                         poses[1][1][chunk])
-            worst = np.maximum(worst, relative_frobenius(j[:, chunk], j_po).max(axis=1))
+        j_po = placement_schur_efims(ctx, tx_c, offset, visible, poses[1][1])
+        worst = np.maximum(worst, relative_frobenius(j, j_po).max(axis=1))
     return float(worst[0]), float(worst[1])
 
 
 def analytic_vs_fd_errors(*, n_scenes: int = 20, seed: int = SELFCHECK_SEED) -> float:
     """Max equilibrated relative Frobenius error (see equilibrated_frobenius)
-    of the analytic channel FIMs vs their central-FD twin over n_scenes
-    seeded scenes, taken and reduced block by block (:func:`_preset_stacks`);
-    the kernels run per link count, as padding would add FD arithmetic.
+    of the analytic per-link channel FIMs vs their central-FD twin over
+    n_scenes seeded scenes, taken and reduced block by block
+    (:func:`_preset_stacks`); the kernels run per link count, as padding
+    would add FD arithmetic.
 
     Uses a narrower subcarrier grid than the full presets; the derivative
     structure is identical and the finite-difference sweep stays fast.
@@ -177,17 +172,17 @@ def analytic_vs_fd_errors(*, n_scenes: int = 20, seed: int = SELFCHECK_SEED) -> 
         for chunk in _link_count_chunks(placement[2], lambda n_links: 16 * 4 * n_links * samples):
             t, r, _, _, distance, angle, h = placement_links(
                 ctx, *(x[chunk] for x in placement), rx_pose[1][chunk])
-            delay = distance / SPEED_OF_LIGHT
-            fd = channel_fims_fd(ctx, t, r, delay - delay[:, :1], angle, h)
+            fd = channel_fims_fd(ctx, t, r, distance / SPEED_OF_LIGHT, angle, h)
             error = equilibrated_frobenius(channel_fims(ctx, t, r, angle, h), fd)
             worst = np.maximum(worst, error.max())
     return float(worst)
 
 
 def reference_invariance_error(seed: int = SELFCHECK_SEED) -> float:
-    """Max relative deviation of the Schur EFIM (AOA+TDOA) over all
-    reference choices, as one stack of the scene's links reordered: row k
-    puts link k first, the others in (t, r) order."""
+    """Max relative deviation of the Schur EFIM (AOA+TDOA) over orders of one
+    scene's links, as one stack of them reordered: row k puts link k first,
+    the others in (t, r) order. No link is a reference, so only rounding
+    moves it."""
     [[(preset, q, alpha_t)]] = random_placements(np.random.default_rng(seed),
                                                  [PRESETS["cfg_3p5GHz"]], 1)
     ctx, (tx_pose, rx_pose) = preset_context(preset), placement_poses(q[None], alpha_t)
@@ -197,7 +192,7 @@ def reference_invariance_error(seed: int = SELFCHECK_SEED) -> float:
     order = np.argsort(index != index[:, None], axis=-1, kind="stable")
     t, r, v_tau, v_theta, distance, angle, h = (x[0, order] for x in links)
     j_po = schur_efims(channel_fims(ctx, t, r, angle, h),
-                       transform_matrices(v_tau, v_theta, distance, "aoa_tdoa"))
+                       transform_matrices(v_tau, v_theta, distance, "aoa_tdoa"), "aoa_tdoa")
     return float(relative_frobenius(j_po[:1], j_po[1:]).max(initial=0.0))
 
 

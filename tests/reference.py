@@ -18,6 +18,7 @@ import numpy as np
 
 from v2vbounds.errors import NoActiveLinks
 from v2vbounds.fim_closed import RANK_EPS, information, link_vectors
+from v2vbounds.fim_general import _NUISANCE
 from v2vbounds.geometry import (
     SPEED_OF_LIGHT, Link, Pose, Vec2, active_links, visibility, wrap_angle,
 )
@@ -189,11 +190,10 @@ def dense_link_efims(ctx, tx_pose, rx_pose):
                        ctx.ofdm.omega_c)
 
 
-def link_order(links, reference=0):
-    """Indices of links (in (t, r) order) in parameter order: the reference
-    link ``links[reference]`` first, then the others in their given order.
-    The default is the general path's own layout, the first link first."""
-    return [reference] + [i for i in range(len(links)) if i != reference]
+def link_order(links, first=0):
+    """Indices of links (in (t, r) order) with ``links[first]`` first, then
+    the others in their given order. The default is the given order."""
+    return [first] + [i for i in range(len(links)) if i != first]
 
 
 def link_samples(scene, link, delay, angle, gain):
@@ -214,54 +214,43 @@ def link_samples(scene, link, delay, angle, gain):
     return mean, omega, dphase
 
 
-def _folded_information(scene, blocks):
-    """Channel FIM from each link's 4 x 4 Gram in link order: the blocks on
-    the diagonal, then the timing offset, which shifts every link's delay,
-    folded into column 0."""
-    n = 4 * len(blocks)
-    j = np.zeros((n, n))
-    for k, block in enumerate(blocks):
-        j[4 * k:4 * k + 4, 4 * k:4 * k + 4] = block
-    offset = np.eye(n)
-    offset[0::4, 0] = 1.0
-    j = 2.0 * scene.context.ofdm.n_symbols / scene.context.noise_variance * (offset.T @ j @ offset)
-    return 0.5 * (j + j.T)
+def _information(scene, grams):
+    """Each link's Fisher information from its real 4 x 4 Gram: 2 n_symbols /
+    noise_variance times it, symmetrised, stacked (L, 4, 4) in link order."""
+    j = 2.0 * scene.context.ofdm.n_symbols / scene.context.noise_variance * np.array(grams)
+    return 0.5 * (j + j.swapaxes(-1, -2))
 
 
-def brute_force_fim_channel(scene, links, gains, reference=0):
-    """Channel FIM from each link's full (samples, 4) derivative stack, one
-    link at a time, in the fim_channel layout."""
-    order = link_order(links, reference)
-    ref_delay = links[order[0]].delay
-    blocks = []
-    for i in order:
-        link, h = links[i], gains[i].h
-        mean, omega, dphase = link_samples(scene, link, link.delay - ref_delay,
-                                           link.theta_R_local, h)
+def brute_force_fim_channel(scene, links, gains):
+    """Per-link channel FIMs (L, 4, 4) in each link's own [delay, angle, Re
+    gain, Im gain], from its full (samples, 4) derivative stack, one link at a
+    time, in the order of ``links``."""
+    grams = []
+    for link, gain in zip(links, gains):
+        h = gain.h
+        mean, omega, dphase = link_samples(scene, link, link.delay, link.theta_R_local, h)
         grad = np.stack((
-            -1j * omega[:, None] * mean,  # timing offset / delay difference
+            -1j * omega[:, None] * mean,  # delay
             1j * dphase[None, :] * mean,  # arrival angle
             mean / h,  # Re gain
             1j * mean / h,  # Im gain
         ), axis=-1).reshape(-1, 4)
-        blocks.append((grad.conj().T @ grad).real)
-    return _folded_information(scene, blocks)
+        grams.append((grad.conj().T @ grad).real)
+    return _information(scene, grams)
 
 
 def per_link_fim_channel_fd(scene, links, gains, step=1e-7):
-    """Central-FD channel FIM one link and one parameter at a time, each of a
-    link's four parameters stepped in its sample-by-sample mean with the
-    steps of fim_channel_fd (1/omega_max for the delay, omega_max the largest
-    |omega| of the allocation's subcarriers, 1 rad/s without one off DC, and
-    |h| for the gain)."""
-    order = link_order(links)
-    ref_delay = links[order[0]].delay
+    """Central-FD channel FIMs (L, 4, 4), one link and one parameter at a
+    time, each of a link's four parameters stepped in its sample-by-sample
+    mean with the steps of fim_channel_fd (1/omega_max for the delay,
+    omega_max the largest |omega| of the allocation's subcarriers, 1 rad/s
+    without one off DC, and |h| for the gain)."""
     omega_max = 2.0 * math.pi * scene.context.ofdm.subcarrier_spacing * max(
         abs(p) for subset in scene.allocation.per_array_sets for p in subset)
-    blocks = []
-    for i in order:
-        link, h = links[i], gains[i].h
-        delay, angle, h_step = link.delay - ref_delay, link.theta_R_local, step * abs(h)
+    grams = []
+    for link, gain in zip(links, gains):
+        h = gain.h
+        delay, angle, h_step = link.delay, link.theta_R_local, step * abs(h)
         columns = []
         for d_tau, d_theta, d_h in ((step / (omega_max or 1.0), 0.0, 0.0), (0.0, step, 0.0),
                                     (0.0, 0.0, h_step), (0.0, 0.0, 1j * h_step)):
@@ -269,8 +258,62 @@ def per_link_fim_channel_fd(scene, links, gains, step=1e-7):
             minus = link_samples(scene, link, delay - d_tau, angle - d_theta, h - d_h)[0]
             columns.append((plus - minus).ravel() / (2.0 * abs(d_tau + d_theta + d_h)))
         grad = np.column_stack(columns)
-        blocks.append((grad.conj().T @ grad).real)
-    return _folded_information(scene, blocks)
+        grams.append((grad.conj().T @ grad).real)
+    return _information(scene, grams)
+
+
+def block_diagonal(blocks):
+    """Dense (..., 4L, 4L) matrices with the links' 4 x 4 blocks (..., L, 4,
+    4) on the diagonal, link k in columns 4k..4k+3."""
+    n_links = blocks.shape[-3]
+    return np.einsum("...kab,kl->...kalb", blocks, np.eye(n_links)).reshape(
+        *blocks.shape[:-3], 4 * n_links, 4 * n_links)
+
+
+def delay_difference_fims(blocks):
+    """Dense channel FIMs (..., 4L, 4L) in the delay-difference layout from
+    per-link blocks: the first link is the reference, its delay column the
+    common timing offset (column 0), every other link's the delay difference
+    to the first. The offset map O (the identity plus ones at [0::4, 0])
+    folds the offset into column 0: O^T J O sums the delay columns into
+    column 0, then the delay rows into row 0."""
+    j = block_diagonal(blocks)
+    j[..., :, 0] = j[..., :, 0::4].sum(axis=-1)
+    j[..., 0, :] = j[..., 0::4, :].sum(axis=-2)
+    return j
+
+
+def delay_difference_transforms(v_tau, v_theta, distance, measurement):
+    """Geometric Jacobians (n, R, 4L) in the layout of delay_difference_fims,
+    from channel parameters (columns) to estimation parameters (rows,
+    [q_x, q_y, alpha_T] first): angles carry geometry in both measurement
+    sets, delay differences only in "aoa_tdoa"; every other channel parameter
+    (the timing offset, the gains and, for "aoa", the delay differences) is a
+    nuisance parameter with an identity row, in column order."""
+    n = 4 * distance.shape[-1]
+    t_po = np.zeros(distance.shape[:-1] + (3, n))
+    t_po[..., 1::4] = (v_theta / distance[..., None]).swapaxes(-1, -2)
+    geometric = np.arange(n) % 4 == 1
+    if measurement == "aoa_tdoa":
+        delay_rows = (v_tau[..., 1:, :] - v_tau[..., :1, :]) / SPEED_OF_LIGHT
+        t_po[..., 4::4] = delay_rows.swapaxes(-1, -2)
+        geometric[4::4] = True
+    nuisance = np.eye(n)[~geometric]
+    return np.concatenate((t_po, np.broadcast_to(nuisance, t_po.shape[:-2] + nuisance.shape)), -2)
+
+
+def dense_arrow(blocks, jacobians, measurement):
+    """The kernels' per-link blocks and Jacobians (..., L, 4, 4) of one
+    measurement set as a dense channel FIM (..., 4L, 4L) and T (..., R, 4L),
+    as reference_schur_efims takes them: rows [q_x, q_y, alpha_T, offset] on
+    every link's columns, then an identity row per nuisance column
+    (``fim_general._NUISANCE``), in column order."""
+    n_links = blocks.shape[-3]
+    rows = jacobians.swapaxes(-3, -2).reshape(*jacobians.shape[:-3], 4, 4 * n_links)
+    nuisance = np.eye(4 * n_links)[np.tile(_NUISANCE[measurement], n_links)]
+    t_matrix = np.concatenate(
+        (rows, np.broadcast_to(nuisance, rows.shape[:-2] + nuisance.shape)), -2)
+    return block_diagonal(blocks), t_matrix
 
 
 def einsum_information(v_tau, v_theta, aperture, g, distance, beta, omega_c):
@@ -287,41 +330,64 @@ def einsum_information(v_tau, v_theta, aperture, g, distance, beta, omega_c):
     return j_aoa + np.einsum("...k,...ki,...kj->...ij", w_tau, centered, centered), j_aoa
 
 
-def reference_schur_efims(j_phi, t_matrix):
-    """``fim_general.schur_efims`` from one eigh of the whole nuisance block:
-    T J T^T equilibrated by its diagonal (1 where not positive), N
-    pseudo-inverted at RANK_EPS lambda_max(N), A - B N^+ B^T ranked as the
-    kernel ranks it. The reference for the kernel's per-link elimination."""
-    full = t_matrix @ j_phi @ t_matrix.swapaxes(-1, -2)
+def _complement(full, k):
+    """full[..., :k, :k] - B N^+ B^T over the rows from k on, in the units
+    where full has a unit diagonal (1 where not positive), N pseudo-inverted
+    from one eigh at RANK_EPS lambda_max(N)."""
     diag = full.diagonal(0, -2, -1)
     scale = np.sqrt(np.where(diag > 0.0, diag, 1.0))
-    full /= scale[..., :, None] * scale[..., None, :]
-    a, b, n = full[..., :3, :3], full[..., :3, 3:], full[..., 3:, 3:]
-    eigvals, vectors = np.linalg.eigh(n)
-    c = b @ vectors
+    scale = scale[..., :, None] * scale[..., None, :]
+    full = full / scale
+    eigvals, vectors = np.linalg.eigh(full[..., k:, k:])
+    c = full[..., :k, k:] @ vectors
     inverse = np.divide(1.0, eigvals, where=eigvals > RANK_EPS * eigvals[..., -1:],
                         out=np.zeros(eigvals.shape))
-    eigvals, vectors = np.linalg.eigh(a - (c * inverse[..., None, :]) @ c.swapaxes(-1, -2))
+    complement = full[..., :k, :k] - (c * inverse[..., None, :]) @ c.swapaxes(-1, -2)
+    return complement * scale[..., :k, :k]
+
+
+def reference_schur_efims(j_phi, t_matrix):
+    """``fim_general.schur_efims`` from dense channel FIMs (n, 4L, 4L) and
+    Jacobians (n, R, 4L), rows [:3] geometric, [3] the timing offset and [4:]
+    the other nuisance parameters, a whole nuisance block at a time. The
+    geometric rows are centred as the kernel centres them, on m = g_po / g_oo
+    of the information g left once rows [4:] are gone (where g_oo is above
+    RANK_EPS of its value before); then A - B N^+ B^T over rows [3:], ranked
+    as the kernel ranks it. The reference for the kernel's per-link
+    elimination, on dense_arrow's layout or the delay-difference one."""
+    full = t_matrix @ j_phi @ t_matrix.swapaxes(-1, -2)
+    g = _complement(full, 4)
+    m = np.divide(g[..., :3, 3], g[..., 3, 3:], where=g[..., 3, 3:] > RANK_EPS * full[..., 3, 3:4],
+                  out=np.zeros(g.shape[:-2] + (3,)))
+    centred = np.concatenate((t_matrix[..., :3, :] - m[..., None] * t_matrix[..., 3:4, :],
+                              t_matrix[..., 3:, :]), axis=-2)
+    full_c = centred @ j_phi @ centred.swapaxes(-1, -2)
+    units = np.maximum(full_c.diagonal(0, -2, -1)[..., :3],
+                       RANK_EPS * full.diagonal(0, -2, -1)[..., :3])
+    unit = np.sqrt(np.where(units > 0.0, units, 1.0))
+    unit = unit[..., :, None] * unit[..., None, :]
+    eigvals, vectors = np.linalg.eigh(_complement(full_c, 3) / unit)
     eigvals[eigvals <= RANK_EPS] = 0.0
-    scale = scale[..., :3]
-    return (vectors * eigvals[..., None, :]) @ vectors.swapaxes(-1, -2) * (
-        scale[..., :, None] * scale[..., None, :])
+    return (vectors * eigvals[..., None, :]) @ vectors.swapaxes(-1, -2) * unit
 
 
 def inverse_bound_arrays(j_po):
     """Ranks and bounds of (..., 3, 3) EFIMs from eigvalsh and a LAPACK
     inverse: the reference for ``fim_closed.bound_arrays`` on finite
-    matrices, without its position-block rank rule."""
+    matrices, without its position-block rank rule. Both run on the
+    equilibrated A = D^-1/2 J D^-1/2, D = diag(J), and J^-1 = D^-1/2 A^-1
+    D^-1/2, so the inverse errs by eps times A's condition number, not J's."""
     sym = 0.5 * (j_po + np.swapaxes(j_po, -1, -2))
     diag = sym.diagonal(0, -2, -1)
     scale = np.sqrt(np.divide(1.0, diag, where=diag > 0.0, out=np.zeros(diag.shape)))
-    eigvals = np.linalg.eigvalsh(sym * (scale[..., :, None] * scale[..., None, :]))
+    a = sym * (scale[..., :, None] * scale[..., None, :])
+    eigvals = np.linalg.eigvalsh(a)
     lam_max = eigvals[..., -1:]
     rank = np.where(lam_max[..., 0] > 0.0, np.sum(eigvals > RANK_EPS * lam_max, axis=-1), 0)
     full = (rank == 3)[..., None]
-    inv = np.linalg.inv(np.where(full[..., None], sym, np.eye(3)))
+    inv = np.linalg.inv(np.where(full[..., None], a, np.eye(3)))
     with np.errstate(invalid="ignore"):
-        bounds = np.sqrt(np.diagonal(inv, axis1=-2, axis2=-1))
+        bounds = scale * np.sqrt(np.diagonal(inv, axis1=-2, axis2=-1))
     return rank, np.where(full, bounds, math.inf)
 
 

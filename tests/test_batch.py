@@ -45,8 +45,9 @@ from v2vbounds.waveform import effective_bandwidths
 
 from conftest import NARROW, small_scene
 from reference import (
-    dense_link_efims, link_order, reference_calibrated_power, reference_los_visible,
-    reference_schur_efims, rx_panel_state, tx_panel_state,
+    delay_difference_fims, delay_difference_transforms, dense_arrow, dense_link_efims, link_order,
+    reference_calibrated_power, reference_los_visible, reference_schur_efims, rx_panel_state,
+    tx_panel_state,
 )
 
 BOUND_FIELDS = (
@@ -286,11 +287,23 @@ def test_mirror_invariance(case):
 # sample points can stack the vehicles with every link arriving endfire,
 # where 1e-13 of information meets 1e-16 of rounding residue and the paths'
 # bounds differ in the third digit (2.2e6 m at q = (0, 1e-7), alpha_T = pi/2,
-# two elements).
+# two elements). In the second example (7 links at 19 m, AOA+TDOA only from
+# delays) and the third (coincident bodies) the EFIM keeps 8e-11 and 9e-12
+# of the links' uncentred information: ranked against that, not against the
+# information with the delays centred on their weighted mean, as the closed
+# form takes it, the Schur path read rank 2 where the closed form reads 3.
 @example((PresetConfig(name="custom", carrier_frequency=1e9, subcarrier_spacing=15e3,
                        n_rx_elements=1, target_snr_db=0.0, max_occupied_index=3,
                        vehicle_length=4.25, vehicle_width=1.5, lane_width=3.0),
           [(2.875, 0.0, 2.5)]))
+@example((PresetConfig(name="custom", carrier_frequency=1e9, subcarrier_spacing=15e3,
+                       n_rx_elements=1, target_snr_db=0.0, max_occupied_index=3,
+                       vehicle_length=3.0, vehicle_width=1.5, lane_width=3.0),
+          [(-19.0, 0.0, 3.0)]))
+@example((PresetConfig(name="custom", carrier_frequency=1e9, subcarrier_spacing=15e3,
+                       n_rx_elements=1, target_snr_db=0.0, max_occupied_index=5,
+                       vehicle_length=3.0, vehicle_width=2.0, lane_width=3.0),
+          [(0.0, 0.0, 2.25e-6)]))
 @settings(max_examples=40, deadline=None)
 @given(preset_and_float_placements(st.builds(dataclasses.replace, custom_presets(),
                                              max_occupied_index=st.integers(1, 8))))
@@ -321,18 +334,39 @@ def test_general_path_equals_closed_form_at_few_subcarriers(case):
         # the FD one is 0 (error 0.2).
         if preset.n_rx_elements != 2:
             t, r, _, _, distance, angle, h = placement_links(ctx, *inputs)
-            delay = distance / SPEED_OF_LIGHT
-            fd = channel_fims_fd(ctx, t, r, delay - delay[:, :1], angle, h)
+            fd = channel_fims_fd(ctx, t, r, distance / SPEED_OF_LIGHT, angle, h)
             error = equilibrated_frobenius(channel_fims(ctx, t, r, angle, h), fd)
             assert (error < ANALYTIC_VS_FD_TOL).all(), error
 
 
-# Errors in the units where the block A the complement is taken from has a
-# unit diagonal, in which the kernels rank: where the EFIM keeps little of A,
-# the subtraction's rounding is a larger part of the EFIM itself. At the
-# example, the n_rx 1 / max_occupied_index 3 placement of the property above,
-# both kernels give rank 1 and EFIMs 8e-16 apart in A's units, 3e-10 apart
-# relative to the EFIM (2.3e-6 of A).
+def schur_cases(case):
+    """A drawn case's placements through placement_links, one stack padded to
+    the largest link count (None without a link): the link context and the
+    stacks."""
+    preset, placements = case
+    ctx = preset_context(preset)
+    x, y, alpha_t = np.array(placements).T
+    tx_pose, rx_pose = placement_poses(np.column_stack((x, y)), alpha_t)
+    tx_c, offset, visible = visibility(ctx.tx_vehicle.arrays, tx_pose, ctx.rx_vehicle.arrays,
+                                       rx_pose)
+    if not visible.any():
+        return None
+    return ctx, placement_links(ctx, tx_c, offset, visible, rx_pose[1])
+
+
+def a_units_error(j_po, expected, blocks, jacobians):
+    """Frobenius distance of EFIM stacks in the units where A, every link's
+    own uncentred information on [q_x, q_y, alpha_T], has a unit diagonal:
+    the scale of the dense oracles' rounding. Where the EFIM keeps little of
+    A, that rounding is a larger part of the EFIM itself."""
+    geometric = jacobians[..., :3, :]
+    diag = (geometric @ blocks @ geometric.swapaxes(-1, -2)).sum(axis=1).diagonal(0, -2, -1)
+    scale = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    return np.linalg.norm((j_po - expected) * scale[:, :, None] * scale[:, None, :], axis=(-2, -1))
+
+
+# At the example, the n_rx 1 / max_occupied_index 3 placement of the property
+# above, both kernels give rank 1.
 @example((PresetConfig(name="custom", carrier_frequency=1e9, subcarrier_spacing=15e3,
                        n_rx_elements=1, target_snr_db=0.0, max_occupied_index=3,
                        vehicle_length=4.25, vehicle_width=1.5, lane_width=3.0),
@@ -342,38 +376,54 @@ def test_general_path_equals_closed_form_at_few_subcarriers(case):
                                              max_occupied_index=st.integers(1, 8))))
 def test_schur_efims_equal_the_whole_nuisance_pseudo_inverse(case):
     # The per-link elimination over one stack of every placement, padded to
-    # the largest link count, against one eigh of each whole nuisance block:
-    # equal ranks, and EFIMs equal to rounding.
-    preset, placements = case
-    ctx = preset_context(preset)
-    x, y, alpha_t = np.array(placements).T
-    tx_pose, rx_pose = placement_poses(np.column_stack((x, y)), alpha_t)
-    tx_c, offset, visible = visibility(ctx.tx_vehicle.arrays, tx_pose, ctx.rx_vehicle.arrays,
-                                       rx_pose)
-    assume(visible.any())
-    t, r, v_tau, v_theta, distance, angle, h = placement_links(ctx, tx_c, offset, visible,
-                                                               rx_pose[1])
-    j_phi = channel_fims(ctx, t, r, angle, h)
+    # the largest link count, against one eigh of each whole nuisance block
+    # of the same parameters made dense: equal ranks, and EFIMs equal to
+    # rounding in A's units.
+    stacks = schur_cases(case)
+    assume(stacks is not None)
+    ctx, (t, r, v_tau, v_theta, distance, angle, h) = stacks
+    blocks = channel_fims(ctx, t, r, angle, h)
     for measurement in MEASUREMENTS:
-        t_matrix = transform_matrices(v_tau, v_theta, distance, measurement)
-        j_po, expected = schur_efims(j_phi, t_matrix), reference_schur_efims(j_phi, t_matrix)
+        jacobians = transform_matrices(v_tau, v_theta, distance, measurement)
+        j_po = schur_efims(blocks, jacobians, measurement)
+        expected = reference_schur_efims(*dense_arrow(blocks, jacobians, measurement))
         np.testing.assert_array_equal(bound_arrays(j_po)[1], bound_arrays(expected)[1])
-        geometric = t_matrix[:, :3]
-        diag = (geometric @ j_phi @ geometric.swapaxes(-1, -2)).diagonal(0, -2, -1)
-        scale = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
-        error = np.linalg.norm((j_po - expected) * scale[:, :, None] * scale[:, None, :],
-                               axis=(-2, -1))
+        error = a_units_error(j_po, expected, blocks, jacobians)
+        assert (error < 1e-12).all(), (measurement, error.max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(preset_and_float_placements(st.builds(dataclasses.replace, custom_presets(),
+                                             max_occupied_index=st.integers(1, 8))))
+def test_schur_efims_equal_the_delay_difference_layout(case):
+    # The reparametrisation is exact: the dense algebra on the layout with
+    # the first link as the reference (its delay the timing offset, every
+    # other link's the delay difference to it, identity nuisance rows) gives
+    # the kernel's EFIMs on full-rank rows. Below full rank, a direction near
+    # RANK_EPS can fall on either side of it in the two layouts' rounding.
+    stacks = schur_cases(case)
+    assume(stacks is not None)
+    ctx, (t, r, v_tau, v_theta, distance, angle, h) = stacks
+    blocks = channel_fims(ctx, t, r, angle, h)
+    j_phi = delay_difference_fims(blocks)
+    for measurement in MEASUREMENTS:
+        jacobians = transform_matrices(v_tau, v_theta, distance, measurement)
+        j_po = schur_efims(blocks, jacobians, measurement)
+        expected = reference_schur_efims(
+            j_phi, delay_difference_transforms(v_tau, v_theta, distance, measurement))
+        full = (bound_arrays(j_po)[1] == 3) & (bound_arrays(expected)[1] == 3)
+        error = a_units_error(j_po, expected, blocks, jacobians)[full]
         assert (error < 1e-12).all(), (measurement, error.max())
 
 
 # EFIMs, not bounds: at an ill-conditioned placement the bounds move more (at
 # the first example, AOA+TDOA bounds of about 3 km differ by 1.2e-8 between
-# its 2 references). Rows are compared only where the ranks agree: schur_efims
-# ranks the complement against the block it was taken from, which holds the
-# reference link's own range information. At the second example (8 links, four
-# 6.1e-5 m long) that block holds 1.3e4 of q_y information with link 1 or 3
-# first and 1.3e-6 otherwise, so the 1.3e-6 the EFIM keeps falls below RANK_EPS
-# of it there: rank 1, not 2 (every bound inf either way).
+# link orders). No link is a reference, so the ranks agree too: the kernel
+# ranks against the links' centred information, whichever link comes first.
+# At the second example (8 links, four 6.1e-5 m long), the third (7 links,
+# J_yy a 7e-18 residue of J_xx 5.3e-3) and the fourth (coincident bodies, 3
+# against 2) the rank once depended on the first link's own range
+# information, when that link was the reference.
 @example((PresetConfig(name="custom", carrier_frequency=1e9, subcarrier_spacing=15e3,
                        n_rx_elements=9, target_snr_db=0.0, max_occupied_index=5,
                        vehicle_length=3.0, vehicle_width=2.0, lane_width=3.0),
@@ -383,11 +433,20 @@ def test_schur_efims_equal_the_whole_nuisance_pseudo_inverse(case):
                        vehicle_length=5.0, vehicle_width=2.0, lane_width=3.0,
                        fov_blocked_halfwidth=0.0),
           [(0.0, 6.103515625e-05, 0.0)]))
+@example((PresetConfig(name="custom", carrier_frequency=1e9, subcarrier_spacing=15e3,
+                       n_rx_elements=2, target_snr_db=0.0, max_occupied_index=1,
+                       vehicle_length=3.0, vehicle_width=2.0, lane_width=3.0),
+          [(0.0, -4.0, 1e-7)]))
+@example((PresetConfig(name="custom", carrier_frequency=1e9, subcarrier_spacing=15e3,
+                       n_rx_elements=1, target_snr_db=0.0, max_occupied_index=5,
+                       vehicle_length=3.0, vehicle_width=2.0, lane_width=3.0),
+          [(0.0, 0.0, 2.25e-6)]))
 @settings(max_examples=30, deadline=None)
 @given(preset_and_float_placements())
 def test_schur_efims_do_not_depend_on_the_reference_link(case):
     # Each placement's links, reordered to put link k first and the others in
-    # (t, r) order, give both sets' Schur EFIMs of the (t, r) order itself.
+    # (t, r) order, give both sets' Schur EFIMs of the (t, r) order itself,
+    # with equal ranks.
     preset, placements = case
     ctx = preset_context(preset)
     x, y, alpha_t = np.array(placements).T
@@ -404,10 +463,12 @@ def test_schur_efims_do_not_depend_on_the_reference_link(case):
             column[:, order].reshape(-1, *column.shape[1:]) for column in stacks)
         j_phi = channel_fims(ctx, t, r, angle, h)
         for measurement in MEASUREMENTS:
-            j_po = schur_efims(j_phi, transform_matrices(v_tau, v_theta, distance, measurement))
+            j_po = schur_efims(j_phi, transform_matrices(v_tau, v_theta, distance, measurement),
+                               measurement)
             j_po = j_po.reshape(len(group), count, 3, 3)
             rank = bound_arrays(j_po)[1]
-            error = relative_frobenius(j_po[:, :1], j_po)[rank == rank[:, :1]]
+            np.testing.assert_array_equal(rank, rank[:, :1].repeat(count, axis=1))
+            error = relative_frobenius(j_po[:, :1], j_po)
             assert (error < REFERENCE_INVARIANCE_TOL).all(), (measurement, error.max())
 
 

@@ -285,6 +285,18 @@ def test_information_matches_einsum_oracle(case):
         assert (np.abs(got - expected) <= 1e-13 * size[..., None, None]).all()
 
 
+def test_delay_vectors_equal_to_rounding_carry_no_information():
+    # Three links with one delay vector carry no TDOA information, but their
+    # weighted mean misses it by an ulp: left in, that residue (4e-48 here)
+    # read as a direction of its own. One sending link seen by one-element
+    # panels read rank 1, and coincident bodies rank 3 with oeb 7e17 rad.
+    v_tau = np.tile([0.6, -0.8, 1.3], (3, 1))
+    j = information(v_tau, np.zeros((3, 3)), np.zeros(3), np.array([0.1, 0.2, 0.3]), np.ones(3),
+                    np.full(3, 7.0), 1.0)
+    assert not j.any()
+    assert bound_arrays(j)[1].tolist() == [0, 0]
+
+
 @st.composite
 def scaled_psd(draw):
     """A PSD 3x3 EFIM of rank 0-3, with position entries scaled by 10^e_p

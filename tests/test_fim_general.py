@@ -42,8 +42,9 @@ from v2vbounds.waveform import effective_bandwidths, interleaved_allocation
 
 from conftest import LIGHT, open_panel, small_scene, with_context
 from reference import (
-    brute_force_fim_channel, einsum_information, link_geometry, link_order, link_samples,
-    per_link_fim_channel_fd, rx_panel_state, tx_panel_state,
+    brute_force_fim_channel, delay_difference_fims, dense_arrow, einsum_information,
+    link_geometry, link_order, link_samples, per_link_fim_channel_fd, rx_panel_state,
+    tx_panel_state,
 )
 
 
@@ -163,25 +164,24 @@ class TestMeanVector:
         assert np.linalg.norm(fd - analytic) < 1e-6 * np.linalg.norm(analytic)
 
 
-def scene_stacks(scene, links, reference=0):
+def scene_stacks(scene, links, first=0):
     """placement_links of one scene's links (n = 1), reordered as link_order
-    orders them, links[reference] first."""
-    order = link_order(links, reference)
+    orders them, links[first] first."""
+    order = link_order(links, first)
     return [x[:, order] for x in placement_links(scene.context, *scene_placement(scene, links))]
 
 
 def assert_matches_oracle(scene):
-    """channel_fims equals the brute-force Gram to 1e-12 at every reference,
-    the reference link put first in the stacks, and fim_channel at the first."""
+    """channel_fims equals the brute-force Gram to 1e-12, link by link, with
+    any link put first in the stacks, and fim_channel in the links' order."""
     links = active_links(scene)
     gains = link_gains(scene, links)
-    for reference in range(len(links)):
-        t, r, _, _, _, angle, h = scene_stacks(scene, links, reference)
-        j = channel_fims(scene.context, t, r, angle, h)[0]
-        oracle = brute_force_fim_channel(scene, links, gains, reference)
-        assert equilibrated_frobenius(oracle, j) < 1e-12
     oracle = brute_force_fim_channel(scene, links, gains)
-    assert equilibrated_frobenius(oracle, fim_channel(scene, links)) < 1e-12
+    for first in range(len(links)):
+        t, r, _, _, _, angle, h = scene_stacks(scene, links, first)
+        j = channel_fims(scene.context, t, r, angle, h)[0]
+        assert (equilibrated_frobenius(oracle[link_order(links, first)], j) < 1e-12).all()
+    assert (equilibrated_frobenius(oracle, fim_channel(scene, links)) < 1e-12).all()
     return links, gains
 
 
@@ -212,11 +212,7 @@ class TestFactorisedGram:
         assert silent
         j = fim_channel(scene, links)
         for k in silent:
-            # No samples, no information: only the timing offset column,
-            # which the reference link's block holds, may be nonzero.
-            block = j[4 * k:4 * k + 4, 4 * k:4 * k + 4]
-            assert np.all(block[1:, 1:] == 0.0)
-            assert k == 0 or np.all(block == 0.0)
+            assert np.all(j[k] == 0.0)  # no samples, no information
 
     def test_single_element_rx_panels(self, preset_28):
         assert_matches_oracle(small_scene(n_tx_panels=2, n_rx_panels=3, n_elements=1))
@@ -238,13 +234,13 @@ def mixed_panel_scene():
 
 
 def link_stacks(group):
-    """(t, r, delay difference, angle, h) stacks (n, L), in link order, of
-    (scene, links, gains) samples with equal link counts."""
+    """(t, r, delay, angle, h) stacks (n, L), in link order, of (scene,
+    links, gains) samples with equal link counts."""
     t, r, delay, angle = (
         np.array([[getattr(link, name) for link in links] for _, links, _ in group])
         for name in ("tx_panel", "rx_panel", "delay", "theta_R_local"))
     h = np.array([[gain.h for gain in gains] for _, _, gains in group])
-    return t, r, delay - delay[:, :1], angle, h
+    return t, r, delay, angle, h
 
 
 def assert_fd_matches_oracle(group):
@@ -253,8 +249,8 @@ def assert_fd_matches_oracle(group):
     fd = channel_fims_fd(group[0][0].context, *link_stacks(group))
     for k, (scene, links, gains) in enumerate(group):
         oracle = per_link_fim_channel_fd(scene, links, gains)
-        assert equilibrated_frobenius(oracle, fd[k]) < 1e-9
-        assert equilibrated_frobenius(oracle, fim_channel_fd(scene, links)) < 1e-9
+        assert (equilibrated_frobenius(oracle, fd[k]) < 1e-9).all()
+        assert (equilibrated_frobenius(oracle, fim_channel_fd(scene, links)) < 1e-9).all()
 
 
 class TestFdTwin:
@@ -314,8 +310,9 @@ class TestFdTwin:
         links = active_links(scene)
         gains = link_gains(scene, links)
         fd = fim_channel_fd(scene, links)
-        assert np.isfinite(fd).all() and not fd[:, 4::4].any()
-        assert equilibrated_frobenius(fim_channel(scene, links), fd) < ANALYTIC_VS_FD_TOL
+        assert np.isfinite(fd).all() and not fd[..., 0].any()
+        assert not fim_channel(scene, links)[..., 0].any()
+        assert (equilibrated_frobenius(fim_channel(scene, links), fd) < ANALYTIC_VS_FD_TOL).all()
         assert_fd_matches_oracle([(scene, links, gains)])
 
     def test_step_must_be_positive(self, medium_scene):
@@ -325,18 +322,20 @@ class TestFdTwin:
 
 
 class TestLinkOrder:
-    """The links' own (t, r) order is the parameter layout."""
+    """The links' order orders their blocks and nothing else."""
 
-    def test_first_link_is_the_reference(self, medium_scene):
-        # The timing offset sits in the first link's delay column, though
-        # another link is nearer.
-        scene, links, gains = medium_scene
-        nearest = min(range(len(links)), key=lambda i: links[i].delay)
-        assert nearest != 0
+    def test_link_order_permutes_the_blocks(self, medium_scene):
+        # No link is a reference: with any link first, each link's channel
+        # FIM block and Jacobian are those of the (t, r) order, bit for bit.
+        scene, links, _ = medium_scene
         j = fim_channel(scene, links)
-        assert equilibrated_frobenius(brute_force_fim_channel(scene, links, gains), j) < 1e-12
-        assert equilibrated_frobenius(brute_force_fim_channel(scene, links, gains, nearest),
-                                      j) > 1e-3
+        w = transform_matrix(scene, links, "aoa_tdoa")
+        for first in range(len(links)):
+            t, r, v_tau, v_theta, distance, angle, h = scene_stacks(scene, links, first)
+            order = link_order(links, first)
+            np.testing.assert_array_equal(channel_fims(scene.context, t, r, angle, h)[0], j[order])
+            np.testing.assert_array_equal(
+                transform_matrices(v_tau, v_theta, distance, "aoa_tdoa")[0], w[order])
 
     def test_invalid_input_rejected(self, medium_scene):
         scene, links, _ = medium_scene
@@ -351,14 +350,14 @@ class TestChannelFim:
         scene, links, _ = medium_scene
         analytic = fim_channel(scene, links)
         fd = fim_channel_fd(scene, links)
-        assert equilibrated_frobenius(analytic, fd) < ANALYTIC_VS_FD_TOL
+        assert (equilibrated_frobenius(analytic, fd) < ANALYTIC_VS_FD_TOL).all()
 
     def test_matches_fd_on_preset_scene(self, preset_3p5):
         preset = dataclasses.replace(preset_3p5, max_occupied_index=20)
         scene = calibrated_scene(preset, Vec2(-3.5, 8.0))
         links = active_links(scene)
-        assert equilibrated_frobenius(fim_channel(scene, links),
-                                      fim_channel_fd(scene, links)) < ANALYTIC_VS_FD_TOL
+        assert (equilibrated_frobenius(fim_channel(scene, links),
+                                       fim_channel_fd(scene, links)) < ANALYTIC_VS_FD_TOL).all()
 
     @pytest.mark.parametrize("max_occupied_index", [1, 2, 3])
     def test_matches_fd_on_narrow_allocations(self, preset_3p5, max_occupied_index):
@@ -368,8 +367,8 @@ class TestChannelFim:
                                      max_occupied_index=max_occupied_index)
         scene = calibrated_scene(preset, Vec2(-3.5, 10.0))
         links = active_links(scene)
-        assert equilibrated_frobenius(fim_channel(scene, links),
-                                      fim_channel_fd(scene, links)) < ANALYTIC_VS_FD_TOL
+        assert (equilibrated_frobenius(fim_channel(scene, links),
+                                       fim_channel_fd(scene, links)) < ANALYTIC_VS_FD_TOL).all()
 
     def test_fd_step_convergence(self, medium_scene):
         scene, links, _ = medium_scene
@@ -380,21 +379,21 @@ class TestChannelFim:
     def test_symmetric_psd(self, medium_scene):
         scene, links, _ = medium_scene
         j = fim_channel(scene, links)
-        assert np.allclose(j, j.T, rtol=0, atol=1e-9 * np.abs(j).max())
+        assert np.allclose(j, j.swapaxes(-1, -2), rtol=0, atol=1e-9 * np.abs(j).max())
         eig = np.linalg.eigvalsh(j)
-        assert eig[0] >= -1e-10 * eig[-1]
+        assert (eig[:, 0] >= -1e-10 * eig[:, -1]).all()
 
     def test_cross_link_blocks_vanish(self, medium_scene):
-        # Parameters of different links only couple through the timing
-        # offset (row/column 0).
+        # The per-link blocks are the whole channel FIM: no two links share a
+        # sample, as they reach different Rx panels or come from Tx arrays
+        # with disjoint subcarrier sets, so their derivative columns are
+        # orthogonal and every cross-link Gram entry vanishes.
         scene, links, _ = medium_scene
-        j = fim_channel(scene, links)
-        n = len(links)
-        for a in range(n):
-            for b in range(a + 1, n):
-                cols_a = [c for c in range(4 * a, 4 * a + 4) if c != 0]
-                cols_b = range(4 * b, 4 * b + 4)
-                assert np.all(j[np.ix_(cols_a, cols_b)] == 0.0)
+        sets = scene.allocation.per_array_sets
+        assert len({link.rx_panel for link in links}) < len(links)
+        for i, a in enumerate(links):
+            for b in links[i + 1:]:
+                assert a.rx_panel != b.rx_panel or not set(sets[a.tx_panel]) & set(sets[b.tx_panel])
 
     def test_noise_scaling(self, medium_scene):
         scene, links, _ = medium_scene
@@ -404,24 +403,21 @@ class TestChannelFim:
         assert np.allclose(j2, 0.5 * j1, rtol=1e-12)
 
     def test_timing_offset_accumulates_all_links(self, medium_scene):
-        # J[0,0] must equal the sum over links of each link's delay-delay
-        # information; read the first link's own share by re-assembling with
-        # the second link first.
-        scene, links, _ = medium_scene
-        j = fim_channel(scene, links)
-        total = 0.0
-        for position in range(1, len(links)):
-            total += j[4 * position, 4 * position]
-        t, r, _, _, _, angle, h = scene_stacks(scene, links, 1)
-        j_alt = channel_fims(scene.context, t, r, angle, h)[0]
-        col = 4 * link_order(links, 1).index(0)
-        total += j_alt[col, col]
-        assert abs(j[0, 0] - total) < 1e-9 * abs(j[0, 0])
+        # The offset shifts every link's delay, so its information sums every
+        # link's delay-delay information: in the Jacobians' arrow form, and at
+        # [0, 0] of the delay-difference layout from the brute-force blocks.
+        scene, links, gains = medium_scene
+        blocks = fim_channel(scene, links)
+        w = transform_matrix(scene, links, "aoa_tdoa")
+        offset = (w @ blocks @ w.swapaxes(-1, -2)).sum(axis=0)[3, 3]
+        assert offset == pytest.approx(blocks[:, 0, 0].sum(), rel=1e-12)
+        oracle = delay_difference_fims(brute_force_fim_channel(scene, links, gains))
+        assert offset == pytest.approx(oracle[0, 0], rel=1e-9)
 
 
 class TestTransformMatrix:
     def _pair_geometry(self, scene, pairs, q, alpha_t):
-        """Delay differences and local angles as functions of (q, alpha_T)."""
+        """Delays and local angles as functions of (q, alpha_T)."""
         moved = dataclasses.replace(
             scene,
             rx_pose=Pose(q, scene.rx_pose.orientation),
@@ -437,17 +433,15 @@ class TestTransformMatrix:
             )
             for t, r in pairs
         ]
-        ref_delay = links[0].delay
         return (
-            np.array([lk.delay - ref_delay for lk in links]),
+            np.array([lk.delay for lk in links]),
             np.array([lk.theta_R_local for lk in links]),
         )
 
     def _assert_rows_match_fd(self, scene, links):
         """transform_matrix's geometric rows equal central differences of the
-        link_geometry delay differences and local angles over (q_x, q_y,
-        alpha_T)."""
-        t_mat = transform_matrix(scene, links, "aoa_tdoa")
+        link_geometry delays and local angles over (q_x, q_y, alpha_T)."""
+        w = transform_matrix(scene, links, "aoa_tdoa")
         pairs = [(link.tx_panel, link.rx_panel) for link in links]
         q0 = scene.rx_pose.position
         alpha0 = scene.tx_pose.orientation
@@ -459,10 +453,10 @@ class TestTransformMatrix:
             dtheta = wrap_angles(thetas_p - thetas_m) / (2.0 * h)
             # Delay columns in meters (times c).
             dtau = (taus_p - taus_m) / (2.0 * h) * SPEED_OF_LIGHT
-            angle_err = np.abs(t_mat[row, 1::4] - dtheta)
-            delay_err = np.abs(t_mat[row, 4::4] * SPEED_OF_LIGHT - dtau[1:])
+            angle_err = np.abs(w[:, row, 1] - dtheta)
+            delay_err = np.abs(w[:, row, 0] * SPEED_OF_LIGHT - dtau)
             assert np.all(angle_err < 1e-6 * np.maximum(1.0, np.abs(dtheta)))
-            assert np.all(delay_err < 1e-6 * np.maximum(1.0, np.abs(dtau[1:])))
+            assert np.all(delay_err < 1e-6 * np.maximum(1.0, np.abs(dtau)))
 
     def test_entries_match_fd_of_geometry(self):
         scene = small_scene(n_tx_panels=2, n_rx_panels=2, n_elements=2)
@@ -507,9 +501,9 @@ class TestTransformMatrix:
         )
         links = self._links_for_all_pairs(scene)
         assert abs(links[0].theta_R) < 1e-12 and abs(links[0].distance - 10.0) < 1e-12
-        t_mat = transform_matrix(scene, links, "aoa_tdoa")
-        assert abs(t_mat[0, 1] - 0.0) < 1e-12
-        assert abs(t_mat[1, 1] - 0.1) < 1e-12
+        w = transform_matrix(scene, links, "aoa_tdoa")
+        assert abs(w[0, 0, 1] - 0.0) < 1e-12
+        assert abs(w[0, 1, 1] - 0.1) < 1e-12
 
     def test_center_mounted_tx_panel_zero_orientation_rows(self):
         scene = small_scene(n_tx_panels=2, n_rx_panels=1)
@@ -524,28 +518,24 @@ class TestTransformMatrix:
             ),
         )
         links = self._links_for_all_pairs(scene)
-        t_mat = transform_matrix(scene, links, "aoa_tdoa")
-        for position in range(len(links)):
-            assert abs(t_mat[2, 4 * position + 1]) < 1e-15
-            if position > 0:
-                assert abs(t_mat[2, 4 * position]) < 1e-24
+        w = transform_matrix(scene, links, "aoa_tdoa")
+        assert (np.abs(w[:, 2, 1]) < 1e-15).all()
+        assert (np.abs(w[:, 2, 0]) < 1e-24).all()
 
     def test_shapes(self, medium_scene):
         scene, links, _ = medium_scene
-        n = len(links)
-        assert transform_matrix(scene, links, "aoa_tdoa").shape == (4 + 2 * n, 4 * n)
-        assert transform_matrix(scene, links, "aoa").shape == (3 + 3 * n, 4 * n)
+        for measurement in MEASUREMENTS:
+            assert transform_matrix(scene, links, measurement).shape == (len(links), 4, 4)
 
-    def test_identity_rows(self, medium_scene):
+    def test_offset_row_and_nuisance_columns(self, medium_scene):
+        # The timing offset shifts every link's delay in AOA+TDOA and none in
+        # AOA-only; the gains, and AOA-only's delays, have zero columns.
         scene, links, _ = medium_scene
-        t_mat = transform_matrix(scene, links, "aoa_tdoa")
-        # Timing-offset row points at column 0, with no other entries.
-        assert t_mat[3, 0] == 1.0
-        assert np.sum(t_mat[3]) == 1.0
-        # Each gain row has exactly one unit entry.
-        for row in t_mat[4:]:
-            assert np.sum(row != 0.0) == 1
-            assert np.sum(row) == 1.0
+        both, aoa = (transform_matrix(scene, links, m) for m in MEASUREMENTS)
+        assert np.array_equal(both[:, 3], np.tile([1.0, 0.0, 0.0, 0.0], (len(links), 1)))
+        assert not aoa[:, 3].any() and not aoa[..., 0].any()
+        assert not both[..., 2:].any() and not aoa[..., 2:].any()
+        assert np.array_equal(both[..., 1], aoa[..., 1])
 
 
 class TestSchurEfim:
@@ -591,17 +581,17 @@ class TestSchurEfim:
     @pytest.mark.parametrize("reference", [None, 1])
     def test_builds_the_links_once(self, medium_scene, monkeypatch, reference):
         # One placement_links call feeds the channel FIM, the transform and
-        # the Schur complement, with the numbers of the one-step calls; with
-        # a reference, those agree to rounding with the kernels' numbers when
-        # links[reference] leads the layout.
+        # the Schur complement, with the numbers of the one-step calls; those
+        # agree to rounding with the kernels' numbers when links[reference]
+        # leads the order.
         scene, links, _ = medium_scene
-        expected = {m: efim_schur(fim_channel(scene, links), transform_matrix(scene, links, m)).j_po
-                    for m in MEASUREMENTS}
+        expected = {m: efim_schur(fim_channel(scene, links), transform_matrix(scene, links, m),
+                                  m).j_po for m in MEASUREMENTS}
         if reference is not None:
             t, r, v_tau, v_theta, distance, angle, h = scene_stacks(scene, links, reference)
             j_phi = channel_fims(scene.context, t, r, angle, h)
             for m, j_po in expected.items():
-                led = schur_efims(j_phi, transform_matrices(v_tau, v_theta, distance, m))[0]
+                led = schur_efims(j_phi, transform_matrices(v_tau, v_theta, distance, m), m)[0]
                 assert rel_frob(j_po, led) < 1e-10, m
         calls = []
 
@@ -618,10 +608,10 @@ class TestSchurEfim:
 
     def test_information_loss_psd(self, medium_scene):
         scene, links, _ = medium_scene
-        j_phi = fim_channel(scene, links)
-        t_mat = transform_matrix(scene, links, "aoa_tdoa")
-        schur = efim_schur(j_phi, t_mat)
-        prior = t_mat[:3] @ j_phi @ t_mat[:3].T
+        blocks = fim_channel(scene, links)
+        w = transform_matrix(scene, links, "aoa_tdoa")
+        schur = efim_schur(blocks, w, "aoa_tdoa")
+        prior = (w[:, :3] @ blocks @ w[:, :3].swapaxes(-1, -2)).sum(axis=0)
         loss = prior - schur.j_po
         eig = np.linalg.eigvalsh(0.5 * (loss + loss.T))
         assert eig[0] >= -1e-10 * max(eig[-1], 1.0)
@@ -633,7 +623,7 @@ class TestSchurEfim:
             t, r, v_tau, v_theta, distance, angle, h = scene_stacks(scene, links, ref)
             j_phi = channel_fims(scene.context, t, r, angle, h)
             t_mat = transform_matrices(v_tau, v_theta, distance, "aoa_tdoa")
-            results.append(schur_efims(j_phi, t_mat)[0])
+            results.append(schur_efims(j_phi, t_mat, "aoa_tdoa")[0])
         for other in results[1:]:
             assert rel_frob(results[0], other) < 1e-10
 
@@ -644,14 +634,17 @@ class TestSchurEfim:
         scene = small_scene(n_tx_panels=2, n_rx_panels=2, n_occupied=2)
         links = active_links(scene)
         assert effective_bandwidths(scene.allocation, scene.context.ofdm) == (0.0, 0.0)
-        j_phi = fim_channel(scene, links)
+        blocks = fim_channel(scene, links)
         closed = closed_form(scene, links, link_gains(scene, links))
         for measurement, expected in zip(MEASUREMENTS, closed):
-            t_mat = transform_matrix(scene, links, measurement)
+            w = transform_matrix(scene, links, measurement)
+            j_phi, t_mat = dense_arrow(blocks, w, measurement)
             nuisance = (t_mat @ j_phi @ t_mat.T)[3:, 3:]
+            informed = nuisance.diagonal() > 0.0  # not AOA-only's zero offset row
+            nuisance = nuisance[np.ix_(informed, informed)]
             scale = np.sqrt(nuisance.diagonal())
             assert np.linalg.matrix_rank(nuisance / np.outer(scale, scale)) < len(nuisance)
-            assert rel_frob(expected, efim_schur(j_phi, t_mat).j_po) < CLOSED_VS_SCHUR_TOL
+            assert rel_frob(expected, efim_schur(blocks, w, measurement).j_po) < CLOSED_VS_SCHUR_TOL
 
     @pytest.mark.parametrize("max_occupied_index, peb_lat", [
         (1, (1.202308586, 1.202308586)),
@@ -696,19 +689,19 @@ class TestBatchedKernels:
         groups = [np.flatnonzero(n_links == count) for count in set(n_links.tolist())]
         assert any(len(group) > 1 for group in groups)
         for group in groups:
-            reference = n_links[group[0]] - 1 if forced else 0
-            order = link_order(range(n_links[group[0]]), reference)
+            first = n_links[group[0]] - 1 if forced else 0
+            order = link_order(range(n_links[group[0]]), first)
             t, r, v_tau, v_theta, distance, angle, h = (x[:, order] for x in placement_links(
                 ctx, tx_c[group], offset[group], visible[group], rx_pose[1][group]))
             j_phi = channel_fims(ctx, t, r, angle, h)
-            j_po = [schur_efims(j_phi, transform_matrices(v_tau, v_theta, distance, m))
+            j_po = [schur_efims(j_phi, transform_matrices(v_tau, v_theta, distance, m), m)
                     for m in MEASUREMENTS]
             for k, i in enumerate(group):
                 scene = calibrated_scene(preset, Vec2(*q[i]), alpha_t=alpha_t[i])
                 links = active_links(scene)
                 gains = link_gains(scene, links)
-                oracle = brute_force_fim_channel(scene, links, gains, reference)
-                assert equilibrated_frobenius(oracle, j_phi[k]) < 1e-12
+                oracle = brute_force_fim_channel(scene, links, gains)[order]
+                assert (equilibrated_frobenius(oracle, j_phi[k]) < 1e-12).all()
                 for schur, closed in zip(j_po, closed_form(scene, links, gains)):
                     assert rel_frob(closed, schur[k]) < CLOSED_VS_SCHUR_TOL
 
@@ -716,17 +709,17 @@ class TestBatchedKernels:
         # One subcarrier per Tx array leaves the nuisance block singular (see
         # test_singular_nuisance_block_gives_the_closed_form); stacked with a
         # regular scene of the same geometry, each row is its own closed form.
-        j_phi, t_mat, closed = [], {m: [] for m in MEASUREMENTS}, []
+        blocks, w, closed = [], {m: [] for m in MEASUREMENTS}, []
         for n_occupied in (2, 8):
             scene = small_scene(n_tx_panels=2, n_rx_panels=2, n_occupied=n_occupied)
             links = active_links(scene)
             gains = link_gains(scene, links)
-            j_phi.append(brute_force_fim_channel(scene, links, gains))
+            blocks.append(brute_force_fim_channel(scene, links, gains))
             for measurement in MEASUREMENTS:
-                t_mat[measurement].append(transform_matrix(scene, links, measurement))
+                w[measurement].append(transform_matrix(scene, links, measurement))
             closed.append(closed_form(scene, links, gains))
         for v, measurement in enumerate(MEASUREMENTS):
-            j_po = schur_efims(np.array(j_phi), np.array(t_mat[measurement]))
+            j_po = schur_efims(np.array(blocks), np.array(w[measurement]), measurement)
             error = relative_frobenius(np.array(closed)[:, v], j_po)
             assert (error < CLOSED_VS_SCHUR_TOL).all(), (measurement, error)
 
@@ -769,7 +762,8 @@ class TestPaddedLinks:
         padded = [np.concatenate(pair, axis=1) for pair in zip(links, silent)]
         for measurement in MEASUREMENTS:
             j_po = [schur_efims(channel_fims(ctx, t, r, angle, h),
-                                transform_matrices(v_tau, v_theta, distance, measurement))
+                                transform_matrices(v_tau, v_theta, distance, measurement),
+                                measurement)
                     for t, r, v_tau, v_theta, distance, angle, h in (links, padded)]
             assert (relative_frobenius(*j_po) < 1e-14).all(), measurement
 
