@@ -232,7 +232,8 @@ class VehicleSpec:
         elements = [np.array([(e.distance, e.angle) for e in p.elements]).T for p in self.panels]
         width = max(e.shape[1] for e in elements)
         return VehicleArrays(
-            self.length, self.width, *columns.T, blocked_edge=read_only(sector_edge(halfwidth)),
+            self.length, self.width, distance, angle, read_only(x + 1j * y), center, halfwidth,
+            blocked_edge=read_only(sector_edge(halfwidth)),
             n_elements=read_only(np.array([p.n_elements for p in self.panels])),
             saaf_s=read_only(np.stack([saaf_matrix(p) for p in self.panels])),
             elements=read_only(np.stack([np.pad(e, ((0, 0), (0, width - e.shape[1])))
@@ -372,6 +373,7 @@ class VehicleArrays:
     width: float
     mount_distance: np.ndarray  # (K,)
     mount_angle: np.ndarray  # (K,)
+    mount: np.ndarray  # (K,) complex, vehicle frame: mount_distance e^(i mount_angle)
     blocked_center: np.ndarray  # (K,), vehicle frame
     blocked_halfwidth: np.ndarray  # (K,)
     blocked_edge: np.ndarray  # (2, K) sector_edge of blocked_halfwidth
@@ -432,9 +434,28 @@ def los_mask(tx_c: np.ndarray, tx_sector: tuple, rx_c: np.ndarray, rx_sector: tu
     return offset, mask
 
 
+def _pair_offsets(tx: VehicleArrays, tx_pose: tuple, rx: VehicleArrays,
+                  rx_pose: tuple) -> np.ndarray:
+    """Offsets (..., Kt, Kr, 2) from every Tx panel centroid to every Rx one,
+    for poses as :func:`visibility` takes them. In complex numbers, with m the
+    mounts, e^(i h_t) [(m_r - m_t) + expm1(i (h_r - h_t)) m_r] + p_r - p_t:
+    where the bodies overlap at nearly one heading, no O(1) coordinates
+    cancel, so a pair 1e-4 m apart keeps the relative accuracy of its turn,
+    where the difference of its centroids loses four digits: enough, through
+    the near-zero heading column of its AOA vector, to move the bounds by
+    3e-5."""
+    (tx_p, tx_h), (rx_p, rx_h) = tx_pose, rx_pose
+    turned = np.expm1(1j * (rx_h - tx_h))[..., None] * rx.mount
+    offset = ((turned[..., None, :] + (rx.mount - tx.mount[:, None]))
+              * np.exp(1j * tx_h)[..., None, None]
+              + np.subtract(rx_p, tx_p, dtype=float).view(complex)[..., None])
+    return offset.view(float).reshape(offset.shape + (2,))
+
+
 def visibility(tx: VehicleArrays, tx_pose: tuple, rx: VehicleArrays, rx_pose: tuple):
     """Tx panel centroids (..., Kt, 2) and, per Tx-Rx panel pair, the offset
-    (..., Kt, Kr, 2) all link geometry reads and the LOS mask (..., Kt, Kr).
+    (..., Kt, Kr, 2) all link geometry reads (from :func:`_pair_offsets`) and
+    the LOS mask (..., Kt, Kr) of :func:`los_mask`.
 
     Poses are (position (..., 2), heading (...)) as from Pose.arrays; the
     leading axes broadcast, so one call tests a whole grid of placements.
@@ -444,9 +465,13 @@ def visibility(tx: VehicleArrays, tx_pose: tuple, rx: VehicleArrays, rx_pose: tu
     bodies = () if tx.sectors_imply_body and rx.sectors_imply_body else (
         (tx_p[..., None, None, :], tx_h[..., None, None], tx.length, tx.width),
         (rx_p[..., None, None, :], rx_h[..., None, None], rx.length, rx.width))
-    return tx_c, *los_mask(tx_c[..., :, None, :], [a[..., :, None] for a in tx.sectors(tx_h)],
-                           rx_c[..., None, :, :], [a[..., None, :] for a in rx.sectors(rx_h)],
-                           *bodies)
+    # The mask reads the centroids' difference: where a link is short enough
+    # for rounding to decide a sector edge, the offsets below would decide it
+    # by other rounding, not better (their gain is at small turns only).
+    _, visible = los_mask(tx_c[..., :, None, :], [a[..., :, None] for a in tx.sectors(tx_h)],
+                          rx_c[..., None, :, :], [a[..., None, :] for a in rx.sectors(rx_h)],
+                          *bodies)
+    return tx_c, _pair_offsets(tx, tx_pose, rx, rx_pose), visible
 
 
 def visible_links(tx_c: np.ndarray, offset: np.ndarray, visible: np.ndarray) -> tuple:

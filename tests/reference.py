@@ -171,6 +171,20 @@ def reference_calibrated_power(preset) -> float:
     return 10.0 ** (preset.target_snr_db / 10.0) * n_sub / unit_g
 
 
+def link_offsets(tx, tx_pose, rx, rx_pose, t, r):
+    """Offsets (2, n, L) from Tx panel t to Rx panel r, per link, for n
+    placements: the Rx mount's turn from the Tx heading, expm1(i turn) m_r,
+    plus the mounts' difference, turned by the Tx heading and shifted by the
+    Rx position, in complex numbers and the operation order of
+    ``geometry.visibility``."""
+    (tx_p, tx_h), (rx_p, rx_h) = tx_pose, rx_pose
+    m_r = rx.mount[r]
+    turned = np.expm1(1j * (rx_h - tx_h))[:, None] * m_r
+    offset = ((turned + (m_r - tx.mount[t])) * np.exp(1j * tx_h)[:, None]
+              + (rx_p - tx_p).view(complex))
+    return np.stack((offset.real, offset.imag))
+
+
 def dense_link_efims(ctx, tx_pose, rx_pose):
     """The EFIMs of ``scenarios.placement_efims`` from a dense link block of
     their own: both vehicles' panel centroids taken per link (Kt*Kr, in
@@ -180,7 +194,7 @@ def dense_link_efims(ctx, tx_pose, rx_pose):
     tx, rx = ctx.tx_vehicle.arrays, ctx.rx_vehicle.arrays
     t, r = (i.ravel() for i in np.indices((len(tx.mount_angle), len(rx.mount_angle))))
     tx_at = np.take(tx.centroids(tx_p, tx_h).transpose(2, 0, 1), t, axis=-1)
-    offset = np.take(rx.centroids(rx_p, rx_h).transpose(2, 0, 1), r, axis=-1) - tx_at
+    offset = link_offsets(tx, tx_pose, rx, rx_pose, t, r)
     visible = visibility(tx, tx_pose, rx, rx_pose)[2]
     distance = np.where(visible.reshape(len(visible), -1), np.hypot(*offset), np.inf)
     vectors = link_vectors((offset / distance).transpose(1, 2, 0),

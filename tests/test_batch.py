@@ -45,9 +45,9 @@ from v2vbounds.waveform import effective_bandwidths
 
 from conftest import NARROW, small_scene
 from reference import (
-    delay_difference_fims, delay_difference_transforms, dense_arrow, dense_link_efims, link_order,
-    reference_calibrated_power, reference_los_visible, reference_schur_efims, rx_panel_state,
-    tx_panel_state,
+    delay_difference_fims, delay_difference_transforms, dense_arrow, dense_link_efims, link_offsets,
+    link_order, reference_calibrated_power, reference_los_visible, reference_schur_efims,
+    rx_panel_state, tx_panel_state,
 )
 
 BOUND_FIELDS = (
@@ -144,6 +144,14 @@ def test_batched_rows_equal_scene_path(case):
             assert math.isinf(row.peb_lat_aoa) and math.isinf(row.oeb_aoa)
 
 
+# A 6e-8 m link along a body side, the Tx turned by pi: rounding puts its
+# direction on one side of the sector edge or the other (its exact offset
+# is (-1.0e-16, 6e-8), the centroids' difference (-4.4e-16, 6e-8)). The mask
+# reads the centroids' difference, as the oracle does.
+@example((PresetConfig(name="custom", carrier_frequency=1e9, subcarrier_spacing=15e3,
+                       n_rx_elements=1, target_snr_db=0.0, max_occupied_index=1,
+                       vehicle_length=3.0, vehicle_width=1.75, lane_width=3.0),
+          [(-1.75, 5.960464477539063e-08, math.pi)]))
 @settings(max_examples=60, deadline=None)
 @given(preset_and_placements())
 def test_visibility_mask_equals_los_visible(case):
@@ -171,14 +179,20 @@ def test_visibility_mask_equals_los_visible(case):
     [math.pi / 4 - 1e-3, math.pi / 4, math.pi / 4 + 1e-3]))))
 def test_pair_offsets_and_efims_equal_the_dense_link_block(case):
     # visibility forms each pair's offset once; placement_efims reads its
-    # links from those offsets, bit for bit as from the centroids per link.
+    # links from those offsets, bit for bit as from the mounts per link. The
+    # offsets are the centroids' differences up to the centroids' rounding.
     preset, placements = case
     ctx = preset_context(preset)
     x, y, alpha_t = np.array(placements).T
     poses = placement_poses(np.column_stack((x, y)), alpha_t)
     tx, rx = ctx.tx_vehicle.arrays, ctx.rx_vehicle.arrays
-    expected = rx.centroids(*poses[1])[..., None, :, :] - tx.centroids(*poses[0])[..., :, None, :]
-    assert np.array_equal(visibility(tx, poses[0], rx, poses[1])[1], expected)
+    offset = visibility(tx, poses[0], rx, poses[1])[1]
+    t, r = (i.ravel() for i in np.indices(offset.shape[1:3]))
+    expected = link_offsets(tx, poses[0], rx, poses[1], t, r)
+    assert np.array_equal(offset.reshape(len(x), -1, 2), expected.transpose(1, 2, 0))
+    centroids = rx.centroids(*poses[1])[..., None, :, :] - tx.centroids(*poses[0])[..., :, None, :]
+    scale = np.abs(poses[1][0]).max() + tx.mount_distance.max() + rx.mount_distance.max()
+    assert np.abs(offset - centroids).max() <= 8 * np.finfo(float).eps * scale
     assert np.array_equal(placement_efims(ctx, *poses)[3], dense_link_efims(ctx, *poses))
 
 
@@ -233,6 +247,18 @@ def preset_and_float_placements(draw, presets=custom_presets()):
     return preset, draw(st.lists(placement, min_size=1, max_size=6))
 
 
+# Coincident bodies, headings 6.1e-5 and 1e-8 rad apart: each corner's link
+# to its twin is 1.1e-4 and 1.8e-8 m long. Taken as a difference of
+# centroids, its direction lost four and eight digits, and the mirrors'
+# lateral bounds differed by 2.6e-5, their longitudinal ones by 8%.
+@example((PresetConfig(name="custom", carrier_frequency=1e9, subcarrier_spacing=15e3,
+                       n_rx_elements=2, target_snr_db=0.0, max_occupied_index=1,
+                       vehicle_length=3.0, vehicle_width=2.0, lane_width=3.0),
+          [(0.0, 0.0, 6.103515625e-05)]))
+@example((PresetConfig(name="custom", carrier_frequency=1e9, subcarrier_spacing=15e3,
+                       n_rx_elements=2, target_snr_db=0.0, max_occupied_index=2,
+                       vehicle_length=3.0, vehicle_width=2.0, lane_width=3.0),
+          [(0.0, 3.688350505142678e-16, 1e-8)]))
 # Overlapping bodies, all betas 0, 8 links: the position block's eigenvalue
 # ratio is 3e-31 (J_yy is the rounding residue of sin(+-pi)), so both mirrors
 # are rank-deficient: inf, where rounding alone would decide finite bounds.

@@ -357,6 +357,24 @@ class TestVisibility:
                 forward = visibility(*tx_side, *rx_side)[2]
                 np.testing.assert_array_equal(visibility(*rx_side, *tx_side)[2], forward.T)
 
+    @given(st.floats(1e-9, 1e-2) | st.floats(-1e-2, -1e-9), st.floats(-math.pi, math.pi))
+    @settings(max_examples=50)
+    def test_overlapping_bodies_offsets_to_rounding(self, turn, heading):
+        # Bodies at one point, headings `turn` apart: each corner lies
+        # 2 d sin(turn / 2) from its twin, which the offsets keep to a few
+        # ulps of their length; the centroids' difference loses eps d of it,
+        # 4e-12 relative at turn = 6e-5.
+        arrays = build_cornered_vehicle(4.5, 1.8, 2, 0.1).arrays
+        origin, tx_heading = np.zeros((1, 2)), heading + turn
+        turn = tx_heading - heading  # the turn between the headings as rounded
+        offset = visibility(arrays, (origin, np.array([tx_heading])),
+                            arrays, (origin, np.array([heading])))[1][0]
+        mid = arrays.mount_angle + heading + 0.5 * turn
+        twin = (2.0 * arrays.mount_distance * math.sin(0.5 * turn))[:, None] * np.column_stack(
+            (np.sin(mid), -np.cos(mid)))
+        error = np.hypot(*(offset.diagonal() - twin.T)) / np.hypot(*twin.T)
+        assert error.max() <= 16 * np.finfo(float).eps, error
+
 
 class TestActiveLinksMatchLinkGeometry:
     """active_links builds every link in one numpy pass; link_geometry is the

@@ -225,7 +225,7 @@ class TestEvaluatePoint:
         shared = [getattr(arrays, f.name) for f in dataclasses.fields(arrays)
                   if isinstance(getattr(arrays, f.name), np.ndarray)]
         shared += [ctx.betas, ctx.omega, ctx.power, ctx.link_gd2, ctx.link_beta, ctx.link_saaf]
-        assert len(shared) == 15
+        assert len(shared) == 16
         assert not any(a.flags.writeable for a in shared)
 
 
