@@ -13,8 +13,10 @@ status=0; v2vbounds --step 1e-9 --out "$RUNNER_TEMP/over_limit.csv" || status=$?
 echo "overrides: {target_snr_db: 4000}" > "$RUNNER_TEMP/snr.yaml"
 status=0; v2vbounds --config "$RUNNER_TEMP/snr.yaml" --out "$RUNNER_TEMP/snr.csv" || status=$?; test "$status" -eq 2
 # 8e8 subcarriers would need about 95 GB: refused by MAX_SUBCARRIERS before any allocation.
-echo "overrides: {max_occupied_index: 400000000, n_fft: 1000000000}" > "$RUNNER_TEMP/subcarriers.yaml"
-status=0; v2vbounds --config "$RUNNER_TEMP/subcarriers.yaml" --out "$RUNNER_TEMP/subcarriers.csv" || status=$?; test "$status" -eq 2
+echo "overrides: {max_occupied_index: 400000000}" > "$RUNNER_TEMP/subcarriers.yaml"
+status=0; v2vbounds --config "$RUNNER_TEMP/subcarriers.yaml" --out "$RUNNER_TEMP/subcarriers.csv" \
+  2> "$RUNNER_TEMP/subcarriers.err" || status=$?; test "$status" -eq 2
+grep -q "config error: max_occupied_index" "$RUNNER_TEMP/subcarriers.err"
 # 1e10 Rx elements, built one at a time, would run until killed: refused by MAX_RX_ELEMENTS.
 echo "overrides: {n_rx_elements: 10000000000}" > "$RUNNER_TEMP/elements.yaml"
 status=0; v2vbounds --config "$RUNNER_TEMP/elements.yaml" --out "$RUNNER_TEMP/elements.csv" || status=$?; test "$status" -eq 2

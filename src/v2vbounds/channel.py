@@ -9,7 +9,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ZeroDistance
 from .geometry import Link, Pose, VehicleSpec, read_only
 from .waveform import Allocation, OfdmSpec, effective_bandwidths
 
@@ -19,7 +18,7 @@ class LinkGain:
     """Complex amplitude gain and information weight of one active link."""
 
     h: complex  # dimensionless amplitude gain
-    g: float  # 2 N_rx n_symbols total_power gamma_t |h|^2 / noise_variance
+    g: float  # 2 N_rx n_symbols total_power gamma_t |h|^2, noise unit
     snr_after_bf_db: float  # receive SNR after Rx beamforming, dB
 
 
@@ -27,7 +26,7 @@ def free_space_gain(distance, wavelength: float):
     """Free-space amplitude gain wavelength/(4 pi d) with carrier phase,
     elementwise over the distances."""
     if np.any(np.asarray(distance) <= 0.0):
-        raise ZeroDistance(f"distance must be positive, got {distance}")
+        raise ValueError(f"distance must be positive, got {distance}")
     if wavelength <= 0.0:
         raise ValueError("wavelength must be positive")
     amplitude = wavelength / (4.0 * math.pi * distance)
@@ -35,22 +34,22 @@ def free_space_gain(distance, wavelength: float):
     return amplitude * np.exp(1j * phase)
 
 
-def information_weight(distance, wavelength, n_rx, gamma_t, n_symbols, noise_variance):
-    """Elementwise information weight g = 2 N_rx n_symbols gamma_t |h|^2 /
-    noise_variance at total_power = 1, with |h| = wavelength / (4 pi d)."""
+def information_weight(distance, wavelength, n_rx, gamma_t, n_symbols):
+    """Elementwise information weight g = 2 N_rx n_symbols gamma_t |h|^2 at
+    total_power = 1 and unit noise, with |h| = wavelength / (4 pi d)."""
     amplitude = wavelength / (4.0 * math.pi * distance)
-    return 2.0 * n_rx * n_symbols * gamma_t * amplitude**2 / noise_variance
+    return 2.0 * n_rx * n_symbols * gamma_t * amplitude**2
 
 
 @dataclass(frozen=True, eq=False)
 class LinkContext:
-    """Everything about two vehicles' links that no placement changes; shared, read-only."""
+    """Everything about two vehicles' links that no placement changes, at
+    unit noise; shared, read-only."""
 
     tx_vehicle: VehicleSpec
     rx_vehicle: VehicleSpec
     ofdm: OfdmSpec
     allocation: Allocation
-    noise_variance: float
     betas: np.ndarray  # (K,) effective bandwidth per Tx array, rad/s
     omega: np.ndarray  # (K, S_max) baseband angular frequency of each Allocation.arrays slot
     power: np.ndarray  # (K, S_max) power of each slot, zero on padding
@@ -62,15 +61,13 @@ class LinkContext:
 
 
 def link_context(tx_vehicle: VehicleSpec, rx_vehicle: VehicleSpec, ofdm: OfdmSpec,
-                 allocation: Allocation, noise_variance: float = 1.0) -> LinkContext:
+                 allocation: Allocation) -> LinkContext:
     """The context every kernel reads, of links from tx_vehicle to rx_vehicle;
     raises ValueError unless the allocation has one subcarrier set per Tx
-    panel and the noise variance is positive and finite."""
+    panel."""
     if allocation.n_arrays != len(tx_vehicle.panels):
         raise ValueError("allocation must provide one subcarrier set per Tx panel "
                          f"({allocation.n_arrays} sets, {len(tx_vehicle.panels)} panels)")
-    if not 0 < noise_variance < math.inf:
-        raise ValueError(f"noise_variance must be positive and finite, got {noise_variance!r}")
     rx, fractions = rx_vehicle.arrays, np.array(allocation.array_power_fractions)
     betas = read_only(np.array(effective_bandwidths(allocation, ofdm)))
     omega = read_only(2.0 * math.pi * ofdm.subcarrier_spacing * allocation.arrays.indices)
@@ -79,9 +76,9 @@ def link_context(tx_vehicle: VehicleSpec, rx_vehicle: VehicleSpec, ofdm: OfdmSpe
     moments = np.sum(power[:, None] * omega[:, None] ** np.arange(3)[:, None], -1)
     t, r = (i.ravel() for i in np.indices((len(tx_vehicle.panels), len(rx.saaf_s))))
     gd2 = ofdm.total_power * information_weight(1.0, ofdm.wavelength, rx.n_elements[r],
-                                                fractions[t], ofdm.n_symbols, noise_variance)
-    return LinkContext(tx_vehicle, rx_vehicle, ofdm, allocation, noise_variance, betas, omega,
-                       power, read_only(moments), read_only(gd2), read_only(betas[t]),
+                                                fractions[t], ofdm.n_symbols)
+    return LinkContext(tx_vehicle, rx_vehicle, ofdm, allocation, betas, omega, power,
+                       read_only(moments), read_only(gd2), read_only(betas[t]),
                        read_only(rx.saaf_s[r]))
 
 

@@ -1,20 +1,8 @@
 """Exception types shared across the package."""
 
 
-class InvalidCount(ValueError):
-    """An element/panel count is outside its valid range."""
-
-
-class ZeroDistance(ValueError):
-    """Propagation distance must be strictly positive."""
-
-
 class NoActiveLinks(RuntimeError):
     """No Tx-Rx panel pair has line of sight in the given scene."""
-
-
-class EmptySet(ValueError):
-    """A subcarrier set that must be nonempty is empty."""
 
 
 class NoBracket(RuntimeError):

@@ -70,8 +70,8 @@ def _moment_gram(rows: np.ndarray, moments: np.ndarray) -> np.ndarray:
 
 
 def _information(ctx: LinkContext, grams: np.ndarray) -> np.ndarray:
-    """Fisher information: the real Grams times 2 n_symbols / noise_variance, symmetrised."""
-    j = grams * (2.0 * ctx.ofdm.n_symbols / ctx.noise_variance)
+    """Fisher information at unit noise: the real Grams times 2 n_symbols, symmetrised."""
+    j = grams * (2.0 * ctx.ofdm.n_symbols)
     return 0.5 * (j + j.swapaxes(-1, -2))
 
 

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InvalidCount, NoActiveLinks
+from .errors import NoActiveLinks
 
 if TYPE_CHECKING:  # pragma: no cover
     from .channel import Scene
@@ -179,7 +179,7 @@ class ArrayPanel:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.elements:
-            raise InvalidCount("panel must have at least one element")
+            raise ValueError("panel must have at least one element")
         if not 0.0 <= self.fov_blocked_halfwidth <= math.pi:
             raise ValueError("fov_blocked_halfwidth must lie in [0, pi]")
         cx = sum(e.distance * math.cos(e.angle) for e in self.elements) / len(self.elements)
@@ -216,7 +216,7 @@ class VehicleSpec:
         object.__setattr__(self, "panels", tuple(self.panels))
         require_positive_finite(self, "length", "width")
         if not self.panels:
-            raise InvalidCount("vehicle must carry at least one panel")
+            raise ValueError("vehicle must carry at least one panel")
 
     @cached_property
     def arrays(self) -> "VehicleArrays":
@@ -288,6 +288,7 @@ def build_conformal_panel(
     n_elements: int,
     carrier_wavelength: float,
     panel_index: int,
+    fov_blocked_halfwidth: float,
     mount_distance: float = 0.0,
     mount_angle: float = 0.0,
 ) -> ArrayPanel:
@@ -299,10 +300,11 @@ def build_conformal_panel(
     recentered so the offsets are expressed about their centroid. A single
     element sits exactly at the centroid. ``panel_index`` runs 1..4
     counterclockwise starting at the (+x, +y) corner; the blocked sector is
-    the quadrant facing the vehicle body.
+    centred on the quadrant facing the vehicle body, which a halfwidth of
+    pi/4 covers exactly.
     """
     if n_elements < 1:
-        raise InvalidCount(f"n_elements must be >= 1, got {n_elements}")
+        raise ValueError(f"n_elements must be >= 1, got {n_elements}")
     if carrier_wavelength <= 0.0:
         raise ValueError("carrier_wavelength must be positive")
     if panel_index not in (1, 2, 3, 4):
@@ -331,7 +333,7 @@ def build_conformal_panel(
         mount_angle=mount_angle,
         elements=offsets,
         fov_blocked_center=blocked_center,
-        fov_blocked_halfwidth=math.pi / 4.0,
+        fov_blocked_halfwidth=fov_blocked_halfwidth,
     )
 
 
@@ -340,8 +342,10 @@ def build_cornered_vehicle(
     width: float,
     n_elements: int,
     carrier_wavelength: float,
+    fov_blocked_halfwidth: float,
 ) -> VehicleSpec:
-    """Vehicle with one conformal panel at each corner.
+    """Vehicle with one conformal panel at each corner, each blind over
+    fov_blocked_halfwidth about the bisector of its body quadrant.
 
     Corners are numbered counterclockwise: 1 = (+w/2, +l/2), 2 = (-w/2, +l/2),
     3 = (-w/2, -l/2), 4 = (+w/2, -l/2), with +y the driving direction.
@@ -357,6 +361,7 @@ def build_cornered_vehicle(
             n_elements,
             carrier_wavelength,
             panel_index=k + 1,
+            fov_blocked_halfwidth=fov_blocked_halfwidth,
             mount_distance=math.hypot(cx, cy),
             mount_angle=math.atan2(cy, cx),
         )
@@ -413,8 +418,8 @@ def _outside_sector(dx: np.ndarray, dy: np.ndarray, sector: tuple) -> np.ndarray
 
 
 def los_mask(tx_c: np.ndarray, tx_sector: tuple, rx_c: np.ndarray, rx_sector: tuple,
-             *bodies: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets rx_c - tx_c and line of sight, from Tx panels at tx_c to Rx at rx_c.
+             *bodies: tuple) -> np.ndarray:
+    """Line of sight from Tx panels at tx_c to Rx panels at rx_c.
 
     Requires (a) the direction from the Tx panel toward the Rx panel to fall
     outside the Tx panel's blocked sector, (b) the reverse direction to fall
@@ -431,7 +436,7 @@ def los_mask(tx_c: np.ndarray, tx_sector: tuple, rx_c: np.ndarray, rx_sector: tu
             & _outside_sector(-dx, -dy, rx_sector))
     for body in bodies:
         mask &= ~_crosses_body(tx_c, rx_c, body)
-    return offset, mask
+    return mask
 
 
 def _pair_offsets(tx: VehicleArrays, tx_pose: tuple, rx: VehicleArrays,
@@ -468,9 +473,9 @@ def visibility(tx: VehicleArrays, tx_pose: tuple, rx: VehicleArrays, rx_pose: tu
     # The mask reads the centroids' difference: where a link is short enough
     # for rounding to decide a sector edge, the offsets below would decide it
     # by other rounding, not better (their gain is at small turns only).
-    _, visible = los_mask(tx_c[..., :, None, :], [a[..., :, None] for a in tx.sectors(tx_h)],
-                          rx_c[..., None, :, :], [a[..., None, :] for a in rx.sectors(rx_h)],
-                          *bodies)
+    visible = los_mask(tx_c[..., :, None, :], [a[..., :, None] for a in tx.sectors(tx_h)],
+                       rx_c[..., None, :, :], [a[..., None, :] for a in rx.sectors(rx_h)],
+                       *bodies)
     return tx_c, _pair_offsets(tx, tx_pose, rx, rx_pose), visible
 
 

@@ -2,11 +2,11 @@
 
 Two built-in configurations are provided: a 3.5 GHz / 60 kHz / 4-element
 setup calibrated to 36 dB reference SNR and a 28 GHz / 240 kHz / 25-element
-setup calibrated to 30 dB. Both use four corner panels per vehicle, a
-2048-point grid with subcarriers -600..-1, 1..600 interleaved over the four
-Tx arrays, one OFDM symbol, and unit noise variance; the transmit power is
-set so the shortest side-by-side link (lateral offset one lane width) hits
-the reference SNR after Rx beamforming.
+setup calibrated to 30 dB. Both use four corner panels per vehicle,
+subcarriers -600..-1, 1..600 interleaved over the four Tx arrays, one OFDM
+symbol, and unit noise; the transmit power is set so the shortest
+side-by-side link (lateral offset one lane width) hits the reference SNR
+after Rx beamforming.
 
 :func:`scenario_placements` alone puts the Rx vehicle at a scenario's
 distance s; the sweep grids, the crossing search, the calibration and the
@@ -90,32 +90,27 @@ class PresetConfig:
     subcarrier_spacing: float  # Hz
     n_rx_elements: int
     target_snr_db: float
-    n_fft: int = 2048
     max_occupied_index: int = 600
     vehicle_length: float = 4.5
     vehicle_width: float = 1.8
     lane_width: float = 3.5
-    fov_blocked_halfwidth: float | None = None  # override, rad
+    fov_blocked_halfwidth: float = math.pi / 4  # rad, about each corner's body quadrant
 
     def __post_init__(self) -> None:
-        require_count(self, "n_rx_elements", "n_fft", "max_occupied_index")
+        require_count(self, "n_rx_elements", "max_occupied_index")
         require_positive_finite(self, "carrier_frequency", "subcarrier_spacing", "vehicle_length",
                                 "vehicle_width", "lane_width")
         if not math.isfinite(self.target_snr_db):
             raise ValueError(f"target_snr_db must be finite, got {self.target_snr_db!r}")
-        if 2 * self.max_occupied_index >= self.n_fft:
-            raise ValueError(f"max_occupied_index must be below n_fft / 2 for the occupied "
-                             f"subcarriers to fit inside the FFT grid, got "
-                             f"{self.max_occupied_index} with n_fft = {self.n_fft}")
         if self.n_rx_elements > MAX_RX_ELEMENTS:
             raise ValueError(f"n_rx_elements must be at most MAX_RX_ELEMENTS = {MAX_RX_ELEMENTS}, "
                              f"got {self.n_rx_elements}")
         if 2 * self.max_occupied_index > MAX_SUBCARRIERS:
             raise ValueError(f"max_occupied_index must be at most MAX_SUBCARRIERS / 2 = "
                              f"{MAX_SUBCARRIERS // 2}, got {self.max_occupied_index}")
-        halfwidth = self.fov_blocked_halfwidth
-        if halfwidth is not None and not 0.0 <= halfwidth <= math.pi:
-            raise ValueError(f"fov_blocked_halfwidth must lie in [0, pi], got {halfwidth!r}")
+        if not 0.0 <= self.fov_blocked_halfwidth <= math.pi:
+            raise ValueError(f"fov_blocked_halfwidth must lie in [0, pi], got "
+                             f"{self.fov_blocked_halfwidth!r}")
 
     @property
     def occupied(self) -> tuple[int, ...]:
@@ -157,19 +152,9 @@ def scenario_placements(preset: PresetConfig,
 
 
 def _build_vehicle(preset: PresetConfig) -> VehicleSpec:
-    wavelength = SPEED_OF_LIGHT / preset.carrier_frequency
-    vehicle = build_cornered_vehicle(
-        preset.vehicle_length, preset.vehicle_width, preset.n_rx_elements, wavelength
-    )
-    if preset.fov_blocked_halfwidth is not None:
-        vehicle = replace(
-            vehicle,
-            panels=tuple(
-                replace(p, fov_blocked_halfwidth=preset.fov_blocked_halfwidth)
-                for p in vehicle.panels
-            ),
-        )
-    return vehicle
+    return build_cornered_vehicle(preset.vehicle_length, preset.vehicle_width,
+                                  preset.n_rx_elements, SPEED_OF_LIGHT / preset.carrier_frequency,
+                                  preset.fov_blocked_halfwidth)
 
 
 @lru_cache(maxsize=32)
@@ -195,9 +180,9 @@ def preset_context(preset: PresetConfig) -> LinkContext:
     ref_t, ref_r, _, _, distance, _ = (column[0] for column in visible_links(
         tx_c, offset, visible & (fractions > 0.0)[:, None]))
     k = np.argmin(distance)  # the first shortest link in (t, r) order
-    # Preset scenes keep unit noise; the calibrated power carries the SNR.
+    # Noise is unit; the calibrated power carries the SNR.
     unit_g = information_weight(distance[k], unit_power.wavelength, arrays.n_elements[ref_r[k]],
-                                fractions[ref_t[k]], unit_power.n_symbols, 1.0)
+                                fractions[ref_t[k]], unit_power.n_symbols)
     try:
         snr = 10.0 ** (preset.target_snr_db / 10.0)
     except OverflowError:

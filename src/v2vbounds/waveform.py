@@ -14,7 +14,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import EmptySet
 from .geometry import SPEED_OF_LIGHT, read_only, require_count, require_positive_finite
 
 
@@ -48,7 +47,7 @@ class Allocation:
 
     Each array with subcarriers gets an equal share of the total power, split
     evenly over its own subcarriers; an array without subcarriers gets none.
-    Raises EmptySet without any subcarrier and ValueError when an index repeats.
+    Raises ValueError without any subcarrier and when an index repeats.
     """
 
     per_array_sets: tuple[tuple[int, ...], ...]
@@ -58,7 +57,7 @@ class Allocation:
         object.__setattr__(self, "per_array_sets", sets)
         flat = [p for subset in sets for p in subset]
         if not flat:
-            raise EmptySet("allocation has no subcarriers")
+            raise ValueError("allocation has no subcarriers")
         if len(set(flat)) != len(flat):
             raise ValueError("subcarrier indices must be distinct within and across arrays")
 

@@ -82,7 +82,6 @@ def small_scene(
     subcarrier_spacing: float = 60e3,
     n_symbols: int = 1,
     total_power: float = 1e9,
-    noise_variance: float = 1.0,
 ) -> Scene:
     """Compact scene with guaranteed all-pairs visibility.
 
@@ -105,16 +104,16 @@ def small_scene(
         n_symbols=n_symbols,
         total_power=total_power,
     )
-    ctx = link_context(tx, rx, ofdm, interleaved_allocation(occupied, n_tx_panels), noise_variance)
+    ctx = link_context(tx, rx, ofdm, interleaved_allocation(occupied, n_tx_panels))
     return Scene(ctx, Pose(Vec2(0.0, 0.0), alpha_t), Pose(q, alpha_r))
 
 
 def with_context(scene: Scene, **changes) -> Scene:
     """The scene at its poses on a context rebuilt with some of link_context's
-    inputs (tx_vehicle, rx_vehicle, ofdm, allocation, noise_variance) changed."""
+    inputs (tx_vehicle, rx_vehicle, ofdm, allocation) changed."""
     ctx = scene.context
     inputs = dict(tx_vehicle=ctx.tx_vehicle, rx_vehicle=ctx.rx_vehicle, ofdm=ctx.ofdm,
-                  allocation=ctx.allocation, noise_variance=ctx.noise_variance)
+                  allocation=ctx.allocation)
     return Scene(link_context(**{**inputs, **changes}), scene.tx_pose, scene.rx_pose)
 
 

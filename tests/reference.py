@@ -147,7 +147,7 @@ def reference_calibrated_power(preset) -> float:
     side in neighboring lanes, the shortest line-of-sight link from a Tx
     array with subcarriers (ties to the smallest (t, r)) gets the target SNR
     g / (its Tx array's subcarrier count), g = 2 N_rx n_symbols gamma_t |h|^2
-    P / noise_variance with unit noise. Raises NoActiveLinks without one."""
+    P at unit noise. Raises NoActiveLinks without one."""
     vehicle = _build_vehicle(preset)
     allocation = interleaved_allocation(preset.occupied, len(vehicle.panels))
     ofdm = OfdmSpec(preset.subcarrier_spacing, preset.carrier_frequency)
@@ -229,9 +229,9 @@ def link_samples(scene, link, delay, angle, gain):
 
 
 def _information(scene, grams):
-    """Each link's Fisher information from its real 4 x 4 Gram: 2 n_symbols /
-    noise_variance times it, symmetrised, stacked (L, 4, 4) in link order."""
-    j = 2.0 * scene.context.ofdm.n_symbols / scene.context.noise_variance * np.array(grams)
+    """Each link's Fisher information at unit noise from its real 4 x 4 Gram:
+    2 n_symbols times it, symmetrised, stacked (L, 4, 4) in link order."""
+    j = 2.0 * scene.context.ofdm.n_symbols * np.array(grams)
     return 0.5 * (j + j.swapaxes(-1, -2))
 
 

@@ -88,7 +88,7 @@ class TestConfigParsing:
         assert cfg.measurements == ("aoa",)
 
     def test_custom_preset_requires_core_overrides(self, tmp_path):
-        path = write_config(tmp_path, preset="custom", overrides={"n_fft": 1024})
+        path = write_config(tmp_path, preset="custom", overrides={"max_occupied_index": 100})
         cfg = load_config(path)
         with pytest.raises(ConfigError):
             cfg.resolve_preset()
@@ -114,9 +114,9 @@ class TestConfigParsing:
             load_config(path).resolve_preset()
 
     def test_integral_float_accepted_for_integer_override(self, tmp_path):
-        path = write_config(tmp_path, overrides={"n_fft": 2048.0, "n_rx_elements": "8"})
+        path = write_config(tmp_path, overrides={"max_occupied_index": 300.0, "n_rx_elements": "8"})
         preset = load_config(path).resolve_preset()
-        assert preset.n_fft == 2048 and isinstance(preset.n_fft, int)
+        assert preset.max_occupied_index == 300 and isinstance(preset.max_occupied_index, int)
         assert preset.n_rx_elements == 8 and isinstance(preset.n_rx_elements, int)
 
     def test_narrowband_warning(self, tmp_path):
@@ -313,15 +313,15 @@ class TestCli:
             {"carrier_frequency": 0.0},
             {"carrier_frequency": math.nan},
             {"n_rx_elements": 0},
-            {"max_occupied_index": 1024},  # 2 * 1024 >= n_fft = 2048
             {"lane_width": 0.0},
-            # Calibration cancels the noise level and the symbol count, so
-            # neither is a preset field.
+            # Calibration cancels the noise level and the symbol count, and no
+            # bound reads an FFT size, so none is a preset field.
             {"noise_variance": 1.0},
             {"n_symbols": 1},
+            {"n_fft": 2048},
             {"fov_blocked_halfwidth": 3.2},  # > pi
             # 8e8 subcarriers, about 95 GB: refused before any allocation is built.
-            {"max_occupied_index": 400_000_000, "n_fft": 1_000_000_000},
+            {"max_occupied_index": 400_000_000},
             # Built an element at a time, 1e10 elements ran until killed.
             {"n_rx_elements": 10_000_000_000},
         ],
@@ -330,7 +330,7 @@ class TestCli:
         cfg = write_config(tmp_path, out=str(tmp_path / "x.csv"), overrides=override)
         assert main(["--config", cfg]) == 2
         key = next(iter(override))
-        unknown = key in ("noise_variance", "n_symbols")
+        unknown = key in ("noise_variance", "n_symbols", "n_fft")
         expected = f"unknown override keys: ['{key}']" if unknown else key
         assert f"config error: {expected}" in capsys.readouterr().err
 
@@ -487,7 +487,6 @@ OVERRIDE_VALUES = {
     "subcarrier_spacing": mixed(st.floats(15e3, 480e3)),
     "n_rx_elements": mixed(st.integers(1, 9)),
     "target_snr_db": mixed(st.floats(0.0, 50.0)),
-    "n_fft": mixed(st.integers(64, 4096)),
     "max_occupied_index": mixed(st.integers(1, 40)),
     "vehicle_length": mixed(st.floats(3.0, 6.0)),
     "vehicle_width": mixed(st.floats(1.5, 2.5)),

@@ -57,7 +57,7 @@ def saaf(panel: ArrayPanel, theta_local, rx_heading: float = 0.0):
 
 class TestSaaf:
     def test_single_element_zero(self):
-        panel = build_conformal_panel(1, 0.1, 1)
+        panel = build_conformal_panel(1, 0.1, 1, math.pi / 4)
         for theta in np.linspace(-math.pi, math.pi, 17):
             assert saaf(panel, float(theta)) == 0.0
 
@@ -74,21 +74,21 @@ class TestSaaf:
     def test_rotational_average(self, n):
         # Oracle: numerical quadrature of S over a full turn equals
         # sum(d_i^2) / (2 N).
-        panel = build_conformal_panel(n, 0.0857, 2)
+        panel = build_conformal_panel(n, 0.0857, 2, math.pi / 4)
         grid = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
         average = float(np.mean(saaf(panel, grid)))
         expected = sum(e.distance**2 for e in panel.elements) / (2.0 * n)
         assert abs(average - expected) < 1e-12
 
     def test_nonnegative(self):
-        panel = build_conformal_panel(4, 0.0857, 3)
+        panel = build_conformal_panel(4, 0.0857, 3, math.pi / 4)
         for theta in np.linspace(-math.pi, math.pi, 101):
             assert saaf(panel, float(theta)) >= 0.0
 
     @pytest.mark.parametrize("rx_heading", [0.7, -2.0, math.pi])
     def test_depends_on_the_vehicle_frame_angle_only(self, rx_heading):
         # link_vectors rotates the world-frame direction into the Rx frame.
-        panel = build_conformal_panel(4, 0.0857, 3)
+        panel = build_conformal_panel(4, 0.0857, 3, math.pi / 4)
         theta = np.linspace(-math.pi, math.pi, 101)
         np.testing.assert_allclose(saaf(panel, theta, rx_heading), saaf(panel, theta),
                                    rtol=1e-12, atol=1e-18)
@@ -401,10 +401,13 @@ class TestClosedForms:
         assert abs(boosted.peb_lat - base.peb_lat / 2.0) <= 1e-10 * base.peb_lat
 
     def test_noise_scaling_law(self, preset_3p5):
+        # The noise is unit, so tripling it is a third of the transmit power.
         scene, links, gains = _scene_links_gains(preset_3p5, Vec2(-3.5, 13.0))
         betas = effective_bandwidths(scene.allocation, scene.context.ofdm)
         base = efim_aoa_tdoa(scene, links, gains, betas)
-        noisy_scene = with_context(scene, noise_variance=3.0)
+        ofdm = scene.context.ofdm
+        noisy_scene = with_context(scene, ofdm=dataclasses.replace(
+            ofdm, total_power=ofdm.total_power / 3.0))
         noisy = efim_aoa_tdoa(noisy_scene, links, link_gains(noisy_scene, links), betas)
         assert np.allclose(noisy.j_po, base.j_po / 3.0, rtol=1e-12)
 

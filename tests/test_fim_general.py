@@ -190,7 +190,7 @@ class TestFactorisedGram:
 
     def test_small_scenes(self):
         for kwargs in ({}, dict(n_tx_panels=3, n_rx_panels=2, n_elements=3, n_occupied=10),
-                       dict(n_tx_panels=1, n_rx_panels=4, n_symbols=3, noise_variance=2.5)):
+                       dict(n_tx_panels=1, n_rx_panels=4, n_symbols=3, total_power=2.5e9)):
             assert_matches_oracle(small_scene(**kwargs))
 
     @pytest.mark.parametrize("preset_name", ["cfg_3p5GHz", "cfg_28GHz"])
@@ -396,10 +396,12 @@ class TestChannelFim:
                 assert a.rx_panel != b.rx_panel or not set(sets[a.tx_panel]) & set(sets[b.tx_panel])
 
     def test_noise_scaling(self, medium_scene):
+        # The noise is unit, so doubling it is half the transmit power.
         scene, links, _ = medium_scene
         j1 = fim_channel(scene, links)
-        noisy = with_context(scene, noise_variance=2.0 * scene.context.noise_variance)
-        j2 = fim_channel(noisy, links)
+        ofdm = scene.context.ofdm
+        half_power = dataclasses.replace(ofdm, total_power=0.5 * ofdm.total_power)
+        j2 = fim_channel(with_context(scene, ofdm=half_power), links)
         assert np.allclose(j2, 0.5 * j1, rtol=1e-12)
 
     def test_timing_offset_accumulates_all_links(self, medium_scene):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from v2vbounds.errors import InvalidCount, NoActiveLinks
+from v2vbounds.errors import NoActiveLinks
 from v2vbounds.geometry import (
     SPEED_OF_LIGHT,
     ArrayPanel,
@@ -137,7 +137,7 @@ class TestConformalPanel:
         ys = [rho * math.sin(d) for d in deltas]
         cx, cy = sum(xs) / 4.0, sum(ys) / 4.0
 
-        panel = build_conformal_panel(4, lam, 1)
+        panel = build_conformal_panel(4, lam, 1, math.pi / 4)
         assert panel.n_elements == 4
         for e, x, y in zip(panel.elements, xs, ys):
             ex = e.distance * math.cos(e.angle)
@@ -149,7 +149,7 @@ class TestConformalPanel:
         lam = 1.0
         rho = 1.0 / (4.0 * math.sin(math.pi / 4.0))
         assert abs(rho - 0.35355339059327373) < 1e-15
-        panel = build_conformal_panel(2, lam, 1)
+        panel = build_conformal_panel(2, lam, 1, math.pi / 4)
         # Recentered two-element offsets are half the half-wavelength chord.
         for e in panel.elements:
             assert abs(e.distance - 0.25) < 1e-12
@@ -158,7 +158,7 @@ class TestConformalPanel:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_half_wavelength_spacing_and_centroid(self, n, k):
         lam = 0.0107
-        panel = build_conformal_panel(n, lam, k)
+        panel = build_conformal_panel(n, lam, k, math.pi / 4)
         pts = [
             (e.distance * math.cos(e.angle), e.distance * math.sin(e.angle))
             for e in panel.elements
@@ -170,19 +170,20 @@ class TestConformalPanel:
             assert abs(math.hypot(x1 - x0, y1 - y0) - lam / 2.0) < 1e-12
 
     def test_single_element_at_centroid(self):
-        panel = build_conformal_panel(1, 0.1, 1)
+        panel = build_conformal_panel(1, 0.1, 1, math.pi / 4)
         assert panel.elements == (ElementOffset(0.0, 0.0),)
 
     def test_zero_elements_rejected(self):
-        with pytest.raises(InvalidCount):
-            build_conformal_panel(0, 0.1, 1)
+        with pytest.raises(ValueError, match="n_elements must be >= 1"):
+            build_conformal_panel(0, 0.1, 1, math.pi / 4)
 
     def test_blocked_sector_faces_body(self):
         # Panel 1 sits at the (+x, +y) corner; its blocked wedge is the
-        # quadrant between the -x and -y edge directions.
-        panel = build_conformal_panel(4, 0.1, 1)
-        assert abs(panel.fov_blocked_center - (-3.0 * math.pi / 4.0)) < 1e-12
-        assert panel.fov_blocked_halfwidth == math.pi / 4.0
+        # quadrant between the -x and -y edge directions, whatever its width.
+        for halfwidth in (0.0, math.pi / 4, 2.3):
+            panel = build_conformal_panel(4, 0.1, 1, halfwidth)
+            assert abs(panel.fov_blocked_center - (-3.0 * math.pi / 4.0)) < 1e-12
+            assert panel.fov_blocked_halfwidth == halfwidth
 
 
 class TestPanelWorldState:
@@ -255,9 +256,8 @@ class TestLinkGeometry:
     def test_coincident_rejected(self):
         # Coincident centroids have no direction: never a link, even with open sectors.
         centroid, sector = np.array([1.0, 1.0]), (1.0, 0.0, *sector_edge(0.0))
-        offset, visible = los_mask(centroid, sector, centroid, sector)
-        assert not visible and not offset.any()
-        assert los_mask(centroid, sector, centroid + 1e-9, sector)[1]
+        assert not los_mask(centroid, sector, centroid, sector)
+        assert los_mask(centroid, sector, centroid + 1e-9, sector)
 
     def test_opposite_directions(self):
         link = link_geometry(Vec2(-2, 7), Vec2(4, -3), -0.8)
@@ -364,7 +364,7 @@ class TestVisibility:
         # 2 d sin(turn / 2) from its twin, which the offsets keep to a few
         # ulps of their length; the centroids' difference loses eps d of it,
         # 4e-12 relative at turn = 6e-5.
-        arrays = build_cornered_vehicle(4.5, 1.8, 2, 0.1).arrays
+        arrays = build_cornered_vehicle(4.5, 1.8, 2, 0.1, math.pi / 4).arrays
         origin, tx_heading = np.zeros((1, 2)), heading + turn
         turn = tx_heading - heading  # the turn between the headings as rounded
         offset = visibility(arrays, (origin, np.array([tx_heading])),
@@ -479,7 +479,7 @@ class TestVectorisedVisibilityMatchesLoop:
         rx = PanelState(rx_c, (), centers[1], halfwidths[1])
         for tx_state in (tx, PanelState(tx_c, (), centers[0], halfwidths[0])):
             for rx_state in (rx, PanelState(toward, (), centers[1], halfwidths[1])):
-                _, visible = los_mask(
+                visible = los_mask(
                     np.array(tx_state.centroid.as_tuple()), world_sector(tx_state),
                     np.array(rx_state.centroid.as_tuple()), world_sector(rx_state),
                     body(*tx_rect), body(*rx_rect),
@@ -502,7 +502,7 @@ class TestSectorEdges:
         tx = PanelState(Vec2(0.0, 0.0), (), wrap_angle(center), halfwidth)
         rx = PanelState(rx_c, (), rx_c.angle(), 0.0)
         visible = bool(los_mask(np.zeros(2), world_sector(tx), np.array(rx_c.as_tuple()),
-                                world_sector(rx))[1])
+                                world_sector(rx)))
         assert visible == reference_los_visible(tx, rx, self.FAR, self.FAR)
         return visible
 
@@ -576,14 +576,15 @@ class TestSectorEdges:
 
 class TestBuiltVehicle:
     def test_corner_mounts(self):
-        vehicle = build_cornered_vehicle(4.5, 1.8, 4, 0.0857)
+        vehicle = build_cornered_vehicle(4.5, 1.8, 4, 0.0857, 0.6)
         corners = [(0.9, 2.25), (-0.9, 2.25), (-0.9, -2.25), (0.9, -2.25)]
         for panel, (cx, cy) in zip(vehicle.panels, corners):
+            assert panel.fov_blocked_halfwidth == 0.6
             assert abs(panel.mount_distance * math.cos(panel.mount_angle) - cx) < 1e-12
             assert abs(panel.mount_distance * math.sin(panel.mount_angle) - cy) < 1e-12
 
     def test_element_offsets_sum_to_zero(self, preset_28):
-        vehicle = build_cornered_vehicle(4.5, 1.8, 25, 0.0107)
+        vehicle = build_cornered_vehicle(4.5, 1.8, 25, 0.0107, math.pi / 4)
         for panel in vehicle.panels:
             sx = sum(e.distance * math.cos(e.angle) for e in panel.elements)
             sy = sum(e.distance * math.sin(e.angle) for e in panel.elements)
@@ -597,7 +598,7 @@ class TestVehicleArrays:
         panels = (
             open_panel(mount_distance=1.0, mount_angle=0.3, n_elements=1),
             open_panel(mount_distance=2.0, mount_angle=-1.2, n_elements=2, blocked_center=0.5),
-            build_conformal_panel(3, 0.0857, panel_index=3, mount_distance=1.5, mount_angle=2.5),
+            build_conformal_panel(3, 0.0857, 3, math.pi / 4, mount_distance=1.5, mount_angle=2.5),
         )
         return VehicleSpec(length=4.5, width=1.8, panels=panels)
 

@@ -453,15 +453,14 @@ class TestScenarioGeometry:
     def test_subcarriers_at_and_beyond_the_limit(self):
         # Checked on the preset, before any allocation is built.
         half = MAX_SUBCARRIERS // 2
-        at_limit = dataclasses.replace(PRESETS["cfg_3p5GHz"], max_occupied_index=half,
-                                       n_fft=4 * half)
+        at_limit = dataclasses.replace(PRESETS["cfg_3p5GHz"], max_occupied_index=half)
         assert len(at_limit.occupied) == MAX_SUBCARRIERS
         with pytest.raises(ValueError, match="max_occupied_index .* MAX_SUBCARRIERS"):
             dataclasses.replace(at_limit, max_occupied_index=half + 1)
 
 
 @pytest.mark.parametrize("value", [4.5, 4.0, True, math.nan, "4"])
-@pytest.mark.parametrize("field", ["n_rx_elements", "n_fft", "max_occupied_index"])
+@pytest.mark.parametrize("field", ["n_rx_elements", "max_occupied_index"])
 def test_count_not_an_integer_rejected(field, value):
     # 4.5 would be built and fail with a TypeError at evaluation, and True
     # would run as one element: the preset refuses both, naming the field.
