@@ -131,7 +131,7 @@ def _read_config(path: str | Path) -> dict:
 
 
 def _config_from_mapping(raw: dict) -> RunConfig:
-    known = {f.name for f in dataclasses.fields(RunConfig)} | {"measurements"}
+    known = {f.name for f in dataclasses.fields(RunConfig)}
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")

@@ -12,7 +12,8 @@ Conventions used throughout the package:
   sector is the wedge the rectangular body subtends at that corner (the
   wedge between the two body edges meeting there). Directions exactly on the
   wedge boundary count as blocked, which makes links grazing along a body
-  side invisible to the panels on that side.
+  side invisible to the panels on that side, between touching bodies too:
+  the test reads each pair's offset as formed from the panel mounts.
 
 All types are immutable after construction (VehicleSpec.arrays is built on
 first use and then kept) and all operations are pure functions, so values
@@ -417,25 +418,24 @@ def _outside_sector(dx: np.ndarray, dy: np.ndarray, sector: tuple) -> np.ndarray
     return (dx * cos_c + dy * sin_c) * sin_h < np.abs(dy * cos_c - dx * sin_c) * cos_h
 
 
-def los_mask(tx_c: np.ndarray, tx_sector: tuple, rx_c: np.ndarray, rx_sector: tuple,
+def los_mask(tx_c: np.ndarray, offset: np.ndarray, tx_sector: tuple, rx_sector: tuple,
              *bodies: tuple) -> np.ndarray:
-    """Line of sight from Tx panels at tx_c to Rx panels at rx_c.
+    """Line of sight from Tx panels at tx_c along the offsets to the Rx panels.
 
-    Requires (a) the direction from the Tx panel toward the Rx panel to fall
-    outside the Tx panel's blocked sector, (b) the reverse direction to fall
-    outside the Rx panel's blocked sector, and (c) the open segment between
-    the centroids to miss each given body's interior (both vehicles' in
-    full). Coincident centroids have no defined direction and are reported as
-    not visible. Sectors are (cos c, sin c, cos h', sin h') as from
-    VehicleArrays.sectors, bodies as _crosses_body takes them; all broadcast
-    against the centroids (..., 2).
+    Requires (a) the offset, the direction from the Tx panel toward the Rx
+    panel, to fall outside the Tx panel's blocked sector, (b) the reverse
+    direction to fall outside the Rx panel's blocked sector, and (c) the open
+    segment from tx_c to tx_c + offset to miss each given body's interior
+    (both vehicles' in full). An offset below 1e-9 m has no defined direction
+    and is reported as not visible. Sectors are (cos c, sin c, cos h', sin h')
+    as from VehicleArrays.sectors, bodies as _crosses_body takes them; all
+    broadcast against tx_c and the offsets (..., 2).
     """
-    offset = rx_c - tx_c
     dx, dy = offset[..., 0], offset[..., 1]
     mask = ((np.hypot(dx, dy) >= 1e-9) & _outside_sector(dx, dy, tx_sector)
             & _outside_sector(-dx, -dy, rx_sector))
     for body in bodies:
-        mask &= ~_crosses_body(tx_c, rx_c, body)
+        mask &= ~_crosses_body(tx_c, tx_c + offset, body)
     return mask
 
 
@@ -459,24 +459,21 @@ def _pair_offsets(tx: VehicleArrays, tx_pose: tuple, rx: VehicleArrays,
 
 def visibility(tx: VehicleArrays, tx_pose: tuple, rx: VehicleArrays, rx_pose: tuple):
     """Tx panel centroids (..., Kt, 2) and, per Tx-Rx panel pair, the offset
-    (..., Kt, Kr, 2) all link geometry reads (from :func:`_pair_offsets`) and
-    the LOS mask (..., Kt, Kr) of :func:`los_mask`.
+    (..., Kt, Kr, 2) from :func:`_pair_offsets` and the LOS mask (..., Kt, Kr)
+    that :func:`los_mask` reads from those offsets: the mask and all link
+    geometry see one direction per pair.
 
     Poses are (position (..., 2), heading (...)) as from Pose.arrays; the
     leading axes broadcast, so one call tests a whole grid of placements.
     """
     (tx_p, tx_h), (rx_p, rx_h) = tx_pose, rx_pose
-    tx_c, rx_c = tx.centroids(tx_p, tx_h), rx.centroids(rx_p, rx_h)
+    tx_c, offset = tx.centroids(tx_p, tx_h), _pair_offsets(tx, tx_pose, rx, rx_pose)
     bodies = () if tx.sectors_imply_body and rx.sectors_imply_body else (
         (tx_p[..., None, None, :], tx_h[..., None, None], tx.length, tx.width),
         (rx_p[..., None, None, :], rx_h[..., None, None], rx.length, rx.width))
-    # The mask reads the centroids' difference: where a link is short enough
-    # for rounding to decide a sector edge, the offsets below would decide it
-    # by other rounding, not better (their gain is at small turns only).
-    visible = los_mask(tx_c[..., :, None, :], [a[..., :, None] for a in tx.sectors(tx_h)],
-                       rx_c[..., None, :, :], [a[..., None, :] for a in rx.sectors(rx_h)],
-                       *bodies)
-    return tx_c, _pair_offsets(tx, tx_pose, rx, rx_pose), visible
+    visible = los_mask(tx_c[..., :, None, :], offset, [a[..., :, None] for a in tx.sectors(tx_h)],
+                       [a[..., None, :] for a in rx.sectors(rx_h)], *bodies)
+    return tx_c, offset, visible
 
 
 def visible_links(tx_c: np.ndarray, offset: np.ndarray, visible: np.ndarray) -> tuple:

@@ -111,10 +111,14 @@ def reference_segment_crosses(vehicle, pose, a: Vec2, b: Vec2) -> bool:
     return (-hw + eps < mx < hw - eps) and (-hl + eps < my < hl - eps)
 
 
-def reference_los_visible(tx: PanelState, rx: PanelState, tx_body, rx_body) -> bool:
+def reference_los_visible(tx: PanelState, rx: PanelState, tx_body, rx_body,
+                          offset: Vec2 | None = None) -> bool:
     """Line of sight from the Tx to the Rx panel, bodies as (vehicle, pose):
-    the scalar reference for geometry.los_mask."""
-    offset = rx.centroid - tx.centroid
+    the scalar reference for geometry.los_mask. The sectors read the offset
+    from the Tx to the Rx panel (the centroids' difference if none is given),
+    the body test the segment between the centroids."""
+    if offset is None:
+        offset = rx.centroid - tx.centroid
     if offset.norm() < 1e-9:
         return False
     towards_rx = offset.angle()

@@ -310,20 +310,20 @@ class TestCli:
     @pytest.mark.parametrize(
         "override",
         [
-            {"carrier_frequency": 0.0},
-            {"carrier_frequency": math.nan},
-            {"n_rx_elements": 0},
-            {"lane_width": 0.0},
+            pytest.param({"carrier_frequency": 0.0}, id="carrier_frequency-zero"),
+            pytest.param({"carrier_frequency": math.nan}, id="carrier_frequency-nan"),
+            pytest.param({"n_rx_elements": 0}, id="n_rx_elements-zero"),
+            pytest.param({"lane_width": 0.0}, id="lane_width-zero"),
             # Calibration cancels the noise level and the symbol count, and no
             # bound reads an FFT size, so none is a preset field.
-            {"noise_variance": 1.0},
-            {"n_symbols": 1},
-            {"n_fft": 2048},
-            {"fov_blocked_halfwidth": 3.2},  # > pi
+            pytest.param({"noise_variance": 1.0}, id="noise_variance-unknown"),
+            pytest.param({"n_symbols": 1}, id="n_symbols-unknown"),
+            pytest.param({"n_fft": 2048}, id="n_fft-unknown"),
+            pytest.param({"fov_blocked_halfwidth": 3.2}, id="fov_blocked_halfwidth-above-pi"),
             # 8e8 subcarriers, about 95 GB: refused before any allocation is built.
-            {"max_occupied_index": 400_000_000},
+            pytest.param({"max_occupied_index": 400_000_000}, id="max_occupied_index-over-budget"),
             # Built an element at a time, 1e10 elements ran until killed.
-            {"n_rx_elements": 10_000_000_000},
+            pytest.param({"n_rx_elements": 10_000_000_000}, id="n_rx_elements-over-limit"),
         ],
     )
     def test_invalid_preset_exit_2(self, tmp_path, capsys, override):

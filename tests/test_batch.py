@@ -144,32 +144,55 @@ def test_batched_rows_equal_scene_path(case):
             assert math.isinf(row.peb_lat_aoa) and math.isinf(row.oeb_aoa)
 
 
-# A 6e-8 m link along a body side, the Tx turned by pi: rounding puts its
-# direction on one side of the sector edge or the other (its exact offset
-# is (-1.0e-16, 6e-8), the centroids' difference (-4.4e-16, 6e-8)). The mask
-# reads the centroids' difference, as the oracle does.
+@st.composite
+def touching_placements(draw):
+    """preset_and_placements plus placements where the bodies touch or
+    nearly do: q_x on {-W, 0, W}, q_y within 1e-6 m of {-L, 0, L}, the Tx
+    heading 0, pi/2 or pi."""
+    preset, placements = draw(preset_and_placements())
+    width, length = preset.vehicle_width, preset.vehicle_length
+    touching = st.tuples(st.sampled_from([-width, 0.0, width]),
+                         st.sampled_from([-length, 0.0, length]), st.floats(-1e-6, 1e-6),
+                         st.sampled_from([0.0, math.pi / 2, math.pi]))
+    extra = draw(st.lists(touching, max_size=6))
+    return preset, placements + [(x, y + dy, alpha_t) for x, y, dy, alpha_t in extra]
+
+
+# Links about 1e-7 m long along the side the bodies share, the Tx turned by
+# pi: exactly on a blocked-sector edge. The centroids' difference rounded
+# both off the edge to the open side (each was a visible link); the pair
+# offsets, which the mask and the oracle read, put the first on the edge and
+# the second on the blocked side.
 @example((PresetConfig(name="custom", carrier_frequency=1e9, subcarrier_spacing=15e3,
                        n_rx_elements=1, target_snr_db=0.0, max_occupied_index=1,
                        vehicle_length=3.0, vehicle_width=1.75, lane_width=3.0),
           [(-1.75, 5.960464477539063e-08, math.pi)]))
+@example((PresetConfig(name="custom", carrier_frequency=1e9, subcarrier_spacing=15e3,
+                       n_rx_elements=1, target_snr_db=0.0, max_occupied_index=4,
+                       vehicle_length=4.952407520894315, vehicle_width=0.8551278704498921,
+                       lane_width=3.0),
+          [(-0.8551278704498921, -1.1096734120117572e-07, math.pi)]))
 @settings(max_examples=60, deadline=None)
-@given(preset_and_placements())
+@given(touching_placements())
 def test_visibility_mask_equals_los_visible(case):
+    # The oracle reads each pair's direction from the reference offsets, the
+    # ones all link geometry reads, and tests sectors by angle.
     preset, placements = case
     ctx = preset_context(preset)
-    n = len(placements)
-    q = np.array([(x, y) for x, y, _ in placements])
-    # Wrapped like Pose wraps a heading, as evaluate_points does.
-    heading = wrap_angles(np.array([a for _, _, a in placements]))
-    _, _, mask = visibility(ctx.tx_vehicle.arrays, (np.zeros((n, 2)), heading),
-                            ctx.rx_vehicle.arrays, (q, np.zeros(n)))
+    x, y, alpha_t = np.array(placements).T
+    poses = placement_poses(np.column_stack((x, y)), alpha_t)
+    tx, rx = ctx.tx_vehicle.arrays, ctx.rx_vehicle.arrays
+    mask = visibility(tx, poses[0], rx, poses[1])[2]
+    pairs = np.indices(mask.shape[1:]).reshape(2, -1)
+    offsets = link_offsets(tx, poses[0], rx, poses[1], *pairs).reshape(2, *mask.shape)
     for i, (x, y, alpha_t) in enumerate(placements):
         scene = calibrated_scene(preset, Vec2(x, y), alpha_t)
         bodies = (scene.tx_vehicle, scene.tx_pose), (scene.rx_vehicle, scene.rx_pose)
         for t in range(len(scene.tx_vehicle.panels)):
             for r in range(len(scene.rx_vehicle.panels)):
                 expected = reference_los_visible(
-                    tx_panel_state(scene, t), rx_panel_state(scene, r), *bodies)
+                    tx_panel_state(scene, t), rx_panel_state(scene, r), *bodies,
+                    Vec2(*offsets[:, i, t, r]))
                 assert bool(mask[i, t, r]) == expected, (i, t, r)
 
 

@@ -256,8 +256,8 @@ class TestLinkGeometry:
     def test_coincident_rejected(self):
         # Coincident centroids have no direction: never a link, even with open sectors.
         centroid, sector = np.array([1.0, 1.0]), (1.0, 0.0, *sector_edge(0.0))
-        assert not los_mask(centroid, sector, centroid, sector)
-        assert los_mask(centroid, sector, centroid + 1e-9, sector)
+        assert not los_mask(centroid, centroid - centroid, sector, sector)
+        assert los_mask(centroid, (centroid + 1e-9) - centroid, sector, sector)
 
     def test_opposite_directions(self):
         link = link_geometry(Vec2(-2, 7), Vec2(4, -3), -0.8)
@@ -480,9 +480,9 @@ class TestVectorisedVisibilityMatchesLoop:
         for tx_state in (tx, PanelState(tx_c, (), centers[0], halfwidths[0])):
             for rx_state in (rx, PanelState(toward, (), centers[1], halfwidths[1])):
                 visible = los_mask(
-                    np.array(tx_state.centroid.as_tuple()), world_sector(tx_state),
-                    np.array(rx_state.centroid.as_tuple()), world_sector(rx_state),
-                    body(*tx_rect), body(*rx_rect),
+                    np.array(tx_state.centroid.as_tuple()),
+                    np.array((rx_state.centroid - tx_state.centroid).as_tuple()),
+                    world_sector(tx_state), world_sector(rx_state), body(*tx_rect), body(*rx_rect),
                 )
                 assert bool(visible) == reference_los_visible(tx_state, rx_state, tx_rect, rx_rect)
 
@@ -501,7 +501,7 @@ class TestSectorEdges:
         faces away from the Tx panel, checked against the oracle."""
         tx = PanelState(Vec2(0.0, 0.0), (), wrap_angle(center), halfwidth)
         rx = PanelState(rx_c, (), rx_c.angle(), 0.0)
-        visible = bool(los_mask(np.zeros(2), world_sector(tx), np.array(rx_c.as_tuple()),
+        visible = bool(los_mask(np.zeros(2), np.array(rx_c.as_tuple()), world_sector(tx),
                                 world_sector(rx)))
         assert visible == reference_los_visible(tx, rx, self.FAR, self.FAR)
         return visible
