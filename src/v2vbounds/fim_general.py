@@ -94,7 +94,7 @@ def channel_fims(
     tx = _moment_gram(_FA, ctx.tx_moments)
     rx, k = ctx.rx_vehicle.arrays, ctx.ofdm.omega_c / SPEED_OF_LIGHT
     # dphase_i = k d_perp_i . u, u = (cos, sin)(angle), so sum dphase = k u . sum d_perp
-    # and sum dphase^2 = k^2 N_r u^T S u, with S the panel's saaf_matrix.
+    # and sum dphase^2 = k^2 N_r u^T S u, with S the panel's saaf_s.
     u = np.stack((np.cos(angle), np.sin(angle)), axis=-1)
     n_r = rx.n_elements[r]
     sums = (k * np.sum(rx.d_perp[r] * u, axis=-1),

@@ -41,7 +41,9 @@ MAX_GRID_ROWS = 100_000
 # holds about 120 B per subcarrier (peak RSS 34 MB at 2e4, 271 MB at 2e6 on
 # CPython 3.11, numpy 2.4), so this caps that at about 240 MB.
 MAX_SUBCARRIERS = 2_000_000
-MAX_RX_ELEMENTS = 10_000  # per panel, built one at a time: 1e4 run in 0.5 s, 1e10 until killed
+# Elements per Rx panel: a panel's element array holds 16 B per element (a
+# distance and an angle), so this caps it at 160 kB; 1e10 would need 160 GB.
+MAX_RX_ELEMENTS = 10_000
 CROSSING_TOL = 0.01  # m, the distance resolution of the requirement-crossing search
 
 

@@ -6,11 +6,12 @@ import dataclasses
 import math
 import os
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 from v2vbounds.channel import Scene, link_context
-from v2vbounds.geometry import ArrayPanel, ElementOffset, Pose, Vec2, VehicleSpec
+from v2vbounds.geometry import ArrayPanel, Pose, Vec2, VehicleSpec
 from v2vbounds.scenarios import PRESETS
 from v2vbounds.waveform import OfdmSpec, interleaved_allocation
 
@@ -52,15 +53,10 @@ def open_panel(
     Elements sit at +-spacing/2 on the vehicle-frame x axis unless
     n_elements == 1.
     """
-    if n_elements == 1:
-        elements = (ElementOffset(0.0, 0.0),)
-    else:
-        half = spacing / 2.0
-        elements = tuple(
-            ElementOffset(half, 0.0 if i % 2 == 0 else math.pi) for i in range(n_elements)
-        )
-        if n_elements % 2 == 1:
-            elements = elements[:-1] + (ElementOffset(0.0, 0.0),)
+    paired = n_elements - n_elements % 2  # an odd one out sits at the centroid
+    elements = np.zeros((2, n_elements))
+    elements[0, :paired] = spacing / 2.0
+    elements[1, 1:paired:2] = math.pi
     return ArrayPanel(
         mount_distance=mount_distance,
         mount_angle=mount_angle,

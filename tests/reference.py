@@ -52,7 +52,7 @@ def panel_world_state(vehicle, pose, panel_index: int) -> PanelState:
     alpha = pose.orientation
     centroid = pose.position + panel.mount_distance * unit_dir(panel.mount_angle + alpha)
     elements = tuple(
-        centroid + e.distance * unit_dir(e.angle + alpha) for e in panel.elements
+        centroid + d * unit_dir(psi + alpha) for d, psi in zip(*panel.elements.tolist())
     )
     return PanelState(
         centroid=centroid,
@@ -60,6 +60,22 @@ def panel_world_state(vehicle, pose, panel_index: int) -> PanelState:
         blocked_center=wrap_angle(panel.fov_blocked_center + alpha),
         blocked_halfwidth=panel.fov_blocked_halfwidth,
     )
+
+
+def reference_aperture(elements, theta: float) -> float:
+    """SAAF(theta) = (1/N) sum_i d_i^2 sin^2(theta - psi_i) of a panel's
+    (2, N) element distances and angles, one element at a time."""
+    distances, angles = elements.tolist()
+    across = [d * math.sin(theta - psi) for d, psi in zip(distances, angles)]
+    return math.fsum(a * a for a in across) / len(distances)
+
+
+def reference_d_perp(elements) -> tuple[float, float]:
+    """d_perp = sum_i d_i (sin psi_i, -cos psi_i) of a panel's (2, N) element
+    distances and angles, one element at a time."""
+    distances, angles = elements.tolist()
+    return (math.fsum(d * math.sin(psi) for d, psi in zip(distances, angles)),
+            -math.fsum(d * math.cos(psi) for d, psi in zip(distances, angles)))
 
 
 def tx_panel_state(scene, t: int) -> PanelState:
@@ -223,9 +239,7 @@ def link_samples(scene, link, delay, angle, gain):
     gamma_t = allocation.array_power_fractions[link.tx_panel]
     fracs = np.full(len(subset), 1.0 / max(len(subset), 1))
     amps = np.sqrt(gamma_t * fracs * ofdm.total_power)
-    elements = scene.rx_vehicle.panels[link.rx_panel].elements
-    dist = np.array([e.distance for e in elements])
-    ang = np.array([e.angle for e in elements])
+    dist, ang = scene.rx_vehicle.panels[link.rx_panel].elements
     phase = ofdm.omega_c * dist * np.cos(ang - angle) / SPEED_OF_LIGHT
     dphase = ofdm.omega_c * dist * np.sin(ang - angle) / SPEED_OF_LIGHT
     mean = (amps * np.exp(-1j * omega * delay))[:, None] * (gain * np.exp(1j * phase))[None, :]

@@ -307,6 +307,17 @@ class TestCli:
         assert main(["--config", cfg]) == 0
         assert out.read_text(encoding="utf-8").splitlines()[1].startswith("0,-4.75,0.25,4,")
 
+    def test_largest_aperture_at_the_element_limit(self, tmp_path):
+        # 1e4 elements at 1 GHz make an arc about 950 m in radius, which centring
+        # leaves 1.3e-12 m off: rounding at that size, so the preset runs.
+        out = tmp_path / "large.csv"
+        cfg = write_config(tmp_path, out=str(out), overrides={
+            "carrier_frequency": 1.0e9, "subcarrier_spacing": 15000, "n_rx_elements": 10_000,
+            "target_snr_db": 30, "max_occupied_index": 60})
+        assert main(["--config", cfg]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert rows.shape == (241, len(COLUMNS)) and np.isfinite(rows).all()
+
     @pytest.mark.parametrize(
         "override",
         [
@@ -322,7 +333,7 @@ class TestCli:
             pytest.param({"fov_blocked_halfwidth": 3.2}, id="fov_blocked_halfwidth-above-pi"),
             # 8e8 subcarriers, about 95 GB: refused before any allocation is built.
             pytest.param({"max_occupied_index": 400_000_000}, id="max_occupied_index-over-budget"),
-            # Built an element at a time, 1e10 elements ran until killed.
+            # 1e10 elements would need 160 GB per panel array: refused before any is built.
             pytest.param({"n_rx_elements": 10_000_000_000}, id="n_rx_elements-over-limit"),
         ],
     )

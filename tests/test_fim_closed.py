@@ -23,11 +23,10 @@ from v2vbounds.fim_closed import (
 from v2vbounds.geometry import (
     SPEED_OF_LIGHT,
     ArrayPanel,
-    ElementOffset,
     Vec2,
+    VehicleSpec,
     active_links,
     build_conformal_panel,
-    saaf_matrix,
 )
 from v2vbounds.scenarios import PRESETS, calibrated_scene, evaluate_point
 from v2vbounds.waveform import effective_bandwidths
@@ -40,7 +39,7 @@ def two_element_panel(d: float) -> ArrayPanel:
     return ArrayPanel(
         mount_distance=0.0,
         mount_angle=0.0,
-        elements=(ElementOffset(d / 2.0, 0.0), ElementOffset(d / 2.0, math.pi)),
+        elements=[[d / 2.0, d / 2.0], [0.0, math.pi]],
         fov_blocked_center=0.0,
         fov_blocked_halfwidth=0.0,
     )
@@ -52,7 +51,8 @@ def saaf(panel: ArrayPanel, theta_local, rx_heading: float = 0.0):
     at heading rx_heading."""
     world = theta_local + rx_heading
     direction = np.stack((np.cos(world), np.sin(world)), axis=-1)
-    return link_vectors(direction, np.zeros(2), np.asarray(rx_heading), saaf_matrix(panel))[2]
+    saaf_s = VehicleSpec(1.0, 1.0, (panel,)).arrays.saaf_s[0]
+    return link_vectors(direction, np.zeros(2), np.asarray(rx_heading), saaf_s)[2]
 
 
 class TestSaaf:
@@ -77,7 +77,7 @@ class TestSaaf:
         panel = build_conformal_panel(n, 0.0857, 2, math.pi / 4)
         grid = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
         average = float(np.mean(saaf(panel, grid)))
-        expected = sum(e.distance**2 for e in panel.elements) / (2.0 * n)
+        expected = sum(d * d for d in panel.elements[0].tolist()) / (2.0 * n)
         assert abs(average - expected) < 1e-12
 
     def test_nonnegative(self):

@@ -5,28 +5,27 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from v2vbounds.errors import NoActiveLinks
 from v2vbounds.geometry import (
     SPEED_OF_LIGHT,
     ArrayPanel,
-    ElementOffset,
     Pose,
     Vec2,
     VehicleSpec,
+    _SECTOR_EDGE_TOL,
     _crosses_body,
     active_links,
     build_conformal_panel,
     build_cornered_vehicle,
     los_mask,
-    saaf_matrix,
     sector_edge,
     visibility,
     wrap_angle,
 )
-from v2vbounds.scenarios import build_scene
+from v2vbounds.scenarios import MAX_RX_ELEMENTS, PRESETS, build_scene, preset_context
 
 from conftest import open_panel, panels_with_links, small_scene, with_context
 from reference import (
@@ -34,6 +33,8 @@ from reference import (
     body,
     link_geometry,
     panel_world_state,
+    reference_aperture,
+    reference_d_perp,
     reference_los_visible,
     reference_segment_crosses,
     rx_panel_state,
@@ -43,6 +44,37 @@ from reference import (
 )
 
 angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
+
+
+def bare_panel(elements) -> ArrayPanel:
+    """A panel at the vehicle reference point with an open view and these elements."""
+    return ArrayPanel(mount_distance=0.0, mount_angle=0.0, elements=elements,
+                      fov_blocked_center=0.0, fov_blocked_halfwidth=0.0)
+
+
+@st.composite
+def centred_layouts(draw) -> np.ndarray:
+    """(2, E) element distances and angles, E in 1..30, of points drawn in a
+    square of half-side 1e-3 to 1e3 m and moved to their centroid."""
+    n, scale = draw(st.integers(1, 30)), draw(st.sampled_from([1e-3, 0.05, 1.0, 1e3]))
+    points = np.array(draw(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                                    min_size=n, max_size=n))).T * scale
+    x, y = points - points.mean(axis=1, keepdims=True)
+    return np.array([np.hypot(x, y), np.arctan2(y, x)])
+
+
+def assert_matches_element_oracle(arrays, k: int, elements: np.ndarray) -> None:
+    """VehicleArrays' aperture matrix and summed offsets of panel k against the
+    per-element definitions, at 64 directions: u^T S u = SAAF(theta) and
+    d_perp = sum_i d_i (sin psi_i, -cos psi_i)."""
+    theta = np.linspace(-math.pi, math.pi, 64)
+    u = np.array([np.cos(theta), np.sin(theta)])
+    largest = elements[0].max()
+    np.testing.assert_allclose(
+        np.einsum("it,ij,jt->t", u, arrays.saaf_s[k], u),
+        [reference_aperture(elements, t) for t in theta.tolist()], rtol=0, atol=1e-14 * largest**2)
+    np.testing.assert_allclose(arrays.d_perp[k], reference_d_perp(elements),
+                               rtol=0, atol=1e-15 * elements.shape[1] * largest)
 
 
 class TestUnitVectors:
@@ -96,18 +128,44 @@ class TestTypes:
         assert -math.pi < pose.orientation <= math.pi
 
     def test_element_offset_nonnegative(self):
-        with pytest.raises(ValueError):
-            ElementOffset(-0.1, 0.0)
+        # Centred (the points (-0.1, 0) and (0.1, 0)), but a distance is negative.
+        with pytest.raises(ValueError, match="distance must be >= 0"):
+            bare_panel([[-0.1, -0.1], [0.0, math.pi]])
 
     def test_panel_requires_centered_elements(self):
-        with pytest.raises(ValueError):
-            ArrayPanel(
-                mount_distance=0.0,
-                mount_angle=0.0,
-                elements=(ElementOffset(0.1, 0.0),),
-                fov_blocked_center=0.0,
-                fov_blocked_halfwidth=0.0,
-            )
+        with pytest.raises(ValueError, match="centered"):
+            bare_panel([[0.1], [0.0]])
+
+    @pytest.mark.parametrize("elements, message", [
+        (np.zeros((2, 0)), "E >= 1"),
+        (np.zeros((3, 2)), r"\(2, E\)"),
+        (np.zeros(2), r"\(2, E\)"),
+        ([[0.1, math.nan], [0.0, math.pi]], "finite"),
+        ([[0.1, 0.1], [0.0, math.inf]], "finite"),
+    ])
+    def test_element_array_rules(self, elements, message):
+        with pytest.raises(ValueError, match=message):
+            bare_panel(elements)
+
+    def test_elements_wrapped_copied_and_read_only(self):
+        given_elements = np.array([[0.1, 0.1, 0.0], [3.0 * math.pi, -math.tau, -math.pi]])
+        panel = bare_panel(given_elements)
+        np.testing.assert_array_equal(panel.elements, [[0.1, 0.1, 0.0], [math.pi, 0.0, math.pi]])
+        assert panel.n_elements == 3 and given_elements.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            panel.elements[0, 0] = 0.2
+
+    def test_centring_tolerance_scales_with_the_panel(self):
+        # The same off-centre layout is refused at every scale, and the at-limit
+        # arc at 0.5 GHz (radius about 1900 m) is accepted: an absolute 1e-12 m
+        # residual check refused it from 5000 elements on.
+        for scale in (1e-3, 1.0, 1e3, 1e6):
+            with pytest.raises(ValueError, match="centered"):
+                bare_panel([[scale, scale], [0.0, 3.0]])
+        # Coincident points moved to their mean keep offsets of rounding alone.
+        bare_panel([[5.421010862427522e-20] * 3, [math.pi] * 3])
+        panel = build_conformal_panel(MAX_RX_ELEMENTS, SPEED_OF_LIGHT / 0.5e9, 1, math.pi / 4)
+        assert panel.n_elements == MAX_RX_ELEMENTS and panel.elements[0].max() > 900.0
 
     def test_vehicle_requires_positive_dims(self):
         with pytest.raises(ValueError):
@@ -139,11 +197,9 @@ class TestConformalPanel:
 
         panel = build_conformal_panel(4, lam, 1, math.pi / 4)
         assert panel.n_elements == 4
-        for e, x, y in zip(panel.elements, xs, ys):
-            ex = e.distance * math.cos(e.angle)
-            ey = e.distance * math.sin(e.angle)
-            assert abs(ex - (x - cx)) < 1e-12
-            assert abs(ey - (y - cy)) < 1e-12
+        for (d, psi), x, y in zip(panel.elements.T.tolist(), xs, ys):
+            assert abs(d * math.cos(psi) - (x - cx)) < 1e-12
+            assert abs(d * math.sin(psi) - (y - cy)) < 1e-12
 
     def test_two_element_radius(self):
         lam = 1.0
@@ -151,18 +207,14 @@ class TestConformalPanel:
         assert abs(rho - 0.35355339059327373) < 1e-15
         panel = build_conformal_panel(2, lam, 1, math.pi / 4)
         # Recentered two-element offsets are half the half-wavelength chord.
-        for e in panel.elements:
-            assert abs(e.distance - 0.25) < 1e-12
+        np.testing.assert_allclose(panel.elements[0], 0.25, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 9, 25])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_half_wavelength_spacing_and_centroid(self, n, k):
         lam = 0.0107
         panel = build_conformal_panel(n, lam, k, math.pi / 4)
-        pts = [
-            (e.distance * math.cos(e.angle), e.distance * math.sin(e.angle))
-            for e in panel.elements
-        ]
+        pts = [(d * math.cos(psi), d * math.sin(psi)) for d, psi in panel.elements.T.tolist()]
         cx = sum(p[0] for p in pts)
         cy = sum(p[1] for p in pts)
         assert math.hypot(cx, cy) < 1e-12
@@ -171,7 +223,7 @@ class TestConformalPanel:
 
     def test_single_element_at_centroid(self):
         panel = build_conformal_panel(1, 0.1, 1, math.pi / 4)
-        assert panel.elements == (ElementOffset(0.0, 0.0),)
+        np.testing.assert_array_equal(panel.elements, [[0.0], [0.0]])
 
     def test_zero_elements_rejected(self):
         with pytest.raises(ValueError, match="n_elements must be >= 1"):
@@ -458,6 +510,16 @@ def rect_and_points(draw, n_points=2):
     return (VehicleSpec(length, width, (open_panel(),)), pose), points
 
 
+def on_sector_edge(tx: PanelState, rx: PanelState) -> bool:
+    """Does the oracle's direction from either panel toward the other lie
+    within 1e-15 rad of that panel's halfwidth + _SECTOR_EDGE_TOL? There
+    los_mask and the oracle both decide on rounding, so either answer holds."""
+    toward_rx = (rx.centroid - tx.centroid).angle()
+    return any(abs(abs(wrap_angle(direction - state.blocked_center))
+                   - (state.blocked_halfwidth + _SECTOR_EDGE_TOL)) <= 1e-15
+               for direction, state in ((toward_rx, tx), (wrap_angle(toward_rx + math.pi), rx)))
+
+
 class TestVectorisedVisibilityMatchesLoop:
     @settings(max_examples=300)
     @given(rect_and_points())
@@ -470,6 +532,13 @@ class TestVectorisedVisibilityMatchesLoop:
            st.lists(st.sampled_from([0.0, math.pi / 4, math.pi / 2, math.pi])
                     | st.floats(0.0, math.pi), min_size=2, max_size=2),
            st.lists(st.floats(-math.pi, math.pi), min_size=2, max_size=2))
+    # A direction 1.0000889e-12 rad past the halfwidth pi/2: on the edge
+    # halfwidth + _SECTOR_EDGE_TOL to within an ulp.
+    @example(tx_case=((VehicleSpec(0.5, 0.5, (open_panel(),)), Pose(Vec2(5.0, 5.0), 0.0)),
+                      [Vec2(-0.4999999999995, -0.5000000000005),
+                       Vec2(-0.5000000000005, 0.4999999999995), Vec2(3.0, 0.0)]),
+             rx_case=((VehicleSpec(0.5, 0.5, (open_panel(),)), Pose(Vec2(-5.0, -5.0), 0.0)), []),
+             halfwidths=[math.pi / 2, 0.0], centers=[0.0, 0.0])
     def test_los_visible(self, tx_case, rx_case, halfwidths, centers):
         tx_rect, (tx_c, rx_c, toward) = tx_case
         rx_rect, _ = rx_case
@@ -484,7 +553,9 @@ class TestVectorisedVisibilityMatchesLoop:
                     np.array((rx_state.centroid - tx_state.centroid).as_tuple()),
                     world_sector(tx_state), world_sector(rx_state), body(*tx_rect), body(*rx_rect),
                 )
-                assert bool(visible) == reference_los_visible(tx_state, rx_state, tx_rect, rx_rect)
+                if not on_sector_edge(tx_state, rx_state):
+                    assert bool(visible) == reference_los_visible(tx_state, rx_state, tx_rect,
+                                                                  rx_rect)
 
 
 class TestSectorEdges:
@@ -586,8 +657,9 @@ class TestBuiltVehicle:
     def test_element_offsets_sum_to_zero(self, preset_28):
         vehicle = build_cornered_vehicle(4.5, 1.8, 25, 0.0107, math.pi / 4)
         for panel in vehicle.panels:
-            sx = sum(e.distance * math.cos(e.angle) for e in panel.elements)
-            sy = sum(e.distance * math.sin(e.angle) for e in panel.elements)
+            d, psi = panel.elements.tolist()
+            sx = sum(di * math.cos(a) for di, a in zip(d, psi))
+            sy = sum(di * math.sin(a) for di, a in zip(d, psi))
             assert math.hypot(sx, sy) < 1e-12
 
 
@@ -613,17 +685,24 @@ class TestVehicleArrays:
             assert arrays.blocked_center[k] == panel.fov_blocked_center
             assert arrays.blocked_halfwidth[k] == panel.fov_blocked_halfwidth
             assert arrays.n_elements[k] == panel.n_elements
-            np.testing.assert_array_equal(arrays.saaf_s[k], saaf_matrix(panel))
-            np.testing.assert_array_equal(
-                arrays.elements[:, k],
-                [[e.distance for e in panel.elements] + [0.0] * (3 - panel.n_elements),
-                 [e.angle for e in panel.elements] + [0.0] * (3 - panel.n_elements)],
-            )
-            np.testing.assert_allclose(arrays.d_perp[k], [
-                sum(e.distance * math.sin(e.angle) for e in panel.elements),
-                -sum(e.distance * math.cos(e.angle) for e in panel.elements)], rtol=0, atol=1e-15)
+            np.testing.assert_array_equal(arrays.elements[:, k, :panel.n_elements], panel.elements)
+            assert not arrays.elements[:, k, panel.n_elements:].any()
+            assert_matches_element_oracle(arrays, k, panel.elements)
         assert not arrays.saaf_s[0].any()  # one element has no aperture
         assert vehicle.arrays is arrays
+
+    @settings(max_examples=100)
+    @given(st.lists(centred_layouts(), min_size=1, max_size=3))
+    def test_aperture_and_summed_offsets_match_the_element_oracle(self, layouts):
+        vehicle = VehicleSpec(4.5, 1.8, [bare_panel(elements) for elements in layouts])
+        for k, panel in enumerate(vehicle.panels):
+            assert_matches_element_oracle(vehicle.arrays, k, panel.elements)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_vehicles_match_the_element_oracle(self, name):
+        vehicle = preset_context(PRESETS[name]).rx_vehicle
+        for k, panel in enumerate(vehicle.panels):
+            assert_matches_element_oracle(vehicle.arrays, k, panel.elements)
 
     def test_replaced_vehicle_builds_its_own(self):
         vehicle = self.mixed_vehicle()

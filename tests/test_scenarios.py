@@ -443,9 +443,9 @@ class TestScenarioGeometry:
             sweep_placements(PRESETS["cfg_3p5GHz"], "platooning", -1.7e308, 0.0, 0.25)
 
     def test_rx_elements_at_and_beyond_the_limit(self):
-        # Checked on the preset, before a panel is built element by element.
+        # Checked on the preset, before any panel is built.
         at_limit = dataclasses.replace(PRESETS["cfg_3p5GHz"], n_rx_elements=MAX_RX_ELEMENTS)
-        assert len(preset_context(at_limit).rx_vehicle.panels[0].elements) == MAX_RX_ELEMENTS
+        assert preset_context(at_limit).rx_vehicle.panels[0].n_elements == MAX_RX_ELEMENTS
         for count in (MAX_RX_ELEMENTS + 1, 10**10):
             with pytest.raises(ValueError, match="n_rx_elements .* MAX_RX_ELEMENTS"):
                 dataclasses.replace(at_limit, n_rx_elements=count)
