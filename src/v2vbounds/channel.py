@@ -54,10 +54,11 @@ class LinkContext:
     omega: np.ndarray  # (K, S_max) baseband angular frequency of each Allocation.arrays slot
     power: np.ndarray  # (K, S_max) power of each slot, zero on padding
     tx_moments: np.ndarray  # (K, 3) each Tx array's power moments sum P omega^p, p = 0, 1, 2
-    # Per link (Tx panel t, Rx panel r) in Kt*Kr order, each (Kt*Kr, ...):
+    # Per link (Tx panel t, Rx panel r) in Kt*Kr order, each (Kt*Kr,):
     link_gd2: np.ndarray  # information weight g times distance^2
     link_beta: np.ndarray  # betas[t]
-    link_saaf: np.ndarray  # the Rx panel's (2, 2) SAAF matrix
+    link_sends: np.ndarray  # link_gd2 > 0: the Tx array has signal
+    link_saaf: np.ndarray  # (3, Kt, Kr) the Rx panel's (S00, S01 + S10, S11) of saaf_s
 
 
 def link_context(tx_vehicle: VehicleSpec, rx_vehicle: VehicleSpec, ofdm: OfdmSpec,
@@ -74,12 +75,13 @@ def link_context(tx_vehicle: VehicleSpec, rx_vehicle: VehicleSpec, ofdm: OfdmSpe
     power = read_only(fractions[:, None] * allocation.arrays.fractions * ofdm.total_power)
     # Summed along the contiguous axis, which numpy adds pairwise.
     moments = np.sum(power[:, None] * omega[:, None] ** np.arange(3)[:, None], -1)
-    t, r = (i.ravel() for i in np.indices((len(tx_vehicle.panels), len(rx.saaf_s))))
-    gd2 = ofdm.total_power * information_weight(1.0, ofdm.wavelength, rx.n_elements[r],
-                                                fractions[t], ofdm.n_symbols)
+    t, r = np.indices((len(tx_vehicle.panels), len(rx.saaf_s)))
+    gd2 = ofdm.total_power * information_weight(1.0, ofdm.wavelength, rx.n_elements[r.ravel()],
+                                                fractions[t.ravel()], ofdm.n_symbols)
+    (s00, s01), (s10, s11) = rx.saaf_s[r].transpose(2, 3, 0, 1)
     return LinkContext(tx_vehicle, rx_vehicle, ofdm, allocation, betas, omega, power,
-                       read_only(moments), read_only(gd2), read_only(betas[t]),
-                       read_only(rx.saaf_s[r]))
+                       read_only(moments), read_only(gd2), read_only(betas[t.ravel()]),
+                       read_only(gd2 > 0.0), read_only(np.array([s00, s01 + s10, s11])))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from typing import Literal, Sequence, get_args
 import numpy as np
 
 from .channel import LinkGain, Scene
-from .geometry import SPEED_OF_LIGHT, Link, scene_placement, visible_links
+from .geometry import SPEED_OF_LIGHT, Link, read_only, scene_placement, visible_links
 
 Measurement = Literal["aoa_tdoa", "aoa"]
 # The measurement sets in the order of every EFIM stack.
@@ -36,6 +36,7 @@ RANK_EPS = 1e-10
 _CERTIFIED_TRACE = 1.0 / (30.0 * RANK_EPS)
 # The smallest normal float (a diagonal entry below it is a missing direction), the roundoff.
 _TINY, _EPS = np.finfo(float).tiny, np.finfo(float).eps
+_UNIT, _TURN = read_only(np.array([1.0, 1j, 0.0])), read_only(np.array([0.0, 0.0, -1j]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,22 +111,21 @@ def bounds_from_fim(j_po: np.ndarray) -> FimResult:
 
 
 def link_vectors(
-    direction: np.ndarray, tx_offset: np.ndarray, rx_heading: np.ndarray, saaf_s: np.ndarray
+    direction: np.ndarray, tx_offset: np.ndarray, rx_heading: np.ndarray, saaf: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`link_info_vectors` from (..., 2) arrays: the unit direction from
-    the Tx toward the Rx panel, the Tx panel's offset from the Tx reference
-    point, the Rx vehicle heading and the Rx panel's (..., 2, 2) SAAF matrix."""
-    x, y, x_t, y_t = direction[..., 0], direction[..., 1], tx_offset[..., 0], tx_offset[..., 1]
-    v_tau, v_theta = np.empty((2,) + direction.shape[:-1] + (3,))
-    v_tau[..., 0], v_tau[..., 1] = x, y
-    np.subtract(x * y_t, y * x_t, out=v_tau[..., 2])
-    np.negative(y, out=v_theta[..., 0])  # (sin, -cos)(theta_T) first
-    v_theta[..., 1] = x
-    np.negative(x * x_t + y * y_t, out=v_theta[..., 2])
-    c, s = np.cos(rx_heading), np.sin(rx_heading)
-    u, w = c * x + s * y, c * y - s * x  # the arrival direction in the Rx frame
-    cross = (saaf_s[..., 0, 1] + saaf_s[..., 1, 0]) * u * w
-    return v_tau, v_theta, saaf_s[..., 0, 0] * u * u + cross + saaf_s[..., 1, 1] * w * w
+    """:func:`link_info_vectors` from the complex unit direction u from the Tx
+    toward the Rx panel, the Tx panel's complex offset t from the Tx reference
+    point, the Rx vehicle heading and the Rx panel's SAAF terms (3, ...): with
+    p = conj(t) u, v_tau = (Re u, Im u, -Im p) and v_theta = (-Im u, Re u, -Re p),
+    one product conj(u) (1, i, -i t) = v_tau + i v_theta. SAAF reads u e^(-i alpha_R)."""
+    vectors = np.conj(direction)[..., None] * (_UNIT + np.multiply.outer(tx_offset, _TURN))
+    return vectors.real, vectors.imag, saaf_form(saaf, direction * np.exp(-1j * rx_heading))
+
+
+def saaf_form(saaf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """u^T S u at complex unit directions u (...) from S's terms (S00, S01 + S10, S11)."""
+    (s00, s01, s11), x, y = saaf, u.real, u.imag
+    return s00 * x * x + s01 * x * y + s11 * y * y
 
 
 def link_info_vectors(
@@ -142,26 +142,26 @@ def link_info_vectors(
     (geometry.scene_placement, visible_links, link_vectors).
     """
     *placement, rx_heading = scene_placement(scene, links)
-    _, r, tx_at, offset, distance, _ = visible_links(*placement)
-    vectors = link_vectors(offset / distance[..., None], tx_at, rx_heading[:, None],
-                           scene.rx_vehicle.arrays.saaf_s[r])
+    t, r, tx_at, offset, distance, _ = visible_links(*placement)
+    vectors = link_vectors(offset / distance, tx_at, rx_heading[:, None],
+                           scene.context.link_saaf[:, t, r])
     return tuple(v[0] for v in vectors)
 
 
 def information(
     v_tau: np.ndarray, v_theta: np.ndarray, aperture: np.ndarray,
-    g: np.ndarray, distance: np.ndarray, beta: np.ndarray, omega_c: float,
+    g: np.ndarray, distance2: np.ndarray, beta: np.ndarray, omega_c: float,
 ) -> np.ndarray:
     """AOA+TDOA and AOA-only EFIMs (2, ..., 3, 3), in MEASUREMENTS order,
-    from per-link arrays, links along the last axis of the weights; a link
-    with g = 0 adds nothing.
+    from per-link arrays, links along the last axis of the weights, distance2
+    the squared distances; a link with g = 0 adds nothing.
 
     The angle part sums rank-one terms weighted by g omega_c^2 SAAF / (c d)^2.
     The delay part is the weighted covariance of the delay vectors with
     weights g beta^2 / c^2, zero when all betas are or the vectors agree.
     """
     c2 = SPEED_OF_LIGHT**2
-    w_theta = g * omega_c**2 * aperture / (c2 * distance**2)
+    w_theta = g * omega_c**2 * aperture / (c2 * distance2)
     # Allocated before the temporaries below: after them, glibc's heap trimming cost 2-3%.
     # np.broadcast of two views gives the batch shape faster than np.broadcast_shapes.
     j = np.empty((2,) + np.broadcast(v_theta[..., 0, 0], w_theta[..., 0]).shape + (3, 3))
@@ -183,7 +183,7 @@ def _scene_information(scene: Scene, links: Sequence[Link], gains: Sequence[Link
     them) from their link_gains and the Tx arrays' effective bandwidths."""
     g, distance = np.array([[gain.g for gain in gains], [link.distance for link in links]])
     beta = np.asarray(betas, dtype=float)[[link.tx_panel for link in links]]
-    return information(*link_info_vectors(scene, links), g, distance, beta,
+    return information(*link_info_vectors(scene, links), g, distance**2, beta,
                        scene.context.ofdm.omega_c)
 
 

@@ -12,6 +12,9 @@ visibility pass and :func:`placement_schur_efims` chains them, the general-path
 twin of ``scenarios.placement_efims``, with the measurement sets in the same
 order (``fim_closed.MEASUREMENTS``). The one-scene functions are n = 1 calls.
 
+A panel's phase centre is its centroid, where ``geometry.ArrayPanel`` centres
+its elements, so each link's angle decouples from its delay and gains.
+
 Parameter layout: each of L links, in the order given (:func:`placement_links`
 takes (t, r) order from ``geometry.visible_links``), has its own [delay, angle,
 Re gain, Im gain]. Links couple only through the timing offset, which shifts
@@ -28,7 +31,7 @@ import numpy as np
 
 from .channel import LinkContext, Scene, free_space_gain
 from .fim_closed import (
-    MEASUREMENTS, RANK_EPS, FimResult, Measurement, bounds_from_fim, link_vectors,
+    MEASUREMENTS, RANK_EPS, FimResult, Measurement, bounds_from_fim, link_vectors, saaf_form,
 )
 from .geometry import SPEED_OF_LIGHT, Link, scene_placement, visible_links
 
@@ -89,17 +92,13 @@ def channel_fims(
     As |a_s|^2 is the subcarrier power P_s and |b_e| = |h|, these need only
     the Tx array's moments sum P omega^p (p = 0, 1, 2, ``ctx.tx_moments``),
     |h|^2 and the Rx panel's (N_r, sum dphase, sum dphase^2): no subcarrier
-    or element axis.
+    or element axis. With the phase centre at the centroid, sum dphase is 0
+    and sum dphase^2 is k^2 N_r SAAF(angle), k = omega_c / c.
     """
     tx = _moment_gram(_FA, ctx.tx_moments)
-    rx, k = ctx.rx_vehicle.arrays, ctx.ofdm.omega_c / SPEED_OF_LIGHT
-    # dphase_i = k d_perp_i . u, u = (cos, sin)(angle), so sum dphase = k u . sum d_perp
-    # and sum dphase^2 = k^2 N_r u^T S u, with S the panel's saaf_s.
-    u = np.stack((np.cos(angle), np.sin(angle)), axis=-1)
-    n_r = rx.n_elements[r]
-    sums = (k * np.sum(rx.d_perp[r] * u, axis=-1),
-            k**2 * n_r * np.einsum("...i,...ij,...j", u, rx.saaf_s[r], u))
-    rx_gram = _moment_gram(_FB, np.stack((n_r, *sums), axis=-1))
+    n_r, k = ctx.rx_vehicle.arrays.n_elements[r], ctx.ofdm.omega_c / SPEED_OF_LIGHT
+    square = k**2 * n_r * saaf_form(ctx.link_saaf[:, t, r], np.exp(1j * angle))
+    rx_gram = _moment_gram(_FB, np.stack((n_r, np.zeros_like(square), square), axis=-1))
     # |h|^2 times the 1/h of the gain columns: conj(v_k) v_l, v = [h, h, 1, 1].
     v = np.stack((h, h, np.ones_like(h), np.ones_like(h)), axis=-1)
     weight = v.conj()[..., :, None] * v[..., None, :]
@@ -204,31 +203,29 @@ def schur_efims(blocks: np.ndarray, jacobians: np.ndarray, measurement: Measurem
     return (vectors * eigvals[..., None, :]) @ vectors.swapaxes(-1, -2) * unit
 
 
-def placement_links(ctx: LinkContext, tx_c: np.ndarray, offset: np.ndarray, visible: np.ndarray,
+def placement_links(ctx: LinkContext, tx_m: np.ndarray, offset: np.ndarray, visible: np.ndarray,
                     rx_heading: np.ndarray) -> tuple:
-    """The kernels' per-link inputs of n placements, from the Tx centroids
-    (n, Kt, 2), pair offsets (n, Kt, Kr, 2) and any LOS mask (n, Kt, Kr) of
-    geometry.visibility, the Tx reference point at the origin, and the Rx
-    headings (n,): Tx and Rx panels (n, L), delay and angle information
-    vectors (n, L, 3), distances, Rx-frame arrival angles and free-space
-    gains (n, L). The visible links come first; silent links (h = 0, unit
-    distance) pad to the largest link count."""
-    t, r, tx_at, offset, distance, angle = visible_links(tx_c, offset, visible)
+    """The kernels' per-link inputs of n placements, from the Tx panel offsets
+    (n, Kt), pair offsets (n, Kt, Kr) and any LOS mask (n, Kt, Kr) of
+    geometry.visibility, and the Rx headings (n,): Tx and Rx panels (n, L),
+    delay and angle information vectors (n, L, 3), distances, Rx-frame
+    arrival angles and free-space gains (n, L). The visible links come first;
+    silent links (h = 0, unit distance) pad to the largest link count."""
+    t, r, tx_at, offset, distance, angle = visible_links(tx_m, offset, visible)
     silent = np.arange(t.shape[-1]) >= visible.sum(axis=(1, 2))[:, None]
     distance[silent] = 1.0
     heading = rx_heading[:, None]
-    v_tau, v_theta, _ = link_vectors(offset / distance[..., None], tx_at, heading,
-                                     ctx.rx_vehicle.arrays.saaf_s[r])
+    v_tau, v_theta, _ = link_vectors(offset / distance, tx_at, heading, ctx.link_saaf[:, t, r])
     return (t, r, v_tau, v_theta, distance, angle - heading,
             np.where(silent, 0.0, free_space_gain(distance, ctx.ofdm.wavelength)))
 
 
-def placement_schur_efims(ctx: LinkContext, tx_c: np.ndarray, offset: np.ndarray,
+def placement_schur_efims(ctx: LinkContext, tx_m: np.ndarray, offset: np.ndarray,
                           visible: np.ndarray, rx_heading: np.ndarray) -> np.ndarray:
     """Schur-path EFIMs (2, n, 3, 3), in MEASUREMENTS order, of n placements
     given as :func:`placement_links` takes them."""
     t, r, v_tau, v_theta, distance, angle, h = placement_links(
-        ctx, tx_c, offset, visible, rx_heading)
+        ctx, tx_m, offset, visible, rx_heading)
     blocks = channel_fims(ctx, t, r, angle, h)
     return np.stack([schur_efims(blocks, transform_matrices(v_tau, v_theta, distance, measurement),
                                  measurement) for measurement in MEASUREMENTS])

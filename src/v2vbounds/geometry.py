@@ -14,6 +14,8 @@ Conventions used throughout the package:
   wedge boundary count as blocked, which makes links grazing along a body
   side invisible to the panels on that side, between touching bodies too:
   the test reads each pair's offset as formed from the panel mounts.
+* Placement geometry is complex, x + i y: one rotation e^(i heading) per pose
+  turns its vehicle's mounts and blocked-sector directions (VehicleArrays).
 
 All types are immutable after construction (VehicleSpec.arrays is built on
 first use and then kept) and all operations are pure functions, so values
@@ -73,10 +75,9 @@ def require_count(owner, *names: str) -> None:
 
 
 def wrap_angles(angles: np.ndarray) -> np.ndarray:
-    """Elementwise wrap_angle, equal bitwise: fmod and one shift by tau are exact."""
-    wrapped = np.fmod(angles, math.tau, out=np.empty(np.shape(angles)))
-    np.subtract(wrapped, math.tau, out=wrapped, where=wrapped > math.pi)
-    return np.add(wrapped, math.tau, out=wrapped, where=wrapped <= -math.pi)
+    """Elementwise wrap_angle, equal bitwise: fmod and a shift by tau (or 0) are exact."""
+    wrapped = np.fmod(angles, math.tau)
+    return wrapped - math.tau * np.subtract(wrapped > math.pi, wrapped <= -math.pi, dtype=float)
 
 
 def sector_edge(halfwidth) -> np.ndarray:
@@ -226,13 +227,13 @@ class VehicleSpec:
         d, psi = elements  # padding elements have d = 0, so they add nothing
         perp = d * np.array([np.sin(psi), -np.cos(psi)])  # (2, K, E_max)
         return VehicleArrays(
-            self.length, self.width, distance, angle, read_only(x + 1j * y), center, halfwidth,
+            self.length, self.width, read_only(x + 1j * y), halfwidth,
+            blocked_dir=read_only(np.cos(center) + 1j * np.sin(center)),
             blocked_edge=read_only(sector_edge(halfwidth)),
             n_elements=read_only(n_elements),
             saaf_s=read_only(perp.transpose(1, 0, 2) @ perp.transpose(1, 2, 0)
                              / n_elements[:, None, None]),
             elements=read_only(elements),
-            d_perp=read_only(perp.sum(axis=-1).T),
             sectors_imply_body=bool(np.all(on_corner & covered)),
         )
 
@@ -361,113 +362,111 @@ class VehicleArrays:
 
     length: float
     width: float
-    mount_distance: np.ndarray  # (K,)
-    mount_angle: np.ndarray  # (K,)
     mount: np.ndarray  # (K,) complex, vehicle frame: mount_distance e^(i mount_angle)
-    blocked_center: np.ndarray  # (K,), vehicle frame
     blocked_halfwidth: np.ndarray  # (K,)
+    blocked_dir: np.ndarray  # (K,) complex, vehicle frame: e^(i fov_blocked_center)
     blocked_edge: np.ndarray  # (2, K) sector_edge of blocked_halfwidth
     n_elements: np.ndarray  # (K,)
     # (K, 2, 2) aperture matrices S = (1/N) sum_i d_i^2 u_perp(psi_i) u_perp(psi_i)^T, so
     # that SAAF(theta) = u(theta)^T S u(theta), with u_perp(psi) = (sin psi, -cos psi)
     saaf_s: np.ndarray
     elements: np.ndarray  # (2, K, E_max) element distances, angles; zero past n_elements
-    d_perp: np.ndarray  # (K, 2) sum over a panel's elements of d (sin psi, -cos psi)
     # Every panel on a body corner, its blocked sector covering the corner's 90-degree
     # wedge into the body: a segment from a corner enters the convex body only along
     # that wedge, so the sector test already rejects every link the body test would.
     sectors_imply_body: bool
 
-    def centroids(self, position: np.ndarray, heading: np.ndarray) -> np.ndarray:
-        """World-frame panel centroids (..., K, 2) for poses (..., 2) and (...)."""
-        angle = self.mount_angle + heading[..., None]
-        centroids = np.empty(angle.shape + (2,))
-        np.multiply(self.mount_distance, np.cos(angle), out=centroids[..., 0])
-        np.multiply(self.mount_distance, np.sin(angle), out=centroids[..., 1])
-        centroids += position[..., None, :]
-        return centroids
-
-    def sectors(self, heading: np.ndarray) -> tuple:
-        """The blocked sectors (..., K) of the panels at headings (...), as
-        los_mask takes them: cos and sin of the world-frame centers, then
-        blocked_edge."""
-        center = self.blocked_center + heading[..., None]
-        return (np.cos(center), np.sin(center), *self.blocked_edge)
+    def turned(self, turn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """mount and blocked_dir (..., K) in the world frame of the vehicle
+        turned by turn = e^(i heading) (...): one rotation turns both."""
+        return self.mount * turn[..., None], self.blocked_dir * turn[..., None]
 
 
-def _outside_sector(dx: np.ndarray, dy: np.ndarray, sector: tuple) -> np.ndarray:
-    """Does the direction (dx, dy) miss the blocked sector (cos c, sin c, cos h',
-    sin h'), c its world-frame center, h' its halfwidth from sector_edge? In
-    the frame of c the direction is (a, b) = (d . u_c, u_c x d), which lies
-    in the sector, |atan2(b, a)| <= h', iff a sin h' >= |b| cos h'."""
-    cos_c, sin_c, cos_h, sin_h = sector
-    return (dx * cos_c + dy * sin_c) * sin_h < np.abs(dy * cos_c - dx * sin_c) * cos_h
+def _crosses_body(a: np.ndarray, b: np.ndarray, body: tuple) -> np.ndarray:
+    """Elementwise: does the open segment a-b, from complex endpoints, meet the
+    open interior of a body (complex position, turn e^(i heading), length,
+    width)? Segments running along an edge or touching only a corner do not."""
+    position, turn, length, width = body
+    a, b = (a - position) * np.conj(turn), (b - position) * np.conj(turn)
+    ax, ay, bx, by = a.real, a.imag, b.real, b.imag
+    # Liang-Barsky clip of the segment against the closed rectangle. An axis
+    # along which the segment does not move (delta == 0) adds no constraint:
+    # the midpoint probe below rejects it unless inside the open slab.
+    t0, t1 = 0.0, 1.0
+    with np.errstate(all="ignore"):  # delta == 0 is masked; tiny deltas overflow to inf
+        for start, delta, half in ((ax, bx - ax, width / 2.0), (ay, by - ay, length / 2.0)):
+            flat = delta == 0.0
+            ta = np.where(flat, -np.inf, (-half - start) / delta)
+            tb = np.where(flat, np.inf, (half - start) / delta)
+            t0 = np.maximum(t0, np.minimum(ta, tb))
+            t1 = np.minimum(t1, np.maximum(ta, tb))
+    # A positive-length clipped interval may still lie on the boundary;
+    # probe its midpoint against the open rectangle.
+    tm, eps = 0.5 * (t0 + t1), 1e-12
+    return ((t0 < t1) & (np.abs(ax + tm * (bx - ax)) < width / 2.0 - eps)
+            & (np.abs(ay + tm * (by - ay)) < length / 2.0 - eps))
 
 
 def los_mask(tx_c: np.ndarray, offset: np.ndarray, tx_sector: tuple, rx_sector: tuple,
              *bodies: tuple) -> np.ndarray:
-    """Line of sight from Tx panels at tx_c along the offsets to the Rx panels.
-
-    Requires (a) the offset, the direction from the Tx panel toward the Rx
-    panel, to fall outside the Tx panel's blocked sector, (b) the reverse
-    direction to fall outside the Rx panel's blocked sector, and (c) the open
-    segment from tx_c to tx_c + offset to miss each given body's interior
-    (both vehicles' in full). An offset below 1e-9 m has no defined direction
-    and is reported as not visible. Sectors are (cos c, sin c, cos h', sin h')
-    as from VehicleArrays.sectors, bodies as _crosses_body takes them; all
-    broadcast against tx_c and the offsets (..., 2).
-    """
-    dx, dy = offset[..., 0], offset[..., 1]
-    mask = ((np.hypot(dx, dy) >= 1e-9) & _outside_sector(dx, dy, tx_sector)
-            & _outside_sector(-dx, -dy, rx_sector))
+    """Line of sight from Tx panels at tx_c along the offsets d to the Rx
+    panels, all complex: d misses the Tx panel's blocked sector, -d the Rx
+    panel's, and the open segment from tx_c to tx_c + d each given body's
+    interior (bodies as _crosses_body takes them). An offset below 1e-9 m has
+    no direction: not visible. A sector is (e^(i c), cos h', sin h'), c its
+    world-frame center, h' from sector_edge: z = d conj(e^(i c)) lies in it,
+    |arg z| <= h', iff Re z sin h' >= |Im z| cos h'. All broadcast."""
+    (tx_dir, tx_cos, tx_sin), (rx_dir, rx_cos, rx_sin) = tx_sector, rx_sector
+    z_t, z_r = offset * np.conj(tx_dir), offset * np.conj(rx_dir)
+    mask = ((np.abs(offset) >= 1e-9) & (z_t.real * tx_sin < np.abs(z_t.imag) * tx_cos)
+            & (-z_r.real * rx_sin < np.abs(z_r.imag) * rx_cos))
     for body in bodies:
         mask &= ~_crosses_body(tx_c, tx_c + offset, body)
     return mask
 
 
-def _pair_offsets(tx: VehicleArrays, tx_pose: tuple, rx: VehicleArrays,
-                  rx_pose: tuple) -> np.ndarray:
-    """Offsets (..., Kt, Kr, 2) from every Tx panel centroid to every Rx one,
-    for poses as :func:`visibility` takes them. In complex numbers, with m the
-    mounts, e^(i h_t) [(m_r - m_t) + expm1(i (h_r - h_t)) m_r] + p_r - p_t:
-    where the bodies overlap at nearly one heading, no O(1) coordinates
-    cancel, so a pair 1e-4 m apart keeps the relative accuracy of its turn,
-    where the difference of its centroids loses four digits: enough, through
-    the near-zero heading column of its AOA vector, to move the bounds by
-    3e-5."""
-    (tx_p, tx_h), (rx_p, rx_h) = tx_pose, rx_pose
-    turned = np.expm1(1j * (rx_h - tx_h))[..., None] * rx.mount
-    offset = ((turned[..., None, :] + (rx.mount - tx.mount[:, None]))
-              * np.exp(1j * tx_h)[..., None, None]
-              + np.subtract(rx_p, tx_p, dtype=float).view(complex)[..., None])
-    return offset.view(float).reshape(offset.shape + (2,))
+def _pair_offsets(tx: VehicleArrays, rx: VehicleArrays, tx_turn: np.ndarray, turn: np.ndarray,
+                  rx_at: np.ndarray) -> np.ndarray:
+    """Complex offsets (..., Kt, Kr) from every Tx panel centroid to every Rx one,
+    e^(i h_t) [(m_r - m_t) + expm1(i (h_r - h_t)) m_r] + p_r - p_t for mounts m, from
+    tx_turn = e^(i h_t), turn = h_r - h_t and rx_at = p_r - p_t: where the bodies
+    overlap at nearly one heading, no O(1) coordinates cancel, so a pair 1e-4 m apart
+    keeps the relative accuracy of its turn, where the difference of its centroids
+    loses four digits: through its AOA vector's heading entry, 3e-5 in the bounds."""
+    turned = np.expm1(1j * turn)[..., None] * rx.mount
+    return ((turned[..., None, :] + (rx.mount - tx.mount[:, None])) * tx_turn[..., None, None]
+            + rx_at[..., None, None])
 
 
 def visibility(tx: VehicleArrays, tx_pose: tuple, rx: VehicleArrays, rx_pose: tuple):
-    """Tx panel centroids (..., Kt, 2) and, per Tx-Rx panel pair, the offset
-    (..., Kt, Kr, 2) from :func:`_pair_offsets` and the LOS mask (..., Kt, Kr)
-    that :func:`los_mask` reads from those offsets: the mask and all link
-    geometry see one direction per pair.
-
-    Poses are (position (..., 2), heading (...)) as from Pose.arrays; the
-    leading axes broadcast, so one call tests a whole grid of placements.
+    """The Tx panels' offsets from the Tx reference point (..., Kt) and, per
+    Tx-Rx panel pair, the offset (..., Kt, Kr) from :func:`_pair_offsets` and
+    the LOS mask (..., Kt, Kr) that :func:`los_mask` reads from those offsets,
+    all in the world frame, x + i y: one direction per pair for the mask and
+    all link geometry. Poses are (position (..., 2), heading (...)) as from
+    Pose.arrays; the leading axes broadcast. One e^(i heading) turns each
+    vehicle, and the body test reads positions from the Tx reference point.
     """
     (tx_p, tx_h), (rx_p, rx_h) = tx_pose, rx_pose
-    tx_c, offset = tx.centroids(tx_p, tx_h), _pair_offsets(tx, tx_pose, rx, rx_pose)
+    tx_turn, rx_turn = np.exp(1j * tx_h), np.exp(1j * rx_h)
+    tx_m, tx_dir = tx.turned(tx_turn)
+    rx_at = np.subtract(rx_p, tx_p, dtype=float).view(complex)[..., 0]
+    offset = _pair_offsets(tx, rx, tx_turn, rx_h - tx_h, rx_at)
     bodies = () if tx.sectors_imply_body and rx.sectors_imply_body else (
-        (tx_p[..., None, None, :], tx_h[..., None, None], tx.length, tx.width),
-        (rx_p[..., None, None, :], rx_h[..., None, None], rx.length, rx.width))
-    visible = los_mask(tx_c[..., :, None, :], offset, [a[..., :, None] for a in tx.sectors(tx_h)],
-                       [a[..., None, :] for a in rx.sectors(rx_h)], *bodies)
-    return tx_c, offset, visible
+        (0.0, tx_turn[..., None, None], tx.length, tx.width),
+        (rx_at[..., None, None], rx_turn[..., None, None], rx.length, rx.width))
+    visible = los_mask(tx_m[..., None], offset, (tx_dir[..., None], *tx.blocked_edge[..., None]),
+                       (rx.blocked_dir * rx_turn[..., None, None], *rx.blocked_edge), *bodies)
+    return tx_m, offset, visible
 
 
-def visible_links(tx_c: np.ndarray, offset: np.ndarray, visible: np.ndarray) -> tuple:
+def visible_links(tx_m: np.ndarray, offset: np.ndarray, visible: np.ndarray) -> tuple:
     """The links of n placements from :func:`visibility`'s output, visible
     pairs first, then hidden ones up to the largest link count, each in (t, r)
-    order: Tx and Rx panels (n, L), Tx centroids and offsets to the Rx (n, L, 2),
-    distances and arrival angles (n, L). Visible pairs never coincide.
-    Raises NoActiveLinks when no pair is visible.
+    order: Tx and Rx panels (n, L), the Tx panels' offsets from the Tx
+    reference point and the offsets to the Rx (n, L, complex), distances and
+    arrival angles (n, L). Visible pairs never coincide. Raises NoActiveLinks
+    when no pair is visible.
     """
     if not visible.any():
         raise NoActiveLinks("no Tx-Rx panel pair has line of sight")
@@ -475,8 +474,7 @@ def visible_links(tx_c: np.ndarray, offset: np.ndarray, visible: np.ndarray) -> 
     t, r = np.divmod(pairs[:, :visible.sum(axis=(1, 2)).max()], visible.shape[-1])
     rows = np.arange(len(visible))[:, None]
     offset = offset[rows, t, r]
-    return (t, r, tx_c[rows, t], offset, np.hypot(offset[..., 0], offset[..., 1]),
-            np.arctan2(offset[..., 1], offset[..., 0]))
+    return t, r, tx_m[rows, t], offset, np.abs(offset), np.angle(offset)
 
 
 def scene_placement(scene: "Scene", links=None) -> tuple:
@@ -485,7 +483,7 @@ def scene_placement(scene: "Scene", links=None) -> tuple:
     ``links`` (distinct panel pairs in (t, r) order, as active_links gives
     them) the mask of their pairs, visible or not, and the Rx heading (1,)."""
     (tx_p, tx_h), (rx_p, rx_h) = scene.tx_pose.arrays(), scene.rx_pose.arrays()
-    tx_c, offset, visible = visibility(scene.tx_vehicle.arrays, (np.zeros((1, 2)), tx_h[None]),
+    tx_m, offset, visible = visibility(scene.tx_vehicle.arrays, (np.zeros((1, 2)), tx_h[None]),
                                        scene.rx_vehicle.arrays, ((rx_p - tx_p)[None], rx_h[None]))
     if links is not None:
         pairs = [(link.tx_panel, link.rx_panel) for link in links]
@@ -493,7 +491,7 @@ def scene_placement(scene: "Scene", links=None) -> tuple:
             raise ValueError("links must be distinct panel pairs in (t, r) order")
         visible = np.zeros_like(visible)
         visible[0, [t for t, _ in pairs], [r for _, r in pairs]] = True
-    return tx_c, offset, visible, rx_h[None]
+    return tx_m, offset, visible, rx_h[None]
 
 
 def active_links(scene: "Scene") -> tuple[Link, ...]:
@@ -502,8 +500,8 @@ def active_links(scene: "Scene") -> tuple[Link, ...]:
     Output is ordered by (tx_panel, rx_panel). Raises NoActiveLinks when no
     pair is visible.
     """
-    tx_c, offset, visible, _ = scene_placement(scene)
-    t, r, _, _, distance, theta_r = (column[0] for column in visible_links(tx_c, offset, visible))
+    t, r, _, _, distance, theta_r = (column[0] for column in
+                                     visible_links(*scene_placement(scene)[:3]))
     columns = (t, r, distance, theta_r, wrap_angles(theta_r + math.pi),
                wrap_angles(theta_r - scene.rx_pose.orientation), distance / SPEED_OF_LIGHT)
     return tuple(Link(*fields) for fields in zip(*(c.tolist() for c in columns)))

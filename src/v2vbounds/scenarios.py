@@ -177,10 +177,10 @@ def preset_context(preset: PresetConfig) -> LinkContext:
     fractions = np.array(allocation.array_power_fractions)
     unit_power = OfdmSpec(preset.subcarrier_spacing, preset.carrier_frequency)
     tx_pose, rx_pose = placement_poses(scenario_placements(preset, "overtaking", [0.0]))
-    tx_c, offset, visible = visibility(arrays, tx_pose, arrays, rx_pose)
+    tx_m, offset, visible = visibility(arrays, tx_pose, arrays, rx_pose)
     # A silent Tx array's links are no links to calibrate on.
     ref_t, ref_r, _, _, distance, _ = (column[0] for column in visible_links(
-        tx_c, offset, visible & (fractions > 0.0)[:, None]))
+        tx_m, offset, visible & (fractions > 0.0)[:, None]))
     k = np.argmin(distance)  # the first shortest link in (t, r) order
     # Noise is unit; the calibrated power carries the SNR.
     unit_g = information_weight(distance[k], unit_power.wavelength, arrays.n_elements[ref_r[k]],
@@ -227,24 +227,20 @@ def placement_poses(q: np.ndarray, alpha_t: float | np.ndarray = 0.0) -> tuple[t
 def placement_efims(ctx: LinkContext, tx_pose: tuple, rx_pose: tuple) -> tuple[np.ndarray, ...]:
     """The EFIM assembly of :func:`bound_table` for N placements of the
     context's vehicles at poses (position (N, 2), heading (N,)) as
-    geometry.visibility takes them: its Tx centroids (N, Kt, 2), pair offsets
-    (N, Kt, Kr, 2) and LOS mask (N, Kt, Kr), and the EFIMs (2, N, 3, 3) of
-    :func:`information`, in MEASUREMENTS order, zero without links.
+    geometry.visibility takes them: its Tx panel offsets (N, Kt), pair
+    offsets (N, Kt, Kr) and LOS mask (N, Kt, Kr), and the EFIMs (2, N, 3, 3)
+    of :func:`information`, in MEASUREMENTS order, zero without links.
     ``fim_general.placement_schur_efims`` is its general-path twin."""
-    (tx_p, _), (_, rx_h) = tx_pose, rx_pose
-    tx_c, offset, visible = visibility(ctx.tx_vehicle.arrays, tx_pose, ctx.rx_vehicle.arrays,
+    tx_m, offset, visible = visibility(ctx.tx_vehicle.arrays, tx_pose, ctx.rx_vehicle.arrays,
                                        rx_pose)
-    # Links (N, Kt*Kr) in (t, r) order; a hidden link gets distance inf, so g =
-    # 0 and a zero direction.
-    n, _, kr = visible.shape
-    links = offset.reshape(n, -1, 2)
-    distance = np.where(visible.reshape(n, -1), np.hypot(links[..., 0], links[..., 1]), np.inf)
-    vectors = link_vectors(links / distance[..., None], np.repeat(tx_c - tx_p[:, None], kr, 1),
-                           rx_h[:, None], ctx.link_saaf)
+    # Links (N, Kt*Kr) in (t, r) order; a hidden one gets distance inf: g = 0, no direction.
+    n, distance = len(visible), np.where(visible, np.abs(offset), np.inf)
+    v_tau, v_theta, aperture = (v.reshape(n, -1, *v.shape[3:]) for v in link_vectors(
+        offset / distance, tx_m[..., None], rx_pose[1][:, None, None], ctx.link_saaf))
     with np.errstate(over="ignore"):  # beyond 1e154 m, distance**2 is inf: g = 0, as hidden
-        g = ctx.link_gd2 / distance**2
-        return tx_c, offset, visible, information(*vectors, g, distance, ctx.link_beta,
-                                                  ctx.ofdm.omega_c)
+        d2 = distance.reshape(n, -1)**2
+        return tx_m, offset, visible, information(v_tau, v_theta, aperture, ctx.link_gd2 / d2, d2,
+                                                  ctx.link_beta, ctx.ofdm.omega_c)
 
 
 def _require_measurements(measurements: Collection[Measurement]) -> None:
@@ -274,16 +270,19 @@ def bound_table(
     """
     _require_measurements(measurements)
     q = np.asarray(q, dtype=float).reshape(-1, 2)
-    if not (np.isfinite(q).all() and np.isfinite(alpha_t).all()):
+    placements = np.empty((len(q), 3))  # each row's q and Tx heading, checked at once
+    placements[:, :2], placements[:, 2] = q, alpha_t
+    if not np.isfinite(placements).all():
         raise ValueError("placements and Tx headings must be finite")
     ctx = preset_context(preset)
-    _, _, visible, j = placement_efims(ctx, *placement_poses(q, alpha_t))
+    _, _, visible, j = placement_efims(ctx, *placement_poses(q, placements[:, 2]))
     table = np.empty((len(q), len(COLUMNS)))
     table[:, :2] = q
     np.subtract(np.abs(q[:, 1]), preset.vehicle_length, out=table[:, 2])
-    np.add.reduce(visible.reshape(len(q), -1) & (ctx.link_gd2 > 0.0), axis=1, out=table[:, 3])
+    np.add.reduce(visible.reshape(len(q), -1) & ctx.link_sends, axis=1, out=table[:, 3])
     bounds = bound_arrays(j)[2]
-    bounds[[i for i, m in enumerate(MEASUREMENTS) if m not in measurements]] = math.inf
+    for i in (i for i, m in enumerate(MEASUREMENTS) if m not in measurements):
+        bounds[i] = math.inf
     table[:, _SET_COLUMNS] = bounds.swapaxes(0, 1)
     return table
 
@@ -311,7 +310,8 @@ def evaluate_point(
     visibility test treats as not visible) yields n_links = 0 and infinite
     bounds rather than an exception, so sweeps never abort.
     """
-    return evaluate_points(preset, [q.as_tuple()], alpha_t, measurements)[0]
+    row = bound_table(preset, q.as_tuple(), alpha_t, measurements)[0].tolist()
+    return SweepRow(*row[:3], int(row[3]), *row[4:])
 
 
 def _grid(start: float, stop: float, step: float) -> list[float]:

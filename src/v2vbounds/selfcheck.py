@@ -144,8 +144,8 @@ def closed_vs_schur_errors(
     edges = {preset: list(zip(*edge_placements(preset))) for preset in presets}
     for preset, q, alpha_t in _preset_stacks(presets, n_scenes, seed, edges):
         ctx, poses = preset_context(preset), placement_poses(q, alpha_t)
-        tx_c, offset, visible, j = placement_efims(ctx, *poses)
-        j_po = placement_schur_efims(ctx, tx_c, offset, visible, poses[1][1])
+        tx_m, offset, visible, j = placement_efims(ctx, *poses)
+        j_po = placement_schur_efims(ctx, tx_m, offset, visible, poses[1][1])
         worst = np.maximum(worst, relative_frobenius(j, j_po).max(axis=1))
     return float(worst[0]), float(worst[1])
 

@@ -72,7 +72,8 @@ def reference_aperture(elements, theta: float) -> float:
 
 def reference_d_perp(elements) -> tuple[float, float]:
     """d_perp = sum_i d_i (sin psi_i, -cos psi_i) of a panel's (2, N) element
-    distances and angles, one element at a time."""
+    distances and angles, one element at a time: the sum of the element phases'
+    angle derivatives over k, zero when the phase centre is the centroid."""
     distances, angles = elements.tolist()
     return (math.fsum(d * math.sin(psi) for d, psi in zip(distances, angles)),
             -math.fsum(d * math.cos(psi) for d, psi in zip(distances, angles)))
@@ -99,8 +100,28 @@ def link_geometry(tx_centroid: Vec2, rx_centroid: Vec2, alpha_R: float, tx_panel
 
 
 def body(vehicle, pose) -> tuple:
-    """A vehicle's footprint at a pose, as geometry.los_mask and _crosses_body take it."""
-    return (*pose.arrays(), vehicle.length, vehicle.width)
+    """A vehicle's footprint at a pose, as geometry.los_mask and _crosses_body
+    take it: complex position, e^(i heading), length and width."""
+    heading = pose.orientation
+    return (complex(*pose.position.as_tuple()), complex(math.cos(heading), math.sin(heading)),
+            vehicle.length, vehicle.width)
+
+
+def reference_centroids(vehicle, position, heading):
+    """World-frame panel centroids (..., K, 2) of a VehicleSpec at poses
+    (..., 2) and (...), each coordinate the panel's mount distance times the
+    cos or sin of its mount angle plus heading: the oracle of the complex
+    mounts that VehicleArrays.turned turns."""
+    distance, angle = np.array([(p.mount_distance, p.mount_angle) for p in vehicle.panels]).T
+    angle = angle + heading[..., None]
+    return np.stack((distance * np.cos(angle), distance * np.sin(angle)), -1) + position[..., None, :]
+
+
+def reference_sector_centers(vehicle, heading):
+    """cos and sin (2, ..., K) of a VehicleSpec's world-frame blocked-sector
+    centers at headings (...): the oracle of the turned blocked_dir."""
+    center = np.array([p.fov_blocked_center for p in vehicle.panels]) + heading[..., None]
+    return np.array([np.cos(center), np.sin(center)])
 
 
 def reference_segment_crosses(vehicle, pose, a: Vec2, b: Vec2) -> bool:
@@ -192,35 +213,32 @@ def reference_calibrated_power(preset) -> float:
 
 
 def link_offsets(tx, tx_pose, rx, rx_pose, t, r):
-    """Offsets (2, n, L) from Tx panel t to Rx panel r, per link, for n
+    """Complex offsets (n, L) from Tx panel t to Rx panel r, per link, for n
     placements: the Rx mount's turn from the Tx heading, expm1(i turn) m_r,
     plus the mounts' difference, turned by the Tx heading and shifted by the
-    Rx position, in complex numbers and the operation order of
-    ``geometry.visibility``."""
+    Rx position, in the operation order of ``geometry.visibility``."""
     (tx_p, tx_h), (rx_p, rx_h) = tx_pose, rx_pose
     m_r = rx.mount[r]
     turned = np.expm1(1j * (rx_h - tx_h))[:, None] * m_r
-    offset = ((turned + (m_r - tx.mount[t])) * np.exp(1j * tx_h)[:, None]
-              + (rx_p - tx_p).view(complex))
-    return np.stack((offset.real, offset.imag))
+    return ((turned + (m_r - tx.mount[t])) * np.exp(1j * tx_h)[:, None]
+            + (rx_p - tx_p).view(complex))
 
 
 def dense_link_efims(ctx, tx_pose, rx_pose):
     """The EFIMs of ``scenarios.placement_efims`` from a dense link block of
-    their own: both vehicles' panel centroids taken per link (Kt*Kr, in
-    (t, r) order), their difference, its hypot and distance inf where
+    their own: the Tx mounts turned and the offsets taken per link (Kt*Kr, in
+    (t, r) order), the offsets' modulus and distance inf where
     ``geometry.visibility`` sees no line of sight."""
     (tx_p, tx_h), (rx_p, rx_h) = tx_pose, rx_pose
     tx, rx = ctx.tx_vehicle.arrays, ctx.rx_vehicle.arrays
-    t, r = (i.ravel() for i in np.indices((len(tx.mount_angle), len(rx.mount_angle))))
-    tx_at = np.take(tx.centroids(tx_p, tx_h).transpose(2, 0, 1), t, axis=-1)
+    t, r = (i.ravel() for i in np.indices((len(tx.mount), len(rx.mount))))
+    tx_at = tx.mount[t] * np.exp(1j * tx_h)[:, None]
     offset = link_offsets(tx, tx_pose, rx, rx_pose, t, r)
     visible = visibility(tx, tx_pose, rx, rx_pose)[2]
-    distance = np.where(visible.reshape(len(visible), -1), np.hypot(*offset), np.inf)
-    vectors = link_vectors((offset / distance).transpose(1, 2, 0),
-                           (tx_at - tx_p.T[..., None]).transpose(1, 2, 0), rx_h[:, None],
-                           ctx.link_saaf)
-    return information(*vectors, ctx.link_gd2 / distance**2, distance, ctx.link_beta,
+    distance = np.where(visible.reshape(len(visible), -1), np.abs(offset), np.inf)
+    vectors = link_vectors(offset / distance, tx_at, rx_h[:, None],
+                           ctx.link_saaf.reshape(3, -1))
+    return information(*vectors, ctx.link_gd2 / distance**2, distance**2, ctx.link_beta,
                        ctx.ofdm.omega_c)
 
 
@@ -348,12 +366,12 @@ def dense_arrow(blocks, jacobians, measurement):
     return block_diagonal(blocks), t_matrix
 
 
-def einsum_information(v_tau, v_theta, aperture, g, distance, beta, omega_c):
+def einsum_information(v_tau, v_theta, aperture, g, distance2, beta, omega_c):
     """AOA+TDOA and AOA-only EFIMs (MEASUREMENTS order) as einsum sums over
-    the links: the reference for the batched matmul form of
-    ``fim_closed.information``."""
+    the links, distance2 the squared distances: the reference for the batched
+    matmul form of ``fim_closed.information``."""
     c2 = SPEED_OF_LIGHT**2
-    w_theta = g * omega_c**2 * aperture / (c2 * distance**2)
+    w_theta = g * omega_c**2 * aperture / (c2 * distance2)
     j_aoa = np.einsum("...k,...ki,...kj->...ij", w_theta, v_theta, v_theta)
     w_tau = g * beta**2 / c2
     total = np.sum(w_tau, axis=-1, keepdims=True)

@@ -29,6 +29,7 @@ from v2vbounds.scenarios import (
     PRESETS,
     PresetConfig,
     _build_vehicle,
+    bound_table,
     build_scene,
     calibrated_scene,
     evaluate_point,
@@ -46,8 +47,8 @@ from v2vbounds.waveform import effective_bandwidths
 from conftest import NARROW, small_scene
 from reference import (
     delay_difference_fims, delay_difference_transforms, dense_arrow, dense_link_efims, link_offsets,
-    link_order, reference_calibrated_power, reference_los_visible, reference_schur_efims,
-    rx_panel_state, tx_panel_state,
+    link_order, reference_calibrated_power, reference_centroids, reference_los_visible,
+    reference_schur_efims, rx_panel_state, tx_panel_state,
 )
 
 BOUND_FIELDS = (
@@ -184,7 +185,7 @@ def test_visibility_mask_equals_los_visible(case):
     tx, rx = ctx.tx_vehicle.arrays, ctx.rx_vehicle.arrays
     mask = visibility(tx, poses[0], rx, poses[1])[2]
     pairs = np.indices(mask.shape[1:]).reshape(2, -1)
-    offsets = link_offsets(tx, poses[0], rx, poses[1], *pairs).reshape(2, *mask.shape)
+    offsets = link_offsets(tx, poses[0], rx, poses[1], *pairs).reshape(mask.shape)
     for i, (x, y, alpha_t) in enumerate(placements):
         scene = calibrated_scene(preset, Vec2(x, y), alpha_t)
         bodies = (scene.tx_vehicle, scene.tx_pose), (scene.rx_vehicle, scene.rx_pose)
@@ -192,7 +193,7 @@ def test_visibility_mask_equals_los_visible(case):
             for r in range(len(scene.rx_vehicle.panels)):
                 expected = reference_los_visible(
                     tx_panel_state(scene, t), rx_panel_state(scene, r), *bodies,
-                    Vec2(*offsets[:, i, t, r]))
+                    Vec2(offsets[i, t, r].real, offsets[i, t, r].imag))
                 assert bool(mask[i, t, r]) == expected, (i, t, r)
 
 
@@ -212,9 +213,11 @@ def test_pair_offsets_and_efims_equal_the_dense_link_block(case):
     offset = visibility(tx, poses[0], rx, poses[1])[1]
     t, r = (i.ravel() for i in np.indices(offset.shape[1:3]))
     expected = link_offsets(tx, poses[0], rx, poses[1], t, r)
-    assert np.array_equal(offset.reshape(len(x), -1, 2), expected.transpose(1, 2, 0))
-    centroids = rx.centroids(*poses[1])[..., None, :, :] - tx.centroids(*poses[0])[..., :, None, :]
-    scale = np.abs(poses[1][0]).max() + tx.mount_distance.max() + rx.mount_distance.max()
+    assert np.array_equal(offset.reshape(len(x), -1), expected)
+    centroids = (reference_centroids(ctx.rx_vehicle, *poses[1])[..., None, :, :]
+                 - reference_centroids(ctx.tx_vehicle, *poses[0])[..., :, None, :])
+    scale = np.abs(poses[1][0]).max() + np.abs(tx.mount).max() + np.abs(rx.mount).max()
+    offset = np.stack((offset.real, offset.imag), axis=-1)
     assert np.abs(offset - centroids).max() <= 8 * np.finfo(float).eps * scale
     assert np.array_equal(placement_efims(ctx, *poses)[3], dense_link_efims(ctx, *poses))
 
@@ -541,6 +544,19 @@ def test_evaluate_point_is_one_row_of_the_batch():
     rows = evaluate_points(preset, q, [a for _, _, a in placements])
     for row, (x, y, alpha_t) in zip(rows, placements):
         assert evaluate_point(preset, Vec2(x, y), alpha_t) == row
+
+
+@settings(max_examples=60, deadline=None)
+@given(preset_and_placements(custom_presets() | st.sampled_from(sorted(PRESETS.values(),
+                                                                       key=lambda p: p.name))))
+def test_bound_table_rows_equal_one_row_calls_bitwise(case):
+    # One code path for every row count: a placement's row does not depend on
+    # the rows beside it, bit for bit.
+    preset, placements = case
+    x, y, alpha_t = np.array(placements).T
+    table = bound_table(preset, np.column_stack((x, y)), alpha_t)
+    for i in range(len(placements)):
+        assert bound_table(preset, [(x[i], y[i])], alpha_t[i]).tobytes() == table[i].tobytes(), i
 
 
 def test_non_finite_placements_rejected():

@@ -49,10 +49,10 @@ def saaf(panel: ArrayPanel, theta_local, rx_heading: float = 0.0):
     """The squared array aperture function link_vectors gives a link that
     arrives on the panel at vehicle-frame angle theta_local, the Rx vehicle
     at heading rx_heading."""
-    world = theta_local + rx_heading
-    direction = np.stack((np.cos(world), np.sin(world)), axis=-1)
-    saaf_s = VehicleSpec(1.0, 1.0, (panel,)).arrays.saaf_s[0]
-    return link_vectors(direction, np.zeros(2), np.asarray(rx_heading), saaf_s)[2]
+    direction = np.exp(1j * np.atleast_1d(theta_local + rx_heading))
+    s = VehicleSpec(1.0, 1.0, (panel,)).arrays.saaf_s[0]
+    terms = np.array([s[0, 0], s[0, 1] + s[1, 0], s[1, 1]])
+    return link_vectors(direction, np.zeros(1, complex), np.asarray(rx_heading), terms)[2]
 
 
 class TestSaaf:
@@ -265,7 +265,7 @@ def link_arrays(draw):
     g = draw(arrays(float, (n, k), elements=st.just(0.0) | st.floats(1e-3, 1e6)))
     distance = draw(arrays(float, (n, k), elements=st.floats(0.5, 100.0)))
     beta = draw(arrays(float, (k,), elements=st.just(0.0) | st.floats(1e5, 1e8)))
-    return v_tau, v_theta, aperture, g, distance, beta, 2.0 * math.pi * 3.5e9
+    return v_tau, v_theta, aperture, g, distance**2, beta, 2.0 * math.pi * 3.5e9
 
 
 @settings(max_examples=200, deadline=None)
@@ -274,9 +274,9 @@ def test_information_matches_einsum_oracle(case):
     # Matmul and einsum sum the links in different orders: the difference is
     # bounded by 1e-13 of sum_k w_k (sum_i |v_ki|)^2, a bound on the
     # uncentered terms' magnitudes (the delay part centres its vectors first).
-    v_tau, v_theta, aperture, g, distance, beta, omega_c = case
+    v_tau, v_theta, aperture, g, distance2, beta, omega_c = case
     c2 = SPEED_OF_LIGHT**2
-    size_aoa = np.einsum("...k,...ki,...kj->...", g * omega_c**2 * aperture / (c2 * distance**2),
+    size_aoa = np.einsum("...k,...ki,...kj->...", g * omega_c**2 * aperture / (c2 * distance2),
                          np.abs(v_theta), np.abs(v_theta))
     size_tau = np.einsum("...k,...ki,...kj->...", g * beta**2 / c2, np.abs(v_tau), np.abs(v_tau))
     for got, expected, size in zip(information(*case), einsum_information(*case),

@@ -74,7 +74,7 @@ def closed_form(scene, links, gains):
     """A scene's links' EFIMs, in MEASUREMENTS order, from the einsum oracle."""
     betas = scene.context.betas[[link.tx_panel for link in links]]
     return einsum_information(*link_info_vectors(scene, links), np.array([g.g for g in gains]),
-                              np.array([link.distance for link in links]), betas,
+                              np.array([link.distance for link in links])**2, betas,
                               scene.context.ofdm.omega_c)
 
 

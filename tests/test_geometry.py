@@ -1,5 +1,6 @@
 """Geometry: unit vectors, conformal panels, world states, links, visibility."""
 
+import cmath
 import dataclasses
 import math
 
@@ -34,8 +35,10 @@ from reference import (
     link_geometry,
     panel_world_state,
     reference_aperture,
+    reference_centroids,
     reference_d_perp,
     reference_los_visible,
+    reference_sector_centers,
     reference_segment_crosses,
     rx_panel_state,
     tx_panel_state,
@@ -64,17 +67,18 @@ def centred_layouts(draw) -> np.ndarray:
 
 
 def assert_matches_element_oracle(arrays, k: int, elements: np.ndarray) -> None:
-    """VehicleArrays' aperture matrix and summed offsets of panel k against the
-    per-element definitions, at 64 directions: u^T S u = SAAF(theta) and
-    d_perp = sum_i d_i (sin psi_i, -cos psi_i)."""
+    """VehicleArrays' aperture matrix of panel k against the per-element
+    definition, at 64 directions: u^T S u = SAAF(theta). The summed offsets
+    d_perp = sum_i d_i (sin psi_i, -cos psi_i), which the kernels take as 0
+    (the phase centre at the centroid), lie within the centring tolerance of
+    ArrayPanel, N times 1e-12 m or 1e-12 of the largest distance."""
     theta = np.linspace(-math.pi, math.pi, 64)
     u = np.array([np.cos(theta), np.sin(theta)])
     largest = elements[0].max()
     np.testing.assert_allclose(
         np.einsum("it,ij,jt->t", u, arrays.saaf_s[k], u),
         [reference_aperture(elements, t) for t in theta.tolist()], rtol=0, atol=1e-14 * largest**2)
-    np.testing.assert_allclose(arrays.d_perp[k], reference_d_perp(elements),
-                               rtol=0, atol=1e-15 * elements.shape[1] * largest)
+    assert math.hypot(*reference_d_perp(elements)) <= elements.shape[1] * 1e-12 * max(1.0, largest)
 
 
 class TestUnitVectors:
@@ -278,10 +282,29 @@ class TestCentroidsMatchPanelWorldState:
     def test_mixed_vehicle(self, x, y, heading):
         vehicle = TestVehicleArrays.mixed_vehicle()
         pose = Pose(Vec2(x, y), heading)
-        centroids = vehicle.arrays.centroids(*pose.arrays())
+        centroids = vehicle.arrays.turned(np.exp(1j * pose.arrays()[1]))[0] + complex(x, y)
         for k in range(len(vehicle.panels)):
             expected = panel_world_state(vehicle, pose, k).centroid.as_tuple()
-            np.testing.assert_allclose(centroids[k], expected, rtol=0, atol=1e-12)
+            np.testing.assert_allclose((centroids[k].real, centroids[k].imag), expected, rtol=0,
+                                       atol=1e-12)
+
+    @given(st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=8))
+    @settings(max_examples=50)
+    def test_turned_mounts_and_sectors_equal_their_cos_sin_forms(self, headings):
+        # One rotation e^(i heading) per pose turns the mounts and the sector
+        # directions; the cos/sin of each summed angle gives the same points
+        # to the rounding of the angle's sum.
+        for vehicle in (TestVehicleArrays.mixed_vehicle(), preset_context(PRESETS["cfg_28GHz"])
+                        .tx_vehicle):
+            heading = np.array(headings)
+            mount, sector = vehicle.arrays.turned(np.exp(1j * heading))
+            expected = reference_centroids(vehicle, np.zeros((len(heading), 2)), heading)
+            distance = np.array([p.mount_distance for p in vehicle.panels])
+            error = np.abs(np.stack((mount.real, mount.imag), axis=-1) - expected)
+            assert (error <= 4 * np.finfo(float).eps * distance[:, None]).all()
+            error = np.abs(np.array([sector.real, sector.imag]) - reference_sector_centers(
+                vehicle, heading))
+            assert (error <= 4 * np.finfo(float).eps).all()
 
 
 class TestLinkGeometry:
@@ -307,9 +330,9 @@ class TestLinkGeometry:
 
     def test_coincident_rejected(self):
         # Coincident centroids have no direction: never a link, even with open sectors.
-        centroid, sector = np.array([1.0, 1.0]), (1.0, 0.0, *sector_edge(0.0))
+        centroid, sector = 1.0 + 1.0j, (1.0 + 0.0j, *sector_edge(0.0))
         assert not los_mask(centroid, centroid - centroid, sector, sector)
-        assert los_mask(centroid, (centroid + 1e-9) - centroid, sector, sector)
+        assert los_mask(centroid, (centroid + (1e-9 + 1e-9j)) - centroid, sector, sector)
 
     def test_opposite_directions(self):
         link = link_geometry(Vec2(-2, 7), Vec2(4, -3), -0.8)
@@ -416,15 +439,15 @@ class TestVisibility:
         # 2 d sin(turn / 2) from its twin, which the offsets keep to a few
         # ulps of their length; the centroids' difference loses eps d of it,
         # 4e-12 relative at turn = 6e-5.
-        arrays = build_cornered_vehicle(4.5, 1.8, 2, 0.1, math.pi / 4).arrays
-        origin, tx_heading = np.zeros((1, 2)), heading + turn
+        vehicle = build_cornered_vehicle(4.5, 1.8, 2, 0.1, math.pi / 4)
+        arrays, origin, tx_heading = vehicle.arrays, np.zeros((1, 2)), heading + turn
         turn = tx_heading - heading  # the turn between the headings as rounded
         offset = visibility(arrays, (origin, np.array([tx_heading])),
                             arrays, (origin, np.array([heading])))[1][0]
-        mid = arrays.mount_angle + heading + 0.5 * turn
-        twin = (2.0 * arrays.mount_distance * math.sin(0.5 * turn))[:, None] * np.column_stack(
-            (np.sin(mid), -np.cos(mid)))
-        error = np.hypot(*(offset.diagonal() - twin.T)) / np.hypot(*twin.T)
+        distance, angle = np.array([(p.mount_distance, p.mount_angle) for p in vehicle.panels]).T
+        mid = angle + heading + 0.5 * turn
+        twin = 2.0 * distance * math.sin(0.5 * turn) * (np.sin(mid) - 1j * np.cos(mid))
+        error = np.abs(offset.diagonal() - twin) / np.abs(twin)
         assert error.max() <= 16 * np.finfo(float).eps, error
 
 
@@ -464,12 +487,12 @@ class TestActiveLinksMatchLinkGeometry:
 
 def crosses_body(vehicle, pose, a: Vec2, b: Vec2) -> bool:
     """geometry._crosses_body for one segment and one body."""
-    return bool(_crosses_body(np.array(a.as_tuple()), np.array(b.as_tuple()), body(vehicle, pose)))
+    return bool(_crosses_body(complex(*a.as_tuple()), complex(*b.as_tuple()), body(vehicle, pose)))
 
 
 def world_sector(state: PanelState) -> tuple:
     """A panel state's blocked sector as los_mask takes it."""
-    return (math.cos(state.blocked_center), math.sin(state.blocked_center),
+    return (complex(math.cos(state.blocked_center), math.sin(state.blocked_center)),
             *sector_edge(state.blocked_halfwidth))
 
 
@@ -549,8 +572,8 @@ class TestVectorisedVisibilityMatchesLoop:
         for tx_state in (tx, PanelState(tx_c, (), centers[0], halfwidths[0])):
             for rx_state in (rx, PanelState(toward, (), centers[1], halfwidths[1])):
                 visible = los_mask(
-                    np.array(tx_state.centroid.as_tuple()),
-                    np.array((rx_state.centroid - tx_state.centroid).as_tuple()),
+                    complex(*tx_state.centroid.as_tuple()),
+                    complex(*(rx_state.centroid - tx_state.centroid).as_tuple()),
                     world_sector(tx_state), world_sector(rx_state), body(*tx_rect), body(*rx_rect),
                 )
                 if not on_sector_edge(tx_state, rx_state):
@@ -572,8 +595,7 @@ class TestSectorEdges:
         faces away from the Tx panel, checked against the oracle."""
         tx = PanelState(Vec2(0.0, 0.0), (), wrap_angle(center), halfwidth)
         rx = PanelState(rx_c, (), rx_c.angle(), 0.0)
-        visible = bool(los_mask(np.zeros(2), np.array(rx_c.as_tuple()), world_sector(tx),
-                                world_sector(rx)))
+        visible = bool(los_mask(0j, complex(*rx_c.as_tuple()), world_sector(tx), world_sector(rx)))
         assert visible == reference_los_visible(tx, rx, self.FAR, self.FAR)
         return visible
 
@@ -680,9 +702,10 @@ class TestVehicleArrays:
         assert (arrays.length, arrays.width) == (4.5, 1.8)
         assert [p.n_elements for p in vehicle.panels] == [1, 2, 3]
         for k, panel in enumerate(vehicle.panels):
-            assert arrays.mount_distance[k] == panel.mount_distance
-            assert arrays.mount_angle[k] == panel.mount_angle
-            assert arrays.blocked_center[k] == panel.fov_blocked_center
+            eps = np.finfo(float).eps
+            mount = panel.mount_distance * cmath.exp(1j * panel.mount_angle)
+            assert abs(arrays.mount[k] - mount) <= 2 * eps * panel.mount_distance
+            assert abs(arrays.blocked_dir[k] - cmath.exp(1j * panel.fov_blocked_center)) <= 2 * eps
             assert arrays.blocked_halfwidth[k] == panel.fov_blocked_halfwidth
             assert arrays.n_elements[k] == panel.n_elements
             np.testing.assert_array_equal(arrays.elements[:, k, :panel.n_elements], panel.elements)

@@ -222,10 +222,11 @@ class TestEvaluatePoint:
         with pytest.raises(ValueError):
             arrays.saaf_s[:] *= 4
         assert evaluate_point(preset_3p5, Vec2(-3.5, 10.0)) == before
-        shared = [getattr(arrays, f.name) for f in dataclasses.fields(arrays)
-                  if isinstance(getattr(arrays, f.name), np.ndarray)]
-        shared += [ctx.betas, ctx.omega, ctx.power, ctx.link_gd2, ctx.link_beta, ctx.link_saaf]
-        assert len(shared) == 16
+        # Every array field of the vehicle's arrays and of the link context:
+        # blocked_dir, the SAAF terms link_saaf and the sending mask among them.
+        shared = [getattr(owner, f.name) for owner in (arrays, ctx) for f in dataclasses.fields(owner)
+                  if isinstance(getattr(owner, f.name), np.ndarray)]
+        assert len(shared) == 15
         assert not any(a.flags.writeable for a in shared)
 
 

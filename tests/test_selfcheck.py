@@ -73,11 +73,11 @@ def test_edge_set_reaches_the_edges(preset):
     assert np.hypot(q[:, 0], q[:, 1]).min() < 5.0  # inside the annulus
     # Each heading placement's link from the Tx rear right panel (3) to the
     # Rx rear left panel (2) lies on the Tx panel's blocked-sector edge.
-    arrays = preset_context(preset).tx_vehicle.arrays
+    panel = preset_context(preset).tx_vehicle.panels[3]
     for i in (-2, -1):
-        toward_rx = math.atan2(offset[i, 3, 2, 1], offset[i, 3, 2, 0])
-        edge = abs(wrap_angles(toward_rx - arrays.blocked_center[3] - alpha_t[i]))
-        assert abs(edge - arrays.blocked_halfwidth[3]) < 1e-12
+        toward_rx = math.atan2(offset[i, 3, 2].imag, offset[i, 3, 2].real)
+        edge = abs(wrap_angles(toward_rx - panel.fov_blocked_center - alpha_t[i]))
+        assert abs(edge - panel.fov_blocked_halfwidth) < 1e-12
         assert not visible[i, 3, 2]
 
 
