@@ -36,6 +36,7 @@ RANK_EPS = 1e-10
 _CERTIFIED_TRACE = 1.0 / (30.0 * RANK_EPS)
 # The smallest normal float (a diagonal entry below it is a missing direction), the roundoff.
 _TINY, _EPS = np.finfo(float).tiny, np.finfo(float).eps
+# A link's v_tau + i v_theta is conj(u) (_UNIT + _TURN t): see link_vectors.
 _UNIT, _TURN = read_only(np.array([1.0, 1j, 0.0])), read_only(np.array([0.0, 0.0, -1j]))
 
 

@@ -252,14 +252,12 @@ class Link:
 
 
 def _crosses_body(a: np.ndarray, b: np.ndarray, body: tuple) -> np.ndarray:
-    """Elementwise: does the open segment a-b, from (..., 2) endpoints, meet the
-    open interior of a body (position (..., 2), orientation (...), length,
+    """Elementwise: does the open segment a-b, from complex endpoints, meet the
+    open interior of a body (complex position, turn e^(i heading), length,
     width)? Segments running along an edge or touching only a corner do not."""
-    position, orientation, length, width = body
-    c, s = np.cos(-orientation), np.sin(-orientation)
-    da, db = a - position, b - position
-    ax, ay = c * da[..., 0] - s * da[..., 1], s * da[..., 0] + c * da[..., 1]
-    bx, by = c * db[..., 0] - s * db[..., 1], s * db[..., 0] + c * db[..., 1]
+    position, turn, length, width = body
+    a, b = (a - position) * np.conj(turn), (b - position) * np.conj(turn)
+    ax, ay, bx, by = a.real, a.imag, b.real, b.imag
     # Liang-Barsky clip of the segment against the closed rectangle. An axis
     # along which the segment does not move (delta == 0) adds no constraint:
     # the midpoint probe below rejects it unless inside the open slab.
@@ -380,31 +378,6 @@ class VehicleArrays:
         """mount and blocked_dir (..., K) in the world frame of the vehicle
         turned by turn = e^(i heading) (...): one rotation turns both."""
         return self.mount * turn[..., None], self.blocked_dir * turn[..., None]
-
-
-def _crosses_body(a: np.ndarray, b: np.ndarray, body: tuple) -> np.ndarray:
-    """Elementwise: does the open segment a-b, from complex endpoints, meet the
-    open interior of a body (complex position, turn e^(i heading), length,
-    width)? Segments running along an edge or touching only a corner do not."""
-    position, turn, length, width = body
-    a, b = (a - position) * np.conj(turn), (b - position) * np.conj(turn)
-    ax, ay, bx, by = a.real, a.imag, b.real, b.imag
-    # Liang-Barsky clip of the segment against the closed rectangle. An axis
-    # along which the segment does not move (delta == 0) adds no constraint:
-    # the midpoint probe below rejects it unless inside the open slab.
-    t0, t1 = 0.0, 1.0
-    with np.errstate(all="ignore"):  # delta == 0 is masked; tiny deltas overflow to inf
-        for start, delta, half in ((ax, bx - ax, width / 2.0), (ay, by - ay, length / 2.0)):
-            flat = delta == 0.0
-            ta = np.where(flat, -np.inf, (-half - start) / delta)
-            tb = np.where(flat, np.inf, (half - start) / delta)
-            t0 = np.maximum(t0, np.minimum(ta, tb))
-            t1 = np.minimum(t1, np.maximum(ta, tb))
-    # A positive-length clipped interval may still lie on the boundary;
-    # probe its midpoint against the open rectangle.
-    tm, eps = 0.5 * (t0 + t1), 1e-12
-    return ((t0 < t1) & (np.abs(ax + tm * (bx - ax)) < width / 2.0 - eps)
-            & (np.abs(ay + tm * (by - ay)) < length / 2.0 - eps))
 
 
 def los_mask(tx_c: np.ndarray, offset: np.ndarray, tx_sector: tuple, rx_sector: tuple,
