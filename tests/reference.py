@@ -229,7 +229,7 @@ def dense_link_efims(ctx, tx_pose, rx_pose):
     their own: the Tx mounts turned and the offsets taken per link (Kt*Kr, in
     (t, r) order), the offsets' modulus and distance inf where
     ``geometry.visibility`` sees no line of sight."""
-    (tx_p, tx_h), (rx_p, rx_h) = tx_pose, rx_pose
+    (_, tx_h), (_, rx_h) = tx_pose, rx_pose
     tx, rx = ctx.tx_vehicle.arrays, ctx.rx_vehicle.arrays
     t, r = (i.ravel() for i in np.indices((len(tx.mount), len(rx.mount))))
     tx_at = tx.mount[t] * np.exp(1j * tx_h)[:, None]
