@@ -84,9 +84,10 @@ def bound_arrays(j_po: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         inv = (1.0 / a00 + l10 * l10 / d1 + (l10 * l21 - l20)**2 / d2, 1.0 / d1 + l21 * l21 / d2,
                1.0 / d2)
         # The position block over sqrt(J_xx J_yy): [[a00 r, a01], [a01, a11 / r]], r the
-        # ratio sqrt(J_xx / J_yy), with determinant a00 d1.
+        # ratio sqrt(J_xx / J_yy): determinant a00 d1, larger eigenvalue lam (lam^2 may overflow).
         u, w = a00 * scale[1] / scale[0], a11 * scale[0] / scale[1]
-        flat = a00 * d1 < RANK_EPS * (0.5 * (u + w) + np.hypot(0.5 * (u - w), a01))**2
+        lam = 0.5 * (u + w) + np.hypot(0.5 * (u - w), a01)
+        flat = a00 * d1 / lam < RANK_EPS * lam
         bounds = (scale * np.sqrt(inv)).T.reshape(j_po.shape[:-1])
         certified = ((np.minimum(np.minimum(a00, d1), d2) > 0.0)
                      & (inv[0] + inv[1] + inv[2] < _CERTIFIED_TRACE))

@@ -51,11 +51,10 @@ def link_means(ctx: LinkContext, t: np.ndarray, r: np.ndarray, delay: np.ndarray
     """
     omega, amps = ctx.omega[t], np.sqrt(ctx.power[t])
     rx = ctx.rx_vehicle.arrays
-    dist, ang = rx.elements[:, r]
-    angle, omega_c = angle[..., None], ctx.ofdm.omega_c
-    phase = omega_c * dist * np.cos(ang - angle) / SPEED_OF_LIGHT
-    dphase = omega_c * dist * np.sin(ang - angle) / SPEED_OF_LIGHT
-    b = np.where(np.arange(dist.shape[-1]) < rx.n_elements[r][..., None],
+    # An offset d e^(i psi) turned by k e^(-i angle): phases k d cos and k d sin of psi - angle.
+    z = rx.elements[r] * (ctx.ofdm.omega_c / SPEED_OF_LIGHT * np.exp(-1j * angle[..., None]))
+    phase, dphase = z.real, z.imag
+    b = np.where(np.arange(z.shape[-1]) < rx.n_elements[r][..., None],
                  gain[..., None] * np.exp(1j * phase), 0.0)
     return amps * np.exp(-1j * omega * delay[..., None]), omega, b, dphase
 

@@ -6,8 +6,8 @@ Conventions used throughout the package:
   (along-lane) axis. Angles are measured counterclockwise from +x and are
   stored wrapped to (-pi, pi].
 * Vehicle frame: the vehicle's long axis is the frame's y axis, so a vehicle
-  driving "up" the road has orientation 0. Panel mount angles and element
-  offset angles are expressed in this frame.
+  driving "up" the road has orientation 0. Panel mounts and element offsets
+  are complex points x + i y in this frame.
 * A corner panel's field of view covers 270 degrees; the blocked 90-degree
   sector is the wedge the rectangular body subtends at that corner (the
   wedge between the two body edges meeting there). Directions exactly on the
@@ -24,6 +24,7 @@ can be shared freely across threads.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -149,51 +150,45 @@ class Pose:
 class ArrayPanel:
     """One antenna array: mount point, element layout, and field of view.
 
-    ``elements`` is a read-only (2, E) array of element offsets from the
-    array centroid in the vehicle frame: distances (m, >= 0) in row 0 and
-    angles (rad, wrapped to (-pi, pi]) in row 1, E >= 1, all finite. The
-    offsets' mean must lie within 1e-12 m of the centroid, or within 1e-12 of
-    the largest distance on a panel larger than 1 m: centring rounds each
-    offset to the ulps of the panel's size, and an absolute 1e-12 m refused
-    the 10 000-element arc at 1 GHz (radius about 950 m, residual 1.3e-12 m),
-    while a real off-centre layout misses by far more at any size.
-    ``fov_blocked_center``/``fov_blocked_halfwidth`` describe the
-    body-blocked sector in the vehicle frame.
+    ``mount`` is the array centroid and ``elements`` a read-only (E,) array,
+    E >= 1, of the element offsets from it, all complex x + i y (m) in the
+    vehicle frame and finite. The offsets' mean must lie within 1e-12 m of
+    the centroid, or within 1e-12 of the largest offset on a panel larger
+    than 1 m: centring rounds each offset to the ulps of the panel's size, and
+    an absolute 1e-12 m refused the 10 000-element arc at 1 GHz (radius about
+    950 m, residual 1.3e-12 m), while a real off-centre layout misses by far
+    more at any size. ``fov_blocked_center``/``fov_blocked_halfwidth``
+    describe the body-blocked sector in the vehicle frame.
     """
 
-    mount_distance: float  # m from vehicle reference point
-    mount_angle: float  # rad, vehicle frame
-    elements: np.ndarray  # (2, E) element distances, angles
+    mount: complex  # m from the vehicle reference point
+    elements: np.ndarray  # (E,) complex element offsets
     fov_blocked_center: float  # rad, vehicle frame
     fov_blocked_halfwidth: float  # rad
 
     def __post_init__(self) -> None:
-        for name in ("mount_distance", "mount_angle", "fov_blocked_center"):
-            if not math.isfinite(getattr(self, name)):
+        for name in ("mount", "fov_blocked_center"):
+            if not cmath.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not 0.0 <= self.fov_blocked_halfwidth <= math.pi:
             raise ValueError("fov_blocked_halfwidth must lie in [0, pi]")
-        elements = np.array(self.elements, dtype=float)
-        if elements.ndim != 2 or len(elements) != 2 or not elements.shape[1]:
-            raise ValueError("elements must be a (2, E) array of distances and angles, "
-                             f"E >= 1, got shape {elements.shape}")
+        elements = np.array(self.elements, dtype=complex)
+        if elements.ndim != 1 or not elements.size:
+            raise ValueError("elements must be an (E,) array of complex offsets, E >= 1, "
+                             f"got shape {elements.shape}")
         if not np.isfinite(elements).all():
             raise ValueError("element offsets must be finite")
-        distance, angle = elements
-        if distance.min() < 0.0:
-            raise ValueError(f"element offset distance must be >= 0, got {distance.min()}")
-        angle[:] = wrap_angles(angle)
-        residual = np.hypot(*(distance * np.array([np.cos(angle), np.sin(angle)])).mean(axis=1))
-        if residual > 1e-12 * max(1.0, distance.max()):
+        residual = abs(elements.mean())
+        if residual > 1e-12 * max(1.0, np.abs(elements).max()):
             raise ValueError(f"element offsets must be centered on the centroid (residual "
                              f"{residual:.3e} m)")
+        object.__setattr__(self, "mount", complex(self.mount))
         object.__setattr__(self, "elements", read_only(elements))
-        object.__setattr__(self, "mount_angle", wrap_angle(self.mount_angle))
         object.__setattr__(self, "fov_blocked_center", wrap_angle(self.fov_blocked_center))
 
     @property
     def n_elements(self) -> int:
-        return self.elements.shape[1]
+        return len(self.elements)
 
 
 @dataclass(frozen=True)
@@ -213,26 +208,24 @@ class VehicleSpec:
     @cached_property
     def arrays(self) -> "VehicleArrays":
         """The panels as arrays, built on first use and kept with this spec."""
-        columns = read_only(np.array([(p.mount_distance, p.mount_angle, p.fov_blocked_center,
-                                       p.fov_blocked_halfwidth) for p in self.panels]))
-        distance, angle, center, halfwidth = columns.T
-        x, y = distance * np.cos(angle), distance * np.sin(angle)
+        mount = read_only(np.array([p.mount for p in self.panels]))
+        center, halfwidth = np.array([(p.fov_blocked_center, p.fov_blocked_halfwidth)
+                                      for p in self.panels]).T
+        x, y = mount.real, mount.imag
         # 1e-13 m admits rounding only, far inside _crosses_body's 1e-12 m probe margin.
         on_corner = np.hypot(np.abs(x) - self.width / 2.0, np.abs(y) - self.length / 2.0) <= 1e-13
         wedge = np.arctan2(-np.sign(y), -np.sign(x))  # bisector of the corner's body wedge
         covered = np.abs(wrap_angles(center - wedge)) + math.pi / 4 <= halfwidth + _SECTOR_EDGE_TOL
         n_elements = np.array([p.n_elements for p in self.panels])
-        elements = np.stack([np.pad(p.elements, ((0, 0), (0, n_elements.max() - p.n_elements)))
-                             for p in self.panels], axis=1)
-        d, psi = elements  # padding elements have d = 0, so they add nothing
-        perp = d * np.array([np.sin(psi), -np.cos(psi)])  # (2, K, E_max)
+        elements = np.stack([np.pad(p.elements, (0, n_elements.max() - p.n_elements))
+                             for p in self.panels])  # padding sits at the centroid: adds nothing
+        perp = np.stack((elements.imag, -elements.real), axis=-1)  # (K, E_max, 2): d u_perp(psi)
         return VehicleArrays(
-            self.length, self.width, read_only(x + 1j * y), halfwidth,
+            self.length, self.width, mount,
             blocked_dir=read_only(np.cos(center) + 1j * np.sin(center)),
             blocked_edge=read_only(sector_edge(halfwidth)),
             n_elements=read_only(n_elements),
-            saaf_s=read_only(perp.transpose(1, 0, 2) @ perp.transpose(1, 2, 0)
-                             / n_elements[:, None, None]),
+            saaf_s=read_only(perp.swapaxes(1, 2) @ perp / n_elements[:, None, None]),
             elements=read_only(elements),
             sectors_imply_body=bool(np.all(on_corner & covered)),
         )
@@ -281,8 +274,7 @@ def build_conformal_panel(
     carrier_wavelength: float,
     panel_index: int,
     fov_blocked_halfwidth: float,
-    mount_distance: float = 0.0,
-    mount_angle: float = 0.0,
+    mount: complex = 0,
 ) -> ArrayPanel:
     """Quarter-circle conformal array for one vehicle corner.
 
@@ -303,22 +295,15 @@ def build_conformal_panel(
         raise ValueError(f"panel_index must be in 1..4, got {panel_index}")
 
     sector_offset = (math.pi / 2.0) * (panel_index - 1)
-    elements = np.zeros((2, n_elements))
+    x = y = np.zeros(n_elements)
     if n_elements > 1:
         rho = carrier_wavelength / (4.0 * math.sin(math.pi / (4.0 * (n_elements - 1))))
         angles = math.pi * np.arange(n_elements) / (2.0 * (n_elements - 1)) + sector_offset
         x, y = rho * np.cos(angles), rho * np.sin(angles)
-        x, y = x - x.mean(), y - y.mean()
-        elements = np.array([np.hypot(x, y), np.arctan2(y, x)])
 
-    blocked_center = wrap_angle(math.pi / 4.0 + sector_offset + math.pi)
-    return ArrayPanel(
-        mount_distance=mount_distance,
-        mount_angle=mount_angle,
-        elements=elements,
-        fov_blocked_center=blocked_center,
-        fov_blocked_halfwidth=fov_blocked_halfwidth,
-    )
+    return ArrayPanel(mount=mount, elements=(x - x.mean()) + 1j * (y - y.mean()),
+                      fov_blocked_center=math.pi / 4.0 + sector_offset + math.pi,
+                      fov_blocked_halfwidth=fov_blocked_halfwidth)
 
 
 def build_cornered_vehicle(
@@ -346,8 +331,7 @@ def build_cornered_vehicle(
             carrier_wavelength,
             panel_index=k + 1,
             fov_blocked_halfwidth=fov_blocked_halfwidth,
-            mount_distance=math.hypot(cx, cy),
-            mount_angle=math.atan2(cy, cx),
+            mount=complex(cx, cy),
         )
         for k, (cx, cy) in enumerate(corners)
     )
@@ -360,15 +344,15 @@ class VehicleArrays:
 
     length: float
     width: float
-    mount: np.ndarray  # (K,) complex, vehicle frame: mount_distance e^(i mount_angle)
-    blocked_halfwidth: np.ndarray  # (K,)
+    mount: np.ndarray  # (K,) complex, vehicle frame: the panels' mounts
     blocked_dir: np.ndarray  # (K,) complex, vehicle frame: e^(i fov_blocked_center)
-    blocked_edge: np.ndarray  # (2, K) sector_edge of blocked_halfwidth
+    blocked_edge: np.ndarray  # (2, K) sector_edge of fov_blocked_halfwidth
     n_elements: np.ndarray  # (K,)
     # (K, 2, 2) aperture matrices S = (1/N) sum_i d_i^2 u_perp(psi_i) u_perp(psi_i)^T, so
-    # that SAAF(theta) = u(theta)^T S u(theta), with u_perp(psi) = (sin psi, -cos psi)
+    # that SAAF(theta) = u(theta)^T S u(theta), for offsets d e^(i psi), with
+    # d u_perp(psi) = d (sin psi, -cos psi) = (Im, -Re) of the offset
     saaf_s: np.ndarray
-    elements: np.ndarray  # (2, K, E_max) element distances, angles; zero past n_elements
+    elements: np.ndarray  # (K, E_max) complex element offsets; zero past n_elements
     # Every panel on a body corner, its blocked sector covering the corner's 90-degree
     # wedge into the body: a segment from a corner enters the convex body only along
     # that wedge, so the sector test already rejects every link the body test would.

@@ -41,8 +41,8 @@ MAX_GRID_ROWS = 100_000
 # holds about 120 B per subcarrier (peak RSS 34 MB at 2e4, 271 MB at 2e6 on
 # CPython 3.11, numpy 2.4), so this caps that at about 240 MB.
 MAX_SUBCARRIERS = 2_000_000
-# Elements per Rx panel: a panel's element array holds 16 B per element (a
-# distance and an angle), so this caps it at 160 kB; 1e10 would need 160 GB.
+# Elements per Rx panel: a panel's element array holds 16 B per element (one
+# complex offset), so this caps it at 160 kB; 1e10 would need 160 GB.
 MAX_RX_ELEMENTS = 10_000
 CROSSING_TOL = 0.01  # m, the distance resolution of the requirement-crossing search
 
@@ -233,12 +233,12 @@ def placement_efims(ctx: LinkContext, tx_pose: tuple, rx_pose: tuple) -> tuple[n
     ``fim_general.placement_schur_efims`` is its general-path twin."""
     tx_m, offset, visible = visibility(ctx.tx_vehicle.arrays, tx_pose, ctx.rx_vehicle.arrays,
                                        rx_pose)
-    # Links (N, Kt*Kr) in (t, r) order; a hidden one gets distance inf: g = 0, no direction.
-    n, distance = len(visible), np.where(visible, np.abs(offset), np.inf)
-    v_tau, v_theta, aperture = (v.reshape(n, -1, *v.shape[3:]) for v in link_vectors(
+    # Links (N, Kt*Kr), N >= 0, in (t, r) order; hidden ones at distance inf: g = 0, no direction.
+    links, distance = ctx.link_sends.size, np.where(visible, np.abs(offset), np.inf)
+    v_tau, v_theta, aperture = (v.reshape(-1, links, *v.shape[3:]) for v in link_vectors(
         offset / distance, tx_m[..., None], rx_pose[1][:, None, None], ctx.link_saaf))
     with np.errstate(over="ignore"):  # beyond 1e154 m, distance**2 is inf: g = 0, as hidden
-        d2 = distance.reshape(n, -1)**2
+        d2 = distance.reshape(-1, links)**2
         return tx_m, offset, visible, information(v_tau, v_theta, aperture, ctx.link_gd2 / d2, d2,
                                                   ctx.link_beta, ctx.ofdm.omega_c)
 
@@ -279,7 +279,7 @@ def bound_table(
     table = np.empty((len(q), len(COLUMNS)))
     table[:, :2] = q
     np.subtract(np.abs(q[:, 1]), preset.vehicle_length, out=table[:, 2])
-    np.add.reduce(visible.reshape(len(q), -1) & ctx.link_sends, axis=1, out=table[:, 3])
+    np.add.reduce(visible.reshape(-1, ctx.link_sends.size) & ctx.link_sends, 1, out=table[:, 3])
     bounds = bound_arrays(j)[2]
     for i in (i for i, m in enumerate(MEASUREMENTS) if m not in measurements):
         bounds[i] = math.inf

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 import os
@@ -42,8 +43,7 @@ def preset_28():
 
 
 def open_panel(
-    mount_distance: float = 0.0,
-    mount_angle: float = 0.0,
+    mount: complex = 0,
     n_elements: int = 2,
     spacing: float = 0.04,
     blocked_center: float = math.pi,
@@ -54,12 +54,11 @@ def open_panel(
     n_elements == 1.
     """
     paired = n_elements - n_elements % 2  # an odd one out sits at the centroid
-    elements = np.zeros((2, n_elements))
-    elements[0, :paired] = spacing / 2.0
-    elements[1, 1:paired:2] = math.pi
+    elements = np.zeros(n_elements, dtype=complex)
+    elements[:paired] = spacing / 2.0
+    elements[1:paired:2] = -spacing / 2.0
     return ArrayPanel(
-        mount_distance=mount_distance,
-        mount_angle=mount_angle,
+        mount=mount,
         elements=elements,
         fov_blocked_center=blocked_center,
         fov_blocked_halfwidth=0.0,
@@ -84,13 +83,9 @@ def small_scene(
     Panels have open fields of view and tiny bodies, so the number of active
     links is exactly n_tx_panels * n_rx_panels.
     """
-    mounts = [(0.9, 0.4), (0.9, 2.1), (0.9, -1.6), (0.9, 2.9)]
-    tx_panels = tuple(
-        open_panel(d, psi, n_elements=n_elements) for d, psi in mounts[:n_tx_panels]
-    )
-    rx_panels = tuple(
-        open_panel(d, psi, n_elements=n_elements) for d, psi in mounts[:n_rx_panels]
-    )
+    mounts = [cmath.rect(0.9, psi) for psi in (0.4, 2.1, -1.6, 2.9)]
+    tx_panels = tuple(open_panel(m, n_elements=n_elements) for m in mounts[:n_tx_panels])
+    rx_panels = tuple(open_panel(m, n_elements=n_elements) for m in mounts[:n_rx_panels])
     tx = VehicleSpec(length=0.1, width=0.1, panels=tx_panels)
     rx = VehicleSpec(length=0.1, width=0.1, panels=rx_panels)
     occupied = tuple(range(-n_occupied // 2, 0)) + tuple(range(1, n_occupied // 2 + 1))

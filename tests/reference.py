@@ -26,6 +26,13 @@ from v2vbounds.scenarios import _build_vehicle, calibrated_scene
 from v2vbounds.waveform import OfdmSpec, interleaved_allocation
 
 
+def polar(offsets) -> np.ndarray:
+    """Distances and angles (2, ...) of complex offsets (...): the polar form
+    of a panel's mount or elements that the cos/sin oracles here read."""
+    offsets = np.asarray(offsets)
+    return np.array([np.abs(offsets), np.angle(offsets)])
+
+
 def unit_dir(psi: float) -> Vec2:
     """Unit vector [cos(psi), sin(psi)]."""
     return Vec2(math.cos(psi), math.sin(psi))
@@ -49,10 +56,10 @@ class PanelState:
 def panel_world_state(vehicle, pose, panel_index: int) -> PanelState:
     """Resolve a panel (0-based index) into world-frame centroid and elements."""
     panel = vehicle.panels[panel_index]
-    alpha = pose.orientation
-    centroid = pose.position + panel.mount_distance * unit_dir(panel.mount_angle + alpha)
+    alpha, (mount_distance, mount_angle) = pose.orientation, polar(panel.mount).tolist()
+    centroid = pose.position + mount_distance * unit_dir(mount_angle + alpha)
     elements = tuple(
-        centroid + d * unit_dir(psi + alpha) for d, psi in zip(*panel.elements.tolist())
+        centroid + d * unit_dir(psi + alpha) for d, psi in zip(*polar(panel.elements).tolist())
     )
     return PanelState(
         centroid=centroid,
@@ -64,7 +71,8 @@ def panel_world_state(vehicle, pose, panel_index: int) -> PanelState:
 
 def reference_aperture(elements, theta: float) -> float:
     """SAAF(theta) = (1/N) sum_i d_i^2 sin^2(theta - psi_i) of a panel's
-    (2, N) element distances and angles, one element at a time."""
+    (2, N) element distances and angles (``polar`` of its offsets), one
+    element at a time."""
     distances, angles = elements.tolist()
     across = [d * math.sin(theta - psi) for d, psi in zip(distances, angles)]
     return math.fsum(a * a for a in across) / len(distances)
@@ -112,7 +120,7 @@ def reference_centroids(vehicle, position, heading):
     (..., 2) and (...), each coordinate the panel's mount distance times the
     cos or sin of its mount angle plus heading: the oracle of the complex
     mounts that VehicleArrays.turned turns."""
-    distance, angle = np.array([(p.mount_distance, p.mount_angle) for p in vehicle.panels]).T
+    distance, angle = polar([p.mount for p in vehicle.panels])
     angle = angle + heading[..., None]
     return np.stack((distance * np.cos(angle), distance * np.sin(angle)), -1) + position[..., None, :]
 
@@ -248,18 +256,32 @@ def link_order(links, first=0):
     return [first] + [i for i in range(len(links)) if i != first]
 
 
+def reference_phases(elements, theta: float, omega_c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Element phases k d_i cos(psi_i - theta) and their angle derivatives
+    k d_i sin(psi_i - theta), k = omega_c / c, of a panel's (2, N) element
+    distances and angles (``polar`` of its offsets) for a link arriving at
+    vehicle-frame angle theta: the cos/sin oracle of link_means' complex product."""
+    distances, angles = np.asarray(elements)
+    k = omega_c / SPEED_OF_LIGHT
+    return k * distances * np.cos(angles - theta), k * distances * np.sin(angles - theta)
+
+
 def link_samples(scene, link, delay, angle, gain):
     """The link's (subcarrier, Rx element) mean, its subcarriers' angular
-    frequencies and its element phases' angle derivatives, sample by sample."""
+    frequencies and its element phases' angle derivatives, sample by sample.
+    The phases take link_means' arithmetic, one complex product per element,
+    so that a finite difference of these samples rounds as the stacked FD
+    kernel's does: at its 1e-7 step, the cos/sin of reference_phases moves an
+    FD column by eps / step, about 2e-9 relative."""
     ofdm, allocation = scene.context.ofdm, scene.allocation
     subset = allocation.per_array_sets[link.tx_panel]
     omega = 2.0 * math.pi * ofdm.subcarrier_spacing * np.array(subset, dtype=float)
     gamma_t = allocation.array_power_fractions[link.tx_panel]
     fracs = np.full(len(subset), 1.0 / max(len(subset), 1))
     amps = np.sqrt(gamma_t * fracs * ofdm.total_power)
-    dist, ang = scene.rx_vehicle.panels[link.rx_panel].elements
-    phase = ofdm.omega_c * dist * np.cos(ang - angle) / SPEED_OF_LIGHT
-    dphase = ofdm.omega_c * dist * np.sin(ang - angle) / SPEED_OF_LIGHT
+    elements = scene.rx_vehicle.panels[link.rx_panel].elements
+    z = elements * (ofdm.omega_c / SPEED_OF_LIGHT * np.exp(-1j * angle))
+    phase, dphase = z.real, z.imag
     mean = (amps * np.exp(-1j * omega * delay))[:, None] * (gain * np.exp(1j * phase))[None, :]
     return mean, omega, dphase
 

@@ -37,9 +37,8 @@ from reference import einsum_information, inverse_bound_arrays, tx_panel_state
 
 def two_element_panel(d: float) -> ArrayPanel:
     return ArrayPanel(
-        mount_distance=0.0,
-        mount_angle=0.0,
-        elements=[[d / 2.0, d / 2.0], [0.0, math.pi]],
+        mount=0,
+        elements=[d / 2.0, -d / 2.0],
         fov_blocked_center=0.0,
         fov_blocked_halfwidth=0.0,
     )
@@ -77,7 +76,7 @@ class TestSaaf:
         panel = build_conformal_panel(n, 0.0857, 2, math.pi / 4)
         grid = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
         average = float(np.mean(saaf(panel, grid)))
-        expected = sum(d * d for d in panel.elements[0].tolist()) / (2.0 * n)
+        expected = sum(abs(e) ** 2 for e in panel.elements.tolist()) / (2.0 * n)
         assert abs(average - expected) < 1e-12
 
     def test_nonnegative(self):
@@ -134,6 +133,14 @@ class TestBoundsFromFim:
         # 1 / 9e-310 overflows: the direction counts as missing, not as a NaN scale.
         result = bounds_from_fim(np.diag([9e-310, 1.0, 1.0]))
         assert result.rank == 2 and math.isinf(result.peb_lat) and math.isinf(result.oeb)
+
+    def test_position_block_far_from_one_unit_does_not_overflow(self):
+        # Equilibrated, diag(5e28, 1e-290, 1) is the identity; in one unit its
+        # position block has the eigenvalue ratio 2e-319, and the larger
+        # eigenvalue over sqrt(J_xx J_yy), 2.2e159, would overflow when squared.
+        with np.errstate(over="raise"):
+            _, rank, bounds = bound_arrays(np.diag([5e28, 1e-290, 1.0]))
+        assert rank == 2 and np.isinf(bounds).all()
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)])

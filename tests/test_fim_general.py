@@ -29,7 +29,8 @@ from v2vbounds.fim_general import (
     transform_matrix,
 )
 from v2vbounds.geometry import (
-    SPEED_OF_LIGHT, Pose, Vec2, active_links, scene_placement, visibility, wrap_angles,
+    SPEED_OF_LIGHT, Pose, Vec2, VehicleSpec, active_links, scene_placement, visibility,
+    wrap_angles,
 )
 from v2vbounds.scenarios import (
     PRESETS, calibrated_scene, evaluate_point, placement_efims, placement_poses, preset_context,
@@ -43,9 +44,16 @@ from v2vbounds.waveform import effective_bandwidths, interleaved_allocation
 from conftest import LIGHT, open_panel, small_scene, with_context
 from reference import (
     brute_force_fim_channel, delay_difference_fims, dense_arrow, einsum_information,
-    link_geometry, link_order, link_samples, per_link_fim_channel_fd, rx_panel_state,
-    tx_panel_state,
+    link_geometry, link_order, link_samples, per_link_fim_channel_fd, polar, reference_aperture,
+    reference_phases, rx_panel_state, tx_panel_state,
 )
+
+
+EPS = np.finfo(float).eps
+# Ulps of k d_max and of d_max^2 within which the complex forms of the element
+# phases and the SAAF meet their cos/sin oracles: of 20,000 random panels the
+# worst read 6.2 and 3.2 (the cos/sin argument psi - theta rounds at up to 2 pi).
+PHASE_ULPS, SAAF_ULPS = 16, 8
 
 
 def rel_frob(a, b):
@@ -89,7 +97,37 @@ def sampled_scenes(preset, n_scenes):
     return samples
 
 
+def assert_polar_phases(elements, theta, omega_c, phasor, dphase):
+    """Element phasors e^(i phase) and phase derivatives (E,) of a link
+    arriving at vehicle-frame angle theta against the cos/sin forms of
+    reference_phases on the (2, E) polar offsets, to a few ulps of k d_max."""
+    phase_ref, dphase_ref = reference_phases(elements, theta, omega_c)
+    within = PHASE_ULPS * EPS * omega_c / SPEED_OF_LIGHT * elements[0].max()
+    assert np.abs(dphase - dphase_ref).max() <= within
+    assert np.abs(phasor - np.exp(1j * phase_ref)).max() <= within + 4 * EPS
+
+
 class TestMeanVector:
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(st.floats(1e-3, 2.0), st.floats(-math.pi, math.pi)), min_size=1,
+                    max_size=8), st.booleans(), st.floats(-math.pi, math.pi))
+    def test_polar_offsets_give_the_cos_sin_aperture_and_phases(self, pairs, centred, theta):
+        # A panel of offsets d e^(i psi) and d e^(i (psi + pi)), one more at the
+        # centroid if drawn, from random polar (d, psi): its SAAF and its link
+        # means' phases equal the cos/sin forms on (d, psi) to a few ulps.
+        d, psi = np.array(pairs).T
+        elements = np.array([np.concatenate((d, d, [0.0] * centred)),
+                             np.concatenate((psi, psi + math.pi, [0.0] * centred))])
+        panel = dataclasses.replace(open_panel(), elements=elements[0] * np.exp(1j * elements[1]))
+        ctx = with_context(small_scene(n_tx_panels=1, n_rx_panels=1),
+                           rx_vehicle=VehicleSpec(0.1, 0.1, (panel,))).context
+        u, s = np.array([math.cos(theta), math.sin(theta)]), ctx.rx_vehicle.arrays.saaf_s[0]
+        assert abs(u @ s @ u - reference_aperture(elements, theta)) <= (
+            SAAF_ULPS * EPS * d.max()**2)
+        _, _, b, dphase = (x[0, 0] for x in link_means(ctx, *(np.array([[x]]) for x in (
+            0, 0, 0.0, theta, 1.0 + 0j))))
+        assert_polar_phases(elements, theta, ctx.ofdm.omega_c, b, dphase)
+
     def test_single_element_modulus(self):
         scene = small_scene(n_tx_panels=2, n_rx_panels=2, n_elements=1)
         links = active_links(scene)
@@ -128,6 +166,8 @@ class TestMeanVector:
             mean, omega_ref, dphase_ref = link_samples(scene, link, delay, angle, gain.h)
             assert np.allclose(np.multiply.outer(a, b), mean, rtol=1e-12, atol=0.0)
             assert np.array_equal(omega, omega_ref) and np.array_equal(dphase, dphase_ref)
+            assert_polar_phases(polar(scene.rx_vehicle.panels[link.rx_panel].elements), angle,
+                                scene.context.ofdm.omega_c, b / gain.h, dphase)
 
     def test_angle_derivative_matches_fd(self, medium_scene):
         # Oracle: central finite difference of the full samples in the local
@@ -494,11 +534,11 @@ class TestTransformMatrix:
             scene,
             tx_vehicle=dataclasses.replace(
                 scene.tx_vehicle,
-                panels=(dataclasses.replace(scene.tx_vehicle.panels[0], mount_distance=0.0),),
+                panels=(dataclasses.replace(scene.tx_vehicle.panels[0], mount=0),),
             ),
             rx_vehicle=dataclasses.replace(
                 scene.rx_vehicle,
-                panels=(dataclasses.replace(scene.rx_vehicle.panels[0], mount_distance=0.0),),
+                panels=(dataclasses.replace(scene.rx_vehicle.panels[0], mount=0),),
             ),
         )
         links = self._links_for_all_pairs(scene)
@@ -514,7 +554,7 @@ class TestTransformMatrix:
             tx_vehicle=dataclasses.replace(
                 scene.tx_vehicle,
                 panels=tuple(
-                    dataclasses.replace(p, mount_distance=0.0)
+                    dataclasses.replace(p, mount=0)
                     for p in scene.tx_vehicle.panels
                 ),
             ),

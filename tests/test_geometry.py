@@ -34,6 +34,7 @@ from reference import (
     body,
     link_geometry,
     panel_world_state,
+    polar,
     reference_aperture,
     reference_centroids,
     reference_d_perp,
@@ -51,34 +52,37 @@ angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
 def bare_panel(elements) -> ArrayPanel:
     """A panel at the vehicle reference point with an open view and these elements."""
-    return ArrayPanel(mount_distance=0.0, mount_angle=0.0, elements=elements,
-                      fov_blocked_center=0.0, fov_blocked_halfwidth=0.0)
+    return ArrayPanel(mount=0, elements=elements, fov_blocked_center=0.0,
+                      fov_blocked_halfwidth=0.0)
 
 
 @st.composite
 def centred_layouts(draw) -> np.ndarray:
-    """(2, E) element distances and angles, E in 1..30, of points drawn in a
-    square of half-side 1e-3 to 1e3 m and moved to their centroid."""
+    """(E,) complex element offsets, E in 1..30, of points drawn in a square
+    of half-side 1e-3 to 1e3 m and moved to their centroid."""
     n, scale = draw(st.integers(1, 30)), draw(st.sampled_from([1e-3, 0.05, 1.0, 1e3]))
     points = np.array(draw(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
                                     min_size=n, max_size=n))).T * scale
     x, y = points - points.mean(axis=1, keepdims=True)
-    return np.array([np.hypot(x, y), np.arctan2(y, x)])
+    return x + 1j * y
 
 
 def assert_matches_element_oracle(arrays, k: int, elements: np.ndarray) -> None:
     """VehicleArrays' aperture matrix of panel k against the per-element
-    definition, at 64 directions: u^T S u = SAAF(theta). The summed offsets
-    d_perp = sum_i d_i (sin psi_i, -cos psi_i), which the kernels take as 0
-    (the phase centre at the centroid), lie within the centring tolerance of
-    ArrayPanel, N times 1e-12 m or 1e-12 of the largest distance."""
+    definition on the offsets' polar form, at 64 directions: u^T S u =
+    SAAF(theta). The summed offsets d_perp = sum_i d_i (sin psi_i, -cos psi_i),
+    which the kernels take as 0 (the phase centre at the centroid), lie within
+    the centring tolerance of ArrayPanel, N times 1e-12 m or 1e-12 of the
+    largest distance."""
     theta = np.linspace(-math.pi, math.pi, 64)
     u = np.array([np.cos(theta), np.sin(theta)])
-    largest = elements[0].max()
+    largest = np.abs(elements).max()
     np.testing.assert_allclose(
         np.einsum("it,ij,jt->t", u, arrays.saaf_s[k], u),
-        [reference_aperture(elements, t) for t in theta.tolist()], rtol=0, atol=1e-14 * largest**2)
-    assert math.hypot(*reference_d_perp(elements)) <= elements.shape[1] * 1e-12 * max(1.0, largest)
+        [reference_aperture(polar(elements), t) for t in theta.tolist()], rtol=0,
+        atol=1e-14 * largest**2)
+    assert (math.hypot(*reference_d_perp(polar(elements)))
+            <= elements.size * 1e-12 * max(1.0, largest))
 
 
 class TestUnitVectors:
@@ -131,33 +135,29 @@ class TestTypes:
         pose = Pose(Vec2(0.0, 0.0), 3.0 * math.pi)
         assert -math.pi < pose.orientation <= math.pi
 
-    def test_element_offset_nonnegative(self):
-        # Centred (the points (-0.1, 0) and (0.1, 0)), but a distance is negative.
-        with pytest.raises(ValueError, match="distance must be >= 0"):
-            bare_panel([[-0.1, -0.1], [0.0, math.pi]])
-
     def test_panel_requires_centered_elements(self):
         with pytest.raises(ValueError, match="centered"):
-            bare_panel([[0.1], [0.0]])
+            bare_panel([0.1])
 
     @pytest.mark.parametrize("elements, message", [
-        (np.zeros((2, 0)), "E >= 1"),
-        (np.zeros((3, 2)), r"\(2, E\)"),
-        (np.zeros(2), r"\(2, E\)"),
-        ([[0.1, math.nan], [0.0, math.pi]], "finite"),
-        ([[0.1, 0.1], [0.0, math.inf]], "finite"),
+        (np.zeros(0, complex), "E >= 1"),
+        (np.zeros((2, 2)), r"\(E,\)"),  # a (2, E) distance and angle array is no panel
+        (np.zeros(()), r"\(E,\)"),
+        ([0.1, complex(-0.1, math.nan)], "finite"),
+        ([complex(math.inf, 0.0), -0.1], "finite"),
     ])
     def test_element_array_rules(self, elements, message):
         with pytest.raises(ValueError, match=message):
             bare_panel(elements)
 
-    def test_elements_wrapped_copied_and_read_only(self):
-        given_elements = np.array([[0.1, 0.1, 0.0], [3.0 * math.pi, -math.tau, -math.pi]])
+    def test_elements_complex_copied_and_read_only(self):
+        given_elements = np.array([0.1, -0.1, 0.0])  # real offsets are points on the x axis
         panel = bare_panel(given_elements)
-        np.testing.assert_array_equal(panel.elements, [[0.1, 0.1, 0.0], [math.pi, 0.0, math.pi]])
+        assert panel.elements.dtype == complex and panel.mount == 0j
+        np.testing.assert_array_equal(panel.elements, [0.1, -0.1, 0.0])
         assert panel.n_elements == 3 and given_elements.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            panel.elements[0, 0] = 0.2
+            panel.elements[0] = 0.2
 
     def test_centring_tolerance_scales_with_the_panel(self):
         # The same off-centre layout is refused at every scale, and the at-limit
@@ -165,11 +165,11 @@ class TestTypes:
         # residual check refused it from 5000 elements on.
         for scale in (1e-3, 1.0, 1e3, 1e6):
             with pytest.raises(ValueError, match="centered"):
-                bare_panel([[scale, scale], [0.0, 3.0]])
+                bare_panel([scale, cmath.rect(scale, 3.0)])
         # Coincident points moved to their mean keep offsets of rounding alone.
-        bare_panel([[5.421010862427522e-20] * 3, [math.pi] * 3])
+        bare_panel([-5.421010862427522e-20] * 3)
         panel = build_conformal_panel(MAX_RX_ELEMENTS, SPEED_OF_LIGHT / 0.5e9, 1, math.pi / 4)
-        assert panel.n_elements == MAX_RX_ELEMENTS and panel.elements[0].max() > 900.0
+        assert panel.n_elements == MAX_RX_ELEMENTS and np.abs(panel.elements).max() > 900.0
 
     def test_vehicle_requires_positive_dims(self):
         with pytest.raises(ValueError):
@@ -181,8 +181,12 @@ class TestTypes:
         with pytest.raises(ValueError, match=field):
             VehicleSpec(**{"length": 4.5, "width": 1.8, field: value}, panels=(open_panel(),))
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["mount_distance", "mount_angle", "fov_blocked_center"])
+    @pytest.mark.parametrize("field, value", [
+        *((field, value) for field in ("mount", "fov_blocked_center")
+          for value in (math.nan, math.inf, -math.inf)),
+        *(("mount", value) for value in (complex(0.9, math.nan), complex(0.9, math.inf),
+                                         complex(-math.inf, 2.25))),
+    ])
     def test_non_finite_panel_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             dataclasses.replace(open_panel(), **{field: value})
@@ -201,9 +205,9 @@ class TestConformalPanel:
 
         panel = build_conformal_panel(4, lam, 1, math.pi / 4)
         assert panel.n_elements == 4
-        for (d, psi), x, y in zip(panel.elements.T.tolist(), xs, ys):
-            assert abs(d * math.cos(psi) - (x - cx)) < 1e-12
-            assert abs(d * math.sin(psi) - (y - cy)) < 1e-12
+        for e, x, y in zip(panel.elements.tolist(), xs, ys):
+            assert abs(e.real - (x - cx)) < 1e-12
+            assert abs(e.imag - (y - cy)) < 1e-12
 
     def test_two_element_radius(self):
         lam = 1.0
@@ -211,14 +215,14 @@ class TestConformalPanel:
         assert abs(rho - 0.35355339059327373) < 1e-15
         panel = build_conformal_panel(2, lam, 1, math.pi / 4)
         # Recentered two-element offsets are half the half-wavelength chord.
-        np.testing.assert_allclose(panel.elements[0], 0.25, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.abs(panel.elements), 0.25, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 9, 25])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_half_wavelength_spacing_and_centroid(self, n, k):
         lam = 0.0107
         panel = build_conformal_panel(n, lam, k, math.pi / 4)
-        pts = [(d * math.cos(psi), d * math.sin(psi)) for d, psi in panel.elements.T.tolist()]
+        pts = [(e.real, e.imag) for e in panel.elements.tolist()]
         cx = sum(p[0] for p in pts)
         cy = sum(p[1] for p in pts)
         assert math.hypot(cx, cy) < 1e-12
@@ -227,7 +231,7 @@ class TestConformalPanel:
 
     def test_single_element_at_centroid(self):
         panel = build_conformal_panel(1, 0.1, 1, math.pi / 4)
-        np.testing.assert_array_equal(panel.elements, [[0.0], [0.0]])
+        np.testing.assert_array_equal(panel.elements, [0j])
 
     def test_zero_elements_rejected(self):
         with pytest.raises(ValueError, match="n_elements must be >= 1"):
@@ -247,7 +251,7 @@ class TestPanelWorldState:
     checks the package's VehicleArrays.centroids against it."""
 
     def _vehicle(self):
-        return VehicleSpec(length=1.0, width=1.0, panels=(open_panel(1.0, 0.0),))
+        return VehicleSpec(length=1.0, width=1.0, panels=(open_panel(1.0),))
 
     def test_identity_pose(self):
         state = panel_world_state(self._vehicle(), Pose(Vec2(0, 0), 0.0), 0)
@@ -299,7 +303,7 @@ class TestCentroidsMatchPanelWorldState:
             heading = np.array(headings)
             mount, sector = vehicle.arrays.turned(np.exp(1j * heading))
             expected = reference_centroids(vehicle, np.zeros((len(heading), 2)), heading)
-            distance = np.array([p.mount_distance for p in vehicle.panels])
+            distance = np.abs([p.mount for p in vehicle.panels])
             error = np.abs(np.stack((mount.real, mount.imag), axis=-1) - expected)
             assert (error <= 4 * np.finfo(float).eps * distance[:, None]).all()
             error = np.abs(np.array([sector.real, sector.imag]) - reference_sector_centers(
@@ -392,8 +396,8 @@ class TestVisibility:
 
     def test_fully_blocked_raises(self):
         # Two single-panel vehicles whose blocked sectors face each other.
-        tx_panel = open_panel(0.0, 0.0, blocked_center=0.0)
-        rx_panel = open_panel(0.0, 0.0, blocked_center=math.pi)
+        tx_panel = open_panel(blocked_center=0.0)
+        rx_panel = open_panel(blocked_center=math.pi)
         import dataclasses
 
         tx_panel = dataclasses.replace(tx_panel, fov_blocked_halfwidth=math.pi / 3)
@@ -444,7 +448,7 @@ class TestVisibility:
         turn = tx_heading - heading  # the turn between the headings as rounded
         offset = visibility(arrays, (origin, np.array([tx_heading])),
                             arrays, (origin, np.array([heading])))[1][0]
-        distance, angle = np.array([(p.mount_distance, p.mount_angle) for p in vehicle.panels]).T
+        distance, angle = polar([p.mount for p in vehicle.panels])
         mid = angle + heading + 0.5 * turn
         twin = 2.0 * distance * math.sin(0.5 * turn) * (np.sin(mid) - 1j * np.cos(mid))
         error = np.abs(offset.diagonal() - twin) / np.abs(twin)
@@ -673,15 +677,13 @@ class TestBuiltVehicle:
         corners = [(0.9, 2.25), (-0.9, 2.25), (-0.9, -2.25), (0.9, -2.25)]
         for panel, (cx, cy) in zip(vehicle.panels, corners):
             assert panel.fov_blocked_halfwidth == 0.6
-            assert abs(panel.mount_distance * math.cos(panel.mount_angle) - cx) < 1e-12
-            assert abs(panel.mount_distance * math.sin(panel.mount_angle) - cy) < 1e-12
+            assert panel.mount == complex(cx, cy)  # the corner itself, no polar round trip
 
     def test_element_offsets_sum_to_zero(self, preset_28):
         vehicle = build_cornered_vehicle(4.5, 1.8, 25, 0.0107, math.pi / 4)
         for panel in vehicle.panels:
-            d, psi = panel.elements.tolist()
-            sx = sum(di * math.cos(a) for di, a in zip(d, psi))
-            sy = sum(di * math.sin(a) for di, a in zip(d, psi))
+            sx = sum(e.real for e in panel.elements.tolist())
+            sy = sum(e.imag for e in panel.elements.tolist())
             assert math.hypot(sx, sy) < 1e-12
 
 
@@ -690,9 +692,9 @@ class TestVehicleArrays:
     def mixed_vehicle() -> VehicleSpec:
         """Panels of 1, 2 and 3 elements at different mounts and sectors."""
         panels = (
-            open_panel(mount_distance=1.0, mount_angle=0.3, n_elements=1),
-            open_panel(mount_distance=2.0, mount_angle=-1.2, n_elements=2, blocked_center=0.5),
-            build_conformal_panel(3, 0.0857, 3, math.pi / 4, mount_distance=1.5, mount_angle=2.5),
+            open_panel(mount=cmath.rect(1.0, 0.3), n_elements=1),
+            open_panel(mount=cmath.rect(2.0, -1.2), n_elements=2, blocked_center=0.5),
+            build_conformal_panel(3, 0.0857, 3, math.pi / 4, mount=cmath.rect(1.5, 2.5)),
         )
         return VehicleSpec(length=4.5, width=1.8, panels=panels)
 
@@ -703,13 +705,13 @@ class TestVehicleArrays:
         assert [p.n_elements for p in vehicle.panels] == [1, 2, 3]
         for k, panel in enumerate(vehicle.panels):
             eps = np.finfo(float).eps
-            mount = panel.mount_distance * cmath.exp(1j * panel.mount_angle)
-            assert abs(arrays.mount[k] - mount) <= 2 * eps * panel.mount_distance
+            assert arrays.mount[k] == panel.mount
             assert abs(arrays.blocked_dir[k] - cmath.exp(1j * panel.fov_blocked_center)) <= 2 * eps
-            assert arrays.blocked_halfwidth[k] == panel.fov_blocked_halfwidth
+            np.testing.assert_array_equal(arrays.blocked_edge[:, k],
+                                          sector_edge(panel.fov_blocked_halfwidth))
             assert arrays.n_elements[k] == panel.n_elements
-            np.testing.assert_array_equal(arrays.elements[:, k, :panel.n_elements], panel.elements)
-            assert not arrays.elements[:, k, panel.n_elements:].any()
+            np.testing.assert_array_equal(arrays.elements[k, :panel.n_elements], panel.elements)
+            assert not arrays.elements[k, panel.n_elements:].any()
             assert_matches_element_oracle(arrays, k, panel.elements)
         assert not arrays.saaf_s[0].any()  # one element has no aperture
         assert vehicle.arrays is arrays
@@ -733,5 +735,5 @@ class TestVehicleArrays:
         wider = dataclasses.replace(vehicle, width=2.0)
         assert wider.arrays is not arrays and wider.arrays.width == 2.0
         fewer = dataclasses.replace(vehicle, panels=vehicle.panels[:2])
-        assert list(fewer.arrays.n_elements) == [1, 2] and fewer.arrays.elements.shape == (2, 2, 2)
+        assert list(fewer.arrays.n_elements) == [1, 2] and fewer.arrays.elements.shape == (2, 2)
         assert vehicle.arrays is arrays and arrays.width == 1.8

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from v2vbounds import scenarios
+from v2vbounds.app import emit_csv
 from v2vbounds.channel import link_gains
 from v2vbounds.errors import NoBracket
 from v2vbounds.fim_closed import MEASUREMENTS, bound_arrays, efim_aoa_only
@@ -171,6 +172,15 @@ class TestCrossConfig:
 
 
 class TestEvaluatePoint:
+    def test_no_placements_give_an_empty_table(self, preset_3p5, tmp_path):
+        # n = 0 takes the one code path of every n; an empty sweep is still
+        # not written.
+        table = bound_table(preset_3p5, np.empty((0, 2)))
+        assert table.shape == (0, len(COLUMNS))
+        assert evaluate_points(preset_3p5, []) == []
+        with pytest.raises(ValueError, match="empty sweep"):
+            emit_csv(table, tmp_path / "empty.csv")
+
     def test_no_links_yields_sentinels(self, preset_3p5):
         # Complete overlap: every pair is blocked by a body edge or wedge
         # boundary, while calibration at the reference placement still works.
@@ -223,10 +233,11 @@ class TestEvaluatePoint:
             arrays.saaf_s[:] *= 4
         assert evaluate_point(preset_3p5, Vec2(-3.5, 10.0)) == before
         # Every array field of the vehicle's arrays and of the link context:
-        # blocked_dir, the SAAF terms link_saaf and the sending mask among them.
+        # mount, blocked_dir, the complex elements, the SAAF terms link_saaf and
+        # the sending mask among them.
         shared = [getattr(owner, f.name) for owner in (arrays, ctx) for f in dataclasses.fields(owner)
                   if isinstance(getattr(owner, f.name), np.ndarray)]
-        assert len(shared) == 15
+        assert len(shared) == 14
         assert not any(a.flags.writeable for a in shared)
 
 
