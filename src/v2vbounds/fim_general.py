@@ -4,13 +4,16 @@ Assembles each link's Fisher information in its channel parameters (delay,
 arrival angle, complex gain), maps it onto position/orientation and the common
 timing offset through the geometric Jacobian, and removes nuisance parameters
 with a Schur complement through a pseudo-inverse, so that a singular nuisance
-block still gives the closed form's EFIM. A central-finite-difference twin of
-the channel FIM serves as a numerical oracle for the analytic derivatives. The
-three stages are kernels over a stack of placements, padded to one link count,
-under one link context; :func:`placement_links` builds their inputs from a
-visibility pass and :func:`placement_schur_efims` chains them, the general-path
-twin of ``scenarios.placement_efims``, with the measurement sets in the same
-order (``fim_closed.MEASUREMENTS``). The one-scene functions are n = 1 calls.
+block still gives the closed form's EFIM: each link's nuisance parameters go
+on their own sub-block, and only its kept parameters meet the offset. A
+central-finite-difference twin of the channel FIM serves as a numerical
+oracle for the analytic derivatives. The three stages are kernels over a
+stack of placements under one link context, padded to one link count with
+silent links, which change no bit of an EFIM; :func:`placement_links` builds
+their inputs from a visibility pass and :func:`placement_schur_efims` chains
+them, the general-path twin of ``scenarios.placement_efims``, with the
+measurement sets in the same order (``fim_closed.MEASUREMENTS``). The
+one-scene functions are n = 1 calls.
 
 A panel's phase centre is its centroid, where ``geometry.ArrayPanel`` centres
 its elements, so each link's angle decouples from its delay and gains.
@@ -65,10 +68,22 @@ _FA = np.array([[0.0, 1.0, 1.0, 1j], [-1j, 0.0, 0.0, 0.0]])
 _FB = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1j, 0.0, 0.0]])
 
 
-def _moment_gram(rows: np.ndarray, moments: np.ndarray) -> np.ndarray:
-    """sum_s w_s f(x_s)^H f(x_s), f(x) = rows[0] + x rows[1], from the
-    moments (..., 3) = sum_s w_s x_s^p, p = 0, 1, 2."""
-    return rows.conj().T @ np.stack((moments[..., :2], moments[..., 1:]), axis=-2) @ rows
+def _gram_kernel(rows: np.ndarray) -> np.ndarray:
+    """The (3, 16) complex kernel K of f(x) = rows[0] + x rows[1]: f(x)^H f(x),
+    flattened, is (1, x, x^2) @ K, so a weighted sum over x is the moments' product."""
+    outer = rows.conj()[:, None, :, None] * rows[None, :, None, :]
+    return np.stack((outer[0, 0], outer[0, 1] + outer[1, 0], outer[1, 1])).reshape(3, 16)
+
+
+_KA, _KB = _gram_kernel(_FA), _gram_kernel(_FB)
+
+
+def _moment_gram(kernel: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    """sum_s w_s f(x_s)^H f(x_s) (..., 4, 4) of a :func:`_gram_kernel`, from
+    the moments (..., 3) = sum_s w_s x_s^p, p = 0, 1, 2. The two rows of _FA,
+    and of _FB, have disjoint supports, so each entry is one moment times 0,
+    +-1 or +-1j: exact."""
+    return (moments @ kernel).reshape(moments.shape[:-1] + (4, 4))
 
 
 def _information(ctx: LinkContext, grams: np.ndarray) -> np.ndarray:
@@ -94,10 +109,10 @@ def channel_fims(
     or element axis. With the phase centre at the centroid, sum dphase is 0
     and sum dphase^2 is k^2 N_r SAAF(angle), k = omega_c / c.
     """
-    tx = _moment_gram(_FA, ctx.tx_moments)
+    tx = _moment_gram(_KA, ctx.tx_moments)
     n_r, k = ctx.rx_vehicle.arrays.n_elements[r], ctx.ofdm.omega_c / SPEED_OF_LIGHT
     square = k**2 * n_r * saaf_form(ctx.link_saaf[:, t, r], np.exp(1j * angle))
-    rx_gram = _moment_gram(_FB, np.stack((n_r, np.zeros_like(square), square), axis=-1))
+    rx_gram = _moment_gram(_KB, np.stack((n_r, np.zeros_like(square), square), axis=-1))
     # |h|^2 times the 1/h of the gain columns: conj(v_k) v_l, v = [h, h, 1, 1].
     v = np.stack((h, h, np.ones_like(h), np.ones_like(h)), axis=-1)
     weight = v.conj()[..., :, None] * v[..., None, :]
@@ -168,33 +183,44 @@ def schur_efims(blocks: np.ndarray, jacobians: np.ndarray, measurement: Measurem
     parameters (_NUISANCE) are gone.
 
     Links couple only through the offset, so by the quotient property each
-    link's nuisance block goes first, in its own parameters: equilibrated,
-    unit pivots for the others, pseudo-inverted from one batched eigh at
-    RANK_EPS times its largest eigenvalue (for a PSD FIM, N z = 0 forces
+    link's nuisance block N (k x k) goes first, on its own sub-block: with B
+    the coupling of the kept parameters to it and A their block, the kept
+    information is A - B N^+ B^T, N equilibrated and pseudo-inverted from one
+    batched eigh (n, L, k, k) at RANK_EPS max(1, lambda_max), the 1 the unit
+    pivot of a kept parameter, so the zero N of an array without subcarriers
+    inverts nothing, not even rounding residue (for a PSD FIM, N z = 0 forces
     B z = 0: one subcarrier per array turns a delay like its gain phase).
-    Then the offset, where its remaining information is above RANK_EPS of
-    what it was: as in the closed form, the delays' geometry is centred on
-    the mean m their remaining information weighs, which moves the offset by
-    m . eta and decouples it with no difference of large terms. Sums run in
-    link order, so a silent link adds exact zeros. Ranked where the centred
-    information, no smaller than RANK_EPS of the uncentred (the centring's
-    rounding), has a unit diagonal: eigenvalues up to RANK_EPS are residue.
+    Only A, its complement and the Jacobians' kept columns go on. Then the
+    offset, where its remaining information is above RANK_EPS of what it
+    was: as in the closed form, the delays' geometry is centred on the mean
+    m their remaining information weighs, which moves the offset by m . eta
+    and decouples it with no difference of large terms. Sums run in link
+    order, so a silent link adds exact zeros and padding changes no bit.
+    Ranked where the centred information, no smaller than RANK_EPS of the
+    uncentred (the centring's rounding), has a unit diagonal: eigenvalues up
+    to RANK_EPS are residue.
     """
     nuisance = _NUISANCE[measurement]
-    d = np.where(nuisance[:, None] & nuisance, blocks, np.eye(4))
+    kept, gone = np.flatnonzero(~nuisance), np.flatnonzero(nuisance)
+    a, b, d = (blocks[..., rows[:, None], columns]
+               for rows, columns in ((kept, kept), (kept, gone), (gone, gone)))
     diag = d.diagonal(0, -2, -1)
     scale = np.sqrt(np.where(diag > 0.0, diag, 1.0))
     eigvals, vectors = np.linalg.eigh(d / (scale[..., :, None] * scale[..., None, :]))
-    c = (blocks * nuisance / scale[..., None, :]) @ vectors
-    inverse = np.divide(1.0, eigvals, where=eigvals > RANK_EPS * eigvals[..., -1:],
+    c = (b / scale[..., None, :]) @ vectors
+    inverse = np.divide(1.0, eigvals, where=eigvals > RANK_EPS * np.maximum(eigvals[..., -1:], 1.0),
                         out=np.zeros(eigvals.shape))
-    free = blocks - (c * inverse[..., None, :]) @ c.swapaxes(-1, -2)
-    before, after = ((jacobians @ j[..., :1]).sum(axis=1)[..., 0] for j in (blocks, free))
+    free = a - (c * inverse[..., None, :]) @ c.swapaxes(-1, -2)
+    w = jacobians[..., kept]
+    # The offset's column of the links' information before and after the nuisance
+    # parameters go; zero in AOA-only, where the offset shifts no kept parameter.
+    before, after = ((w @ x @ w[..., 3, :, None]).sum(axis=1)[..., 0] for x in (a, free))
     m = np.divide(after[:, :3], after[:, 3:], where=after[:, 3:] > RANK_EPS * before[:, 3:],
                   out=np.zeros((len(after), 3)))
-    w = jacobians[..., :3, :] - m[:, None, :, None] * jacobians[..., 3:, :]
-    units = np.maximum(((w @ blocks) * w).sum(axis=(1, 3)), RANK_EPS * (
-        (jacobians[..., :3, :] @ blocks) * jacobians[..., :3, :]).sum(axis=(1, 3)))
+    geometric = w[..., :3, :]
+    w = geometric - m[:, None, :, None] * w[..., 3:, :]
+    units = np.maximum(((w @ a) * w).sum(axis=(1, 3)),
+                       RANK_EPS * ((geometric @ a) * geometric).sum(axis=(1, 3)))
     unit = np.sqrt(np.where(units > 0.0, units, 1.0))
     unit = unit[:, :, None] * unit[:, None, :]
     eigvals, vectors = np.linalg.eigh((w @ free @ w.swapaxes(-1, -2)).sum(axis=1) / unit)

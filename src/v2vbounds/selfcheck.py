@@ -16,10 +16,13 @@ gaps, blocked-sector edges. The Schur path answers for every placement, a
 singular nuisance block included, so every one is compared. A NaN error
 fails every suite.
 
-A kernel call's fixed cost, not its arithmetic, dominates: one call takes a
-draw block's placements of a preset, links padded (Schur), or of a preset and
-link count (FD, :func:`_link_count_chunks`), cut only where the FD gradient
-would pass _STACK_BYTES. Memory does not grow with n_scenes.
+A Schur call's fixed cost, not its arithmetic, dominates, so one call takes
+a draw block's placements of a preset, links padded. The FD twin's
+arithmetic grows with its samples (at 28 GHz a (4, 9) stack takes 1.4 ms
+against 0.05 ms for its analytic twin on a 2-vCPU Xeon), so it runs per
+preset and link count (:func:`_link_count_chunks`), padding nothing, cut only
+where its gradient would pass _STACK_BYTES. Memory does not grow with
+n_scenes.
 """
 
 from __future__ import annotations
@@ -208,7 +211,7 @@ def run_selfcheck() -> int:
     print(f"analytic vs FD channel FIM: max equilibrated rel Frobenius {worst_fd:.3e} "
           f"(tol {ANALYTIC_VS_FD_TOL:.0e})")
     worst_ref = reference_invariance_error()
-    print(f"reference-link invariance : max rel Frobenius {worst_ref:.3e} "
+    print(f"link-order invariance     : max rel Frobenius {worst_ref:.3e} "
           f"(tol {REFERENCE_INVARIANCE_TOL:.0e})")
     print(f"selfcheck completed in {time.monotonic() - t0:.1f} s")
     ok = (

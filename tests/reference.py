@@ -443,6 +443,42 @@ def reference_schur_efims(j_phi, t_matrix):
     return (vectors * eigvals[..., None, :]) @ vectors.swapaxes(-1, -2) * unit
 
 
+def padded_schur_efims(blocks, jacobians, measurement):
+    """``fim_general.schur_efims`` in its padded form: each link's nuisance
+    block (``fim_general._NUISANCE``) padded to 4 x 4 with unit pivots for
+    its kept parameters through np.where, pseudo-inverted from one eigh of
+    the equilibrated (n, L, 4, 4) blocks at RANK_EPS of their largest
+    eigenvalue, and the Jacobians' zero nuisance columns carried through
+    every product. The reference for the kernel's kept-parameter sub-blocks."""
+    nuisance = _NUISANCE[measurement]
+    d = np.where(nuisance[:, None] & nuisance, blocks, np.eye(4))
+    diag = d.diagonal(0, -2, -1)
+    scale = np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    eigvals, vectors = np.linalg.eigh(d / (scale[..., :, None] * scale[..., None, :]))
+    c = (blocks * nuisance / scale[..., None, :]) @ vectors
+    inverse = np.divide(1.0, eigvals, where=eigvals > RANK_EPS * eigvals[..., -1:],
+                        out=np.zeros(eigvals.shape))
+    free = blocks - (c * inverse[..., None, :]) @ c.swapaxes(-1, -2)
+    before, after = ((jacobians @ j[..., :1]).sum(axis=1)[..., 0] for j in (blocks, free))
+    m = np.divide(after[:, :3], after[:, 3:], where=after[:, 3:] > RANK_EPS * before[:, 3:],
+                  out=np.zeros((len(after), 3)))
+    w = jacobians[..., :3, :] - m[:, None, :, None] * jacobians[..., 3:, :]
+    units = np.maximum(((w @ blocks) * w).sum(axis=(1, 3)), RANK_EPS * (
+        (jacobians[..., :3, :] @ blocks) * jacobians[..., :3, :]).sum(axis=(1, 3)))
+    unit = np.sqrt(np.where(units > 0.0, units, 1.0))
+    unit = unit[:, :, None] * unit[:, None, :]
+    eigvals, vectors = np.linalg.eigh((w @ free @ w.swapaxes(-1, -2)).sum(axis=1) / unit)
+    eigvals[eigvals <= RANK_EPS] = 0.0
+    return (vectors * eigvals[..., None, :]) @ vectors.swapaxes(-1, -2) * unit
+
+
+def moment_gram(rows, moments):
+    """sum_s w_s f(x_s)^H f(x_s), f(x) = rows[0] + x rows[1], as
+    rows^H [[M0, M1], [M1, M2]] rows from the moments (..., 3) = sum_s w_s
+    x_s^p: the reference for ``fim_general._moment_gram``'s kernel product."""
+    return rows.conj().T @ np.stack((moments[..., :2], moments[..., 1:]), axis=-2) @ rows
+
+
 def inverse_bound_arrays(j_po):
     """Ranks and bounds of (..., 3, 3) EFIMs from eigvalsh and a LAPACK
     inverse: the reference for ``fim_closed.bound_arrays`` on finite

@@ -285,7 +285,7 @@ def test_criterion_7_invariances():
     report(
         "criterion 7 (invariance suite)",
         ok,
-        f"reference-link permutation max deviation {ref_err:.3e} (tol 1e-10); "
+        f"link-order permutation max deviation {ref_err:.3e} (tol 1e-10); "
         f"subcarrier-spacing invariance of AOA-only bounds exact: {df_exact}; "
         f"PEB ~ 1/sqrt(n_symbols) deviation {nb_err:.3e} (tol 1e-10)",
     )

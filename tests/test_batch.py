@@ -47,8 +47,8 @@ from v2vbounds.waveform import effective_bandwidths
 from conftest import NARROW, small_scene
 from reference import (
     delay_difference_fims, delay_difference_transforms, dense_arrow, dense_link_efims, link_offsets,
-    link_order, reference_calibrated_power, reference_centroids, reference_los_visible,
-    reference_schur_efims, rx_panel_state, tx_panel_state,
+    link_order, padded_schur_efims, reference_calibrated_power, reference_centroids,
+    reference_los_visible, reference_schur_efims, rx_panel_state, tx_panel_state,
 )
 
 BOUND_FIELDS = (
@@ -444,6 +444,53 @@ def test_schur_efims_equal_the_whole_nuisance_pseudo_inverse(case):
         assert (error < 1e-12).all(), (measurement, error.max())
 
 
+def with_silent_link(links):
+    """placement_links' stacks (n, L) with one more silent link (h = 0, unit
+    distance) on the first link's panels, directions and arrival angle."""
+    silent = [x[:, :1] for x in links]
+    silent[4], silent[6] = np.ones_like(silent[4]), np.zeros_like(silent[6])
+    return [np.concatenate(pair, axis=1) for pair in zip(links, silent)]
+
+
+# Near-coincident bodies with one Rx element and a tiny Tx heading: the two
+# kernels agree, where each differs from the whole-nuisance oracle by up to
+# 8.5e-8 in A's units.
+@example((PresetConfig(name="custom", carrier_frequency=1e9, subcarrier_spacing=15e3,
+                       n_rx_elements=1, target_snr_db=0.0, max_occupied_index=3,
+                       vehicle_length=4.25, vehicle_width=1.5, lane_width=3.0,
+                       fov_blocked_halfwidth=0.0), [(1e-7, 0.0, 3.946415965842079e-170)]))
+@example((PresetConfig(name="custom", carrier_frequency=1e9, subcarrier_spacing=15e3,
+                       n_rx_elements=1, target_snr_db=0.0, max_occupied_index=3,
+                       vehicle_length=4.25, vehicle_width=1.5, lane_width=3.0,
+                       fov_blocked_halfwidth=0.0), [(0.0, 1e-7, 3.946415965842079e-170)]))
+@settings(max_examples=40, deadline=None)
+@given(preset_and_float_placements(st.builds(dataclasses.replace, custom_presets(),
+                                             n_rx_elements=st.sampled_from([1, 2]),
+                                             max_occupied_index=st.integers(1, 8))))
+def test_schur_efims_equal_the_padded_kernel(case):
+    # Each link's nuisance parameters eliminated on their own sub-block
+    # against the padded form, which pivots the kept parameters in one 4 x 4
+    # eigh per link: equal ranks and EFIMs equal to rounding in A's units, on
+    # one stack of every placement with one more silent link, which changes
+    # no bit. One and two Rx elements leave the angle with little or no
+    # information, and one to eight subcarriers the nuisance block singular.
+    stacks = schur_cases(case)
+    assume(stacks is not None)
+    ctx, links = stacks
+    padded = with_silent_link(links)
+    for measurement in MEASUREMENTS:
+        j_po = []
+        for t, r, v_tau, v_theta, distance, angle, h in (links, padded):
+            blocks = channel_fims(ctx, t, r, angle, h)
+            jacobians = transform_matrices(v_tau, v_theta, distance, measurement)
+            j_po.append(schur_efims(blocks, jacobians, measurement))
+        np.testing.assert_array_equal(j_po[0], j_po[1])
+        expected = padded_schur_efims(blocks, jacobians, measurement)
+        np.testing.assert_array_equal(bound_arrays(j_po[1])[1], bound_arrays(expected)[1])
+        error = a_units_error(j_po[1], expected, blocks, jacobians)
+        assert (error < 1e-12).all(), (measurement, error.max())
+
+
 @settings(max_examples=40, deadline=None)
 @given(preset_and_float_placements(st.builds(dataclasses.replace, custom_presets(),
                                              max_occupied_index=st.integers(1, 8))))
@@ -495,7 +542,7 @@ def test_schur_efims_equal_the_delay_difference_layout(case):
           [(0.0, 0.0, 2.25e-6)]))
 @settings(max_examples=30, deadline=None)
 @given(preset_and_float_placements())
-def test_schur_efims_do_not_depend_on_the_reference_link(case):
+def test_schur_efims_do_not_depend_on_the_link_order(case):
     # Each placement's links, reordered to put link k first and the others in
     # (t, r) order, give both sets' Schur EFIMs of the (t, r) order itself,
     # with equal ranks.

@@ -44,8 +44,8 @@ from v2vbounds.waveform import effective_bandwidths, interleaved_allocation
 from conftest import LIGHT, open_panel, small_scene, with_context
 from reference import (
     brute_force_fim_channel, delay_difference_fims, dense_arrow, einsum_information,
-    link_geometry, link_order, link_samples, per_link_fim_channel_fd, polar, reference_aperture,
-    reference_phases, rx_panel_state, tx_panel_state,
+    link_geometry, link_order, link_samples, moment_gram, per_link_fim_channel_fd, polar,
+    reference_aperture, reference_phases, rx_panel_state, tx_panel_state,
 )
 
 
@@ -262,6 +262,18 @@ class TestFactorisedGram:
     def test_rx_panels_with_different_element_counts(self):
         links = assert_matches_oracle(mixed_panel_scene())[0]
         assert len(links) == 8
+
+    @pytest.mark.parametrize("rows, kernel", [(fim_general._FA, fim_general._KA),
+                                              (fim_general._FB, fim_general._KB)], ids=["tx", "rx"])
+    def test_moment_gram_equals_the_row_form_bitwise(self, rows, kernel):
+        # Non-negative moments over 60 decades, a zero among them (the Rx
+        # panels' first moment), on one to three leading axes.
+        rng = np.random.default_rng(SELFCHECK_SEED)
+        for shape in ((3,), (7, 3), (4, 5, 3)):
+            moments = rng.uniform(0.0, 1.0, shape) * 10.0 ** rng.uniform(-30.0, 30.0, shape)
+            moments[..., 1].flat[0] = 0.0
+            np.testing.assert_array_equal(fim_general._moment_gram(kernel, moments),
+                                          moment_gram(rows, moments))
 
 
 def mixed_panel_scene():
