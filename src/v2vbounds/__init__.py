@@ -12,7 +12,7 @@ from .errors import ConfigError, NoActiveLinks, NoBracket
 from .fim_closed import (
     MEASUREMENTS, FimResult, bound_arrays, bounds_from_fim, efim_aoa_only, efim_aoa_tdoa,
 )
-from .fim_general import efim_general, placement_schur_efims
+from .fim_general import placement_schur_efims
 from .geometry import Vec2, active_links
 from .scenarios import (
     PRESETS,

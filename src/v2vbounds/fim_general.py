@@ -4,16 +4,16 @@ Assembles each link's Fisher information in its channel parameters (delay,
 arrival angle, complex gain), maps it onto position/orientation and the common
 timing offset through the geometric Jacobian, and removes nuisance parameters
 with a Schur complement through a pseudo-inverse, so that a singular nuisance
-block still gives the closed form's EFIM: each link's nuisance parameters go
-on their own sub-block, and only its kept parameters meet the offset. A
-central-finite-difference twin of the channel FIM serves as a numerical
-oracle for the analytic derivatives. The three stages are kernels over a
-stack of placements under one link context, padded to one link count with
-silent links, which change no bit of an EFIM; :func:`placement_links` builds
-their inputs from a visibility pass and :func:`placement_schur_efims` chains
-them, the general-path twin of ``scenarios.placement_efims``, with the
-measurement sets in the same order (``fim_closed.MEASUREMENTS``). The
-one-scene functions are n = 1 calls.
+block still gives the closed form's EFIM: each link's gains go once, on their
+own block, its delay then too for AOA-only, and only its kept parameters meet
+the offset. One pass gives both measurement sets, in the closed form's order
+(``fim_closed.MEASUREMENTS``). A central-finite-difference twin of the
+channel FIM serves as a numerical oracle for the analytic derivatives. The
+three stages are kernels over a stack of placements under one link context,
+padded to one link count with silent links, which change no bit of an EFIM;
+:func:`placement_links` builds their inputs from a visibility pass and
+:func:`placement_schur_efims` chains them, the general-path twin of
+``scenarios.placement_efims``. The one-scene functions are n = 1 calls.
 
 A panel's phase centre is its centroid, where ``geometry.ArrayPanel`` centres
 its elements, so each link's angle decouples from its delay and gains.
@@ -22,8 +22,8 @@ Parameter layout: each of L links, in the order given (:func:`placement_links`
 takes (t, r) order from ``geometry.visible_links``), has its own [delay, angle,
 Re gain, Im gain]. Links couple only through the timing offset, which shifts
 every link's delay, so the channel FIMs are per-link 4 x 4 blocks (n, L, 4, 4)
-and each link's Jacobian (n, L, 4, 4) maps [q_x, q_y, alpha_T, offset] onto
-its parameters. No link is a reference.
+and each link's Jacobian (n, L, 4, 2) maps [q_x, q_y, alpha_T, offset] onto
+its delay and angle. No link is a reference.
 """
 
 from __future__ import annotations
@@ -33,9 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import LinkContext, Scene, free_space_gain
-from .fim_closed import (
-    MEASUREMENTS, RANK_EPS, FimResult, Measurement, bounds_from_fim, link_vectors, saaf_form,
-)
+from .fim_closed import RANK_EPS, FimResult, bounds_from_fim, link_vectors, saaf_form
 from .geometry import SPEED_OF_LIGHT, Link, scene_placement, visible_links
 
 
@@ -147,63 +145,51 @@ def channel_fims_fd(ctx: LinkContext, t: np.ndarray, r: np.ndarray, delay: np.nd
     return _information(ctx, g @ g.swapaxes(-1, -2))
 
 
-# Per measurement set, the nuisance parameters among each link's own [delay,
-# angle, Re gain, Im gain]: the gains, and in AOA-only the delay too.
-_NUISANCE = {"aoa_tdoa": np.array([False, False, True, True]),
-             "aoa": np.array([True, False, True, True])}
+def transform_matrices(v_tau: np.ndarray, v_theta: np.ndarray, distance: np.ndarray) -> np.ndarray:
+    """Geometric Jacobians (n, L, 4, 2) of each link's delay and angle
+    (columns) in [q_x, q_y, alpha_T, offset] (rows), from the links' delay and
+    angle information vectors (n, L, 3) (``fim_closed.link_vectors``) and
+    distances (n, L).
 
-
-def transform_matrices(
-    v_tau: np.ndarray, v_theta: np.ndarray, distance: np.ndarray, measurement: Measurement
-) -> np.ndarray:
-    """Geometric Jacobians (n, L, 4, 4) of each link's own channel parameters
-    (columns, in the module's layout) in [q_x, q_y, alpha_T, offset] (rows),
-    from the links' delay and angle information vectors (n, L, 3)
-    (``fim_closed.link_vectors``) and distances (n, L).
-
-    ``measurement`` is one of MEASUREMENTS. The angle column is v_theta / d;
-    in "aoa_tdoa" the delay column is v_tau / c, plus 1 in the offset row, as
-    the timing offset shifts every link's delay. The nuisance parameters
-    (_NUISANCE) have zero columns.
+    The delay column is v_tau / c, plus 1 in the offset row, as the timing
+    offset shifts every link's delay; the angle column is v_theta / d. No
+    gain depends on the geometry, so the gains have no column.
     """
-    if measurement not in MEASUREMENTS:
-        raise ValueError(f"unknown measurement {measurement!r}, expected one of {MEASUREMENTS}")
-    w = np.zeros(distance.shape + (4, 4))
+    w = np.zeros(distance.shape + (4, 2))
+    w[..., :3, 0] = v_tau / SPEED_OF_LIGHT
+    w[..., 3, 0] = 1.0
     w[..., :3, 1] = v_theta / distance[..., None]
-    if measurement == "aoa_tdoa":
-        w[..., :3, 0] = v_tau / SPEED_OF_LIGHT
-        w[..., 3, 0] = 1.0
     return w
 
 
-def schur_efims(blocks: np.ndarray, jacobians: np.ndarray, measurement: Measurement) -> np.ndarray:
-    """Schur-complement EFIMs (n, 3, 3) over position and orientation from the
-    links' channel FIMs (n, L, 4, 4) and their :func:`transform_matrices` of
-    one measurement set, once the timing offset and the links' nuisance
-    parameters (_NUISANCE) are gone.
+def schur_efims(blocks: np.ndarray, jacobians: np.ndarray) -> np.ndarray:
+    """Schur-complement EFIMs (2, n, 3, 3) over position and orientation, in
+    MEASUREMENTS order, from the links' channel FIMs (n, L, 4, 4) and their
+    :func:`transform_matrices`, once the timing offset and the links' nuisance
+    parameters are gone: the gains, and in AOA-only each link's delay too.
 
     Links couple only through the offset, so by the quotient property each
-    link's nuisance block N (k x k) goes first, on its own sub-block: with B
-    the coupling of the kept parameters to it and A their block, the kept
-    information is A - B N^+ B^T, N equilibrated and pseudo-inverted from one
-    batched eigh (n, L, k, k) at RANK_EPS max(1, lambda_max), the 1 the unit
-    pivot of a kept parameter, so the zero N of an array without subcarriers
-    inverts nothing, not even rounding residue (for a PSD FIM, N z = 0 forces
-    B z = 0: one subcarrier per array turns a delay like its gain phase).
-    Only A, its complement and the Jacobians' kept columns go on. Then the
-    offset, where its remaining information is above RANK_EPS of what it
-    was: as in the closed form, the delays' geometry is centred on the mean
-    m their remaining information weighs, which moves the offset by m . eta
-    and decouples it with no difference of large terms. Sums run in link
-    order, so a silent link adds exact zeros and padding changes no bit.
+    link's nuisance parameters go first, on its own block. The gains N
+    (blocks[..., 2:, 2:]) go once: with B the coupling of the delay and angle
+    to them and A their block, what is left is A - B N^+ B^T, N equilibrated
+    and pseudo-inverted from one batched eigh (n, L, 2, 2) at RANK_EPS
+    max(1, lambda_max), the 1 the unit pivot of a kept parameter, so the zero
+    N of an array without subcarriers inverts nothing, not even rounding
+    residue (for a PSD FIM, N z = 0 forces B z = 0: one subcarrier per array
+    turns a delay like its gain phase). For AOA-only the delay then goes from
+    that 2 x 2 remainder, where its information is above RANK_EPS of what it
+    was before the gains went, and its Jacobian column is zero. Both sets
+    share the rest. The offset goes where its remaining information is above
+    RANK_EPS of what it was: as in the closed form, the delays' geometry is
+    centred on the mean m their remaining information weighs, which moves
+    the offset by m . eta and decouples it with no difference of large terms;
+    in AOA-only the offset meets no kept parameter, so m is 0. Sums run in
+    link order, so a silent link adds exact zeros and padding changes no bit.
     Ranked where the centred information, no smaller than RANK_EPS of the
     uncentred (the centring's rounding), has a unit diagonal: eigenvalues up
     to RANK_EPS are residue.
     """
-    nuisance = _NUISANCE[measurement]
-    kept, gone = np.flatnonzero(~nuisance), np.flatnonzero(nuisance)
-    a, b, d = (blocks[..., rows[:, None], columns]
-               for rows, columns in ((kept, kept), (kept, gone), (gone, gone)))
+    a, b, d = blocks[..., :2, :2], blocks[..., :2, 2:], blocks[..., 2:, 2:]
     diag = d.diagonal(0, -2, -1)
     scale = np.sqrt(np.where(diag > 0.0, diag, 1.0))
     eigvals, vectors = np.linalg.eigh(d / (scale[..., :, None] * scale[..., None, :]))
@@ -211,19 +197,24 @@ def schur_efims(blocks: np.ndarray, jacobians: np.ndarray, measurement: Measurem
     inverse = np.divide(1.0, eigvals, where=eigvals > RANK_EPS * np.maximum(eigvals[..., -1:], 1.0),
                         out=np.zeros(eigvals.shape))
     free = a - (c * inverse[..., None, :]) @ c.swapaxes(-1, -2)
-    w = jacobians[..., kept]
+    delay = free[..., :1, :1]
+    drop = np.divide(free[..., :1], delay, where=delay > RANK_EPS * a[..., :1, :1],
+                     out=np.zeros_like(free[..., :1]))
+    free = np.stack((free, free - drop * free[..., :1, :]))
+    w = np.stack((jacobians, jacobians))
+    w[1, ..., 0] = 0.0
     # The offset's column of the links' information before and after the nuisance
     # parameters go; zero in AOA-only, where the offset shifts no kept parameter.
-    before, after = ((w @ x @ w[..., 3, :, None]).sum(axis=1)[..., 0] for x in (a, free))
-    m = np.divide(after[:, :3], after[:, 3:], where=after[:, 3:] > RANK_EPS * before[:, 3:],
-                  out=np.zeros((len(after), 3)))
+    before, after = ((w @ x @ w[..., 3, :, None]).sum(axis=-3)[..., 0] for x in (a, free))
+    m = np.divide(after[..., :3], after[..., 3:], where=after[..., 3:] > RANK_EPS * before[..., 3:],
+                  out=np.zeros(after.shape[:-1] + (3,)))
     geometric = w[..., :3, :]
-    w = geometric - m[:, None, :, None] * w[..., 3:, :]
-    units = np.maximum(((w @ a) * w).sum(axis=(1, 3)),
-                       RANK_EPS * ((geometric @ a) * geometric).sum(axis=(1, 3)))
+    w = geometric - m[..., None, :, None] * w[..., 3:, :]
+    units = np.maximum(((w @ a) * w).sum(axis=(-3, -1)),
+                       RANK_EPS * ((geometric @ a) * geometric).sum(axis=(-3, -1)))
     unit = np.sqrt(np.where(units > 0.0, units, 1.0))
-    unit = unit[:, :, None] * unit[:, None, :]
-    eigvals, vectors = np.linalg.eigh((w @ free @ w.swapaxes(-1, -2)).sum(axis=1) / unit)
+    unit = unit[..., :, None] * unit[..., None, :]
+    eigvals, vectors = np.linalg.eigh((w @ free @ w.swapaxes(-1, -2)).sum(axis=-3) / unit)
     eigvals[eigvals <= RANK_EPS] = 0.0
     return (vectors * eigvals[..., None, :]) @ vectors.swapaxes(-1, -2) * unit
 
@@ -251,9 +242,8 @@ def placement_schur_efims(ctx: LinkContext, tx_m: np.ndarray, offset: np.ndarray
     given as :func:`placement_links` takes them."""
     t, r, v_tau, v_theta, distance, angle, h = placement_links(
         ctx, tx_m, offset, visible, rx_heading)
-    blocks = channel_fims(ctx, t, r, angle, h)
-    return np.stack([schur_efims(blocks, transform_matrices(v_tau, v_theta, distance, measurement),
-                                 measurement) for measurement in MEASUREMENTS])
+    return schur_efims(channel_fims(ctx, t, r, angle, h),
+                       transform_matrices(v_tau, v_theta, distance))
 
 
 def _scene_links(scene: Scene, links: Sequence[Link]) -> tuple:
@@ -276,22 +266,14 @@ def fim_channel_fd(scene: Scene, links: Sequence[Link], step: float = 1e-7) -> n
     return channel_fims_fd(scene.context, t, r, distance / SPEED_OF_LIGHT, angle, h, step)[0]
 
 
-def transform_matrix(scene: Scene, links: Sequence[Link], measurement: Measurement) -> np.ndarray:
-    """Geometric Jacobians (L x 4 x 4) of one placement's links, the
+def transform_matrix(scene: Scene, links: Sequence[Link]) -> np.ndarray:
+    """Geometric Jacobians (L x 4 x 2) of one placement's links, the
     one-placement call of :func:`transform_matrices`."""
     _, _, v_tau, v_theta, distance, _, _ = _scene_links(scene, links)
-    return transform_matrices(v_tau, v_theta, distance, measurement)[0]
+    return transform_matrices(v_tau, v_theta, distance)[0]
 
 
-def efim_schur(blocks: np.ndarray, jacobians: np.ndarray, measurement: Measurement) -> FimResult:
-    """Schur-complement EFIM of one placement, the n = 1 call of
-    :func:`schur_efims`."""
-    return bounds_from_fim(schur_efims(blocks[None], jacobians[None], measurement)[0])
-
-
-def efim_general(scene: Scene, links: Sequence[Link], measurement: Measurement) -> FimResult:
-    """Full general-path EFIM of one measurement set: channel FIM, transform,
-    Schur complement, from one build of the scene's links."""
-    t, r, v_tau, v_theta, distance, angle, h = _scene_links(scene, links)
-    return efim_schur(channel_fims(scene.context, t, r, angle, h)[0],
-                      transform_matrices(v_tau, v_theta, distance, measurement)[0], measurement)
+def efim_schur(blocks: np.ndarray, jacobians: np.ndarray) -> tuple[FimResult, ...]:
+    """Schur-complement EFIMs of one placement, one per set in MEASUREMENTS
+    order, the n = 1 call of :func:`schur_efims`."""
+    return tuple(map(bounds_from_fim, schur_efims(blocks[None], jacobians[None])[:, 0]))

@@ -9,8 +9,9 @@ in blocks with one visibility call per block and preset, accepted in order
 (``fim_general.placement_links``) from one ``geometry.visibility`` pass per
 preset; the closed-form vs Schur suite takes the pass inside
 ``scenarios.placement_efims`` and compares the EFIM stack behind every sweep
-row with its general-path twin (``fim_general.placement_schur_efims``), set
-by set in ``fim_closed.MEASUREMENTS`` order, on those scenes and on each
+row with its general-path twin (``fim_general.placement_schur_efims``, both
+measurement sets from one Schur pass), set by set in
+``fim_closed.MEASUREMENTS`` order, on those scenes and on each
 preset's fixed edge set (:func:`edge_placements`): bumper overlap, short
 gaps, blocked-sector edges. The Schur path answers for every placement, a
 singular nuisance block included, so every one is compared. A NaN error
@@ -182,10 +183,10 @@ def analytic_vs_fd_errors(*, n_scenes: int = 20, seed: int = SELFCHECK_SEED) -> 
 
 
 def reference_invariance_error(seed: int = SELFCHECK_SEED) -> float:
-    """Max relative deviation of the Schur EFIM (AOA+TDOA) over orders of one
-    scene's links, as one stack of them reordered: row k puts link k first,
-    the others in (t, r) order. No link is a reference, so only rounding
-    moves it."""
+    """Max relative deviation of the Schur EFIM (AOA+TDOA, set 0 of the
+    kernel's stack) over orders of one scene's links, as one stack of them
+    reordered: row k puts link k first, the others in (t, r) order. No link
+    is a reference, so only rounding moves it."""
     [[(preset, q, alpha_t)]] = random_placements(np.random.default_rng(seed),
                                                  [PRESETS["cfg_3p5GHz"]], 1)
     ctx, (tx_pose, rx_pose) = preset_context(preset), placement_poses(q[None], alpha_t)
@@ -195,7 +196,7 @@ def reference_invariance_error(seed: int = SELFCHECK_SEED) -> float:
     order = np.argsort(index != index[:, None], axis=-1, kind="stable")
     t, r, v_tau, v_theta, distance, angle, h = (x[0, order] for x in links)
     j_po = schur_efims(channel_fims(ctx, t, r, angle, h),
-                       transform_matrices(v_tau, v_theta, distance, "aoa_tdoa"), "aoa_tdoa")
+                       transform_matrices(v_tau, v_theta, distance))[0]
     return float(relative_frobenius(j_po[:1], j_po[1:]).max(initial=0.0))
 
 

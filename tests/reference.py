@@ -18,7 +18,6 @@ import numpy as np
 
 from v2vbounds.errors import NoActiveLinks
 from v2vbounds.fim_closed import RANK_EPS, information, link_vectors
-from v2vbounds.fim_general import _NUISANCE
 from v2vbounds.geometry import (
     SPEED_OF_LIGHT, Link, Pose, Vec2, active_links, visibility, wrap_angle,
 )
@@ -374,15 +373,30 @@ def delay_difference_transforms(v_tau, v_theta, distance, measurement):
     return np.concatenate((t_po, np.broadcast_to(nuisance, t_po.shape[:-2] + nuisance.shape)), -2)
 
 
+# Per measurement set, the nuisance parameters among each link's own [delay,
+# angle, Re gain, Im gain]: the gains, and in AOA-only the delay too.
+NUISANCE = {"aoa_tdoa": np.array([False, False, True, True]),
+            "aoa": np.array([True, False, True, True])}
+
+
+def padded_jacobians(jacobians, measurement):
+    """The kernel's Jacobians (..., L, 4, 2) of each link's [delay, angle] as
+    (..., L, 4, 4) over its [delay, angle, Re gain, Im gain] in one
+    measurement set: the columns of its NUISANCE parameters zero."""
+    padded = np.concatenate((jacobians, np.zeros(jacobians.shape)), axis=-1)
+    return np.where(NUISANCE[measurement], 0.0, padded)
+
+
 def dense_arrow(blocks, jacobians, measurement):
-    """The kernels' per-link blocks and Jacobians (..., L, 4, 4) of one
-    measurement set as a dense channel FIM (..., 4L, 4L) and T (..., R, 4L),
-    as reference_schur_efims takes them: rows [q_x, q_y, alpha_T, offset] on
-    every link's columns, then an identity row per nuisance column
-    (``fim_general._NUISANCE``), in column order."""
+    """The kernels' per-link blocks (..., L, 4, 4) and Jacobians (..., L, 4,
+    2) in one measurement set as a dense channel FIM (..., 4L, 4L) and T
+    (..., R, 4L), as reference_schur_efims takes them: rows [q_x, q_y,
+    alpha_T, offset] on every link's columns (padded_jacobians), then an
+    identity row per NUISANCE column, in column order."""
     n_links = blocks.shape[-3]
+    jacobians = padded_jacobians(jacobians, measurement)
     rows = jacobians.swapaxes(-3, -2).reshape(*jacobians.shape[:-3], 4, 4 * n_links)
-    nuisance = np.eye(4 * n_links)[np.tile(_NUISANCE[measurement], n_links)]
+    nuisance = np.eye(4 * n_links)[np.tile(NUISANCE[measurement], n_links)]
     t_matrix = np.concatenate(
         (rows, np.broadcast_to(nuisance, rows.shape[:-2] + nuisance.shape)), -2)
     return block_diagonal(blocks), t_matrix
@@ -444,13 +458,16 @@ def reference_schur_efims(j_phi, t_matrix):
 
 
 def padded_schur_efims(blocks, jacobians, measurement):
-    """``fim_general.schur_efims`` in its padded form: each link's nuisance
-    block (``fim_general._NUISANCE``) padded to 4 x 4 with unit pivots for
-    its kept parameters through np.where, pseudo-inverted from one eigh of
-    the equilibrated (n, L, 4, 4) blocks at RANK_EPS of their largest
-    eigenvalue, and the Jacobians' zero nuisance columns carried through
-    every product. The reference for the kernel's kept-parameter sub-blocks."""
-    nuisance = _NUISANCE[measurement]
+    """One measurement set of ``fim_general.schur_efims`` in its padded form:
+    each link's whole nuisance block (NUISANCE, the delay and the gains
+    together in AOA-only) padded to 4 x 4 with unit pivots for its kept
+    parameters through np.where, pseudo-inverted from one eigh of the
+    equilibrated (n, L, 4, 4) blocks at RANK_EPS of their largest eigenvalue,
+    and the Jacobians' zero nuisance columns (padded_jacobians) carried
+    through every product. The reference for the kernel's kept-parameter
+    blocks and its delay elimination after the gains."""
+    nuisance = NUISANCE[measurement]
+    jacobians = padded_jacobians(jacobians, measurement)
     d = np.where(nuisance[:, None] & nuisance, blocks, np.eye(4))
     diag = d.diagonal(0, -2, -1)
     scale = np.sqrt(np.where(diag > 0.0, diag, 1.0))

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from v2vbounds.channel import link_gains
 from v2vbounds.errors import NoActiveLinks
@@ -47,8 +48,9 @@ from v2vbounds.waveform import effective_bandwidths
 from conftest import NARROW, small_scene
 from reference import (
     delay_difference_fims, delay_difference_transforms, dense_arrow, dense_link_efims, link_offsets,
-    link_order, padded_schur_efims, reference_calibrated_power, reference_centroids,
-    reference_los_visible, reference_schur_efims, rx_panel_state, tx_panel_state,
+    link_order, padded_jacobians, padded_schur_efims, reference_calibrated_power,
+    reference_centroids, reference_los_visible, reference_schur_efims, rx_panel_state,
+    tx_panel_state,
 )
 
 BOUND_FIELDS = (
@@ -406,12 +408,13 @@ def schur_cases(case):
     return ctx, placement_links(ctx, tx_c, offset, visible, rx_pose[1])
 
 
-def a_units_error(j_po, expected, blocks, jacobians):
-    """Frobenius distance of EFIM stacks in the units where A, every link's
-    own uncentred information on [q_x, q_y, alpha_T], has a unit diagonal:
-    the scale of the dense oracles' rounding. Where the EFIM keeps little of
-    A, that rounding is a larger part of the EFIM itself."""
-    geometric = jacobians[..., :3, :]
+def a_units_error(j_po, expected, blocks, jacobians, measurement):
+    """Frobenius distance of EFIM stacks of one measurement set in the units
+    where A, every link's own uncentred information on [q_x, q_y, alpha_T]
+    in that set, has a unit diagonal: the scale of the dense oracles'
+    rounding. Where the EFIM keeps little of A, that rounding is a larger
+    part of the EFIM itself."""
+    geometric = padded_jacobians(jacobians, measurement)[..., :3, :]
     diag = (geometric @ blocks @ geometric.swapaxes(-1, -2)).sum(axis=1).diagonal(0, -2, -1)
     scale = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
     return np.linalg.norm((j_po - expected) * scale[:, :, None] * scale[:, None, :], axis=(-2, -1))
@@ -435,12 +438,11 @@ def test_schur_efims_equal_the_whole_nuisance_pseudo_inverse(case):
     assume(stacks is not None)
     ctx, (t, r, v_tau, v_theta, distance, angle, h) = stacks
     blocks = channel_fims(ctx, t, r, angle, h)
-    for measurement in MEASUREMENTS:
-        jacobians = transform_matrices(v_tau, v_theta, distance, measurement)
-        j_po = schur_efims(blocks, jacobians, measurement)
+    jacobians = transform_matrices(v_tau, v_theta, distance)
+    for measurement, j_po in zip(MEASUREMENTS, schur_efims(blocks, jacobians)):
         expected = reference_schur_efims(*dense_arrow(blocks, jacobians, measurement))
         np.testing.assert_array_equal(bound_arrays(j_po)[1], bound_arrays(expected)[1])
-        error = a_units_error(j_po, expected, blocks, jacobians)
+        error = a_units_error(j_po, expected, blocks, jacobians, measurement)
         assert (error < 1e-12).all(), (measurement, error.max())
 
 
@@ -477,17 +479,58 @@ def test_schur_efims_equal_the_padded_kernel(case):
     stacks = schur_cases(case)
     assume(stacks is not None)
     ctx, links = stacks
-    padded = with_silent_link(links)
-    for measurement in MEASUREMENTS:
-        j_po = []
-        for t, r, v_tau, v_theta, distance, angle, h in (links, padded):
-            blocks = channel_fims(ctx, t, r, angle, h)
-            jacobians = transform_matrices(v_tau, v_theta, distance, measurement)
-            j_po.append(schur_efims(blocks, jacobians, measurement))
-        np.testing.assert_array_equal(j_po[0], j_po[1])
+    j_po = []
+    for t, r, v_tau, v_theta, distance, angle, h in (links, with_silent_link(links)):
+        blocks = channel_fims(ctx, t, r, angle, h)
+        jacobians = transform_matrices(v_tau, v_theta, distance)
+        j_po.append(schur_efims(blocks, jacobians))
+    np.testing.assert_array_equal(j_po[0], j_po[1])
+    for measurement, efims in zip(MEASUREMENTS, j_po[1]):
         expected = padded_schur_efims(blocks, jacobians, measurement)
-        np.testing.assert_array_equal(bound_arrays(j_po[1])[1], bound_arrays(expected)[1])
-        error = a_units_error(j_po[1], expected, blocks, jacobians)
+        np.testing.assert_array_equal(bound_arrays(efims)[1], bound_arrays(expected)[1])
+        error = a_units_error(efims, expected, blocks, jacobians, measurement)
+        assert (error < 1e-12).all(), (measurement, error.max())
+
+
+@st.composite
+def coupled_factors(draw):
+    """Factors G (n, L, 4, 4) of channel FIMs G G^T, integers with each
+    parameter scaled by a power of ten, so the delay and angle couple to each
+    other and to the gains as the model's never do; some with the delay row
+    in the span of the gain rows. With the (n, L, 4, 2) Jacobians of integer
+    geometry and the offset's 1 in the delay column."""
+    n, n_links = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    factors = draw(arrays(float, (n, n_links, 4, 4), elements=st.integers(-3, 3)))
+    if draw(st.booleans()):
+        mix = draw(arrays(float, (n, n_links, 1, 2), elements=st.integers(-2, 2)))
+        factors[..., :1, :] = mix @ factors[..., 2:, :]
+    factors *= 10.0 ** draw(arrays(float, (n_links, 4, 1), elements=st.integers(-3, 3)))
+    jacobians = np.zeros((n, n_links, 4, 2))
+    jacobians[..., :3, :] = draw(arrays(float, (n, n_links, 3, 2), elements=st.integers(-3, 3)))
+    jacobians[..., 3, 0] = 1.0
+    return factors, jacobians
+
+
+# Two links, the first's delay row twice its first gain row minus its second.
+@example((np.array([[[[2, 1, 4, -1], [1, 0, 2, 3], [1, 0, 1, 0], [0, -1, -2, 1]],
+                     [[1, 2, 0, 1], [3, 1, -1, 0], [0, 1, 1, 2], [2, 0, 1, -1]]]], dtype=float),
+          np.array([[[[1, 2], [0, -1], [3, 1], [1, 0]], [[-2, 1], [1, 1], [0, 2], [1, 0]]]],
+                   dtype=float)))
+@settings(max_examples=60, deadline=None)
+@given(coupled_factors())
+def test_schur_efims_eliminate_a_coupled_delay_as_the_whole_nuisance_block(case):
+    # The model's angle decouples from its delay and gains, so its blocks
+    # subtract an exact zero when the kernel drops each link's delay after
+    # its gains for AOA-only. On coupled blocks the two steps equal one
+    # pseudo-inverse of the whole 3 x 3 nuisance block: equal ranks and
+    # EFIMs equal to rounding in A's units, a delay in the gains' span
+    # included. The AOA+TDOA set keeps the gains' step alone.
+    factors, jacobians = case
+    blocks = factors @ factors.swapaxes(-1, -2)
+    for measurement, j_po in zip(MEASUREMENTS, schur_efims(blocks, jacobians)):
+        expected = padded_schur_efims(blocks, jacobians, measurement)
+        np.testing.assert_array_equal(bound_arrays(j_po)[1], bound_arrays(expected)[1])
+        error = a_units_error(j_po, expected, blocks, jacobians, measurement)
         assert (error < 1e-12).all(), (measurement, error.max())
 
 
@@ -505,13 +548,12 @@ def test_schur_efims_equal_the_delay_difference_layout(case):
     ctx, (t, r, v_tau, v_theta, distance, angle, h) = stacks
     blocks = channel_fims(ctx, t, r, angle, h)
     j_phi = delay_difference_fims(blocks)
-    for measurement in MEASUREMENTS:
-        jacobians = transform_matrices(v_tau, v_theta, distance, measurement)
-        j_po = schur_efims(blocks, jacobians, measurement)
+    jacobians = transform_matrices(v_tau, v_theta, distance)
+    for measurement, j_po in zip(MEASUREMENTS, schur_efims(blocks, jacobians)):
         expected = reference_schur_efims(
             j_phi, delay_difference_transforms(v_tau, v_theta, distance, measurement))
         full = (bound_arrays(j_po)[1] == 3) & (bound_arrays(expected)[1] == 3)
-        error = a_units_error(j_po, expected, blocks, jacobians)[full]
+        error = a_units_error(j_po, expected, blocks, jacobians, measurement)[full]
         assert (error < 1e-12).all(), (measurement, error.max())
 
 
@@ -560,10 +602,9 @@ def test_schur_efims_do_not_depend_on_the_link_order(case):
                                  rx_pose[1][group])
         t, r, v_tau, v_theta, distance, angle, h = (
             column[:, order].reshape(-1, *column.shape[1:]) for column in stacks)
-        j_phi = channel_fims(ctx, t, r, angle, h)
-        for measurement in MEASUREMENTS:
-            j_po = schur_efims(j_phi, transform_matrices(v_tau, v_theta, distance, measurement),
-                               measurement)
+        efims = schur_efims(channel_fims(ctx, t, r, angle, h),
+                            transform_matrices(v_tau, v_theta, distance))
+        for measurement, j_po in zip(MEASUREMENTS, efims):
             j_po = j_po.reshape(len(group), count, 3, 3)
             rank = bound_arrays(j_po)[1]
             np.testing.assert_array_equal(rank, rank[:, :1].repeat(count, axis=1))

@@ -17,7 +17,6 @@ from v2vbounds.fim_closed import (
 from v2vbounds.fim_general import (
     channel_fims,
     channel_fims_fd,
-    efim_general,
     efim_schur,
     fim_channel,
     fim_channel_fd,
@@ -58,6 +57,11 @@ PHASE_ULPS, SAAF_ULPS = 16, 8
 
 def rel_frob(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(a)
+
+
+def general_path(scene, links):
+    """The general path's FimResults of one scene, in MEASUREMENTS order."""
+    return efim_schur(fim_channel(scene, links), transform_matrix(scene, links))
 
 
 @pytest.fixture()
@@ -381,13 +385,12 @@ class TestLinkOrder:
         # FIM block and Jacobian are those of the (t, r) order, bit for bit.
         scene, links, _ = medium_scene
         j = fim_channel(scene, links)
-        w = transform_matrix(scene, links, "aoa_tdoa")
+        w = transform_matrix(scene, links)
         for first in range(len(links)):
             t, r, v_tau, v_theta, distance, angle, h = scene_stacks(scene, links, first)
             order = link_order(links, first)
             np.testing.assert_array_equal(channel_fims(scene.context, t, r, angle, h)[0], j[order])
-            np.testing.assert_array_equal(
-                transform_matrices(v_tau, v_theta, distance, "aoa_tdoa")[0], w[order])
+            np.testing.assert_array_equal(transform_matrices(v_tau, v_theta, distance)[0], w[order])
 
     def test_invalid_input_rejected(self, medium_scene):
         scene, links, _ = medium_scene
@@ -462,8 +465,8 @@ class TestChannelFim:
         # [0, 0] of the delay-difference layout from the brute-force blocks.
         scene, links, gains = medium_scene
         blocks = fim_channel(scene, links)
-        w = transform_matrix(scene, links, "aoa_tdoa")
-        offset = (w @ blocks @ w.swapaxes(-1, -2)).sum(axis=0)[3, 3]
+        w = transform_matrix(scene, links)
+        offset = (w @ blocks[:, :2, :2] @ w.swapaxes(-1, -2)).sum(axis=0)[3, 3]
         assert offset == pytest.approx(blocks[:, 0, 0].sum(), rel=1e-12)
         oracle = delay_difference_fims(brute_force_fim_channel(scene, links, gains))
         assert offset == pytest.approx(oracle[0, 0], rel=1e-9)
@@ -495,7 +498,7 @@ class TestTransformMatrix:
     def _assert_rows_match_fd(self, scene, links):
         """transform_matrix's geometric rows equal central differences of the
         link_geometry delays and local angles over (q_x, q_y, alpha_T)."""
-        w = transform_matrix(scene, links, "aoa_tdoa")
+        w = transform_matrix(scene, links)
         pairs = [(link.tx_panel, link.rx_panel) for link in links]
         q0 = scene.rx_pose.position
         alpha0 = scene.tx_pose.orientation
@@ -555,7 +558,7 @@ class TestTransformMatrix:
         )
         links = self._links_for_all_pairs(scene)
         assert abs(links[0].theta_R) < 1e-12 and abs(links[0].distance - 10.0) < 1e-12
-        w = transform_matrix(scene, links, "aoa_tdoa")
+        w = transform_matrix(scene, links)
         assert abs(w[0, 0, 1] - 0.0) < 1e-12
         assert abs(w[0, 1, 1] - 0.1) < 1e-12
 
@@ -572,24 +575,21 @@ class TestTransformMatrix:
             ),
         )
         links = self._links_for_all_pairs(scene)
-        w = transform_matrix(scene, links, "aoa_tdoa")
+        w = transform_matrix(scene, links)
         assert (np.abs(w[:, 2, 1]) < 1e-15).all()
         assert (np.abs(w[:, 2, 0]) < 1e-24).all()
 
     def test_shapes(self, medium_scene):
+        # A delay and an angle column per link; no gain depends on the geometry.
         scene, links, _ = medium_scene
-        for measurement in MEASUREMENTS:
-            assert transform_matrix(scene, links, measurement).shape == (len(links), 4, 4)
+        assert transform_matrix(scene, links).shape == (len(links), 4, 2)
 
     def test_offset_row_and_nuisance_columns(self, medium_scene):
-        # The timing offset shifts every link's delay in AOA+TDOA and none in
-        # AOA-only; the gains, and AOA-only's delays, have zero columns.
+        # The timing offset shifts every link's delay and no angle; the gains,
+        # nuisance parameters in both sets, have no column.
         scene, links, _ = medium_scene
-        both, aoa = (transform_matrix(scene, links, m) for m in MEASUREMENTS)
-        assert np.array_equal(both[:, 3], np.tile([1.0, 0.0, 0.0, 0.0], (len(links), 1)))
-        assert not aoa[:, 3].any() and not aoa[..., 0].any()
-        assert not both[..., 2:].any() and not aoa[..., 2:].any()
-        assert np.array_equal(both[..., 1], aoa[..., 1])
+        w = transform_matrix(scene, links)
+        assert np.array_equal(w[:, 3], np.tile([1.0, 0.0], (len(links), 1)))
 
 
 class TestSchurEfim:
@@ -597,13 +597,13 @@ class TestSchurEfim:
         scene, links, gains = medium_scene
         betas = effective_bandwidths(scene.allocation, scene.context.ofdm)
         closed = efim_aoa_tdoa(scene, links, gains, betas)
-        schur = efim_general(scene, links, "aoa_tdoa")
+        schur = general_path(scene, links)[0]
         assert rel_frob(closed.j_po, schur.j_po) < 1e-8
 
     def test_matches_closed_form_aoa(self, medium_scene):
         scene, links, gains = medium_scene
         closed = efim_aoa_only(scene, links, gains)
-        schur = efim_general(scene, links, "aoa")
+        schur = general_path(scene, links)[1]
         assert rel_frob(closed.j_po, schur.j_po) < 1e-8
 
     def test_matches_on_full_preset_scene(self, preset_3p5):
@@ -612,7 +612,7 @@ class TestSchurEfim:
         gains = link_gains(scene, links)
         betas = effective_bandwidths(scene.allocation, scene.context.ofdm)
         closed = efim_aoa_tdoa(scene, links, gains, betas)
-        schur = efim_general(scene, links, "aoa_tdoa")
+        schur = general_path(scene, links)[0]
         assert rel_frob(closed.j_po, schur.j_po) < 1e-8
         assert abs(closed.peb_lat - schur.peb_lat) < 1e-8 * closed.peb_lat
 
@@ -625,28 +625,24 @@ class TestSchurEfim:
         links = active_links(scene)
         gains = link_gains(scene, links)
         betas = effective_bandwidths(scene.allocation, scene.context.ofdm)
-        closed = efim_aoa_tdoa(scene, links, gains, betas)
-        schur = efim_general(scene, links, "aoa_tdoa")
-        assert rel_frob(closed.j_po, schur.j_po) < 1e-8
-        closed = efim_aoa_only(scene, links, gains)
-        schur = efim_general(scene, links, "aoa")
-        assert rel_frob(closed.j_po, schur.j_po) < 1e-8
+        closed = efim_aoa_tdoa(scene, links, gains, betas), efim_aoa_only(scene, links, gains)
+        for expected, schur in zip(closed, general_path(scene, links)):
+            assert rel_frob(expected.j_po, schur.j_po) < 1e-8
 
     @pytest.mark.parametrize("reference", [None, 1])
     def test_builds_the_links_once(self, medium_scene, monkeypatch, reference):
         # One placement_links call feeds the channel FIM, the transform and
-        # the Schur complement, with the numbers of the one-step calls; those
-        # agree to rounding with the kernels' numbers when links[reference]
-        # leads the order.
+        # the Schur complement of both sets, with the numbers of the one-step
+        # calls; those agree to rounding with the kernels' numbers when
+        # links[reference] leads the order.
         scene, links, _ = medium_scene
-        expected = {m: efim_schur(fim_channel(scene, links), transform_matrix(scene, links, m),
-                                  m).j_po for m in MEASUREMENTS}
+        expected = np.array([result.j_po for result in general_path(scene, links)])
         if reference is not None:
             t, r, v_tau, v_theta, distance, angle, h = scene_stacks(scene, links, reference)
-            j_phi = channel_fims(scene.context, t, r, angle, h)
-            for m, j_po in expected.items():
-                led = schur_efims(j_phi, transform_matrices(v_tau, v_theta, distance, m), m)[0]
-                assert rel_frob(j_po, led) < 1e-10, m
+            led = schur_efims(channel_fims(scene.context, t, r, angle, h),
+                              transform_matrices(v_tau, v_theta, distance))[:, 0]
+            for m, j_po, other in zip(MEASUREMENTS, expected, led):
+                assert rel_frob(j_po, other) < 1e-10, m
         calls = []
 
         def counted(*args, **kwargs):
@@ -654,18 +650,16 @@ class TestSchurEfim:
             return placement_links(*args, **kwargs)
 
         monkeypatch.setattr(fim_general, "placement_links", counted)
-        for variant, j_po in expected.items():
-            calls.clear()
-            result = efim_general(scene, links, variant)
-            assert len(calls) == 1, variant
-            np.testing.assert_array_equal(result.j_po, j_po)
+        result = placement_schur_efims(scene.context, *scene_placement(scene, links))
+        assert len(calls) == 1
+        np.testing.assert_array_equal(bound_arrays(result[:, 0])[0], expected)
 
     def test_information_loss_psd(self, medium_scene):
         scene, links, _ = medium_scene
         blocks = fim_channel(scene, links)
-        w = transform_matrix(scene, links, "aoa_tdoa")
-        schur = efim_schur(blocks, w, "aoa_tdoa")
-        prior = (w[:, :3] @ blocks @ w[:, :3].swapaxes(-1, -2)).sum(axis=0)
+        w = transform_matrix(scene, links)
+        schur = efim_schur(blocks, w)[0]
+        prior = (w[:, :3] @ blocks[:, :2, :2] @ w[:, :3].swapaxes(-1, -2)).sum(axis=0)
         loss = prior - schur.j_po
         eig = np.linalg.eigvalsh(0.5 * (loss + loss.T))
         assert eig[0] >= -1e-10 * max(eig[-1], 1.0)
@@ -676,8 +670,7 @@ class TestSchurEfim:
         for ref in range(len(links)):
             t, r, v_tau, v_theta, distance, angle, h = scene_stacks(scene, links, ref)
             j_phi = channel_fims(scene.context, t, r, angle, h)
-            t_mat = transform_matrices(v_tau, v_theta, distance, "aoa_tdoa")
-            results.append(schur_efims(j_phi, t_mat, "aoa_tdoa")[0])
+            results.append(schur_efims(j_phi, transform_matrices(v_tau, v_theta, distance))[0, 0])
         for other in results[1:]:
             assert rel_frob(results[0], other) < 1e-10
 
@@ -690,15 +683,15 @@ class TestSchurEfim:
         assert effective_bandwidths(scene.allocation, scene.context.ofdm) == (0.0, 0.0)
         blocks = fim_channel(scene, links)
         closed = closed_form(scene, links, link_gains(scene, links))
-        for measurement, expected in zip(MEASUREMENTS, closed):
-            w = transform_matrix(scene, links, measurement)
+        w = transform_matrix(scene, links)
+        for measurement, expected, result in zip(MEASUREMENTS, closed, efim_schur(blocks, w)):
             j_phi, t_mat = dense_arrow(blocks, w, measurement)
             nuisance = (t_mat @ j_phi @ t_mat.T)[3:, 3:]
             informed = nuisance.diagonal() > 0.0  # not AOA-only's zero offset row
             nuisance = nuisance[np.ix_(informed, informed)]
             scale = np.sqrt(nuisance.diagonal())
             assert np.linalg.matrix_rank(nuisance / np.outer(scale, scale)) < len(nuisance)
-            assert rel_frob(expected, efim_schur(blocks, w, measurement).j_po) < CLOSED_VS_SCHUR_TOL
+            assert rel_frob(expected, result.j_po) < CLOSED_VS_SCHUR_TOL
 
     @pytest.mark.parametrize("max_occupied_index, peb_lat", [
         (1, (1.202308586, 1.202308586)),
@@ -717,8 +710,7 @@ class TestSchurEfim:
         gains = link_gains(scene, links)
         betas = effective_bandwidths(scene.allocation, scene.context.ofdm)
         closed = efim_aoa_tdoa(scene, links, gains, betas), efim_aoa_only(scene, links, gains)
-        for measurement, expected, pinned in zip(MEASUREMENTS, closed, peb_lat):
-            result = efim_general(scene, links, measurement)
+        for expected, result, pinned in zip(closed, general_path(scene, links), peb_lat):
             assert result.rank == 3
             assert rel_frob(expected.j_po, result.j_po) < CLOSED_VS_SCHUR_TOL
             assert result.peb_lat == pytest.approx(pinned, rel=1e-8)
@@ -748,8 +740,7 @@ class TestBatchedKernels:
             t, r, v_tau, v_theta, distance, angle, h = (x[:, order] for x in placement_links(
                 ctx, tx_c[group], offset[group], visible[group], rx_pose[1][group]))
             j_phi = channel_fims(ctx, t, r, angle, h)
-            j_po = [schur_efims(j_phi, transform_matrices(v_tau, v_theta, distance, m), m)
-                    for m in MEASUREMENTS]
+            j_po = schur_efims(j_phi, transform_matrices(v_tau, v_theta, distance))
             for k, i in enumerate(group):
                 scene = calibrated_scene(preset, Vec2(*q[i]), alpha_t=alpha_t[i])
                 links = active_links(scene)
@@ -763,19 +754,17 @@ class TestBatchedKernels:
         # One subcarrier per Tx array leaves the nuisance block singular (see
         # test_singular_nuisance_block_gives_the_closed_form); stacked with a
         # regular scene of the same geometry, each row is its own closed form.
-        blocks, w, closed = [], {m: [] for m in MEASUREMENTS}, []
+        blocks, w, closed = [], [], []
         for n_occupied in (2, 8):
             scene = small_scene(n_tx_panels=2, n_rx_panels=2, n_occupied=n_occupied)
             links = active_links(scene)
             gains = link_gains(scene, links)
             blocks.append(brute_force_fim_channel(scene, links, gains))
-            for measurement in MEASUREMENTS:
-                w[measurement].append(transform_matrix(scene, links, measurement))
+            w.append(transform_matrix(scene, links))
             closed.append(closed_form(scene, links, gains))
-        for v, measurement in enumerate(MEASUREMENTS):
-            j_po = schur_efims(np.array(blocks), np.array(w[measurement]), measurement)
-            error = relative_frobenius(np.array(closed)[:, v], j_po)
-            assert (error < CLOSED_VS_SCHUR_TOL).all(), (measurement, error)
+        error = relative_frobenius(np.array(closed).swapaxes(0, 1),
+                                   schur_efims(np.array(blocks), np.array(w)))
+        assert (error < CLOSED_VS_SCHUR_TOL).all(), error
 
 
 class TestPaddedLinks:
@@ -814,12 +803,10 @@ class TestPaddedLinks:
                   np.full((2, 1, 3), -0.2), np.array([[1.0], [7.5]]), np.array([[0.3], [-2.0]]),
                   np.zeros((2, 1), complex))
         padded = [np.concatenate(pair, axis=1) for pair in zip(links, silent)]
-        for measurement in MEASUREMENTS:
-            j_po = [schur_efims(channel_fims(ctx, t, r, angle, h),
-                                transform_matrices(v_tau, v_theta, distance, measurement),
-                                measurement)
-                    for t, r, v_tau, v_theta, distance, angle, h in (links, padded)]
-            assert (relative_frobenius(*j_po) < 1e-14).all(), measurement
+        j_po = [schur_efims(channel_fims(ctx, t, r, angle, h),
+                            transform_matrices(v_tau, v_theta, distance))
+                for t, r, v_tau, v_theta, distance, angle, h in (links, padded)]
+        assert (relative_frobenius(*j_po) < 1e-14).all()
 
 
 # Both headings of a custom scene, the Rx one away from 0.
@@ -856,10 +843,9 @@ def closed_and_schur(scene):
     links = active_links(scene)
     gains = link_gains(scene, links)
     betas = effective_bandwidths(scene.allocation, scene.context.ofdm)
-    both = (efim_aoa_tdoa(scene, links, gains, betas),
-            efim_general(scene, links, "aoa_tdoa"))
-    aoa = (efim_aoa_only(scene, links, gains), efim_general(scene, links, "aoa"))
-    return both, aoa
+    schur_both, schur_aoa = general_path(scene, links)
+    return ((efim_aoa_tdoa(scene, links, gains, betas), schur_both),
+            (efim_aoa_only(scene, links, gains), schur_aoa))
 
 
 def assert_same_bounds(closed, schur):
@@ -918,7 +904,7 @@ def test_placement_without_information_stays_inf():
     scene = calibrated_scene(preset, q)
     links = active_links(scene)
     assert len(links) == 4
-    result = efim_general(scene, links, "aoa_tdoa")
+    result = general_path(scene, links)[0]
     assert result.rank < 3
     assert not any(map(math.isfinite, (result.peb_lat, result.peb_lon, result.oeb)))
     ctx = preset_context(preset)

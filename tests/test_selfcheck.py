@@ -8,7 +8,6 @@ import pytest
 
 from v2vbounds import fim_general, selfcheck
 from v2vbounds.channel import link_gains
-from v2vbounds.fim_closed import MEASUREMENTS
 from v2vbounds.fim_general import (
     channel_fims, channel_fims_fd, efim_schur, fim_channel, fim_channel_fd,
     placement_links, placement_schur_efims, schur_efims, transform_matrices, transform_matrix,
@@ -98,9 +97,8 @@ def test_link_stacks_give_the_scene_paths_schur_efims(preset):
             scene = calibrated_scene(preset, Vec2(*q[i]), alpha_t=alpha_t[i])
             links = active_links(scene)
             blocks = brute_force_fim_channel(scene, links, link_gains(scene, links))
-            for v, measurement in enumerate(MEASUREMENTS):
-                w = transform_matrix(scene, links, measurement)
-                expected = efim_schur(blocks, w, measurement).j_po
+            for v, result in enumerate(efim_schur(blocks, transform_matrix(scene, links))):
+                expected = result.j_po
                 assert np.linalg.norm(j_po[v, k] - expected) < 1e-12 * np.linalg.norm(expected)
 
 
@@ -174,16 +172,15 @@ def test_stacked_reference_suite_equals_per_reference_loop(seed):
     for first in range(len(links)):  # one placement per kernel call, links[first] first
         t, r, v_tau, v_theta, distance, angle, h = (x[:, link_order(links, first)] for x in stacks)
         j_po.append(efim_schur(channel_fims(scene.context, t, r, angle, h)[0],
-                               transform_matrices(v_tau, v_theta, distance, "aoa_tdoa")[0],
-                               "aoa_tdoa").j_po)
+                               transform_matrices(v_tau, v_theta, distance)[0])[0].j_po)
     expected = max(relative_frobenius(j_po[0], other) for other in j_po[1:])
     assert len(links) > 1
     assert abs(reference_invariance_error(seed) - expected) <= 1e-15
 
 
 def test_one_placement_per_call_gives_the_same_errors(monkeypatch):
-    # At the default n_scenes one Schur call per preset and measurement set
-    # takes every placement, links padded, with no budget cut; the FD twin
+    # At the default n_scenes one Schur call per preset takes every placement
+    # of both measurement sets, links padded, with no budget cut; the FD twin
     # runs whole link-count stacks. With room for one FD placement per call,
     # the FD error is the same.
     sizes = {"schur": [], "fd": []}
@@ -199,7 +196,7 @@ def test_one_placement_per_call_gives_the_same_errors(monkeypatch):
     monkeypatch.setattr(fim_general, "schur_efims", schur)
     monkeypatch.setattr(selfcheck, "channel_fims_fd", fd)
     closed_vs_schur_errors()
-    assert len(sizes["schur"]) == 2 * len(MEASUREMENTS)
+    assert len(sizes["schur"]) == 2
     grouped = analytic_vs_fd_errors()
     assert max(sizes["fd"]) > 1
     sizes["fd"].clear()
@@ -257,7 +254,7 @@ def test_equilibration_keeps_silent_parameters_unscaled():
 
 def _poison(monkeypatch, module, name, call, row):
     """Make the call-th call of the kernel ``name`` that the suites look up
-    in ``module`` return NaN in the given placement row."""
+    in ``module`` return NaN at index ``row`` of its result, one placement."""
     original, calls = getattr(module, name), []
 
     def poisoned(*args, **kwargs):
@@ -271,9 +268,10 @@ def _poison(monkeypatch, module, name, call, row):
 
 
 @pytest.mark.parametrize("suite, module, kernel, call, row", [
-    ("closed_vs_schur_errors", fim_general, "schur_efims", 3, -1),
+    # The Schur kernel's result is (2, n, 3, 3), one placement per column.
+    ("closed_vs_schur_errors", fim_general, "schur_efims", 1, (slice(None), -1)),
     ("analytic_vs_fd_errors", selfcheck, "channel_fims_fd", 3, -1),
-    ("reference_invariance_error", selfcheck, "schur_efims", 0, -1),
+    ("reference_invariance_error", selfcheck, "schur_efims", 0, (slice(None), -1)),
 ], ids=["closed_vs_schur", "fd", "reference"])
 def test_nan_error_fails_the_selfcheck(monkeypatch, capsys, suite, module, kernel, call, row):
     # A NaN in one placement, neither the first nor the only one, must reach
