@@ -22,7 +22,6 @@ from .scenarios import (
     bound_table,
     calibrated_scene,
     evaluate_point,
-    evaluate_points,
     placement_efims,
     placement_poses,
     preset_context,

@@ -22,6 +22,7 @@ from .scenarios import (
     COLUMNS,
     PRESETS,
     DEFAULT_SWEEP_STEP,
+    SET_COLUMNS,
     PresetConfig,
     Requirements,
     bound_table,
@@ -198,8 +199,10 @@ def _crossing_summary(cfg: RunConfig, preset: PresetConfig) -> list[str]:
         f"requirement crossings, {cfg.scenario}, preset {preset.name} "
         f"(lat <= {requirements.lateral_max} m, lon <= {requirements.longitudinal_max} m):"
     ]
-    crossings = scenario_crossings(preset, cfg.scenario, requirements, cfg.measurements)
+    crossings = scenario_crossings(preset, cfg.scenario, requirements)
     for (measurement, axis), crossing in crossings.items():
+        if measurement not in cfg.measurements:
+            continue
         if crossing.no_bracket is None:
             text = f"met up to {distance_label} = {crossing.distance:.2f} m"
         elif crossing.no_bracket.met_everywhere:
@@ -231,7 +234,10 @@ def run(cfg: RunConfig) -> int:
         return 3
     try:
         alpha_t = cfg.alpha_t if cfg.scenario == "custom" else 0.0
-        table = bound_table(preset, q, alpha_t, cfg.measurements)
+        table = bound_table(preset, q, alpha_t)
+        for columns, measurement in zip(SET_COLUMNS, MEASUREMENTS):
+            if measurement not in cfg.measurements:
+                table[:, columns] = math.inf
         nan = np.isnan(table[:, 4:])
         if nan.any():
             row = nan.any(axis=1).argmax()

@@ -16,7 +16,6 @@ selfcheck's edge set all place it through that function.
 from __future__ import annotations
 
 import math
-from collections.abc import Collection
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import Callable, Literal, Sequence
@@ -79,7 +78,7 @@ class SweepRow:
 
 # The bound table's columns (SweepRow's); each MEASUREMENTS entry's (peb_lat, peb_lon, oeb).
 COLUMNS = tuple(f.name for f in fields(SweepRow))
-_SET_COLUMNS = np.array([[4, 5, 8], [6, 7, 9]])
+SET_COLUMNS = np.array([[4, 5, 8], [6, 7, 9]])
 
 
 @dataclass(frozen=True)
@@ -243,32 +242,19 @@ def placement_efims(ctx: LinkContext, tx_pose: tuple, rx_pose: tuple) -> tuple[n
                                                   ctx.link_beta, ctx.ofdm.omega_c)
 
 
-def _require_measurements(measurements: Collection[Measurement]) -> None:
-    """Raise ValueError, naming the allowed values, unless measurements is a
-    non-empty collection of MEASUREMENTS members and not a string (whose
-    substrings would match)."""
-    if (isinstance(measurements, str) or not isinstance(measurements, Collection)
-            or not len(measurements) or not all(m in MEASUREMENTS for m in measurements)):
-        raise ValueError(f"measurements must be a non-empty collection of members of "
-                         f"{MEASUREMENTS}, got {measurements!r}")
-
-
 def bound_table(
     preset: PresetConfig,
     q: np.ndarray | Sequence[tuple[float, float]],
     alpha_t: float | np.ndarray = 0.0,
-    measurements: Sequence[Measurement] = MEASUREMENTS,
 ) -> np.ndarray:
     """Bounds for an (N, 2) array of placements q in one numpy pass, as an
     (N, 10) float table with the columns of SweepRow (COLUMNS).
 
     ``alpha_t`` is the Tx heading, per row or one for all; the Rx heading is
-    0. Rows without LOS links, and measurement sets left out, get +inf. One
-    bound extraction covers both sets of :func:`placement_efims`. ``n_links``
-    counts the visible links whose Tx array sends. ``measurements`` other
-    than a non-string collection of MEASUREMENTS members raise ValueError.
+    0. Rows without LOS links get +inf. One bound extraction covers both sets
+    of :func:`placement_efims`, MEASUREMENTS[i] in columns SET_COLUMNS[i].
+    ``n_links`` counts the visible links whose Tx array sends.
     """
-    _require_measurements(measurements)
     q = np.asarray(q, dtype=float).reshape(-1, 2)
     placements = np.empty((len(q), 3))  # each row's q and Tx heading, checked at once
     placements[:, :2], placements[:, 2] = q, alpha_t
@@ -280,37 +266,18 @@ def bound_table(
     table[:, :2] = q
     np.subtract(np.abs(q[:, 1]), preset.vehicle_length, out=table[:, 2])
     np.add.reduce(visible.reshape(-1, ctx.link_sends.size) & ctx.link_sends, 1, out=table[:, 3])
-    bounds = bound_arrays(j)[2]
-    for i in (i for i, m in enumerate(MEASUREMENTS) if m not in measurements):
-        bounds[i] = math.inf
-    table[:, _SET_COLUMNS] = bounds.swapaxes(0, 1)
+    table[:, SET_COLUMNS] = bound_arrays(j)[2].swapaxes(0, 1)
     return table
 
 
-def evaluate_points(
-    preset: PresetConfig,
-    q: np.ndarray | Sequence[tuple[float, float]],
-    alpha_t: float | np.ndarray = 0.0,
-    measurements: Sequence[Measurement] = MEASUREMENTS,
-) -> list[SweepRow]:
-    """:func:`bound_table` as one SweepRow per placement, in input order."""
-    return [SweepRow(*row[:3], int(row[3]), *row[4:])
-            for row in bound_table(preset, q, alpha_t, measurements).tolist()]
-
-
-def evaluate_point(
-    preset: PresetConfig,
-    q: Vec2,
-    alpha_t: float = 0.0,
-    measurements: Sequence[Measurement] = MEASUREMENTS,
-) -> SweepRow:
+def evaluate_point(preset: PresetConfig, q: Vec2, alpha_t: float = 0.0) -> SweepRow:
     """Bounds for one relative placement; +inf sentinels when unsolvable.
 
     A placement with no LOS links (or with coincident panel pairs, which the
     visibility test treats as not visible) yields n_links = 0 and infinite
     bounds rather than an exception, so sweeps never abort.
     """
-    row = bound_table(preset, q.as_tuple(), alpha_t, measurements)[0].tolist()
+    row = bound_table(preset, q.as_tuple(), alpha_t)[0].tolist()
     return SweepRow(*row[:3], int(row[3]), *row[4:])
 
 
@@ -426,7 +393,6 @@ def scenario_crossings(
     preset: PresetConfig,
     scenario: Literal["overtaking", "platooning"],
     requirements: Requirements = Requirements(),
-    measurements: Sequence[Measurement] = MEASUREMENTS,
 ) -> dict[tuple[Measurement, Axis], Crossing]:
     """Requirement crossings of every (measurement, axis) curve of a built-in scenario.
 
@@ -434,21 +400,17 @@ def scenario_crossings(
     (overtaking; the layout is mirror symmetric in q_y), searched over
     [0, 30] m, or the bumper gap (platooning), searched over
     [0.25, 30 - vehicle_length] m, to CROSSING_TOL. All curves share each
-    bound_table call of one search, three at the defaults. Keys run over the
-    measurements in MEASUREMENTS order, then lat, lon. ``measurements`` are
-    checked as :func:`bound_table` checks them.
+    bound_table call of one search, three at the defaults. Keys run over
+    MEASUREMENTS in order, then lat, lon.
     """
-    _require_measurements(measurements)
     if scenario not in ("overtaking", "platooning"):
         raise ValueError(f"unknown scenario {scenario!r}")
     s_min, s_max = (0.0, 30.0) if scenario == "overtaking" else (0.25, 30.0 - preset.vehicle_length)
-    curves = [(m, axis) for m in MEASUREMENTS if m in measurements for axis in ("lat", "lon")]
-    columns = [_SET_COLUMNS[MEASUREMENTS.index(m), ("lat", "lon").index(axis)]
-               for m, axis in curves]
+    curves = [(m, axis) for m in MEASUREMENTS for axis in ("lat", "lon")]
+    columns = SET_COLUMNS[:, :2].ravel()
 
     def bounds_at(s: np.ndarray) -> np.ndarray:
-        q = scenario_placements(preset, scenario, s)
-        return bound_table(preset, q, measurements=measurements)[:, columns].T
+        return bound_table(preset, scenario_placements(preset, scenario, s))[:, columns].T
     thresholds = [requirements.threshold(axis) for _, axis in curves]
     found = _lattice_search(bounds_at, thresholds, s_min, s_max, CROSSING_TOL)
     return dict(zip(curves, found))
@@ -465,8 +427,8 @@ def scenario_crossing(
 
     Returns the largest longitudinal offset (overtaking) or bumper gap
     (platooning) at which the requirement still holds, as scenario_crossings
-    finds it; raises NoBracket when it holds everywhere or nowhere in the
-    searched range.
+    finds it (all four curves); raises NoBracket when it holds everywhere or
+    nowhere in the searched range, and KeyError for an axis or measurement
+    that is not one of its keys.
     """
-    crossings = scenario_crossings(preset, scenario, requirements, (measurement,))
-    return crossings[measurement, axis].value()
+    return scenario_crossings(preset, scenario, requirements)[measurement, axis].value()

@@ -183,7 +183,7 @@ def analytic_vs_fd_errors(*, n_scenes: int = 20, seed: int = SELFCHECK_SEED) -> 
 
 
 def reference_invariance_error(seed: int = SELFCHECK_SEED) -> float:
-    """Max relative deviation of the Schur EFIM (AOA+TDOA, set 0 of the
+    """Max relative deviation of the Schur EFIMs (both measurement sets of the
     kernel's stack) over orders of one scene's links, as one stack of them
     reordered: row k puts link k first, the others in (t, r) order. No link
     is a reference, so only rounding moves it."""
@@ -196,8 +196,8 @@ def reference_invariance_error(seed: int = SELFCHECK_SEED) -> float:
     order = np.argsort(index != index[:, None], axis=-1, kind="stable")
     t, r, v_tau, v_theta, distance, angle, h = (x[0, order] for x in links)
     j_po = schur_efims(channel_fims(ctx, t, r, angle, h),
-                       transform_matrices(v_tau, v_theta, distance))[0]
-    return float(relative_frobenius(j_po[:1], j_po[1:]).max(initial=0.0))
+                       transform_matrices(v_tau, v_theta, distance))
+    return float(relative_frobenius(j_po[:, :1], j_po[:, 1:]).max(initial=0.0))
 
 
 def run_selfcheck() -> int:

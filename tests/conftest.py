@@ -13,13 +13,19 @@ from hypothesis import settings
 
 from v2vbounds.channel import Scene, link_context
 from v2vbounds.geometry import ArrayPanel, Pose, Vec2, VehicleSpec
-from v2vbounds.scenarios import PRESETS
+from v2vbounds.scenarios import PRESETS, SweepRow, bound_table
 from v2vbounds.waveform import OfdmSpec, interleaved_allocation
 
 # CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run, and a
 # failure prints the blob that replays it (@reproduce_failure).
 settings.register_profile("ci", derandomize=True, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+def sweep_rows(preset, q, alpha_t=0.0) -> list[SweepRow]:
+    """scenarios.bound_table as one SweepRow per placement, in input order."""
+    return [SweepRow(*row[:3], int(row[3]), *row[4:])
+            for row in bound_table(preset, q, alpha_t).tolist()]
 
 
 # The presets of selfcheck.analytic_vs_fd_errors: 15 subcarriers per Tx array.

@@ -27,7 +27,6 @@ from v2vbounds.scenarios import (
     PRESETS,
     Requirements,
     calibrated_scene,
-    evaluate_points,
     scenario_crossing,
     sweep_placements,
 )
@@ -39,7 +38,7 @@ from v2vbounds.selfcheck import (
 from v2vbounds.waveform import effective_bandwidths
 from v2vbounds import app
 
-from conftest import small_scene, with_context
+from conftest import small_scene, sweep_rows, with_context
 
 _MODULE_START = time.monotonic()
 
@@ -58,7 +57,7 @@ def sweeps():
     for scenario in ("overtaking", "platooning"):
         for short, preset in (("3p5", P35), ("28", P28)):
             q = sweep_placements(preset, scenario, -30.0, 30.0, 0.25)
-            rows[scenario, short] = evaluate_points(preset, q)
+            rows[scenario, short] = sweep_rows(preset, q)
     return rows
 
 

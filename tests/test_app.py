@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import v2vbounds
 from v2vbounds.app import CSV_HEADER, emit_csv, load_config, main
 from v2vbounds.errors import ConfigError
-from v2vbounds.scenarios import COLUMNS, PRESETS
+from v2vbounds.fim_closed import MEASUREMENTS
+from v2vbounds.scenarios import COLUMNS, PRESETS, SET_COLUMNS
 
 from reference import format_cell
 
@@ -218,14 +219,28 @@ class TestCli:
         assert main(["--config", cfg, "--step", "0.5"]) == 0
         assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + 5
 
-    def test_measurement_restriction_emits_sentinels(self, tmp_path):
-        out = tmp_path / "aoa.csv"
-        cfg = fast_overtaking_config(tmp_path, out, measurements="aoa")
-        assert main(["--config", cfg]) == 0
-        for line in out.read_text(encoding="utf-8").splitlines()[1:]:
-            fields = line.split(",")
-            assert fields[4] == "inf" and fields[5] == "inf"  # *_both columns
-            assert fields[6] != "inf"
+    @pytest.mark.parametrize("choice, kept", [("aoa", "AOA-only"), ("aoa+tdoa", "AOA+TDOA")],
+                             ids=["aoa", "aoa+tdoa"])
+    def test_measurement_restriction_emits_sentinels(self, tmp_path, capsys, choice, kept):
+        # The CLI filters the library's full table: the set left out reads
+        # inf in its three columns, every other column and the kept set's
+        # crossing lines are the both run's.
+        runs = {}
+        for measurements in ("both", choice):
+            out = tmp_path / f"{measurements}.csv"
+            cfg = fast_overtaking_config(tmp_path, out, measurements=measurements)
+            assert main(["--config", cfg]) == 0
+            rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+            crossings = capsys.readouterr().out.splitlines()[2:]
+            runs[measurements] = np.array(rows), crossings
+        (both, both_crossings), (alone, crossings) = runs["both"], runs[choice]
+        left_out = SET_COLUMNS[MEASUREMENTS.index("aoa_tdoa" if choice == "aoa" else "aoa")]
+        kept_columns = np.setdiff1d(np.arange(len(COLUMNS)), left_out)
+        assert (alone[:, left_out] == "inf").all()
+        assert (both[:, left_out] != "inf").all()
+        np.testing.assert_array_equal(alone[:, kept_columns], both[:, kept_columns])
+        assert len(crossings) == 2
+        assert crossings == [line for line in both_crossings if line.split()[0] == kept]
 
     def test_custom_scenario_overlap_rows_are_inf(self, tmp_path):
         out = tmp_path / "custom.csv"

@@ -1,6 +1,6 @@
 """The batched evaluator against the Scene-level path, on random presets.
 
-``evaluate_points`` assembles every placement of a grid in one numpy pass;
+``bound_table`` assembles every placement of a grid in one numpy pass;
 the Scene path (``calibrated_scene`` -> ``active_links`` -> ``link_gains``
 -> ``efim_*``) evaluates one placement from its objects. Both must give the
 same links and the same bounds, including at grazing placements where the
@@ -34,7 +34,6 @@ from v2vbounds.scenarios import (
     build_scene,
     calibrated_scene,
     evaluate_point,
-    evaluate_points,
     placement_efims,
     placement_poses,
     preset_context,
@@ -45,7 +44,7 @@ from v2vbounds.selfcheck import (
 )
 from v2vbounds.waveform import effective_bandwidths
 
-from conftest import NARROW, small_scene
+from conftest import NARROW, small_scene, sweep_rows
 from reference import (
     delay_difference_fims, delay_difference_transforms, dense_arrow, dense_link_efims, link_offsets,
     link_order, padded_jacobians, padded_schur_efims, reference_calibrated_power,
@@ -132,7 +131,7 @@ def same_bound(a: float, b: float) -> bool:
 @given(preset_and_placements())
 def test_batched_rows_equal_scene_path(case):
     preset, placements = case
-    rows = evaluate_points(
+    rows = sweep_rows(
         preset, [(x, y) for x, y, _ in placements], np.array([a for _, _, a in placements])
     )
     for row, (x, y, alpha_t) in zip(rows, placements):
@@ -304,7 +303,7 @@ def test_mirror_invariance(case):
     x, y, alpha_t = np.array(placements).T
     # Each mirror with the Tx panels it swaps (corners 1-4 are panels 0-3).
     mirrors = (((1, -1, -1), [3, 2, 1, 0]), ((-1, 1, -1), [1, 0, 3, 2]))
-    rows = evaluate_points(preset, np.column_stack((x, y)), alpha_t)
+    rows = sweep_rows(preset, np.column_stack((x, y)), alpha_t)
     ctx = preset_context(preset)
     power, betas = np.array(ctx.allocation.array_power_fractions), ctx.betas
     for (sx, sy, sa), swap in mirrors:
@@ -321,7 +320,7 @@ def test_mirror_invariance(case):
         if not np.array_equal(power[swap], power):
             fields = ()
         same_senders = np.array_equal(power[swap] > 0.0, power > 0.0)
-        mirrored = evaluate_points(preset, np.column_stack((sx * x, sy * y)), sa * alpha_t)
+        mirrored = sweep_rows(preset, np.column_stack((sx * x, sy * y)), sa * alpha_t)
         for row, mirror in zip(rows, mirrored):
             assert mirror.n_links == row.n_links or not same_senders
             for name in fields:
@@ -629,7 +628,7 @@ def test_evaluate_point_is_one_row_of_the_batch():
     preset = PRESETS["cfg_28GHz"]
     placements = [(-3.5, 12.0, 0.3), (0.0, -9.0, -2.0), (4.0, 4.5, math.pi)]
     q = [(x, y) for x, y, _ in placements]
-    rows = evaluate_points(preset, q, [a for _, _, a in placements])
+    rows = sweep_rows(preset, q, [a for _, _, a in placements])
     for row, (x, y, alpha_t) in zip(rows, placements):
         assert evaluate_point(preset, Vec2(x, y), alpha_t) == row
 
@@ -650,7 +649,7 @@ def test_bound_table_rows_equal_one_row_calls_bitwise(case):
 def test_non_finite_placements_rejected():
     preset = PRESETS["cfg_3p5GHz"]
     with pytest.raises(ValueError):
-        evaluate_points(preset, [(-3.5, 1.0), (math.nan, 2.0)])
+        bound_table(preset, [(-3.5, 1.0), (math.nan, 2.0)])
     with pytest.raises(ValueError):
         evaluate_point(preset, Vec2(-3.5, 1.0), alpha_t=math.inf)
 

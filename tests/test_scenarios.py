@@ -2,29 +2,27 @@
 
 import dataclasses
 import math
-import re
 
 import numpy as np
 import pytest
 
-from v2vbounds import scenarios
+from v2vbounds import app, scenarios
 from v2vbounds.app import emit_csv
 from v2vbounds.channel import link_gains
-from v2vbounds.errors import NoBracket
+from v2vbounds.errors import ConfigError, NoBracket
 from v2vbounds.fim_closed import MEASUREMENTS, bound_arrays, efim_aoa_only
 from v2vbounds.fim_general import placement_schur_efims
 from v2vbounds.geometry import Vec2, active_links
 from v2vbounds.scenarios import (
-    _SET_COLUMNS,
     COLUMNS,
     MAX_GRID_ROWS,
     MAX_RX_ELEMENTS,
     MAX_SUBCARRIERS,
     PRESETS,
+    SET_COLUMNS,
     Requirements,
     calibrated_scene,
     evaluate_point,
-    evaluate_points,
     build_scene,
     bound_table,
     placement_efims,
@@ -37,7 +35,7 @@ from v2vbounds.scenarios import (
 )
 from v2vbounds.selfcheck import CLOSED_VS_SCHUR_TOL, relative_frobenius
 
-from conftest import panels_with_links
+from conftest import panels_with_links, sweep_rows
 
 
 def panel_counts(preset, q):
@@ -67,14 +65,13 @@ class TestRequirements:
 
 @pytest.fixture(scope="module")
 def overtaking_rows(preset_3p5):
-    return evaluate_points(preset_3p5,
-                           sweep_placements(preset_3p5, "overtaking", -30.0, 30.0, 0.25))
+    return sweep_rows(preset_3p5, sweep_placements(preset_3p5, "overtaking", -30.0, 30.0, 0.25))
 
 
 @pytest.fixture(scope="module")
 def platooning_rows(preset_3p5):
-    return evaluate_points(preset_3p5,
-                           sweep_placements(preset_3p5, "platooning", -30.0, math.inf, 0.25))
+    return sweep_rows(preset_3p5,
+                      sweep_placements(preset_3p5, "platooning", -30.0, math.inf, 0.25))
 
 
 class TestOvertakingSweep:
@@ -106,8 +103,7 @@ class TestOvertakingSweep:
         custom = sweep_placements(preset_3p5, "custom", -1.0, 1.3, 0.5, -3.5)
         overtaking = sweep_placements(preset_3p5, "overtaking", -1.0, 1.3, 0.5)
         for q in (overtaking, custom):
-            sweep = evaluate_points(preset_3p5, q, measurements=("aoa",))
-            assert [r.q_y for r in sweep] == [-1.0, -0.5, 0.0, 0.5, 1.0]
+            assert bound_table(preset_3p5, q)[:, 1].tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
         rows = sweep_placements(preset_3p5, "custom", 0.0, 0.3, 0.1, -3.5)
         assert [q_y for _, q_y in rows] == pytest.approx([0.0, 0.1, 0.2, 0.3])
 
@@ -124,8 +120,8 @@ class TestPlatooningSweep:
         # A q_y_min off the grid drops the partial step at the far end, not
         # at the touching point.
         q = sweep_placements(preset_3p5, "platooning", -30.2, math.inf, 0.25)
-        rows = evaluate_points(preset_3p5, q, measurements=("aoa",))
-        assert [r.d_y for r in rows] == pytest.approx([0.25 * k for k in range(1, 103)])
+        d_y = bound_table(preset_3p5, q)[:, COLUMNS.index("d_y")]
+        assert d_y.tolist() == pytest.approx([0.25 * k for k in range(1, 103)])
 
     def test_four_links_everywhere(self, platooning_rows):
         assert all(r.n_links == 4 for r in platooning_rows)
@@ -138,7 +134,7 @@ class TestPlatooningSweep:
 
     def test_longitudinal_tdoa_impact_small(self, platooning_rows, preset_28):
         q = sweep_placements(preset_28, "platooning", -30.0, math.inf, 0.25)
-        rows = platooning_rows + evaluate_points(preset_28, q)
+        rows = platooning_rows + sweep_rows(preset_28, q)
         worst = max((r.peb_lon_aoa - r.peb_lon_both) / r.peb_lon_aoa for r in rows)
         assert worst < 0.10
 
@@ -177,7 +173,6 @@ class TestEvaluatePoint:
         # not written.
         table = bound_table(preset_3p5, np.empty((0, 2)))
         assert table.shape == (0, len(COLUMNS))
-        assert evaluate_points(preset_3p5, []) == []
         with pytest.raises(ValueError, match="empty sweep"):
             emit_csv(table, tmp_path / "empty.csv")
 
@@ -221,9 +216,10 @@ class TestEvaluatePoint:
         assert all(math.isinf(getattr(row, name)) for name in COLUMNS[4:])
 
     def test_measurement_restriction(self, preset_3p5):
-        row = evaluate_point(preset_3p5, Vec2(-3.5, 10.0), measurements=("aoa",))
-        assert math.isinf(row.peb_lat_both)
-        assert math.isfinite(row.peb_lat_aoa)
+        # The library leaves no set out: a linked placement's row is finite in
+        # all six bound columns; only the CLI's --measurements writes inf.
+        row = evaluate_point(preset_3p5, Vec2(-3.5, 10.0))
+        assert all(math.isfinite(getattr(row, name)) for name in COLUMNS[4:])
 
     def test_shared_preset_arrays_are_read_only(self, preset_3p5):
         ctx = preset_context(preset_3p5)
@@ -373,16 +369,18 @@ class TestScenarioCrossings:
         def rows(*args, **kwargs):
             raise AssertionError("the crossing search builds SweepRows")
         monkeypatch.setattr(scenarios, "bound_table", counting)
-        monkeypatch.setattr(scenarios, "evaluate_points", rows)
         monkeypatch.setattr(scenarios, "evaluate_point", rows)
         scenario_crossings(PRESETS[preset], scenario)
         assert 1 <= len(calls) <= 3
         assert calls[:2] == [2, 127][:len(calls)]  # endpoints, then the coarse interior
 
     def test_measurement_restriction(self, preset_3p5):
-        crossings = scenario_crossings(preset_3p5, "overtaking", measurements=("aoa",))
-        assert list(crossings) == [("aoa", "lat"), ("aoa", "lon")]
-        assert crossings["aoa", "lat"].distance == 24.4189453125
+        # One curve is the matching entry of the four-curve search; a name
+        # that is no key raises KeyError, as an unknown axis does.
+        assert scenario_crossing(preset_3p5, "overtaking", "lat", "aoa") == 24.4189453125
+        for axis, measurement in (("lat", "AOA"), ("lat", "aoa_tdao"), ("up", "aoa")):
+            with pytest.raises(KeyError):
+                scenario_crossing(preset_3p5, "overtaking", axis, measurement)
 
     def test_unknown_scenario_rejected(self, preset_3p5):
         with pytest.raises(ValueError):
@@ -482,7 +480,7 @@ def test_count_not_an_integer_rejected(field, value):
 
 @pytest.mark.parametrize("name", list(PRESETS))
 def test_both_paths_stack_the_measurement_sets_in_one_order(name):
-    # Entry i of each EFIM stack and the bound table's _SET_COLUMNS[i] are
+    # Entry i of each EFIM stack and the bound table's SET_COLUMNS[i] are
     # MEASUREMENTS[i], on both paths.
     preset = PRESETS[name]
     ctx, q = preset_context(preset), np.array([[-3.5, 9.0]])
@@ -491,32 +489,28 @@ def test_both_paths_stack_the_measurement_sets_in_one_order(name):
     j_po = placement_schur_efims(ctx, tx_c, offset, visible, rx_pose[1])
     table = bound_table(preset, q, 0.2)
     assert j.shape == j_po.shape == (2, 1, 3, 3)
-    for i, measurement in enumerate(MEASUREMENTS):
+    for i in range(len(MEASUREMENTS)):
         assert relative_frobenius(j[i], j_po[i]).max() < CLOSED_VS_SCHUR_TOL
         assert relative_frobenius(j[i], j_po[1 - i]).max() > 1e-3  # the sets differ
-        np.testing.assert_array_equal(table[:, _SET_COLUMNS[i]], bound_arrays(j[i])[2])
-        alone = bound_table(preset, q, 0.2, (measurement,))
-        np.testing.assert_array_equal(alone[:, _SET_COLUMNS[i]], table[:, _SET_COLUMNS[i]])
-        assert np.isinf(alone[:, _SET_COLUMNS[1 - i]]).all()
+        np.testing.assert_array_equal(table[:, SET_COLUMNS[i]], bound_arrays(j[i])[2])
 
 
 # A misspelled name once gave six inf bounds and no crossings, and a bare
 # string matched by substring ("aoa" in "aoa_tdoa"), so both sets ran; an
-# empty collection gave the same sentinels.
+# empty collection gave the same sentinels. The library takes no choice of
+# sets; the CLI's filter reads RunConfig.measurements, which its parser
+# makes a non-empty tuple of MEASUREMENTS members or refuses.
 @pytest.mark.parametrize("measurements", [("aoa_tdao",), ("nope",), ("aoa", "AOA"), "aoa_tdoa",
                                           "aoa", None, iter(MEASUREMENTS), (), []])
 def test_bad_measurements_rejected(measurements):
-    preset, allowed = PRESETS["cfg_3p5GHz"], re.escape(repr(MEASUREMENTS))
-    calls = (lambda: bound_table(preset, [(-3.5, 10.0)], measurements=measurements),
-             lambda: evaluate_point(preset, Vec2(-3.5, 10.0), measurements=measurements),
-             lambda: evaluate_points(preset, [(-3.5, 10.0)], measurements=measurements),
-             lambda: scenario_crossings(preset, "overtaking", measurements=measurements))
-    for call in calls:
-        with pytest.raises(ValueError, match=allowed):
-            call()
+    if measurements is None or isinstance(measurements, str):
+        parsed = app._config_from_mapping({"measurements": measurements}).measurements
+        assert parsed == ((measurements,) if measurements else MEASUREMENTS)
+    else:
+        with pytest.raises(ConfigError, match="must be a string"):
+            app._config_from_mapping({"measurements": measurements})
 
 
 def test_measurement_names_are_the_lower_case_ones():
     assert MEASUREMENTS == ("aoa_tdoa", "aoa")
-    with pytest.raises(ValueError, match=re.escape(repr(MEASUREMENTS))):
-        bound_table(PRESETS["cfg_3p5GHz"], [(-3.5, 10.0)], measurements=("AOA_TDOA",))
+    assert app._config_from_mapping({"measurements": "AOA_TDOA"}).measurements == ("aoa_tdoa",)
