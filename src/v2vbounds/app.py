@@ -66,6 +66,14 @@ class RunConfig:
     alpha_t: float = 0.0
     overrides: dict | None = None
 
+    def __post_init__(self) -> None:
+        # The CSV and crossing filter test membership: a bare string would
+        # match by substring ("aoa" in "aoa_tdoa"), a misspelt name nothing.
+        if not (isinstance(self.measurements, tuple) and self.measurements
+                and set(self.measurements) <= set(MEASUREMENTS)):
+            raise ConfigError(f"measurements must be a non-empty tuple of {MEASUREMENTS} "
+                              f"members, got {self.measurements!r}")
+
     def resolve_preset(self) -> PresetConfig:
         overrides = dict(self.overrides or {})
         unknown = set(overrides) - _OVERRIDABLE
@@ -136,7 +144,7 @@ def _config_from_mapping(raw: dict) -> RunConfig:
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    cfg = RunConfig()
+    values = {}
     for key in ("scenario", "preset", "out", "measurements"):
         value = raw.get(key)
         if value is None:  # null means the default
@@ -145,17 +153,18 @@ def _config_from_mapping(raw: dict) -> RunConfig:
             raise ConfigError(f"config key {key} must be a string, got {value!r}")
         if key == "out" and not value:
             raise ConfigError("config key out must name a file, got ''")
-        setattr(cfg, key, _parse_measurements(value) if key == "measurements" else value)
+        values[key] = _parse_measurements(value) if key == "measurements" else value
     for key in ("step", "q_x", "q_y_min", "q_y_max", "alpha_t"):
         if key in raw:
             try:
-                setattr(cfg, key, _number(raw[key]))
+                values[key] = _number(raw[key])
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"config key {key} is not numeric: {raw[key]!r}") from exc
     if "overrides" in raw and raw["overrides"] is not None:
         if not isinstance(raw["overrides"], dict):
             raise ConfigError("overrides must be a mapping")
-        cfg.overrides = dict(raw["overrides"])
+        values["overrides"] = dict(raw["overrides"])
+    cfg = RunConfig(**values)
     if cfg.scenario not in _SCENARIOS:
         raise ConfigError(f"scenario must be one of {_SCENARIOS}, got {cfg.scenario!r}")
     if cfg.step <= 0:

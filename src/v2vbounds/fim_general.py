@@ -172,34 +172,33 @@ def schur_efims(blocks: np.ndarray, jacobians: np.ndarray) -> np.ndarray:
     link's nuisance parameters go first, on its own block. The gains N
     (blocks[..., 2:, 2:]) go once: with B the coupling of the delay and angle
     to them and A their block, what is left is A - B N^+ B^T, N equilibrated
-    and pseudo-inverted from one batched eigh (n, L, 2, 2) at RANK_EPS
-    max(1, lambda_max), the 1 the unit pivot of a kept parameter, so the zero
-    N of an array without subcarriers inverts nothing, not even rounding
-    residue (for a PSD FIM, N z = 0 forces B z = 0: one subcarrier per array
-    turns a delay like its gain phase). For AOA-only the delay then goes from
-    that 2 x 2 remainder, where its information is above RANK_EPS of what it
-    was before the gains went, and its Jacobian column is zero. Both sets
-    share the rest. The offset goes where its remaining information is above
-    RANK_EPS of what it was: as in the closed form, the delays' geometry is
-    centred on the mean m their remaining information weighs, which moves
-    the offset by m . eta and decouples it with no difference of large terms;
-    in AOA-only the offset meets no kept parameter, so m is 0. Sums run in
-    link order, so a silent link adds exact zeros and padding changes no bit.
-    Ranked where the centred information, no smaller than RANK_EPS of the
-    uncentred (the centring's rounding), has a unit diagonal: eigenvalues up
-    to RANK_EPS are residue.
+    and pseudo-inverted on its positive eigenvalues from one batched eigh
+    (n, L, 2, 2). A FIM is PSD, so N z = 0 forces B z = 0 and no tolerance
+    is needed (one subcarrier per array turns a delay like its gain phase).
+    For AOA-only the delay then goes from that 2 x 2 remainder where its
+    information is positive, and its Jacobian column is zero. Both sets
+    share the rest, and three RANK_EPS rules, each pinned by a test_batch
+    case. The offset goes where its remaining information is above RANK_EPS
+    of what it was (the coupled-delay test's second example): as in the
+    closed form, the delays' geometry is centred on the mean m their
+    remaining information weighs, which moves the offset by m . eta and
+    decouples it with no difference of large terms; in AOA-only the offset
+    meets no kept parameter, so m is 0. Sums run in link order, so a silent
+    link adds exact zeros and padding changes no bit. Ranked where the
+    centred information, no smaller than RANK_EPS of the uncentred (the
+    centring's rounding; the coupled-delay test's third example), has a
+    unit diagonal: eigenvalues up to RANK_EPS are residue (that test, the
+    few-subcarriers, whole-nuisance and padded-kernel ones).
     """
     a, b, d = blocks[..., :2, :2], blocks[..., :2, 2:], blocks[..., 2:, 2:]
     diag = d.diagonal(0, -2, -1)
     scale = np.sqrt(np.where(diag > 0.0, diag, 1.0))
     eigvals, vectors = np.linalg.eigh(d / (scale[..., :, None] * scale[..., None, :]))
     c = (b / scale[..., None, :]) @ vectors
-    inverse = np.divide(1.0, eigvals, where=eigvals > RANK_EPS * np.maximum(eigvals[..., -1:], 1.0),
-                        out=np.zeros(eigvals.shape))
+    inverse = np.divide(1.0, eigvals, where=eigvals > 0.0, out=np.zeros(eigvals.shape))
     free = a - (c * inverse[..., None, :]) @ c.swapaxes(-1, -2)
     delay = free[..., :1, :1]
-    drop = np.divide(free[..., :1], delay, where=delay > RANK_EPS * a[..., :1, :1],
-                     out=np.zeros_like(free[..., :1]))
+    drop = np.divide(free[..., :1], delay, where=delay > 0.0, out=np.zeros_like(free[..., :1]))
     free = np.stack((free, free - drop * free[..., :1, :]))
     w = np.stack((jacobians, jacobians))
     w[1, ..., 0] = 0.0

@@ -212,8 +212,7 @@ class VehicleSpec:
         center, halfwidth = np.array([(p.fov_blocked_center, p.fov_blocked_halfwidth)
                                       for p in self.panels]).T
         x, y = mount.real, mount.imag
-        # 1e-13 m admits rounding only, far inside _crosses_body's 1e-12 m probe margin.
-        on_corner = np.hypot(np.abs(x) - self.width / 2.0, np.abs(y) - self.length / 2.0) <= 1e-13
+        on_corner = (np.abs(x) == self.width / 2.0) & (np.abs(y) == self.length / 2.0)
         wedge = np.arctan2(-np.sign(y), -np.sign(x))  # bisector of the corner's body wedge
         covered = np.abs(wrap_angles(center - wedge)) + math.pi / 4 <= halfwidth + _SECTOR_EDGE_TOL
         n_elements = np.array([p.n_elements for p in self.panels])

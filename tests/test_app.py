@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import v2vbounds
-from v2vbounds.app import CSV_HEADER, emit_csv, load_config, main
+from v2vbounds.app import CSV_HEADER, RunConfig, emit_csv, load_config, main
 from v2vbounds.errors import ConfigError
 from v2vbounds.fim_closed import MEASUREMENTS
 from v2vbounds.scenarios import COLUMNS, PRESETS, SET_COLUMNS
@@ -87,6 +87,14 @@ class TestConfigParsing:
         assert cfg.measurements == ("aoa_tdoa",)
         cfg = load_config(write_config(tmp_path, measurements="aoa"))
         assert cfg.measurements == ("aoa",)
+
+    # A hand-built config meets the check a parsed one does: a bare string
+    # once matched by substring and showed both sets, and a misspelt name
+    # gave six inf columns; both exited 0.
+    @pytest.mark.parametrize("measurements", ["aoa_tdoa", ("aoa_tdao",)])
+    def test_hand_built_measurements_checked(self, measurements):
+        with pytest.raises(ConfigError, match="measurements must be a non-empty tuple"):
+            RunConfig(measurements=measurements)
 
     def test_custom_preset_requires_core_overrides(self, tmp_path):
         path = write_config(tmp_path, preset="custom", overrides={"max_occupied_index": 100})

@@ -20,8 +20,8 @@ from v2vbounds.channel import link_gains
 from v2vbounds.errors import NoActiveLinks
 from v2vbounds.fim_closed import MEASUREMENTS, bound_arrays, efim_aoa_only, efim_aoa_tdoa
 from v2vbounds.fim_general import (
-    channel_fims, channel_fims_fd, placement_links, placement_schur_efims, schur_efims,
-    transform_matrices,
+    channel_fims, channel_fims_fd, fim_channel, placement_links, placement_schur_efims, schur_efims,
+    transform_matrices, transform_matrix,
 )
 from v2vbounds.geometry import (
     SPEED_OF_LIGHT, Vec2, active_links, visibility, wrap_angle, wrap_angles,
@@ -46,8 +46,8 @@ from v2vbounds.waveform import effective_bandwidths
 
 from conftest import NARROW, small_scene, sweep_rows
 from reference import (
-    delay_difference_fims, delay_difference_transforms, dense_arrow, dense_link_efims, link_offsets,
-    link_order, padded_jacobians, padded_schur_efims, reference_calibrated_power,
+    delay_difference_fims, delay_difference_transforms, dense_arrow, dense_link_efims, exact_efims,
+    link_offsets, link_order, padded_jacobians, padded_schur_efims, reference_calibrated_power,
     reference_centroids, reference_los_visible, reference_schur_efims, rx_panel_state,
     tx_panel_state,
 )
@@ -419,12 +419,23 @@ def a_units_error(j_po, expected, blocks, jacobians, measurement):
     return np.linalg.norm((j_po - expected) * scale[:, :, None] * scale[:, None, :], axis=(-2, -1))
 
 
-# At the example, the n_rx 1 / max_occupied_index 3 placement of the property
-# above, both kernels give rank 1.
+# At the first example, the n_rx 1 / max_occupied_index 3 placement of the
+# property above, both kernels give rank 1. At the other two, near-coincident
+# bodies with one Rx element and a tiny Tx heading, the dense oracle's
+# AOA+TDOA EFIM is 8.5e-8 and 1.1e-8 off in A's units, the kernel's 9.7e-17
+# and 6.1e-26 from the exact EFIM.
 @example((PresetConfig(name="custom", carrier_frequency=1e9, subcarrier_spacing=15e3,
                        n_rx_elements=1, target_snr_db=0.0, max_occupied_index=3,
                        vehicle_length=4.25, vehicle_width=1.5, lane_width=3.0),
           [(2.875, 0.0, 2.5)]))
+@example((PresetConfig(name="custom", carrier_frequency=1e9, subcarrier_spacing=15e3,
+                       n_rx_elements=1, target_snr_db=0.0, max_occupied_index=3,
+                       vehicle_length=4.25, vehicle_width=1.5, lane_width=3.0,
+                       fov_blocked_halfwidth=0.0), [(1e-7, 0.0, 3.946415965842079e-170)]))
+@example((PresetConfig(name="custom", carrier_frequency=1e9, subcarrier_spacing=15e3,
+                       n_rx_elements=1, target_snr_db=0.0, max_occupied_index=3,
+                       vehicle_length=4.25, vehicle_width=1.5, lane_width=3.0,
+                       fov_blocked_halfwidth=0.0), [(0.0, 1e-7, 3.946415965842079e-170)]))
 @settings(max_examples=40, deadline=None)
 @given(preset_and_float_placements(st.builds(dataclasses.replace, custom_presets(),
                                              max_occupied_index=st.integers(1, 8))))
@@ -432,7 +443,8 @@ def test_schur_efims_equal_the_whole_nuisance_pseudo_inverse(case):
     # The per-link elimination over one stack of every placement, padded to
     # the largest link count, against one eigh of each whole nuisance block
     # of the same parameters made dense: equal ranks, and EFIMs equal to
-    # rounding in A's units.
+    # rounding in A's units. Where the two differ by more, the dense oracle
+    # is the side that is off: the kernel is within 1e-15 of the exact EFIM.
     stacks = schur_cases(case)
     assume(stacks is not None)
     ctx, (t, r, v_tau, v_theta, distance, angle, h) = stacks
@@ -442,7 +454,10 @@ def test_schur_efims_equal_the_whole_nuisance_pseudo_inverse(case):
         expected = reference_schur_efims(*dense_arrow(blocks, jacobians, measurement))
         np.testing.assert_array_equal(bound_arrays(j_po)[1], bound_arrays(expected)[1])
         error = a_units_error(j_po, expected, blocks, jacobians, measurement)
-        assert (error < 1e-12).all(), (measurement, error.max())
+        off = error >= 1e-12
+        exact = exact_efims(blocks[off], jacobians[off], measurement)
+        exact_error = a_units_error(j_po[off], exact, blocks[off], jacobians[off], measurement)
+        assert (exact_error < 1e-15).all(), (measurement, error.max(), exact_error)
 
 
 def with_silent_link(links):
@@ -454,8 +469,8 @@ def with_silent_link(links):
 
 
 # Near-coincident bodies with one Rx element and a tiny Tx heading: the two
-# kernels agree, where each differs from the whole-nuisance oracle by up to
-# 8.5e-8 in A's units.
+# kernels agree, where the whole-nuisance dense oracle is 8.5e-8 off in A's
+# units.
 @example((PresetConfig(name="custom", carrier_frequency=1e9, subcarrier_spacing=15e3,
                        n_rx_elements=1, target_snr_db=0.0, max_occupied_index=3,
                        vehicle_length=4.25, vehicle_width=1.5, lane_width=3.0,
@@ -511,10 +526,28 @@ def coupled_factors(draw):
 
 
 # Two links, the first's delay row twice its first gain row minus its second.
+# In the second, link 0's delay keeps 7.5e-5 of information once its gains go
+# and link 1's none, while link 1 held 4e6 before: below RANK_EPS of that, the
+# offset's remaining information is taken as residue and left uncentred, as
+# the padded form leaves it. Centred on it (the offset rule at > 0), the
+# kernel read AOA+TDOA rank 0 against the padded form's 1, 0.25 apart in A's
+# units. The exact EFIM there is 0 (reference.exact_efims): the example pins
+# the kernel's offset rule to the padded form's, not to exact arithmetic.
+# In the third, one link with silent gains and its angle row a tenth of its
+# delay row, the offset takes all of q's information: the delays' centred
+# information is 7.9e-31 of rounding (the mean 1.1 is inexact). Ranked in
+# those units, without the floor at RANK_EPS of the uncentred 121, that
+# residue read as AOA+TDOA rank 1 where the padded form and the exact EFIM
+# read 0.
 @example((np.array([[[[2, 1, 4, -1], [1, 0, 2, 3], [1, 0, 1, 0], [0, -1, -2, 1]],
                      [[1, 2, 0, 1], [3, 1, -1, 0], [0, 1, 1, 2], [2, 0, 1, -1]]]], dtype=float),
           np.array([[[[1, 2], [0, -1], [3, 1], [1, 0]], [[-2, 1], [1, 1], [0, 2], [1, 0]]]],
                    dtype=float)))
+@example((np.array([[[[0.0, 1e-2, 1e-2, 1e-2]] + [[1e3] * 4] * 3, [[1e3] * 4] * 4]]),
+          np.array([[[[1, 0], [0, 0], [0, 0], [1, 0]], [[0, 0], [0, 0], [0, 0], [1, 0]]]],
+                   dtype=float)))
+@example((np.array([[[[10.0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]]]),
+          np.array([[[[1.0, 1], [1, 1], [1, 1], [1, 0]]]])))
 @settings(max_examples=60, deadline=None)
 @given(coupled_factors())
 def test_schur_efims_eliminate_a_coupled_delay_as_the_whole_nuisance_block(case):
@@ -531,6 +564,43 @@ def test_schur_efims_eliminate_a_coupled_delay_as_the_whole_nuisance_block(case)
         np.testing.assert_array_equal(bound_arrays(j_po)[1], bound_arrays(expected)[1])
         error = a_units_error(j_po, expected, blocks, jacobians, measurement)
         assert (error < 1e-12).all(), (measurement, error.max())
+
+
+@settings(max_examples=20, deadline=None)
+@given(arrays(float, (2, 3, 4, 4), elements=st.integers(-3, 3)),
+       arrays(float, (2, 3, 3, 2), elements=st.integers(-3, 3)))
+def test_exact_efims_equal_a_float_solve_when_well_conditioned(factors, geometry):
+    # Blocks G G^T + I of integer factors leave every eigenvalue of the dense
+    # nuisance block at least 1, so a float solve of it is good to rounding:
+    # the exact elimination agrees to 1e-12 of T J T^T in both sets. In
+    # AOA-only the offset row is the sum of the delay rows, so the solve
+    # leaves it out, and the exact elimination meets it as a zero pivot.
+    blocks = factors @ factors.swapaxes(-1, -2) + np.eye(4)
+    jacobians = np.concatenate((geometry, np.broadcast_to([[1.0, 0.0]], (2, 3, 1, 2))), axis=-2)
+    for measurement, k in zip(MEASUREMENTS, (3, 4)):
+        j_phi, t_matrix = dense_arrow(blocks, jacobians, measurement)
+        full = t_matrix @ j_phi @ t_matrix.swapaxes(-1, -2)
+        a, b, n = full[:, :3, :3], full[:, :3, k:], full[:, k:, k:]
+        expected = a - b @ np.linalg.solve(n, b.swapaxes(-1, -2))
+        error = np.linalg.norm(exact_efims(blocks, jacobians, measurement) - expected,
+                               axis=(-2, -1)) / np.linalg.norm(full, axis=(-2, -1))
+        assert (error < 1e-12).all(), (measurement, error.max())
+
+
+def test_exact_efims_skip_a_silent_link():
+    # A silent link's block is exactly zero, so each of its pivots is exactly
+    # zero and skipped: alone it gives an exactly zero EFIM, and beside live
+    # links it changes no bit of theirs.
+    scene = small_scene(n_tx_panels=1, n_rx_panels=2)
+    links = active_links(scene)
+    blocks, jacobians = fim_channel(scene, links)[None], transform_matrix(scene, links)[None]
+    silent = np.zeros_like(blocks[:, :1])
+    padded = (np.concatenate((blocks, silent), axis=1),
+              np.concatenate((jacobians, jacobians[:, :1]), axis=1))
+    for measurement in MEASUREMENTS:
+        assert not exact_efims(silent, jacobians[:, :1], measurement).any()
+        np.testing.assert_array_equal(exact_efims(*padded, measurement),
+                                      exact_efims(blocks, jacobians, measurement))
 
 
 @settings(max_examples=40, deadline=None)

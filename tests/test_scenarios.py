@@ -499,7 +499,7 @@ def test_both_paths_stack_the_measurement_sets_in_one_order(name):
 # string matched by substring ("aoa" in "aoa_tdoa"), so both sets ran; an
 # empty collection gave the same sentinels. The library takes no choice of
 # sets; the CLI's filter reads RunConfig.measurements, which its parser
-# makes a non-empty tuple of MEASUREMENTS members or refuses.
+# makes a non-empty tuple of MEASUREMENTS members and RunConfig checks.
 @pytest.mark.parametrize("measurements", [("aoa_tdao",), ("nope",), ("aoa", "AOA"), "aoa_tdoa",
                                           "aoa", None, iter(MEASUREMENTS), (), []])
 def test_bad_measurements_rejected(measurements):
