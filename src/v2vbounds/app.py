@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 import warnings
@@ -268,6 +269,7 @@ def run(cfg: RunConfig) -> int:
     return 0
 
 
+@functools.cache  # once per process: parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="v2vbounds",

@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Link, Pose, VehicleSpec, read_only
+from .geometry import Link, PanelPairs, Pose, VehicleSpec, panel_pairs, read_only
 from .waveform import Allocation, OfdmSpec, effective_bandwidths
 
 
@@ -48,6 +48,7 @@ class LinkContext:
 
     tx_vehicle: VehicleSpec
     rx_vehicle: VehicleSpec
+    pairs: PanelPairs  # their arrays' panel pairs
     ofdm: OfdmSpec
     allocation: Allocation
     betas: np.ndarray  # (K,) effective bandwidth per Tx array, rad/s
@@ -56,7 +57,7 @@ class LinkContext:
     tx_moments: np.ndarray  # (K, 3) each Tx array's power moments sum P omega^p, p = 0, 1, 2
     # Per link (Tx panel t, Rx panel r) in Kt*Kr order, each (Kt*Kr,):
     link_gd2: np.ndarray  # information weight g times distance^2
-    link_beta: np.ndarray  # betas[t]
+    link_beta2: np.ndarray  # betas[t]**2
     link_sends: np.ndarray  # link_gd2 > 0: the Tx array has signal
     link_saaf: np.ndarray  # (3, Kt, Kr) the Rx panel's (S00, S01 + S10, S11) of saaf_s
 
@@ -79,9 +80,10 @@ def link_context(tx_vehicle: VehicleSpec, rx_vehicle: VehicleSpec, ofdm: OfdmSpe
     gd2 = ofdm.total_power * information_weight(1.0, ofdm.wavelength, rx.n_elements[r.ravel()],
                                                 fractions[t.ravel()], ofdm.n_symbols)
     (s00, s01), (s10, s11) = rx.saaf_s[r].transpose(2, 3, 0, 1)
-    return LinkContext(tx_vehicle, rx_vehicle, ofdm, allocation, betas, omega, power,
-                       read_only(moments), read_only(gd2), read_only(betas[t.ravel()]),
-                       read_only(gd2 > 0.0), read_only(np.array([s00, s01 + s10, s11])))
+    return LinkContext(tx_vehicle, rx_vehicle, panel_pairs(tx_vehicle.arrays, rx), ofdm,
+                       allocation, betas, omega, power, read_only(moments), read_only(gd2),
+                       read_only(betas[t.ravel()]**2), read_only(gd2 > 0.0),
+                       read_only(np.array([s00, s01 + s10, s11])))
 
 
 @dataclass(frozen=True)

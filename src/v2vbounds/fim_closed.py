@@ -67,13 +67,14 @@ def bound_arrays(j_po: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Positive pivots and trace(A^-1) < _CERTIFIED_TRACE prove rank 3; eigvalsh
     ranks only the other rows, which include every row with a non-finite,
     zero or subnormal diagonal entry (a pivot is then not positive)."""
-    sym = 0.5 * (j_po + np.swapaxes(j_po, -1, -2))
+    sym = 0.5 * (j_po + j_po.swapaxes(-1, -2))
     diag = sym.diagonal(0, -2, -1)
     scale = np.sqrt(np.divide(1.0, diag, where=diag >= _TINY, out=np.zeros(diag.shape)))
     with np.errstate(divide="ignore", invalid="ignore"):  # rows below full rank are masked
         # A non-finite entry leaves a pivot NaN or -inf: every certified row is finite.
         a = sym * (scale[..., :, None] * scale[..., None, :])
-        a00, a01, a02, _, a11, a12, _, _, a22 = a.reshape(-1, 9).T.copy()
+        e = a.reshape(-1, 9).T.copy()  # indexed: unpacking its rows iterates, 4x slower
+        a00, a01, a02, a11, a12, a22 = e[0], e[1], e[2], e[4], e[5], e[8]
         scale = scale.reshape(-1, 3).T
         # A = L diag(a00, d1, d2) L^T, L unit lower triangular: [A^-1]_ii is
         # sum_k [L^-1]_ki^2 / d_k, a sum of positive terms.
@@ -81,8 +82,8 @@ def bound_arrays(j_po: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         d1, e12 = a11 - l10 * a01, a12 - l20 * a01
         l21 = e12 / d1
         d2 = a22 - l20 * a02 - l21 * e12
-        inv = (1.0 / a00 + l10 * l10 / d1 + (l10 * l21 - l20)**2 / d2, 1.0 / d1 + l21 * l21 / d2,
-               1.0 / d2)
+        inv = (np.reciprocal(a00) + l10 * l10 / d1 + (l10 * l21 - l20)**2 / d2,
+               np.reciprocal(d1) + l21 * l21 / d2, np.reciprocal(d2))
         # The position block over sqrt(J_xx J_yy): [[a00 r, a01], [a01, a11 / r]], r the
         # ratio sqrt(J_xx / J_yy): determinant a00 d1, larger eigenvalue lam (lam^2 may overflow).
         u, w = a00 * scale[1] / scale[0], a11 * scale[0] / scale[1]
@@ -120,13 +121,13 @@ def link_vectors(
     point, the Rx vehicle heading and the Rx panel's SAAF terms (3, ...): with
     p = conj(t) u, v_tau = (Re u, Im u, -Im p) and v_theta = (-Im u, Re u, -Re p),
     one product conj(u) (1, i, -i t) = v_tau + i v_theta. SAAF reads u e^(-i alpha_R)."""
-    vectors = np.conj(direction)[..., None] * (_UNIT + np.multiply.outer(tx_offset, _TURN))
+    vectors = np.conj(direction)[..., None] * (_UNIT + tx_offset[..., None] * _TURN)
     return vectors.real, vectors.imag, saaf_form(saaf, direction * np.exp(-1j * rx_heading))
 
 
 def saaf_form(saaf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """u^T S u at complex unit directions u (...) from S's terms (S00, S01 + S10, S11)."""
-    (s00, s01, s11), x, y = saaf, u.real, u.imag
+    s00, s01, s11, x, y = saaf[0], saaf[1], saaf[2], u.real, u.imag
     return s00 * x * x + s01 * x * y + s11 * y * y
 
 
@@ -152,11 +153,11 @@ def link_info_vectors(
 
 def information(
     v_tau: np.ndarray, v_theta: np.ndarray, aperture: np.ndarray,
-    g: np.ndarray, distance2: np.ndarray, beta: np.ndarray, omega_c: float,
+    g: np.ndarray, distance2: np.ndarray, beta2: np.ndarray, omega_c: float,
 ) -> np.ndarray:
     """AOA+TDOA and AOA-only EFIMs (2, ..., 3, 3), in MEASUREMENTS order,
     from per-link arrays, links along the last axis of the weights, distance2
-    the squared distances; a link with g = 0 adds nothing.
+    and beta2 squared distances and bandwidths; a link with g = 0 adds nothing.
 
     The angle part sums rank-one terms weighted by g omega_c^2 SAAF / (c d)^2.
     The delay part is the weighted covariance of the delay vectors with
@@ -164,13 +165,12 @@ def information(
     """
     c2 = SPEED_OF_LIGHT**2
     w_theta = g * omega_c**2 * aperture / (c2 * distance2)
-    # Allocated before the temporaries below: after them, glibc's heap trimming cost 2-3%.
-    # np.broadcast of two views gives the batch shape faster than np.broadcast_shapes.
-    j = np.empty((2,) + np.broadcast(v_theta[..., 0, 0], w_theta[..., 0]).shape + (3, 3))
-    np.matmul((v_theta * w_theta[..., None]).swapaxes(-1, -2), v_theta, out=j[1])
-    w_tau = g * beta**2 / c2
-    total = np.add.reduce(w_tau, axis=-1, keepdims=True)
-    mean = (w_tau[..., None, :] @ v_tau) / np.where(total > 0.0, total, 1.0)[..., None]
+    weighted = v_theta * w_theta[..., None]
+    j = np.empty((2,) + weighted.shape[:-2] + (3, 3))
+    np.matmul(weighted.swapaxes(-1, -2), v_theta, out=j[1])
+    w_tau = g * beta2 / c2
+    total = np.add.reduce(w_tau, axis=-1, keepdims=True)  # not negative: a zero divides by 1
+    mean = (w_tau[..., None, :] @ v_tau) / (total + (total == 0.0))[..., None]
     centered = v_tau - mean
     # An entry within the mean's rounding, L ulps of the link's own, is no information.
     np.copyto(centered, 0.0, where=abs(centered) <= v_tau.shape[-2] * _EPS * abs(v_tau))
@@ -185,7 +185,7 @@ def _scene_information(scene: Scene, links: Sequence[Link], gains: Sequence[Link
     them) from their link_gains and the Tx arrays' effective bandwidths."""
     g, distance = np.array([[gain.g for gain in gains], [link.distance for link in links]])
     beta = np.asarray(betas, dtype=float)[[link.tx_panel for link in links]]
-    return information(*link_info_vectors(scene, links), g, distance**2, beta,
+    return information(*link_info_vectors(scene, links), g, distance**2, beta**2,
                        scene.context.ofdm.omega_c)
 
 

@@ -357,31 +357,43 @@ class VehicleArrays:
     # that wedge, so the sector test already rejects every link the body test would.
     sectors_imply_body: bool
 
-    def turned(self, turn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """mount and blocked_dir (..., K) in the world frame of the vehicle
-        turned by turn = e^(i heading) (...): one rotation turns both."""
-        return self.mount * turn[..., None], self.blocked_dir * turn[..., None]
+
+@dataclass(frozen=True, eq=False)
+class PanelPairs:
+    """Tx and Rx arrays and the pose-free arrays of their panel pairs (Kt, Kr); read-only."""
+
+    tx: VehicleArrays
+    rx: VehicleArrays
+    mounts: np.ndarray  # (Kt, Kr) complex: the mounts' differences m_r - m_t
+    sector_dirs: np.ndarray  # (2, Kt, Kr): conj(blocked_dir) of the Tx panel, minus the Rx's
+    sector_edge: np.ndarray  # (2, 2, Kt, Kr): their blocked_edge, cos h' then sin h'
 
 
-def los_mask(tx_c: np.ndarray, offset: np.ndarray, tx_sector: tuple, rx_sector: tuple,
-             *bodies: tuple) -> np.ndarray:
-    """Line of sight from Tx panels at tx_c along the offsets d to the Rx
-    panels, all complex: d misses the Tx panel's blocked sector, -d the Rx
-    panel's, and the open segment from tx_c to tx_c + d each given body's
-    interior (bodies as _crosses_body takes them). An offset below 1e-9 m has
-    no direction: not visible. A sector is (e^(i c), cos h', sin h'), c its
-    world-frame center, h' from sector_edge: z = d conj(e^(i c)) lies in it,
-    |arg z| <= h', iff Re z sin h' >= |Im z| cos h'. All broadcast."""
-    (tx_dir, tx_cos, tx_sin), (rx_dir, rx_cos, rx_sin) = tx_sector, rx_sector
-    z_t, z_r = offset * np.conj(tx_dir), offset * np.conj(rx_dir)
-    mask = ((np.abs(offset) >= 1e-9) & (z_t.real * tx_sin < np.abs(z_t.imag) * tx_cos)
-            & (-z_r.real * rx_sin < np.abs(z_r.imag) * rx_cos))
+def panel_pairs(tx: VehicleArrays, rx: VehicleArrays) -> PanelPairs:
+    """The PanelPairs of the links from tx's panels to rx's."""
+    dirs = np.array(np.broadcast_arrays(np.conj(tx.blocked_dir)[:, None], -np.conj(rx.blocked_dir)))
+    edge = np.stack(np.broadcast_arrays(tx.blocked_edge[..., None], rx.blocked_edge[:, None]), 1)
+    return PanelPairs(tx, rx, *map(read_only, (rx.mount - tx.mount[:, None], dirs, edge)))
+
+
+def los_mask(tx_c: np.ndarray, offset: np.ndarray, distance: np.ndarray, directions: np.ndarray,
+             edge: np.ndarray, *bodies: tuple) -> np.ndarray:
+    """Line of sight from Tx panels at tx_c along the complex offsets d (..., Kt, Kr) of
+    modulus distance: d misses the Tx panel's blocked sector, -d the Rx panel's, and the
+    segment from tx_c to tx_c + d each body's open interior (as _crosses_body takes them);
+    below 1e-9 m, d has no direction. A sector of world-frame center c and h' from
+    sector_edge holds z = d e^(-i c) iff Re z sin h' >= |Im z| cos h'. directions are
+    e^(-i c) (..., 2, Kt, Kr) of the Tx panel, then minus the Rx panel's, which negates z
+    exactly, and edge (cos h', sin h') (2, ..., 2, Kt, Kr): one comparison. All broadcast."""
+    z = offset[..., None, :, :] * directions
+    clear = z.real * edge[1] < np.abs(z.imag) * edge[0]
+    mask = (distance >= 1e-9) & clear[..., 0, :, :] & clear[..., 1, :, :]
     for body in bodies:
         mask &= ~_crosses_body(tx_c, tx_c + offset, body)
     return mask
 
 
-def _pair_offsets(tx: VehicleArrays, rx: VehicleArrays, tx_turn: np.ndarray, turn: np.ndarray,
+def _pair_offsets(pairs: PanelPairs, tx_turn: np.ndarray, turn: np.ndarray,
                   rx_at: np.ndarray) -> np.ndarray:
     """Complex offsets (..., Kt, Kr) from every Tx panel centroid to every Rx one,
     e^(i h_t) [(m_r - m_t) + expm1(i (h_r - h_t)) m_r] + p_r - p_t for mounts m, from
@@ -389,31 +401,33 @@ def _pair_offsets(tx: VehicleArrays, rx: VehicleArrays, tx_turn: np.ndarray, tur
     overlap at nearly one heading, no O(1) coordinates cancel, so a pair 1e-4 m apart
     keeps the relative accuracy of its turn, where the difference of its centroids
     loses four digits: through its AOA vector's heading entry, 3e-5 in the bounds."""
-    turned = np.expm1(1j * turn)[..., None] * rx.mount
-    return ((turned[..., None, :] + (rx.mount - tx.mount[:, None])) * tx_turn[..., None, None]
-            + rx_at[..., None, None])
+    turned = np.expm1(1j * turn)[..., None, None] * pairs.rx.mount
+    return (turned + pairs.mounts) * tx_turn[..., None, None] + rx_at[..., None, None]
 
 
-def visibility(tx: VehicleArrays, tx_pose: tuple, rx: VehicleArrays, rx_pose: tuple):
+def visibility(pairs: PanelPairs, tx_pose: tuple, rx_pose: tuple):
     """The Tx panels' offsets from the Tx reference point (..., Kt) and, per
-    Tx-Rx panel pair, the offset (..., Kt, Kr) from :func:`_pair_offsets` and
-    the LOS mask (..., Kt, Kr) that :func:`los_mask` reads from those offsets,
-    all in the world frame, x + i y: one direction per pair for the mask and
-    all link geometry. Poses are (position (..., 2), heading (...)) as from
-    Pose.arrays; the leading axes broadcast. One e^(i heading) turns each
-    vehicle, and the body test reads positions from the Tx reference point.
-    """
-    (tx_p, tx_h), (rx_p, rx_h) = tx_pose, rx_pose
-    tx_turn, rx_turn = np.exp(1j * tx_h), np.exp(1j * rx_h)
-    tx_m, tx_dir = tx.turned(tx_turn)
+    panel pair of pairs, the offset (..., Kt, Kr) from :func:`_pair_offsets`,
+    the LOS mask that :func:`los_mask` reads from it and its modulus, all in
+    the world frame, x + i y: one direction per pair for the mask and all link
+    geometry. Poses are (position (..., 2), heading (...)) as from Pose.arrays;
+    the leading axes broadcast. One e^(i heading) turns each vehicle, and the
+    body test reads positions from the Tx reference point."""
+    (tx_p, tx_h), (rx_p, rx_h), tx, rx = tx_pose, rx_pose, pairs.tx, pairs.rx
+    headings = np.empty(np.broadcast(tx_h, rx_h).shape + (2,))
+    headings[..., 0], headings[..., 1] = tx_h, rx_h
+    turns = np.exp(1j * headings)[..., None, None]  # e^(i h_t), e^(i h_r)
+    tx_turn = turns[..., 0, 0, 0]
+    tx_m = tx.mount * tx_turn[..., None]
     rx_at = np.subtract(rx_p, tx_p, dtype=float).view(complex)[..., 0]
-    offset = _pair_offsets(tx, rx, tx_turn, rx_h - tx_h, rx_at)
+    offset = _pair_offsets(pairs, tx_turn, rx_h - tx_h, rx_at)
+    distance = np.abs(offset)
     bodies = () if tx.sectors_imply_body and rx.sectors_imply_body else (
-        (0.0, tx_turn[..., None, None], tx.length, tx.width),
-        (rx_at[..., None, None], rx_turn[..., None, None], rx.length, rx.width))
-    visible = los_mask(tx_m[..., None], offset, (tx_dir[..., None], *tx.blocked_edge[..., None]),
-                       (rx.blocked_dir * rx_turn[..., None, None], *rx.blocked_edge), *bodies)
-    return tx_m, offset, visible
+        (0.0, turns[..., 0, :, :], tx.length, tx.width),
+        (rx_at[..., None, None], turns[..., 1, :, :], rx.length, rx.width))
+    visible = los_mask(tx_m[..., None], offset, distance, pairs.sector_dirs * np.conj(turns),
+                       pairs.sector_edge, *bodies)
+    return tx_m, offset, visible, distance
 
 
 def visible_links(tx_m: np.ndarray, offset: np.ndarray, visible: np.ndarray) -> tuple:
@@ -439,8 +453,8 @@ def scene_placement(scene: "Scene", links=None) -> tuple:
     ``links`` (distinct panel pairs in (t, r) order, as active_links gives
     them) the mask of their pairs, visible or not, and the Rx heading (1,)."""
     (tx_p, tx_h), (rx_p, rx_h) = scene.tx_pose.arrays(), scene.rx_pose.arrays()
-    tx_m, offset, visible = visibility(scene.tx_vehicle.arrays, (np.zeros((1, 2)), tx_h[None]),
-                                       scene.rx_vehicle.arrays, ((rx_p - tx_p)[None], rx_h[None]))
+    tx_m, offset, visible, _ = visibility(scene.context.pairs, (np.zeros((1, 2)), tx_h[None]),
+                                          ((rx_p - tx_p)[None], rx_h[None]))
     if links is not None:
         pairs = [(link.tx_panel, link.rx_panel) for link in links]
         if pairs != sorted(set(pairs)):

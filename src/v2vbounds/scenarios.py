@@ -27,14 +27,14 @@ from .errors import NoBracket
 from .fim_closed import MEASUREMENTS, Measurement, bound_arrays, information, link_vectors
 from .geometry import (
     SPEED_OF_LIGHT, Pose, Vec2, VehicleSpec, build_cornered_vehicle, require_count,
-    require_positive_finite, visibility, visible_links, wrap_angles,
+    panel_pairs, require_positive_finite, visibility, visible_links, wrap_angles,
 )
 from .waveform import OfdmSpec, interleaved_allocation
 
 Axis = Literal["lat", "lon"]
 
 DEFAULT_SWEEP_STEP = 0.25  # m
-# Rows a sweep grid may have: a bound_table row peaks at about 3 KB.
+# Rows a sweep grid may have: a bound_table row peaks at about 3.7 kB (tracemalloc, 1e4 rows).
 MAX_GRID_ROWS = 100_000
 # Occupied subcarriers (2 max_occupied_index) a preset may have: a CLI run
 # holds about 120 B per subcarrier (peak RSS 34 MB at 2e4, 271 MB at 2e6 on
@@ -176,7 +176,7 @@ def preset_context(preset: PresetConfig) -> LinkContext:
     fractions = np.array(allocation.array_power_fractions)
     unit_power = OfdmSpec(preset.subcarrier_spacing, preset.carrier_frequency)
     tx_pose, rx_pose = placement_poses(scenario_placements(preset, "overtaking", [0.0]))
-    tx_m, offset, visible = visibility(arrays, tx_pose, arrays, rx_pose)
+    tx_m, offset, visible, _ = visibility(panel_pairs(arrays, arrays), tx_pose, rx_pose)
     # A silent Tx array's links are no links to calibrate on.
     ref_t, ref_r, _, _, distance, _ = (column[0] for column in visible_links(
         tx_m, offset, visible & (fractions > 0.0)[:, None]))
@@ -194,7 +194,7 @@ def preset_context(preset: PresetConfig) -> LinkContext:
                          f"power to {power!r} W, which is not positive and finite")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite context is refused
         ctx = link_context(vehicle, vehicle, replace(unit_power, total_power=power), allocation)
-    if not all(np.isfinite(x).all() for x in (ctx.link_beta, ctx.tx_moments, ctx.link_gd2)):
+    if not all(np.isfinite(x).all() for x in (ctx.link_beta2, ctx.tx_moments, ctx.link_gd2)):
         raise ValueError(f"preset {preset.name!r} has bandwidths, power moments or "
                          "information weights beyond the float range")
     return ctx
@@ -230,16 +230,16 @@ def placement_efims(ctx: LinkContext, tx_pose: tuple, rx_pose: tuple) -> tuple[n
     offsets (N, Kt, Kr) and LOS mask (N, Kt, Kr), and the EFIMs (2, N, 3, 3)
     of :func:`information`, in MEASUREMENTS order, zero without links.
     ``fim_general.placement_schur_efims`` is its general-path twin."""
-    tx_m, offset, visible = visibility(ctx.tx_vehicle.arrays, tx_pose, ctx.rx_vehicle.arrays,
-                                       rx_pose)
+    tx_m, offset, visible, distance = visibility(ctx.pairs, tx_pose, rx_pose)
     # Links (N, Kt*Kr), N >= 0, in (t, r) order; hidden ones at distance inf: g = 0, no direction.
-    links, distance = ctx.link_sends.size, np.where(visible, np.abs(offset), np.inf)
-    v_tau, v_theta, aperture = (v.reshape(-1, links, *v.shape[3:]) for v in link_vectors(
-        offset / distance, tx_m[..., None], rx_pose[1][:, None, None], ctx.link_saaf))
+    distance = np.where(visible, distance, np.inf)
+    v_tau, v_theta, aperture = link_vectors(offset / distance, tx_m[..., None],
+                                            rx_pose[1][:, None, None], ctx.link_saaf)
     with np.errstate(over="ignore"):  # beyond 1e154 m, distance**2 is inf: g = 0, as hidden
-        d2 = distance.reshape(-1, links)**2
-        return tx_m, offset, visible, information(v_tau, v_theta, aperture, ctx.link_gd2 / d2, d2,
-                                                  ctx.link_beta, ctx.ofdm.omega_c)
+        d2 = distance.reshape(-1, ctx.link_sends.size)**2
+        return tx_m, offset, visible, information(
+            v_tau.reshape(*d2.shape, 3), v_theta.reshape(*d2.shape, 3), aperture.reshape(d2.shape),
+            ctx.link_gd2 / d2, d2, ctx.link_beta2, ctx.ofdm.omega_c)
 
 
 def bound_table(
@@ -256,16 +256,15 @@ def bound_table(
     ``n_links`` counts the visible links whose Tx array sends.
     """
     q = np.asarray(q, dtype=float).reshape(-1, 2)
-    placements = np.empty((len(q), 3))  # each row's q and Tx heading, checked at once
-    placements[:, :2], placements[:, 2] = q, alpha_t
-    if not np.isfinite(placements).all():
+    table = np.empty((len(q), len(COLUMNS)))
+    table[:, :2], table[:, 2] = q, alpha_t  # each row's q and Tx heading, checked at once
+    if not np.isfinite(table[:, :3]).all():
         raise ValueError("placements and Tx headings must be finite")
     ctx = preset_context(preset)
-    _, _, visible, j = placement_efims(ctx, *placement_poses(q, placements[:, 2]))
-    table = np.empty((len(q), len(COLUMNS)))
-    table[:, :2] = q
+    _, _, visible, j = placement_efims(ctx, *placement_poses(q, table[:, 2]))
     np.subtract(np.abs(q[:, 1]), preset.vehicle_length, out=table[:, 2])
-    np.add.reduce(visible.reshape(-1, ctx.link_sends.size) & ctx.link_sends, 1, out=table[:, 3])
+    np.matmul(visible.reshape(-1, ctx.link_sends.size), ctx.link_sends, dtype=float,
+              out=table[:, 3])
     table[:, SET_COLUMNS] = bound_arrays(j)[2].swapaxes(0, 1)
     return table
 

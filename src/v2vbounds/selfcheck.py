@@ -59,7 +59,7 @@ def random_placements(rng: np.random.Generator, presets: list[PresetConfig], n_s
     scene i under presets[i % len(presets)], in lists of _STACK_BYTES // 8192
     (128), one empty list for n_scenes = 0. Each draw takes a radius, a bearing
     and a Tx heading, as drawing one at a time and redrawing those unlinked."""
-    vehicles = [(c.tx_vehicle.arrays, c.rx_vehicle.arrays) for c in map(preset_context, presets)]
+    pairs = [ctx.pairs for ctx in map(preset_context, presets)]
     size = max(1, _STACK_BYTES // 8192)
     for start in range(0, max(n_scenes, 1), size):
         block, end = [], min(start + size, n_scenes)
@@ -70,8 +70,7 @@ def random_placements(rng: np.random.Generator, presets: list[PresetConfig], n_s
             q = np.column_stack((radius * np.cos(bearing), radius * np.sin(bearing)))
             # The LOS mask of placement_efims, without its EFIM assembly.
             tx_pose, rx_pose = placement_poses(q, alpha_t)
-            linked = [visibility(tx, tx_pose, rx, rx_pose)[2].any(axis=(1, 2))
-                      for tx, rx in vehicles]
+            linked = [visibility(p, tx_pose, rx_pose)[2].any(axis=(1, 2)) for p in pairs]
             for j in range(len(q)):
                 i = (start + len(block)) % len(presets)
                 if linked[i][j]:
@@ -171,7 +170,7 @@ def analytic_vs_fd_errors(*, n_scenes: int = 20, seed: int = SELFCHECK_SEED) -> 
     worst = np.zeros(())
     for preset, q, alpha_t in _preset_stacks(light, n_scenes, seed):
         ctx, (tx_pose, rx_pose) = preset_context(preset), placement_poses(q, alpha_t)
-        placement = visibility(ctx.tx_vehicle.arrays, tx_pose, ctx.rx_vehicle.arrays, rx_pose)
+        placement = visibility(ctx.pairs, tx_pose, rx_pose)[:3]
         samples = ctx.omega.shape[-1] * ctx.rx_vehicle.arrays.elements.shape[-1]
         for chunk in _link_count_chunks(placement[2], lambda n_links: 16 * 4 * n_links * samples):
             t, r, _, _, distance, angle, h = placement_links(
@@ -190,8 +189,7 @@ def reference_invariance_error(seed: int = SELFCHECK_SEED) -> float:
     [[(preset, q, alpha_t)]] = random_placements(np.random.default_rng(seed),
                                                  [PRESETS["cfg_3p5GHz"]], 1)
     ctx, (tx_pose, rx_pose) = preset_context(preset), placement_poses(q[None], alpha_t)
-    links = placement_links(ctx, *visibility(ctx.tx_vehicle.arrays, tx_pose,
-                                             ctx.rx_vehicle.arrays, rx_pose), rx_pose[1])
+    links = placement_links(ctx, *visibility(ctx.pairs, tx_pose, rx_pose)[:3], rx_pose[1])
     index = np.arange(links[0].shape[-1])
     order = np.argsort(index != index[:, None], axis=-1, kind="stable")
     t, r, v_tau, v_theta, distance, angle, h = (x[0, order] for x in links)

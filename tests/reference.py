@@ -242,11 +242,11 @@ def dense_link_efims(ctx, tx_pose, rx_pose):
     t, r = (i.ravel() for i in np.indices((len(tx.mount), len(rx.mount))))
     tx_at = tx.mount[t] * np.exp(1j * tx_h)[:, None]
     offset = link_offsets(tx, tx_pose, rx, rx_pose, t, r)
-    visible = visibility(tx, tx_pose, rx, rx_pose)[2]
+    visible = visibility(ctx.pairs, tx_pose, rx_pose)[2]
     distance = np.where(visible.reshape(len(visible), -1), np.abs(offset), np.inf)
     vectors = link_vectors(offset / distance, tx_at, rx_h[:, None],
                            ctx.link_saaf.reshape(3, -1))
-    return information(*vectors, ctx.link_gd2 / distance**2, distance**2, ctx.link_beta,
+    return information(*vectors, ctx.link_gd2 / distance**2, distance**2, ctx.link_beta2,
                        ctx.ofdm.omega_c)
 
 
@@ -403,14 +403,14 @@ def dense_arrow(blocks, jacobians, measurement):
     return block_diagonal(blocks), t_matrix
 
 
-def einsum_information(v_tau, v_theta, aperture, g, distance2, beta, omega_c):
+def einsum_information(v_tau, v_theta, aperture, g, distance2, beta2, omega_c):
     """AOA+TDOA and AOA-only EFIMs (MEASUREMENTS order) as einsum sums over
-    the links, distance2 the squared distances: the reference for the batched
-    matmul form of ``fim_closed.information``."""
+    the links, distance2 and beta2 the squared distances and bandwidths: the
+    reference for the batched matmul form of ``fim_closed.information``."""
     c2 = SPEED_OF_LIGHT**2
     w_theta = g * omega_c**2 * aperture / (c2 * distance2)
     j_aoa = np.einsum("...k,...ki,...kj->...ij", w_theta, v_theta, v_theta)
-    w_tau = g * beta**2 / c2
+    w_tau = g * beta2 / c2
     total = np.sum(w_tau, axis=-1, keepdims=True)
     mean = np.einsum("...k,...ki->...i", w_tau, v_tau) / np.where(total > 0.0, total, 1.0)
     centered = v_tau - mean[..., None, :]

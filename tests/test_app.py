@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import v2vbounds
-from v2vbounds.app import CSV_HEADER, RunConfig, emit_csv, load_config, main
+from v2vbounds.app import CSV_HEADER, RunConfig, build_parser, emit_csv, load_config, main
 from v2vbounds.errors import ConfigError
 from v2vbounds.fim_closed import MEASUREMENTS
 from v2vbounds.scenarios import COLUMNS, PRESETS, SET_COLUMNS
@@ -496,6 +496,21 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         assert main(["--scenario", "overtaking", "--step", "6.0"]) == 0
         assert (tmp_path / "overtaking_cfg_3p5GHz.csv").exists()
+
+    def test_consecutive_calls_leave_no_state(self, tmp_path, capsys):
+        # One parser serves every call in a process: a call's --measurements
+        # must not reach the next call, which gives both sets again.
+        flags = ["--scenario", "overtaking", "--step", "6.0", "--out"]
+        assert main(flags + [str(tmp_path / "aoa.csv"), "--measurements", "aoa"]) == 0
+        aoa_out = capsys.readouterr().out
+        assert main(flags + [str(tmp_path / "both.csv")]) == 0
+        both_out = capsys.readouterr().out
+        assert build_parser() is build_parser()
+        aoa, both = (np.loadtxt(tmp_path / f"{name}.csv", delimiter=",", skiprows=1)
+                     for name in ("aoa", "both"))
+        assert np.isinf(aoa[:, SET_COLUMNS[0]]).all() and np.isfinite(both[:, SET_COLUMNS[0]]).any()
+        assert np.array_equal(aoa[:, SET_COLUMNS[1]], both[:, SET_COLUMNS[1]])
+        assert "AOA+TDOA" not in aoa_out and "AOA+TDOA" in both_out
 
     def test_selfcheck(self, capsys):
         assert main(["--selfcheck"]) == 0

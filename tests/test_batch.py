@@ -24,7 +24,7 @@ from v2vbounds.fim_general import (
     transform_matrices, transform_matrix,
 )
 from v2vbounds.geometry import (
-    SPEED_OF_LIGHT, Vec2, active_links, visibility, wrap_angle, wrap_angles,
+    SPEED_OF_LIGHT, Vec2, active_links, panel_pairs, visibility, wrap_angle, wrap_angles,
 )
 from v2vbounds.scenarios import (
     PRESETS,
@@ -184,7 +184,7 @@ def test_visibility_mask_equals_los_visible(case):
     x, y, alpha_t = np.array(placements).T
     poses = placement_poses(np.column_stack((x, y)), alpha_t)
     tx, rx = ctx.tx_vehicle.arrays, ctx.rx_vehicle.arrays
-    mask = visibility(tx, poses[0], rx, poses[1])[2]
+    mask = visibility(ctx.pairs, *poses)[2]
     pairs = np.indices(mask.shape[1:]).reshape(2, -1)
     offsets = link_offsets(tx, poses[0], rx, poses[1], *pairs).reshape(mask.shape)
     for i, (x, y, alpha_t) in enumerate(placements):
@@ -211,7 +211,7 @@ def test_pair_offsets_and_efims_equal_the_dense_link_block(case):
     x, y, alpha_t = np.array(placements).T
     poses = placement_poses(np.column_stack((x, y)), alpha_t)
     tx, rx = ctx.tx_vehicle.arrays, ctx.rx_vehicle.arrays
-    offset = visibility(tx, poses[0], rx, poses[1])[1]
+    offset = visibility(ctx.pairs, *poses)[1]
     t, r = (i.ravel() for i in np.indices(offset.shape[1:3]))
     expected = link_offsets(tx, poses[0], rx, poses[1], t, r)
     assert np.array_equal(offset.reshape(len(x), -1), expected)
@@ -238,8 +238,8 @@ def test_skipped_body_test_changes_no_link(preset, placements):
     x, y, alpha_t, alpha_r = np.array(placements).T
     poses = ((np.zeros((len(x), 2)), wrap_angles(alpha_t)),
              (np.column_stack((x, y)), wrap_angles(alpha_r)))
-    np.testing.assert_array_equal(visibility(arrays, poses[0], arrays, poses[1])[2],
-                                  visibility(full, poses[0], full, poses[1])[2])
+    np.testing.assert_array_equal(visibility(panel_pairs(arrays, arrays), *poses)[2],
+                                  visibility(panel_pairs(full, full), *poses)[2])
 
 
 @pytest.mark.parametrize("vehicle, flag", [
@@ -400,8 +400,7 @@ def schur_cases(case):
     ctx = preset_context(preset)
     x, y, alpha_t = np.array(placements).T
     tx_pose, rx_pose = placement_poses(np.column_stack((x, y)), alpha_t)
-    tx_c, offset, visible = visibility(ctx.tx_vehicle.arrays, tx_pose, ctx.rx_vehicle.arrays,
-                                       rx_pose)
+    tx_c, offset, visible, _ = visibility(ctx.pairs, tx_pose, rx_pose)
     if not visible.any():
         return None
     return ctx, placement_links(ctx, tx_c, offset, visible, rx_pose[1])
@@ -661,8 +660,7 @@ def test_schur_efims_do_not_depend_on_the_link_order(case):
     ctx = preset_context(preset)
     x, y, alpha_t = np.array(placements).T
     tx_pose, rx_pose = placement_poses(np.column_stack((x, y)), alpha_t)
-    tx_c, offset, visible = visibility(ctx.tx_vehicle.arrays, tx_pose, ctx.rx_vehicle.arrays,
-                                       rx_pose)
+    tx_c, offset, visible, _ = visibility(ctx.pairs, tx_pose, rx_pose)
     n_links = visible.sum(axis=(1, 2))
     for count in set(n_links.tolist()) - {0, 1}:
         group = np.flatnonzero(n_links == count)

@@ -272,7 +272,7 @@ def link_arrays(draw):
     g = draw(arrays(float, (n, k), elements=st.just(0.0) | st.floats(1e-3, 1e6)))
     distance = draw(arrays(float, (n, k), elements=st.floats(0.5, 100.0)))
     beta = draw(arrays(float, (k,), elements=st.just(0.0) | st.floats(1e5, 1e8)))
-    return v_tau, v_theta, aperture, g, distance**2, beta, 2.0 * math.pi * 3.5e9
+    return v_tau, v_theta, aperture, g, distance**2, beta**2, 2.0 * math.pi * 3.5e9
 
 
 @settings(max_examples=200, deadline=None)
@@ -281,11 +281,11 @@ def test_information_matches_einsum_oracle(case):
     # Matmul and einsum sum the links in different orders: the difference is
     # bounded by 1e-13 of sum_k w_k (sum_i |v_ki|)^2, a bound on the
     # uncentered terms' magnitudes (the delay part centres its vectors first).
-    v_tau, v_theta, aperture, g, distance2, beta, omega_c = case
+    v_tau, v_theta, aperture, g, distance2, beta2, omega_c = case
     c2 = SPEED_OF_LIGHT**2
     size_aoa = np.einsum("...k,...ki,...kj->...", g * omega_c**2 * aperture / (c2 * distance2),
                          np.abs(v_theta), np.abs(v_theta))
-    size_tau = np.einsum("...k,...ki,...kj->...", g * beta**2 / c2, np.abs(v_tau), np.abs(v_tau))
+    size_tau = np.einsum("...k,...ki,...kj->...", g * beta2 / c2, np.abs(v_tau), np.abs(v_tau))
     for got, expected, size in zip(information(*case), einsum_information(*case),
                                    (size_aoa + size_tau, size_aoa)):
         assert got.shape == expected.shape

@@ -86,7 +86,7 @@ def closed_form(scene, links, gains):
     """A scene's links' EFIMs, in MEASUREMENTS order, from the einsum oracle."""
     betas = scene.context.betas[[link.tx_panel for link in links]]
     return einsum_information(*link_info_vectors(scene, links), np.array([g.g for g in gains]),
-                              np.array([link.distance for link in links])**2, betas,
+                              np.array([link.distance for link in links])**2, betas**2,
                               scene.context.ofdm.omega_c)
 
 
@@ -729,8 +729,7 @@ class TestBatchedKernels:
         [drawn] = random_placements(np.random.default_rng(SELFCHECK_SEED), [preset], 40)
         q, alpha_t = np.array([q for _, q, _ in drawn]), np.array([a for _, _, a in drawn])
         tx_pose, rx_pose = placement_poses(q, alpha_t)
-        tx_c, offset, visible = visibility(ctx.tx_vehicle.arrays, tx_pose, ctx.rx_vehicle.arrays,
-                                           rx_pose)
+        tx_c, offset, visible, _ = visibility(ctx.pairs, tx_pose, rx_pose)
         n_links = visible.sum(axis=(1, 2))
         groups = [np.flatnonzero(n_links == count) for count in set(n_links.tolist())]
         assert any(len(group) > 1 for group in groups)

@@ -22,6 +22,7 @@ from v2vbounds.geometry import (
     build_conformal_panel,
     build_cornered_vehicle,
     los_mask,
+    panel_pairs,
     sector_edge,
     visibility,
     wrap_angle,
@@ -286,7 +287,7 @@ class TestCentroidsMatchPanelWorldState:
     def test_mixed_vehicle(self, x, y, heading):
         vehicle = TestVehicleArrays.mixed_vehicle()
         pose = Pose(Vec2(x, y), heading)
-        centroids = vehicle.arrays.turned(np.exp(1j * pose.arrays()[1]))[0] + complex(x, y)
+        centroids = vehicle.arrays.mount * np.exp(1j * pose.arrays()[1]) + complex(x, y)
         for k in range(len(vehicle.panels)):
             expected = panel_world_state(vehicle, pose, k).centroid.as_tuple()
             np.testing.assert_allclose((centroids[k].real, centroids[k].imag), expected, rtol=0,
@@ -300,8 +301,9 @@ class TestCentroidsMatchPanelWorldState:
         # to the rounding of the angle's sum.
         for vehicle in (TestVehicleArrays.mixed_vehicle(), preset_context(PRESETS["cfg_28GHz"])
                         .tx_vehicle):
-            heading = np.array(headings)
-            mount, sector = vehicle.arrays.turned(np.exp(1j * heading))
+            heading, arrays = np.array(headings), vehicle.arrays
+            mount, sector = (x * np.exp(1j * heading)[:, None] for x in (arrays.mount,
+                                                                        arrays.blocked_dir))
             expected = reference_centroids(vehicle, np.zeros((len(heading), 2)), heading)
             distance = np.abs([p.mount for p in vehicle.panels])
             error = np.abs(np.stack((mount.real, mount.imag), axis=-1) - expected)
@@ -335,8 +337,8 @@ class TestLinkGeometry:
     def test_coincident_rejected(self):
         # Coincident centroids have no direction: never a link, even with open sectors.
         centroid, sector = 1.0 + 1.0j, (1.0 + 0.0j, *sector_edge(0.0))
-        assert not los_mask(centroid, centroid - centroid, sector, sector)
-        assert los_mask(centroid, (centroid + (1e-9 + 1e-9j)) - centroid, sector, sector)
+        assert not pair_visible(centroid, centroid - centroid, sector, sector)
+        assert pair_visible(centroid, (centroid + (1e-9 + 1e-9j)) - centroid, sector, sector)
 
     def test_opposite_directions(self):
         link = link_geometry(Vec2(-2, 7), Vec2(4, -3), -0.8)
@@ -429,12 +431,13 @@ class TestVisibility:
         # reversed direction, leaving visibility unchanged.
         for q, alpha_t in ((Vec2(-3.5, 7.0), 0.0), (Vec2(4.0, -9.0), 0.7), (Vec2(0.0, -12.0), -0.4)):
             scene = build_scene(preset_3p5, q, alpha_t=alpha_t)
-            tx = (scene.tx_vehicle.arrays, scene.tx_pose.arrays())
-            rx = (scene.rx_vehicle.arrays, scene.rx_pose.arrays())
-            full = [(dataclasses.replace(a, sectors_imply_body=False), pose) for a, pose in (tx, rx)]
-            for tx_side, rx_side in ((tx, rx), full):
-                forward = visibility(*tx_side, *rx_side)[2]
-                np.testing.assert_array_equal(visibility(*rx_side, *tx_side)[2], forward.T)
+            tx, rx = scene.tx_vehicle.arrays, scene.rx_vehicle.arrays
+            poses = scene.tx_pose.arrays(), scene.rx_pose.arrays()
+            full = [dataclasses.replace(a, sectors_imply_body=False) for a in (tx, rx)]
+            for tx_arrays, rx_arrays in ((tx, rx), full):
+                forward = visibility(panel_pairs(tx_arrays, rx_arrays), *poses)[2]
+                np.testing.assert_array_equal(
+                    visibility(panel_pairs(rx_arrays, tx_arrays), *poses[::-1])[2], forward.T)
 
     @given(st.floats(1e-9, 1e-2) | st.floats(-1e-2, -1e-9), st.floats(-math.pi, math.pi))
     @settings(max_examples=50)
@@ -446,8 +449,8 @@ class TestVisibility:
         vehicle = build_cornered_vehicle(4.5, 1.8, 2, 0.1, math.pi / 4)
         arrays, origin, tx_heading = vehicle.arrays, np.zeros((1, 2)), heading + turn
         turn = tx_heading - heading  # the turn between the headings as rounded
-        offset = visibility(arrays, (origin, np.array([tx_heading])),
-                            arrays, (origin, np.array([heading])))[1][0]
+        offset = visibility(panel_pairs(arrays, arrays), (origin, np.array([tx_heading])),
+                            (origin, np.array([heading])))[1][0]
         distance, angle = polar([p.mount for p in vehicle.panels])
         mid = angle + heading + 0.5 * turn
         twin = 2.0 * distance * math.sin(0.5 * turn) * (np.sin(mid) - 1j * np.cos(mid))
@@ -495,9 +498,20 @@ def crosses_body(vehicle, pose, a: Vec2, b: Vec2) -> bool:
 
 
 def world_sector(state: PanelState) -> tuple:
-    """A panel state's blocked sector as los_mask takes it."""
+    """A panel state's blocked sector (e^(i c), cos h', sin h') in the world frame."""
     return (complex(math.cos(state.blocked_center), math.sin(state.blocked_center)),
             *sector_edge(state.blocked_halfwidth))
+
+
+def pair_visible(tx_c: complex, d: complex, tx_sector: tuple, rx_sector: tuple, *bodies) -> bool:
+    """los_mask of one panel pair (1, 1), the Tx centroid tx_c and the offset d,
+    from the pair's sectors as world_sector gives them: stacked, e^(-i c), the
+    Rx one negated."""
+    (tx_dir, *tx_edge), (rx_dir, *rx_edge) = tx_sector, rx_sector
+    offset = np.full((1, 1), d)
+    directions = np.reshape([np.conj(tx_dir), -np.conj(rx_dir)], (2, 1, 1))
+    edge = np.reshape(np.transpose([tx_edge, rx_edge]), (2, 2, 1, 1))
+    return bool(los_mask(tx_c, offset, np.abs(offset), directions, edge, *bodies)[0, 0])
 
 
 class TestBodyBlockage:
@@ -575,13 +589,13 @@ class TestVectorisedVisibilityMatchesLoop:
         rx = PanelState(rx_c, (), centers[1], halfwidths[1])
         for tx_state in (tx, PanelState(tx_c, (), centers[0], halfwidths[0])):
             for rx_state in (rx, PanelState(toward, (), centers[1], halfwidths[1])):
-                visible = los_mask(
+                visible = pair_visible(
                     complex(*tx_state.centroid.as_tuple()),
                     complex(*(rx_state.centroid - tx_state.centroid).as_tuple()),
                     world_sector(tx_state), world_sector(rx_state), body(*tx_rect), body(*rx_rect),
                 )
                 if not on_sector_edge(tx_state, rx_state):
-                    assert bool(visible) == reference_los_visible(tx_state, rx_state, tx_rect,
+                    assert visible == reference_los_visible(tx_state, rx_state, tx_rect,
                                                                   rx_rect)
 
 
@@ -599,7 +613,7 @@ class TestSectorEdges:
         faces away from the Tx panel, checked against the oracle."""
         tx = PanelState(Vec2(0.0, 0.0), (), wrap_angle(center), halfwidth)
         rx = PanelState(rx_c, (), rx_c.angle(), 0.0)
-        visible = bool(los_mask(0j, complex(*rx_c.as_tuple()), world_sector(tx), world_sector(rx)))
+        visible = pair_visible(0j, complex(*rx_c.as_tuple()), world_sector(tx), world_sector(rx))
         assert visible == reference_los_visible(tx, rx, self.FAR, self.FAR)
         return visible
 
@@ -645,9 +659,9 @@ class TestSectorEdges:
             tx, rx = scene.tx_vehicle.arrays, scene.rx_vehicle.arrays
             full = [dataclasses.replace(a, sectors_imply_body=False) for a in (tx, rx)]
             for tx_arrays, rx_arrays in ((tx, rx), full):
-                np.testing.assert_array_equal(visibility(tx_arrays, scene.tx_pose.arrays(),
-                                                         rx_arrays, scene.rx_pose.arrays())[2],
-                                              expected)
+                np.testing.assert_array_equal(
+                    visibility(panel_pairs(tx_arrays, rx_arrays), scene.tx_pose.arrays(),
+                               scene.rx_pose.arrays())[2], expected)
 
     def test_visibility_takes_no_angles(self, monkeypatch, preset_3p5):
         # The sector test reads direction vectors: no arctan2 and no wrap.
@@ -658,11 +672,11 @@ class TestSectorEdges:
         full = dataclasses.replace(arrays, sectors_imply_body=False)
         poses = (np.zeros((3, 2)), np.array([0.0, 2.0, -3.0])), (
             np.array([[-3.5, 4.5], [4.0, -9.0], [0.5, 20.0]]), np.array([0.0, 1.0, -0.5]))
-        expected = visibility(full, poses[0], full, poses[1])[2]
+        expected = visibility(panel_pairs(full, full), *poses)[2]
         monkeypatch.setattr(np, "arctan2", refuse)
         monkeypatch.setattr("v2vbounds.geometry.wrap_angles", refuse)
         for vehicle in (arrays, full):
-            np.testing.assert_array_equal(visibility(vehicle, poses[0], vehicle, poses[1])[2],
+            np.testing.assert_array_equal(visibility(panel_pairs(vehicle, vehicle), *poses)[2],
                                           expected)
 
     @pytest.mark.parametrize("halfwidth", [0.0, math.pi / 4, math.pi])

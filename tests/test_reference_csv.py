@@ -1,4 +1,5 @@
-"""The four default CLI runs reproduce the recorded outputs in bench/ref/.
+"""The four default CLI runs and the benchmark's seeded single placements
+reproduce the recorded outputs in bench/ref/.
 
 Cells must agree at 9 significant digits (one unit of slack in the ninth
 digit), ``n_links`` exactly, and ``inf`` must stay ``inf``. Crossing
@@ -7,15 +8,21 @@ of 0.01 m plus the rounding of two printed values. The reference files are
 only read.
 """
 
+import importlib.util
 import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 from v2vbounds.app import main
+from v2vbounds.geometry import Vec2
+from v2vbounds.scenarios import PRESETS, evaluate_point
 
 REF_DIR = Path(__file__).resolve().parent.parent / "bench" / "ref"
+WORKLOADS = REF_DIR.parent / "workloads.py"
+POINTS_SEED = 20240311
 CROSSING_TOL_M = 0.02
 
 
@@ -72,3 +79,28 @@ def test_default_run_matches_reference(tmp_path, capsys, scenario, preset):
         r_words, r_nums = _split_numbers(r_line)
         assert g_words == r_words
         assert all(abs(a - b) <= CROSSING_TOL_M for a, b in zip(g_nums, r_nums)), g_line
+
+
+def test_points_match_reference(monkeypatch):
+    # The points workload's placements, headings from bench/workloads.py
+    # (loaded by path, writing no bytecode next to it), one evaluate_point
+    # each against bench/ref/points_<seed>.csv, presets alternating.
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(workloads)
+    placements = workloads.placements(POINTS_SEED)
+    lines = (REF_DIR / f"points_{POINTS_SEED}.csv").read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    assert len(lines) - 1 == len(placements) == 200
+    for i, (line, (x, y, heading)) in enumerate(zip(lines[1:], placements)):
+        ref = dict(zip(header, line.split(",")))
+        assert ref["preset"] == workloads.PRESET_NAMES[i % 2]
+        row = evaluate_point(PRESETS[ref["preset"]], Vec2(x, y), heading)
+        for column in header[1:]:
+            got, expected = getattr(row, column), ref[column]
+            if column == "n_links":
+                assert got == int(expected), f"placement {i} {column}"
+            else:
+                assert same_9g(got, float(expected)), f"placement {i} {column}: {got} != {expected}"

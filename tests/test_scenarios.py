@@ -228,12 +228,15 @@ class TestEvaluatePoint:
         with pytest.raises(ValueError):
             arrays.saaf_s[:] *= 4
         assert evaluate_point(preset_3p5, Vec2(-3.5, 10.0)) == before
-        # Every array field of the vehicle's arrays and of the link context:
-        # mount, blocked_dir, the complex elements, the SAAF terms link_saaf and
-        # the sending mask among them.
-        shared = [getattr(owner, f.name) for owner in (arrays, ctx) for f in dataclasses.fields(owner)
+        # Every array field of the vehicle's arrays, of the link context and of
+        # its panel pairs: mount, blocked_dir, the complex elements, the SAAF
+        # terms link_saaf, the squared bandwidths link_beta2, the sending mask,
+        # the mounts' differences and both sectors' stacked directions and edges
+        # among them.
+        shared = [getattr(owner, f.name) for owner in (arrays, ctx, ctx.pairs)
+                  for f in dataclasses.fields(owner)
                   if isinstance(getattr(owner, f.name), np.ndarray)]
-        assert len(shared) == 14
+        assert len(shared) == 17
         assert not any(a.flags.writeable for a in shared)
 
 
